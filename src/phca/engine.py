@@ -1,34 +1,40 @@
 """Batch driver: solve many parameter instances by region reuse.
 
-The loop picks an unsolved parameter vector, solves its QP directly,
-identifies the active set, and turns it into a critical region; every
-other unsolved parameter inside the region polyhedron then gets its
-optimizer from the region's affine map at no further QP cost.  Regions
-are discarded as soon as they have been swept, so at most one is alive
-at a time.
+The loop picks an unsolved parameter vector, solves its QP directly and
+reads the active set off the solution's multipliers: the rows with a
+positive multiplier.  That set gives a critical region, whose affine map
+is then swept over every unsolved parameter.  A parameter is served from
+the map only when the mapped point passes certification: primal
+feasibility of every row and nonnegative multipliers on the active rows.
+Stationarity and complementarity hold by construction of the map, so a
+certified point is optimal.  Regions are discarded as soon as they have
+been swept, so at most one is alive at a time.
 
-A direct solve whose constraint residuals fall inside an uncertainty
-band (too small to trust as inactive, too large to trust as active), a
-rank-deficient active set, or a region that fails its own seed's
-membership check all degrade gracefully: the instance keeps its direct
-solution and no region is built from it.  An optional budget caps the
-number of region-building attempts; leftovers are then solved directly.
+Certification is the one acceptance rule, and the seed must pass it like
+every swept point.  When the region does not certify its own seed, or
+the active rows stacked on the equalities are rank deficient, the seed
+keeps its direct solution and no region is built from it.  An optional
+budget caps the number of region-building attempts; leftovers are then
+solved directly.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .builder import MpqpProblem, ScalingRecord, scale_problem
-from .errors import AbortError, DimensionError, RankDeficientKError
+from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError, SchemaError
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
 from .qp import identify_active, solve_qp
-from .regions import CriticalRegion, RegionContext
+from .regions import RegionContext
+
+logger = logging.getLogger(__name__)
 
 REUSE = "reuse"
 DIRECT = "direct"
@@ -38,50 +44,52 @@ FAILED = "failed"
 
 REASON_SEED = "seed"
 REASON_BUDGET = "budget-exhausted"
-REASON_BAND = "uncertain-active-set"
+REASON_UNCERTAIN = "uncertain-active-set"
 REASON_RANK = "rank-deficient"
-REASON_SANITY = "region-sanity"
-REASON_MISMATCH = "solution-mismatch"
+
+#: a row is active at a polished solution when its multiplier exceeds this
+#: fraction of the largest one; the polish sets every other row's to zero
+ACTIVE_LAM_REL = 1e-9
 
 
 @dataclass(frozen=True)
 class EngineOptions:
     """Tolerances and policy knobs for one batch run.
 
-    seed orders the parameter picks (None keeps input order), eps_active
-    classifies constraint rows at the seed solution, eps_membership is
-    the region polyhedron tolerance, and the band (band_low, band_high)
-    is the residual range treated as too ambiguous to build a region
-    from.  screen_primal and screen_dual certify each reused solution
-    (worst inequality residual, most negative multiplier) so membership
-    noise near region facets never serves a wrong answer.  solve_budget
-    caps region-building attempts; the remainder of the batch is then
-    solved instance by instance.
+    seed orders the parameter picks (None keeps input order).  A region
+    serves a parameter, its own seed included, only when the mapped point
+    is certified: every inequality residual at most screen_primal and
+    every active-row multiplier at least -screen_dual.  eps_membership
+    is the region polyhedron tolerance, a cheap pre-filter ahead of the
+    certification.  eps_active classifies rows as active, by residual, at
+    the budget stragglers' direct solutions; it must sit at least two
+    decades above screen_primal, the residual certification tolerates,
+    and below eps_membership.  solve_budget caps region-building
+    attempts; the remainder of the batch is then solved instance by
+    instance.  max_failures aborts a batch whose direct solves keep
+    failing numerically.
     """
 
     seed: int | None = 0
     eps_active: float = 1e-5
     eps_membership: float = 1e-4
-    band_low: float = 1e-6
-    band_high: float = 1e-4
     solve_budget: int | None = None
     qp_tol: float = 1e-10
-    solution_check_tol: float = 1e-7
     screen_primal: float = 1e-8
     screen_dual: float = 1e-8
     max_failures: int = 50
 
     def validate(self) -> None:
-        if not 0 < self.band_low < self.band_high:
-            raise ValueError("need 0 < band_low < band_high")
-        if not self.band_low < self.eps_active < self.band_high:
-            raise ValueError("eps_active must lie inside the uncertainty band")
         if self.eps_membership <= 0 or self.qp_tol <= 0:
-            raise ValueError("tolerances must be positive")
+            raise ConfigError("tolerances must be positive")
         if self.screen_primal <= 0 or self.screen_dual <= 0:
-            raise ValueError("screen tolerances must be positive")
+            raise ConfigError("screen tolerances must be positive")
+        if not 100.0 * self.screen_primal < self.eps_active < self.eps_membership:
+            raise ConfigError(
+                "eps_active must lie above 100 * screen_primal and below eps_membership"
+            )
         if self.solve_budget is not None and self.solve_budget < 1:
-            raise ValueError("solve_budget must be at least 1")
+            raise ConfigError("solve_budget must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -151,17 +159,7 @@ class BatchResult:
     def summary(self) -> dict:
         return {
             "counters": asdict(self.counters),
-            "options": {
-                "seed": self.options.seed,
-                "eps_active": self.options.eps_active,
-                "eps_membership": self.options.eps_membership,
-                "band_low": self.options.band_low,
-                "band_high": self.options.band_high,
-                "solve_budget": self.options.solve_budget,
-                "qp_tol": self.options.qp_tol,
-                "screen_primal": self.options.screen_primal,
-                "screen_dual": self.options.screen_dual,
-            },
+            "options": asdict(self.options),
             "scaling": asdict(self.scaling),
             "regions": [
                 {
@@ -206,6 +204,30 @@ def _direct_record(index, status, reason, signature):
     )
 
 
+def _positive_multipliers(sol) -> np.ndarray:
+    """Rows with a positive multiplier: the active set of a polished solve."""
+    lam = sol.lam
+    if lam.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(lam > ACTIVE_LAM_REL * max(1.0, float(lam.max())))
+
+
+def _certify(prob, region, thetas, options):
+    """Region points at the stacked thetas, and whether each is certified.
+
+    A point is certified when every inequality residual is at most
+    screen_primal and every active-row multiplier at least -screen_dual;
+    the region's maps satisfy stationarity and complementarity exactly,
+    so a certified point is optimal.
+    """
+    xs = region.batch_solutions(thetas)
+    resid = xs @ prob.A.T - thetas @ prob.E.T - prob.b
+    ok = resid.max(axis=1) <= options.screen_primal
+    if region.G1.shape[0]:
+        ok &= (thetas @ region.G1.T + region.w1).min(axis=1) >= -options.screen_dual
+    return xs, ok
+
+
 def run_batch(
     prob: MpqpProblem,
     thetas: np.ndarray,
@@ -244,12 +266,7 @@ def run_batch(
     x = np.full((n, scaled.H.shape[0]), np.nan)
     records: list[InstanceRecord | None] = [None] * n
     census: list[RegionRecord] = []
-    pos = 0
     budget_left = options.solve_budget
-
-    def direct_solve(i):
-        counters.qp_solves += 1
-        return solve_qp(scaled.instance(thetas[i]), tol=options.qp_tol)
 
     def classify_failure(i, sol):
         if sol.status == QP_INFEASIBLE:
@@ -263,105 +280,63 @@ def run_batch(
                     f"{counters.failed} direct solves failed numerically; "
                     "aborting the batch"
                 )
-        solved[i] = True
 
-    while pos < n:
-        if solved[order[pos]]:
-            pos += 1
+    def degenerate(i, sol, reason, signature):
+        logger.debug("instance %d: degenerate-direct (%s)", i, reason)
+        x[i] = sol.x
+        records[i] = _direct_record(i, DEGENERATE, reason, signature)
+        counters.degenerate += 1
+
+    for i in order:
+        i = int(i)
+        if solved[i]:
             continue
-        i = int(order[pos])
-
-        if budget_left is not None and budget_left == 0:
-            # budget spent: solve everything left one by one
-            for j in order[pos:]:
-                j = int(j)
-                if solved[j]:
-                    continue
-                sol = direct_solve(j)
-                if sol.status != QP_OPTIMAL:
-                    classify_failure(j, sol)
-                    continue
-                x[j] = sol.x
-                sig = tuple(int(v) for v in identify_active(
-                    scaled.instance(thetas[j]), sol, options.eps_active
-                ))
-                records[j] = _direct_record(j, DIRECT, REASON_BUDGET, sig)
-                counters.stragglers += 1
-                solved[j] = True
-            break
-
-        sol = direct_solve(i)
-        if budget_left is not None:
+        solved[i] = True
+        counters.qp_solves += 1
+        inst = scaled.instance(thetas[i])
+        sol = solve_qp(inst, tol=options.qp_tol)
+        budget_spent = budget_left == 0
+        if budget_left:
             budget_left -= 1
         if sol.status != QP_OPTIMAL:
             classify_failure(i, sol)
             continue
 
-        inst = scaled.instance(thetas[i])
-        resid = np.abs(inst.b - inst.A @ sol.x)
-        active = identify_active(inst, sol, options.eps_active)
-        signature = tuple(int(v) for v in active)
-
-        in_band = np.any((resid > options.band_low) & (resid < options.band_high))
-        if in_band:
+        if budget_spent:
+            sig = tuple(int(v) for v in identify_active(inst, sol, options.eps_active))
             x[i] = sol.x
-            records[i] = _direct_record(i, DEGENERATE, REASON_BAND, signature)
-            counters.degenerate += 1
-            solved[i] = True
+            records[i] = _direct_record(i, DIRECT, REASON_BUDGET, sig)
+            counters.stragglers += 1
             continue
 
+        active = _positive_multipliers(sol)
+        signature = tuple(int(v) for v in active)
         try:
             region = ctx.build_region(active)
         except RankDeficientKError:
-            x[i] = sol.x
-            records[i] = _direct_record(i, DEGENERATE, REASON_RANK, signature)
-            counters.degenerate += 1
-            solved[i] = True
+            degenerate(i, sol, REASON_RANK, signature)
             continue
 
-        if not region.contains(thetas[i], options.eps_membership):
-            x[i] = sol.x
-            records[i] = _direct_record(i, DEGENERATE, REASON_SANITY, signature)
-            counters.degenerate += 1
-            solved[i] = True
+        _, seed_ok = _certify(scaled, region, thetas[i : i + 1], options)
+        if not seed_ok[0]:
+            degenerate(i, sol, REASON_UNCERTAIN, signature)
             continue
 
-        x_region = region.solution_at(thetas[i])
-        if np.max(np.abs(x_region - sol.x)) > options.solution_check_tol:
-            x[i] = sol.x
-            records[i] = _direct_record(i, DEGENERATE, REASON_MISMATCH, signature)
-            counters.degenerate += 1
-            solved[i] = True
-            continue
-
-        # Region accepted; sweep every unsolved parameter it covers.
-        # Membership alone is not enough to serve a point: the polyhedron
+        # Sweep every unsolved parameter the region covers.  The polyhedron
         # test is deliberately loose, and a parameter a hair outside the
-        # true region would inherit a wrong-active-set solution.  Each
-        # candidate is therefore certified against the full optimality
-        # system first.  Stationarity and complementarity hold by
-        # construction of the affine maps, so primal feasibility plus
-        # nonnegative multipliers make the served point exactly optimal;
-        # anything that fails falls through to its own solve later.
-        region_id = len(census)
+        # true region would inherit a wrong-active-set solution, so each
+        # candidate passes the seed's certification before it is served.
         rem = np.flatnonzero(~solved)
         hits = rem[region.batch_membership(thetas[rem], options.eps_membership)]
-        cand_x = region.batch_solutions(thetas[hits])
-        resid = cand_x @ scaled.A.T - thetas[hits] @ scaled.E.T - scaled.b
-        certified = resid.max(axis=1) <= options.screen_primal
-        if region.G1.shape[0]:
-            lam = thetas[hits] @ region.G1.T + region.w1
-            certified &= lam.min(axis=1) >= -options.screen_dual
-        keep = hits[certified]
-        counters.screened_out += int(len(hits) - len(keep))
-        x[keep] = cand_x[certified]
+        cand_x, ok = _certify(scaled, region, thetas[hits], options)
+        keep = hits[ok]
+        region_id = len(census)
+        counters.screened_out += len(hits) - len(keep)
+        x[keep] = cand_x[ok]
         x[i] = sol.x
         for j in keep:
-            j = int(j)
-            if j == i:
-                continue
             records[j] = InstanceRecord(
-                index=j, status=REUSE, reason=None, region_id=region_id,
+                index=int(j), status=REUSE, reason=None, region_id=region_id,
                 signature=region.signature,
             )
         records[i] = InstanceRecord(
@@ -369,18 +344,20 @@ def run_batch(
             signature=region.signature,
         )
         solved[keep] = True
-        solved[i] = True
-        served = int(len(keep) - np.count_nonzero(keep == i))
         counters.seeds += 1
-        counters.reuse += served
+        counters.reuse += len(keep)
         counters.regions_built += 1
         census.append(
             RegionRecord(
                 region_id=region_id,
                 signature=region.signature,
                 seed_index=i,
-                served=served,
+                served=len(keep),
             )
+        )
+        logger.debug(
+            "region %d: %d active rows, %d hits, %d served, %d screened out",
+            region_id, len(signature), len(hits), len(keep), len(hits) - len(keep),
         )
 
     # objectives in original units
@@ -414,17 +391,17 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
 
     The problem and parameter set are reconstructed by the caller from the
     original input files; this checks they line up with the stored run
-    (instance count, variable count, scaling) before rehydrating.
+    (instance count, variable count, scaling) and that the file is well
+    formed (known counter and option keys, an index and a status on every
+    record, finite solutions on solved records) before rehydrating.
     """
-    from .errors import SchemaError
-
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"results file is not valid JSON: {exc}") from None
-    records_raw = payload.get("records")
+    records_raw = payload.get("records") if isinstance(payload, dict) else None
     if not isinstance(records_raw, list):
         raise SchemaError("results file has no record list")
     thetas = np.asarray(thetas, dtype=float)
@@ -439,18 +416,37 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         1.0, prob.scaling.cost_scale
     ):
         raise SchemaError("results were produced from a different problem (scaling differs)")
+    counters_raw = payload.get("counters", {"n_instances": n})
+    opts_raw = payload.get("options", {})
+    for name, block, cls in (
+        ("counter", counters_raw, BatchCounters),
+        ("engine option", opts_raw, EngineOptions),
+    ):
+        if not isinstance(block, dict):
+            raise SchemaError(f"results file has a malformed {name} block")
+        unknown = sorted(set(block) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SchemaError(f"results file has unknown {name} {unknown[0]!r}")
+    if not all(
+        isinstance(r, dict) and type(r.get("index")) is int and "status" in r
+        for r in records_raw
+    ):
+        raise SchemaError("every record needs an integer index and a status")
+    rows = sorted(records_raw, key=lambda r: r["index"])
+    if [r["index"] for r in rows] != list(range(n)):
+        raise SchemaError(f"record indices must be 0..{n - 1}, each once")
 
     n_var = prob.H.shape[0]
     x = np.full((n, n_var), np.nan)
     objectives = np.full(n, np.nan)
     records = []
-    for row in sorted(records_raw, key=lambda r: r["index"]):
-        i = int(row["index"])
-        if not 0 <= i < n:
-            raise SchemaError(f"record index {i} out of range")
+    for i, row in enumerate(rows):
         if "x" not in row:
             raise SchemaError("results were saved without solutions; rerun with them")
-        vec = np.asarray(row["x"], dtype=float)
+        try:
+            vec = np.asarray(row["x"], dtype=float)
+        except (TypeError, ValueError):
+            raise SchemaError(f"record {i} has a non-numeric solution") from None
         if vec.shape != (n_var,):
             raise SchemaError(f"record {i} has {vec.size} solution entries, need {n_var}")
         x[i] = vec
@@ -475,31 +471,22 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         )
         for rg in payload.get("regions", [])
     )
-    counters = BatchCounters(**payload.get("counters", {"n_instances": n}))
-    opts_raw = payload.get("options", {})
-    options = EngineOptions(
-        seed=opts_raw.get("seed", 0),
-        eps_active=opts_raw.get("eps_active", 1e-5),
-        eps_membership=opts_raw.get("eps_membership", 1e-4),
-        band_low=opts_raw.get("band_low", 1e-6),
-        band_high=opts_raw.get("band_high", 1e-4),
-        solve_budget=opts_raw.get("solve_budget"),
-        qp_tol=opts_raw.get("qp_tol", 1e-10),
-        screen_primal=opts_raw.get("screen_primal", 1e-8),
-        screen_dual=opts_raw.get("screen_dual", 1e-8),
-    )
-    return BatchResult(
+    result = BatchResult(
         problem=prob,
         scaling=prob.scaling,
-        options=options,
+        options=EngineOptions(**opts_raw),
         thetas=thetas,
         x=x,
         objectives=objectives,
         records=tuple(records),
         regions=regions,
-        counters=counters,
+        counters=BatchCounters(**counters_raw),
         wall_time_s=0.0,
     )
+    bad = np.flatnonzero(result.solved_mask() & ~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise SchemaError(f"record {bad[0]} is solved but its solution is not finite")
+    return result
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,10 @@ class DimensionError(PhcaError):
 
 # ---- problem assembly ----
 
-class ConfigError(PhcaError):
-    """Dispatch configuration rejected (bad weight, singular cost, bad override)."""
+class ConfigError(PhcaError, ValueError):
+    """Dispatch or engine configuration rejected (bad weight, singular cost,
+    bad override, inconsistent tolerances); also a ValueError, as for any
+    rejected argument value."""
 
 
 class ModelError(PhcaError):

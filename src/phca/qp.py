@@ -178,7 +178,12 @@ def _feasibility_probe(inst: QpInstance) -> bool:
 def _polish(inst: QpInstance, active_guess: np.ndarray, max_updates: int = 60):
     """Newton refinement on the working set until multiplier signs and primal
     feasibility agree.  Returns (x, lam, mu) or None when no consistent set
-    is found within the update budget."""
+    is found within the update budget.
+
+    The working set is kept newest row first.  A violated row that the
+    step adds can be linearly dependent on rows already in the set; the
+    independence filter then drops an older row instead of the new one,
+    which would otherwise be re-added at once and close a cycle."""
     m = inst.A.shape[0]
     e = inst.Aeq.shape[0]
     n = inst.c.shape[0]
@@ -186,41 +191,39 @@ def _polish(inst: QpInstance, active_guess: np.ndarray, max_updates: int = 60):
     visited = set()
     scale_b = 1.0 + (float(np.max(np.abs(inst.b))) if m else 0.0)
     for _ in range(max_updates):
-        key = tuple(work)
+        # equality rows first so the independence filter can never drop them
+        if work:
+            kept = _independent_rows(np.vstack([inst.Aeq, inst.A[work]]))
+            work = [work[k - e] for k in kept if k >= e]
+        rows = sorted(work)
+        key = tuple(rows)
         if key in visited:
             return None
         visited.add(key)
-        # equality rows first so the independence filter can never drop them
-        K = np.vstack([inst.Aeq, inst.A[work]]) if (work or e) else np.zeros((0, n))
-        kept = _independent_rows(K)
-        if len(kept) < K.shape[0]:
-            work = [work[k - e] for k in kept if k >= e]
-            K = np.vstack([inst.Aeq, inst.A[work]]) if (work or e) else np.zeros((0, n))
-        rhs = np.concatenate([inst.beq, inst.b[work]])
+        K = np.vstack([inst.Aeq, inst.A[rows]]) if (rows or e) else np.zeros((0, n))
+        rhs = np.concatenate([inst.beq, inst.b[rows]])
         try:
             x, y = _kkt_solve(inst.H, inst.c, K, rhs)
         except (scipy.linalg.LinAlgError, ValueError):
             return None
         mu = y[:e]
         lam_w = y[e:]
-        lam_tol = 1e-11 * (1.0 + (float(np.max(np.abs(lam_w))) if len(work) else 0.0))
+        lam_tol = 1e-11 * (1.0 + (float(np.max(np.abs(lam_w))) if rows else 0.0))
         neg = np.flatnonzero(lam_w < -lam_tol)
         if m:
             resid = inst.A @ x - inst.b
-            resid[work] = 0.0
+            resid[rows] = 0.0
             viol = np.flatnonzero(resid > 1e-11 * scale_b)
         else:
             viol = np.zeros(0, dtype=np.int64)
         if len(neg) == 0 and len(viol) == 0:
             lam = np.zeros(m)
-            lam[work] = np.maximum(lam_w, 0.0)
+            lam[rows] = np.maximum(lam_w, 0.0)
             return x, lam, mu
         if len(neg):
-            drop = work[int(neg[np.argmin(lam_w[neg])])]
-            work = [w for w in work if w != drop]
+            work.remove(rows[int(neg[np.argmin(lam_w[neg])])])
         else:
-            resid_v = (inst.A @ x - inst.b)[viol]
-            work = sorted(work + [int(viol[np.argmax(resid_v)])])
+            work.insert(0, int(viol[np.argmax(resid[viol])]))
     return None
 
 
@@ -253,7 +256,11 @@ def solve_qp(
         if diag.size and np.any(diag <= 1e-8 * diag[0]):
             raise ValueError("equality rows are rank deficient")
 
-    def finish(x, lam, mu, iters):
+    b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
+
+    def finish(x, lam, mu, iters, feasible=None):
+        """Package a point; feasible carries an LP probe's verdict when one
+        was already made, so no second probe runs."""
         resid = _kkt_residuals(inst, x, lam, mu)
         slack = b - A @ x if m else np.zeros(0)
         obj = float(0.5 * x @ H @ x + c @ x)
@@ -266,13 +273,12 @@ def solve_qp(
         for vec in (lam, mu, x):
             if vec.size:
                 mult = max(mult, float(np.max(np.abs(vec))))
-        b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
         if prim <= tol * b_scale and max(stat, comp) <= tol * mult:
             status = OPTIMAL
-        elif not _feasibility_probe(inst):
-            status = INFEASIBLE
         else:
-            status = NUMERICAL_FAILURE
+            if feasible is None:
+                feasible = _feasibility_probe(inst)
+            status = NUMERICAL_FAILURE if feasible else INFEASIBLE
         return QpSolution(status, x, lam, mu, slack, resid, iters, obj)
 
     if m == 0:
@@ -375,8 +381,17 @@ def solve_qp(
     if not np.isfinite(merit_now) or best[0] < merit_now:
         _, x, lam, mu = best
 
-    # --- active-set polish -------------------------------------------------
+    # an iterate that ends clearly outside the feasible set is probed before
+    # any polish: on an infeasible instance the polish can only exhaust its
+    # update budget, at many times the cost of the probe
     slack = b - A @ x
+    feasible = None
+    if float(np.max(-slack)) > 1e-6 * b_scale:
+        feasible = _feasibility_probe(inst)
+        if not feasible:
+            return finish(x, lam, mu, it, feasible)
+
+    # --- active-set polish -------------------------------------------------
     guess = np.flatnonzero((slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b))))
     polished = _polish(inst, guess)
     if polished is None and len(guess):
@@ -386,8 +401,8 @@ def solve_qp(
         if max(_kkt_residuals(inst, px, plam, pmu)) <= max(
             tol, max(_kkt_residuals(inst, x, lam, mu))
         ):
-            return finish(px, plam, pmu, it)
-    return finish(x, lam, mu, it)
+            return finish(px, plam, pmu, it, feasible)
+    return finish(x, lam, mu, it, feasible)
 
 
 def identify_active(inst: QpInstance, sol: QpSolution, eps_act: float = ACTIVE_TOL) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from phca import (
     AnalysisGrid,
     build_problem,
+    calibrate_eta,
     demo,
     expand_grid,
     load_feeder,
@@ -11,6 +12,40 @@ from phca import (
     scale_problem,
 )
 from phca.builder import BuilderConfig
+
+
+def random_radial_case(n_bus, n_inverters, days, seed, impedance=4.0):
+    """Feeder text, load CSV and solar CSV of a seeded random radial feeder.
+
+    Each bus hangs off one of the previous four; impedance scales the line
+    r and x draws.  Loads follow the demo's daily shape, inverters a
+    clear-sky solar curve with one cloud factor per day.
+    """
+    rng = np.random.default_rng(seed)
+    lines = []
+    for k in range(1, n_bus):
+        parent = int(rng.integers(max(0, k - 4), k))
+        r, x = impedance * rng.uniform(0.002, 0.01), impedance * rng.uniform(0.001, 0.008)
+        lines.append(f"{parent} {k} {r:.6f} {x:.6f}")
+    peaks = rng.uniform(0.008, 0.024, size=n_bus - 1)
+    inverters = sorted(int(b) for b in rng.choice(np.arange(1, n_bus), n_inverters, replace=False))
+    buses = ["0 0.0 0.0"] + [
+        f"{k} {peaks[k - 1]:.6f} {0.05 if k in inverters else 0.0}" for k in range(1, n_bus)
+    ]
+    feeder = (
+        "[substation]\n0\n\n[buses]\n" + "\n".join(buses)
+        + "\n\n[lines]\n" + "\n".join(lines) + "\n"
+    )
+    loads = ["hour," + ",".join(str(k) for k in range(1, n_bus))]
+    solar = ["hour," + ",".join(str(k) for k in inverters)]
+    for day in range(days):
+        scale = peaks * rng.uniform(0.8, 1.05, size=n_bus - 1)
+        cloud = rng.uniform(0.55, 1.0)
+        for h in range(24):
+            sun = cloud * np.sin(np.pi * (h - 6) / 12.0) ** 2 if 6 < h < 18 else 0.0
+            loads.append(f"{day * 24 + h}," + ",".join(f"{v:.6f}" for v in scale * demo.LOAD_SHAPE[h]))
+            solar.append(f"{day * 24 + h}," + ",".join(f"{sun:.6f}" for _ in inverters))
+    return feeder, "\n".join(loads) + "\n", "\n".join(solar) + "\n"
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +85,22 @@ def scaled_demo_problem(demo_problem):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def random_feeder_batch():
+    """Scaled problem and thetas of a 30-bus random feeder over two days.
+
+    At most direct solves of this draw, some inactive row's residual lies
+    between 1e-6 and 1e-4, so an active set read off the residuals is
+    ambiguous there.
+    """
+    feeder_text, loads, solar = random_radial_case(30, 5, days=2, seed=2)
+    feeder = load_feeder(feeder_text)
+    prob = build_problem(feeder, BuilderConfig())
+    scen = load_scenarios(feeder, loads, solar, seed=0)
+    grid = AnalysisGrid(kappa=(1.0, 1.5), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
+    thetas = expand_grid(prob, scen, grid).thetas
+    sample = thetas[np.linspace(0, len(thetas) - 1, 8).astype(int)]
+    eta = max(calibrate_eta(prob, sample), 1e-2)
+    return scale_problem(prob.with_eta(eta))[0], thetas

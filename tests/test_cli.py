@@ -152,6 +152,49 @@ def test_corrupted_results_fail_validation(case, capsys, tmp_path):
     assert "batch summary" in captured.out
 
 
+def test_zero_budget_is_exit_2(case, capsys):
+    code = main(["run", *base_args(case), "--out", str(case / "x.json"), "--budget", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: ConfigError: solve_budget")
+    assert len(captured.err.splitlines()) == 1
+
+
+def _unknown_counter(payload):
+    payload["counters"]["bogus"] = 1
+
+
+def _no_status(payload):
+    del payload["records"][3]["status"]
+
+
+def _no_index(payload):
+    del payload["records"][3]["index"]
+
+
+def _nan_solution(payload):
+    assert payload["records"][3]["status"] in ("reuse", "direct")
+    payload["records"][3]["x"][0] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_unknown_counter, _no_status, _no_index, _nan_solution]
+)
+def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
+    orig = case / "results.json"
+    if not orig.exists():
+        assert main(["run", *base_args(case), "--out", str(orig)]) == 0
+        capsys.readouterr()
+    payload = json.loads(orig.read_text())
+    corrupt(payload)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(payload))
+    code = main(["stats", *base_args(case), "--results", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: SchemaError")
+
+
 def test_sequential_and_budget_flags(case, capsys):
     out = case / "seq.json"
     code = main(

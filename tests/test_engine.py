@@ -155,6 +155,8 @@ def test_json_roundtrip(batch, scaled_demo_problem):
     assert back.records == batch.records
     assert np.max(np.abs(back.x - batch.x)) == 0.0
     assert back.regions == batch.regions
+    assert back.options == batch.options
+    assert back.counters == batch.counters
     assert np.allclose(back.objectives, batch.objectives, equal_nan=True)
 
 
@@ -210,6 +212,17 @@ def test_abort_after_repeated_failures(scaled_demo_problem, small_theta_set, mon
         )
 
 
+def test_reuse_holds_on_random_feeder(random_feeder_batch):
+    prob, thetas = random_feeder_batch
+    res = run_batch(prob, thetas)
+    c = res.counters
+    assert c.failed == 0
+    assert c.qp_solves <= 0.05 * c.n_instances
+    report = validate_batch(res)
+    assert report.checked == int(res.solved_mask().sum()) > 0.9 * c.n_instances
+    assert report.mismatches == ()
+
+
 def test_theta_shape_rejected(scaled_demo_problem):
     with pytest.raises(DimensionError):
         run_batch(scaled_demo_problem, np.zeros((5, 3)))
@@ -218,8 +231,8 @@ def test_theta_shape_rejected(scaled_demo_problem):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"band_low": 0.0},
-        {"band_low": 1e-4, "band_high": 1e-6},
+        {"eps_active": 1e-3},
+        {"screen_primal": 1e-6},
         {"eps_active": 1e-7},
         {"eps_membership": 0.0},
         {"qp_tol": 0.0},

@@ -156,6 +156,21 @@ def test_random_instances_match_enumeration():
     assert n_infeasible > 20
 
 
+def test_polish_takes_in_a_dependent_violated_row():
+    # The KKT point (0, 0) of rows 0 and 1 violates row 2, which is a
+    # combination of them.  The polish must take row 2 in and let an older
+    # row go, not drop row 2 again and cycle.  With no interior-point
+    # iterations the polish starts from all three rows.
+    inst = QpInstance.build(
+        np.eye(2), [-1.0, -1.0],
+        A=[[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]], b=[0.0, 0.0, -0.1],
+    )
+    sol = solve_qp(inst, max_iter=0)
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([-0.5, -0.5], abs=1e-12)
+    assert sol.lam == pytest.approx([0.0, 0.0, 15.0], abs=1e-10)
+
+
 def test_identify_active_threshold():
     inst = QpInstance.build(np.eye(1), [-1.0], A=[[1.0]], b=[0.5])
     sol = solve_qp(inst)
