@@ -66,7 +66,7 @@ from .feeder import (
     partition_by_regulators,
     sensitivity_matrices,
 )
-from .qp import QpInstance, QpSolution, identify_active, solve_qp
+from .qp import QpBatch, QpInstance, QpSolution, identify_active, solve_qp, solve_qp_batch
 from .regions import CriticalRegion, RegionContext
 from .scenarios import (
     AnalysisGrid,

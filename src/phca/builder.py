@@ -660,8 +660,9 @@ def calibrate_eta(
 
     Solves the unrelaxed problem per sample, sums the multipliers of the
     soft rows, and returns margin * (largest sum).  Infeasible samples are
-    skipped with a warning; if every sample is infeasible there is nothing
-    to calibrate against and AllInfeasibleError is raised.  A batch whose
+    skipped, with one warning that counts them; if every sample is
+    infeasible there is nothing to calibrate against and
+    AllInfeasibleError is raised.  A batch whose
     soft rows never bind yields 0.0; callers must floor the result at a
     positive default before use.
     """
@@ -673,7 +674,7 @@ def calibrate_eta(
         sol = solve_qp(inst, tol=tol)
         if sol.status != OPTIMAL:
             skipped += 1
-            logger.warning("calibration sample infeasible or failed (%s); skipped", sol.status)
+            logger.debug("calibration sample infeasible or failed (%s); skipped", sol.status)
             continue
         total = float(sol.lam[soft].sum()) if len(soft) else 0.0
         worst = total if worst is None else max(worst, total)

@@ -178,9 +178,12 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     feeder, scaled, thetas = _build_case(args)
     result = run_batch(scaled, thetas.thetas, _engine_options(args))
+    solved = np.flatnonzero(result.solved_mask())
+    if solved.size == 0:
+        print("phca: error: ValidationFailure: no solved instance to validate", file=sys.stderr)
+        return 3
     indices = None
     if args.sample is not None:
-        solved = np.flatnonzero(result.solved_mask())
         take = max(1, min(args.sample, solved.size))
         indices = solved[np.linspace(0, solved.size - 1, take).astype(int)]
     report = validate_batch(result, indices)

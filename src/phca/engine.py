@@ -31,7 +31,7 @@ from .builder import MpqpProblem, ScalingRecord, scale_problem
 from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError, SchemaError
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
-from .qp import identify_active, solve_qp
+from .qp import identify_active, solve_qp, solve_qp_batch
 from .regions import RegionContext
 
 logger = logging.getLogger(__name__)
@@ -50,6 +50,10 @@ REASON_RANK = "rank-deficient"
 #: a row is active at a polished solution when its multiplier exceeds this
 #: fraction of the largest one; the polish sets every other row's to zero
 ACTIVE_LAM_REL = 1e-9
+
+#: instances the oracle solves per stacked call; bounds its work arrays at
+#: (VALIDATE_BLOCK, n, n), so memory does not grow with the sample
+VALIDATE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -511,30 +515,42 @@ def validate_batch(
 
     Checks the solution in the sup norm and the objective relative to its
     magnitude.  indices defaults to every instance that produced a
-    solution.
+    solution.  The instances are solved from scratch in stacks of
+    VALIDATE_BLOCK, with no region algebra involved.
     """
     if indices is None:
         indices = np.flatnonzero(result.solved_mask())
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     prob = result.problem
     h = result.scaling.cost_scale
     max_dx = 0.0
     max_gap = 0.0
     bad = []
-    for i in indices:
-        i = int(i)
-        sol = solve_qp(prob.instance(result.thetas[i]), tol=result.options.qp_tol)
-        if sol.status != QP_OPTIMAL:
-            bad.append(i)
-            continue
-        dx = float(np.max(np.abs(sol.x - result.x[i])))
-        obj_ref = sol.objective * h
-        gap = abs(result.objectives[i] - obj_ref) / max(1.0, abs(obj_ref))
-        max_dx = max(max_dx, dx)
-        max_gap = max(max_gap, gap)
-        if dx > dx_tol or gap > obj_tol:
-            bad.append(i)
+    for start in range(0, indices.size, VALIDATE_BLOCK):
+        idx = indices[start : start + VALIDATE_BLOCK]
+        th = result.thetas[idx]
+        sols = solve_qp_batch(
+            prob.H, prob.A, prob.B,
+            th @ prob.C.T + prob.d, th @ prob.E.T + prob.b, th @ prob.F.T + prob.f,
+            tol=result.options.qp_tol,
+        )
+        optimal = sols.status == QP_OPTIMAL
+        obj_ref = sols.objective * h
+        with np.errstate(invalid="ignore"):
+            dx = np.abs(sols.x - result.x[idx]).max(axis=1)
+            gap = np.abs(result.objectives[idx] - obj_ref) / np.maximum(1.0, np.abs(obj_ref))
+        # written so that a NaN difference (a missing stored solution) fails
+        bad.extend(idx[~(optimal & (dx <= dx_tol) & (gap <= obj_tol))].tolist())
+        max_dx = float(np.max(dx[optimal], initial=max_dx))
+        max_gap = float(np.max(gap[optimal], initial=max_gap))
+        logger.debug(
+            "validate block: %d instances, IPM iterations max %d mean %.1f, "
+            "%d polish groups, %d LP probes, %d not optimal",
+            idx.size, sols.iterations.max(), sols.iterations.mean(),
+            sols.polish_groups, sols.lp_probes, int((~optimal).sum()),
+        )
     return ValidationReport(
-        checked=len(indices),
+        checked=int(indices.size),
         max_dx=max_dx,
         max_rel_objective_gap=max_gap,
         mismatches=tuple(bad),

@@ -1,15 +1,22 @@
-"""Dense convex QP solver with exact active-set identification.
+"""Dense convex QP solver for stacks of instances that share their matrices.
 
-Solves
+Solves k instances of
 
     min  0.5 x'Hx + c'x   s.t.  A x <= b,  Aeq x = beq
 
-for symmetric positive definite H.  A Mehrotra-style predictor-corrector
-interior-point method drives the iterate close to the optimum, then a
-Newton polish on the guessed active set lands on the exact KKT point, so
-row residuals of active constraints end up at machine precision rather
-than at interior-point tolerance.  Everything is deterministic: no
-randomized pivoting, no time-dependent behavior.
+that share H, A and Aeq and differ only in c, b and beq, for symmetric
+positive definite H.  The equality rows are eliminated once through a QR
+null space, x = x0 + Z y, so the interior-point method sees inequalities
+only.  A Mehrotra predictor-corrector then advances all k instances at
+once: one GEMM forms their augmented Hessians and one batched Cholesky
+factors them, while each instance keeps its own step lengths, best iterate
+and exit.  A Newton polish on each guessed active set lands on the exact
+KKT point, so active row residuals end up at machine precision rather
+than at interior-point tolerance; instances that hold the same working
+set share its independence filter and KKT factorization.  Every instance
+that does not end optimal, or whose iterate ends clearly infeasible, gets
+an LP feasibility probe.  solve_qp is the k = 1 case.  Everything is
+deterministic: no randomized pivoting, no time-dependent behavior.
 
 Conventions: inequality multipliers lam >= 0 enter the stationarity
 residual as A'lam, equality multipliers mu enter as Aeq'mu with free sign,
@@ -18,6 +25,7 @@ so  Hx + c + A'lam + Aeq'mu = 0  at the optimum.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +38,6 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
-ACTIVE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,39 @@ class QpSolution:
     objective: float
 
 
+@dataclass(frozen=True)
+class QpBatch:
+    """Solver output for a stack of instances.
+
+    Row i of every array is instance i, with QpSolution's meaning; status
+    holds Python strings.  polish_groups counts the KKT factorizations the
+    polish made and lp_probes the feasibility LPs that were solved.
+    """
+
+    status: np.ndarray
+    x: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    slack: np.ndarray
+    residuals: np.ndarray
+    iterations: np.ndarray
+    objective: np.ndarray
+    polish_groups: int
+    lp_probes: int
+
+    def solution(self, i: int) -> QpSolution:
+        return QpSolution(
+            str(self.status[i]),
+            self.x[i],
+            self.lam[i],
+            self.mu[i],
+            self.slack[i],
+            tuple(float(v) for v in self.residuals[i]),
+            int(self.iterations[i]),
+            float(self.objective[i]),
+        )
+
+
 def _independent_rows(K: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     """Greedy maximal independent row subset, earlier rows winning ties.
 
@@ -107,124 +147,382 @@ def _independent_rows(K: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _kkt_solve(H, c, K, rhs):
-    """Solve the equality-KKT system [[H, K'], [K, 0]] [x; y] = [-c; rhs]."""
+def _kkt_solve(H, K, rhs):
+    """Solve [[H, K'], [K, 0]] s = rhs for every row of rhs at once."""
     n = H.shape[0]
-    m = K.shape[0]
-    if m == 0:
-        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -c)
-        return x, np.zeros(0)
-    kkt = np.zeros((n + m, n + m))
+    r = K.shape[0]
+    kkt = np.zeros((n + r, n + r))
     kkt[:n, :n] = H
     kkt[:n, n:] = K.T
     kkt[n:, :n] = K
-    full_rhs = np.concatenate([-c, rhs])
     # callers hand in degenerate K on purpose (infeasible probes); keep the
     # NaN propagation but not the warning chatter
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         with np.errstate(invalid="ignore"):
-            sol = scipy.linalg.lu_solve(scipy.linalg.lu_factor(kkt), full_rhs)
-    return sol[:n], sol[n:]
+            return scipy.linalg.lu_solve(scipy.linalg.lu_factor(kkt), rhs.T).T
 
 
-def _kkt_residuals(inst: QpInstance, x, lam, mu):
+def _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu):
+    """(k, 3) stationarity, primal and complementarity infinity norms."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return _kkt_residuals_raw(inst, x, lam, mu)
+        stat = np.abs(x @ H + c + lam @ A + mu @ Aeq).max(axis=1, initial=0.0)
+        slack = b - x @ A.T
+        prim = np.maximum(
+            np.maximum(-slack.min(axis=1, initial=0.0), 0.0),
+            np.abs(x @ Aeq.T - beq).max(axis=1, initial=0.0),
+        )
+        comp = np.abs(lam * slack).max(axis=1, initial=0.0)
+    return np.column_stack([stat, prim, comp])
 
 
-def _kkt_residuals_raw(inst: QpInstance, x, lam, mu):
-    r_stat = inst.H @ x + inst.c
-    if inst.A.shape[0]:
-        r_stat = r_stat + inst.A.T @ lam
-    if inst.Aeq.shape[0]:
-        r_stat = r_stat + inst.Aeq.T @ mu
-    stat = float(np.max(np.abs(r_stat))) if r_stat.size else 0.0
-    prim = 0.0
-    comp = 0.0
-    if inst.A.shape[0]:
-        slack = inst.b - inst.A @ x
-        prim = float(max(0.0, -slack.min(initial=0.0)))
-        comp = float(np.max(np.abs(lam * slack)))
-    if inst.Aeq.shape[0]:
-        prim = max(prim, float(np.max(np.abs(inst.Aeq @ x - inst.beq))))
-    return stat, prim, comp
-
-
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
-
-
-def _feasibility_probe(inst: QpInstance) -> bool:
+def _feasibility_probe(A, b, Aeq, beq) -> bool:
     """Authoritative feasibility check via an LP (no objective)."""
     from scipy.optimize import linprog
 
-    n = inst.c.shape[0]
+    n = A.shape[1]
     res = linprog(
         c=np.zeros(n),
-        A_ub=inst.A if inst.A.shape[0] else None,
-        b_ub=inst.b if inst.A.shape[0] else None,
-        A_eq=inst.Aeq if inst.Aeq.shape[0] else None,
-        b_eq=inst.beq if inst.Aeq.shape[0] else None,
+        A_ub=A if A.shape[0] else None,
+        b_ub=b if A.shape[0] else None,
+        A_eq=Aeq if Aeq.shape[0] else None,
+        b_eq=beq if Aeq.shape[0] else None,
         bounds=[(None, None)] * n,
         method="highs",
     )
     return res.status != 2
 
 
-def _polish(inst: QpInstance, active_guess: np.ndarray, max_updates: int = 60):
-    """Newton refinement on the working set until multiplier signs and primal
-    feasibility agree.  Returns (x, lam, mu) or None when no consistent set
-    is found within the update budget.
+def _inverse_spd(M: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix in a stack through its Cholesky factor; NaN
+    for a matrix that is not numerically positive definite."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        # one such matrix fails the whole stacked call; find it
+        L = np.full_like(M, np.nan)
+        for i, Mi in enumerate(M):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                L[i] = np.linalg.cholesky(Mi)
+    Li = np.linalg.inv(L)
+    return np.swapaxes(Li, -1, -2) @ Li
 
-    The working set is kept newest row first.  A violated row that the
+
+def _ipm_residuals(Hz, Az, AzT, s):
+    """Dual and primal residuals and the complementarity gap of every
+    instance in the interior-point state s; AzT is Az.T, contiguous."""
+    y, z, lam = s["y"], s["z"], s["lam"]
+    r_d = y @ Hz + lam @ Az + s["cz"]
+    r_p = y @ AzT + z - s["bz"]
+    return r_d, r_p, np.einsum("ij,ij->i", z, lam) / z.shape[1]
+
+
+def _newton(Hinv, base, Az, AzT, r_p, d, w):
+    """Newton direction (dy, dz, dlam) for the complementarity target
+    w = tau / z - lam, given the inverse augmented Hessians Hinv and the
+    target-free part base of the right-hand side."""
+    dy = (Hinv @ (base - w @ Az)[:, :, None])[:, :, 0]
+    dz = -r_p - dy @ AzT
+    return dy, dz, w - d * dz
+
+
+def _max_step(z, lam, dz, dlam):
+    """Largest step in (0, 1] per instance that keeps z and lam nonnegative."""
+    worst = -np.minimum((dz / z).min(axis=1), (dlam / lam).min(axis=1))
+    return 1.0 / np.maximum(worst, 1.0)
+
+
+def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
+    """Mehrotra predictor-corrector on  min 0.5 y'Hz y + cz'y  s.t.
+    Az y <= bz  for every row of cz and bz, started at y.
+
+    Instances leave the stack one by one: on convergence, on an
+    interior-point collapse short of feasibility, after 30 iterations
+    without progress, or the iteration after their Newton step broke down.
+    Each returns its last iterate, or its best one when the last is worse
+    or not finite, as (y, lam, iterations).
+    """
+    k, nz = cz.shape
+    m = Az.shape[0]
+    # row outer products, so the k augmented Hessians are one GEMM
+    AA = (Az[:, :, None] * Az[:, None, :]).reshape(m, nz * nz)
+    AzT = np.ascontiguousarray(Az.T)
+    z = bz - y @ AzT
+    lam = np.ones((k, m))
+    # row i of every array belongs to instance idx[i]; leave() is the one
+    # place that shrinks the stack, and it filters every array in s
+    s = {
+        "idx": np.arange(k), "cz": cz, "bz": bz,
+        "y": y, "z": np.where(z > 1.0, z, 1.0), "lam": lam,
+        "best": np.full(k, np.inf), "best_y": y, "best_lam": lam,
+        "stall": np.zeros(k, dtype=np.int64), "broken": np.zeros(k, dtype=bool),
+    }
+    out_y = np.empty((k, nz))
+    out_lam = np.empty((k, m))
+    iters = np.zeros(k, dtype=np.int64)
+
+    def leave(s, out, it):
+        """Store the answers of the instances in out; return the state of
+        the others."""
+        yo, lo = s["y"][out], s["lam"][out]
+        slack = s["bz"][out] - yo @ AzT
+        now = np.maximum(
+            np.maximum(np.abs(yo @ Hz + s["cz"][out] + lo @ Az).max(axis=1, initial=0.0),
+                       -slack.min(axis=1)),
+            np.abs(lo * slack).max(axis=1),
+        )
+        take_best = (~np.isfinite(now) | (s["best"][out] < now))[:, None]
+        i = s["idx"][out]
+        out_y[i] = np.where(take_best, s["best_y"][out], yo)
+        out_lam[i] = np.where(take_best, s["best_lam"][out], lo)
+        # an instance whose step broke down did not take this iteration's step
+        iters[i] = it - s["broken"][out]
+        return {name: a[~out] for name, a in s.items()}
+
+    with np.errstate(all="ignore"):
+        for it in range(1, max_iter + 1):
+            r_d, r_p, mu_c = _ipm_residuals(Hz, Az, AzT, s)
+            rp_max = np.abs(r_p).max(axis=1)
+            merit = np.maximum(np.maximum(np.abs(r_d).max(axis=1, initial=0.0), rp_max), mu_c)
+            better = merit < s["best"]
+            s["best"] = np.where(better, merit, s["best"])
+            s["best_y"] = np.where(better[:, None], s["y"], s["best_y"])
+            s["best_lam"] = np.where(better[:, None], s["lam"], s["best_lam"])
+            s["stall"] = np.where(better, 0, s["stall"] + 1)
+            # converged, collapsed without reaching feasibility, stalled, or
+            # the last Newton step broke down
+            out = (
+                (merit <= max(tol, 1e-11)) | ((mu_c < 1e-12) & (rp_max > 1e-7))
+                | (s["stall"] > 30) | s["broken"]
+            )
+            if out.any():
+                s = leave(s, out, it)
+                if not s["idx"].size:
+                    break
+                r_d, r_p, mu_c = _ipm_residuals(Hz, Az, AzT, s)
+
+            y, z, lam = s["y"], s["z"], s["lam"]
+            d = lam / z
+            Hinv = _inverse_spd(Hz + (d @ AA).reshape(len(d), nz, nz))
+            base = -(r_d + (d * r_p) @ Az)
+            dy_a, dz_a, dlam_a = _newton(Hinv, base, Az, AzT, r_p, d, -lam)
+            alpha_a = _max_step(z, lam, dz_a, dlam_a)[:, None]
+            mu_aff = np.einsum("ij,ij->i", z + alpha_a * dz_a, lam + alpha_a * dlam_a) / m
+            sigma_mu = np.where(mu_c > 0, (mu_aff / mu_c) ** 3, 0.0) * mu_c
+            w = (sigma_mu[:, None] - dz_a * dlam_a) / z - lam
+            dy, dz, dlam = _newton(Hinv, base, Az, AzT, r_p, d, w)
+            alpha = np.maximum(0.99, 1.0 - 10.0 * mu_c) * _max_step(z, lam, dz, dlam)
+            # the step broke down (a factorization failed, giving NaN, or an
+            # iterate overflowed): the instance stays put and leaves next time
+            broken = ~(
+                (alpha > 1e-14) & np.isfinite(dy).all(axis=1) & np.isfinite(dlam).all(axis=1)
+            )
+            if broken.any():
+                alpha[broken] = 0.0
+                dy[broken], dz[broken], dlam[broken] = 0.0, 0.0, 0.0
+            s["broken"] = broken
+            s["y"] = y + alpha[:, None] * dy
+            # a full-length step can land a slack on exactly zero; keep strictly
+            # interior so lam / z stays finite
+            s["z"] = np.maximum(z + alpha[:, None] * dz, 1e-14)
+            s["lam"] = lam + alpha[:, None] * dlam
+        else:
+            leave(s, np.ones(s["idx"].size, dtype=bool), max_iter)
+    return out_y, out_lam, iters
+
+
+def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
+    """Newton refinement on each instance's working set until multiplier
+    signs and primal feasibility agree.
+
+    work holds one list of rows of A per instance.  Instances that hold the
+    same list share one independence filter and one KKT factorization per
+    round, solved for all their right-hand sides.  Returns (x, lam, mu,
+    found, factorizations), found marking the instances that reached a
+    consistent set within the update budget.
+
+    Each working set is kept newest row first.  A violated row that the
     step adds can be linearly dependent on rows already in the set; the
     independence filter then drops an older row instead of the new one,
-    which would otherwise be re-added at once and close a cycle."""
-    m = inst.A.shape[0]
-    e = inst.Aeq.shape[0]
-    n = inst.c.shape[0]
-    work = sorted(int(i) for i in active_guess)
-    visited = set()
-    scale_b = 1.0 + (float(np.max(np.abs(inst.b))) if m else 0.0)
+    which would otherwise be re-added at once and close a cycle.  An
+    instance whose filtered set repeats one it visited stops there.
+    """
+    k, n = c.shape
+    e = Aeq.shape[0]
+    x = np.full((k, n), np.nan)
+    lam = np.zeros((k, A.shape[0]))
+    mu = np.zeros((k, e))
+    found = np.zeros(k, dtype=bool)
+    visited = [set() for _ in range(k)]
+    scale_b = 1.0 + np.abs(b).max(axis=1, initial=0.0)
+    work = [sorted(int(i) for i in w) for w in work]
+    pending = list(range(k))
+    factorizations = 0
     for _ in range(max_updates):
-        # equality rows first so the independence filter can never drop them
-        if work:
-            kept = _independent_rows(np.vstack([inst.Aeq, inst.A[work]]))
-            work = [work[k - e] for k in kept if k >= e]
-        rows = sorted(work)
-        key = tuple(rows)
-        if key in visited:
-            return None
-        visited.add(key)
-        K = np.vstack([inst.Aeq, inst.A[rows]]) if (rows or e) else np.zeros((0, n))
-        rhs = np.concatenate([inst.beq, inst.b[rows]])
-        try:
-            x, y = _kkt_solve(inst.H, inst.c, K, rhs)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return None
-        mu = y[:e]
-        lam_w = y[e:]
-        lam_tol = 1e-11 * (1.0 + (float(np.max(np.abs(lam_w))) if rows else 0.0))
-        neg = np.flatnonzero(lam_w < -lam_tol)
-        if m:
-            resid = inst.A @ x - inst.b
-            resid[rows] = 0.0
-            viol = np.flatnonzero(resid > 1e-11 * scale_b)
-        else:
-            viol = np.zeros(0, dtype=np.int64)
-        if len(neg) == 0 and len(viol) == 0:
-            lam = np.zeros(m)
-            lam[rows] = np.maximum(lam_w, 0.0)
-            return x, lam, mu
-        if len(neg):
-            work.remove(rows[int(neg[np.argmin(lam_w[neg])])])
-        else:
-            work.insert(0, int(viol[np.argmax(resid[viol])]))
-    return None
+        by_set: dict[tuple[int, ...], list[int]] = {}
+        for i in pending:
+            by_set.setdefault(tuple(work[i]), []).append(i)
+        pending = []
+        for ordered, members in by_set.items():
+            w = list(ordered)
+            # equality rows first so the independence filter can never drop them
+            if w:
+                kept = _independent_rows(np.vstack([Aeq, A[w]]))
+                w = [w[j - e] for j in kept if j >= e]
+            rows = sorted(w)
+            key = tuple(rows)
+            members = [i for i in members if key not in visited[i]]
+            if not members:
+                continue
+            for i in members:
+                visited[i].add(key)
+            factorizations += 1
+            rhs = np.hstack([-c[members], beq[members], b[members][:, rows]])
+            try:
+                sol = _kkt_solve(H, np.vstack([Aeq, A[rows]]), rhs)
+            except (scipy.linalg.LinAlgError, ValueError):
+                continue
+            xs, mus, lam_w = sol[:, :n], sol[:, n : n + e], sol[:, n + e :]
+            lam_tol = 1e-11 * (1.0 + np.abs(lam_w).max(axis=1, initial=0.0))
+            neg = (lam_w < -lam_tol[:, None]).any(axis=1)
+            resid = xs @ A.T - b[members]
+            resid[:, rows] = 0.0
+            viol = (resid > 1e-11 * scale_b[members][:, None]).any(axis=1)
+            for g, i in enumerate(members):
+                if neg[g]:
+                    drop = rows[int(np.nanargmin(lam_w[g]))]
+                    work[i] = [r for r in w if r != drop]
+                elif viol[g]:
+                    work[i] = [int(np.nanargmax(resid[g]))] + w
+                else:
+                    x[i], mu[i], found[i] = xs[g], mus[g], True
+                    lam[i, rows] = np.maximum(lam_w[g], 0.0)
+                    continue
+                pending.append(i)
+        if not pending:
+            break
+    return x, lam, mu, found, factorizations
+
+
+def solve_qp_batch(
+    H: np.ndarray,
+    A: np.ndarray,
+    Aeq: np.ndarray,
+    c: np.ndarray,
+    b: np.ndarray,
+    beq: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> QpBatch:
+    """Solve k convex QPs that share H, A and Aeq to KKT residuals below tol.
+
+    c, b and beq hold one instance per row: (k, n), (k, m) and (k, e).
+    H must be symmetric positive definite (ValueError otherwise).
+    Infeasible instances, including ones whose dependent equality rows
+    disagree, are confirmed by an LP probe and reported via status rather
+    than raised.
+    """
+    H = np.asarray(H, dtype=float)
+    n = H.shape[0]
+    A = np.asarray(A, dtype=float).reshape(-1, n)
+    Aeq = np.asarray(Aeq, dtype=float).reshape(-1, n)
+    m, e = A.shape[0], Aeq.shape[0]
+    c = np.asarray(c, dtype=float).reshape(-1, n)
+    k = c.shape[0]
+    b = np.asarray(b, dtype=float).reshape(k, m)
+    beq = np.asarray(beq, dtype=float).reshape(k, e)
+
+    if not np.abs(H - H.T).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(H).max(initial=0.0)):
+        raise ValueError("H must be symmetric")
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        raise ValueError("H must be positive definite") from None
+
+    # x = x0 + Z y satisfies the independent equality rows (all of them
+    # unless some are dependent); mu comes back from stationarity through P
+    eq_rows = np.zeros(0, dtype=np.int64)
+    Z = np.eye(n)
+    x0 = np.zeros((k, n))
+    if e:
+        Q, R, piv = scipy.linalg.qr(Aeq.T, pivoting=True)
+        diag = np.abs(np.diag(R))
+        r = int(np.sum(diag > 1e-8 * diag[0]))
+        Q1, R1, eq_rows, Z = Q[:, :r], R[:r, :r], piv[:r], Q[:, r:]
+        # rows of x0 and mu are beq @ P and -(Hx + c + A'lam) @ P'
+        P = scipy.linalg.solve_triangular(R1, Q1.T)
+        x0 = beq[:, eq_rows] @ P
+    Hz = Z.T @ H @ Z
+    Az = A @ Z
+    cz = (x0 @ H + c) @ Z
+    y = -np.linalg.solve(Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
+    lam = np.zeros((k, m))
+    iterations = np.zeros(k, dtype=np.int64)
+    if m:
+        y, lam, iterations = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, tol, max_iter)
+    x = x0 + y @ Z.T
+    mu = np.zeros((k, e))
+    if eq_rows.size:
+        mu[:, eq_rows] = -(x @ H + c + lam @ A) @ P.T
+
+    resid = _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu)
+    b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
+    probed = np.zeros(k, dtype=bool)
+    feasible = np.ones(k, dtype=bool)
+    polish_groups = 0
+    if m:
+        # an iterate that ends clearly outside the feasible set is probed
+        # before any polish: on an infeasible instance the polish can only
+        # exhaust its update budget, at many times the cost of the probe
+        slack = b - x @ A.T
+        for i in np.flatnonzero(-slack.min(axis=1) > 1e-6 * b_scale):
+            probed[i] = True
+            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
+        todo = np.flatnonzero(feasible)
+        near = (slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b)))
+        guesses = [np.flatnonzero(near[i]) for i in todo]
+        # the polish sees the independent equality rows only
+        Ae, be = Aeq[eq_rows], beq[:, eq_rows]
+        px, plam, pmu, found, polish_groups = _polish(
+            H, A, Ae, c[todo], b[todo], be[todo], guesses
+        )
+        retry = np.flatnonzero(~found & np.array([g.size > 0 for g in guesses], dtype=bool))
+        if retry.size:
+            t = todo[retry]
+            px[retry], plam[retry], pmu[retry], found[retry], groups = _polish(
+                H, A, Ae, c[t], b[t], be[t], [[] for _ in t]
+            )
+            polish_groups += groups
+        pmu_full = np.zeros((todo.size, e))
+        pmu_full[:, eq_rows] = pmu
+        polished = _kkt_residuals(H, A, Aeq, c[todo], b[todo], beq[todo], px, plam, pmu_full)
+        with np.errstate(invalid="ignore"):
+            accept = found & (
+                polished.max(axis=1) <= np.maximum(tol, resid[todo].max(axis=1))
+            )
+        done = todo[accept]
+        x[done], lam[done], mu[done] = px[accept], plam[accept], pmu_full[accept]
+        resid[done] = polished[accept]
+
+    # stationarity and complementarity are judged relative to the iterate
+    # scale (nearly parallel active rows blow the multipliers up without
+    # hurting the primal answer); primal feasibility stays an absolute test
+    # so runaway iterates can never pass
+    mult = np.abs(np.hstack([lam, mu, x])).max(axis=1, initial=1.0)
+    with np.errstate(invalid="ignore"):
+        optimal = (resid[:, 1] <= tol * b_scale) & (resid[:, [0, 2]].max(axis=1) <= tol * mult)
+    status = np.full(k, OPTIMAL, dtype=object)
+    for i in np.flatnonzero(~optimal):
+        if not probed[i]:
+            probed[i] = True
+            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
+        status[i] = NUMERICAL_FAILURE if feasible[i] else INFEASIBLE
+    with np.errstate(invalid="ignore", over="ignore"):
+        objective = 0.5 * np.einsum("ij,ij->i", x @ H, x) + np.einsum("ij,ij->i", c, x)
+    return QpBatch(
+        status, x, lam, mu, b - x @ A.T, resid, iterations, objective,
+        polish_groups, int(probed.sum()),
+    )
 
 
 def solve_qp(
@@ -232,180 +530,14 @@ def solve_qp(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> QpSolution:
-    """Solve one convex QP to KKT residuals below ``tol``.
-
-    Preconditions checked here: H symmetric positive definite, Aeq full
-    row rank.  Infeasible instances are detected (interior-point collapse
-    confirmed by an LP probe) and reported via status rather than raised.
-    """
-    H, c, A, b, Aeq, beq = inst.H, inst.c, inst.A, inst.b, inst.Aeq, inst.beq
-    n = c.shape[0]
-    m = A.shape[0]
-    e = Aeq.shape[0]
-
-    if not np.allclose(H, H.T, rtol=0.0, atol=1e-11 * (1.0 + np.max(np.abs(H)))):
-        raise ValueError("H must be symmetric")
-    try:
-        scipy.linalg.cho_factor(H)
-    except scipy.linalg.LinAlgError:
-        raise ValueError("H must be positive definite") from None
-    if e:
-        Q, R, _ = scipy.linalg.qr(Aeq.T, mode="economic", pivoting=True)
-        del Q
-        diag = np.abs(np.diag(R))
-        if diag.size and np.any(diag <= 1e-8 * diag[0]):
-            raise ValueError("equality rows are rank deficient")
-
-    b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
-
-    def finish(x, lam, mu, iters, feasible=None):
-        """Package a point; feasible carries an LP probe's verdict when one
-        was already made, so no second probe runs."""
-        resid = _kkt_residuals(inst, x, lam, mu)
-        slack = b - A @ x if m else np.zeros(0)
-        obj = float(0.5 * x @ H @ x + c @ x)
-        # stationarity and complementarity are judged relative to the
-        # iterate scale (nearly parallel active rows blow the multipliers
-        # up without hurting the primal answer); primal feasibility stays
-        # an absolute test so runaway iterates can never pass
-        stat, prim, comp = resid
-        mult = 1.0
-        for vec in (lam, mu, x):
-            if vec.size:
-                mult = max(mult, float(np.max(np.abs(vec))))
-        if prim <= tol * b_scale and max(stat, comp) <= tol * mult:
-            status = OPTIMAL
-        else:
-            if feasible is None:
-                feasible = _feasibility_probe(inst)
-            status = NUMERICAL_FAILURE if feasible else INFEASIBLE
-        return QpSolution(status, x, lam, mu, slack, resid, iters, obj)
-
-    if m == 0:
-        x, mu = _kkt_solve(H, c, Aeq, beq)
-        return finish(x, np.zeros(0), mu, 0)
-
-    # --- interior point iteration -----------------------------------------
-    x, mu = _kkt_solve(H, c, Aeq, beq)
-    z = b - A @ x
-    z = np.where(z > 1.0, z, 1.0)
-    lam = np.ones(m)
-    if e == 0:
-        mu = np.zeros(0)
-
-    best = (np.inf, x.copy(), lam.copy(), mu.copy())
-    it = 0
-    stall = 0
-    for it in range(1, max_iter + 1):
-        r_d = H @ x + c + A.T @ lam + (Aeq.T @ mu if e else 0.0)
-        r_p = A @ x + z - b
-        r_e = Aeq @ x - beq if e else np.zeros(0)
-        mu_c = float(z @ lam) / m
-        merit = max(
-            float(np.max(np.abs(r_d))),
-            float(np.max(np.abs(r_p))),
-            float(np.max(np.abs(r_e))) if e else 0.0,
-            mu_c,
-        )
-        if merit < best[0]:
-            best = (merit, x.copy(), lam.copy(), mu.copy())
-            stall = 0
-        else:
-            stall += 1
-        if merit <= max(tol, 1e-11):
-            break
-        # interior point has collapsed without reaching feasibility
-        if mu_c < 1e-12 and float(np.max(np.abs(r_p))) > 1e-7:
-            break
-        if stall > 30:
-            break
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = lam / z
-            Haug = H + (A.T * d) @ A
-        if e:
-            kkt = np.zeros((n + e, n + e))
-            kkt[:n, :n] = Haug
-            kkt[:n, n:] = Aeq.T
-            kkt[n:, :n] = Aeq
-            try:
-                lu = scipy.linalg.lu_factor(kkt)
-            except (scipy.linalg.LinAlgError, ValueError):
-                break
-
-            def newton(tau):
-                rhs_x = -(r_d + A.T @ (tau / z - lam + d * r_p))
-                sol = scipy.linalg.lu_solve(lu, np.concatenate([rhs_x, -r_e]))
-                dx, dmu = sol[:n], sol[n:]
-                dz = -r_p - A @ dx
-                dlam = tau / z - lam - d * dz
-                return dx, dz, dlam, dmu
-        else:
-            try:
-                cho = scipy.linalg.cho_factor(Haug)
-            except (scipy.linalg.LinAlgError, ValueError):
-                break
-
-            def newton(tau):
-                rhs_x = -(r_d + A.T @ (tau / z - lam + d * r_p))
-                dx = scipy.linalg.cho_solve(cho, rhs_x)
-                dz = -r_p - A @ dx
-                dlam = tau / z - lam - d * dz
-                return dx, dz, dlam, np.zeros(0)
-
-        try:
-            with np.errstate(all="ignore"):
-                dx_a, dz_a, dlam_a, dmu_a = newton(np.zeros(m))
-                alpha_a = min(_max_step(z, dz_a), _max_step(lam, dlam_a))
-                mu_aff = float((z + alpha_a * dz_a) @ (lam + alpha_a * dlam_a)) / m
-                sigma = (mu_aff / mu_c) ** 3 if mu_c > 0 else 0.0
-                tau = sigma * mu_c - dz_a * dlam_a
-                dx, dz, dlam, dmu = newton(tau)
-        except (scipy.linalg.LinAlgError, ValueError):
-            # overflow on a collapsing iterate; fall back to the best point
-            break
-        frac = max(0.99, 1.0 - 10.0 * mu_c)
-        alpha = frac * min(_max_step(z, dz), _max_step(lam, dlam))
-        if not np.isfinite(alpha) or alpha <= 1e-14:
-            break
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dlam))):
-            break
-        x = x + alpha * dx
-        # a full-length step can land a slack on exactly zero; keep strictly
-        # interior so lam / z stays finite
-        z = np.maximum(z + alpha * dz, 1e-14)
-        lam = lam + alpha * dlam
-        mu = mu + alpha * dmu if e else mu
-
-    merit_now = max(_kkt_residuals(inst, x, lam, mu))
-    if not np.isfinite(merit_now) or best[0] < merit_now:
-        _, x, lam, mu = best
-
-    # an iterate that ends clearly outside the feasible set is probed before
-    # any polish: on an infeasible instance the polish can only exhaust its
-    # update budget, at many times the cost of the probe
-    slack = b - A @ x
-    feasible = None
-    if float(np.max(-slack)) > 1e-6 * b_scale:
-        feasible = _feasibility_probe(inst)
-        if not feasible:
-            return finish(x, lam, mu, it, feasible)
-
-    # --- active-set polish -------------------------------------------------
-    guess = np.flatnonzero((slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b))))
-    polished = _polish(inst, guess)
-    if polished is None and len(guess):
-        polished = _polish(inst, np.zeros(0, dtype=np.int64))
-    if polished is not None:
-        px, plam, pmu = polished
-        if max(_kkt_residuals(inst, px, plam, pmu)) <= max(
-            tol, max(_kkt_residuals(inst, x, lam, mu))
-        ):
-            return finish(px, plam, pmu, it, feasible)
-    return finish(x, lam, mu, it, feasible)
+    """Solve one convex QP to KKT residuals below ``tol``: the k = 1 case of
+    solve_qp_batch."""
+    return solve_qp_batch(
+        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None], tol, max_iter
+    ).solution(0)
 
 
-def identify_active(inst: QpInstance, sol: QpSolution, eps_act: float = ACTIVE_TOL) -> np.ndarray:
+def identify_active(inst: QpInstance, sol: QpSolution, eps_act: float) -> np.ndarray:
     """Indices of inequality rows active at the solution.
 
     A row counts as active when the magnitude of its residual A x - b is at

@@ -1,5 +1,6 @@
 """Dispatch problem assembly: layout, row semantics, scaling, calibration."""
 
+import logging
 import math
 
 import numpy as np
@@ -256,6 +257,19 @@ def test_calibrate_eta(demo_problem, demo_scenarios):
     base = calibrate_eta(prob, thetas, margin=1.0)
     assert base > 0.0
     assert calibrate_eta(prob, thetas, margin=10.0) == pytest.approx(10.0 * base, rel=1e-12)
+
+
+def test_calibrate_eta_warns_once(demo_problem, demo_scenarios, caplog):
+    thetas = theta_map_batch(
+        demo_problem, demo_scenarios.pc[:4], demo_scenarios.qc[:4], demo_scenarios.pg[:4],
+        alpha=0.12, kappa=5.0, oversize=1.0,
+    )
+    # the same squeeze as below makes half the samples infeasible
+    thetas[::2, 42:44] = -0.5
+    with caplog.at_level(logging.DEBUG, logger="phca.builder"):
+        calibrate_eta(demo_problem, thetas)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.getMessage() for r in warnings] == ["calibration skipped 2 of 4 samples"]
 
 
 def test_calibrate_eta_all_infeasible(demo_problem):

@@ -1,11 +1,14 @@
 """Command-line pipeline: demo assets, run, validate, stats, dump-problem."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import phca.cli as cli_mod
 from phca.cli import main
+from phca.engine import INFEASIBLE
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,24 @@ def test_validate_passes(case, capsys):
     assert code == 0
     assert "validate: checked=40 " in captured.out
     assert "mismatches=0" in captured.out
+
+
+def test_validate_with_nothing_solved_is_exit_3(case, capsys, monkeypatch):
+    real = cli_mod.run_batch
+
+    def all_infeasible(*args, **kwargs):
+        res = real(*args, **kwargs)
+        records = tuple(
+            replace(rec, status=INFEASIBLE, reason=None, region_id=None, signature=None)
+            for rec in res.records
+        )
+        return replace(res, records=records)
+
+    monkeypatch.setattr(cli_mod, "run_batch", all_infeasible)
+    code = main(["validate", *base_args(case), "--sample", "40"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "phca: error: ValidationFailure: no solved instance to validate\n"
 
 
 def test_stats_from_saved_results(case, capsys):

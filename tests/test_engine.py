@@ -5,8 +5,10 @@ import pytest
 
 import phca.engine as engine_mod
 from phca import (
+    AnalysisGrid,
     EngineOptions,
     build_problem,
+    expand_grid,
     load_result_json,
     run_batch,
     scale_problem,
@@ -197,6 +199,33 @@ def test_validate_batch_catches_corruption(scaled_demo_problem, small_theta_set)
     assert not report.ok
     assert 5 in report.mismatches
     assert report.max_dx >= 1e-3
+
+
+def test_validate_batch_flags_nan_solution(scaled_demo_problem, small_theta_set):
+    res = run_batch(scaled_demo_problem, small_theta_set.thetas[:10])
+    assert res.solved_mask()[3]
+    res.x[3, 3] = np.nan
+    report = validate_batch(res, indices=np.arange(5))
+    assert report.mismatches == (3,)
+
+
+def test_validate_batch_crosses_blocks(scaled_demo_problem, demo_problem, demo_scenarios, caplog):
+    grid = AnalysisGrid(kappa=(1.0, 1.25, 1.5, 2.0), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
+    thetas = expand_grid(demo_problem, demo_scenarios, grid).thetas
+    res = run_batch(scaled_demo_problem, thetas)
+    indices = np.flatnonzero(res.solved_mask())[:600]
+    assert indices.size == 600
+    # position 520 lies in the third block of the stacked oracle
+    assert 2 * engine_mod.VALIDATE_BLOCK <= 520 < 3 * engine_mod.VALIDATE_BLOCK
+    bad = int(indices[520])
+    res.x[bad] = res.x[bad] + 1e-3
+    with caplog.at_level("DEBUG", logger="phca.engine"):
+        report = validate_batch(res, indices=indices)
+    assert report.checked == 600
+    assert report.mismatches == (bad,)
+    assert report.max_dx >= 1e-3
+    blocks = [r for r in caplog.records if r.getMessage().startswith("validate block:")]
+    assert len(blocks) == 3
 
 
 def test_abort_after_repeated_failures(scaled_demo_problem, small_theta_set, monkeypatch):

@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from phca.qp import INFEASIBLE, OPTIMAL, QpInstance, identify_active, solve_qp
+from phca.qp import (
+    DEFAULT_MAX_ITER,
+    INFEASIBLE,
+    OPTIMAL,
+    QpInstance,
+    identify_active,
+    solve_qp,
+    solve_qp_batch,
+)
 
 
 def brute_force(inst, tol=1e-9):
@@ -59,7 +67,7 @@ def test_single_active_inequality():
     assert sol.x == pytest.approx([0.0, 1.0], abs=1e-9)
     assert sol.lam == pytest.approx([1.0], abs=1e-9)
     assert sol.objective == pytest.approx(-1.5, abs=1e-10)
-    assert list(identify_active(inst, sol)) == [0]
+    assert list(identify_active(inst, sol, eps_act=1e-5)) == [0]
 
 
 def test_equality_only():
@@ -75,7 +83,7 @@ def test_inactive_constraint_ignored():
     sol = solve_qp(inst)
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-9)
     assert sol.lam == pytest.approx([0.0], abs=1e-9)
-    assert list(identify_active(inst, sol)) == []
+    assert list(identify_active(inst, sol, eps_act=1e-5)) == []
 
 
 def test_infeasible_inequalities():
@@ -86,6 +94,16 @@ def test_infeasible_inequalities():
 def test_contradictory_equalities():
     inst = QpInstance.build(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0])
     assert solve_qp(inst).status == INFEASIBLE
+
+
+def test_dependent_equality_rows():
+    # the second equality row doubles the first: consistent right-hand
+    # sides solve on the independent row, inconsistent ones are infeasible
+    kw = dict(A=[[1.0, 1.0]], b=[0.5], Aeq=[[1.0, 0.0], [2.0, 0.0]])
+    sol = solve_qp(QpInstance.build(np.eye(2), [1.0, 1.0], beq=[0.3, 0.6], **kw))
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([0.3, -1.0], abs=1e-12)
+    assert solve_qp(QpInstance.build(np.eye(2), [1.0, 1.0], beq=[0.3, 0.7], **kw)).status == INFEASIBLE
 
 
 def test_active_rows_land_exactly():
@@ -169,6 +187,54 @@ def test_polish_takes_in_a_dependent_violated_row():
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([-0.5, -0.5], abs=1e-12)
     assert sol.lam == pytest.approx([0.0, 0.0, 15.0], abs=1e-10)
+
+
+def _stack(rng, k, n, m, p):
+    """k instances that share H, A and Aeq; about one in ten is cut off."""
+    G = rng.normal(size=(n + 1, n))
+    H = G.T @ G + 0.1 * np.eye(n)
+    A = rng.normal(size=(m, n))
+    Aeq = rng.normal(size=(p, n))
+    x0 = rng.normal(size=(k, n))
+    c = rng.normal(size=(k, n))
+    b = x0 @ A.T + rng.uniform(-0.4, 1.0, size=(k, m))
+    return H, A, Aeq, c, b, x0 @ Aeq.T
+
+
+def test_batch_matches_single_solves():
+    """Every member of a stacked solve equals its own solve_qp call, and
+    the exhaustive oracle where the row count allows it."""
+    rng = np.random.default_rng(7)
+    stacks = [
+        (_stack(rng, 100, 3, 5, 1), DEFAULT_MAX_ITER),
+        (_stack(rng, 100, 4, 6, 0), DEFAULT_MAX_ITER),
+        (_stack(rng, 80, 6, 24, 2), DEFAULT_MAX_ITER),
+    ]
+    # with no interior-point iterations the polish starts from every row
+    # the start point violates; the first member is the dependent-row case
+    # of test_polish_takes_in_a_dependent_violated_row
+    c = np.vstack([[-1.0, -1.0], rng.normal(size=(39, 2))])
+    b = np.vstack([[0.0, 0.0, -0.1], rng.uniform(-0.5, 0.5, size=(39, 3))])
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]])
+    stacks.append(((np.eye(2), A, np.zeros((0, 2)), c, b, np.zeros((40, 0))), 0))
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for (H, A, Aeq, c, b, beq), max_iter in stacks:
+        batch = solve_qp_batch(H, A, Aeq, c, b, beq, max_iter=max_iter)
+        for i in range(c.shape[0]):
+            inst = QpInstance.build(H, c[i], A=A, b=b[i], Aeq=Aeq, beq=beq[i])
+            single = solve_qp(inst, max_iter=max_iter)
+            sol = batch.solution(i)
+            assert sol.status == single.status, f"member {i}"
+            assert np.max(np.abs(sol.x - single.x)) <= 1e-9, f"member {i}"
+            seen[sol.status] += 1
+            if A.shape[0] <= 6:
+                ref = brute_force(inst)
+                assert sol.status == (INFEASIBLE if ref is None else OPTIMAL), f"member {i}"
+                if ref is not None:
+                    assert np.max(np.abs(sol.x - ref[0])) < 1e-6, f"member {i}"
+    assert batch.solution(0).x == pytest.approx([-0.5, -0.5], abs=1e-12)
+    assert sum(seen.values()) >= 300
+    assert seen[OPTIMAL] > 200 and seen[INFEASIBLE] > 10
 
 
 def test_identify_active_threshold():

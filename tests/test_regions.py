@@ -35,7 +35,7 @@ def seed_region(prob, theta):
     sol = solve_qp(prob.instance(theta))
     assert sol.status == OPTIMAL
     ctx = RegionContext(prob)
-    region = ctx.build_region(identify_active(prob.instance(theta), sol))
+    region = ctx.build_region(identify_active(prob.instance(theta), sol, eps_act=1e-5))
     return sol, region
 
 
