@@ -23,7 +23,6 @@ from .builder import (
     dump_problem,
     load_config,
     scale_problem,
-    theta_map,
     theta_map_batch,
 )
 from .engine import (
@@ -49,7 +48,6 @@ from .errors import (
     ModelError,
     NegativeValueError,
     NonConvergenceError,
-    NotInRegionError,
     PhcaError,
     RankDeficientKError,
     SchemaError,
@@ -61,7 +59,6 @@ from .feeder import (
     RegulatorSpec,
     Subgraph,
     SubgraphSensitivity,
-    flow_from_injections,
     load_feeder,
     partition_by_regulators,
     sensitivity_matrices,

@@ -605,19 +605,6 @@ def theta_map_batch(
     return theta
 
 
-def theta_map(
-    prob: MpqpProblem,
-    pc: np.ndarray,
-    qc: np.ndarray,
-    pg: np.ndarray,
-    alpha: float,
-    kappa: float,
-    oversize: float,
-) -> np.ndarray:
-    """Single-row version of theta_map_batch."""
-    return theta_map_batch(prob, pc, qc, pg, alpha, kappa, oversize)[0]
-
-
 # ---------------------------------------------------------------------------
 # scaling and calibration
 

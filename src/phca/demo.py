@@ -20,7 +20,7 @@ FEEDER_TEXT = """\
 0
 
 [buses]
-# id  s_rating  p_rating
+# id  p_peak    p_rating
 0     0.0       0.0
 1     0.04      0.0
 2     0.04      0.0

@@ -47,6 +47,12 @@ REASON_BUDGET = "budget-exhausted"
 REASON_UNCERTAIN = "uncertain-active-set"
 REASON_RANK = "rank-deficient"
 
+#: the status and reason columns hold indices into these tuples; the
+#: solved statuses come first
+SOLVED = (REUSE, DIRECT, DEGENERATE)
+STATUSES = SOLVED + (INFEASIBLE, FAILED)
+REASONS = (None, REASON_SEED, REASON_BUDGET, REASON_UNCERTAIN, REASON_RANK)
+
 #: a row is active at a polished solution when its multiplier exceeds this
 #: fraction of the largest one; the polish sets every other row's to zero
 ACTIVE_LAM_REL = 1e-9
@@ -98,7 +104,7 @@ class EngineOptions:
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """How one parameter vector was dispatched."""
+    """How one parameter vector was dispatched (a row of BatchResult.records)."""
 
     index: int
     status: str
@@ -133,12 +139,17 @@ class BatchCounters:
 
 @dataclass
 class BatchResult:
-    """Everything a batch run produced.
+    """Everything a batch run produced, one column entry per instance.
 
     problem is the scaled problem the engine actually ran; x rows and the
     objectives are in original units (scaling leaves the minimizer alone
-    and multiplies the cost by a known constant).  wall_time_s is for
-    humans and is deliberately left out of the serialized form.
+    and multiplies the cost by a known constant), NaN where nothing was
+    solved.  status and reason index STATUSES and REASONS; region_id
+    indexes regions, -1 meaning no region.  An instance's active set
+    ("signature") is its region's; the direct rows without a region that
+    have one (degenerate and budget rows) keep it in direct_signatures,
+    keyed by instance index.  wall_time_s is for humans and is
+    deliberately left out of the serialized form.
     """
 
     problem: MpqpProblem
@@ -147,65 +158,64 @@ class BatchResult:
     thetas: np.ndarray
     x: np.ndarray
     objectives: np.ndarray
-    records: tuple[InstanceRecord, ...]
+    status: np.ndarray
+    reason: np.ndarray
+    region_id: np.ndarray
     regions: tuple[RegionRecord, ...]
+    direct_signatures: dict[int, tuple[int, ...]]
     counters: BatchCounters
     wall_time_s: float = field(default=0.0, compare=False)
 
     def record_for(self, index: int) -> InstanceRecord:
-        return self.records[index]
+        rid = int(self.region_id[index])
+        return InstanceRecord(
+            index=index,
+            status=STATUSES[self.status[index]],
+            reason=REASONS[self.reason[index]],
+            region_id=None if rid < 0 else rid,
+            signature=self.regions[rid].signature if rid >= 0
+            else self.direct_signatures.get(index),
+        )
+
+    @property
+    def records(self) -> tuple[InstanceRecord, ...]:
+        """Per-instance view of the columns, built on each access."""
+        return tuple(self.record_for(i) for i in range(self.status.size))
 
     def solved_mask(self) -> np.ndarray:
-        return np.array(
-            [rec.status in (REUSE, DIRECT, DEGENERATE) for rec in self.records], dtype=bool
-        )
+        return self.status < len(SOLVED)
 
     def summary(self) -> dict:
         return {
             "counters": asdict(self.counters),
             "options": asdict(self.options),
             "scaling": asdict(self.scaling),
-            "regions": [
-                {
-                    "region_id": rg.region_id,
-                    "signature": list(rg.signature),
-                    "seed_index": rg.seed_index,
-                    "served": rg.served,
-                }
-                for rg in self.regions
-            ],
+            "regions": [asdict(rg) for rg in self.regions],
         }
 
-    def to_json(self, include_solutions: bool = True) -> str:
-        """Deterministic serialization; excludes wall-clock time."""
+    def to_json(self) -> str:
+        """Deterministic strict JSON, columns as lists; excludes wall-clock time.
+
+        Unsolved entries of x and the objective are written as null.
+        """
         payload = self.summary()
-        records = []
-        for rec in self.records:
-            row = {
-                "index": rec.index,
-                "status": rec.status,
-                "reason": rec.reason,
-                "region_id": rec.region_id,
-                "signature": None if rec.signature is None else list(rec.signature),
-                "objective": None
-                if not np.isfinite(self.objectives[rec.index])
-                else float(self.objectives[rec.index]),
-            }
-            if include_solutions:
-                row["x"] = [float(v) for v in self.x[rec.index]]
-            records.append(row)
-        payload["records"] = records
-        return json.dumps(payload, sort_keys=True, indent=1)
+        payload["direct_signatures"] = [
+            {"index": i, "signature": list(sig)}
+            for i, sig in sorted(self.direct_signatures.items())
+        ]
+        payload["columns"] = {
+            "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
+            "reason": np.asarray(REASONS, dtype=object)[self.reason].tolist(),
+            "region_id": self.region_id.tolist(),
+            "objective": _nulls_for_nan(self.objectives),
+            "x": _nulls_for_nan(self.x),
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _direct_record(index, status, reason, signature):
-    return InstanceRecord(
-        index=int(index),
-        status=status,
-        reason=reason,
-        region_id=None,
-        signature=signature,
-    )
+def _nulls_for_nan(values: np.ndarray) -> list:
+    """Nested lists of the values with None for every non-finite entry."""
+    return np.where(np.isfinite(values), values, None).tolist()
 
 
 def _positive_multipliers(sol) -> np.ndarray:
@@ -268,27 +278,36 @@ def run_batch(
 
     solved = np.zeros(n, dtype=bool)
     x = np.full((n, scaled.H.shape[0]), np.nan)
-    records: list[InstanceRecord | None] = [None] * n
+    status = np.full(n, -1, dtype=np.int8)
+    reason = np.zeros(n, dtype=np.int8)
+    region_id = np.full(n, -1, dtype=np.int64)
+    direct_signatures: dict[int, tuple[int, ...]] = {}
     census: list[RegionRecord] = []
     budget_left = options.solve_budget
+
+    def mark(idx, st, why=None, rid=-1):
+        status[idx] = STATUSES.index(st)
+        reason[idx] = REASONS.index(why)
+        region_id[idx] = rid
 
     def classify_failure(i, sol):
         if sol.status == QP_INFEASIBLE:
             counters.infeasible += 1
-            records[i] = _direct_record(i, INFEASIBLE, None, None)
+            mark(i, INFEASIBLE)
         else:
             counters.failed += 1
-            records[i] = _direct_record(i, FAILED, None, None)
+            mark(i, FAILED)
             if counters.failed > options.max_failures:
                 raise AbortError(
                     f"{counters.failed} direct solves failed numerically; "
                     "aborting the batch"
                 )
 
-    def degenerate(i, sol, reason, signature):
-        logger.debug("instance %d: degenerate-direct (%s)", i, reason)
+    def degenerate(i, sol, why, signature):
+        logger.debug("instance %d: degenerate-direct (%s)", i, why)
         x[i] = sol.x
-        records[i] = _direct_record(i, DEGENERATE, reason, signature)
+        mark(i, DEGENERATE, why)
+        direct_signatures[i] = signature
         counters.degenerate += 1
 
     for i in order:
@@ -309,7 +328,8 @@ def run_batch(
         if budget_spent:
             sig = tuple(int(v) for v in identify_active(inst, sol, options.eps_active))
             x[i] = sol.x
-            records[i] = _direct_record(i, DIRECT, REASON_BUDGET, sig)
+            mark(i, DIRECT, REASON_BUDGET)
+            direct_signatures[i] = sig
             counters.stragglers += 1
             continue
 
@@ -334,26 +354,19 @@ def run_batch(
         hits = rem[region.batch_membership(thetas[rem], options.eps_membership)]
         cand_x, ok = _certify(scaled, region, thetas[hits], options)
         keep = hits[ok]
-        region_id = len(census)
+        rid = len(census)
         counters.screened_out += len(hits) - len(keep)
         x[keep] = cand_x[ok]
         x[i] = sol.x
-        for j in keep:
-            records[j] = InstanceRecord(
-                index=int(j), status=REUSE, reason=None, region_id=region_id,
-                signature=region.signature,
-            )
-        records[i] = InstanceRecord(
-            index=i, status=DIRECT, reason=REASON_SEED, region_id=region_id,
-            signature=region.signature,
-        )
+        mark(keep, REUSE, rid=rid)
+        mark(i, DIRECT, REASON_SEED, rid)
         solved[keep] = True
         counters.seeds += 1
         counters.reuse += len(keep)
         counters.regions_built += 1
         census.append(
             RegionRecord(
-                region_id=region_id,
+                region_id=rid,
                 signature=region.signature,
                 seed_index=i,
                 served=len(keep),
@@ -361,7 +374,7 @@ def run_batch(
         )
         logger.debug(
             "region %d: %d active rows, %d hits, %d served, %d screened out",
-            region_id, len(signature), len(hits), len(keep), len(hits) - len(keep),
+            rid, len(signature), len(hits), len(keep), len(hits) - len(keep),
         )
 
     # objectives in original units
@@ -383,21 +396,51 @@ def run_batch(
         thetas=thetas,
         x=x,
         objectives=objectives,
-        records=tuple(records),
+        status=status,
+        reason=reason,
+        region_id=region_id,
         regions=tuple(census),
+        direct_signatures=direct_signatures,
         counters=counters,
         wall_time_s=time.perf_counter() - t0,
     )
 
 
+#: top-level keys of a results file, and the columns under "columns"
+RESULT_KEYS = ("columns", "counters", "direct_signatures", "options", "regions", "scaling")
+COLUMNS = ("objective", "reason", "region_id", "status", "x")
+
+
+def _column(values, name: str, dtype=None) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise SchemaError(f"column {name!r} is malformed") from None
+
+
+def _codes(values, names: tuple, column: str) -> np.ndarray:
+    """Indices into names of a column of names."""
+    col = _column(values, column, dtype=object)
+    codes = np.full(col.shape, -1, dtype=np.int8)
+    for k, name in enumerate(names):
+        codes[col == name] = k
+    if col.ndim != 1 or (codes < 0).any():
+        raise SchemaError(f"column {column!r} holds a name outside {names}")
+    return codes
+
+
 def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchResult:
-    """Rebuild a BatchResult from serialized records.
+    """Rebuild a BatchResult from a results file written by to_json.
 
     The problem and parameter set are reconstructed by the caller from the
     original input files; this checks they line up with the stored run
     (instance count, variable count, scaling) and that the file is well
-    formed (known counter and option keys, an index and a status on every
-    record, finite solutions on solved records) before rehydrating.
+    formed before rehydrating: exactly the known top-level keys and
+    columns, known counter and option keys, every column one entry per
+    instance, known status and reason names, region ids naming a stored
+    region on exactly the reuse and seed rows, well-formed region and
+    direct-signature tables, and finite solutions and objectives on
+    solved rows.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -405,23 +448,18 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"results file is not valid JSON: {exc}") from None
-    records_raw = payload.get("records") if isinstance(payload, dict) else None
-    if not isinstance(records_raw, list):
-        raise SchemaError("results file has no record list")
+    if not isinstance(payload, dict) or sorted(payload) != list(RESULT_KEYS):
+        raise SchemaError(f"results file needs exactly the keys {', '.join(RESULT_KEYS)}")
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.shape[0]
-    if len(records_raw) != n:
-        raise SchemaError(
-            f"results hold {len(records_raw)} records but the inputs expand "
-            f"to {n} instances"
-        )
-    stored = payload.get("scaling", {})
-    if abs(stored.get("cost_scale", np.nan) - prob.scaling.cost_scale) > 1e-9 * max(
-        1.0, prob.scaling.cost_scale
-    ):
+    stored = payload["scaling"]
+    cost_scale = stored.get("cost_scale") if isinstance(stored, dict) else None
+    if not isinstance(cost_scale, (int, float)) or not abs(
+        cost_scale - prob.scaling.cost_scale
+    ) <= 1e-9 * max(1.0, prob.scaling.cost_scale):
         raise SchemaError("results were produced from a different problem (scaling differs)")
-    counters_raw = payload.get("counters", {"n_instances": n})
-    opts_raw = payload.get("options", {})
+    counters_raw = payload["counters"]
+    opts_raw = payload["options"]
     for name, block, cls in (
         ("counter", counters_raw, BatchCounters),
         ("engine option", opts_raw, EngineOptions),
@@ -431,50 +469,60 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         unknown = sorted(set(block) - {f.name for f in fields(cls)})
         if unknown:
             raise SchemaError(f"results file has unknown {name} {unknown[0]!r}")
-    if not all(
-        isinstance(r, dict) and type(r.get("index")) is int and "status" in r
-        for r in records_raw
-    ):
-        raise SchemaError("every record needs an integer index and a status")
-    rows = sorted(records_raw, key=lambda r: r["index"])
-    if [r["index"] for r in rows] != list(range(n)):
-        raise SchemaError(f"record indices must be 0..{n - 1}, each once")
 
-    n_var = prob.H.shape[0]
-    x = np.full((n, n_var), np.nan)
-    objectives = np.full(n, np.nan)
-    records = []
-    for i, row in enumerate(rows):
-        if "x" not in row:
-            raise SchemaError("results were saved without solutions; rerun with them")
-        try:
-            vec = np.asarray(row["x"], dtype=float)
-        except (TypeError, ValueError):
-            raise SchemaError(f"record {i} has a non-numeric solution") from None
-        if vec.shape != (n_var,):
-            raise SchemaError(f"record {i} has {vec.size} solution entries, need {n_var}")
-        x[i] = vec
-        if row.get("objective") is not None:
-            objectives[i] = float(row["objective"])
-        sig = row.get("signature")
-        records.append(
-            InstanceRecord(
-                index=i,
-                status=str(row["status"]),
-                reason=row.get("reason"),
-                region_id=row.get("region_id"),
-                signature=None if sig is None else tuple(int(v) for v in sig),
+    cols = payload["columns"]
+    if not isinstance(cols, dict) or sorted(cols) != list(COLUMNS):
+        raise SchemaError(f"results file needs exactly the columns {', '.join(COLUMNS)}")
+    for name in COLUMNS:
+        if not isinstance(cols[name], list) or len(cols[name]) != n:
+            raise SchemaError(
+                f"column {name!r} does not hold one entry for each of the {n} "
+                "instances the inputs expand to"
             )
+    try:
+        regions = tuple(
+            RegionRecord(
+                region_id=int(rg["region_id"]),
+                signature=tuple(int(v) for v in rg["signature"]),
+                seed_index=int(rg["seed_index"]),
+                served=int(rg["served"]),
+            )
+            for rg in payload["regions"]
         )
-    regions = tuple(
-        RegionRecord(
-            region_id=int(rg["region_id"]),
-            signature=tuple(int(v) for v in rg["signature"]),
-            seed_index=int(rg["seed_index"]),
-            served=int(rg["served"]),
+        direct_raw = payload["direct_signatures"]
+        direct_signatures = {
+            int(e["index"]): tuple(int(v) for v in e["signature"]) for e in direct_raw
+        }
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError("results file has a malformed region or signature table") from None
+    if [rg.region_id for rg in regions] != list(range(len(regions))):
+        raise SchemaError("region ids must run 0, 1, ... in table order")
+    if len(direct_signatures) != len(direct_raw) or not all(
+        0 <= i < n for i in direct_signatures
+    ):
+        raise SchemaError(f"direct signature indices must lie in 0..{n - 1}, each once")
+
+    status = _codes(cols["status"], STATUSES, "status")
+    reason = _codes(cols["reason"], REASONS, "reason")
+    region_id = _column(cols["region_id"], "region_id")
+    in_region = (status == STATUSES.index(REUSE)) | (reason == REASONS.index(REASON_SEED))
+    if n and (region_id.dtype.kind != "i" or not np.where(
+        in_region, (region_id >= 0) & (region_id < len(regions)), region_id == -1
+    ).all()):
+        raise SchemaError(
+            f"column 'region_id' must name a region 0..{len(regions) - 1} on reuse "
+            "and seed rows and hold -1 on the others"
         )
-        for rg in payload.get("regions", [])
-    )
+    x = _column(cols["x"], "x", dtype=float)
+    n_var = prob.H.shape[0]
+    if n == 0:  # no row gives the width
+        x = x.reshape(0, n_var)
+    if x.shape != (n, n_var):
+        raise SchemaError(f"column 'x' needs {n_var} entries in every row")
+    objectives = _column(cols["objective"], "objective", dtype=float)
+    if objectives.shape != (n,):
+        raise SchemaError("column 'objective' needs one number or null per row")
+
     result = BatchResult(
         problem=prob,
         scaling=prob.scaling,
@@ -482,14 +530,19 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         thetas=thetas,
         x=x,
         objectives=objectives,
-        records=tuple(records),
+        status=status,
+        reason=reason,
+        region_id=region_id.astype(np.int64),
         regions=regions,
+        direct_signatures=direct_signatures,
         counters=BatchCounters(**counters_raw),
         wall_time_s=0.0,
     )
-    bad = np.flatnonzero(result.solved_mask() & ~np.isfinite(x).all(axis=1))
+    bad = np.flatnonzero(
+        result.solved_mask() & ~(np.isfinite(x).all(axis=1) & np.isfinite(objectives))
+    )
     if bad.size:
-        raise SchemaError(f"record {bad[0]} is solved but its solution is not finite")
+        raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
     return result
 
 

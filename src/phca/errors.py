@@ -67,10 +67,6 @@ class RankDeficientKError(PhcaError):
     """Stacked active rows are rank deficient; no region for this active set."""
 
 
-class NotInRegionError(PhcaError):
-    """Closed-form evaluation requested outside the region's polytope."""
-
-
 class AbortError(PhcaError):
     """Batch run aborted before completion."""
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     CycleError,
-    DimensionError,
     DisconnectedError,
     DuplicateRegulatorError,
     SchemaError,
@@ -71,7 +70,6 @@ class FeederModel:
     ext_ids: tuple[str, ...]
     lines: tuple[Line, ...]
     regulators: tuple[RegulatorSpec, ...]
-    s_rating: np.ndarray
     p_rating: np.ndarray
     parent: np.ndarray
     parent_line: np.ndarray
@@ -108,8 +106,7 @@ class Subgraph:
 
     ``root`` is the substation or a regulator output bus.  ``members`` are
     the buses whose voltage is referenced to the root (the root itself is
-    excluded).  ``cell`` is the slice of the non-substation buses owned by
-    this subgraph; for a regulator-rooted subgraph it includes the root.
+    excluded).
     """
 
     index: int
@@ -117,21 +114,12 @@ class Subgraph:
     members: tuple[int, ...]
     line_indices: tuple[int, ...]
 
-    @property
-    def cell(self) -> tuple[int, ...]:
-        if self.root == 0:
-            return self.members
-        return tuple(sorted((self.root,) + self.members))
-
 
 @dataclass(frozen=True)
 class SubgraphSensitivity:
-    """Affine voltage/flow data for one subgraph.
+    """Affine voltage data for one subgraph.
 
     R and X map member injections to voltage deviations from the root.
-    flow_map maps member injections to line flows; lines are ordered by
-    their downstream bus, matching the member order, and flows are positive
-    from root toward the leaves when serving load.
     """
 
     index: int
@@ -139,7 +127,6 @@ class SubgraphSensitivity:
     members: tuple[int, ...]
     R: np.ndarray
     X: np.ndarray
-    flow_map: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +160,12 @@ def load_feeder(text: str) -> FeederModel:
     """Parse and validate a feeder document.
 
     The document has bracketed sections: ``[substation]`` with one bus id,
-    ``[buses]`` with ``id  s_rating  p_rating`` rows, ``[lines]`` with
+    ``[buses]`` with ``id  p_peak  p_rating`` rows, ``[lines]`` with
     ``from  to  r  x`` rows, and an optional ``[regulators]`` section with
     ``m  n  kind  vref  delta  r_comp  x_comp`` rows ("-" marks a field
     that does not apply).  ``#`` starts a comment.  All values are decimal
-    per-unit quantities.
+    per-unit quantities.  p_peak, the bus's peak load, is checked but not
+    kept: the load profiles carry the loads.
     """
     sections: dict[str, list[list[str]]] = {}
     current: str | None = None
@@ -207,21 +195,21 @@ def load_feeder(text: str) -> FeederModel:
         raise SchemaError("[substation] must hold exactly one bus id")
     sub_id = sections["substation"][0][0]
 
-    raw_buses: dict[str, tuple[float, float]] = {}
+    raw_buses: dict[str, float] = {}  # id -> p_rating
     for row in sections["buses"]:
         if len(row) != 3:
-            raise SchemaError(f"bus row needs 'id s_rating p_rating', got {row}")
-        bid, s_tok, p_tok = row
+            raise SchemaError(f"bus row needs 'id p_peak p_rating', got {row}")
+        bid, peak_tok, p_tok = row
         if bid in raw_buses:
             raise SchemaError(f"duplicate bus id {bid!r}")
-        s_bar = _float(s_tok, f"s_rating of bus {bid}")
+        p_peak = _float(peak_tok, f"p_peak of bus {bid}")
         p_bar = _float(p_tok, f"p_rating of bus {bid}")
-        if s_bar < 0 or p_bar < 0:
-            raise SchemaError(f"negative rating at bus {bid}")
-        raw_buses[bid] = (s_bar, p_bar)
+        if p_peak < 0 or p_bar < 0:
+            raise SchemaError(f"negative p_peak or p_rating at bus {bid}")
+        raw_buses[bid] = p_bar
     if sub_id not in raw_buses:
         raise SchemaError(f"substation bus {sub_id!r} not listed in [buses]")
-    if raw_buses[sub_id][1] > 0:
+    if raw_buses[sub_id] > 0:
         raise SchemaError("substation bus cannot host an inverter rating")
 
     n_bus = len(raw_buses)
@@ -365,16 +353,14 @@ def load_feeder(text: str) -> FeederModel:
             RegulatorSpec(m, n, kind, vref=vref, delta=delta, r_comp=r_comp, x_comp=x_comp)
         )
 
-    s_rating = np.array([raw_buses[b][0] for b in ext_ids])
-    p_rating = np.array([raw_buses[b][1] for b in ext_ids])
-    for arr in (s_rating, p_rating, parent, parent_line, subtree):
+    p_rating = np.array([raw_buses[b] for b in ext_ids])
+    for arr in (p_rating, parent, parent_line, subtree):
         arr.flags.writeable = False
 
     return FeederModel(
         ext_ids=ext_ids,
         lines=tuple(lines),
         regulators=tuple(regulators),
-        s_rating=s_rating,
         p_rating=p_rating,
         parent=parent,
         parent_line=parent_line,
@@ -420,7 +406,7 @@ def partition_by_regulators(feeder: FeederModel) -> tuple[Subgraph, ...]:
 
 
 def sensitivity_matrices(sub: Subgraph, feeder: FeederModel) -> SubgraphSensitivity:
-    """Build R, X, and the flow map for one subgraph.
+    """Build R and X for one subgraph.
 
     Works by two tree traversals instead of inverting the incidence matrix:
     each line adds its impedance to every member pair lying below it, which
@@ -430,7 +416,7 @@ def sensitivity_matrices(sub: Subgraph, feeder: FeederModel) -> SubgraphSensitiv
     members = sub.members
     if not members:
         z = np.zeros((0, 0))
-        return SubgraphSensitivity(sub.index, sub.root, members, z, z.copy(), z.copy())
+        return SubgraphSensitivity(sub.index, sub.root, members, z, z.copy())
     # each member's feeding line, ordered like the members themselves
     line_order = tuple(int(feeder.parent_line[b]) for b in members)
     if sorted(line_order) != sorted(sub.line_indices):
@@ -442,25 +428,7 @@ def sensitivity_matrices(sub: Subgraph, feeder: FeederModel) -> SubgraphSensitiv
     mem = below.astype(float)
     R = mem.T @ (r[:, None] * mem)
     X = mem.T @ (x[:, None] * mem)
-    flow_map = -mem
-    for arr in (R, X, flow_map):
+    for arr in (R, X):
         arr.flags.writeable = False
-    return SubgraphSensitivity(sub.index, sub.root, members, R, X, flow_map)
+    return SubgraphSensitivity(sub.index, sub.root, members, R, X)
 
-
-def flow_from_injections(
-    sens: SubgraphSensitivity, p: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Line flows implied by member injections (positive toward the leaves).
-
-    p and q are ordered like ``sens.members``; the returned arrays are
-    ordered like the member-feeding lines.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    k = len(sens.members)
-    if p.shape != (k,) or q.shape != (k,):
-        raise DimensionError(
-            f"expected injection vectors of length {k}, got {p.shape} and {q.shape}"
-        )
-    return sens.flow_map @ p, sens.flow_map @ q

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NotInRegionError, RankDeficientKError
+from .errors import RankDeficientKError
 
 #: relative eigenvalue cutoff below which the stacked active/equality
 #: system is treated as rank deficient
 RANK_TOL = 1e-10
-
-MEMBERSHIP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -49,31 +47,8 @@ class CriticalRegion:
     def signature(self) -> tuple[int, ...]:
         return self.active_set
 
-    def contains(self, theta: np.ndarray, eps: float = MEMBERSHIP_TOL) -> bool:
-        return bool(np.all(self.S @ theta - self.t <= eps))
-
-    def membership_margin(self, theta: np.ndarray) -> float:
-        """Largest constraint violation of the region polyhedron (<= 0 inside)."""
-        if self.S.shape[0] == 0:
-            return -np.inf
-        return float(np.max(self.S @ theta - self.t))
-
-    def solution_at(self, theta: np.ndarray, check: bool = False) -> np.ndarray:
-        if check and not self.contains(theta):
-            raise NotInRegionError(
-                f"parameter lies outside the region (margin {self.membership_margin(theta):g})"
-            )
-        return self.M @ theta + self.r
-
-    def multipliers_at(self, theta: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Full-length inequality multiplier vector and equality multipliers."""
-        lam = np.zeros(n_rows)
-        if self.active_set:
-            lam[list(self.active_set)] = self.G1 @ theta + self.w1
-        return lam, self.G2 @ theta + self.w2
-
-    def batch_membership(self, thetas: np.ndarray, eps: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """Boolean mask over stacked parameter rows."""
+    def batch_membership(self, thetas: np.ndarray, eps: float) -> np.ndarray:
+        """Boolean mask over stacked parameter rows: S theta <= t + eps."""
         if self.S.shape[0] == 0:
             return np.ones(thetas.shape[0], dtype=bool)
         return np.all(thetas @ self.S.T - self.t <= eps, axis=1)

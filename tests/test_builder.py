@@ -13,7 +13,6 @@ from phca import (
     load_config,
     scale_problem,
     solve_qp,
-    theta_map,
     theta_map_batch,
 )
 from phca.builder import BuilderConfig
@@ -59,7 +58,7 @@ def sample_theta(prob, rng, alpha=0.3, kappa=1.0, oversize=1.0):
     pg = np.zeros(n)
     pg[8] = 0.08
     pg[10] = 0.06
-    return theta_map(prob, pc, qc, pg, alpha=alpha, kappa=kappa, oversize=oversize)
+    return theta_map_batch(prob, pc, qc, pg, alpha=alpha, kappa=kappa, oversize=oversize)[0]
 
 
 def test_demo_layout(demo_problem):
@@ -177,7 +176,7 @@ def test_theta_map_values(demo_problem):
     pg = np.zeros(n)
     pg[8] = 0.08
     pg[10] = 0.06
-    th = theta_map(prob, pc, qc, pg, alpha=0.3, kappa=2.0, oversize=1.0)
+    th = theta_map_batch(prob, pc, qc, pg, alpha=0.3, kappa=2.0, oversize=1.0)[0]
     assert th[prob.pc_slice()] == pytest.approx(2.0 * pc)
     assert th[prob.qc_slice()] == pytest.approx(2.0 * qc)
     assert th[prob.pg_slice()] == pytest.approx(0.6 * pg)
@@ -197,20 +196,20 @@ def test_theta_map_rejects(demo_problem):
     pg = np.zeros(n)
     pg[8] = 0.08
     with pytest.raises(ConfigError):
-        theta_map(prob, pc, qc, pg, alpha=0.0, kappa=1.0, oversize=1.0)
+        theta_map_batch(prob, pc, qc, pg, alpha=0.0, kappa=1.0, oversize=1.0)
     with pytest.raises(ConfigError):
-        theta_map(prob, pc, qc, pg, alpha=1.5, kappa=1.0, oversize=1.0)
+        theta_map_batch(prob, pc, qc, pg, alpha=1.5, kappa=1.0, oversize=1.0)
     with pytest.raises(ConfigError):
-        theta_map(prob, pc, qc, pg, alpha=0.5, kappa=0.0, oversize=1.0)
+        theta_map_batch(prob, pc, qc, pg, alpha=0.5, kappa=0.0, oversize=1.0)
     with pytest.raises(ConfigError):
-        theta_map(prob, pc, qc, pg, alpha=0.5, kappa=1.0, oversize=0.9)
+        theta_map_batch(prob, pc, qc, pg, alpha=0.5, kappa=1.0, oversize=0.9)
     with pytest.raises(DimensionError):
-        theta_map(prob, pc[:-1], qc[:-1], pg[:-1], alpha=0.5, kappa=1.0, oversize=1.0)
+        theta_map_batch(prob, pc[:-1], qc[:-1], pg[:-1], alpha=0.5, kappa=1.0, oversize=1.0)
     pg_big = np.zeros(n)
     pg_big[8] = 0.08
     with pytest.raises(HeadroomError):
         # 0.3 * 5 * 0.08 = 0.12 exceeds the 0.1 rating
-        theta_map(prob, pc, qc, pg_big, alpha=0.3, kappa=5.0, oversize=1.0)
+        theta_map_batch(prob, pc, qc, pg_big, alpha=0.3, kappa=5.0, oversize=1.0)
 
 
 def test_scale_problem_invariance(demo_problem, rng):

@@ -8,7 +8,7 @@ import pytest
 
 import phca.cli as cli_mod
 from phca.cli import main
-from phca.engine import INFEASIBLE
+from phca.engine import INFEASIBLE, STATUSES
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_run_writes_results_and_report(case, capsys):
     assert code == 0
     assert "run: instances=192 " in captured.err
     payload = json.loads(out.read_text())
-    assert len(payload["records"]) == 192
+    assert len(payload["columns"]["status"]) == 192
     assert payload["counters"]["qp_solves"] < 20
     text = report.read_text()
     assert text.startswith("batch summary")
@@ -79,11 +79,14 @@ def test_validate_with_nothing_solved_is_exit_3(case, capsys, monkeypatch):
 
     def all_infeasible(*args, **kwargs):
         res = real(*args, **kwargs)
-        records = tuple(
-            replace(rec, status=INFEASIBLE, reason=None, region_id=None, signature=None)
-            for rec in res.records
+        n = res.status.size
+        return replace(
+            res,
+            status=np.full(n, STATUSES.index(INFEASIBLE), dtype=np.int8),
+            reason=np.zeros(n, dtype=np.int8),
+            region_id=np.full(n, -1),
+            direct_signatures={},
         )
-        return replace(res, records=records)
 
     monkeypatch.setattr(cli_mod, "run_batch", all_infeasible)
     code = main(["validate", *base_args(case), "--sample", "40"])
@@ -164,7 +167,7 @@ def test_corrupted_results_fail_validation(case, capsys, tmp_path):
         assert main(["run", *base_args(case), "--out", str(orig)]) == 0
         capsys.readouterr()
     payload = json.loads(orig.read_text())
-    payload["records"][4]["x"][0] += 0.5
+    payload["columns"]["x"][4][0] += 0.5
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(payload))
     code = main(["stats", *base_args(case), "--results", str(bad)])
@@ -186,20 +189,40 @@ def _unknown_counter(payload):
 
 
 def _no_status(payload):
-    del payload["records"][3]["status"]
+    del payload["columns"]["status"]
 
 
 def _no_index(payload):
-    del payload["records"][3]["index"]
+    # the direct-signature table is the one place rows are named by index
+    payload["direct_signatures"].append({"signature": [0]})
 
 
 def _nan_solution(payload):
-    assert payload["records"][3]["status"] in ("reuse", "direct")
-    payload["records"][3]["x"][0] = float("nan")
+    assert payload["columns"]["status"][3] in ("reuse", "direct")
+    payload["columns"]["x"][3][0] = float("nan")
+
+
+def _short_column(payload):
+    payload["columns"]["objective"].pop()
+
+
+def _unknown_status(payload):
+    payload["columns"]["status"][5] = "served"
+
+
+def _region_out_of_range(payload):
+    payload["columns"]["region_id"][5] = len(payload["regions"])
+
+
+def _reuse_without_region(payload):
+    assert payload["columns"]["status"][5] == "reuse"
+    payload["columns"]["region_id"][5] = -1
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_unknown_counter, _no_status, _no_index, _nan_solution]
+    "corrupt",
+    [_unknown_counter, _no_status, _no_index, _nan_solution,
+     _short_column, _unknown_status, _region_out_of_range, _reuse_without_region],
 )
 def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     orig = case / "results.json"
@@ -228,6 +251,6 @@ def test_sequential_and_budget_flags(case, capsys):
     assert payload["options"]["solve_budget"] == 2
     # same answers as the seeded, unbudgeted run
     ref = json.loads((case / "results.json").read_text())
-    xa = np.array([r["x"] for r in payload["records"]])
-    xb = np.array([r["x"] for r in ref["records"]])
+    xa = np.array(payload["columns"]["x"], dtype=float)
+    xb = np.array(ref["columns"]["x"], dtype=float)
     assert np.max(np.abs(xa - xb)) < 1e-8

@@ -1,5 +1,7 @@
 """Batch driver: reuse correctness, dispatch bookkeeping, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from phca import (
     validate_batch,
 )
 from phca.builder import BuilderConfig
-from phca.errors import AbortError, DimensionError, SchemaError
+from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
 from phca.regions import RegionContext
 
@@ -160,6 +162,64 @@ def test_json_roundtrip(batch, scaled_demo_problem):
     assert back.options == batch.options
     assert back.counters == batch.counters
     assert np.allclose(back.objectives, batch.objectives, equal_nan=True)
+    empty = run_batch(scaled_demo_problem, batch.thetas[:0])
+    back = load_result_json(empty.to_json(), scaled_demo_problem, batch.thetas[:0])
+    assert back.x.shape == (0, scaled_demo_problem.n_var)
+
+
+def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monkeypatch):
+    # The first region build is forced to fail as rank deficient, and a
+    # budget of two attempts leaves stragglers behind the one region built.
+    build = RegionContext.build_region
+    calls = []
+
+    def first_rank_deficient(self, active_set):
+        calls.append(active_set)
+        if len(calls) == 1:
+            raise RankDeficientKError("forced")
+        return build(self, active_set)
+
+    monkeypatch.setattr(RegionContext, "build_region", first_rank_deficient)
+    thetas = small_theta_set.thetas[::4].copy()
+    thetas[[3, 17], scaled_demo_problem.headroom_slice()] = -0.5
+    res = run_batch(scaled_demo_problem, thetas, EngineOptions(solve_budget=2))
+    assert {(r.status, r.reason) for r in res.records} == {
+        ("reuse", None),
+        ("direct", "seed"),
+        ("degenerate-direct", "rank-deficient"),
+        ("direct", "budget-exhausted"),
+        ("infeasible", None),
+    }
+    # only the direct rows without a region keep their own active set
+    assert set(res.direct_signatures) == {
+        r.index for r in res.records if r.reason in ("rank-deficient", "budget-exhausted")
+    }
+    text = res.to_json()
+    back = load_result_json(text, scaled_demo_problem, res.thetas)
+    for name in ("status", "reason", "region_id", "x", "objectives"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(res, name))
+    assert back.regions == res.regions
+    assert back.direct_signatures == res.direct_signatures
+    assert back.counters == res.counters
+    assert back.options == res.options
+    assert back.records == res.records
+    assert back.to_json() == text
+
+
+def test_json_is_strict(scaled_demo_problem, small_theta_set):
+    # the second grid cell of test_group_stats_empty_cell cannot solve
+    thetas = small_theta_set.thetas[:6].copy()
+    thetas[3:, scaled_demo_problem.headroom_slice()] = -1.0
+    res = run_batch(scaled_demo_problem, thetas)
+    assert res.counters.infeasible == 3
+
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON value")
+
+    payload = json.loads(res.to_json(), parse_constant=refuse)
+    assert payload["columns"]["x"][3:] == [[None] * scaled_demo_problem.n_var] * 3
+    assert payload["columns"]["objective"][3:] == [None] * 3
+    assert None not in payload["columns"]["objective"][:3]
 
 
 def test_json_roundtrip_rejects_mismatches(batch, scaled_demo_problem, demo_feeder):
@@ -175,9 +235,16 @@ def test_json_roundtrip_rejects_mismatches(batch, scaled_demo_problem, demo_feed
     with pytest.raises(SchemaError):
         load_result_json(text, other, batch.thetas)
     # solutions are required to rehydrate
+    payload = json.loads(text)
+    del payload["columns"]["x"]
     with pytest.raises(SchemaError):
-        load_result_json(batch.to_json(include_solutions=False),
-                         scaled_demo_problem, batch.thetas)
+        load_result_json(json.dumps(payload), scaled_demo_problem, batch.thetas)
+    # and so is the column format: a per-record file is refused
+    payload = json.loads(text)
+    payload["records"] = [{"index": 0, "status": "direct"}]
+    del payload["columns"], payload["direct_signatures"]
+    with pytest.raises(SchemaError):
+        load_result_json(json.dumps(payload), scaled_demo_problem, batch.thetas)
     # and so is the scaled problem
     unscaled = build_problem(demo_feeder, BuilderConfig())
     with pytest.raises(SchemaError):

@@ -8,7 +8,6 @@ from phca.errors import (
     DuplicateRegulatorError,
     SchemaError,
 )
-from phca.feeder import flow_from_injections
 
 SINGLE_LINE = """
 [substation]
@@ -87,6 +86,7 @@ def test_comments_and_commas_tolerated():
         (("0 1 0.1 0.05", "0 1 0.1 -0.05"), SchemaError),
         (("1 1.0 0.1", "1 -1.0 0.1"), SchemaError),
         (("[lines]", "[wires]"), SchemaError),
+        (("1 1.0 0.1", "1 high 0.1"), SchemaError),
     ],
 )
 def test_bad_documents(mutation, exc):
@@ -150,22 +150,6 @@ def test_fork_sensitivity_path_overlap():
     assert np.linalg.eigvalsh(sens.R).min() > 0
 
 
-def test_flow_map_serves_downstream_load():
-    fd = load_feeder(FORK)
-    (sub,) = partition_by_regulators(fd)
-    sens = sensitivity_matrices(sub, fd)
-    a, b, c = fd.index_of("a"), fd.index_of("b"), fd.index_of("c")
-    pos = {bus: k for k, bus in enumerate(sub.members)}
-    p = np.zeros(len(sub.members))
-    p[pos[b]] = -0.3  # load at b only
-    P, Q = flow_from_injections(sens, p, np.zeros_like(p))
-    # head line and a-b line carry it, a-c line stays idle
-    assert P[pos[a]] == pytest.approx(0.3)
-    assert P[pos[b]] == pytest.approx(0.3)
-    assert P[pos[c]] == pytest.approx(0.0)
-    assert Q == pytest.approx(np.zeros_like(Q))
-
-
 def test_regulator_splits_subgraphs(demo_feeder):
     subs = partition_by_regulators(demo_feeder)
     # substation piece plus one piece per regulator
@@ -176,5 +160,6 @@ def test_regulator_splits_subgraphs(demo_feeder):
     # every non-substation bus is owned exactly once
     owned = []
     for sub in subs:
-        owned.extend(sub.cell)
+        # a regulator-rooted piece owns its root bus too
+        owned.extend(sub.members + ((sub.root,) if sub.root else ()))
     assert sorted(owned) == list(range(1, demo_feeder.n_bus))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phca import solve_qp
-from phca.errors import NotInRegionError, RankDeficientKError
+from phca.errors import RankDeficientKError
 from phca.qp import OPTIMAL, identify_active
 from phca.regions import RegionContext
 
@@ -62,18 +62,19 @@ def test_region_reproduces_direct_solves(scaled_demo_problem, rng):
     theta = perturbed_theta(prob, rng)
     sol, region = seed_region(prob, theta)
     # the seed itself sits inside its own region
-    assert region.contains(theta)
-    assert region.membership_margin(theta) <= 1e-8
-    assert np.max(np.abs(region.solution_at(theta) - sol.x)) < 1e-9
+    seed = theta[None]
+    assert region.batch_membership(seed, eps=1e-4)[0]
+    assert np.max(seed @ region.S.T - region.t) <= 1e-8
+    assert np.max(np.abs(region.batch_solutions(seed)[0] - sol.x)) < 1e-9
     hits = 0
     for _ in range(200):
         probe = theta + rng.normal(0.0, 2e-3, prob.n_theta)
-        if not region.contains(probe, eps=0.0):
+        if not region.batch_membership(probe[None], eps=0.0)[0]:
             continue
         hits += 1
         direct = solve_qp(prob.instance(probe))
         assert direct.status == OPTIMAL
-        assert np.max(np.abs(region.solution_at(probe) - direct.x)) < 1e-8
+        assert np.max(np.abs(region.batch_solutions(probe[None])[0] - direct.x)) < 1e-8
     assert hits > 50  # the perturbation scale keeps most probes inside
 
 
@@ -81,25 +82,25 @@ def test_multipliers_match_direct(scaled_demo_problem, rng):
     prob = scaled_demo_problem
     theta = perturbed_theta(prob, rng)
     sol, region = seed_region(prob, theta)
-    lam, mu = region.multipliers_at(theta, prob.A.shape[0])
-    assert lam.shape == (prob.A.shape[0],)
-    inactive = np.setdiff1d(np.arange(prob.A.shape[0]), region.active_set)
-    assert np.all(lam[inactive] == 0.0)
+    lam = np.zeros(prob.A.shape[0])
+    lam[list(region.active_set)] = region.G1 @ theta + region.w1
+    mu = region.G2 @ theta + region.w2
+    # inactive rows carry no multiplier in the direct solve either
     assert np.max(np.abs(lam - sol.lam)) < 1e-7
     assert np.max(np.abs(mu - sol.mu)) < 1e-7
 
 
-def test_solution_at_check_raises_outside(scaled_demo_problem, rng):
+def test_outside_point_fails_membership(scaled_demo_problem, rng):
     prob = scaled_demo_problem
     theta = perturbed_theta(prob, rng)
     _, region = seed_region(prob, theta)
     outside = theta.copy()
     outside[prob.headroom_slice()] = (-1.0, -1.0)  # cap rows cannot hold
-    assert not region.contains(outside)
-    with pytest.raises(NotInRegionError):
-        region.solution_at(outside, check=True)
-    # without the flag the affine map extrapolates silently
-    region.solution_at(outside)
+    assert not region.batch_membership(outside[None], eps=1e-4)[0]
+    # the affine map extrapolates silently, to a point no row set allows
+    xs = region.batch_solutions(outside[None])
+    assert np.all(np.isfinite(xs))
+    assert np.max(xs @ prob.A.T - outside @ prob.E.T - prob.b) > 1e-3
 
 
 def test_batch_membership_matches_loop(scaled_demo_problem, rng):
@@ -108,12 +109,14 @@ def test_batch_membership_matches_loop(scaled_demo_problem, rng):
     _, region = seed_region(prob, theta)
     probes = theta + rng.normal(0.0, 5e-2, (300, prob.n_theta))
     mask = region.batch_membership(probes, eps=1e-6)
-    loop = np.array([region.contains(p, eps=1e-6) for p in probes])
+    loop = np.array([region.batch_membership(p[None], eps=1e-6)[0] for p in probes])
     assert mask.tolist() == loop.tolist()
+    assert mask.tolist() == np.all(probes @ region.S.T - region.t <= 1e-6, axis=1).tolist()
     assert 0 < mask.sum() < 300  # perturbation straddles the boundary
     sols = region.batch_solutions(probes)
     assert sols.shape == (300, prob.n_var)
-    assert sols[7] == pytest.approx(region.solution_at(probes[7]))
+    assert sols[7] == pytest.approx(region.batch_solutions(probes[7:8])[0])
+    assert sols[7] == pytest.approx(region.M @ probes[7] + region.r)
 
 
 def test_region_polyhedron_shape(scaled_demo_problem, rng):
@@ -144,22 +147,20 @@ def test_empty_active_set_region():
     ctx = RegionContext(prob)
     region = ctx.build_region(())
     # unconstrained minimizer of 1/2 x'x is the origin for every theta
-    theta = np.array([2.0])
-    assert region.solution_at(theta) == pytest.approx([0.0, 0.0])
-    assert region.contains(theta)  # 0 <= theta + 5 holds
-    assert region.membership_margin(theta) == pytest.approx(-7.0)
-    lam, mu = region.multipliers_at(theta, 1)
-    assert lam.tolist() == [0.0]
-    assert mu.size == 0
+    theta = np.array([[2.0]])
+    assert region.batch_solutions(theta)[0] == pytest.approx([0.0, 0.0])
+    assert region.batch_membership(theta, eps=1e-4)[0]  # 0 <= theta + 5 holds
+    assert np.max(theta @ region.S.T - region.t) == pytest.approx(-7.0)
+    assert (theta @ region.G1.T + region.w1).size == 0
+    assert (theta @ region.G2.T + region.w2).size == 0
 
 
-def test_membership_margin_no_rows():
+def test_membership_no_rows():
     prob = tiny_problem(np.zeros((0, 2)).reshape(0, 2))
     ctx = RegionContext(prob)
     region = ctx.build_region(())
-    theta = np.array([1.0])
-    assert region.membership_margin(theta) == -np.inf
-    assert region.batch_membership(np.zeros((4, 1))).tolist() == [True] * 4
+    assert region.S.shape == (0, 1)
+    assert region.batch_membership(np.zeros((4, 1)), eps=0.0).tolist() == [True] * 4
 
 
 def test_out_of_range_active_index():
