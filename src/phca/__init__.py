@@ -14,6 +14,7 @@ from .acflow import (
     solve_powerflow,
 )
 from .builder import (
+    ETA_FLOOR,
     BuilderConfig,
     MpqpProblem,
     RowLabel,

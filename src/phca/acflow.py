@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .builder import BuilderConfig, build_problem
 from .errors import DimensionError, NonConvergenceError
-from .feeder import FeederModel, partition_by_regulators, sensitivity_matrices
+from .feeder import FeederModel
 
 SWEEP_TOL = 1e-12
 SWEEP_MAX_ITER = 200
@@ -189,47 +190,33 @@ def linear_model_prediction(
 ) -> tuple[np.ndarray, float]:
     """First-order voltages and second-order losses for the same setup.
 
-    Evaluates the subgraph voltage law with the regulator output pinned at
-    ratio * (predicted input voltage), walking subgraphs from the substation
-    outward, and sums the quadratic loss form over subgraphs.  Returns
-    (vmag over all buses, total loss).
+    Evaluates the voltage map W, U and the loss form RL that build_problem
+    assembles the QP from, with every regulator output pinned at
+    ratio * (predicted input voltage); the outputs depend on each other
+    along chains of regulators, so they come from one linear solve.
+    Returns (vmag over all buses, total loss).
     """
     ratio = _ratio_array(feeder, ratios)
-    subs = partition_by_regulators(feeder)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n = feeder.n_bus
     if p.shape != (n - 1,) or q.shape != (n - 1,):
         raise DimensionError(f"expected {n - 1} injections, got {p.shape} and {q.shape}")
-    p_full = np.concatenate(([0.0], p))
-    q_full = np.concatenate(([0.0], q))
-
-    v = np.empty(n)
-    v[0] = v0
-    loss = 0.0
-    for sub in subs:
-        if sub.root != 0:
-            rg = feeder.regulators[sub.index - 1]
-            v[sub.root] = ratio[sub.index - 1] * v[rg.m]
-        sens = sensitivity_matrices(sub, feeder)
-        if not sub.members:
-            continue
-        # effective member injections: own plus everything hanging below
-        # through downstream regulators
-        p_eff = np.empty(len(sub.members))
-        q_eff = np.empty(len(sub.members))
-        for j, bus in enumerate(sub.members):
-            p_eff[j] = p_full[bus]
-            q_eff[j] = q_full[bus]
-            for rg in feeder.regulators:
-                if rg.m == bus:
-                    l = feeder.line_between(rg.m, rg.n)
-                    p_eff[j] += p_full[feeder.subtree[l]].sum()
-                    q_eff[j] += q_full[feeder.subtree[l]].sum()
-        mem = list(sub.members)
-        v[mem] = sens.R @ p_eff + sens.X @ q_eff + v[sub.root]
-        loss += p_eff @ sens.R @ p_eff + q_eff @ sens.R @ q_eff
-    return v, float(loss)
+    prob = build_problem(feeder, BuilderConfig())
+    # net injections enter as consumption, with no generation, headroom or
+    # reactive decision
+    theta = np.zeros(prob.n_theta)
+    theta[prob.pc_slice()] = -p
+    theta[prob.qc_slice()] = -q
+    # bus voltages, substation first, are ub + Wr @ vreg: ub holds the
+    # substation and injection terms, Wr the regulator output columns
+    Wb = np.vstack([np.eye(prob.n_var)[prob.v0_index], prob.W])
+    ub = np.concatenate(([0.0], prob.U @ theta)) + v0 * Wb[:, prob.v0_index]
+    Wr = Wb[:, list(prob.vreg_indices)]
+    m = [rg.m for rg in feeder.regulators]
+    vreg = np.linalg.solve(np.eye(len(m)) - ratio[:, None] * Wr[m], ratio * ub[m])
+    v = ub + Wr @ vreg
+    return v, float(p @ prob.RL @ p + q @ prob.RL @ q)
 
 
 def approximation_error_sweep(

@@ -163,7 +163,12 @@ class ScalingRecord:
 
 @dataclass(frozen=True)
 class MpqpProblem:
-    """The assembled parametric QP plus enough layout to interpret x and theta."""
+    """The assembled parametric QP plus enough layout to interpret x and theta.
+
+    W and U map (x, theta) to the non-substation voltages, and RL is the
+    quadratic loss form over the net injections, both under the linear
+    subgraph model.
+    """
 
     H: np.ndarray
     C: np.ndarray
@@ -186,6 +191,7 @@ class MpqpProblem:
     slack_index: int | None
     W: np.ndarray | None
     U: np.ndarray | None
+    RL: np.ndarray | None
     config: BuilderConfig | None = None
     scaling: ScalingRecord | None = None
 
@@ -535,7 +541,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         + tuple(f"headroom[{feeder.ext_ids[bus]}]" for bus in der)
     )
 
-    _freeze(H, C, d, A, E, bb, B, F, ff, W, U)
+    _freeze(H, C, d, A, E, bb, B, F, ff, W, U, RL)
     return MpqpProblem(
         H=H, C=C, d=d, A=A, E=E, b=bb, B=B, F=F, f=ff,
         row_labels=tuple(labels),
@@ -550,6 +556,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         slack_index=s_col,
         W=W,
         U=U,
+        RL=RL,
         config=config,
     )
 
@@ -637,12 +644,11 @@ def scale_problem(prob: MpqpProblem) -> tuple[MpqpProblem, ScalingRecord]:
     return replace(prob, H=H, C=C, d=d, A=A, E=E, b=bb, B=B, F=F, f=ff, scaling=record), record
 
 
-def calibrate_eta(
-    prob: MpqpProblem,
-    thetas: np.ndarray,
-    margin: float = 10.0,
-    tol: float = 1e-10,
-) -> float:
+#: positive default the calibrated slack price is floored at before use
+ETA_FLOOR = 1e-2
+
+
+def calibrate_eta(prob: MpqpProblem, thetas: np.ndarray, margin: float = 10.0) -> float:
     """Slack price from soft-constraint multipliers of sample instances.
 
     Solves the unrelaxed problem per sample, sums the multipliers of the
@@ -650,15 +656,15 @@ def calibrate_eta(
     skipped, with one warning that counts them; if every sample is
     infeasible there is nothing to calibrate against and
     AllInfeasibleError is raised.  A batch whose
-    soft rows never bind yields 0.0; callers must floor the result at a
-    positive default before use.
+    soft rows never bind yields 0.0; callers must floor the result at
+    ETA_FLOOR before use.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     worst = None
     skipped = 0
     for row in thetas:
         inst, soft = prob.reduced_instance(row)
-        sol = solve_qp(inst, tol=tol)
+        sol = solve_qp(inst)
         if sol.status != OPTIMAL:
             skipped += 1
             logger.debug("calibration sample infeasible or failed (%s); skipped", sol.status)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import demo
 from .builder import (
+    ETA_FLOOR,
     BuilderConfig,
     build_problem,
     calibrate_eta,
@@ -43,8 +44,6 @@ from .errors import (
 from .feeder import load_feeder
 from .scenarios import AnalysisGrid, expand_grid, load_scenarios
 from .stats import json_report, render_report
-
-ETA_FLOOR = 1e-2
 
 INPUT_ERRORS = (
     SchemaError,
@@ -100,7 +99,9 @@ def _add_case_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="parameter pick order seed")
+    p.add_argument(
+        "--seed", type=int, default=EngineOptions.seed, help="parameter pick order seed"
+    )
     p.add_argument(
         "--sequential", action="store_true", help="pick parameters in input order"
     )

@@ -29,6 +29,7 @@ import numpy as np
 
 from .builder import MpqpProblem, ScalingRecord, scale_problem
 from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError, SchemaError
+from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
 from .qp import identify_active, solve_qp, solve_qp_batch
@@ -57,6 +58,22 @@ REASONS = (None, REASON_SEED, REASON_BUDGET, REASON_UNCERTAIN, REASON_RANK)
 #: fraction of the largest one; the polish sets every other row's to zero
 ACTIVE_LAM_REL = 1e-9
 
+#: A region serves a parameter, its own seed included, only when the mapped
+#: point is certified: every inequality residual at most SCREEN_PRIMAL and
+#: every active-row multiplier at least -SCREEN_DUAL.  EPS_MEMBERSHIP is the
+#: region polyhedron tolerance, a cheap pre-filter ahead of certification.
+#: EPS_ACTIVE classifies rows as active, by residual, at the budget
+#: stragglers' direct solutions.  The order 100 * SCREEN_PRIMAL < EPS_ACTIVE
+#: < EPS_MEMBERSHIP keeps a residual that certification tolerates well
+#: below the one that marks a row active.
+SCREEN_PRIMAL = 1e-8
+SCREEN_DUAL = 1e-8
+EPS_ACTIVE = 1e-5
+EPS_MEMBERSHIP = 1e-4
+
+#: a batch whose direct solves fail numerically more often than this aborts
+MAX_FAILURES = 50
+
 #: instances the oracle solves per stacked call; bounds its work arrays at
 #: (VALIDATE_BLOCK, n, n), so memory does not grow with the sample
 VALIDATE_BLOCK = 256
@@ -64,40 +81,17 @@ VALIDATE_BLOCK = 256
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Tolerances and policy knobs for one batch run.
+    """What a caller sets for one batch run.
 
-    seed orders the parameter picks (None keeps input order).  A region
-    serves a parameter, its own seed included, only when the mapped point
-    is certified: every inequality residual at most screen_primal and
-    every active-row multiplier at least -screen_dual.  eps_membership
-    is the region polyhedron tolerance, a cheap pre-filter ahead of the
-    certification.  eps_active classifies rows as active, by residual, at
-    the budget stragglers' direct solutions; it must sit at least two
-    decades above screen_primal, the residual certification tolerates,
-    and below eps_membership.  solve_budget caps region-building
-    attempts; the remainder of the batch is then solved instance by
-    instance.  max_failures aborts a batch whose direct solves keep
-    failing numerically.
+    seed orders the parameter picks (None keeps input order).  solve_budget
+    caps region-building attempts; the remainder of the batch is then
+    solved instance by instance.
     """
 
     seed: int | None = 0
-    eps_active: float = 1e-5
-    eps_membership: float = 1e-4
     solve_budget: int | None = None
-    qp_tol: float = 1e-10
-    screen_primal: float = 1e-8
-    screen_dual: float = 1e-8
-    max_failures: int = 50
 
     def validate(self) -> None:
-        if self.eps_membership <= 0 or self.qp_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.screen_primal <= 0 or self.screen_dual <= 0:
-            raise ConfigError("screen tolerances must be positive")
-        if not 100.0 * self.screen_primal < self.eps_active < self.eps_membership:
-            raise ConfigError(
-                "eps_active must lie above 100 * screen_primal and below eps_membership"
-            )
         if self.solve_budget is not None and self.solve_budget < 1:
             raise ConfigError("solve_budget must be at least 1")
 
@@ -226,19 +220,19 @@ def _positive_multipliers(sol) -> np.ndarray:
     return np.flatnonzero(lam > ACTIVE_LAM_REL * max(1.0, float(lam.max())))
 
 
-def _certify(prob, region, thetas, options):
+def _certify(prob, region, thetas):
     """Region points at the stacked thetas, and whether each is certified.
 
     A point is certified when every inequality residual is at most
-    screen_primal and every active-row multiplier at least -screen_dual;
+    SCREEN_PRIMAL and every active-row multiplier at least -SCREEN_DUAL;
     the region's maps satisfy stationarity and complementarity exactly,
     so a certified point is optimal.
     """
     xs = region.batch_solutions(thetas)
     resid = xs @ prob.A.T - thetas @ prob.E.T - prob.b
-    ok = resid.max(axis=1) <= options.screen_primal
+    ok = resid.max(axis=1) <= SCREEN_PRIMAL
     if region.G1.shape[0]:
-        ok &= (thetas @ region.G1.T + region.w1).min(axis=1) >= -options.screen_dual
+        ok &= (thetas @ region.G1.T + region.w1).min(axis=1) >= -SCREEN_DUAL
     return xs, ok
 
 
@@ -297,7 +291,7 @@ def run_batch(
         else:
             counters.failed += 1
             mark(i, FAILED)
-            if counters.failed > options.max_failures:
+            if counters.failed > MAX_FAILURES:
                 raise AbortError(
                     f"{counters.failed} direct solves failed numerically; "
                     "aborting the batch"
@@ -317,7 +311,7 @@ def run_batch(
         solved[i] = True
         counters.qp_solves += 1
         inst = scaled.instance(thetas[i])
-        sol = solve_qp(inst, tol=options.qp_tol)
+        sol = solve_qp(inst)
         budget_spent = budget_left == 0
         if budget_left:
             budget_left -= 1
@@ -326,7 +320,7 @@ def run_batch(
             continue
 
         if budget_spent:
-            sig = tuple(int(v) for v in identify_active(inst, sol, options.eps_active))
+            sig = tuple(int(v) for v in identify_active(inst, sol, EPS_ACTIVE))
             x[i] = sol.x
             mark(i, DIRECT, REASON_BUDGET)
             direct_signatures[i] = sig
@@ -341,7 +335,7 @@ def run_batch(
             degenerate(i, sol, REASON_RANK, signature)
             continue
 
-        _, seed_ok = _certify(scaled, region, thetas[i : i + 1], options)
+        _, seed_ok = _certify(scaled, region, thetas[i : i + 1])
         if not seed_ok[0]:
             degenerate(i, sol, REASON_UNCERTAIN, signature)
             continue
@@ -351,8 +345,8 @@ def run_batch(
         # true region would inherit a wrong-active-set solution, so each
         # candidate passes the seed's certification before it is served.
         rem = np.flatnonzero(~solved)
-        hits = rem[region.batch_membership(thetas[rem], options.eps_membership)]
-        cand_x, ok = _certify(scaled, region, thetas[hits], options)
+        hits = rem[region.batch_membership(thetas[rem], EPS_MEMBERSHIP)]
+        cand_x, ok = _certify(scaled, region, thetas[hits])
         keep = hits[ok]
         rid = len(census)
         counters.screened_out += len(hits) - len(keep)
@@ -439,8 +433,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     columns, known counter and option keys, every column one entry per
     instance, known status and reason names, region ids naming a stored
     region on exactly the reuse and seed rows, well-formed region and
-    direct-signature tables, and finite solutions and objectives on
-    solved rows.
+    direct-signature tables, and finite, primally feasible solutions and
+    finite objectives on solved rows.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -538,11 +532,20 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         counters=BatchCounters(**counters_raw),
         wall_time_s=0.0,
     )
-    bad = np.flatnonzero(
-        result.solved_mask() & ~(np.isfinite(x).all(axis=1) & np.isfinite(objectives))
-    )
+    solved = result.solved_mask()
+    bad = np.flatnonzero(solved & ~(np.isfinite(x).all(axis=1) & np.isfinite(objectives)))
     if bad.size:
         raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
+    # a solved row is certified (reuse) or a direct solve's optimum, so it
+    # lies within the looser of the two primal tolerances
+    solved = np.flatnonzero(solved)
+    rhs = thetas[solved] @ prob.E.T + prob.b
+    excess = (x[solved] @ prob.A.T - rhs).max(axis=1, initial=-np.inf) - np.maximum(
+        SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
+    )
+    bad = solved[excess > 0]
+    if bad.size:
+        raise SchemaError(f"row {bad[0]} is solved but its solution is infeasible")
     return result
 
 
@@ -585,7 +588,6 @@ def validate_batch(
         sols = solve_qp_batch(
             prob.H, prob.A, prob.B,
             th @ prob.C.T + prob.d, th @ prob.E.T + prob.b, th @ prob.F.T + prob.f,
-            tol=result.options.qp_tol,
         )
         optimal = sols.status == QP_OPTIMAL
         obj_ref = sols.objective * h

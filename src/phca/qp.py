@@ -124,25 +124,23 @@ class QpBatch:
 def _independent_rows(K: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     """Greedy maximal independent row subset, earlier rows winning ties.
 
-    Modified Gram-Schmidt with a relative drop tolerance; deterministic and
-    order-respecting, which lets callers protect must-keep rows by placing
-    them first.
+    Gram-Schmidt with a relative drop tolerance: each row is projected off
+    the orthonormal basis of the rows kept so far in two classical passes,
+    the second tightening orthogonality for near-dependent rows.
+    Deterministic and order-respecting, which lets callers protect
+    must-keep rows by placing them first.
     """
     rows = []
-    basis = []
+    basis = np.zeros((0, K.shape[1]))
     for i, row in enumerate(K):
         norm0 = np.linalg.norm(row)
         if norm0 <= 0.0:
             continue
-        v = row.astype(float, copy=True)
-        for u in basis:
-            v -= (u @ v) * u
-        # second MGS pass tightens orthogonality for near-dependent rows
-        for u in basis:
-            v -= (u @ v) * u
+        v = row - (basis @ row) @ basis
+        v -= (basis @ v) @ basis
         norm1 = np.linalg.norm(v)
         if norm1 > rel_tol * norm0:
-            basis.append(v / norm1)
+            basis = np.vstack([basis, v / norm1])
             rows.append(i)
     return np.asarray(rows, dtype=np.int64)
 

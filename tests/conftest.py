@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phca import (
+    ETA_FLOOR,
     AnalysisGrid,
     build_problem,
     calibrate_eta,
@@ -78,7 +79,7 @@ def small_theta_set(demo_problem, demo_scenarios):
 
 @pytest.fixture(scope="session")
 def scaled_demo_problem(demo_problem):
-    prob, record = scale_problem(demo_problem.with_eta(1e-2))
+    prob, record = scale_problem(demo_problem.with_eta(ETA_FLOOR))
     return prob
 
 
@@ -102,5 +103,5 @@ def random_feeder_batch():
     grid = AnalysisGrid(kappa=(1.0, 1.5), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
     thetas = expand_grid(prob, scen, grid).thetas
     sample = thetas[np.linspace(0, len(thetas) - 1, 8).astype(int)]
-    eta = max(calibrate_eta(prob, sample), 1e-2)
+    eta = max(calibrate_eta(prob, sample), ETA_FLOOR)
     return scale_problem(prob.with_eta(eta))[0], thetas

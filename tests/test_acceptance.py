@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import linprog
 
 from phca import (
+    ETA_FLOOR,
     AnalysisGrid,
     BuilderConfig,
     EngineOptions,
@@ -34,8 +35,6 @@ from phca.cli import main
 from phca.qp import OPTIMAL
 from phca.regions import RegionContext
 from phca.stats import violation_bound_gap
-
-ETA_FLOOR = 1e-2
 
 
 def verdict(capsys, name, ok, detail):

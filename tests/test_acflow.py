@@ -143,6 +143,38 @@ def test_linear_prediction_first_order(demo_feeder):
     assert v_lin[0] == 1.0
 
 
+CHAIN_LINES = """
+[substation]
+0
+[buses]
+0 0 0
+1 1.0 0
+2 1.0 0
+3 1.0 0
+4 1.0 0
+[lines]
+0 1 0.01 0.01
+1 2 0.0001 0.0002
+2 3 0.01 0.01
+3 4 0.0001 0.0002
+[regulators]
+"""
+
+
+@pytest.mark.parametrize("order", [("1 2", "3 4"), ("3 4", "1 2")])
+def test_linear_prediction_any_regulator_order(order):
+    # the regulator on 3-4 sits downstream of the one on 1-2, whatever
+    # order the document lists them in
+    fd = load_feeder(CHAIN_LINES + "".join(f"{mn} local 1.0 0.01 - -\n" for mn in order))
+    p = np.full(4, -0.01)
+    q = np.full(4, -0.005)
+    ratios = np.array([1.02, 0.99])
+    v_lin, loss_lin = linear_model_prediction(fd, p, q, ratios=ratios)
+    sol = solve_powerflow(fd, p, q, ratios=ratios)
+    assert np.max(np.abs(v_lin - sol.vmag)) < 1e-3
+    assert loss_lin == pytest.approx(sol.total_loss, rel=0.05)
+
+
 def test_linear_prediction_exact_at_zero_injection(demo_feeder):
     n = demo_feeder.n_bus - 1
     v_lin, loss_lin = linear_model_prediction(demo_feeder, np.zeros(n), np.zeros(n))

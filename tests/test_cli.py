@@ -161,13 +161,14 @@ def test_bad_grid_value_is_exit_2(case, capsys):
 
 def test_corrupted_results_fail_validation(case, capsys, tmp_path):
     # tamper with one stored solution and ask stats to reuse it: the load
-    # succeeds (records line up) but validation of the same batch must not
+    # succeeds (records line up, and raising the slack variable keeps the
+    # point feasible) but validation of the same batch must not
     orig = case / "results.json"
     if not orig.exists():
         assert main(["run", *base_args(case), "--out", str(orig)]) == 0
         capsys.readouterr()
     payload = json.loads(orig.read_text())
-    payload["columns"]["x"][4][0] += 0.5
+    payload["columns"]["x"][4][-1] += 0.5
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(payload))
     code = main(["stats", *base_args(case), "--results", str(bad)])
@@ -219,10 +220,22 @@ def _reuse_without_region(payload):
     payload["columns"]["region_id"][5] = -1
 
 
+def _infeasible_solution(payload):
+    # the first variable is a reactive setpoint, capped by the inverter's
+    # headroom far below 0.5
+    assert payload["columns"]["status"][4] in ("reuse", "direct")
+    payload["columns"]["x"][4][0] += 0.5
+
+
+def _removed_option(payload):
+    payload["options"]["eps_active"] = 1e-5
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_unknown_counter, _no_status, _no_index, _nan_solution,
-     _short_column, _unknown_status, _region_out_of_range, _reuse_without_region],
+     _short_column, _unknown_status, _region_out_of_range, _reuse_without_region,
+     _infeasible_solution, _removed_option],
 )
 def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     orig = case / "results.json"
@@ -254,3 +267,26 @@ def test_sequential_and_budget_flags(case, capsys):
     xa = np.array(payload["columns"]["x"], dtype=float)
     xb = np.array(ref["columns"]["x"], dtype=float)
     assert np.max(np.abs(xa - xb)) < 1e-8
+
+
+def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
+    # every instance of the second grid cell is made infeasible, so the
+    # report has nothing to summarize there once the results are written
+    real = cli_mod.expand_grid
+
+    def second_cell_infeasible(prob, scen, grid):
+        ts = real(prob, scen, grid)
+        thetas = ts.thetas.copy()
+        thetas[ts.rows_for(ts.group_keys()[1]), prob.headroom_slice()] = -1.0
+        return replace(ts, thetas=thetas)
+
+    monkeypatch.setattr(cli_mod, "expand_grid", second_cell_infeasible)
+    out = tmp_path / "results.json"
+    code = main(["run", *base_args(case), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("phca: error: EmptyGroupError: grid cell")
+    assert len(captured.err.splitlines()) == 1
+    payload = json.loads(out.read_text())
+    assert payload["counters"]["infeasible"] == 48
+    assert payload["columns"]["status"].count("infeasible") == 48

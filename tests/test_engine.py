@@ -1,12 +1,14 @@
 """Batch driver: reuse correctness, dispatch bookkeeping, serialization."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import phca.engine as engine_mod
 from phca import (
+    ETA_FLOOR,
     AnalysisGrid,
     EngineOptions,
     build_problem,
@@ -76,7 +78,6 @@ def test_served_rows_satisfy_optimality(batch, scaled_demo_problem):
     # rebuild each region from its stored signature and re-certify the rows
     prob = scaled_demo_problem
     ctx = RegionContext(prob)
-    opts = batch.options
     for rg in batch.regions:
         region = ctx.build_region(rg.signature)
         rows = [
@@ -89,14 +90,14 @@ def test_served_rows_satisfy_optimality(batch, scaled_demo_problem):
         th = batch.thetas[rows]
         xs = batch.x[rows]
         resid = xs @ prob.A.T - th @ prob.E.T - prob.b
-        assert resid.max() <= opts.screen_primal + 1e-15
+        assert resid.max() <= engine_mod.SCREEN_PRIMAL + 1e-15
         if region.G1.shape[0]:
             lam = th @ region.G1.T + region.w1
-            assert lam.min() >= -opts.screen_dual - 1e-15
+            assert lam.min() >= -engine_mod.SCREEN_DUAL - 1e-15
 
 
 def test_objectives_in_original_units(batch, demo_problem):
-    orig = demo_problem.with_eta(1e-2)
+    orig = demo_problem.with_eta(ETA_FLOOR)
     i = int(np.flatnonzero(batch.solved_mask())[0])
     assert batch.objectives[i] == pytest.approx(
         orig.objective(batch.x[i], batch.thetas[i]), rel=1e-9, abs=1e-12
@@ -104,7 +105,7 @@ def test_objectives_in_original_units(batch, demo_problem):
 
 
 def test_unscaled_problem_is_scaled_on_entry(demo_problem, small_theta_set):
-    res = run_batch(demo_problem.with_eta(1e-2), small_theta_set.thetas[:20])
+    res = run_batch(demo_problem.with_eta(ETA_FLOOR), small_theta_set.thetas[:20])
     assert res.problem.scaling is not None
     assert res.scaling.cost_scale == pytest.approx(5.608139205308629, rel=1e-12)
 
@@ -299,13 +300,10 @@ def test_abort_after_repeated_failures(scaled_demo_problem, small_theta_set, mon
     class Broken:
         status = "numerical-failure"
 
-    monkeypatch.setattr(engine_mod, "solve_qp", lambda inst, tol=None: Broken())
+    monkeypatch.setattr(engine_mod, "solve_qp", lambda inst: Broken())
+    monkeypatch.setattr(engine_mod, "MAX_FAILURES", 3)
     with pytest.raises(AbortError):
-        run_batch(
-            scaled_demo_problem,
-            small_theta_set.thetas[:10],
-            EngineOptions(max_failures=3),
-        )
+        run_batch(scaled_demo_problem, small_theta_set.thetas[:10])
 
 
 def test_reuse_holds_on_random_feeder(random_feeder_batch):
@@ -324,19 +322,7 @@ def test_theta_shape_rejected(scaled_demo_problem):
         run_batch(scaled_demo_problem, np.zeros((5, 3)))
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"eps_active": 1e-3},
-        {"screen_primal": 1e-6},
-        {"eps_active": 1e-7},
-        {"eps_membership": 0.0},
-        {"qp_tol": 0.0},
-        {"screen_primal": 0.0},
-        {"screen_dual": -1.0},
-        {"solve_budget": 0},
-    ],
-)
-def test_options_validation(kwargs):
+def test_options_validation():
+    assert [f.name for f in fields(EngineOptions)] == ["seed", "solve_budget"]
     with pytest.raises(ValueError):
-        EngineOptions(**kwargs).validate()
+        EngineOptions(solve_budget=0).validate()

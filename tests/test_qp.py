@@ -5,6 +5,7 @@ import pytest
 
 from phca.qp import (
     DEFAULT_MAX_ITER,
+    _independent_rows,
     INFEASIBLE,
     OPTIMAL,
     QpInstance,
@@ -199,6 +200,38 @@ def _stack(rng, k, n, m, p):
     c = rng.normal(size=(k, n))
     b = x0 @ A.T + rng.uniform(-0.4, 1.0, size=(k, m))
     return H, A, Aeq, c, b, x0 @ Aeq.T
+
+
+def independent_rows_reference(K, rel_tol=1e-10):
+    """Row-by-row modified Gram-Schmidt, two passes, one basis vector at a
+    time: the loop the stacked projection in _independent_rows replaced."""
+    rows, basis = [], []
+    for i, row in enumerate(K):
+        norm0 = np.linalg.norm(row)
+        if norm0 <= 0.0:
+            continue
+        v = row.astype(float, copy=True)
+        for _ in range(2):
+            for u in basis:
+                v -= (u @ v) * u
+        if np.linalg.norm(v) > rel_tol * norm0:
+            basis.append(v / np.linalg.norm(v))
+            rows.append(i)
+    return rows
+
+
+def test_independent_rows_match_reference():
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        n = int(rng.integers(2, 9))
+        base = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        mix = rng.normal(size=(int(rng.integers(1, 12)), base.shape[0]))
+        # exact combinations, combinations nudged off the span (well clear
+        # of the drop tolerance) and a zero row, shuffled together
+        K = np.vstack([base, mix @ base, mix @ base + 1e-6 * rng.normal(size=(len(mix), n)),
+                       np.zeros((1, n))])
+        K = K[rng.permutation(len(K))]
+        assert _independent_rows(K).tolist() == independent_rows_reference(K)
 
 
 def test_batch_matches_single_solves():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from phca import run_batch
+from phca import ETA_FLOOR, run_batch
 from phca.errors import EmptyGroupError
 from phca.scenarios import ThetaSet
 from phca.stats import (
@@ -72,7 +72,7 @@ def test_voltage_matrix_matches_problem_map(batch):
 def test_soft_violations_in_original_units(batch, demo_problem):
     soft, resid = soft_violations(batch)
     assert soft.tolist() == list(range(6, 36))
-    orig = demo_problem.with_eta(1e-2)
+    orig = demo_problem.with_eta(ETA_FLOOR)
     i = 11
     A0 = orig.A[soft].copy()
     A0[:, orig.slack_index] = 0.0
