@@ -3,12 +3,12 @@
 The loop picks an unsolved parameter vector, solves its QP directly and
 reads the active set off the solution's multipliers: the rows with a
 positive multiplier.  That set gives a critical region, whose affine map
-is then swept over every unsolved parameter.  A parameter is served from
-the map only when the mapped point passes certification: primal
-feasibility of every row and nonnegative multipliers on the active rows.
-Stationarity and complementarity hold by construction of the map, so a
-certified point is optimal.  Regions are discarded as soon as they have
-been swept, so at most one is alive at a time.
+is then swept over every unsolved parameter, SWEEP_BLOCK rows at a time.
+A parameter is served from the map only when the mapped point passes
+certification (CriticalRegion.batch_membership): primal feasibility of
+every row and nonnegative multipliers on the active rows, which makes it
+optimal.  Regions are discarded as soon as they have been swept, so at
+most one is alive at a time.
 
 Certification is the one acceptance rule, and the seed must pass it like
 every swept point.  When the region does not certify its own seed, or
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -33,7 +34,7 @@ from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
 from .qp import identify_active, solve_qp, solve_qp_batch
-from .regions import RegionContext
+from .regions import SCREEN_PRIMAL, RegionContext
 
 logger = logging.getLogger(__name__)
 
@@ -58,18 +59,15 @@ REASONS = (None, REASON_SEED, REASON_BUDGET, REASON_UNCERTAIN, REASON_RANK)
 #: fraction of the largest one; the polish sets every other row's to zero
 ACTIVE_LAM_REL = 1e-9
 
-#: A region serves a parameter, its own seed included, only when the mapped
-#: point is certified: every inequality residual at most SCREEN_PRIMAL and
-#: every active-row multiplier at least -SCREEN_DUAL.  EPS_MEMBERSHIP is the
-#: region polyhedron tolerance, a cheap pre-filter ahead of certification.
 #: EPS_ACTIVE classifies rows as active, by residual, at the budget
 #: stragglers' direct solutions.  The order 100 * SCREEN_PRIMAL < EPS_ACTIVE
-#: < EPS_MEMBERSHIP keeps a residual that certification tolerates well
-#: below the one that marks a row active.
-SCREEN_PRIMAL = 1e-8
-SCREEN_DUAL = 1e-8
+#: keeps a residual that certification tolerates well below the one that
+#: marks a row active.
 EPS_ACTIVE = 1e-5
-EPS_MEMBERSHIP = 1e-4
+
+#: unsolved parameters a region certifies per call; bounds the sweep's work
+#: arrays at (SWEEP_BLOCK, n_rows), so memory does not grow with the batch
+SWEEP_BLOCK = 1024
 
 #: a batch whose direct solves fail numerically more often than this aborts
 MAX_FAILURES = 50
@@ -92,8 +90,15 @@ class EngineOptions:
     solve_budget: int | None = None
 
     def validate(self) -> None:
-        if self.solve_budget is not None and self.solve_budget < 1:
-            raise ConfigError("solve_budget must be at least 1")
+        if not (self.seed is None or _is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer or None, got {self.seed!r}")
+        if not (self.solve_budget is None or _is_int(self.solve_budget) and self.solve_budget >= 1):
+            raise ConfigError(f"solve_budget must be at least 1, got {self.solve_budget!r}")
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -220,22 +225,6 @@ def _positive_multipliers(sol) -> np.ndarray:
     return np.flatnonzero(lam > ACTIVE_LAM_REL * max(1.0, float(lam.max())))
 
 
-def _certify(prob, region, thetas):
-    """Region points at the stacked thetas, and whether each is certified.
-
-    A point is certified when every inequality residual is at most
-    SCREEN_PRIMAL and every active-row multiplier at least -SCREEN_DUAL;
-    the region's maps satisfy stationarity and complementarity exactly,
-    so a certified point is optimal.
-    """
-    xs = region.batch_solutions(thetas)
-    resid = xs @ prob.A.T - thetas @ prob.E.T - prob.b
-    ok = resid.max(axis=1) <= SCREEN_PRIMAL
-    if region.G1.shape[0]:
-        ok &= (thetas @ region.G1.T + region.w1).min(axis=1) >= -SCREEN_DUAL
-    return xs, ok
-
-
 def run_batch(
     prob: MpqpProblem,
     thetas: np.ndarray,
@@ -264,6 +253,7 @@ def run_batch(
     t0 = time.perf_counter()
     ctx = RegionContext(scaled)
     counters = BatchCounters(n_instances=n)
+    rhs = thetas @ scaled.E.T + scaled.b
 
     if options.seed is None:
         order = np.arange(n)
@@ -335,22 +325,19 @@ def run_batch(
             degenerate(i, sol, REASON_RANK, signature)
             continue
 
-        _, seed_ok = _certify(scaled, region, thetas[i : i + 1])
-        if not seed_ok[0]:
+        if not region.batch_membership(thetas[i : i + 1], rhs[i : i + 1])[0]:
             degenerate(i, sol, REASON_UNCERTAIN, signature)
             continue
 
-        # Sweep every unsolved parameter the region covers.  The polyhedron
-        # test is deliberately loose, and a parameter a hair outside the
-        # true region would inherit a wrong-active-set solution, so each
-        # candidate passes the seed's certification before it is served.
         rem = np.flatnonzero(~solved)
-        hits = rem[region.batch_membership(thetas[rem], EPS_MEMBERSHIP)]
-        cand_x, ok = _certify(scaled, region, thetas[hits])
-        keep = hits[ok]
+        served = np.zeros(rem.size, dtype=bool)
+        for start in range(0, rem.size, SWEEP_BLOCK):
+            blk = rem[start : start + SWEEP_BLOCK]
+            served[start : start + SWEEP_BLOCK] = region.batch_membership(thetas[blk], rhs[blk])
+        keep = rem[served]
         rid = len(census)
-        counters.screened_out += len(hits) - len(keep)
-        x[keep] = cand_x[ok]
+        counters.screened_out += rem.size - keep.size
+        x[keep] = region.batch_solutions(thetas[keep])
         x[i] = sol.x
         mark(keep, REUSE, rid=rid)
         mark(i, DIRECT, REASON_SEED, rid)
@@ -367,8 +354,8 @@ def run_batch(
             )
         )
         logger.debug(
-            "region %d: %d active rows, %d hits, %d served, %d screened out",
-            rid, len(signature), len(hits), len(keep), len(hits) - len(keep),
+            "region %d: %d active rows, %d swept, %d served",
+            rid, len(signature), rem.size, keep.size,
         )
 
     # objectives in original units
@@ -430,7 +417,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     original input files; this checks they line up with the stored run
     (instance count, variable count, scaling) and that the file is well
     formed before rehydrating: exactly the known top-level keys and
-    columns, known counter and option keys, every column one entry per
+    columns, known counter and option keys, valid option values (as
+    EngineOptions.validate checks them), every column one entry per
     instance, known status and reason names, region ids naming a stored
     region on exactly the reuse and seed rows, well-formed region and
     direct-signature tables, and finite, primally feasible solutions and
@@ -517,10 +505,16 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     if objectives.shape != (n,):
         raise SchemaError("column 'objective' needs one number or null per row")
 
+    options = EngineOptions(**opts_raw)
+    try:
+        options.validate()
+    except ConfigError as exc:
+        raise SchemaError(f"results file has a bad engine option: {exc}") from None
+
     result = BatchResult(
         problem=prob,
         scaling=prob.scaling,
-        options=EngineOptions(**opts_raw),
+        options=options,
         thetas=thetas,
         x=x,
         objectives=objectives,

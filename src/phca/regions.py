@@ -2,8 +2,9 @@
 
 Once an active set is fixed, the KKT system becomes linear in theta: the
 minimizer, the multipliers of the active rows, and the equality
-multipliers are all affine maps of theta, and the set of parameters that
-keep this active set optimal is a polyhedron.  RegionContext factors the
+multipliers are all affine maps of theta.  A region serves a parameter
+when the mapped point is certified: primal feasible on every row, with
+nonnegative multipliers on the active rows.  RegionContext factors the
 cost matrix once per problem; build_region then costs one small dense
 solve per active set.
 """
@@ -21,15 +22,19 @@ from .errors import RankDeficientKError
 #: system is treated as rank deficient
 RANK_TOL = 1e-10
 
+#: a mapped point is certified when every inequality residual is at most
+#: SCREEN_PRIMAL and every active-row multiplier at least -SCREEN_DUAL
+SCREEN_PRIMAL = 1e-8
+SCREEN_DUAL = 1e-8
+
 
 @dataclass(frozen=True)
 class CriticalRegion:
-    """Closed-form optimizer valid on a polyhedron of parameters.
+    """Closed-form optimizer of one active set.
 
     x(theta) = M theta + r; active-row multipliers G1 theta + w1; equality
-    multipliers G2 theta + w2.  Membership is S theta <= t (within a
-    tolerance); the first rows of S come from the inactive inequalities,
-    the rest from dual nonnegativity of the active rows.
+    multipliers G2 theta + w2.  A is the problem's inequality matrix, held
+    by reference for the certification in batch_membership.
     """
 
     active_set: tuple[int, ...]
@@ -39,19 +44,25 @@ class CriticalRegion:
     w1: np.ndarray
     G2: np.ndarray
     w2: np.ndarray
-    S: np.ndarray
-    t: np.ndarray
-    n_primal_rows: int
+    A: np.ndarray
 
     @property
     def signature(self) -> tuple[int, ...]:
         return self.active_set
 
-    def batch_membership(self, thetas: np.ndarray, eps: float) -> np.ndarray:
-        """Boolean mask over stacked parameter rows: S theta <= t + eps."""
-        if self.S.shape[0] == 0:
-            return np.ones(thetas.shape[0], dtype=bool)
-        return np.all(thetas @ self.S.T - self.t <= eps, axis=1)
+    def batch_membership(self, thetas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Mask of the stacked parameter rows whose mapped point is certified.
+
+        rhs holds their inequality right-hand sides E theta + b.  Certified
+        means every residual A x - rhs at most SCREEN_PRIMAL and every
+        active-row multiplier at least -SCREEN_DUAL.  The maps satisfy
+        stationarity, the equality rows and complementarity (zero
+        multiplier or zero residual on every row) by construction, so a
+        certified point is optimal.
+        """
+        primal = (self.batch_solutions(thetas) @ self.A.T - rhs).max(axis=1, initial=-np.inf)
+        dual = (thetas @ self.G1.T + self.w1).min(axis=1, initial=np.inf)
+        return (primal <= SCREEN_PRIMAL) & (dual >= -SCREEN_DUAL)
 
     def batch_solutions(self, thetas: np.ndarray) -> np.ndarray:
         return thetas @ self.M.T + self.r
@@ -129,11 +140,6 @@ class RegionContext:
             M = -self.HinvC
             r = -self.Hinvd
 
-        inactive = np.setdiff1d(np.arange(self.n_rows), act, assume_unique=True)
-        S_primal = prob.A[inactive] @ M - prob.E[inactive]
-        t_primal = prob.b[inactive] - prob.A[inactive] @ r
-        S = np.vstack([S_primal, -G1])
-        t = np.concatenate([t_primal, w1])
         return CriticalRegion(
             active_set=tuple(int(i) for i in act),
             M=M,
@@ -142,7 +148,5 @@ class RegionContext:
             w1=w1,
             G2=G2,
             w2=w2,
-            S=S,
-            t=t,
-            n_primal_rows=int(inactive.size),
+            A=prob.A,
         )

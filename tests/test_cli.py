@@ -185,6 +185,14 @@ def test_zero_budget_is_exit_2(case, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_negative_seed_is_exit_2(case, capsys):
+    code = main(["run", *base_args(case), "--out", str(case / "x.json"), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: ConfigError: seed")
+    assert len(captured.err.splitlines()) == 1
+
+
 def _unknown_counter(payload):
     payload["counters"]["bogus"] = 1
 
@@ -231,11 +239,19 @@ def _removed_option(payload):
     payload["options"]["eps_active"] = 1e-5
 
 
+def _bad_option_values(payload):
+    payload["options"].update(seed="abc", solve_budget=-4)
+
+
+def _bool_seed(payload):
+    payload["options"]["seed"] = True
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_unknown_counter, _no_status, _no_index, _nan_solution,
      _short_column, _unknown_status, _region_out_of_range, _reuse_without_region,
-     _infeasible_solution, _removed_option],
+     _infeasible_solution, _removed_option, _bad_option_values, _bool_seed],
 )
 def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     orig = case / "results.json"
@@ -250,6 +266,7 @@ def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("phca: error: SchemaError")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_sequential_and_budget_flags(case, capsys):

@@ -22,7 +22,7 @@ from phca import (
 from phca.builder import BuilderConfig
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
-from phca.regions import RegionContext
+from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +90,10 @@ def test_served_rows_satisfy_optimality(batch, scaled_demo_problem):
         th = batch.thetas[rows]
         xs = batch.x[rows]
         resid = xs @ prob.A.T - th @ prob.E.T - prob.b
-        assert resid.max() <= engine_mod.SCREEN_PRIMAL + 1e-15
+        assert resid.max() <= SCREEN_PRIMAL + 1e-15
         if region.G1.shape[0]:
             lam = th @ region.G1.T + region.w1
-            assert lam.min() >= -engine_mod.SCREEN_DUAL - 1e-15
+            assert lam.min() >= -SCREEN_DUAL - 1e-15
 
 
 def test_objectives_in_original_units(batch, demo_problem):
@@ -138,6 +138,18 @@ def test_determinism_and_order_invariance(scaled_demo_problem, small_theta_set):
     # a different pick order changes the census but not the answers
     seq = run_batch(scaled_demo_problem, thetas, EngineOptions(seed=None))
     assert np.max(np.abs(a.x - seq.x)) < 1e-8
+
+
+def test_sweep_blocks_do_not_change_the_result(batch, scaled_demo_problem, monkeypatch):
+    # a block size that divides no sweep evenly, so every region's sweep
+    # ends on a partial block
+    monkeypatch.setattr(engine_mod, "SWEEP_BLOCK", 7)
+    small = run_batch(scaled_demo_problem, batch.thetas, batch.options)
+    for name in ("status", "reason", "region_id", "x", "objectives"):
+        np.testing.assert_array_equal(getattr(small, name), getattr(batch, name))
+    assert small.regions == batch.regions
+    assert small.direct_signatures == batch.direct_signatures
+    assert small.counters == batch.counters
 
 
 def test_budget_falls_back_to_direct(scaled_demo_problem, small_theta_set):
@@ -324,5 +336,19 @@ def test_theta_shape_rejected(scaled_demo_problem):
 
 def test_options_validation():
     assert [f.name for f in fields(EngineOptions)] == ["seed", "solve_budget"]
-    with pytest.raises(ValueError):
-        EngineOptions(solve_budget=0).validate()
+    for bad in ({"solve_budget": 0}, {"solve_budget": -4}, {"solve_budget": 2.0},
+                {"solve_budget": True}, {"seed": "abc"}, {"seed": 1.5}, {"seed": False},
+                {"seed": -1}):
+        with pytest.raises(ValueError):
+            EngineOptions(**bad).validate()
+    EngineOptions(seed=None, solve_budget=None).validate()
+    EngineOptions(seed=np.int64(3), solve_budget=np.int64(1)).validate()
+
+
+@pytest.mark.parametrize("options", [{"seed": "abc"}, {"seed": True}, {"solve_budget": -4},
+                                     {"solve_budget": "2"}, {"seed": "abc", "solve_budget": -4}])
+def test_json_roundtrip_rejects_bad_option_values(batch, scaled_demo_problem, options):
+    payload = json.loads(batch.to_json())
+    payload["options"].update(options)
+    with pytest.raises(SchemaError, match="engine option"):
+        load_result_json(json.dumps(payload), scaled_demo_problem, batch.thetas)

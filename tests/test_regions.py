@@ -1,4 +1,8 @@
-"""Critical regions: affine maps, membership polyhedra, degenerate rejection."""
+"""Critical regions: affine maps, certification as membership, degenerate rejection.
+
+The old region polyhedron S theta <= t is rebuilt here, as the reference
+that every certified point must lie in.
+"""
 
 from types import SimpleNamespace
 
@@ -8,7 +12,7 @@ import pytest
 from phca import solve_qp
 from phca.errors import RankDeficientKError
 from phca.qp import OPTIMAL, identify_active
-from phca.regions import RegionContext
+from phca.regions import SCREEN_PRIMAL, RegionContext
 
 
 def tiny_problem(A, E=None, b=None, n_theta=1):
@@ -39,6 +43,23 @@ def seed_region(prob, theta):
     return sol, region
 
 
+def rhs_of(prob, thetas):
+    """Inequality right-hand sides E theta + b of stacked parameter rows."""
+    return thetas @ prob.E.T + prob.b
+
+
+def reference_polyhedron(prob, region):
+    """The region's parameter polyhedron S theta <= t, built from its maps.
+
+    The first rows are the inactive inequalities at x = M theta + r, the
+    rest dual nonnegativity of the active rows.
+    """
+    inactive = np.setdiff1d(np.arange(prob.A.shape[0]), region.active_set)
+    S = np.vstack([prob.A[inactive] @ region.M - prob.E[inactive], -region.G1])
+    t = np.concatenate([prob.b[inactive] - prob.A[inactive] @ region.r, region.w1])
+    return S, t
+
+
 def perturbed_theta(scaled_demo_problem, rng, scale=0.0):
     prob = scaled_demo_problem
     n = prob.n_inj
@@ -61,15 +82,14 @@ def test_region_reproduces_direct_solves(scaled_demo_problem, rng):
     prob = scaled_demo_problem
     theta = perturbed_theta(prob, rng)
     sol, region = seed_region(prob, theta)
-    # the seed itself sits inside its own region
+    # the seed itself passes its own region's certification
     seed = theta[None]
-    assert region.batch_membership(seed, eps=1e-4)[0]
-    assert np.max(seed @ region.S.T - region.t) <= 1e-8
+    assert region.batch_membership(seed, rhs_of(prob, seed))[0]
     assert np.max(np.abs(region.batch_solutions(seed)[0] - sol.x)) < 1e-9
     hits = 0
     for _ in range(200):
         probe = theta + rng.normal(0.0, 2e-3, prob.n_theta)
-        if not region.batch_membership(probe[None], eps=0.0)[0]:
+        if not region.batch_membership(probe[None], rhs_of(prob, probe[None]))[0]:
             continue
         hits += 1
         direct = solve_qp(prob.instance(probe))
@@ -96,11 +116,11 @@ def test_outside_point_fails_membership(scaled_demo_problem, rng):
     _, region = seed_region(prob, theta)
     outside = theta.copy()
     outside[prob.headroom_slice()] = (-1.0, -1.0)  # cap rows cannot hold
-    assert not region.batch_membership(outside[None], eps=1e-4)[0]
+    assert not region.batch_membership(outside[None], rhs_of(prob, outside[None]))[0]
     # the affine map extrapolates silently, to a point no row set allows
     xs = region.batch_solutions(outside[None])
     assert np.all(np.isfinite(xs))
-    assert np.max(xs @ prob.A.T - outside @ prob.E.T - prob.b) > 1e-3
+    assert np.max(xs @ prob.A.T - rhs_of(prob, outside)) > 1e-3
 
 
 def test_batch_membership_matches_loop(scaled_demo_problem, rng):
@@ -108,10 +128,11 @@ def test_batch_membership_matches_loop(scaled_demo_problem, rng):
     theta = perturbed_theta(prob, rng)
     _, region = seed_region(prob, theta)
     probes = theta + rng.normal(0.0, 5e-2, (300, prob.n_theta))
-    mask = region.batch_membership(probes, eps=1e-6)
-    loop = np.array([region.batch_membership(p[None], eps=1e-6)[0] for p in probes])
+    rhs = rhs_of(prob, probes)
+    mask = region.batch_membership(probes, rhs)
+    loop = np.array([region.batch_membership(p[None], r[None])[0] for p, r in zip(probes, rhs)])
+    assert mask.dtype == bool and mask.shape == (300,)
     assert mask.tolist() == loop.tolist()
-    assert mask.tolist() == np.all(probes @ region.S.T - region.t <= 1e-6, axis=1).tolist()
     assert 0 < mask.sum() < 300  # perturbation straddles the boundary
     sols = region.batch_solutions(probes)
     assert sols.shape == (300, prob.n_var)
@@ -119,16 +140,44 @@ def test_batch_membership_matches_loop(scaled_demo_problem, rng):
     assert sols[7] == pytest.approx(region.M @ probes[7] + region.r)
 
 
-def test_region_polyhedron_shape(scaled_demo_problem, rng):
+def test_certified_points_lie_in_reference_polyhedron(scaled_demo_problem, rng):
+    prob = scaled_demo_problem
+    theta = perturbed_theta(prob, rng)
+    _, region = seed_region(prob, theta)
+    S, t = reference_polyhedron(prob, region)
+    probes = theta + rng.normal(0.0, 5e-2, (300, prob.n_theta))
+    mask = region.batch_membership(probes, rhs_of(prob, probes))
+    excess = np.max(probes @ S.T - t, axis=1)
+    assert 0 < mask.sum() < 300
+    # every certified point lies in the polyhedron, and every point inside
+    # it (with no slack) is certified
+    assert excess[mask].max() <= SCREEN_PRIMAL
+    assert mask[excess <= 0.0].all()
+
+
+def test_negative_multiplier_fails_membership():
+    # min 1/2 x^2 subject to x >= theta: with the row active, x = theta and
+    # its multiplier is theta, so for theta < 0 the map stays primal
+    # feasible and only the dual side rejects it
+    prob = tiny_problem([[-1.0]], E=[[-1.0]])
+    region = RegionContext(prob).build_region((0,))
+    thetas = np.array([[1.0], [0.0], [-1e-9], [-1.0]])
+    rhs = rhs_of(prob, thetas)
+    assert np.max(region.batch_solutions(thetas) @ prob.A.T - rhs) <= 0.0
+    assert region.batch_membership(thetas, rhs).tolist() == [True, True, True, False]
+    S, t = reference_polyhedron(prob, region)
+    assert (thetas @ S.T - t).max(axis=1).tolist() == pytest.approx([-1.0, 0.0, 1e-9, 1.0])
+
+
+def test_region_map_shapes(scaled_demo_problem, rng):
     prob = scaled_demo_problem
     theta = perturbed_theta(prob, rng)
     _, region = seed_region(prob, theta)
     n_act = len(region.active_set)
-    n_rows = prob.A.shape[0]
-    assert region.n_primal_rows == n_rows - n_act
-    assert region.S.shape == (n_rows - n_act + n_act, prob.n_theta)
     assert region.M.shape == (prob.n_var, prob.n_theta)
+    assert region.G1.shape == (n_act, prob.n_theta)
     assert region.G2.shape[0] == prob.B.shape[0]
+    assert region.A is prob.A  # held by reference, not copied
 
 
 def test_rank_deficient_active_set_rejected():
@@ -149,8 +198,10 @@ def test_empty_active_set_region():
     # unconstrained minimizer of 1/2 x'x is the origin for every theta
     theta = np.array([[2.0]])
     assert region.batch_solutions(theta)[0] == pytest.approx([0.0, 0.0])
-    assert region.batch_membership(theta, eps=1e-4)[0]  # 0 <= theta + 5 holds
-    assert np.max(theta @ region.S.T - region.t) == pytest.approx(-7.0)
+    rhs = rhs_of(prob, theta)
+    assert region.batch_membership(theta, rhs)[0]  # 0 <= theta + 5 holds
+    assert (region.batch_solutions(theta) @ prob.A.T - rhs)[0] == pytest.approx([-7.0])
+    assert not region.batch_membership(np.array([[-6.0]]), np.array([[-1.0]]))[0]
     assert (theta @ region.G1.T + region.w1).size == 0
     assert (theta @ region.G2.T + region.w2).size == 0
 
@@ -159,8 +210,8 @@ def test_membership_no_rows():
     prob = tiny_problem(np.zeros((0, 2)).reshape(0, 2))
     ctx = RegionContext(prob)
     region = ctx.build_region(())
-    assert region.S.shape == (0, 1)
-    assert region.batch_membership(np.zeros((4, 1)), eps=0.0).tolist() == [True] * 4
+    mask = region.batch_membership(np.zeros((4, 1)), np.zeros((4, 0)))
+    assert mask.tolist() == [True] * 4
 
 
 def test_out_of_range_active_index():
