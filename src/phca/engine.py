@@ -2,9 +2,11 @@
 
 The loop picks an unsolved parameter vector, solves its QP directly and
 reads the active set off the solution's multipliers: the rows with a
-positive multiplier.  That set gives a critical region, whose affine map
-is then swept over every unsolved parameter, SWEEP_BLOCK rows at a time.
-A parameter is served from the map only when the mapped point passes
+positive multiplier.  That set gives a critical region, whose map is then
+swept over every unsolved instance, SWEEP_BLOCK rows at a time.  The
+sweep reads each instance through data formed once per batch: its
+unconstrained minimizer and its right-hand sides, never theta itself.  An
+instance is served from the map only when the mapped point passes
 certification (CriticalRegion.batch_membership): primal feasibility of
 every row and nonnegative multipliers on the active rows, which makes it
 optimal.  Regions are discarded as soon as they have been swept, so at
@@ -253,7 +255,7 @@ def run_batch(
     t0 = time.perf_counter()
     ctx = RegionContext(scaled)
     counters = BatchCounters(n_instances=n)
-    rhs = thetas @ scaled.E.T + scaled.b
+    c, xu, rhs = ctx.instance_data(thetas)
 
     if options.seed is None:
         order = np.arange(n)
@@ -325,7 +327,7 @@ def run_batch(
             degenerate(i, sol, REASON_RANK, signature)
             continue
 
-        if not region.batch_membership(thetas[i : i + 1], rhs[i : i + 1])[0]:
+        if not region.batch_membership(xu[i : i + 1], rhs[i : i + 1])[0]:
             degenerate(i, sol, REASON_UNCERTAIN, signature)
             continue
 
@@ -333,11 +335,11 @@ def run_batch(
         served = np.zeros(rem.size, dtype=bool)
         for start in range(0, rem.size, SWEEP_BLOCK):
             blk = rem[start : start + SWEEP_BLOCK]
-            served[start : start + SWEEP_BLOCK] = region.batch_membership(thetas[blk], rhs[blk])
+            served[start : start + SWEEP_BLOCK] = region.batch_membership(xu[blk], rhs[blk])
         keep = rem[served]
         rid = len(census)
         counters.screened_out += rem.size - keep.size
-        x[keep] = region.batch_solutions(thetas[keep])
+        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
         x[i] = sol.x
         mark(keep, REUSE, rid=rid)
         mark(i, DIRECT, REASON_SEED, rid)
@@ -363,10 +365,8 @@ def run_batch(
     objectives = np.full(n, np.nan)
     if np.any(ok):
         Xok = x[ok]
-        Tok = thetas[ok]
-        lin = Tok @ scaled.C.T + scaled.d
         obj_scaled = 0.5 * np.einsum("ij,jk,ik->i", Xok, scaled.H, Xok) + np.einsum(
-            "ij,ij->i", lin, Xok
+            "ij,ij->i", c[ok], Xok
         )
         objectives[ok] = obj_scaled * scaling.cost_scale
 
@@ -417,7 +417,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     original input files; this checks they line up with the stored run
     (instance count, variable count, scaling) and that the file is well
     formed before rehydrating: exactly the known top-level keys and
-    columns, known counter and option keys, valid option values (as
+    columns, known counter and option keys, non-negative integer counters
+    with n_instances the instance count, valid option values (as
     EngineOptions.validate checks them), every column one entry per
     instance, known status and reason names, region ids naming a stored
     region on exactly the reuse and seed rows, well-formed region and
@@ -451,6 +452,12 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         unknown = sorted(set(block) - {f.name for f in fields(cls)})
         if unknown:
             raise SchemaError(f"results file has unknown {name} {unknown[0]!r}")
+    bad = sorted(k for k, v in counters_raw.items() if not (_is_int(v) and v >= 0))
+    if bad:
+        raise SchemaError(f"counter {bad[0]!r} must be a non-negative integer")
+    counters = BatchCounters(**counters_raw)
+    if counters.n_instances != n:
+        raise SchemaError(f"counter 'n_instances' must be the {n} instances the inputs expand to")
 
     cols = payload["columns"]
     if not isinstance(cols, dict) or sorted(cols) != list(COLUMNS):
@@ -523,7 +530,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         region_id=region_id.astype(np.int64),
         regions=regions,
         direct_signatures=direct_signatures,
-        counters=BatchCounters(**counters_raw),
+        counters=counters,
         wall_time_s=0.0,
     )
     solved = result.solved_mask()

@@ -1,12 +1,18 @@
-"""Critical-region algebra for the parametric QP.
+"""Critical-region algebra for the parametric QP, in the QP's own data.
 
-Once an active set is fixed, the KKT system becomes linear in theta: the
-minimizer, the multipliers of the active rows, and the equality
-multipliers are all affine maps of theta.  A region serves a parameter
-when the mapped point is certified: primal feasible on every row, with
-nonnegative multipliers on the active rows.  RegionContext factors the
-cost matrix once per problem; build_region then costs one small dense
-solve per active set.
+An instance is min 1/2 x'Hx + c'x subject to A x <= rhs_A and B x = rhs_B,
+where the parameters enter only through c and rhs.  Stack K = [A; B].
+Once an active set is fixed, the KKT system of the active rows and the
+equality rows (K_S, say) is linear in the instance data:
+
+    lam = (K_S H^-1 K_S')^-1 (K_S xu - rhs_S),    x = xu - H^-1 K_S' lam,
+
+with xu = -H^-1 c the unconstrained minimizer.  A region serves an
+instance when this point is certified: primal feasible on every row, with
+nonnegative multipliers on the active rows.  RegionContext factors H and
+forms the Gram matrix K H^-1 K' once per problem; build_region then
+factors the active set's principal block of it.  No region array depends
+on the number of parameters.
 """
 
 from __future__ import annotations
@@ -30,70 +36,79 @@ SCREEN_DUAL = 1e-8
 
 @dataclass(frozen=True)
 class CriticalRegion:
-    """Closed-form optimizer of one active set.
+    """Closed-form optimizer of one active set, applied to instance data.
 
-    x(theta) = M theta + r; active-row multipliers G1 theta + w1; equality
-    multipliers G2 theta + w2.  A is the problem's inequality matrix, held
-    by reference for the certification in batch_membership.
+    rows indexes K = [A; B]: the active rows, then every equality row.
+    Linv is the inverse of the Cholesky factor of K_S H^-1 K_S', where
+    K_S = K[rows], so that (K_S H^-1 K_S')^-1 = Linv' Linv; HinvKT holds
+    the columns H^-1 K_S'.  K and A are the problem's, held by reference.
+
+    Every method takes the stacked instances as xu, their unconstrained
+    minimizers -H^-1 c, and rhs, their right-hand sides [rhs_A, rhs_B]
+    (one row per instance, columns in K's row order).
     """
 
     active_set: tuple[int, ...]
-    M: np.ndarray
-    r: np.ndarray
-    G1: np.ndarray
-    w1: np.ndarray
-    G2: np.ndarray
-    w2: np.ndarray
+    rows: np.ndarray
+    Linv: np.ndarray
+    HinvKT: np.ndarray
+    K: np.ndarray
     A: np.ndarray
 
     @property
     def signature(self) -> tuple[int, ...]:
         return self.active_set
 
-    def batch_membership(self, thetas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Mask of the stacked parameter rows whose mapped point is certified.
+    def multipliers(self, xu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Multipliers of the region's rows, one row per instance.
 
-        rhs holds their inequality right-hand sides E theta + b.  Certified
-        means every residual A x - rhs at most SCREEN_PRIMAL and every
-        active-row multiplier at least -SCREEN_DUAL.  The maps satisfy
-        stationarity, the equality rows and complementarity (zero
-        multiplier or zero residual on every row) by construction, so a
-        certified point is optimal.
+        The first len(active_set) columns belong to the active rows, the
+        rest to the equality rows.
         """
-        primal = (self.batch_solutions(thetas) @ self.A.T - rhs).max(axis=1, initial=-np.inf)
-        dual = (thetas @ self.G1.T + self.w1).min(axis=1, initial=np.inf)
+        return (xu @ self.K[self.rows].T - rhs[:, self.rows]) @ self.Linv.T @ self.Linv
+
+    def batch_membership(self, xu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Mask of the stacked instances whose mapped point is certified.
+
+        Certified means every residual A x - rhs_A at most SCREEN_PRIMAL
+        and every active-row multiplier at least -SCREEN_DUAL.  The map
+        satisfies stationarity, the equality rows and complementarity
+        (zero multiplier or zero residual on every row) by construction,
+        so a certified point is optimal.
+        """
+        lam = self.multipliers(xu, rhs)
+        x = xu - lam @ self.HinvKT.T
+        primal = (x @ self.A.T - rhs[:, : self.A.shape[0]]).max(axis=1, initial=-np.inf)
+        dual = lam[:, : len(self.active_set)].min(axis=1, initial=np.inf)
         return (primal <= SCREEN_PRIMAL) & (dual >= -SCREEN_DUAL)
 
-    def batch_solutions(self, thetas: np.ndarray) -> np.ndarray:
-        return thetas @ self.M.T + self.r
+    def batch_solutions(self, xu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return xu - self.multipliers(xu, rhs) @ self.HinvKT.T
 
 
 class RegionContext:
     """Per-problem factorizations shared by every region build.
 
-    Holds the Cholesky factor of H and the products of H^-1 with C, d, A',
-    and B', so each region only pays for the small stacked system of its
-    own active set.
+    Holds the Cholesky factor of H, K = [A; B], H^-1 K' and the Gram
+    matrix K H^-1 K', so each region only pays for its own principal block.
     """
 
     def __init__(self, prob):
         self.prob = prob
-        self.n_var = prob.H.shape[0]
         self.n_rows = prob.A.shape[0]
-        self.n_eq = prob.B.shape[0]
+        self.K = np.vstack([prob.A, prob.B])
         self._cf = cho_factor(prob.H)
-        self.HinvC = cho_solve(self._cf, prob.C)
-        self.Hinvd = cho_solve(self._cf, prob.d)
-        self.HinvAT = cho_solve(self._cf, prob.A.T) if self.n_rows else np.zeros((self.n_var, 0))
-        self.HinvBT = cho_solve(self._cf, prob.B.T) if self.n_eq else np.zeros((self.n_var, 0))
-        # Gram blocks of [A; B] H^-1 [A; B]'
-        self.AHA = prob.A @ self.HinvAT
-        self.AHB = prob.A @ self.HinvBT
-        self.BHB = prob.B @ self.HinvBT
-        self.AHC = prob.A @ self.HinvC
-        self.AHd = prob.A @ self.Hinvd
-        self.BHC = prob.B @ self.HinvC
-        self.BHd = prob.B @ self.Hinvd
+        self.HinvKT = cho_solve(self._cf, self.K.T)
+        self.KHK = self.K @ self.HinvKT
+
+    def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked parameter rows as the QP sees them: the costs
+        c = C theta + d, the unconstrained minimizers xu = -H^-1 c, and the
+        right-hand sides rhs of K's rows, [E theta + b, F theta + f]."""
+        prob = self.prob
+        c = thetas @ prob.C.T + prob.d
+        rhs = thetas @ np.vstack([prob.E, prob.F]).T + np.concatenate([prob.b, prob.f])
+        return c, -cho_solve(self._cf, c.T).T, rhs
 
     def build_region(self, active_set) -> CriticalRegion:
         """Region for one active-set signature.
@@ -103,50 +118,22 @@ class RegionContext:
         driver falls back to direct solves for.
         """
         act = np.asarray(sorted(int(i) for i in active_set), dtype=np.int64)
-        if act.size and (act[0] < 0 or act[-1] >= self.n_rows):
+        if ((act < 0) | (act >= self.n_rows)).any():
             raise IndexError(f"active row index out of range: {act}")
-        prob = self.prob
-        a, e = act.size, self.n_eq
-        k = a + e
-
-        if k:
-            KHK = np.empty((k, k))
-            KHK[:a, :a] = self.AHA[np.ix_(act, act)]
-            KHK[:a, a:] = self.AHB[act]
-            KHK[a:, :a] = self.AHB[act].T
-            KHK[a:, a:] = self.BHB
-            evals = np.linalg.eigvalsh(KHK)
-            if evals[0] <= RANK_TOL * max(evals[-1], 1.0):
-                raise RankDeficientKError(
-                    f"active set {tuple(act)} with the equality rows is rank deficient"
-                )
-            KHC = np.vstack([self.AHC[act], self.BHC]) if e else self.AHC[act]
-            KHd = np.concatenate([self.AHd[act], self.BHd]) if e else self.AHd[act]
-            EF = np.vstack([prob.E[act], prob.F]) if e else prob.E[act]
-            bf = np.concatenate([prob.b[act], prob.f]) if e else prob.b[act]
-            cf = cho_factor(KHK)
-            G = -cho_solve(cf, KHC + EF)
-            w = -cho_solve(cf, KHd + bf)
-            G1, G2 = G[:a], G[a:]
-            w1, w2 = w[:a], w[a:]
-            HKT = np.hstack([self.HinvAT[:, act], self.HinvBT]) if e else self.HinvAT[:, act]
-            M = -self.HinvC - HKT @ G
-            r = -self.Hinvd - HKT @ w
-        else:
-            G1 = np.zeros((0, prob.C.shape[1]))
-            w1 = np.zeros(0)
-            G2 = np.zeros((0, prob.C.shape[1]))
-            w2 = np.zeros(0)
-            M = -self.HinvC
-            r = -self.Hinvd
-
+        rows = np.concatenate([act, np.arange(self.n_rows, self.K.shape[0])])
+        KHK = self.KHK[np.ix_(rows, rows)]
+        evals = np.linalg.eigvalsh(KHK)
+        if (evals <= RANK_TOL * evals.max(initial=1.0)).any():
+            raise RankDeficientKError(
+                f"active set {tuple(act)} with the equality rows is rank deficient"
+            )
+        # numpy factors and inverts the empty block (no active and no
+        # equality rows) too, so no row count needs a case of its own
         return CriticalRegion(
             active_set=tuple(int(i) for i in act),
-            M=M,
-            r=r,
-            G1=G1,
-            w1=w1,
-            G2=G2,
-            w2=w2,
-            A=prob.A,
+            rows=rows,
+            Linv=np.linalg.inv(np.linalg.cholesky(KHK)),
+            HinvKT=self.HinvKT[:, rows],
+            K=self.K,
+            A=self.prob.A,
         )

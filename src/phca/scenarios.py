@@ -91,12 +91,9 @@ class ThetaSet:
 
     def group_keys(self) -> list[tuple[float, float, float]]:
         """Distinct (kappa, oversize, alpha) triples in first-seen order."""
-        seen: dict[tuple[float, float, float], None] = {}
-        for i in range(len(self)):
-            seen.setdefault(
-                (float(self.kappa[i]), float(self.oversize[i]), float(self.alpha[i]))
-            )
-        return list(seen)
+        cells = np.column_stack([self.kappa, self.oversize, self.alpha]).astype(float)
+        _, first = np.unique(cells, axis=0, return_index=True)
+        return [tuple(cells[i].tolist()) for i in np.sort(first)]
 
     def rows_for(self, key: tuple[float, float, float]) -> np.ndarray:
         k, o, a = key

@@ -32,6 +32,7 @@ from phca import (
 )
 from phca.acflow import approximation_error_sweep
 from phca.cli import main
+from phca.engine import STATUSES
 from phca.qp import OPTIMAL
 from phca.regions import RegionContext
 from phca.stats import violation_bound_gap
@@ -217,34 +218,27 @@ def test_multiplier_soundness(study, capsys):
     prob = study.scaled
     res = study.result
     ctx = RegionContext(prob)
+    _, xu, rhs = ctx.instance_data(res.thetas)
     n_rows = prob.A.shape[0]
+    reuse = res.status == STATUSES.index("reuse")
     worst_lam = 0.0
     worst_stat = 0.0
     worst_slack = 0.0
     n_reuse = 0
     for rg in res.regions:
-        rows = [
-            r.index
-            for r in res.records
-            if r.region_id == rg.region_id and r.status == "reuse"
-        ]
-        if not rows:
+        rows = np.flatnonzero(reuse & (res.region_id == rg.region_id))
+        if not rows.size:
             continue
         region = ctx.build_region(rg.signature)
         act = list(region.active_set)
         inact = np.setdiff1d(np.arange(n_rows), act)
         th = res.thetas[rows]
         xs = res.x[rows]
-        n_reuse += len(rows)
-        lam_act = th @ region.G1.T + region.w1 if act else np.zeros((len(rows), 0))
-        mu = th @ region.G2.T + region.w2
-        if act:
-            worst_lam = max(worst_lam, float(-lam_act.min()))
-        grad = xs @ prob.H + th @ prob.C.T + prob.d
-        if act:
-            grad = grad + lam_act @ prob.A[act]
-        if prob.B.shape[0]:
-            grad = grad + mu @ prob.B
+        n_reuse += rows.size
+        mult = region.multipliers(xu[rows], rhs[rows])
+        lam_act, mu = mult[:, : len(act)], mult[:, len(act) :]
+        worst_lam = max(worst_lam, float(-lam_act.min(initial=0.0)))
+        grad = xs @ prob.H + th @ prob.C.T + prob.d + lam_act @ prob.A[act] + mu @ prob.B
         worst_stat = max(worst_stat, float(np.max(np.abs(grad))))
         resid = xs @ prob.A[inact].T - th @ prob.E[inact].T - prob.b[inact]
         worst_slack = max(worst_slack, float(resid.max()))

@@ -247,11 +247,37 @@ def _bool_seed(payload):
     payload["options"]["seed"] = True
 
 
+def _text_counter(payload):
+    payload["counters"]["qp_solves"] = "abc"
+
+
+def _negative_counter(payload):
+    payload["counters"]["reuse"] = -1
+
+
+def _null_counter(payload):
+    payload["counters"]["reuse"] = None
+
+
+def _bool_counter(payload):
+    payload["counters"]["failed"] = False
+
+
+def _wrong_instance_count(payload):
+    payload["counters"]["n_instances"] -= 1
+
+
+def _negative_instance_count(payload):
+    payload["counters"]["n_instances"] = -5
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_unknown_counter, _no_status, _no_index, _nan_solution,
      _short_column, _unknown_status, _region_out_of_range, _reuse_without_region,
-     _infeasible_solution, _removed_option, _bad_option_values, _bool_seed],
+     _infeasible_solution, _removed_option, _bad_option_values, _bool_seed,
+     _text_counter, _negative_counter, _null_counter, _bool_counter,
+     _wrong_instance_count, _negative_instance_count],
 )
 def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     orig = case / "results.json"

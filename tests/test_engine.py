@@ -20,6 +20,7 @@ from phca import (
     validate_batch,
 )
 from phca.builder import BuilderConfig
+from phca.engine import REASONS, STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
@@ -61,39 +62,35 @@ def test_reuse_dominates_direct(batch):
 
 
 def test_region_census_consistent(batch):
+    reuse = batch.status == STATUSES.index("reuse")
     for rg in batch.regions:
-        seed_rec = batch.records[rg.seed_index]
-        assert seed_rec.status == "direct"
-        assert seed_rec.reason == "seed"
-        assert seed_rec.signature == rg.signature
-        members = [
-            r for r in batch.records if r.status == "reuse" and r.region_id == rg.region_id
-        ]
-        assert len(members) == rg.served
-        for rec in members:
-            assert rec.signature == rg.signature
+        assert STATUSES[batch.status[rg.seed_index]] == "direct"
+        assert REASONS[batch.reason[rg.seed_index]] == "seed"
+        assert batch.region_id[rg.seed_index] == rg.region_id
+        assert rg.seed_index not in batch.direct_signatures
+        members = np.flatnonzero(reuse & (batch.region_id == rg.region_id))
+        assert members.size == rg.served
+    # every reused row names a region of the census
+    assert ((batch.region_id[reuse] >= 0) & (batch.region_id[reuse] < len(batch.regions))).all()
 
 
 def test_served_rows_satisfy_optimality(batch, scaled_demo_problem):
     # rebuild each region from its stored signature and re-certify the rows
     prob = scaled_demo_problem
     ctx = RegionContext(prob)
+    _, xu, rhs = ctx.instance_data(batch.thetas)
+    reuse = batch.status == STATUSES.index("reuse")
     for rg in batch.regions:
-        region = ctx.build_region(rg.signature)
-        rows = [
-            r.index
-            for r in batch.records
-            if r.region_id == rg.region_id and r.status == "reuse"
-        ]
-        if not rows:
+        rows = np.flatnonzero(reuse & (batch.region_id == rg.region_id))
+        if not rows.size:
             continue
+        region = ctx.build_region(rg.signature)
         th = batch.thetas[rows]
         xs = batch.x[rows]
         resid = xs @ prob.A.T - th @ prob.E.T - prob.b
         assert resid.max() <= SCREEN_PRIMAL + 1e-15
-        if region.G1.shape[0]:
-            lam = th @ region.G1.T + region.w1
-            assert lam.min() >= -SCREEN_DUAL - 1e-15
+        lam = region.multipliers(xu[rows], rhs[rows])[:, : len(region.active_set)]
+        assert lam.min(initial=np.inf) >= -SCREEN_DUAL - 1e-15
 
 
 def test_objectives_in_original_units(batch, demo_problem):

@@ -7,7 +7,7 @@ import pytest
 
 from phca import AnalysisGrid, expand_grid, load_feeder, load_scenarios, theta_map_batch
 from phca.errors import MissingBusError, NegativeValueError, SchemaError
-from phca.scenarios import parse_profile
+from phca.scenarios import ThetaSet, parse_profile
 
 FORK = """
 [substation]
@@ -172,6 +172,34 @@ def test_expand_grid_ordering(demo_problem, demo_scenarios):
     )
     assert ts.thetas[rows] == pytest.approx(block)
     assert ts.rows_for((9.0, 9.0, 9.0)).size == 0
+
+
+def _group_keys_loop(ts):
+    """The row-by-row first-seen scan group_keys replaced, kept as the reference."""
+    seen = {}
+    for i in range(len(ts)):
+        seen.setdefault((float(ts.kappa[i]), float(ts.oversize[i]), float(ts.alpha[i])))
+    return list(seen)
+
+
+def test_group_keys_first_seen_order_on_interleaved_cells(rng):
+    # cells drawn row by row in random order, so first appearances do not
+    # follow the sorted order of the keys
+    cells = np.array([(2.0, 1.15, 0.48), (1.0, 1.0, 0.24), (1.5, 1.0, 0.48), (1.0, 1.15, 0.24),
+                      (2.0, 1.0, 0.24), (1.0, 1.0, 0.48)])
+    pick = rng.integers(0, len(cells), 500)
+    ts = ThetaSet(
+        thetas=np.zeros((500, 3)),
+        hour=np.arange(500),
+        kappa=cells[pick, 0],
+        oversize=cells[pick, 1],
+        alpha=cells[pick, 2],
+    )
+    keys = ts.group_keys()
+    assert keys == _group_keys_loop(ts)
+    assert keys != sorted(keys) and len(keys) == len(cells)
+    assert all(isinstance(v, float) for key in keys for v in key)
+    assert ThetaSet(np.zeros((0, 3)), *(np.zeros(0),) * 4).group_keys() == []
 
 
 @pytest.mark.parametrize(
