@@ -22,6 +22,7 @@ solved directly.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import numbers
@@ -195,9 +196,11 @@ class BatchResult:
         }
 
     def to_json(self) -> str:
-        """Deterministic strict JSON, columns as lists; excludes wall-clock time.
+        """Deterministic strict JSON of the columns; excludes wall-clock time.
 
-        Unsolved entries of x and the objective are written as null.
+        x (row-major) and the objectives are written as base64 strings of
+        their little-endian float64 bytes, every non-finite entry as the
+        canonical NaN.
         """
         payload = self.summary()
         payload["direct_signatures"] = [
@@ -208,15 +211,16 @@ class BatchResult:
             "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
             "reason": np.asarray(REASONS, dtype=object)[self.reason].tolist(),
             "region_id": self.region_id.tolist(),
-            "objective": _nulls_for_nan(self.objectives),
-            "x": _nulls_for_nan(self.x),
+            "objective": _float64_text(self.objectives),
+            "x": _float64_text(self.x),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _nulls_for_nan(values: np.ndarray) -> list:
-    """Nested lists of the values with None for every non-finite entry."""
-    return np.where(np.isfinite(values), values, None).tolist()
+def _float64_text(values: np.ndarray) -> str:
+    """Base64 of the values' little-endian float64 bytes, NaN for every non-finite entry."""
+    values = np.where(np.isfinite(values), values, np.nan).astype("<f8", copy=False)
+    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
 def _positive_multipliers(sol) -> np.ndarray:
@@ -387,9 +391,11 @@ def run_batch(
     )
 
 
-#: top-level keys of a results file, and the columns under "columns"
+#: top-level keys of a results file, the columns under "columns", and
+#: which of those are lists (the others are base64 float64 strings)
 RESULT_KEYS = ("columns", "counters", "direct_signatures", "options", "regions", "scaling")
 COLUMNS = ("objective", "reason", "region_id", "status", "x")
+LIST_COLUMNS = ("reason", "region_id", "status")
 
 
 def _column(values, name: str, dtype=None) -> np.ndarray:
@@ -397,6 +403,24 @@ def _column(values, name: str, dtype=None) -> np.ndarray:
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError):
         raise SchemaError(f"column {name!r} is malformed") from None
+
+
+def _float_column(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A writable native float array decoded from a _float64_text string."""
+    if isinstance(value, list):
+        raise SchemaError(
+            f"column {name!r} is in the earlier list format; rerun phca run to rewrite the file"
+        )
+    if not isinstance(value, str):
+        raise SchemaError(f"column {name!r} must be a base64 string of float64 values")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII string
+        raise SchemaError(f"column {name!r} is not valid base64") from None
+    size = 8 * int(np.prod(shape))
+    if len(raw) != size:
+        raise SchemaError(f"column {name!r} holds {len(raw)} bytes, not the {size} of {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
 def _codes(values, names: tuple, column: str) -> np.ndarray:
@@ -419,11 +443,14 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     formed before rehydrating: exactly the known top-level keys and
     columns, known counter and option keys, non-negative integer counters
     with n_instances the instance count, valid option values (as
-    EngineOptions.validate checks them), every column one entry per
-    instance, known status and reason names, region ids naming a stored
-    region on exactly the reuse and seed rows, well-formed region and
-    direct-signature tables, and finite, primally feasible solutions and
-    finite objectives on solved rows.
+    EngineOptions.validate checks them), every list column one entry per
+    instance and x and the objectives base64 strings of exactly n x n_var
+    and n float64 values, known status and reason names, region ids naming
+    a stored region on exactly the reuse and seed rows, well-formed region
+    and direct-signature tables, each region's served count its reuse rows
+    and its seed index a seed row of its own, every counter the columns fix
+    equal to their count, finite, primally feasible solutions and finite
+    objectives on solved rows, and NaN everywhere on the other rows.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -462,7 +489,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     cols = payload["columns"]
     if not isinstance(cols, dict) or sorted(cols) != list(COLUMNS):
         raise SchemaError(f"results file needs exactly the columns {', '.join(COLUMNS)}")
-    for name in COLUMNS:
+    for name in LIST_COLUMNS:
         if not isinstance(cols[name], list) or len(cols[name]) != n:
             raise SchemaError(
                 f"column {name!r} does not hold one entry for each of the {n} "
@@ -494,23 +521,48 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     status = _codes(cols["status"], STATUSES, "status")
     reason = _codes(cols["reason"], REASONS, "reason")
     region_id = _column(cols["region_id"], "region_id")
-    in_region = (status == STATUSES.index(REUSE)) | (reason == REASONS.index(REASON_SEED))
+    reuse = status == STATUSES.index(REUSE)
+    seed = reason == REASONS.index(REASON_SEED)
     if n and (region_id.dtype.kind != "i" or not np.where(
-        in_region, (region_id >= 0) & (region_id < len(regions)), region_id == -1
+        reuse | seed, (region_id >= 0) & (region_id < len(regions)), region_id == -1
     ).all()):
         raise SchemaError(
             f"column 'region_id' must name a region 0..{len(regions) - 1} on reuse "
             "and seed rows and hold -1 on the others"
         )
-    x = _column(cols["x"], "x", dtype=float)
-    n_var = prob.H.shape[0]
-    if n == 0:  # no row gives the width
-        x = x.reshape(0, n_var)
-    if x.shape != (n, n_var):
-        raise SchemaError(f"column 'x' needs {n_var} entries in every row")
-    objectives = _column(cols["objective"], "objective", dtype=float)
-    if objectives.shape != (n,):
-        raise SchemaError("column 'objective' needs one number or null per row")
+    region_id = region_id.astype(np.int64)
+    rows = dict(zip(STATUSES, np.bincount(status, minlength=len(STATUSES))))
+    rows.update(zip(REASONS, np.bincount(reason, minlength=len(REASONS))))
+    # identities run_batch keeps: every row but a reuse row is solved directly
+    exact = {
+        "qp_solves": n - rows[REUSE],
+        "regions_built": len(regions),
+        "reuse": rows[REUSE],
+        "seeds": rows[REASON_SEED],
+        "degenerate": rows[DEGENERATE],
+        "stragglers": rows[REASON_BUDGET],
+        "infeasible": rows[INFEASIBLE],
+        "failed": rows[FAILED],
+    }
+    for name, count in exact.items():
+        if getattr(counters, name) != count:
+            raise SchemaError(
+                f"counter {name!r} is {getattr(counters, name)} but the columns give {count}"
+            )
+    served = np.bincount(region_id[reuse], minlength=len(regions))
+    for rg in regions:
+        if rg.served != served[rg.region_id]:
+            raise SchemaError(
+                f"region {rg.region_id} counts {rg.served} served rows but the columns "
+                f"give {served[rg.region_id]}"
+            )
+        i = rg.seed_index
+        if not (0 <= i < n and seed[i] and region_id[i] == rg.region_id):
+            raise SchemaError(
+                f"region {rg.region_id} names seed index {i}, not one of its seed rows"
+            )
+    x = _float_column(cols["x"], "x", (n, prob.H.shape[0]))
+    objectives = _float_column(cols["objective"], "objective", (n,))
 
     options = EngineOptions(**opts_raw)
     try:
@@ -527,7 +579,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         objectives=objectives,
         status=status,
         reason=reason,
-        region_id=region_id.astype(np.int64),
+        region_id=region_id,
         regions=regions,
         direct_signatures=direct_signatures,
         counters=counters,
@@ -537,6 +589,9 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     bad = np.flatnonzero(solved & ~(np.isfinite(x).all(axis=1) & np.isfinite(objectives)))
     if bad.size:
         raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
+    bad = np.flatnonzero(~solved & ~(np.isnan(x).all(axis=1) & np.isnan(objectives)))
+    if bad.size:
+        raise SchemaError(f"row {bad[0]} is not solved but carries a solution")
     # a solved row is certified (reuse) or a direct solve's optimum, so it
     # lies within the looser of the two primal tolerances
     solved = np.flatnonzero(solved)

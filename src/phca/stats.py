@@ -92,11 +92,13 @@ def violation_bound_gap(result: BatchResult) -> np.ndarray:
 def recover_ratios(result: BatchResult, feeder: FeederModel) -> dict[str, np.ndarray]:
     """Implied tap ratio v_out / v_in per remote regulator, per instance."""
     prob = result.problem
-    volts = voltage_matrix(result)
+    volts = None  # formed only once a remote regulator needs it
     out = {}
     for k, rg in enumerate(feeder.regulators):
         if rg.kind != REMOTE:
             continue
+        if volts is None:
+            volts = voltage_matrix(result)
         ref = f"{feeder.ext_ids[rg.m]}-{feeder.ext_ids[rg.n]}"
         v_out = result.x[:, prob.vreg_indices[k]]
         v_in = result.x[:, prob.v0_index] if rg.m == 0 else volts[:, rg.m - 1]

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,22 @@ from phca import (
     scale_problem,
 )
 from phca.builder import BuilderConfig
+
+
+def float_columns(payload):
+    """x (n x n_var) and the objectives of a parsed results file, as writable arrays."""
+    cols = payload["columns"]
+    x, objective = (
+        np.frombuffer(base64.b64decode(cols[name]), dtype="<f8").astype(float)
+        for name in ("x", "objective")
+    )
+    return x.reshape(len(cols["status"]), -1), objective
+
+
+def set_float_columns(payload, x, objective):
+    """Write x and the objectives back into a parsed results file."""
+    for name, values in (("x", x), ("objective", objective)):
+        payload["columns"][name] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
 
 
 def random_radial_case(n_bus, n_inverters, days, seed, impedance=4.0):

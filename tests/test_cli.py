@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import float_columns, set_float_columns
 
 import phca.cli as cli_mod
 from phca.cli import main
@@ -168,7 +169,9 @@ def test_corrupted_results_fail_validation(case, capsys, tmp_path):
         assert main(["run", *base_args(case), "--out", str(orig)]) == 0
         capsys.readouterr()
     payload = json.loads(orig.read_text())
-    payload["columns"]["x"][4][-1] += 0.5
+    x, objective = float_columns(payload)
+    x[4, -1] += 0.5
+    set_float_columns(payload, x, objective)
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(payload))
     code = main(["stats", *base_args(case), "--results", str(bad)])
@@ -208,11 +211,14 @@ def _no_index(payload):
 
 def _nan_solution(payload):
     assert payload["columns"]["status"][3] in ("reuse", "direct")
-    payload["columns"]["x"][3][0] = float("nan")
+    x, objective = float_columns(payload)
+    x[3, 0] = np.nan
+    set_float_columns(payload, x, objective)
 
 
 def _short_column(payload):
-    payload["columns"]["objective"].pop()
+    x, objective = float_columns(payload)
+    set_float_columns(payload, x, objective[:-1])
 
 
 def _unknown_status(payload):
@@ -232,7 +238,9 @@ def _infeasible_solution(payload):
     # the first variable is a reactive setpoint, capped by the inverter's
     # headroom far below 0.5
     assert payload["columns"]["status"][4] in ("reuse", "direct")
-    payload["columns"]["x"][4][0] += 0.5
+    x, objective = float_columns(payload)
+    x[4, 0] += 0.5
+    set_float_columns(payload, x, objective)
 
 
 def _removed_option(payload):
@@ -271,13 +279,82 @@ def _negative_instance_count(payload):
     payload["counters"]["n_instances"] = -5
 
 
+def _non_string_column(payload):
+    payload["columns"]["objective"] = 1.5
+
+
+def _bad_base64(payload):
+    # a lenient decoder would skip the stray character and load the file
+    payload["columns"]["x"] = "!" + payload["columns"]["x"]
+
+
+def _wrong_byte_count(payload):
+    x, objective = float_columns(payload)
+    set_float_columns(payload, x[:, :-1], objective)
+
+
+def _inf_in_solved_row(payload):
+    assert payload["columns"]["status"][3] in ("reuse", "direct")
+    x, objective = float_columns(payload)
+    x[3, 0] = np.inf
+    set_float_columns(payload, x, objective)
+
+
+def _number_in_unsolved_row(payload):
+    # turn reuse row 5 into an infeasible row, counters and region table
+    # included, but leave its solution in place
+    cols, counters = payload["columns"], payload["counters"]
+    assert cols["status"][5] == "reuse"
+    payload["regions"][cols["region_id"][5]]["served"] -= 1
+    cols["status"][5], cols["region_id"][5] = "infeasible", -1
+    counters["reuse"] -= 1
+    counters["qp_solves"] += 1
+    counters["infeasible"] += 1
+
+
+def _list_format_x(payload):
+    x, _ = float_columns(payload)
+    payload["columns"]["x"] = x.tolist()
+
+
+def _counters_off(payload):
+    payload["counters"].update(qp_solves=999, reuse=0)
+
+
+def _region_table_off(payload):
+    payload["regions"][0].update(served=-3, seed_index=1000000)
+
+
+def _seed_index_off(payload):
+    # a reuse row of region 0 is not its seed
+    cols = payload["columns"]
+    payload["regions"][0]["seed_index"] = next(
+        i for i, (st, rid) in enumerate(zip(cols["status"], cols["region_id"]))
+        if st == "reuse" and rid == 0
+    )
+
+
+#: the error each new case must hit, not merely some SchemaError
+MESSAGES = {
+    _non_string_column: "column 'objective' must be a base64 string",
+    _bad_base64: "column 'x' is not valid base64",
+    _wrong_byte_count: "column 'x' holds",
+    _inf_in_solved_row: "row 3 is solved but its solution is not finite",
+    _number_in_unsolved_row: "row 5 is not solved but carries a solution",
+    _list_format_x: "rerun phca run",
+    _counters_off: "counter 'qp_solves' is 999",
+    _region_table_off: "region 0 counts -3 served rows",
+    _seed_index_off: "not one of its seed rows",
+}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_unknown_counter, _no_status, _no_index, _nan_solution,
      _short_column, _unknown_status, _region_out_of_range, _reuse_without_region,
      _infeasible_solution, _removed_option, _bad_option_values, _bool_seed,
      _text_counter, _negative_counter, _null_counter, _bool_counter,
-     _wrong_instance_count, _negative_instance_count],
+     _wrong_instance_count, _negative_instance_count, *MESSAGES],
 )
 def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     orig = case / "results.json"
@@ -292,6 +369,7 @@ def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("phca: error: SchemaError")
+    assert MESSAGES.get(corrupt, "") in captured.err
     assert len(captured.err.splitlines()) == 1
 
 
@@ -307,8 +385,8 @@ def test_sequential_and_budget_flags(case, capsys):
     assert payload["options"]["solve_budget"] == 2
     # same answers as the seeded, unbudgeted run
     ref = json.loads((case / "results.json").read_text())
-    xa = np.array(payload["columns"]["x"], dtype=float)
-    xb = np.array(ref["columns"]["x"], dtype=float)
+    xa, _ = float_columns(payload)
+    xb, _ = float_columns(ref)
     assert np.max(np.abs(xa - xb)) < 1e-8
 
 

@@ -1,10 +1,11 @@
 """Batch driver: reuse correctness, dispatch bookkeeping, serialization."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from conftest import float_columns
 
 import phca.engine as engine_mod
 from phca import (
@@ -216,20 +217,53 @@ def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monk
     assert back.to_json() == text
 
 
-def test_json_is_strict(scaled_demo_problem, small_theta_set):
+def _infeasible_rows(res, prob):
     # the second grid cell of test_group_stats_empty_cell cannot solve
-    thetas = small_theta_set.thetas[:6].copy()
-    thetas[3:, scaled_demo_problem.headroom_slice()] = -1.0
-    res = run_batch(scaled_demo_problem, thetas)
-    assert res.counters.infeasible == 3
+    thetas = res.thetas[:6].copy()
+    thetas[3:, prob.headroom_slice()] = -1.0
+    out = run_batch(prob, thetas)
+    assert out.counters.infeasible == 3
+    return out
+
+
+def test_json_is_strict(batch, scaled_demo_problem):
+    res = _infeasible_rows(batch, scaled_demo_problem)
 
     def refuse(token):
         raise ValueError(f"{token} is not a JSON value")
 
     payload = json.loads(res.to_json(), parse_constant=refuse)
-    assert payload["columns"]["x"][3:] == [[None] * scaled_demo_problem.n_var] * 3
-    assert payload["columns"]["objective"][3:] == [None] * 3
-    assert None not in payload["columns"]["objective"][:3]
+    x, objective = float_columns(payload)
+    assert x.shape == (6, scaled_demo_problem.n_var)
+    assert np.isnan(x[3:]).all() and np.isnan(objective[3:]).all()
+    assert np.isfinite(x[:3]).all() and np.isfinite(objective[:3]).all()
+
+
+def _negative_zeros(res, prob):
+    # the slack sits at rounding level on these rows; -0.0 keeps them feasible
+    x = res.x.copy()
+    tiny = np.abs(x[:, prob.slack_index]) < 1e-15
+    assert tiny.any()
+    x[tiny, prob.slack_index] = -0.0
+    return replace(res, x=x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda res, prob: res, _infeasible_rows, _negative_zeros,
+     lambda res, prob: run_batch(prob, res.thetas[:0])],
+    ids=["demo", "infeasible", "negative-zero", "empty"],
+)
+def test_float_columns_roundtrip_bit_for_bit(batch, scaled_demo_problem, make):
+    res = make(batch, scaled_demo_problem)
+    text = res.to_json()
+    back = load_result_json(text, scaled_demo_problem, res.thetas)
+    for got, want in ((back.x, res.x), (back.objectives, res.objectives)):
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert back.to_json() == text
 
 
 def test_json_roundtrip_rejects_mismatches(batch, scaled_demo_problem, demo_feeder):

@@ -1,10 +1,12 @@
 """Violation statistics: slack, voltages, soft-row residuals, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import phca.stats as stats_mod
 from phca import ETA_FLOOR, run_batch
 from phca.errors import EmptyGroupError
 from phca.scenarios import ThetaSet
@@ -98,6 +100,14 @@ def test_recover_ratios(batch, demo_feeder):
     manual = batch.x[:, 3] / volts[:, 2]
     assert arr == pytest.approx(manual)
     assert np.all((arr >= 0.9 - 1e-9) & (arr <= 1.1 + 1e-9))
+
+
+def test_recover_ratios_without_remote_regulator_skips_voltages(batch, demo_feeder, monkeypatch):
+    def refuse(result):
+        raise AssertionError("voltage matrix formed with no remote regulator")
+
+    monkeypatch.setattr(stats_mod, "voltage_matrix", refuse)
+    assert recover_ratios(batch, replace(demo_feeder, regulators=())) == {}
 
 
 def test_group_stats_match_numpy(batch, small_theta_set):
