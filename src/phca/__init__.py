@@ -30,7 +30,6 @@ from .engine import (
     BatchResult,
     EngineOptions,
     InstanceRecord,
-    RegionRecord,
     load_result_json,
     run_batch,
     validate_batch,

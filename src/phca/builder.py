@@ -239,18 +239,32 @@ class MpqpProblem:
 
     # ---- instances --------------------------------------------------------
 
+    def right_hand_sides(
+        self, thetas: np.ndarray, rows: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """Stacked right-hand sides as the QP sees them: E theta + b of the
+        inequality rows picked by rows (every one by default), followed by
+        F theta + f of every equality row."""
+        E, b = self.E[rows], self.b[rows]
+        m = b.size
+        rhs = np.empty((thetas.shape[0], m + self.f.size))
+        np.matmul(thetas, E.T, out=rhs[:, :m])
+        np.matmul(thetas, self.F.T, out=rhs[:, m:])
+        rhs += np.concatenate([b, self.f])
+        return rhs
+
+    def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked parameter rows as the QP sees them: the costs
+        c = C theta + d and the right-hand sides of every row."""
+        return thetas @ self.C.T + self.d, self.right_hand_sides(thetas)
+
     def instance(self, theta: np.ndarray) -> QpInstance:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_theta,):
             raise DimensionError(f"theta must have shape ({self.n_theta},), got {theta.shape}")
-        return QpInstance(
-            self.H,
-            self.C @ theta + self.d,
-            self.A,
-            self.E @ theta + self.b,
-            self.B,
-            self.F @ theta + self.f,
-        )
+        (c,), (rhs,) = self.instance_data(theta[None])
+        m = self.A.shape[0]
+        return QpInstance(self.H, c, self.A, rhs[:m], self.B, rhs[m:])
 
     def reduced_instance(self, theta: np.ndarray) -> tuple[QpInstance, np.ndarray]:
         """The same instance without the slack machinery.
@@ -262,18 +276,18 @@ class MpqpProblem:
         """
         if self.slack_index is None:
             raise ModelError("problem has no slack variable to remove")
-        theta = np.asarray(theta, dtype=float)
+        full = self.instance(theta)
         keep_vars = np.array([i for i in range(self.n_var) if i != self.slack_index])
         keep_rows = np.array(
             [i for i, lab in enumerate(self.row_labels) if lab.family != SLACK_NONNEG]
         )
         inst = QpInstance(
             self.H[np.ix_(keep_vars, keep_vars)],
-            (self.C @ theta + self.d)[keep_vars],
+            full.c[keep_vars],
             self.A[np.ix_(keep_rows, keep_vars)],
-            (self.E @ theta + self.b)[keep_rows],
+            full.b[keep_rows],
             self.B[:, keep_vars],
-            self.F @ theta + self.f,
+            full.beq,
         )
         soft = np.flatnonzero([self.row_labels[i].soft for i in keep_rows])
         return inst, soft
@@ -304,7 +318,7 @@ class MpqpProblem:
 
     def objective(self, x: np.ndarray, theta: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.H @ x + (self.C @ theta + self.d) @ x)
+        return float(0.5 * x @ self.H @ x + self.instance(theta).c @ x)
 
 
 def _freeze(*arrays):

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .builder import MpqpProblem, ScalingRecord, scale_problem
+from .builder import MpqpProblem, scale_problem
 from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError, SchemaError
 from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
@@ -115,47 +115,41 @@ class InstanceRecord:
     signature: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class RegionRecord:
-    """Census row for one region that was built and swept."""
-
-    region_id: int
-    signature: tuple[int, ...]
-    seed_index: int
-    served: int
-
-
 @dataclass
 class BatchCounters:
-    n_instances: int = 0
-    qp_solves: int = 0
-    regions_built: int = 0
-    reuse: int = 0
-    seeds: int = 0
-    screened_out: int = 0
-    degenerate: int = 0
-    stragglers: int = 0
-    infeasible: int = 0
-    failed: int = 0
+    """Tallies of a batch; BatchResult.counters counts them off the columns."""
+
+    n_instances: int
+    qp_solves: int
+    regions_built: int
+    reuse: int
+    seeds: int
+    screened_out: int
+    degenerate: int
+    stragglers: int
+    infeasible: int
+    failed: int
 
 
 @dataclass
 class BatchResult:
     """Everything a batch run produced, one column entry per instance.
 
-    problem is the scaled problem the engine actually ran; x rows and the
-    objectives are in original units (scaling leaves the minimizer alone
-    and multiplies the cost by a known constant), NaN where nothing was
-    solved.  status and reason index STATUSES and REASONS; region_id
-    indexes regions, -1 meaning no region.  An instance's active set
-    ("signature") is its region's; the direct rows without a region that
-    have one (degenerate and budget rows) keep it in direct_signatures,
-    keyed by instance index.  wall_time_s is for humans and is
-    deliberately left out of the serialized form.
+    problem is the scaled problem the engine actually ran, its scaling
+    included; x rows and the objectives are in original units (scaling
+    leaves the minimizer alone and multiplies the cost by a known
+    constant), NaN where nothing was solved.  status and reason index
+    STATUSES and REASONS; region_id indexes regions, -1 meaning no region.
+    regions holds each region's signature (its active rows) in id order,
+    and an instance's active set is its region's; the direct rows without
+    a region that have one (degenerate and budget rows) keep it in
+    direct_signatures, keyed by instance index.  screened_out counts the
+    swept rows a region did not serve, the one tally the columns cannot
+    give.  wall_time_s is for humans and is deliberately left out of the
+    serialized form.
     """
 
     problem: MpqpProblem
-    scaling: ScalingRecord
     options: EngineOptions
     thetas: np.ndarray
     x: np.ndarray
@@ -163,9 +157,9 @@ class BatchResult:
     status: np.ndarray
     reason: np.ndarray
     region_id: np.ndarray
-    regions: tuple[RegionRecord, ...]
+    regions: tuple[tuple[int, ...], ...]
     direct_signatures: dict[int, tuple[int, ...]]
-    counters: BatchCounters
+    screened_out: int
     wall_time_s: float = field(default=0.0, compare=False)
 
     def record_for(self, index: int) -> InstanceRecord:
@@ -175,8 +169,7 @@ class BatchResult:
             status=STATUSES[self.status[index]],
             reason=REASONS[self.reason[index]],
             region_id=None if rid < 0 else rid,
-            signature=self.regions[rid].signature if rid >= 0
-            else self.direct_signatures.get(index),
+            signature=self.regions[rid] if rid >= 0 else self.direct_signatures.get(index),
         )
 
     @property
@@ -184,16 +177,27 @@ class BatchResult:
         """Per-instance view of the columns, built on each access."""
         return tuple(self.record_for(i) for i in range(self.status.size))
 
+    @property
+    def counters(self) -> BatchCounters:
+        """The batch's tallies, counted off the columns on each access."""
+        n = self.status.size
+        rows = dict(zip(STATUSES, np.bincount(self.status, minlength=len(STATUSES)).tolist()))
+        rows.update(zip(REASONS, np.bincount(self.reason, minlength=len(REASONS)).tolist()))
+        return BatchCounters(
+            n_instances=n,
+            qp_solves=n - rows[REUSE],  # every row but a reuse row is solved directly
+            regions_built=len(self.regions),
+            reuse=rows[REUSE],
+            seeds=rows[REASON_SEED],
+            screened_out=self.screened_out,
+            degenerate=rows[DEGENERATE],
+            stragglers=rows[REASON_BUDGET],
+            infeasible=rows[INFEASIBLE],
+            failed=rows[FAILED],
+        )
+
     def solved_mask(self) -> np.ndarray:
         return self.status < len(SOLVED)
-
-    def summary(self) -> dict:
-        return {
-            "counters": asdict(self.counters),
-            "options": asdict(self.options),
-            "scaling": asdict(self.scaling),
-            "regions": [asdict(rg) for rg in self.regions],
-        }
 
     def to_json(self) -> str:
         """Deterministic strict JSON of the columns; excludes wall-clock time.
@@ -202,17 +206,22 @@ class BatchResult:
         their little-endian float64 bytes, every non-finite entry as the
         canonical NaN.
         """
-        payload = self.summary()
-        payload["direct_signatures"] = [
-            {"index": i, "signature": list(sig)}
-            for i, sig in sorted(self.direct_signatures.items())
-        ]
-        payload["columns"] = {
-            "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
-            "reason": np.asarray(REASONS, dtype=object)[self.reason].tolist(),
-            "region_id": self.region_id.tolist(),
-            "objective": _float64_text(self.objectives),
-            "x": _float64_text(self.x),
+        payload = {
+            "columns": {
+                "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
+                "reason": np.asarray(REASONS, dtype=object)[self.reason].tolist(),
+                "region_id": self.region_id.tolist(),
+                "objective": _float64_text(self.objectives),
+                "x": _float64_text(self.x),
+            },
+            "direct_signatures": [
+                {"index": i, "signature": list(sig)}
+                for i, sig in sorted(self.direct_signatures.items())
+            ],
+            "options": asdict(self.options),
+            "regions": [list(sig) for sig in self.regions],
+            "scaling": asdict(self.problem.scaling),
+            "screened_out": self.screened_out,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -239,9 +248,9 @@ def run_batch(
     """Dispatch a whole parameter batch.
 
     Accepts the problem scaled or unscaled; an unscaled problem is scaled
-    here and the record kept for reporting.  Raises AbortError only when
-    direct solves keep failing numerically, which points at a broken
-    problem rather than hard instances.
+    here, and the result's problem carries the scaling.  Raises AbortError
+    only when direct solves keep failing numerically, which points at a
+    broken problem rather than hard instances.
     """
     options = options or EngineOptions()
     options.validate()
@@ -250,15 +259,11 @@ def run_batch(
         raise DimensionError(
             f"thetas must have shape (n, {prob.n_theta}), got {thetas.shape}"
         )
-    if prob.scaling is None:
-        scaled, scaling = scale_problem(prob)
-    else:
-        scaled, scaling = prob, prob.scaling
+    scaled = prob if prob.scaling is not None else scale_problem(prob)[0]
 
     n = thetas.shape[0]
     t0 = time.perf_counter()
     ctx = RegionContext(scaled)
-    counters = BatchCounters(n_instances=n)
     c, xu, rhs = ctx.instance_data(thetas)
 
     if options.seed is None:
@@ -272,7 +277,8 @@ def run_batch(
     reason = np.zeros(n, dtype=np.int8)
     region_id = np.full(n, -1, dtype=np.int64)
     direct_signatures: dict[int, tuple[int, ...]] = {}
-    census: list[RegionRecord] = []
+    regions: list[tuple[int, ...]] = []
+    failures = screened_out = 0
     budget_left = options.solve_budget
 
     def mark(idx, st, why=None, rid=-1):
@@ -280,39 +286,30 @@ def run_batch(
         reason[idx] = REASONS.index(why)
         region_id[idx] = rid
 
-    def classify_failure(i, sol):
-        if sol.status == QP_INFEASIBLE:
-            counters.infeasible += 1
-            mark(i, INFEASIBLE)
-        else:
-            counters.failed += 1
-            mark(i, FAILED)
-            if counters.failed > MAX_FAILURES:
-                raise AbortError(
-                    f"{counters.failed} direct solves failed numerically; "
-                    "aborting the batch"
-                )
-
     def degenerate(i, sol, why, signature):
         logger.debug("instance %d: degenerate-direct (%s)", i, why)
         x[i] = sol.x
         mark(i, DEGENERATE, why)
         direct_signatures[i] = signature
-        counters.degenerate += 1
 
     for i in order:
         i = int(i)
         if solved[i]:
             continue
         solved[i] = True
-        counters.qp_solves += 1
         inst = scaled.instance(thetas[i])
         sol = solve_qp(inst)
         budget_spent = budget_left == 0
         if budget_left:
             budget_left -= 1
+        if sol.status == QP_INFEASIBLE:
+            mark(i, INFEASIBLE)
+            continue
         if sol.status != QP_OPTIMAL:
-            classify_failure(i, sol)
+            mark(i, FAILED)
+            failures += 1
+            if failures > MAX_FAILURES:
+                raise AbortError(f"{failures} direct solves failed numerically; aborting the batch")
             continue
 
         if budget_spent:
@@ -320,7 +317,6 @@ def run_batch(
             x[i] = sol.x
             mark(i, DIRECT, REASON_BUDGET)
             direct_signatures[i] = sig
-            counters.stragglers += 1
             continue
 
         active = _positive_multipliers(sol)
@@ -341,24 +337,14 @@ def run_batch(
             blk = rem[start : start + SWEEP_BLOCK]
             served[start : start + SWEEP_BLOCK] = region.batch_membership(xu[blk], rhs[blk])
         keep = rem[served]
-        rid = len(census)
-        counters.screened_out += rem.size - keep.size
+        rid = len(regions)
+        screened_out += rem.size - keep.size
         x[keep] = region.batch_solutions(xu[keep], rhs[keep])
         x[i] = sol.x
         mark(keep, REUSE, rid=rid)
         mark(i, DIRECT, REASON_SEED, rid)
         solved[keep] = True
-        counters.seeds += 1
-        counters.reuse += len(keep)
-        counters.regions_built += 1
-        census.append(
-            RegionRecord(
-                region_id=rid,
-                signature=region.signature,
-                seed_index=i,
-                served=len(keep),
-            )
-        )
+        regions.append(region.signature)
         logger.debug(
             "region %d: %d active rows, %d swept, %d served",
             rid, len(signature), rem.size, keep.size,
@@ -372,11 +358,10 @@ def run_batch(
         obj_scaled = 0.5 * np.einsum("ij,jk,ik->i", Xok, scaled.H, Xok) + np.einsum(
             "ij,ij->i", c[ok], Xok
         )
-        objectives[ok] = obj_scaled * scaling.cost_scale
+        objectives[ok] = obj_scaled * scaled.scaling.cost_scale
 
     return BatchResult(
         problem=scaled,
-        scaling=scaling,
         options=options,
         thetas=thetas,
         x=x,
@@ -384,16 +369,16 @@ def run_batch(
         status=status,
         reason=reason,
         region_id=region_id,
-        regions=tuple(census),
+        regions=tuple(regions),
         direct_signatures=direct_signatures,
-        counters=counters,
+        screened_out=screened_out,
         wall_time_s=time.perf_counter() - t0,
     )
 
 
 #: top-level keys of a results file, the columns under "columns", and
 #: which of those are lists (the others are base64 float64 strings)
-RESULT_KEYS = ("columns", "counters", "direct_signatures", "options", "regions", "scaling")
+RESULT_KEYS = ("columns", "direct_signatures", "options", "regions", "scaling", "screened_out")
 COLUMNS = ("objective", "reason", "region_id", "status", "x")
 LIST_COLUMNS = ("reason", "region_id", "status")
 
@@ -434,6 +419,17 @@ def _codes(values, names: tuple, column: str) -> np.ndarray:
     return codes
 
 
+def _signature(value, n_rows: int, what: str) -> tuple[int, ...]:
+    """A stored active set: a strictly increasing list of inequality rows."""
+    # bracketed by -1 and n_rows, every neighbouring pair must increase
+    if not (isinstance(value, list) and all(_is_int(v) for v in value)
+            and all(a < b for a, b in zip([-1, *value], [*value, n_rows]))):
+        raise SchemaError(
+            f"{what} must be a strictly increasing list of row indices in 0..{n_rows - 1}"
+        )
+    return tuple(value)
+
+
 def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchResult:
     """Rebuild a BatchResult from a results file written by to_json.
 
@@ -441,16 +437,17 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     original input files; this checks they line up with the stored run
     (instance count, variable count, scaling) and that the file is well
     formed before rehydrating: exactly the known top-level keys and
-    columns, known counter and option keys, non-negative integer counters
-    with n_instances the instance count, valid option values (as
-    EngineOptions.validate checks them), every list column one entry per
-    instance and x and the objectives base64 strings of exactly n x n_var
-    and n float64 values, known status and reason names, region ids naming
-    a stored region on exactly the reuse and seed rows, well-formed region
-    and direct-signature tables, each region's served count its reuse rows
-    and its seed index a seed row of its own, every counter the columns fix
-    equal to their count, finite, primally feasible solutions and finite
-    objectives on solved rows, and NaN everywhere on the other rows.
+    columns, known option keys with valid values (as
+    EngineOptions.validate checks them), screened_out a non-negative
+    integer, every list column one entry per instance and x and the
+    objectives base64 strings of exactly n x n_var and n float64 values,
+    known status and reason names, region ids naming a stored region on
+    exactly the reuse and seed rows, each region with exactly one seed
+    row, every signature a strictly increasing list of inequality rows,
+    direct signatures on exactly the degenerate and budget rows, finite,
+    primally feasible solutions and finite objectives on solved rows, and
+    NaN everywhere on the other rows.  The counters are counted off the
+    columns, so nothing stored can disagree with them.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -459,32 +456,33 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     except json.JSONDecodeError as exc:
         raise SchemaError(f"results file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or sorted(payload) != list(RESULT_KEYS):
-        raise SchemaError(f"results file needs exactly the keys {', '.join(RESULT_KEYS)}")
+        raise SchemaError(
+            f"results file needs exactly the keys {', '.join(RESULT_KEYS)}; "
+            "rerun phca run to rewrite a file from an earlier version"
+        )
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.shape[0]
+    n_rows = prob.A.shape[0]
     stored = payload["scaling"]
     cost_scale = stored.get("cost_scale") if isinstance(stored, dict) else None
     if not isinstance(cost_scale, (int, float)) or not abs(
         cost_scale - prob.scaling.cost_scale
     ) <= 1e-9 * max(1.0, prob.scaling.cost_scale):
         raise SchemaError("results were produced from a different problem (scaling differs)")
-    counters_raw = payload["counters"]
     opts_raw = payload["options"]
-    for name, block, cls in (
-        ("counter", counters_raw, BatchCounters),
-        ("engine option", opts_raw, EngineOptions),
-    ):
-        if not isinstance(block, dict):
-            raise SchemaError(f"results file has a malformed {name} block")
-        unknown = sorted(set(block) - {f.name for f in fields(cls)})
-        if unknown:
-            raise SchemaError(f"results file has unknown {name} {unknown[0]!r}")
-    bad = sorted(k for k, v in counters_raw.items() if not (_is_int(v) and v >= 0))
-    if bad:
-        raise SchemaError(f"counter {bad[0]!r} must be a non-negative integer")
-    counters = BatchCounters(**counters_raw)
-    if counters.n_instances != n:
-        raise SchemaError(f"counter 'n_instances' must be the {n} instances the inputs expand to")
+    if not isinstance(opts_raw, dict):
+        raise SchemaError("results file has a malformed engine option block")
+    unknown = sorted(set(opts_raw) - {f.name for f in fields(EngineOptions)})
+    if unknown:
+        raise SchemaError(f"results file has unknown engine option {unknown[0]!r}")
+    options = EngineOptions(**opts_raw)
+    try:
+        options.validate()
+    except ConfigError as exc:
+        raise SchemaError(f"results file has a bad engine option: {exc}") from None
+    screened_out = payload["screened_out"]
+    if not (_is_int(screened_out) and screened_out >= 0):
+        raise SchemaError("'screened_out' must be a non-negative integer")
 
     cols = payload["columns"]
     if not isinstance(cols, dict) or sorted(cols) != list(COLUMNS):
@@ -495,31 +493,14 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
                 f"column {name!r} does not hold one entry for each of the {n} "
                 "instances the inputs expand to"
             )
-    try:
-        regions = tuple(
-            RegionRecord(
-                region_id=int(rg["region_id"]),
-                signature=tuple(int(v) for v in rg["signature"]),
-                seed_index=int(rg["seed_index"]),
-                served=int(rg["served"]),
-            )
-            for rg in payload["regions"]
-        )
-        direct_raw = payload["direct_signatures"]
-        direct_signatures = {
-            int(e["index"]): tuple(int(v) for v in e["signature"]) for e in direct_raw
-        }
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError("results file has a malformed region or signature table") from None
-    if [rg.region_id for rg in regions] != list(range(len(regions))):
-        raise SchemaError("region ids must run 0, 1, ... in table order")
-    if len(direct_signatures) != len(direct_raw) or not all(
-        0 <= i < n for i in direct_signatures
-    ):
-        raise SchemaError(f"direct signature indices must lie in 0..{n - 1}, each once")
-
     status = _codes(cols["status"], STATUSES, "status")
     reason = _codes(cols["reason"], REASONS, "reason")
+    if not isinstance(payload["regions"], list):
+        raise SchemaError("results file has a malformed region table")
+    regions = tuple(
+        _signature(sig, n_rows, f"region {k}'s signature")
+        for k, sig in enumerate(payload["regions"])
+    )
     region_id = _column(cols["region_id"], "region_id")
     reuse = status == STATUSES.index(REUSE)
     seed = reason == REASONS.index(REASON_SEED)
@@ -531,48 +512,30 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
             "and seed rows and hold -1 on the others"
         )
     region_id = region_id.astype(np.int64)
-    rows = dict(zip(STATUSES, np.bincount(status, minlength=len(STATUSES))))
-    rows.update(zip(REASONS, np.bincount(reason, minlength=len(REASONS))))
-    # identities run_batch keeps: every row but a reuse row is solved directly
-    exact = {
-        "qp_solves": n - rows[REUSE],
-        "regions_built": len(regions),
-        "reuse": rows[REUSE],
-        "seeds": rows[REASON_SEED],
-        "degenerate": rows[DEGENERATE],
-        "stragglers": rows[REASON_BUDGET],
-        "infeasible": rows[INFEASIBLE],
-        "failed": rows[FAILED],
+    seeds = np.bincount(region_id[seed], minlength=len(regions))
+    bad = np.flatnonzero(seeds != 1)
+    if bad.size:
+        raise SchemaError(f"region {bad[0]} has {seeds[bad[0]]} seed rows, not one")
+    try:
+        direct = [(e["index"], e["signature"]) for e in payload["direct_signatures"]]
+    except (KeyError, TypeError):
+        raise SchemaError("results file has a malformed direct-signature table") from None
+    owners = (status == STATUSES.index(DEGENERATE)) | (reason == REASONS.index(REASON_BUDGET))
+    if [i for i, _ in direct] != np.flatnonzero(owners).tolist() or not all(
+        _is_int(i) for i, _ in direct
+    ):
+        raise SchemaError(
+            "direct_signatures must list the degenerate and budget-exhausted rows, "
+            "each once, in index order"
+        )
+    direct_signatures = {
+        i: _signature(sig, n_rows, f"the direct signature of row {i}") for i, sig in direct
     }
-    for name, count in exact.items():
-        if getattr(counters, name) != count:
-            raise SchemaError(
-                f"counter {name!r} is {getattr(counters, name)} but the columns give {count}"
-            )
-    served = np.bincount(region_id[reuse], minlength=len(regions))
-    for rg in regions:
-        if rg.served != served[rg.region_id]:
-            raise SchemaError(
-                f"region {rg.region_id} counts {rg.served} served rows but the columns "
-                f"give {served[rg.region_id]}"
-            )
-        i = rg.seed_index
-        if not (0 <= i < n and seed[i] and region_id[i] == rg.region_id):
-            raise SchemaError(
-                f"region {rg.region_id} names seed index {i}, not one of its seed rows"
-            )
     x = _float_column(cols["x"], "x", (n, prob.H.shape[0]))
     objectives = _float_column(cols["objective"], "objective", (n,))
 
-    options = EngineOptions(**opts_raw)
-    try:
-        options.validate()
-    except ConfigError as exc:
-        raise SchemaError(f"results file has a bad engine option: {exc}") from None
-
     result = BatchResult(
         problem=prob,
-        scaling=prob.scaling,
         options=options,
         thetas=thetas,
         x=x,
@@ -582,7 +545,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         region_id=region_id,
         regions=regions,
         direct_signatures=direct_signatures,
-        counters=counters,
+        screened_out=screened_out,
         wall_time_s=0.0,
     )
     solved = result.solved_mask()
@@ -593,13 +556,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     if bad.size:
         raise SchemaError(f"row {bad[0]} is not solved but carries a solution")
     # a solved row is certified (reuse) or a direct solve's optimum, so it
-    # lies within the looser of the two primal tolerances
-    solved = np.flatnonzero(solved)
-    rhs = thetas[solved] @ prob.E.T + prob.b
-    excess = (x[solved] @ prob.A.T - rhs).max(axis=1, initial=-np.inf) - np.maximum(
+    # lies within the looser of the two primal tolerances; the unsolved
+    # rows are NaN and compare false
+    rhs = prob.right_hand_sides(thetas)[:, :n_rows]
+    excess = (x @ prob.A.T - rhs).max(axis=1, initial=-np.inf) - np.maximum(
         SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
     )
-    bad = solved[excess > 0]
+    bad = np.flatnonzero(excess > 0)
     if bad.size:
         raise SchemaError(f"row {bad[0]} is solved but its solution is infeasible")
     return result
@@ -634,7 +597,7 @@ def validate_batch(
         indices = np.flatnonzero(result.solved_mask())
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     prob = result.problem
-    h = result.scaling.cost_scale
+    h = prob.scaling.cost_scale
     max_dx = 0.0
     max_gap = 0.0
     bad = []

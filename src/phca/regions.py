@@ -102,12 +102,9 @@ class RegionContext:
         self.KHK = self.K @ self.HinvKT
 
     def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked parameter rows as the QP sees them: the costs
-        c = C theta + d, the unconstrained minimizers xu = -H^-1 c, and the
-        right-hand sides rhs of K's rows, [E theta + b, F theta + f]."""
-        prob = self.prob
-        c = thetas @ prob.C.T + prob.d
-        rhs = thetas @ np.vstack([prob.E, prob.F]).T + np.concatenate([prob.b, prob.f])
+        """MpqpProblem.instance_data's costs c and right-hand sides rhs, with
+        the unconstrained minimizers xu = -H^-1 c between them."""
+        c, rhs = self.prob.instance_data(thetas)
         return c, -cho_solve(self._cf, c.T).T, rhs
 
     def build_region(self, active_set) -> CriticalRegion:

@@ -12,7 +12,7 @@ problem is infeasible for practical purposes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,8 +72,8 @@ def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
     A0 = prob.A[soft].copy()
     if prob.slack_index is not None:
         A0[:, prob.slack_index] = 0.0
-    resid = result.x @ A0.T - result.thetas @ prob.E[soft].T - prob.b[soft]
-    return soft, resid * result.scaling.ineq_scale
+    rhs = prob.right_hand_sides(result.thetas, soft)[:, : soft.size]
+    return soft, (result.x @ A0.T - rhs) * prob.scaling.ineq_scale
 
 
 def violation_bound_gap(result: BatchResult) -> np.ndarray:
@@ -268,7 +268,7 @@ def json_report(
             }
         )
     payload = {
-        "counters": result.summary()["counters"],
+        "counters": asdict(result.counters),
         "quantiles": list(quantiles),
         "groups": groups,
     }

@@ -225,11 +225,11 @@ def test_multiplier_soundness(study, capsys):
     worst_stat = 0.0
     worst_slack = 0.0
     n_reuse = 0
-    for rg in res.regions:
-        rows = np.flatnonzero(reuse & (res.region_id == rg.region_id))
+    for rid, sig in enumerate(res.regions):
+        rows = np.flatnonzero(reuse & (res.region_id == rid))
         if not rows.size:
             continue
-        region = ctx.build_region(rg.signature)
+        region = ctx.build_region(sig)
         act = list(region.active_set)
         inact = np.setdiff1d(np.arange(n_rows), act)
         th = res.thetas[rows]

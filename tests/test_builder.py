@@ -245,6 +245,29 @@ def test_reduced_instance_drops_slack(demo_problem, rng):
     assert inst.b == pytest.approx(full.b[:36])
 
 
+def test_instance_data_matches_products(scaled_ldc_problem, small_theta_set):
+    # the ldc regulator's equality row sees the loads, so F is not zero
+    prob = scaled_ldc_problem
+    m, n_eq = prob.A.shape[0], prob.B.shape[0]
+    assert n_eq >= 1 and np.abs(prob.F).max() > 0
+    thetas = small_theta_set.thetas[::7]
+    soft = prob.soft_rows
+    c, rhs = prob.instance_data(thetas)
+    part = prob.right_hand_sides(thetas, soft)
+    assert c.shape == (len(thetas), prob.n_var) and rhs.shape == (len(thetas), m + n_eq)
+    assert part.shape == (len(thetas), soft.size + n_eq)
+    for k, th in enumerate(thetas):
+        inst = prob.instance(th)
+        for got, want in (
+            (c[k], prob.C @ th + prob.d),
+            (rhs[k, :m], prob.E @ th + prob.b),
+            (rhs[k, m:], prob.F @ th + prob.f),
+            (part[k], np.concatenate([prob.E[soft] @ th + prob.b[soft], prob.F @ th + prob.f])),
+            (np.concatenate([inst.c, inst.b, inst.beq]), np.concatenate([c[k], rhs[k]])),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
 def test_calibrate_eta(demo_problem, demo_scenarios):
     prob = demo_problem
     scen = demo_scenarios

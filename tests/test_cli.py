@@ -52,7 +52,7 @@ def test_run_writes_results_and_report(case, capsys):
     assert "run: instances=192 " in captured.err
     payload = json.loads(out.read_text())
     assert len(payload["columns"]["status"]) == 192
-    assert payload["counters"]["qp_solves"] < 20
+    assert len(payload["columns"]["status"]) - payload["columns"]["status"].count("reuse") < 20
     text = report.read_text()
     assert text.startswith("batch summary")
     assert "group kappa=2 " in text
@@ -197,7 +197,8 @@ def test_negative_seed_is_exit_2(case, capsys):
 
 
 def _unknown_counter(payload):
-    payload["counters"]["bogus"] = 1
+    # counters other than screened_out are counted off the columns, never stored
+    payload["qp_solves"] = 3
 
 
 def _no_status(payload):
@@ -256,27 +257,23 @@ def _bool_seed(payload):
 
 
 def _text_counter(payload):
-    payload["counters"]["qp_solves"] = "abc"
+    payload["screened_out"] = "abc"
 
 
 def _negative_counter(payload):
-    payload["counters"]["reuse"] = -1
+    payload["screened_out"] = -1
 
 
 def _null_counter(payload):
-    payload["counters"]["reuse"] = None
+    payload["screened_out"] = None
 
 
 def _bool_counter(payload):
-    payload["counters"]["failed"] = False
+    payload["screened_out"] = False
 
 
 def _wrong_instance_count(payload):
-    payload["counters"]["n_instances"] -= 1
-
-
-def _negative_instance_count(payload):
-    payload["counters"]["n_instances"] = -5
+    payload["columns"]["reason"].pop()
 
 
 def _non_string_column(payload):
@@ -301,15 +298,10 @@ def _inf_in_solved_row(payload):
 
 
 def _number_in_unsolved_row(payload):
-    # turn reuse row 5 into an infeasible row, counters and region table
-    # included, but leave its solution in place
-    cols, counters = payload["columns"], payload["counters"]
+    # turn reuse row 5 into an infeasible row but leave its solution in place
+    cols = payload["columns"]
     assert cols["status"][5] == "reuse"
-    payload["regions"][cols["region_id"][5]]["served"] -= 1
     cols["status"][5], cols["region_id"][5] = "infeasible", -1
-    counters["reuse"] -= 1
-    counters["qp_solves"] += 1
-    counters["infeasible"] += 1
 
 
 def _list_format_x(payload):
@@ -317,21 +309,71 @@ def _list_format_x(payload):
     payload["columns"]["x"] = x.tolist()
 
 
-def _counters_off(payload):
-    payload["counters"].update(qp_solves=999, reuse=0)
+def _parent_layout(payload):
+    # the layout that stored the counters and each region's id, seed row and
+    # served count beside the columns
+    cols = payload["columns"]
+    status, reason, region_id = cols["status"], cols["reason"], cols["region_id"]
+    n = len(status)
+    payload["counters"] = {
+        "n_instances": n,
+        "qp_solves": n - status.count("reuse"),
+        "regions_built": len(payload["regions"]),
+        "reuse": status.count("reuse"),
+        "seeds": reason.count("seed"),
+        "screened_out": payload.pop("screened_out"),
+        "degenerate": status.count("degenerate-direct"),
+        "stragglers": reason.count("budget-exhausted"),
+        "infeasible": status.count("infeasible"),
+        "failed": status.count("failed"),
+    }
+    payload["regions"] = [
+        {
+            "region_id": k,
+            "signature": sig,
+            "seed_index": next(i for i in range(n) if region_id[i] == k and reason[i] == "seed"),
+            "served": sum(r == k and s == "reuse" for r, s in zip(region_id, status)),
+        }
+        for k, sig in enumerate(payload["regions"])
+    ]
+
+
+def _row_of_region_0(cols, status, reason):
+    return next(
+        i for i, (st, why, rid) in enumerate(zip(cols["status"], cols["reason"], cols["region_id"]))
+        if st == status and why == reason and rid == 0
+    )
+
+
+def _region_without_seed(payload):
+    cols = payload["columns"]
+    i = _row_of_region_0(cols, "direct", "seed")
+    cols["reason"][i], cols["region_id"][i] = None, -1
+
+
+def _region_with_two_seeds(payload):
+    cols = payload["columns"]
+    i = _row_of_region_0(cols, "reuse", None)
+    cols["status"][i], cols["reason"][i] = "direct", "seed"
+
+
+def _direct_signature_on_reuse_row(payload):
+    assert payload["columns"]["status"][5] == "reuse"
+    payload["direct_signatures"].append({"index": 5, "signature": [0, 1, 2]})
 
 
 def _region_table_off(payload):
-    payload["regions"][0].update(served=-3, seed_index=1000000)
+    payload["regions"][0] = [999999]
 
 
-def _seed_index_off(payload):
-    # a reuse row of region 0 is not its seed
+def _negative_direct_signature(payload):
+    # row 5 becomes a degenerate row whose signature names no inequality row
     cols = payload["columns"]
-    payload["regions"][0]["seed_index"] = next(
-        i for i, (st, rid) in enumerate(zip(cols["status"], cols["region_id"]))
-        if st == "reuse" and rid == 0
+    assert cols["status"][5] == "reuse"
+    cols["status"][5], cols["reason"][5], cols["region_id"][5] = (
+        "degenerate-direct", "uncertain-active-set", -1
     )
+    payload["direct_signatures"].append({"index": 5, "signature": [-5]})
 
 
 #: the error each new case must hit, not merely some SchemaError
@@ -342,19 +384,26 @@ MESSAGES = {
     _inf_in_solved_row: "row 3 is solved but its solution is not finite",
     _number_in_unsolved_row: "row 5 is not solved but carries a solution",
     _list_format_x: "rerun phca run",
-    _counters_off: "counter 'qp_solves' is 999",
-    _region_table_off: "region 0 counts -3 served rows",
-    _seed_index_off: "not one of its seed rows",
+    _unknown_counter: "needs exactly the keys",
+    _text_counter: "'screened_out' must be a non-negative integer",
+    _negative_counter: "'screened_out' must be a non-negative integer",
+    _null_counter: "'screened_out' must be a non-negative integer",
+    _bool_counter: "'screened_out' must be a non-negative integer",
+    _wrong_instance_count: "column 'reason' does not hold one entry for each of the 192",
+    _parent_layout: "rerun phca run",
+    _region_without_seed: "region 0 has 0 seed rows",
+    _region_with_two_seeds: "region 0 has 2 seed rows",
+    _direct_signature_on_reuse_row: "direct_signatures must list the degenerate",
+    _region_table_off: "region 0's signature must be a strictly increasing list",
+    _negative_direct_signature: "the direct signature of row 5 must be a strictly increasing",
 }
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_unknown_counter, _no_status, _no_index, _nan_solution,
-     _short_column, _unknown_status, _region_out_of_range, _reuse_without_region,
-     _infeasible_solution, _removed_option, _bad_option_values, _bool_seed,
-     _text_counter, _negative_counter, _null_counter, _bool_counter,
-     _wrong_instance_count, _negative_instance_count, *MESSAGES],
+    [_no_status, _no_index, _nan_solution, _short_column, _unknown_status,
+     _region_out_of_range, _reuse_without_region, _infeasible_solution,
+     _removed_option, _bad_option_values, _bool_seed, *MESSAGES],
 )
 def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
     orig = case / "results.json"
@@ -409,5 +458,4 @@ def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("phca: error: EmptyGroupError: grid cell")
     assert len(captured.err.splitlines()) == 1
     payload = json.loads(out.read_text())
-    assert payload["counters"]["infeasible"] == 48
     assert payload["columns"]["status"].count("infeasible") == 48

@@ -1,7 +1,7 @@
 """Batch driver: reuse correctness, dispatch bookkeeping, serialization."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -57,22 +57,60 @@ def test_reuse_dominates_direct(batch):
     assert c.qp_solves < 0.1 * c.n_instances
     assert c.reuse > 0.9 * c.n_instances
     assert c.qp_solves == c.seeds + c.degenerate + c.stragglers + c.infeasible + c.failed
-    assert c.regions_built == len(batch.regions)
-    served = sum(rg.served for rg in batch.regions)
-    assert served == c.reuse
+    assert c.regions_built == len(batch.regions) == c.seeds
 
 
-def test_region_census_consistent(batch):
-    reuse = batch.status == STATUSES.index("reuse")
-    for rg in batch.regions:
-        assert STATUSES[batch.status[rg.seed_index]] == "direct"
-        assert REASONS[batch.reason[rg.seed_index]] == "seed"
-        assert batch.region_id[rg.seed_index] == rg.region_id
-        assert rg.seed_index not in batch.direct_signatures
-        members = np.flatnonzero(reuse & (batch.region_id == rg.region_id))
-        assert members.size == rg.served
+def _every_outcome(prob, theta_set, monkeypatch):
+    """A batch with every status and reason but failed: the first region
+    build is forced to fail as rank deficient, two rows are infeasible, and
+    a budget of two attempts leaves stragglers behind the one region built."""
+    build = RegionContext.build_region
+    calls = []
+
+    def first_rank_deficient(self, active_set):
+        calls.append(active_set)
+        if len(calls) == 1:
+            raise RankDeficientKError("forced")
+        return build(self, active_set)
+
+    monkeypatch.setattr(RegionContext, "build_region", first_rank_deficient)
+    thetas = theta_set.thetas[::4].copy()
+    thetas[[3, 17], prob.headroom_slice()] = -0.5
+    return run_batch(prob, thetas, EngineOptions(solve_budget=2))
+
+
+def test_region_census_consistent(scaled_demo_problem, small_theta_set, monkeypatch):
+    solves = []
+    real = engine_mod.solve_qp
+    monkeypatch.setattr(engine_mod, "solve_qp", lambda inst: solves.append(1) or real(inst))
+    res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
+    n = len(res.thetas)
+    statuses = [STATUSES[k] for k in res.status]
+    reasons = [REASONS[k] for k in res.reason]
+    assert asdict(res.counters) == {
+        "n_instances": n,
+        "qp_solves": len(solves),
+        "regions_built": len(res.regions),
+        "reuse": statuses.count("reuse"),
+        "seeds": reasons.count("seed"),
+        "screened_out": res.screened_out,
+        "degenerate": statuses.count("degenerate-direct"),
+        "stragglers": reasons.count("budget-exhausted"),
+        "infeasible": 2,
+        "failed": 0,
+    }
+    assert res.counters.stragglers > 0 and res.counters.degenerate == 1
+    # each region has one seed, solved directly, and serves only reuse rows
+    for rid, sig in enumerate(res.regions):
+        rows = [i for i in range(n) if res.region_id[i] == rid]
+        seeds = [i for i in rows if reasons[i] == "seed"]
+        assert len(seeds) == 1 and statuses[seeds[0]] == "direct"
+        assert seeds[0] not in res.direct_signatures
+        assert all(statuses[i] == "reuse" for i in rows if i != seeds[0])
+        assert list(sig) == sorted(set(sig))
     # every reused row names a region of the census
-    assert ((batch.region_id[reuse] >= 0) & (batch.region_id[reuse] < len(batch.regions))).all()
+    reuse = res.status == STATUSES.index("reuse")
+    assert ((res.region_id[reuse] >= 0) & (res.region_id[reuse] < len(res.regions))).all()
 
 
 def test_served_rows_satisfy_optimality(batch, scaled_demo_problem):
@@ -81,11 +119,11 @@ def test_served_rows_satisfy_optimality(batch, scaled_demo_problem):
     ctx = RegionContext(prob)
     _, xu, rhs = ctx.instance_data(batch.thetas)
     reuse = batch.status == STATUSES.index("reuse")
-    for rg in batch.regions:
-        rows = np.flatnonzero(reuse & (batch.region_id == rg.region_id))
+    for rid, sig in enumerate(batch.regions):
+        rows = np.flatnonzero(reuse & (batch.region_id == rid))
         if not rows.size:
             continue
-        region = ctx.build_region(rg.signature)
+        region = ctx.build_region(sig)
         th = batch.thetas[rows]
         xs = batch.x[rows]
         resid = xs @ prob.A.T - th @ prob.E.T - prob.b
@@ -105,7 +143,7 @@ def test_objectives_in_original_units(batch, demo_problem):
 def test_unscaled_problem_is_scaled_on_entry(demo_problem, small_theta_set):
     res = run_batch(demo_problem.with_eta(ETA_FLOOR), small_theta_set.thetas[:20])
     assert res.problem.scaling is not None
-    assert res.scaling.cost_scale == pytest.approx(5.608139205308629, rel=1e-12)
+    assert res.problem.scaling.cost_scale == pytest.approx(5.608139205308629, rel=1e-12)
 
 
 def test_infeasible_rows_classified(scaled_demo_problem, small_theta_set):
@@ -179,21 +217,7 @@ def test_json_roundtrip(batch, scaled_demo_problem):
 
 
 def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monkeypatch):
-    # The first region build is forced to fail as rank deficient, and a
-    # budget of two attempts leaves stragglers behind the one region built.
-    build = RegionContext.build_region
-    calls = []
-
-    def first_rank_deficient(self, active_set):
-        calls.append(active_set)
-        if len(calls) == 1:
-            raise RankDeficientKError("forced")
-        return build(self, active_set)
-
-    monkeypatch.setattr(RegionContext, "build_region", first_rank_deficient)
-    thetas = small_theta_set.thetas[::4].copy()
-    thetas[[3, 17], scaled_demo_problem.headroom_slice()] = -0.5
-    res = run_batch(scaled_demo_problem, thetas, EngineOptions(solve_budget=2))
+    res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
     assert {(r.status, r.reason) for r in res.records} == {
         ("reuse", None),
         ("direct", "seed"),

@@ -12,16 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phca import (
-    ETA_FLOOR,
-    build_problem,
-    demo,
-    load_feeder,
-    run_batch,
-    scale_problem,
-    solve_qp,
-)
-from phca.builder import BuilderConfig
+from phca import run_batch, solve_qp
 from phca.errors import RankDeficientKError
 from phca.qp import OPTIMAL, identify_active
 from phca.regions import SCREEN_PRIMAL, RegionContext
@@ -44,18 +35,6 @@ def tiny_problem(A, E=None, b=None, n_theta=1):
         F=np.zeros((0, n_theta)),
         f=np.zeros(0),
     )
-
-
-@pytest.fixture(scope="module")
-def scaled_ldc_problem():
-    """The demo problem with its 8-9 regulator switched to line-drop
-    compensation, whose equality row also sees a reactive setpoint."""
-    text = demo.FEEDER_TEXT.replace(
-        "8    9  local   1.01  -      -       -", "8    9  ldc     1.01  -      0.02   0.01"
-    )
-    assert text != demo.FEEDER_TEXT
-    prob = build_problem(load_feeder(text), BuilderConfig(beta=0.2, vmin=0.97, vmax=1.03))
-    return scale_problem(prob.with_eta(ETA_FLOOR))[0]
 
 
 def seed_region(prob, theta):
@@ -187,7 +166,7 @@ def test_region_matches_full_kkt_reference(
         # couple through H and, for ldc, through the equality row
         prob = scaled_demo_problem if case == "demo" else scaled_ldc_problem
         ctx = RegionContext(prob)
-        regions = [ctx.build_region(rg.signature) for rg in run_batch(prob, thetas).regions]
+        regions = [ctx.build_region(sig) for sig in run_batch(prob, thetas).regions]
         assert max(len(r.active_set) for r in regions) >= 3 and prob.B.shape[0] == 1
     for region in regions:
         probes = thetas[rng.integers(0, len(thetas), 50)]
