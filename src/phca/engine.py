@@ -57,6 +57,14 @@ REASON_RANK = "rank-deficient"
 SOLVED = (REUSE, DIRECT, DEGENERATE)
 STATUSES = SOLVED + (INFEASIBLE, FAILED)
 REASONS = (None, REASON_SEED, REASON_BUDGET, REASON_UNCERTAIN, REASON_RANK)
+#: the reasons run_batch writes beside each status
+STATUS_REASONS = {
+    REUSE: (None,),
+    DIRECT: (REASON_SEED, REASON_BUDGET),
+    DEGENERATE: (REASON_UNCERTAIN, REASON_RANK),
+    INFEASIBLE: (None,),
+    FAILED: (None,),
+}
 
 #: a row is active at a polished solution when its multiplier exceeds this
 #: fraction of the largest one; the polish sets every other row's to zero
@@ -443,7 +451,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     objectives base64 strings of exactly n x n_var and n float64 values,
     known status and reason names, region ids naming a stored region on
     exactly the reuse and seed rows, each region with exactly one seed
-    row, every signature a strictly increasing list of inequality rows,
+    row, each row's reason one that STATUS_REASONS pairs with its status,
+    every signature a strictly increasing list of inequality rows,
     direct signatures on exactly the degenerate and budget rows, finite,
     primally feasible solutions and finite objectives on solved rows, and
     NaN everywhere on the other rows.  The counters are counted off the
@@ -516,6 +525,11 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     bad = np.flatnonzero(seeds != 1)
     if bad.size:
         raise SchemaError(f"region {bad[0]} has {seeds[bad[0]]} seed rows, not one")
+    pairs = np.array([[why in STATUS_REASONS[st] for why in REASONS] for st in STATUSES])
+    bad = np.flatnonzero(~pairs[status, reason])
+    if bad.size:
+        st, why = STATUSES[status[bad[0]]], REASONS[reason[bad[0]]]
+        raise SchemaError(f"row {bad[0]} has status {st!r} with reason {why!r}, which no run writes")
     try:
         direct = [(e["index"], e["signature"]) for e in payload["direct_signatures"]]
     except (KeyError, TypeError):

@@ -8,15 +8,30 @@ that share H, A and Aeq and differ only in c, b and beq, for symmetric
 positive definite H.  The equality rows are eliminated once through a QR
 null space, x = x0 + Z y, so the interior-point method sees inequalities
 only.  A Mehrotra predictor-corrector then advances all k instances at
-once: one GEMM forms their augmented Hessians and one batched Cholesky
-factors them, while each instance keeps its own step lengths, best iterate
-and exit.  A Newton polish on each guessed active set lands on the exact
-KKT point, so active row residuals end up at machine precision rather
-than at interior-point tolerance; instances that hold the same working
-set share its independence filter and KKT factorization.  Every instance
-that does not end optimal, or whose iterate ends clearly infeasible, gets
-an LP feasibility probe.  solve_qp is the k = 1 case.  Everything is
-deterministic: no randomized pivoting, no time-dependent behavior.
+once: one GEMM forms their augmented Hessians, one batched Cholesky
+checks that they are positive definite, and two stacked solves with them
+(no inverses) give the predictor and corrector directions, while each
+instance keeps its own step lengths, best iterate and exit.
+
+An instance leaves the interior-point method early once its multipliers
+form a Farkas ray of its inequality rows, Az y <= bz: bz'lam < 0 with
+|Az'lam| <= RAY_TOL (-bz'lam).  On a feasible instance no iterate can
+pass that test unless every feasible y has |y|_1 >= 1 / RAY_TOL, since
+bz'lam >= y'Az'lam >= -|y|_1 |Az'lam| for any feasible y and lam >= 0.
+The test reuses the product Az'lam of the dual residual, so it costs one
+dot product per instance and iteration, and infeasible instances leave
+after a dozen iterations rather than after the interior-point method
+collapses or stalls.
+
+A Newton polish on each guessed active set lands on the exact KKT point,
+so active row residuals end up at machine precision rather than at
+interior-point tolerance; instances that hold the same working set share
+its independence filter and KKT factorization.  An instance that left on
+a Farkas ray, or whose iterate ends clearly infeasible, gets an LP
+feasibility probe before any polish, and so does every instance that
+does not end optimal; the probe alone decides infeasibility.  solve_qp
+is the k = 1 case.  Everything is deterministic: no randomized pivoting,
+no time-dependent behavior.
 
 Conventions: inequality multipliers lam >= 0 enter the stationarity
 residual as A'lam, equality multipliers mu enter as Aeq'mu with free sign,
@@ -38,6 +53,9 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
+#: relative size of |A'lam| below which the multipliers of an instance with
+#: b'lam < 0 count as a Farkas ray of its inequality rows
+RAY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -191,35 +209,52 @@ def _feasibility_probe(A, b, Aeq, beq) -> bool:
     return res.status != 2
 
 
-def _inverse_spd(M: np.ndarray) -> np.ndarray:
-    """Inverse of every matrix in a stack through its Cholesky factor; NaN
-    for a matrix that is not numerically positive definite."""
+def _nan_unless_spd(M: np.ndarray) -> np.ndarray:
+    """Set every matrix of the stack M that is not numerically positive
+    definite (its Cholesky factorization fails) to NaN, in place, so that
+    solves with it give NaN; returns M."""
     try:
-        L = np.linalg.cholesky(M)
+        np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         # one such matrix fails the whole stacked call; find it
-        L = np.full_like(M, np.nan)
         for i, Mi in enumerate(M):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                L[i] = np.linalg.cholesky(Mi)
-    Li = np.linalg.inv(L)
-    return np.swapaxes(Li, -1, -2) @ Li
+            try:
+                np.linalg.cholesky(Mi)
+            except np.linalg.LinAlgError:
+                M[i] = np.nan
+    return M
 
 
 def _ipm_residuals(Hz, Az, AzT, s):
-    """Dual and primal residuals and the complementarity gap of every
-    instance in the interior-point state s; AzT is Az.T, contiguous."""
+    """Dual and primal residuals, the complementarity gap and lam @ Az of
+    every instance in the interior-point state s; AzT is Az.T, contiguous."""
     y, z, lam = s["y"], s["z"], s["lam"]
-    r_d = y @ Hz + lam @ Az + s["cz"]
+    lam_az = lam @ Az
+    r_d = y @ Hz + lam_az + s["cz"]
     r_p = y @ AzT + z - s["bz"]
-    return r_d, r_p, np.einsum("ij,ij->i", z, lam) / z.shape[1]
+    return r_d, r_p, np.einsum("ij,ij->i", z, lam) / z.shape[1], lam_az
 
 
-def _newton(Hinv, base, Az, AzT, r_p, d, w):
+def _solve_or_nan(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row i of rhs solved against matrix i of the stack M; NaN for a
+    matrix that LU factorization finds exactly singular (a Cholesky
+    factorization can pass on a matrix that rounding leaves singular)."""
+    try:
+        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # one such matrix fails the whole stacked call; find it
+        out = np.full_like(rhs, np.nan)
+        for i, (Mi, ri) in enumerate(zip(M, rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(Mi, ri)
+        return out
+
+
+def _newton(M, base, Az, AzT, r_p, d, w):
     """Newton direction (dy, dz, dlam) for the complementarity target
-    w = tau / z - lam, given the inverse augmented Hessians Hinv and the
-    target-free part base of the right-hand side."""
-    dy = (Hinv @ (base - w @ Az)[:, :, None])[:, :, 0]
+    w = tau / z - lam, given the augmented Hessians M and the target-free
+    part base of the right-hand side."""
+    dy = _solve_or_nan(M, base - w @ Az)
     dz = -r_p - dy @ AzT
     return dy, dz, w - d * dz
 
@@ -236,9 +271,11 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
 
     Instances leave the stack one by one: on convergence, on an
     interior-point collapse short of feasibility, after 30 iterations
-    without progress, or the iteration after their Newton step broke down.
-    Each returns its last iterate, or its best one when the last is worse
-    or not finite, as (y, lam, iterations).
+    without progress, the iteration after their Newton step broke down, or
+    as soon as their multipliers form a Farkas ray of  Az y <= bz (see the
+    module docstring).  Each returns its last iterate, or its best
+    one when the last is worse or not finite, as (y, lam, iterations, ray),
+    ray marking the instances that left on a Farkas ray.
     """
     k, nz = cz.shape
     m = Az.shape[0]
@@ -254,10 +291,12 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
         "y": y, "z": np.where(z > 1.0, z, 1.0), "lam": lam,
         "best": np.full(k, np.inf), "best_y": y, "best_lam": lam,
         "stall": np.zeros(k, dtype=np.int64), "broken": np.zeros(k, dtype=bool),
+        "ray": np.zeros(k, dtype=bool),
     }
     out_y = np.empty((k, nz))
     out_lam = np.empty((k, m))
     iters = np.zeros(k, dtype=np.int64)
+    on_ray = np.zeros(k, dtype=bool)
 
     def leave(s, out, it):
         """Store the answers of the instances in out; return the state of
@@ -275,11 +314,12 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
         out_lam[i] = np.where(take_best, s["best_lam"][out], lo)
         # an instance whose step broke down did not take this iteration's step
         iters[i] = it - s["broken"][out]
+        on_ray[i] = s["ray"][out]
         return {name: a[~out] for name, a in s.items()}
 
     with np.errstate(all="ignore"):
         for it in range(1, max_iter + 1):
-            r_d, r_p, mu_c = _ipm_residuals(Hz, Az, AzT, s)
+            r_d, r_p, mu_c, lam_az = _ipm_residuals(Hz, Az, AzT, s)
             rp_max = np.abs(r_p).max(axis=1)
             merit = np.maximum(np.maximum(np.abs(r_d).max(axis=1, initial=0.0), rp_max), mu_c)
             better = merit < s["best"]
@@ -287,28 +327,32 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
             s["best_y"] = np.where(better[:, None], s["y"], s["best_y"])
             s["best_lam"] = np.where(better[:, None], s["lam"], s["best_lam"])
             s["stall"] = np.where(better, 0, s["stall"] + 1)
-            # converged, collapsed without reaching feasibility, stalled, or
-            # the last Newton step broke down
+            b_lam = np.einsum("ij,ij->i", s["bz"], s["lam"])
+            s["ray"] = (b_lam < 0) & (
+                np.abs(lam_az).max(axis=1, initial=0.0) <= -RAY_TOL * b_lam
+            )
+            # converged, collapsed without reaching feasibility, stalled, the
+            # last Newton step broke down, or certified infeasible
             out = (
                 (merit <= max(tol, 1e-11)) | ((mu_c < 1e-12) & (rp_max > 1e-7))
-                | (s["stall"] > 30) | s["broken"]
+                | (s["stall"] > 30) | s["broken"] | s["ray"]
             )
             if out.any():
                 s = leave(s, out, it)
                 if not s["idx"].size:
                     break
-                r_d, r_p, mu_c = _ipm_residuals(Hz, Az, AzT, s)
+                r_d, r_p, mu_c, _ = _ipm_residuals(Hz, Az, AzT, s)
 
             y, z, lam = s["y"], s["z"], s["lam"]
             d = lam / z
-            Hinv = _inverse_spd(Hz + (d @ AA).reshape(len(d), nz, nz))
+            M = _nan_unless_spd(Hz + (d @ AA).reshape(len(d), nz, nz))
             base = -(r_d + (d * r_p) @ Az)
-            dy_a, dz_a, dlam_a = _newton(Hinv, base, Az, AzT, r_p, d, -lam)
+            dy_a, dz_a, dlam_a = _newton(M, base, Az, AzT, r_p, d, -lam)
             alpha_a = _max_step(z, lam, dz_a, dlam_a)[:, None]
             mu_aff = np.einsum("ij,ij->i", z + alpha_a * dz_a, lam + alpha_a * dlam_a) / m
             sigma_mu = np.where(mu_c > 0, (mu_aff / mu_c) ** 3, 0.0) * mu_c
             w = (sigma_mu[:, None] - dz_a * dlam_a) / z - lam
-            dy, dz, dlam = _newton(Hinv, base, Az, AzT, r_p, d, w)
+            dy, dz, dlam = _newton(M, base, Az, AzT, r_p, d, w)
             alpha = np.maximum(0.99, 1.0 - 10.0 * mu_c) * _max_step(z, lam, dz, dlam)
             # the step broke down (a factorization failed, giving NaN, or an
             # iterate overflowed): the instance stays put and leaves next time
@@ -326,7 +370,7 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
             s["lam"] = lam + alpha[:, None] * dlam
         else:
             leave(s, np.ones(s["idx"].size, dtype=bool), max_iter)
-    return out_y, out_lam, iters
+    return out_y, out_lam, iters, on_ray
 
 
 def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
@@ -456,8 +500,9 @@ def solve_qp_batch(
     y = -np.linalg.solve(Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
     lam = np.zeros((k, m))
     iterations = np.zeros(k, dtype=np.int64)
+    ray = np.zeros(k, dtype=bool)
     if m:
-        y, lam, iterations = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, tol, max_iter)
+        y, lam, iterations, ray = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, tol, max_iter)
     x = x0 + y @ Z.T
     mu = np.zeros((k, e))
     if eq_rows.size:
@@ -469,11 +514,12 @@ def solve_qp_batch(
     feasible = np.ones(k, dtype=bool)
     polish_groups = 0
     if m:
-        # an iterate that ends clearly outside the feasible set is probed
+        # an instance that left the interior-point method on a Farkas ray,
+        # or whose iterate ends clearly outside the feasible set, is probed
         # before any polish: on an infeasible instance the polish can only
         # exhaust its update budget, at many times the cost of the probe
         slack = b - x @ A.T
-        for i in np.flatnonzero(-slack.min(axis=1) > 1e-6 * b_scale):
+        for i in np.flatnonzero(ray | (-slack.min(axis=1) > 1e-6 * b_scale)):
             probed[i] = True
             feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
         todo = np.flatnonzero(feasible)

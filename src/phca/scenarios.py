@@ -111,7 +111,8 @@ def _parse_hour(tok: str) -> int:
         raise SchemaError(f"hour label {tok!r} is not an integer") from None
 
 
-def _parse_value(tok: str, where: str) -> float:
+def _check_value(tok: str, where: str) -> None:
+    """Raise the error of one bad value token; _cast_values's scalar scan."""
     try:
         v = float(tok)
     except ValueError:
@@ -120,7 +121,25 @@ def _parse_value(tok: str, where: str) -> float:
         raise SchemaError(f"non-finite value at {where}")
     if v < 0:
         raise NegativeValueError(f"negative profile value {v:g} at {where}")
-    return v
+
+
+def _cast_values(tokens: list[list[str]], lines: list[int]) -> np.ndarray:
+    """The value tokens of every data line (one list per line, all of one
+    length) as one float array, one row per line.
+
+    The tokens take Python's float() grammar, in one array cast; the values
+    must be finite and nonnegative.  On a bad token, the scalar scan names
+    the first one in file order.
+    """
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values) & (values >= 0)):
+        for ln, row in zip(lines, tokens):
+            for tok in row:
+                _check_value(tok.strip(), f"line {ln}")
+    return values
 
 
 def _bus_slot(feeder: FeederModel, tok: str) -> int:
@@ -134,7 +153,14 @@ def _bus_slot(feeder: FeederModel, tok: str) -> int:
 
 
 def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
-    """Parse one profile CSV (long or wide form, detected from the header)."""
+    """Parse one profile CSV (long or wide form, detected from the header).
+
+    A Python pass over the lines checks their structure: column count,
+    hour, bus and duplicates.  The value tokens of every line that passed
+    are then cast and checked as one array (_cast_values).  A structure
+    error stops the pass but is raised only after the values before it
+    were checked, so the first error in file order is the one reported.
+    """
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
     if not rows:
         raise SchemaError("profile file is empty")
@@ -144,52 +170,74 @@ def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
     n_inj = feeder.n_bus - 1
     long_form = len(header) == 3 and [h.lower() for h in header[1:]] == ["bus", "value"]
 
-    data: dict[int, np.ndarray] = {}
     present = np.zeros(n_inj, dtype=bool)
-    if long_form:
-        for ln, row in enumerate(rows[1:], start=2):
-            if len(row) != 3:
-                raise SchemaError(f"line {ln}: expected hour,bus,value")
-            hour = _parse_hour(row[0].strip())
-            slot = _bus_slot(feeder, row[1].strip())
-            val = _parse_value(row[2].strip(), f"line {ln}")
-            vec = data.setdefault(hour, np.full(n_inj, np.nan))
-            if not np.isnan(vec[slot]):
-                raise SchemaError(f"line {ln}: duplicate entry for hour {hour}, bus {row[1]!r}")
-            vec[slot] = val
-            present[slot] = True
-        for vec in data.values():
-            np.nan_to_num(vec, copy=False)  # unmentioned (hour, bus) pairs are zero
-    else:
-        slots = []
-        seen = set()
+    # per data line: its number, hour, value tokens and, in long form, slot
+    lines: list[int] = []
+    hours: list[int] = []
+    tokens: list[list[str]] = []
+    slots: list[int] = []
+    if not long_form:
+        columns = set()
         for tok in header[1:]:
-            if tok in seen:
+            if tok in columns:
                 raise SchemaError(f"duplicate bus column {tok!r}")
-            seen.add(tok)
+            columns.add(tok)
             slots.append(_bus_slot(feeder, tok))
         if not slots:
             raise SchemaError("wide-form profile needs at least one bus column")
-        for slot in slots:
-            present[slot] = True
+    seen: set = set()  # hours in wide form, (hour, slot) pairs in long form
+    slot_of: dict[str, int] = {}
+    try:
         for ln, row in enumerate(rows[1:], start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"line {ln}: expected {len(header)} columns")
-            hour = _parse_hour(row[0].strip())
-            if hour in data:
-                raise SchemaError(f"line {ln}: duplicate hour {hour}")
-            vec = np.zeros(n_inj)
-            for tok, slot in zip(row[1:], slots):
-                vec[slot] = _parse_value(tok.strip(), f"line {ln}")
-            data[hour] = vec
-
-    if not data:
+            if long_form:
+                if len(row) != 3:
+                    raise SchemaError(f"line {ln}: expected hour,bus,value")
+                hour = _parse_hour(row[0].strip())
+                bus = row[1].strip()
+                if bus not in slot_of:
+                    slot_of[bus] = _bus_slot(feeder, bus)
+                slot = slot_of[bus]
+                lines.append(ln)
+                hours.append(hour)
+                tokens.append(row[2:])
+                # a bad value on this line comes before its duplicate entry
+                if (hour, slot) in seen:
+                    raise SchemaError(
+                        f"line {ln}: duplicate entry for hour {hour}, bus {row[1]!r}"
+                    )
+                seen.add((hour, slot))
+                slots.append(slot)
+            else:
+                if len(row) != len(header):
+                    raise SchemaError(f"line {ln}: expected {len(header)} columns")
+                hour = _parse_hour(row[0].strip())
+                if hour in seen:
+                    raise SchemaError(f"line {ln}: duplicate hour {hour}")
+                seen.add(hour)
+                lines.append(ln)
+                hours.append(hour)
+                tokens.append(row[1:])
+        structure_error = None
+    except SchemaError as exc:
+        structure_error = exc
+    values = _cast_values(tokens, lines)
+    if structure_error is not None:
+        raise structure_error
+    if not lines:
         raise SchemaError("profile file has a header but no data rows")
-    hours = tuple(sorted(data))
-    values = np.vstack([data[h] for h in hours])
-    values.flags.writeable = False
+
+    distinct = sorted(set(hours))
+    table = np.zeros((len(distinct), n_inj))
+    if long_form:
+        row_of = {h: i for i, h in enumerate(distinct)}
+        # unmentioned (hour, bus) pairs stay zero
+        table[[row_of[h] for h in hours], slots] = values[:, 0]
+    else:
+        table[:, slots] = values[sorted(range(len(hours)), key=hours.__getitem__)]
+    present[slots] = True
+    table.flags.writeable = False
     present.flags.writeable = False
-    return ScenarioTable(hours=hours, values=values, present=present)
+    return ScenarioTable(hours=tuple(distinct), values=table, present=present)
 
 
 def load_scenarios(

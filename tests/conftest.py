@@ -119,19 +119,25 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def random_feeder_batch():
-    """Scaled problem and thetas of a 30-bus random feeder over two days.
-
-    At most direct solves of this draw, some inactive row's residual lies
-    between 1e-6 and 1e-4, so an active set read off the residuals is
-    ambiguous there.
-    """
+def random_feeder_case():
+    """Unscaled problem and thetas of a 30-bus random feeder over two days."""
     feeder_text, loads, solar = random_radial_case(30, 5, days=2, seed=2)
     feeder = load_feeder(feeder_text)
     prob = build_problem(feeder, BuilderConfig())
     scen = load_scenarios(feeder, loads, solar, seed=0)
     grid = AnalysisGrid(kappa=(1.0, 1.5), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
-    thetas = expand_grid(prob, scen, grid).thetas
+    return prob, expand_grid(prob, scen, grid).thetas
+
+
+@pytest.fixture(scope="session")
+def random_feeder_batch(random_feeder_case):
+    """Scaled problem and thetas of the 30-bus random feeder.
+
+    At most direct solves of this draw, some inactive row's residual lies
+    between 1e-6 and 1e-4, so an active set read off the residuals is
+    ambiguous there.
+    """
+    prob, thetas = random_feeder_case
     sample = thetas[np.linspace(0, len(thetas) - 1, 8).astype(int)]
     eta = max(calibrate_eta(prob, sample), ETA_FLOOR)
     return scale_problem(prob.with_eta(eta))[0], thetas

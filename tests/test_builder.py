@@ -294,6 +294,23 @@ def test_calibrate_eta_warns_once(demo_problem, demo_scenarios, caplog):
     assert [r.getMessage() for r in warnings] == ["calibration skipped 2 of 4 samples"]
 
 
+def test_calibrate_eta_skips_forced_infeasible(demo_problem, demo_scenarios, caplog):
+    thetas = theta_map_batch(
+        demo_problem, demo_scenarios.pc[:24], demo_scenarios.qc[:24], demo_scenarios.pg[:24],
+        alpha=0.12, kappa=5.0, oversize=1.0,
+    )
+    squeezed = thetas.copy()
+    squeezed[:, demo_problem.headroom_slice()] = -0.5
+    with caplog.at_level(logging.WARNING, logger="phca.builder"):
+        eta = calibrate_eta(demo_problem, np.vstack([thetas, squeezed]))
+    # 17 of the 24 overloaded hours are infeasible unrelaxed, and all 24
+    # squeezed copies are; the value is the one the solver gave before
+    # infeasible instances left the interior-point method on a Farkas ray
+    assert caplog.messages == ["calibration skipped 41 of 48 samples"]
+    assert eta == calibrate_eta(demo_problem, thetas)
+    assert eta == pytest.approx(0.039345047021612754, rel=1e-9)
+
+
 def test_calibrate_eta_all_infeasible(demo_problem):
     bad = np.zeros((3, demo_problem.n_theta))
     bad[:, 42] = -0.5  # negative headroom squeezes the cap rows shut

@@ -376,6 +376,11 @@ def _negative_direct_signature(payload):
     payload["direct_signatures"].append({"index": 5, "signature": [-5]})
 
 
+def _reuse_row_with_reason(payload):
+    assert payload["columns"]["status"][5] == "reuse"
+    payload["columns"]["reason"][5] = "rank-deficient"
+
+
 #: the error each new case must hit, not merely some SchemaError
 MESSAGES = {
     _non_string_column: "column 'objective' must be a base64 string",
@@ -396,6 +401,7 @@ MESSAGES = {
     _direct_signature_on_reuse_row: "direct_signatures must list the degenerate",
     _region_table_off: "region 0's signature must be a strictly increasing list",
     _negative_direct_signature: "the direct signature of row 5 must be a strictly increasing",
+    _reuse_row_with_reason: "row 5 has status 'reuse' with reason 'rank-deficient'",
 }
 
 

@@ -21,7 +21,7 @@ from phca import (
     validate_batch,
 )
 from phca.builder import BuilderConfig
-from phca.engine import REASONS, STATUSES
+from phca.engine import REASONS, STATUS_REASONS, STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
@@ -241,6 +241,26 @@ def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monk
     assert back.to_json() == text
 
 
+def test_loader_refuses_pairs_no_run_writes(scaled_demo_problem, small_theta_set, monkeypatch):
+    res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
+    written = {(STATUSES[s], REASONS[r]) for s, r in zip(res.status, res.reason)}
+    assert all(why in STATUS_REASONS[st] for st, why in written)
+    payload = json.loads(res.to_json())
+    cols = payload["columns"]
+    seed_row = cols["reason"].index("seed")
+    reuse_row = cols["status"].index("reuse")
+    plain_row = cols["status"].index("infeasible")
+    refused = [(st, why) for st in STATUSES for why in REASONS if why not in STATUS_REASONS[st]]
+    assert len(refused) == len(STATUSES) * len(REASONS) - 7
+    for st, why in refused:
+        # a row whose region id and seed count stay valid under the change
+        i = seed_row if why == "seed" else reuse_row if st == "reuse" else plain_row
+        bad = json.loads(json.dumps(payload))
+        bad["columns"]["status"][i], bad["columns"]["reason"][i] = st, why
+        with pytest.raises(SchemaError, match=f"row {i} has status '{st}' with reason "):
+            load_result_json(json.dumps(bad), scaled_demo_problem, res.thetas)
+
+
 def _infeasible_rows(res, prob):
     # the second grid cell of test_group_stats_empty_cell cannot solve
     thetas = res.thetas[:6].copy()
@@ -407,3 +427,14 @@ def test_json_roundtrip_rejects_bad_option_values(batch, scaled_demo_problem, op
     payload["options"].update(options)
     with pytest.raises(SchemaError, match="engine option"):
         load_result_json(json.dumps(payload), scaled_demo_problem, batch.thetas)
+
+
+def test_ldc_batch_matches_oracle(scaled_ldc_problem, small_theta_set):
+    # line-drop compensation: the regulator's equality row also sees the
+    # reactive setpoint
+    res = run_batch(scaled_ldc_problem, small_theta_set.thetas)
+    solved = res.solved_mask()
+    assert solved.all() and res.counters.reuse > 0
+    report = validate_batch(res)
+    assert report.checked == solved.sum()
+    assert report.mismatches == () and report.ok

@@ -5,7 +5,11 @@ import pytest
 
 from phca.qp import (
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     _independent_rows,
+    _interior_point,
+    _nan_unless_spd,
+    _solve_or_nan,
     INFEASIBLE,
     OPTIMAL,
     QpInstance,
@@ -268,6 +272,114 @@ def test_batch_matches_single_solves():
     assert batch.solution(0).x == pytest.approx([-0.5, -0.5], abs=1e-12)
     assert sum(seen.values()) >= 300
     assert seen[OPTIMAL] > 200 and seen[INFEASIBLE] > 10
+
+
+def test_infeasible_stack_leaves_on_farkas_ray(random_feeder_case):
+    # the unrelaxed problem at calibration's 32 evenly spaced samples of the
+    # random feeder; 7 are infeasible, and before the ray exit the
+    # interior-point method ran 22-31 iterations on them
+    prob, thetas = random_feeder_case
+    sample = thetas[np.linspace(0, len(thetas) - 1, 32).astype(int)]
+    insts = [prob.reduced_instance(row)[0] for row in sample]
+    H, A, Aeq = insts[0].H, insts[0].A, insts[0].Aeq
+
+    def solve(rows):
+        return solve_qp_batch(
+            H, A, Aeq, *(np.array([getattr(insts[i], f) for i in rows]) for f in ("c", "b", "beq"))
+        )
+
+    batch = solve(range(32))
+    infeasible = batch.status == INFEASIBLE
+    assert infeasible.sum() == 7
+    assert batch.iterations[infeasible].max() <= 20
+    assert (batch.status[~infeasible] == OPTIMAL).all()
+    # the probe confirmed each ray, no feasible instance was probed, and the
+    # infeasible ones went to the probe before any polish
+    assert batch.lp_probes == infeasible.sum()
+    assert batch.polish_groups == solve(np.flatnonzero(~infeasible)).polish_groups
+
+
+def _band_stack(seed, k, loose=None, n=3, m=8):
+    """k instances that share H and A, whose rows m and m + 1 hold a'x in
+    a band of width 1; every third instance (marked by cut_off) asks
+    a'x <= a'x0 - gap and a'x >= a'x0 there instead, which no x meets.
+    loose appends the row sum(x) <= loose.  Returns (H, A, c, b, cut_off)."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n + 1, n))
+    H = G.T @ G + 0.1 * np.eye(n)
+    a = rng.normal(size=n)
+    A = np.vstack([rng.normal(size=(m, n)), a, -a])
+    x0 = rng.normal(size=(k, n))
+    b = np.hstack([x0 @ A[:m].T + rng.uniform(0.1, 1.0, size=(k, m)),
+                   np.column_stack([x0 @ a + 0.5, 0.5 - x0 @ a])])
+    cut_off = np.arange(k) % 3 == 0
+    b[cut_off, m] = x0[cut_off] @ a - rng.uniform(0.01, 1.0, size=cut_off.sum())
+    b[cut_off, m + 1] = -x0[cut_off] @ a
+    c = rng.normal(size=(k, n))
+    if loose is not None:
+        A = np.vstack([A, np.ones((1, n))])
+        b = np.hstack([b, np.full((k, 1), loose)])
+    return H, A, c, b, cut_off
+
+
+def test_ray_exits_are_probed_before_polish():
+    # the loose row puts the clearly-infeasible iterate test at a violation
+    # of 100, so only the ray exit sends the cut-off instances to the probe
+    # before the polish
+    H, A, c, b, cut_off = _band_stack(0, 30, loose=1e8)
+    k, n = c.shape
+    none = np.zeros((k, 0))
+    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, none)
+    assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
+    assert batch.lp_probes == cut_off.sum()
+    # with no equality rows the solver hands the interior-point method H,
+    # A, c and b as they are, started at the unconstrained minimizer
+    ray = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T, DEFAULT_TOL, DEFAULT_MAX_ITER)[3]
+    assert not ray[~cut_off].any() and ray[cut_off].sum() >= 8
+    # the polish never saw the instances that left on the ray
+    keep = ~ray
+    rest = solve_qp_batch(H, A, np.zeros((0, n)), c[keep], b[keep], none[keep])
+    assert batch.polish_groups == rest.polish_groups
+
+
+def test_step_solves_give_nan_on_bad_matrices():
+    # an indefinite matrix fails the positive-definiteness gate although LU
+    # could solve with it
+    M = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    out = _solve_or_nan(_nan_unless_spd(M), np.array([[2.0, 4.0], [1.0, 1.0]]))
+    assert out[0].tolist() == [1.0, 1.0] and np.isnan(out[1]).all()
+    # an exactly singular matrix fails a stacked numpy solve as a whole
+    M = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]])
+    out = _solve_or_nan(M, np.array([[2.0, 4.0], [1.0, 1.0]]))
+    assert out[0].tolist() == [1.0, 1.0] and np.isnan(out[1]).all()
+
+
+def test_cut_off_band_stack_solves():
+    # the iterates of the cut-off instances grow until some augmented
+    # Hessians pass the Cholesky test but are singular to LU (seen with
+    # numpy 2.4 and OpenBLAS); their step breaks down, the others go on
+    H, A, c, b, cut_off = _band_stack(11, 40)
+    k, n = c.shape
+    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
+    for i in np.flatnonzero(~cut_off)[:8]:
+        ref = brute_force(QpInstance.build(H, c[i], A=A, b=b[i]))
+        assert np.max(np.abs(batch.x[i] - ref[0])) < 1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6])
+def test_feasible_large_cancelling_multipliers_are_no_ray(eps):
+    # two nearly opposite rows pin x2 at -1e4: at the optimum their
+    # multipliers are 1e4 / (2 eps) each, b'lam = -1e8 < 0, and lam'A cancels
+    # in x1 but keeps the gradient's 1e4 in x2.  On a feasible instance
+    # |A'lam| >= -b'lam / |x|_1 for any feasible x, here 1e-4, far above
+    # the ray test's 1e-9.
+    A = np.array([[1.0, eps], [-1.0, eps]])
+    batch = solve_qp_batch(np.eye(2), A, np.zeros((0, 2)), np.zeros((1, 2)),
+                           np.full((1, 2), -1e4 * eps), np.zeros((1, 0)))
+    assert batch.status[0] == OPTIMAL and batch.lp_probes == 0
+    assert batch.x[0] == pytest.approx([0.0, -1e4], abs=1e-8)
+    assert batch.lam[0] == pytest.approx([0.5e4 / eps] * 2, rel=1e-9)
 
 
 def test_identify_active_threshold():

@@ -59,27 +59,30 @@ def test_hours_sorted_and_sparse_long(fork):
     assert table.values[1, a] == 0.0 and table.values[1, b] == 1.0
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "time,a\n0,1.0\n",
-        "hour\n0\n",
-        "hour,a,a\n0,1.0,1.0\n",
-        "hour,a\n0,1.0\n0,2.0\n",
-        "hour,a\n0\n",
-        "hour,bus,value\n0,a,1.0\n0,a,2.0\n",
-        "hour,bus,value\n0,a\n",
-        "hour,a\nnoon,1.0\n",
-        "hour,a\n0,much\n",
-        "hour,s\n0,1.0\n",
-        "hour,a\n",
-        "hour,bus,value\n0,s,1.0\n",
-    ],
-)
+#: each malformed file and the exact message it is refused with
+MALFORMED = {
+    "": "profile file is empty",
+    "time,a\n0,1.0\n": "profile header must start with 'hour'",
+    "hour\n0\n": "wide-form profile needs at least one bus column",
+    "hour,a,a\n0,1.0,1.0\n": "duplicate bus column 'a'",
+    "hour,a\n0,1.0\n0,2.0\n": "line 3: duplicate hour 0",
+    "hour,a\n0\n": "line 2: expected 2 columns",
+    "hour,bus,value\n0,a,1.0\n0,a,2.0\n": "line 3: duplicate entry for hour 0, bus 'a'",
+    "hour,bus,value\n0,a\n": "line 2: expected hour,bus,value",
+    "hour,a\nnoon,1.0\n": "hour label 'noon' is not an integer",
+    "hour,a\n0,much\n": "bad numeric value 'much' at line 2",
+    "hour,s\n0,1.0\n": "the substation bus cannot carry a profile",
+    "hour,a\n": "profile file has a header but no data rows",
+    "hour,bus,value\n0,s,1.0\n": "the substation bus cannot carry a profile",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_malformed_profiles(fork, text):
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         parse_profile(fork, text)
+    assert type(err.value) is SchemaError
+    assert str(err.value) == MALFORMED[text]
 
 
 def test_unknown_bus_and_negative_value(fork):
@@ -87,6 +90,53 @@ def test_unknown_bus_and_negative_value(fork):
         parse_profile(fork, "hour,zz\n0,1.0\n")
     with pytest.raises(NegativeValueError):
         parse_profile(fork, "hour,a\n0,-0.5\n")
+
+
+@pytest.mark.parametrize("long_form", [False, True])
+def test_value_token_grammar(fork, long_form):
+    """Values take Python's float() grammar, in both forms."""
+
+    def parse(tokens):
+        if long_form:
+            lines = ["hour,bus,value"] + [f"{h},a,{tok}" for h, tok in enumerate(tokens)]
+        else:
+            lines = ["hour,a"] + [f"{h},{tok}" for h, tok in enumerate(tokens)]
+        return parse_profile(fork, "\n".join(lines) + "\n")
+
+    a = fork.index_of("a") - 1
+    assert parse(["+1.5", " 2.5 ", "1_000", "1e-3", "0"]).values[:, a].tolist() == [
+        1.5, 2.5, 1000.0, 0.001, 0.0
+    ]
+    for tok in ("nan", "inf", "-inf"):
+        with pytest.raises(SchemaError) as err:
+            parse(["1.0", tok])
+        assert type(err.value) is SchemaError
+        assert str(err.value) == "non-finite value at line 3"
+    with pytest.raises(NegativeValueError, match="^negative profile value -0.5 at line 4$"):
+        parse(["1.0", "2.0", "-0.5"])
+    with pytest.raises(SchemaError, match="^bad numeric value '1,5' at line 2$"):
+        parse(['"1,5"'])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a bad value before a structure error, and the other way round
+        ("hour,a,b\n0,1,2\n1,1,much\n2,1\n", "bad numeric value 'much' at line 3"),
+        ("hour,a,b\n0,1,2\n1,1\n2,1,much\n", "line 3: expected 3 columns"),
+        ("hour,a,b\n0,1,-2\n1,nan,1\n", "negative profile value -2 at line 2"),
+        ("hour,a,b\n0,1,2\n1,nan,-1\n", "non-finite value at line 3"),
+        ("hour,bus,value\n0,a,1\n1,a,much\n1,zz,1\n", "bad numeric value 'much' at line 3"),
+        ("hour,bus,value\n0,a,1\n1,zz,1\n2,a,much\n", "profile references unknown bus 'zz'"),
+        # in long form a line's value is checked before its duplicate entry
+        ("hour,bus,value\n0,a,1\n0,a,-1\n", "negative profile value -1 at line 3"),
+        ("hour,bus,value\n0,a,1\n0,a,2\n1,a,-1\n", "line 3: duplicate entry for hour 0, bus 'a'"),
+    ],
+)
+def test_first_error_in_file_order(fork, text, message):
+    with pytest.raises(SchemaError) as err:
+        parse_profile(fork, text)
+    assert str(err.value) == message
 
 
 def test_reactive_synthesis(fork):
