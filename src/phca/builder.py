@@ -34,7 +34,8 @@ from .errors import (
     ModelError,
 )
 from .feeder import LDC, LOCAL, REMOTE, FeederModel, partition_by_regulators, sensitivity_matrices
-from .qp import OPTIMAL, QpInstance, solve_qp
+from .qp import OPTIMAL, QpInstance, solve_qp_batch
+from .qp import solve_qp  # noqa: F401  bench/tracing.py wraps phca.builder.solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +85,10 @@ class BuilderConfig:
     assignments: tuple[tuple[str, str], ...] = ()
 
     def validate(self) -> None:
+        for name in ("beta", "vmin", "vmax", "nu", "eta", "ridge"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 < self.vmin < self.vmax:
@@ -266,31 +271,40 @@ class MpqpProblem:
         m = self.A.shape[0]
         return QpInstance(self.H, c, self.A, rhs[:m], self.B, rhs[m:])
 
-    def reduced_instance(self, theta: np.ndarray) -> tuple[QpInstance, np.ndarray]:
-        """The same instance without the slack machinery.
+    def _slack_free(self, thetas: np.ndarray) -> tuple:
+        """The problem without its slack machinery at every row of thetas.
 
         Drops the slack variable column and its nonnegativity row; soft rows
         keep their original right-hand side, so this is the unrelaxed
-        problem.  Returns the instance and the positions of the soft rows
-        within it.
+        problem.  Returns the shared blocks and the stacked parameter rows
+        in solve_qp_batch's order, (H, A, B, c, b, beq), followed by the
+        positions of the soft rows among the kept inequality rows.
         """
         if self.slack_index is None:
             raise ModelError("problem has no slack variable to remove")
-        full = self.instance(theta)
-        keep_vars = np.array([i for i in range(self.n_var) if i != self.slack_index])
-        keep_rows = np.array(
-            [i for i, lab in enumerate(self.row_labels) if lab.family != SLACK_NONNEG]
+        if thetas.ndim != 2 or thetas.shape[1] != self.n_theta:
+            raise DimensionError(
+                f"thetas must have shape (k, {self.n_theta}), got {thetas.shape}"
+            )
+        cols = np.delete(np.arange(self.n_var), self.slack_index)
+        rows = np.flatnonzero([lab.family != SLACK_NONNEG for lab in self.row_labels])
+        soft = np.flatnonzero([self.row_labels[i].soft for i in rows])
+        c, rhs = self.instance_data(thetas)
+        return (
+            self.H[np.ix_(cols, cols)],
+            self.A[np.ix_(rows, cols)],
+            self.B[:, cols],
+            c[:, cols],
+            rhs[:, rows],
+            rhs[:, self.A.shape[0]:],
+            soft,
         )
-        inst = QpInstance(
-            self.H[np.ix_(keep_vars, keep_vars)],
-            full.c[keep_vars],
-            self.A[np.ix_(keep_rows, keep_vars)],
-            full.b[keep_rows],
-            self.B[:, keep_vars],
-            full.beq,
-        )
-        soft = np.flatnonzero([self.row_labels[i].soft for i in keep_rows])
-        return inst, soft
+
+    def reduced_instance(self, theta: np.ndarray) -> tuple[QpInstance, np.ndarray]:
+        """The instance at theta without the slack machinery (see
+        _slack_free), and the positions of the soft rows within it."""
+        H, A, B, c, b, beq, soft = self._slack_free(np.asarray(theta, dtype=float)[None])
+        return QpInstance(H, c[0], A, b[0], B, beq[0]), soft
 
     def with_eta(self, eta: float) -> "MpqpProblem":
         """Copy of the problem with the linear slack price replaced."""
@@ -298,6 +312,8 @@ class MpqpProblem:
             raise ModelError("set eta before scaling the problem")
         if self.slack_index is None:
             raise ModelError("problem has no slack variable")
+        if not np.isfinite(eta):
+            raise ConfigError(f"eta must be finite, got {eta}")
         if eta < 0:
             raise ConfigError("eta must be nonnegative")
         d = self.d.copy()
@@ -665,31 +681,28 @@ ETA_FLOOR = 1e-2
 def calibrate_eta(prob: MpqpProblem, thetas: np.ndarray, margin: float = 10.0) -> float:
     """Slack price from soft-constraint multipliers of sample instances.
 
-    Solves the unrelaxed problem per sample, sums the multipliers of the
-    soft rows, and returns margin * (largest sum).  Infeasible samples are
-    skipped, with one warning that counts them; if every sample is
-    infeasible there is nothing to calibrate against and
+    Solves the unrelaxed problem of every sample in one stacked solve, sums
+    the multipliers of the soft rows per sample, and returns
+    margin * (largest sum).  Infeasible samples are skipped, with one
+    warning that counts them; if no sample is solved (an empty sample
+    included) there is nothing to calibrate against and
     AllInfeasibleError is raised.  A batch whose
     soft rows never bind yields 0.0; callers must floor the result at
     ETA_FLOOR before use.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    worst = None
-    skipped = 0
-    for row in thetas:
-        inst, soft = prob.reduced_instance(row)
-        sol = solve_qp(inst)
-        if sol.status != OPTIMAL:
-            skipped += 1
-            logger.debug("calibration sample infeasible or failed (%s); skipped", sol.status)
-            continue
-        total = float(sol.lam[soft].sum()) if len(soft) else 0.0
-        worst = total if worst is None else max(worst, total)
-    if worst is None:
-        raise AllInfeasibleError(f"all {len(thetas)} calibration samples infeasible")
+    *data, soft = prob._slack_free(thetas)
+    n = thetas.shape[0]
+    if n == 0:
+        raise AllInfeasibleError("no calibration samples")
+    batch = solve_qp_batch(*data)
+    solved = batch.status == OPTIMAL
+    if not solved.any():
+        raise AllInfeasibleError(f"all {n} calibration samples infeasible")
+    skipped = n - int(solved.sum())
     if skipped:
-        logger.warning("calibration skipped %d of %d samples", skipped, len(thetas))
-    return margin * worst
+        logger.warning("calibration skipped %d of %d samples", skipped, n)
+    return margin * float(batch.lam[solved][:, soft].sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------

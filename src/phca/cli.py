@@ -117,6 +117,10 @@ def _engine_options(args) -> EngineOptions:
 
 def _build_case(args):
     """Shared pipeline: files -> (feeder, scaled problem, theta set)."""
+    if args.calibration_samples < 1:
+        raise ConfigError(
+            f"calibration-samples must be at least 1, got {args.calibration_samples}"
+        )
     feeder = load_feeder(Path(args.feeder).read_text())
     config = load_config(args.config) if args.config else BuilderConfig()
     grid = AnalysisGrid(kappa=args.kappa, oversize=args.oversize, alpha=args.alpha)
@@ -134,7 +138,7 @@ def _build_case(args):
         eta = args.eta
     else:
         n = len(thetas)
-        take = max(1, min(args.calibration_samples, n))
+        take = min(args.calibration_samples, n)
         sample = thetas.thetas[np.linspace(0, n - 1, take).astype(int)]
         try:
             eta = calibrate_eta(prob, sample)

@@ -104,11 +104,11 @@ class ThetaSet:
 # CSV parsing
 
 
-def _parse_hour(tok: str) -> int:
+def _parse_hour(tok: str, ln: int) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise SchemaError(f"hour label {tok!r} is not an integer") from None
+        raise SchemaError(f"line {ln}: hour label {tok!r} is not an integer") from None
 
 
 def _check_value(tok: str, where: str) -> None:
@@ -192,7 +192,7 @@ def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
             if long_form:
                 if len(row) != 3:
                     raise SchemaError(f"line {ln}: expected hour,bus,value")
-                hour = _parse_hour(row[0].strip())
+                hour = _parse_hour(row[0].strip(), ln)
                 bus = row[1].strip()
                 if bus not in slot_of:
                     slot_of[bus] = _bus_slot(feeder, bus)
@@ -210,7 +210,7 @@ def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
             else:
                 if len(row) != len(header):
                     raise SchemaError(f"line {ln}: expected {len(header)} columns")
-                hour = _parse_hour(row[0].strip())
+                hour = _parse_hour(row[0].strip(), ln)
                 if hour in seen:
                     raise SchemaError(f"line {ln}: duplicate hour {hour}")
                 seen.add(hour)

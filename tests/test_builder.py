@@ -15,6 +15,7 @@ from phca import (
     solve_qp,
     theta_map_batch,
 )
+import phca.builder as builder_mod
 from phca.builder import BuilderConfig
 from phca.errors import (
     AllInfeasibleError,
@@ -23,7 +24,7 @@ from phca.errors import (
     HeadroomError,
     ModelError,
 )
-from phca.qp import OPTIMAL
+from phca.qp import OPTIMAL, solve_qp_batch
 
 # demo feeder buses in tree order, substation first
 BFS_EXT = ("0", "1", "2", "3", "8", "4", "9", "5", "10", "6", "12", "11", "7", "13", "14")
@@ -115,8 +116,9 @@ def test_with_eta(demo_problem):
     prob = demo_problem.with_eta(0.25)
     assert prob.eta == 0.25
     assert demo_problem.eta == 0.0
-    with pytest.raises(ConfigError):
-        demo_problem.with_eta(-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            demo_problem.with_eta(bad)
 
 
 def test_voltage_rows_encode_window(demo_problem, rng):
@@ -319,6 +321,72 @@ def test_calibrate_eta_all_infeasible(demo_problem):
         calibrate_eta(demo_problem, bad)
 
 
+def overloaded_hours(prob, scen, hours=24):
+    """Demo hours overloaded enough that the soft rows bind."""
+    return theta_map_batch(
+        prob, scen.pc[:hours], scen.qc[:hours], scen.pg[:hours],
+        alpha=0.12, kappa=5.0, oversize=1.0,
+    )
+
+
+def scalar_eta(prob, thetas, margin=10.0):
+    """calibrate_eta's answer from one solve_qp call per sample."""
+    sums = []
+    for th in thetas:
+        inst, soft = prob.reduced_instance(th)
+        sol = solve_qp(inst)
+        if sol.status == OPTIMAL:
+            sums.append(sol.lam[soft].sum())
+    return margin * max(sums)
+
+
+@pytest.mark.parametrize("sample", ["demo", "random-feeder", "forced-infeasible"])
+def test_calibrate_eta_matches_scalar_solves(
+    sample, demo_problem, demo_scenarios, random_feeder_case
+):
+    prob, thetas = demo_problem, overloaded_hours(demo_problem, demo_scenarios)
+    if sample == "random-feeder":
+        prob, every = random_feeder_case
+        thetas = every[np.linspace(0, len(every) - 1, 32).astype(int)]
+    elif sample == "forced-infeasible":
+        squeezed = thetas[::3].copy()
+        squeezed[:, prob.headroom_slice()] = -0.5
+        thetas = np.vstack([thetas, squeezed])
+    eta = calibrate_eta(prob, thetas)
+    assert eta > 0.0
+    assert eta == pytest.approx(scalar_eta(prob, thetas), rel=1e-12)
+
+
+def test_calibrate_eta_one_stacked_solve(demo_problem, demo_scenarios, monkeypatch):
+    stacks = []
+
+    def counting(*args, **kwargs):
+        stacks.append(args[3].shape[0])
+        return solve_qp_batch(*args, **kwargs)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("calibration made a scalar solve")
+
+    monkeypatch.setattr(builder_mod, "solve_qp_batch", counting)
+    monkeypatch.setattr(builder_mod, "solve_qp", unreachable)
+    thetas = overloaded_hours(demo_problem, demo_scenarios)
+    calibrate_eta(demo_problem, thetas)
+    assert stacks == [len(thetas)]
+
+
+def test_calibrate_eta_refuses_empty_and_wrong_width(demo_problem, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sample reached the solver")
+
+    monkeypatch.setattr(builder_mod, "solve_qp_batch", unreachable)
+    n_theta = demo_problem.n_theta
+    with pytest.raises(AllInfeasibleError):
+        calibrate_eta(demo_problem, np.zeros((0, n_theta)))
+    for bad in (np.zeros((3, n_theta + 1)), np.zeros(n_theta - 1), np.zeros((2, 3, n_theta))):
+        with pytest.raises(DimensionError):
+            calibrate_eta(demo_problem, bad)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -333,6 +401,10 @@ def test_calibrate_eta_all_infeasible(demo_problem):
         {"assignments": (("slack-nonneg", "soft"),)},
         {"assignments": (("no-such-family", "hard"),)},
         {"assignments": (("voltage-hi", "sometimes"),)},
+        {"nu": math.nan},
+        {"ridge": math.inf},
+        {"eta": math.nan},
+        {"vmax": math.inf},
     ],
 )
 def test_config_rejects(kwargs):
@@ -368,6 +440,10 @@ def test_load_config(tmp_path):
     path.write_text("[dispatch]\nbeta = not-a-number\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    for line in ("nu = nan", "ridge = inf", "eta = nan"):
+        path.write_text(f"[dispatch]\n{line}\n")
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config(path)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
 

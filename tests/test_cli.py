@@ -196,6 +196,41 @@ def test_negative_seed_is_exit_2(case, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_calibration_samples_below_one_is_exit_2(case, capsys, count):
+    code = main(["run", *base_args(case), "--out", str(case / "x.json"),
+                 "--calibration-samples", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: ConfigError: calibration-samples")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_non_finite_eta_is_exit_2(case, capsys, eta):
+    args = base_args(case)
+    args[args.index("--eta") + 1] = eta
+    code = main(["run", *args, "--out", str(case / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: ConfigError: eta must be finite")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line", ["nu = nan", "ridge = inf", "eta = nan"])
+def test_non_finite_dispatch_value_is_exit_2(case, capsys, tmp_path, line):
+    config = tmp_path / "config.ini"
+    config.write_text(f"[dispatch]\n{line}\n")
+    args = base_args(case)
+    args[args.index("--config") + 1] = str(config)
+    code = main(["run", *args, "--out", str(case / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: ConfigError:")
+    assert "must be finite" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def _unknown_counter(payload):
     # counters other than screened_out are counted off the columns, never stored
     payload["qp_solves"] = 3

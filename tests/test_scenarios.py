@@ -69,7 +69,8 @@ MALFORMED = {
     "hour,a\n0\n": "line 2: expected 2 columns",
     "hour,bus,value\n0,a,1.0\n0,a,2.0\n": "line 3: duplicate entry for hour 0, bus 'a'",
     "hour,bus,value\n0,a\n": "line 2: expected hour,bus,value",
-    "hour,a\nnoon,1.0\n": "hour label 'noon' is not an integer",
+    "hour,a\nnoon,1.0\n": "line 2: hour label 'noon' is not an integer",
+    "hour,bus,value\n0,a,1.0\nx,a,1.0\n": "line 3: hour label 'x' is not an integer",
     "hour,a\n0,much\n": "bad numeric value 'much' at line 2",
     "hour,s\n0,1.0\n": "the substation bus cannot carry a profile",
     "hour,a\n": "profile file has a header but no data rows",
