@@ -244,19 +244,26 @@ class MpqpProblem:
 
     # ---- instances --------------------------------------------------------
 
+    def inequality_rhs(
+        self, thetas: np.ndarray, rows: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """Stacked E theta + b of the inequality rows picked by rows (every
+        one by default)."""
+        rhs = thetas @ self.E[rows].T
+        rhs += self.b[rows]
+        return rhs
+
     def right_hand_sides(
         self, thetas: np.ndarray, rows: np.ndarray | slice = slice(None)
     ) -> np.ndarray:
-        """Stacked right-hand sides as the QP sees them: E theta + b of the
-        inequality rows picked by rows (every one by default), followed by
-        F theta + f of every equality row."""
-        E, b = self.E[rows], self.b[rows]
-        m = b.size
-        rhs = np.empty((thetas.shape[0], m + self.f.size))
-        np.matmul(thetas, E.T, out=rhs[:, :m])
-        np.matmul(thetas, self.F.T, out=rhs[:, m:])
-        rhs += np.concatenate([b, self.f])
-        return rhs
+        """Stacked right-hand sides as the QP sees them: inequality_rhs of
+        rows, followed by F theta + f of every equality row."""
+        rhs = self.inequality_rhs(thetas, rows)
+        if self.f.size == 0:
+            return rhs
+        eq = thetas @ self.F.T
+        eq += self.f
+        return np.concatenate([rhs, eq], axis=1)
 
     def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked parameter rows as the QP sees them: the costs

@@ -134,9 +134,9 @@ def _build_case(args):
     prob = build_problem(feeder, config)
     thetas = expand_grid(prob, scen, grid)
 
-    if args.eta is not None:
-        eta = args.eta
-    else:
+    # --eta, then the config's eta, then calibration; a set value is used as given
+    eta = args.eta if args.eta is not None else config.eta
+    if eta is None:
         n = len(thetas)
         take = min(args.calibration_samples, n)
         sample = thetas.thetas[np.linspace(0, n - 1, take).astype(int)]

@@ -154,7 +154,9 @@ class BatchResult:
     direct_signatures, keyed by instance index.  screened_out counts the
     swept rows a region did not serve, the one tally the columns cannot
     give.  wall_time_s is for humans and is deliberately left out of the
-    serialized form.
+    serialized form.  _report_summary keeps phca.stats' statistics pass
+    over the result; it is neither serialized nor compared, and
+    dataclasses.replace starts a new result without it.
     """
 
     problem: MpqpProblem
@@ -169,6 +171,7 @@ class BatchResult:
     direct_signatures: dict[int, tuple[int, ...]]
     screened_out: int
     wall_time_s: float = field(default=0.0, compare=False)
+    _report_summary: object = field(default=None, init=False, repr=False, compare=False)
 
     def record_for(self, index: int) -> InstanceRecord:
         rid = int(self.region_id[index])
@@ -572,7 +575,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     # a solved row is certified (reuse) or a direct solve's optimum, so it
     # lies within the looser of the two primal tolerances; the unsolved
     # rows are NaN and compare false
-    rhs = prob.right_hand_sides(thetas)[:, :n_rows]
+    rhs = prob.inequality_rhs(thetas)
     excess = (x @ prob.A.T - rhs).max(axis=1, initial=-np.inf) - np.maximum(
         SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
     )

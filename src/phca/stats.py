@@ -7,6 +7,15 @@ and by how much, and the tap ratios implied for remote regulators.
 Slack below 1e-8 is treated as exactly zero; an instance whose slack
 exceeds 1e-6 is counted as needing relaxation, meaning its unrelaxed
 problem is infeasible for practical purposes.
+
+Both reports format one statistics pass over the result: the group
+statistics and the remote regulators' tap-ratio ranges.  The pass is
+kept on the result, keyed by the theta set and feeder objects and the
+quantiles it read, so a report pair on one result runs it once.  The
+reports therefore treat a BatchResult as a value: to change one, build a
+new one with dataclasses.replace (which starts with no pass kept) rather
+than editing its arrays in place after a report.  The public functions
+below are never cached.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .builder import REMOTE_REG, MpqpProblem
+from .builder import MpqpProblem
 from .engine import BatchResult
 from .errors import EmptyGroupError, ModelError
 from .feeder import REMOTE, FeederModel
@@ -72,7 +81,7 @@ def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
     A0 = prob.A[soft].copy()
     if prob.slack_index is not None:
         A0[:, prob.slack_index] = 0.0
-    rhs = prob.right_hand_sides(result.thetas, soft)[:, : soft.size]
+    rhs = prob.inequality_rhs(result.thetas, soft)
     return soft, (result.x @ A0.T - rhs) * prob.scaling.ineq_scale
 
 
@@ -91,8 +100,15 @@ def violation_bound_gap(result: BatchResult) -> np.ndarray:
 
 def recover_ratios(result: BatchResult, feeder: FeederModel) -> dict[str, np.ndarray]:
     """Implied tap ratio v_out / v_in per remote regulator, per instance."""
+    return _ratios(result, feeder, None)
+
+
+def _ratios(
+    result: BatchResult, feeder: FeederModel, volts: np.ndarray | None
+) -> dict[str, np.ndarray]:
+    """recover_ratios on the voltage matrix volts; with volts None, the
+    matrix is formed once a remote regulator needs it."""
     prob = result.problem
-    volts = None  # formed only once a remote regulator needs it
     out = {}
     for k, rg in enumerate(feeder.regulators):
         if rg.kind != REMOTE:
@@ -136,9 +152,19 @@ def group_stats(
     Quantiles use the linear interpolation rule.  Raises EmptyGroupError
     when a grid cell produced no solved instance at all.
     """
+    return _group_stats(result, theta_set, voltage_matrix(result), quantiles, top_rows)
+
+
+def _group_stats(
+    result: BatchResult,
+    theta_set: ThetaSet,
+    volts: np.ndarray,
+    quantiles: tuple[float, ...],
+    top_rows: int,
+) -> list[GroupStats]:
+    """group_stats reading volts, the result's voltage matrix."""
     prob = result.problem
     s_all = slack_values(result)
-    volts = voltage_matrix(result)
     soft, resid = soft_violations(result)
     labels = [str(prob.row_labels[i]) for i in soft]
     qs = np.asarray(quantiles)
@@ -176,6 +202,46 @@ def group_stats(
     return out
 
 
+@dataclass(frozen=True)
+class _Summary:
+    """The one statistics pass both reports format, with the inputs it read
+    (theta set and feeder by identity); ratios maps each remote regulator
+    to the (min, max) of its finite tap ratios."""
+
+    theta_set: ThetaSet
+    feeder: FeederModel | None
+    quantiles: tuple[float, ...]
+    groups: list[GroupStats]
+    ratios: dict[str, tuple[float, float]]
+
+
+def _summary(
+    result: BatchResult,
+    theta_set: ThetaSet,
+    feeder: FeederModel | None,
+    quantiles: tuple[float, ...],
+) -> _Summary:
+    """The result's statistics pass for these inputs, kept on the result."""
+    quantiles = tuple(quantiles)
+    kept = result._report_summary
+    if (
+        kept is not None
+        and kept.theta_set is theta_set
+        and kept.feeder is feeder
+        and kept.quantiles == quantiles
+    ):
+        return kept
+    volts = voltage_matrix(result)
+    groups = _group_stats(result, theta_set, volts, quantiles, top_rows=5)
+    ratios = {}
+    if feeder is not None:
+        for ref, arr in _ratios(result, feeder, volts).items():
+            finite = arr[np.isfinite(arr)]
+            ratios[ref] = (float(finite.min()), float(finite.max()))
+    result._report_summary = _Summary(theta_set, feeder, quantiles, groups, ratios)
+    return result._report_summary
+
+
 def _bus_names(prob: MpqpProblem) -> list[str]:
     # theta names open with one pc slot per non-substation bus
     return [name[3:-1] for name in prob.theta_names[: prob.n_inj]]
@@ -202,7 +268,8 @@ def render_report(
     )
     qs_label = " ".join(f"q{int(round(100 * q)):02d}" for q in quantiles)
     buses = _bus_names(prob)
-    for gs in group_stats(result, theta_set, quantiles):
+    summary = _summary(result, theta_set, feeder, quantiles)
+    for gs in summary.groups:
         kappa, oversize, alpha = gs.key
         lines.append("")
         lines.append(
@@ -227,12 +294,11 @@ def render_report(
                 lines.append(f"    {label}  {cnt}  {amt:.3e}")
         else:
             lines.append("  no soft-row violations")
-    if feeder is not None and any(rg.kind == REMOTE for rg in feeder.regulators):
+    if summary.ratios:
         lines.append("")
         lines.append("remote regulator tap ratios (min, max over solved instances)")
-        for ref, ratios in recover_ratios(result, feeder).items():
-            finite = ratios[np.isfinite(ratios)]
-            lines.append(f"  {ref}  {finite.min():.5f}  {finite.max():.5f}")
+        for ref, (lo, hi) in summary.ratios.items():
+            lines.append(f"  {ref}  {lo:.5f}  {hi:.5f}")
     return "\n".join(lines) + "\n"
 
 
@@ -245,8 +311,9 @@ def json_report(
     """Machine-readable counterpart of render_report; deterministic."""
     prob = result.problem
     buses = _bus_names(prob)
+    summary = _summary(result, theta_set, feeder, quantiles)
     groups = []
-    for gs in group_stats(result, theta_set, quantiles):
+    for gs in summary.groups:
         groups.append(
             {
                 "kappa": gs.key[0],
@@ -258,7 +325,7 @@ def json_report(
                 "max_slack": gs.max_slack,
                 "slack_quantiles": list(gs.slack_quantiles),
                 "voltage_quantiles": {
-                    bus: [float(v) for v in gs.voltage_quantiles[:, j]]
+                    bus: gs.voltage_quantiles[:, j].tolist()
                     for j, bus in enumerate(buses)
                 },
                 "worst_rows": [
@@ -272,11 +339,8 @@ def json_report(
         "quantiles": list(quantiles),
         "groups": groups,
     }
-    if feeder is not None:
-        ratios = {}
-        for ref, arr in recover_ratios(result, feeder).items():
-            finite = arr[np.isfinite(arr)]
-            ratios[ref] = {"min": float(finite.min()), "max": float(finite.max())}
-        if ratios:
-            payload["remote_ratios"] = ratios
+    if summary.ratios:
+        payload["remote_ratios"] = {
+            ref: {"min": lo, "max": hi} for ref, (lo, hi) in summary.ratios.items()
+        }
     return json.dumps(payload, sort_keys=True, indent=1)

@@ -270,6 +270,31 @@ def test_instance_data_matches_products(scaled_ldc_problem, small_theta_set):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
+def _stacked_rhs(prob, thetas, rows):
+    # right_hand_sides as it once was: both blocks formed, then the
+    # inequality block sliced off
+    E, b = prob.E[rows], prob.b[rows]
+    m = b.size
+    rhs = np.empty((thetas.shape[0], m + prob.f.size))
+    np.matmul(thetas, E.T, out=rhs[:, :m])
+    np.matmul(thetas, prob.F.T, out=rhs[:, m:])
+    rhs += np.concatenate([b, prob.f])
+    return rhs
+
+
+def test_inequality_rhs_is_the_inequality_block(scaled_ldc_problem, small_theta_set):
+    prob = scaled_ldc_problem
+    assert prob.f.size >= 1 and np.abs(prob.F).max() > 0
+    thetas = small_theta_set.thetas
+    for rows in (slice(None), prob.soft_rows):
+        old = _stacked_rhs(prob, thetas, rows)
+        m = prob.b[rows].size
+        # the loader's feasibility check reads every row, soft_violations
+        # the soft rows: both bit for bit what they read before
+        assert prob.inequality_rhs(thetas, rows).tobytes() == old[:, :m].tobytes()
+        assert prob.right_hand_sides(thetas, rows).tobytes() == old.tobytes()
+
+
 def test_calibrate_eta(demo_problem, demo_scenarios):
     prob = demo_problem
     scen = demo_scenarios

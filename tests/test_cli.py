@@ -1,6 +1,7 @@
 """Command-line pipeline: demo assets, run, validate, stats, dump-problem."""
 
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +230,26 @@ def test_non_finite_dispatch_value_is_exit_2(case, capsys, tmp_path, line):
     assert captured.err.startswith("phca: error: ConfigError:")
     assert "must be finite" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_config_eta_is_used_as_given(case, capsys, caplog, tmp_path):
+    # --eta, then the config's eta, then calibration
+    config = tmp_path / "config.ini"
+    config.write_text((case / "config.ini").read_text() + "eta = 5.0\n")
+    args = base_args(case)
+    del args[args.index("--eta"):args.index("--eta") + 2]
+    from_config = list(args)
+    from_config[from_config.index("--config") + 1] = str(config)
+    with caplog.at_level(logging.INFO, logger="phca.cli"):
+        assert main(["run", *from_config, "--out", str(tmp_path / "config.json")]) == 0
+        assert caplog.messages == ["slack price eta = 5"]
+        caplog.clear()
+        assert main(["run", *args, "--eta", "5", "--out", str(tmp_path / "flag.json")]) == 0
+        assert main(["run", *from_config, "--eta", "0.5", "--out", str(tmp_path / "both.json")]) == 0
+        assert caplog.messages == ["slack price eta = 5", "slack price eta = 0.5"]
+    capsys.readouterr()
+    assert (tmp_path / "config.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+    assert (tmp_path / "both.json").read_bytes() != (tmp_path / "flag.json").read_bytes()
 
 
 def _unknown_counter(payload):

@@ -184,3 +184,68 @@ def test_json_report(batch, small_theta_set, demo_feeder):
     assert "1" in g0["voltage_quantiles"]
     ratios = payload["remote_ratios"]["3-4"]
     assert 0.9 - 1e-9 <= ratios["min"] <= ratios["max"] <= 1.1 + 1e-9
+
+
+def _count_passes(monkeypatch):
+    """Count the statistics passes: each forms the voltage matrix once."""
+    calls = []
+    real = stats_mod.voltage_matrix
+
+    def counted(result):
+        calls.append(result)
+        return real(result)
+
+    monkeypatch.setattr(stats_mod, "voltage_matrix", counted)
+    return calls
+
+
+def test_report_pair_runs_one_statistics_pass(batch, small_theta_set, demo_feeder, monkeypatch):
+    res = replace(batch)
+    calls = _count_passes(monkeypatch)
+    text = render_report(res, small_theta_set, demo_feeder)
+    payload = json_report(res, small_theta_set, demo_feeder)
+    assert len(calls) == 1
+    # the reports of the kept pass equal those of a result that kept none
+    fresh = replace(res)
+    assert fresh._report_summary is None
+    assert render_report(fresh, small_theta_set, demo_feeder) == text
+    assert json_report(fresh, small_theta_set, demo_feeder) == payload
+    assert len(calls) == 2
+
+
+def test_other_inputs_rerun_the_statistics_pass(batch, small_theta_set, demo_feeder, monkeypatch):
+    res = replace(batch)
+    calls = _count_passes(monkeypatch)
+    render_report(res, small_theta_set, demo_feeder)
+    # each call differs from the one before in one input only
+    qs = (0.1, 0.5, 0.9)
+    text = json_report(res, small_theta_set, demo_feeder, qs)
+    assert len(calls) == 2
+    assert len(json.loads(text)["groups"][0]["slack_quantiles"]) == 3
+    # equal inputs held by other objects
+    theta_set = replace(small_theta_set)
+    assert json_report(res, theta_set, demo_feeder, qs) == text
+    assert len(calls) == 3
+    assert json_report(res, theta_set, replace(demo_feeder), qs) == text
+    assert len(calls) == 4
+
+
+def test_replaced_result_never_sees_the_kept_pass(batch, small_theta_set, demo_feeder):
+    res = replace(batch)
+    before = render_report(res, small_theta_set, demo_feeder)
+    x = res.x.copy()
+    x[:, res.problem.slack_index] += 1.0  # every instance now needs relaxation
+    moved = replace(res, x=x)
+    assert moved._report_summary is None
+    after = render_report(moved, small_theta_set, demo_feeder)
+    assert after != before
+    assert "relaxed 48 (100.00%)" in after
+    assert render_report(res, small_theta_set, demo_feeder) == before
+
+
+def test_kept_pass_leaves_equality_alone(batch, small_theta_set, demo_feeder):
+    kept, bare = replace(batch), replace(batch)
+    json_report(kept, small_theta_set, demo_feeder)
+    assert kept._report_summary is not None and bare._report_summary is None
+    assert kept == bare
+    assert "_report_summary" not in repr(kept)
