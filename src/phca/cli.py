@@ -153,6 +153,8 @@ def _build_case(args):
 
 
 def _cmd_demo(args) -> int:
+    if args.days < 1:
+        raise ConfigError(f"days must be at least 1, got {args.days}")
     paths = demo.write_assets(args.out, days=args.days)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
@@ -181,6 +183,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise ConfigError(f"sample must be at least 1, got {args.sample}")
     feeder, scaled, thetas = _build_case(args)
     result = run_batch(scaled, thetas.thetas, _engine_options(args))
     solved = np.flatnonzero(result.solved_mask())
@@ -189,7 +193,7 @@ def _cmd_validate(args) -> int:
         return 3
     indices = None
     if args.sample is not None:
-        take = max(1, min(args.sample, solved.size))
+        take = min(args.sample, solved.size)
         indices = solved[np.linspace(0, solved.size - 1, take).astype(int)]
     report = validate_batch(result, indices)
     print(

@@ -18,6 +18,13 @@ the active rows stacked on the equalities are rank deficient, the seed
 keeps its direct solution and no region is built from it.  An optional
 budget caps the number of region-building attempts; leftovers are then
 solved directly.
+
+The results file holds the explicit solution, the region table rather
+than every mapped point: the status, reason and region columns, each
+region's signature, and only the solutions solved directly.
+load_result_json rebuilds each region and maps its reuse rows again, the
+same call on the same rows as the sweep, so the loaded solutions are the
+run's bit for bit; run_batch and the loader share the objective formula.
 """
 
 from __future__ import annotations
@@ -146,7 +153,10 @@ class BatchResult:
     problem is the scaled problem the engine actually ran, its scaling
     included; x rows and the objectives are in original units (scaling
     leaves the minimizer alone and multiplies the cost by a known
-    constant), NaN where nothing was solved.  status and reason index
+    constant), NaN where nothing was solved.  A reuse row's x is its
+    region's map at the row's parameters; the serialized form keeps only
+    the other solved rows and rederives these and every objective on
+    load.  status and reason index
     STATUSES and REASONS; region_id indexes regions, -1 meaning no region.
     regions holds each region's signature (its active rows) in id order,
     and an instance's active set is its region's; the direct rows without
@@ -213,17 +223,18 @@ class BatchResult:
     def to_json(self) -> str:
         """Deterministic strict JSON of the columns; excludes wall-clock time.
 
-        x (row-major) and the objectives are written as base64 strings of
-        their little-endian float64 bytes, every non-finite entry as the
-        canonical NaN.
+        x holds only the rows solved directly (seed, budget and degenerate
+        rows), in index order, row-major, as a base64 string of their
+        little-endian float64 bytes, every non-finite entry as the
+        canonical NaN.  The reuse rows and every objective are left out:
+        load_result_json rederives them through the region table.
         """
         payload = {
             "columns": {
                 "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
                 "reason": np.asarray(REASONS, dtype=object)[self.reason].tolist(),
                 "region_id": self.region_id.tolist(),
-                "objective": _float64_text(self.objectives),
-                "x": _float64_text(self.x),
+                "x": _float64_text(self.x[_stored_rows(self.status)]),
             },
             "direct_signatures": [
                 {"index": i, "signature": list(sig)}
@@ -241,6 +252,18 @@ def _float64_text(values: np.ndarray) -> str:
     """Base64 of the values' little-endian float64 bytes, NaN for every non-finite entry."""
     values = np.where(np.isfinite(values), values, np.nan).astype("<f8", copy=False)
     return base64.b64encode(values.tobytes()).decode("ascii")
+
+
+def _objectives(prob: MpqpProblem, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Objectives in original units of the stacked solutions x at the
+    scaled costs c; NaN on the rows where x is NaN."""
+    return (0.5 * ((x @ prob.H) * x).sum(axis=1) + (c * x).sum(axis=1)) * prob.scaling.cost_scale
+
+
+def _stored_rows(status: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose solution the results file stores: those
+    solved directly (seed, budget and degenerate rows)."""
+    return (status == STATUSES.index(DIRECT)) | (status == STATUSES.index(DEGENERATE))
 
 
 def _positive_multipliers(sol) -> np.ndarray:
@@ -361,22 +384,12 @@ def run_batch(
             rid, len(signature), rem.size, keep.size,
         )
 
-    # objectives in original units
-    ok = ~np.isnan(x[:, 0])
-    objectives = np.full(n, np.nan)
-    if np.any(ok):
-        Xok = x[ok]
-        obj_scaled = 0.5 * np.einsum("ij,jk,ik->i", Xok, scaled.H, Xok) + np.einsum(
-            "ij,ij->i", c[ok], Xok
-        )
-        objectives[ok] = obj_scaled * scaled.scaling.cost_scale
-
     return BatchResult(
         problem=scaled,
         options=options,
         thetas=thetas,
         x=x,
-        objectives=objectives,
+        objectives=_objectives(scaled, c, x),
         status=status,
         reason=reason,
         region_id=region_id,
@@ -388,46 +401,47 @@ def run_batch(
 
 
 #: top-level keys of a results file, the columns under "columns", and
-#: which of those are lists (the others are base64 float64 strings)
+#: which of those are lists (x is a base64 float64 string)
 RESULT_KEYS = ("columns", "direct_signatures", "options", "regions", "scaling", "screened_out")
-COLUMNS = ("objective", "reason", "region_id", "status", "x")
+COLUMNS = ("reason", "region_id", "status", "x")
 LIST_COLUMNS = ("reason", "region_id", "status")
 
 
-def _column(values, name: str, dtype=None) -> np.ndarray:
+def _column(values, name: str) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=dtype)
+        return np.asarray(values)
     except (TypeError, ValueError):
         raise SchemaError(f"column {name!r} is malformed") from None
 
 
-def _float_column(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A writable native float array decoded from a _float64_text string."""
+def _stored_x(value, n_rows: int, n_var: int) -> np.ndarray:
+    """The stored solution rows, a writable native (n_rows, n_var) array
+    decoded from a _float64_text string."""
     if isinstance(value, list):
         raise SchemaError(
-            f"column {name!r} is in the earlier list format; rerun phca run to rewrite the file"
+            "column 'x' is in the earlier list format; rerun phca run to rewrite the file"
         )
     if not isinstance(value, str):
-        raise SchemaError(f"column {name!r} must be a base64 string of float64 values")
+        raise SchemaError("column 'x' must be a base64 string of float64 values")
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII string
-        raise SchemaError(f"column {name!r} is not valid base64") from None
-    size = 8 * int(np.prod(shape))
-    if len(raw) != size:
-        raise SchemaError(f"column {name!r} holds {len(raw)} bytes, not the {size} of {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+        raise SchemaError("column 'x' is not valid base64") from None
+    if len(raw) != 8 * n_rows * n_var:
+        raise SchemaError(
+            f"column 'x' holds {len(raw)} bytes, not the {8 * n_rows * n_var} of "
+            f"{n_rows} directly solved rows of {n_var} variables"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(n_rows, n_var)
 
 
-def _codes(values, names: tuple, column: str) -> np.ndarray:
-    """Indices into names of a column of names."""
-    col = _column(values, column, dtype=object)
-    codes = np.full(col.shape, -1, dtype=np.int8)
-    for k, name in enumerate(names):
-        codes[col == name] = k
-    if col.ndim != 1 or (codes < 0).any():
-        raise SchemaError(f"column {column!r} holds a name outside {names}")
-    return codes
+def _codes(values: list, names: tuple, column: str) -> np.ndarray:
+    """Indices into names of a list of names."""
+    lookup = {name: k for k, name in enumerate(names)}
+    try:
+        return np.fromiter(map(lookup.__getitem__, values), dtype=np.int8, count=len(values))
+    except (KeyError, TypeError):  # an unknown name, or an unhashable entry
+        raise SchemaError(f"column {column!r} holds a name outside {names}") from None
 
 
 def _signature(value, n_rows: int, what: str) -> tuple[int, ...]:
@@ -447,19 +461,26 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     The problem and parameter set are reconstructed by the caller from the
     original input files; this checks they line up with the stored run
     (instance count, variable count, scaling) and that the file is well
-    formed before rehydrating: exactly the known top-level keys and
-    columns, known option keys with valid values (as
-    EngineOptions.validate checks them), screened_out a non-negative
-    integer, every list column one entry per instance and x and the
-    objectives base64 strings of exactly n x n_var and n float64 values,
-    known status and reason names, region ids naming a stored region on
-    exactly the reuse and seed rows, each region with exactly one seed
-    row, each row's reason one that STATUS_REASONS pairs with its status,
-    every signature a strictly increasing list of inequality rows,
-    direct signatures on exactly the degenerate and budget rows, finite,
-    primally feasible solutions and finite objectives on solved rows, and
-    NaN everywhere on the other rows.  The counters are counted off the
-    columns, so nothing stored can disagree with them.
+    formed: exactly the known top-level keys and columns (an 'objective'
+    column marks the earlier layout that stored every row), known option
+    keys with valid values (as EngineOptions.validate checks them),
+    screened_out a non-negative integer, every list column one entry per
+    instance and x a base64 string of exactly the directly solved rows'
+    float64 values, known status and reason names, region ids naming a
+    stored region on exactly the reuse and seed rows, each region with
+    exactly one seed row, each row's reason one that STATUS_REASONS pairs
+    with its status, every signature a strictly increasing list of
+    inequality rows, direct signatures on exactly the degenerate and
+    budget rows.
+
+    The reuse rows of x are then rederived as run_batch derives them: one
+    RegionContext.instance_data call over every row, and each region,
+    rebuilt from its signature (it must have full rank), maps its reuse
+    rows in index order, so x equals the run's bit for bit.  The
+    objectives come from the same formula as run_batch's.  Solved rows
+    must be finite and primally feasible; the other rows are NaN.  The
+    counters are counted off the columns, so nothing stored can disagree
+    with them.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -497,6 +518,11 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         raise SchemaError("'screened_out' must be a non-negative integer")
 
     cols = payload["columns"]
+    if isinstance(cols, dict) and "objective" in cols:
+        raise SchemaError(
+            "results file stores an 'objective' column, as an earlier version wrote it; "
+            "rerun phca run to rewrite the file"
+        )
     if not isinstance(cols, dict) or sorted(cols) != list(COLUMNS):
         raise SchemaError(f"results file needs exactly the columns {', '.join(COLUMNS)}")
     for name in LIST_COLUMNS:
@@ -548,15 +574,47 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     direct_signatures = {
         i: _signature(sig, n_rows, f"the direct signature of row {i}") for i, sig in direct
     }
-    x = _float_column(cols["x"], "x", (n, prob.H.shape[0]))
-    objectives = _float_column(cols["objective"], "objective", (n,))
+    stored_rows = _stored_rows(status)
+    x = np.full((n, prob.H.shape[0]), np.nan)
+    x[stored_rows] = _stored_x(cols["x"], int(stored_rows.sum()), prob.H.shape[0])
 
-    result = BatchResult(
+    # the reuse rows through their regions, as run_batch's sweep maps them
+    ctx = RegionContext(prob)
+    c, xu, rhs = ctx.instance_data(thetas)
+    rows = np.flatnonzero(reuse)
+    served = np.bincount(region_id[rows], minlength=len(regions))
+    rows = rows[np.argsort(region_id[rows], kind="stable")]
+    for k, (sig, end) in enumerate(zip(regions, np.cumsum(served).tolist())):
+        try:
+            region = ctx.build_region(sig)
+        except RankDeficientKError:
+            raise SchemaError(
+                f"region {k}'s signature is rank deficient with the equality rows"
+            ) from None
+        keep = rows[end - served[k] : end]
+        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
+
+    solved = status < len(SOLVED)
+    bad = np.flatnonzero(solved & ~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
+    # a solved row is certified (reuse) or a direct solve's optimum, so it
+    # lies within the looser of the two primal tolerances; the unsolved
+    # rows are NaN and compare false
+    rhs = rhs[:, :n_rows]
+    resid = x @ prob.A.T
+    resid -= rhs
+    worst = resid.max(axis=1, initial=-np.inf)
+    over = np.flatnonzero(worst > SCREEN_PRIMAL)
+    bad = over[worst[over] > DEFAULT_TOL * (1.0 + np.abs(rhs[over]).max(axis=1, initial=0.0))]
+    if bad.size:
+        raise SchemaError(f"row {bad[0]} is solved but its solution is infeasible")
+    return BatchResult(
         problem=prob,
         options=options,
         thetas=thetas,
         x=x,
-        objectives=objectives,
+        objectives=_objectives(prob, c, x),
         status=status,
         reason=reason,
         region_id=region_id,
@@ -565,24 +623,6 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         screened_out=screened_out,
         wall_time_s=0.0,
     )
-    solved = result.solved_mask()
-    bad = np.flatnonzero(solved & ~(np.isfinite(x).all(axis=1) & np.isfinite(objectives)))
-    if bad.size:
-        raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
-    bad = np.flatnonzero(~solved & ~(np.isnan(x).all(axis=1) & np.isnan(objectives)))
-    if bad.size:
-        raise SchemaError(f"row {bad[0]} is not solved but carries a solution")
-    # a solved row is certified (reuse) or a direct solve's optimum, so it
-    # lies within the looser of the two primal tolerances; the unsolved
-    # rows are NaN and compare false
-    rhs = prob.inequality_rhs(thetas)
-    excess = (x @ prob.A.T - rhs).max(axis=1, initial=-np.inf) - np.maximum(
-        SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
-    )
-    bad = np.flatnonzero(excess > 0)
-    if bad.size:
-        raise SchemaError(f"row {bad[0]} is solved but its solution is infeasible")
-    return result
 
 
 @dataclass(frozen=True)

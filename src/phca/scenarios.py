@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ class AnalysisGrid:
             ("alpha", self.alpha, lambda v: 0 < v <= 1.0),
         ):
             for v in vals:
+                if not math.isfinite(float(v)):
+                    raise SchemaError(f"grid value {v!r} for {name} must be finite")
                 if not lo_ok(float(v)):
                     raise SchemaError(f"grid value {v!r} out of range for {name}")
 

@@ -18,19 +18,18 @@ from phca.builder import BuilderConfig
 
 
 def float_columns(payload):
-    """x (n x n_var) and the objectives of a parsed results file, as writable arrays."""
-    cols = payload["columns"]
-    x, objective = (
-        np.frombuffer(base64.b64decode(cols[name]), dtype="<f8").astype(float)
-        for name in ("x", "objective")
-    )
-    return x.reshape(len(cols["status"]), -1), objective
+    """The stored solution rows of a parsed results file, as a writable
+    (k, n_var) array, and the instance index of each: the rows solved
+    directly (direct and degenerate-direct), in index order."""
+    rows = [i for i, st in enumerate(payload["columns"]["status"])
+            if st in ("direct", "degenerate-direct")]
+    x = np.frombuffer(base64.b64decode(payload["columns"]["x"]), dtype="<f8").astype(float)
+    return x.reshape(len(rows), -1), rows
 
 
-def set_float_columns(payload, x, objective):
-    """Write x and the objectives back into a parsed results file."""
-    for name, values in (("x", x), ("objective", objective)):
-        payload["columns"][name] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+def set_float_columns(payload, x):
+    """Write stored solution rows back into a parsed results file."""
+    payload["columns"]["x"] = base64.b64encode(np.asarray(x, "<f8").tobytes()).decode()
 
 
 def random_radial_case(n_bus, n_inverters, days, seed, impedance=4.0):

@@ -10,7 +10,8 @@ from conftest import float_columns, set_float_columns
 
 import phca.cli as cli_mod
 from phca.cli import main
-from phca.engine import INFEASIBLE, STATUSES
+from phca.engine import INFEASIBLE, STATUSES, EngineOptions, load_result_json, run_batch
+from phca.regions import RegionContext
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,36 @@ def test_bad_grid_value_is_exit_2(case, capsys):
     assert "SchemaError" in captured.err
 
 
+@pytest.mark.parametrize("axis", ["kappa", "oversize", "alpha"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_grid_value_is_exit_2(case, capsys, axis, value):
+    args = [*base_args(case), f"--{axis}={value}"]
+    code = main(["run", *args, "--out", str(case / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"phca: error: SchemaError: grid value {float(value)!r} for {axis} must be finite\n"
+    )
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_validate_sample_below_one_is_exit_2(case, capsys, count):
+    code = main(["validate", *base_args(case), "--sample", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"phca: error: ConfigError: sample must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("days", ["0", "-2"])
+def test_demo_days_below_one_is_exit_2(tmp_path, capsys, days):
+    code = main(["demo", "--out", str(tmp_path / "case"), "--days", days])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"phca: error: ConfigError: days must be at least 1, got {days}\n"
+    assert not (tmp_path / "case").exists()
+
+
 def test_corrupted_results_fail_validation(case, capsys, tmp_path):
     # tamper with one stored solution and ask stats to reuse it: the load
     # succeeds (records line up, and raising the slack variable keeps the
@@ -170,9 +201,9 @@ def test_corrupted_results_fail_validation(case, capsys, tmp_path):
         assert main(["run", *base_args(case), "--out", str(orig)]) == 0
         capsys.readouterr()
     payload = json.loads(orig.read_text())
-    x, objective = float_columns(payload)
-    x[4, -1] += 0.5
-    set_float_columns(payload, x, objective)
+    x, _ = float_columns(payload)
+    x[0, -1] += 0.5
+    set_float_columns(payload, x)
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(payload))
     code = main(["stats", *base_args(case), "--results", str(bad)])
@@ -267,15 +298,14 @@ def _no_index(payload):
 
 
 def _nan_solution(payload):
-    assert payload["columns"]["status"][3] in ("reuse", "direct")
-    x, objective = float_columns(payload)
-    x[3, 0] = np.nan
-    set_float_columns(payload, x, objective)
+    x, _ = float_columns(payload)
+    x[0, 0] = np.nan
+    set_float_columns(payload, x)
 
 
 def _short_column(payload):
-    x, objective = float_columns(payload)
-    set_float_columns(payload, x, objective[:-1])
+    x, _ = float_columns(payload)
+    set_float_columns(payload, x[:-1])
 
 
 def _unknown_status(payload):
@@ -294,10 +324,9 @@ def _reuse_without_region(payload):
 def _infeasible_solution(payload):
     # the first variable is a reactive setpoint, capped by the inverter's
     # headroom far below 0.5
-    assert payload["columns"]["status"][4] in ("reuse", "direct")
-    x, objective = float_columns(payload)
-    x[4, 0] += 0.5
-    set_float_columns(payload, x, objective)
+    x, _ = float_columns(payload)
+    x[0, 0] += 0.5
+    set_float_columns(payload, x)
 
 
 def _removed_option(payload):
@@ -333,7 +362,7 @@ def _wrong_instance_count(payload):
 
 
 def _non_string_column(payload):
-    payload["columns"]["objective"] = 1.5
+    payload["columns"]["x"] = 1.5
 
 
 def _bad_base64(payload):
@@ -342,22 +371,44 @@ def _bad_base64(payload):
 
 
 def _wrong_byte_count(payload):
-    x, objective = float_columns(payload)
-    set_float_columns(payload, x[:, :-1], objective)
+    x, _ = float_columns(payload)
+    set_float_columns(payload, x[:, :-1])
 
 
 def _inf_in_solved_row(payload):
-    assert payload["columns"]["status"][3] in ("reuse", "direct")
-    x, objective = float_columns(payload)
-    x[3, 0] = np.inf
-    set_float_columns(payload, x, objective)
+    x, rows = float_columns(payload)
+    assert rows[1] == 141
+    x[1, 0] = np.inf
+    set_float_columns(payload, x)
 
 
 def _number_in_unsolved_row(payload):
-    # turn reuse row 5 into an infeasible row but leave its solution in place
+    # x has room for the directly solved rows only, so a solution for an
+    # unsolved row is one row too many
+    x, _ = float_columns(payload)
+    set_float_columns(payload, np.vstack([x, x[:1]]))
+
+
+def _direct_row_without_solution(payload):
+    # row 5 becomes a degenerate row with its direct signature, but x
+    # gains no row for it
     cols = payload["columns"]
     assert cols["status"][5] == "reuse"
-    cols["status"][5], cols["region_id"][5] = "infeasible", -1
+    cols["status"][5], cols["reason"][5], cols["region_id"][5] = (
+        "degenerate-direct", "uncertain-active-set", -1
+    )
+    payload["direct_signatures"].append({"index": 5, "signature": payload["regions"][0]})
+
+
+def _rank_deficient_region(payload):
+    # more active rows than variables cannot have full row rank
+    x, _ = float_columns(payload)
+    payload["regions"][0] = list(range(x.shape[1] + 1))
+
+
+def _objective_column(payload):
+    # the layout that also stored every solution and the objectives
+    payload["columns"]["objective"] = payload["columns"]["x"]
 
 
 def _list_format_x(payload):
@@ -439,11 +490,17 @@ def _reuse_row_with_reason(payload):
 
 #: the error each new case must hit, not merely some SchemaError
 MESSAGES = {
-    _non_string_column: "column 'objective' must be a base64 string",
+    _nan_solution: "row 93 is solved but its solution is not finite",
+    _short_column: "column 'x' holds 96 bytes, not the 144 of 3 directly solved rows",
+    _infeasible_solution: "row 93 is solved but its solution is infeasible",
+    _non_string_column: "column 'x' must be a base64 string",
     _bad_base64: "column 'x' is not valid base64",
     _wrong_byte_count: "column 'x' holds",
-    _inf_in_solved_row: "row 3 is solved but its solution is not finite",
-    _number_in_unsolved_row: "row 5 is not solved but carries a solution",
+    _inf_in_solved_row: "row 141 is solved but its solution is not finite",
+    _number_in_unsolved_row: "column 'x' holds 192 bytes, not the 144 of 3 directly solved rows",
+    _direct_row_without_solution: "column 'x' holds 144 bytes, not the 192 of 4 directly solved",
+    _rank_deficient_region: "region 0's signature is rank deficient",
+    _objective_column: "stores an 'objective' column, as an earlier version wrote it; rerun",
     _list_format_x: "rerun phca run",
     _unknown_counter: "needs exactly the keys",
     _text_counter: "'screened_out' must be a non-negative integer",
@@ -463,25 +520,58 @@ MESSAGES = {
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_no_status, _no_index, _nan_solution, _short_column, _unknown_status,
-     _region_out_of_range, _reuse_without_region, _infeasible_solution,
+    [_no_status, _no_index, _unknown_status, _region_out_of_range, _reuse_without_region,
      _removed_option, _bad_option_values, _bool_seed, *MESSAGES],
 )
 def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
+    payload = json.loads(_results(case, capsys).read_text())
+    corrupt(payload)
+    _assert_refused(case, capsys, tmp_path, payload, MESSAGES.get(corrupt, ""))
+
+
+def _results(case, capsys):
     orig = case / "results.json"
     if not orig.exists():
         assert main(["run", *base_args(case), "--out", str(orig)]) == 0
         capsys.readouterr()
-    payload = json.loads(orig.read_text())
-    corrupt(payload)
+    return orig
+
+
+def _assert_refused(case, capsys, tmp_path, payload, message):
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(payload))
     code = main(["stats", *base_args(case), "--results", str(bad)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("phca: error: SchemaError")
-    assert MESSAGES.get(corrupt, "") in captured.err
+    assert message in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_reuse_row_moved_to_a_region_that_maps_it_outside_is_exit_2(case, capsys, tmp_path):
+    # the loader maps each reuse row through the region its region_id
+    # names, so pointing a row at another region moves its solution; find
+    # a row and a region whose map puts it outside the inequality rows
+    payload = json.loads(_results(case, capsys).read_text())
+    args = cli_mod.build_parser().parse_args(["stats", *base_args(case)])
+    _, prob, thetas = cli_mod._build_case(args)
+    ctx = RegionContext(prob)
+    _, xu, rhs = ctx.instance_data(thetas.thetas)
+    reuse = np.array(payload["columns"]["status"]) == "reuse"
+    owner = np.array(payload["columns"]["region_id"])
+    m = prob.A.shape[0]
+    for k, sig in enumerate(payload["regions"]):
+        rows = np.flatnonzero(reuse & (owner != k))
+        x = ctx.build_region(sig).batch_solutions(xu[rows], rhs[rows])
+        outside = rows[(x @ prob.A.T - rhs[rows, :m]).max(axis=1) > 1e-6]
+        if outside.size:
+            break
+    assert outside.size
+    i = int(outside[0])
+    payload["columns"]["region_id"][i] = k
+    _assert_refused(
+        case, capsys, tmp_path, payload, f"row {i} is solved but its solution is infeasible"
+    )
 
 
 def test_sequential_and_budget_flags(case, capsys):
@@ -496,9 +586,15 @@ def test_sequential_and_budget_flags(case, capsys):
     assert payload["options"]["solve_budget"] == 2
     # same answers as the seeded, unbudgeted run
     ref = json.loads((case / "results.json").read_text())
-    xa, _ = float_columns(payload)
-    xb, _ = float_columns(ref)
+    args = cli_mod.build_parser().parse_args(["stats", *base_args(case)])
+    _, prob, thetas = cli_mod._build_case(args)
+    xa = load_result_json(out.read_text(), prob, thetas.thetas).x
+    xb = load_result_json(json.dumps(ref), prob, thetas.thetas).x
     assert np.max(np.abs(xa - xb)) < 1e-8
+    # budget rows are stored beside the seeds, and load back bit for bit
+    assert payload["columns"]["reason"].count("budget-exhausted") > 0
+    result = run_batch(prob, thetas.thetas, EngineOptions(seed=None, solve_budget=2))
+    np.testing.assert_array_equal(xa, result.x)
 
 
 def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Batch driver: reuse correctness, dispatch bookkeeping, serialization."""
 
+import base64
 import json
 from dataclasses import asdict, fields, replace
 
@@ -25,6 +26,7 @@ from phca.engine import REASONS, STATUS_REASONS, STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
+from phca.stats import json_report, render_report
 
 
 @pytest.fixture(scope="module")
@@ -202,18 +204,79 @@ def test_budget_falls_back_to_direct(scaled_demo_problem, small_theta_set):
     assert np.max(np.abs(res.x - free.x)) < 1e-8
 
 
-def test_json_roundtrip(batch, scaled_demo_problem):
-    text = batch.to_json()
-    back = load_result_json(text, scaled_demo_problem, batch.thetas)
-    assert back.records == batch.records
-    assert np.max(np.abs(back.x - batch.x)) == 0.0
-    assert back.regions == batch.regions
-    assert back.options == batch.options
-    assert back.counters == batch.counters
-    assert np.allclose(back.objectives, batch.objectives, equal_nan=True)
-    empty = run_batch(scaled_demo_problem, batch.thetas[:0])
-    back = load_result_json(empty.to_json(), scaled_demo_problem, batch.thetas[:0])
-    assert back.x.shape == (0, scaled_demo_problem.n_var)
+def _assert_roundtrip(res, theta_set=None, feeder=None):
+    """load_result_json(res.to_json()) equals res bit for bit, and so do
+    its two reports when a theta set and feeder are given."""
+    text = res.to_json()
+    back = load_result_json(text, res.problem, res.thetas)
+    for name in ("x", "objectives", "status", "reason", "region_id"):
+        got, want = getattr(back, name), getattr(res, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert back.x.flags.writeable
+    assert back.regions == res.regions
+    assert back.direct_signatures == res.direct_signatures
+    assert back.options == res.options
+    assert back.screened_out == res.screened_out
+    assert back.counters == res.counters
+    assert back.records == res.records
+    assert back.to_json() == text
+    if theta_set is not None:
+        assert render_report(back, theta_set, feeder) == render_report(res, theta_set, feeder)
+        assert json_report(back, theta_set, feeder) == json_report(res, theta_set, feeder)
+    return text
+
+
+def _with_failed_rows(prob, theta_set, monkeypatch):
+    """_every_outcome with its third direct solve, a budget straggler's,
+    failing numerically."""
+
+    class Broken:
+        status = "numerical-failure"
+
+    real, calls = engine_mod.solve_qp, []
+
+    def third_fails(inst):
+        calls.append(inst)
+        return Broken() if len(calls) == 3 else real(inst)
+
+    monkeypatch.setattr(engine_mod, "solve_qp", third_fails)
+    return _every_outcome(prob, theta_set, monkeypatch)
+
+
+def test_json_roundtrip(batch, small_theta_set, demo_feeder):
+    # only the three seed rows are stored; every other row is a region's map
+    text = _assert_roundtrip(batch, small_theta_set, demo_feeder)
+    assert len(base64.b64decode(json.loads(text)["columns"]["x"])) == 8 * 3 * batch.x.shape[1]
+    assert batch.counters.seeds == 3 and batch.counters.qp_solves == 3
+
+
+def test_json_roundtrip_random_feeder(random_feeder_batch):
+    prob, thetas = random_feeder_batch
+    res = run_batch(prob, thetas)
+    assert res.counters.reuse > 0
+    _assert_roundtrip(res)
+
+
+def test_json_roundtrip_budget_rows(batch, small_theta_set, demo_feeder):
+    res = run_batch(batch.problem, batch.thetas, EngineOptions(seed=None, solve_budget=2))
+    assert res.counters.stragglers > 0 and res.counters.reuse > 0
+    _assert_roundtrip(res, small_theta_set, demo_feeder)
+
+
+@pytest.mark.parametrize("make", [_every_outcome, _with_failed_rows], ids=["every", "failed"])
+def test_json_roundtrip_direct_infeasible_failed(scaled_demo_problem, small_theta_set,
+                                                 demo_feeder, monkeypatch, make):
+    res = make(scaled_demo_problem, small_theta_set, monkeypatch)
+    assert res.counters.degenerate and res.counters.infeasible and res.counters.reuse
+    assert res.counters.failed == (make is _with_failed_rows)
+    rows = slice(None, None, 4)
+    theta_set = replace(
+        small_theta_set, thetas=res.thetas, hour=small_theta_set.hour[rows],
+        kappa=small_theta_set.kappa[rows], oversize=small_theta_set.oversize[rows],
+        alpha=small_theta_set.alpha[rows],
+    )
+    _assert_roundtrip(res, theta_set, demo_feeder)
 
 
 def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monkeypatch):
@@ -277,19 +340,25 @@ def test_json_is_strict(batch, scaled_demo_problem):
         raise ValueError(f"{token} is not a JSON value")
 
     payload = json.loads(res.to_json(), parse_constant=refuse)
-    x, objective = float_columns(payload)
-    assert x.shape == (6, scaled_demo_problem.n_var)
-    assert np.isnan(x[3:]).all() and np.isnan(objective[3:]).all()
-    assert np.isfinite(x[:3]).all() and np.isfinite(objective[:3]).all()
+    assert "objective" not in payload["columns"]
+    # x holds the directly solved rows only, none of them an unsolved one
+    x, rows = float_columns(payload)
+    assert rows == np.flatnonzero(res.status == STATUSES.index("direct")).tolist()
+    assert x.shape == (len(rows), scaled_demo_problem.n_var) and rows
+    assert np.isfinite(x).all()
+    np.testing.assert_array_equal(x, res.x[rows])
 
 
 def _negative_zeros(res, prob):
-    # the slack sits at rounding level on these rows; -0.0 keeps them feasible
+    # the slack sits at rounding level on the stored rows; -0.0 keeps them
+    # feasible
     x = res.x.copy()
     tiny = np.abs(x[:, prob.slack_index]) < 1e-15
+    tiny &= res.status == STATUSES.index("direct")
     assert tiny.any()
     x[tiny, prob.slack_index] = -0.0
-    return replace(res, x=x)
+    c, _ = prob.instance_data(res.thetas)
+    return replace(res, x=x, objectives=engine_mod._objectives(prob, c, x))
 
 
 @pytest.mark.parametrize(
@@ -299,15 +368,8 @@ def _negative_zeros(res, prob):
     ids=["demo", "infeasible", "negative-zero", "empty"],
 )
 def test_float_columns_roundtrip_bit_for_bit(batch, scaled_demo_problem, make):
-    res = make(batch, scaled_demo_problem)
-    text = res.to_json()
-    back = load_result_json(text, scaled_demo_problem, res.thetas)
-    for got, want in ((back.x, res.x), (back.objectives, res.objectives)):
-        assert got.dtype == np.float64 and got.flags.writeable
-        assert got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert back.to_json() == text
+    # byte equality also keeps the sign of a stored -0.0
+    _assert_roundtrip(make(batch, scaled_demo_problem))
 
 
 def test_json_roundtrip_rejects_mismatches(batch, scaled_demo_problem, demo_feeder):
