@@ -23,8 +23,8 @@ The results file holds the explicit solution, the region table rather
 than every mapped point: the status, reason and region columns, each
 region's signature, and only the solutions solved directly.
 load_result_json rebuilds each region and maps its reuse rows again, the
-same call on the same rows as the sweep, so the loaded solutions are the
-run's bit for bit; run_batch and the loader share the objective formula.
+same products on the same rows as the sweep, so the loaded solutions are
+the run's bit for bit; run_batch and the loader share the objective formula.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
 from .qp import identify_active, solve_qp, solve_qp_batch
-from .regions import SCREEN_PRIMAL, RegionContext
+from .regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
 
 logger = logging.getLogger(__name__)
 
@@ -476,7 +476,9 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     The reuse rows of x are then rederived as run_batch derives them: one
     RegionContext.instance_data call over every row, and each region,
     rebuilt from its signature (it must have full rank), maps its reuse
-    rows in index order, so x equals the run's bit for bit.  The
+    rows in index order, so x equals the run's bit for bit.  Each reuse
+    row's active-row multipliers in its region must be at least
+    -SCREEN_DUAL, as the sweep that served it certified.  The
     objectives come from the same formula as run_batch's.  Solved rows
     must be finite and primally feasible; the other rows are NaN.  The
     counters are counted off the columns, so nothing stored can disagree
@@ -592,7 +594,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
                 f"region {k}'s signature is rank deficient with the equality rows"
             ) from None
         keep = rows[end - served[k] : end]
-        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
+        lam = region.multipliers(xu[keep], rhs[keep])
+        bad = keep[lam[:, : len(sig)].min(axis=1, initial=np.inf) < -SCREEN_DUAL]
+        if bad.size:
+            raise SchemaError(
+                f"row {bad.min()} is served by region {k}, whose multipliers there are negative"
+            )
+        x[keep] = xu[keep] - lam @ region.HinvKT.T
 
     solved = status < len(SOLVED)
     bad = np.flatnonzero(solved & ~np.isfinite(x).all(axis=1))

@@ -5,13 +5,16 @@ Solves k instances of
     min  0.5 x'Hx + c'x   s.t.  A x <= b,  Aeq x = beq
 
 that share H, A and Aeq and differ only in c, b and beq, for symmetric
-positive definite H.  The equality rows are eliminated once through a QR
-null space, x = x0 + Z y, so the interior-point method sees inequalities
-only.  A Mehrotra predictor-corrector then advances all k instances at
-once: one GEMM forms their augmented Hessians, one batched Cholesky
-checks that they are positive definite, and two stacked solves with them
-(no inverses) give the predictor and corrector directions, while each
-instance keeps its own step lengths, best iterate and exit.
+positive definite H.  The equality rows are eliminated once, x = x0 + Z y,
+so the interior-point method sees inequalities only: the polish's
+independence filter picks the independent equality rows, and the complete
+QR factorization of their transpose gives Z (its trailing columns) and x0
+(a solve with its triangular factor).  A Mehrotra predictor-corrector then
+advances all k instances at once: one GEMM forms their augmented
+Hessians, one batched Cholesky checks that they are positive definite,
+and two stacked solves with them (no inverses) give the predictor and
+corrector directions, while each instance keeps its own step lengths,
+best iterate and exit.
 
 An instance leaves the interior-point method early once its multipliers
 form a Farkas ray of its inequality rows, Az y <= bz: bz'lam < 0 with
@@ -41,11 +44,9 @@ so  Hx + c + A'lam + Aeq'mu = 0  at the optimum.
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -171,12 +172,7 @@ def _kkt_solve(H, K, rhs):
     kkt[:n, :n] = H
     kkt[:n, n:] = K.T
     kkt[n:, :n] = K
-    # callers hand in degenerate K on purpose (infeasible probes); keep the
-    # NaN propagation but not the warning chatter
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        with np.errstate(invalid="ignore"):
-            return scipy.linalg.lu_solve(scipy.linalg.lu_factor(kkt), rhs.T).T
+    return np.linalg.solve(kkt, rhs.T).T
 
 
 def _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu):
@@ -422,7 +418,7 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
             rhs = np.hstack([-c[members], beq[members], b[members][:, rows]])
             try:
                 sol = _kkt_solve(H, np.vstack([Aeq, A[rows]]), rhs)
-            except (scipy.linalg.LinAlgError, ValueError):
+            except np.linalg.LinAlgError:
                 continue
             xs, mus, lam_w = sol[:, :n], sol[:, n : n + e], sol[:, n + e :]
             lam_tol = 1e-11 * (1.0 + np.abs(lam_w).max(axis=1, initial=0.0))
@@ -483,16 +479,15 @@ def solve_qp_batch(
 
     # x = x0 + Z y satisfies the independent equality rows (all of them
     # unless some are dependent); mu comes back from stationarity through P
-    eq_rows = np.zeros(0, dtype=np.int64)
+    eq_rows = _independent_rows(Aeq)
+    r = eq_rows.size
     Z = np.eye(n)
     x0 = np.zeros((k, n))
-    if e:
-        Q, R, piv = scipy.linalg.qr(Aeq.T, pivoting=True)
-        diag = np.abs(np.diag(R))
-        r = int(np.sum(diag > 1e-8 * diag[0]))
-        Q1, R1, eq_rows, Z = Q[:, :r], R[:r, :r], piv[:r], Q[:, r:]
+    if r:
+        Q, R = np.linalg.qr(Aeq[eq_rows].T, mode="complete")
+        Z = Q[:, r:]
         # rows of x0 and mu are beq @ P and -(Hx + c + A'lam) @ P'
-        P = scipy.linalg.solve_triangular(R1, Q1.T)
+        P = np.linalg.solve(R[:r], Q[:, :r].T)
         x0 = beq[:, eq_rows] @ P
     Hz = Z.T @ H @ Z
     Az = A @ Z

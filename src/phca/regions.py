@@ -9,10 +9,11 @@ equality rows (K_S, say) is linear in the instance data:
 
 with xu = -H^-1 c the unconstrained minimizer.  A region serves an
 instance when this point is certified: primal feasible on every row, with
-nonnegative multipliers on the active rows.  RegionContext factors H and
-forms the Gram matrix K H^-1 K' once per problem; build_region then
-factors the active set's principal block of it.  No region array depends
-on the number of parameters.
+nonnegative multipliers on the active rows.  RegionContext checks that H
+is positive definite and forms H^-1 K' (an LU solve with H, as for each
+batch's xu) and the Gram matrix K H^-1 K' once per problem; build_region
+then factors the active set's principal block of it.  No region array
+depends on the number of parameters.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import RankDeficientKError
 
@@ -89,23 +89,24 @@ class CriticalRegion:
 class RegionContext:
     """Per-problem factorizations shared by every region build.
 
-    Holds the Cholesky factor of H, K = [A; B], H^-1 K' and the Gram
-    matrix K H^-1 K', so each region only pays for its own principal block.
+    Holds K = [A; B], H^-1 K' and the Gram matrix K H^-1 K', so each region
+    only pays for its own principal block.  Raises numpy.linalg.LinAlgError
+    when H is not positive definite.
     """
 
     def __init__(self, prob):
         self.prob = prob
         self.n_rows = prob.A.shape[0]
         self.K = np.vstack([prob.A, prob.B])
-        self._cf = cho_factor(prob.H)
-        self.HinvKT = cho_solve(self._cf, self.K.T)
+        np.linalg.cholesky(prob.H)
+        self.HinvKT = np.linalg.solve(prob.H, self.K.T)
         self.KHK = self.K @ self.HinvKT
 
     def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """MpqpProblem.instance_data's costs c and right-hand sides rhs, with
         the unconstrained minimizers xu = -H^-1 c between them."""
         c, rhs = self.prob.instance_data(thetas)
-        return c, -cho_solve(self._cf, c.T).T, rhs
+        return c, -np.linalg.solve(self.prob.H, c.T).T, rhs
 
     def build_region(self, active_set) -> CriticalRegion:
         """Region for one active-set signature.

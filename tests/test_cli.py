@@ -2,12 +2,17 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import float_columns, set_float_columns
 
+import phca
 import phca.cli as cli_mod
 from phca.cli import main
 from phca.engine import INFEASIBLE, STATUSES, EngineOptions, load_result_json, run_batch
@@ -488,6 +493,13 @@ def _reuse_row_with_reason(payload):
     payload["columns"]["reason"][5] = "rank-deficient"
 
 
+def _reuse_row_in_another_region(payload):
+    # region 1 maps row 0 to a primal feasible point, but not an optimal one
+    cols = payload["columns"]
+    assert (cols["status"][0], cols["region_id"][0]) == ("reuse", 0)
+    cols["region_id"][0] = 1
+
+
 #: the error each new case must hit, not merely some SchemaError
 MESSAGES = {
     _nan_solution: "row 93 is solved but its solution is not finite",
@@ -515,6 +527,7 @@ MESSAGES = {
     _region_table_off: "region 0's signature must be a strictly increasing list",
     _negative_direct_signature: "the direct signature of row 5 must be a strictly increasing",
     _reuse_row_with_reason: "row 5 has status 'reuse' with reason 'rank-deficient'",
+    _reuse_row_in_another_region: "row 0 is served by region 1, whose multipliers there are",
 }
 
 
@@ -617,3 +630,39 @@ def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
     assert len(captured.err.splitlines()) == 1
     payload = json.loads(out.read_text())
     assert payload["columns"]["status"].count("infeasible") == 48
+
+
+#: the whole demo pipeline in one process: set-up with calibration, the
+#: batch and its results file, the file read back, both reports and the
+#: oracle; prints the scipy modules loaded by then
+PIPELINE = """
+import sys
+from phca.cli import main
+
+d = sys.argv[1]
+case = ["--feeder", f"{d}/feeder.txt", "--loads", f"{d}/loads.csv",
+        "--solar", f"{d}/solar.csv", "--config", f"{d}/config.ini"]
+steps = [
+    ["demo", "--out", d, "--days", "2"],
+    ["run", *case, "--out", f"{d}/r.json", "--report", f"{d}/r.txt",
+     "--json-report", f"{d}/rj.json"],
+    ["stats", *case, "--results", f"{d}/r.json"],
+    ["stats", *case, "--results", f"{d}/r.json", "--json"],
+    ["validate", *case, "--sample", "50"],
+]
+codes = [main(step) for step in steps]
+loaded = [m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules]
+print("codes", codes, "scipy", loaded)
+"""
+
+
+def test_demo_pipeline_imports_no_scipy(tmp_path):
+    # numpy does all the linear algebra; scipy is imported only by the LP
+    # feasibility probe, which no demo instance needs (that the probe still
+    # reports infeasible instances is test_empty_grid_cell_is_exit_3's case)
+    env = dict(os.environ, PYTHONPATH=str(Path(phca.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0, 0] scipy []"

@@ -272,6 +272,14 @@ def test_rank_deficient_active_set_rejected():
     assert region.active_set == (0,)
 
 
+@pytest.mark.parametrize("diag", [(1.0, -1.0), (1.0, 0.0)], ids=["indefinite", "singular"])
+def test_non_positive_definite_hessian_rejected(diag):
+    prob = tiny_problem([[1.0, 0.0]])
+    prob.H = np.diag(diag)
+    with pytest.raises(np.linalg.LinAlgError):
+        RegionContext(prob)
+
+
 def test_empty_active_set_region():
     prob = tiny_problem([[1.0, 0.0]], E=[[1.0]], b=[5.0])
     ctx = RegionContext(prob)

@@ -110,31 +110,45 @@ def test_recover_ratios_without_remote_regulator_skips_voltages(batch, demo_feed
     assert recover_ratios(batch, replace(demo_feeder, regulators=())) == {}
 
 
-def test_group_stats_match_numpy(batch, small_theta_set):
+def test_group_stats_match_numpy(batch, mixed_batch, small_theta_set):
+    # mixed_batch's rows 3 and 8 are unsolved, one in each of its two cells
+    mixed_set = ThetaSet(
+        thetas=mixed_batch.thetas,
+        hour=np.arange(10),
+        kappa=np.repeat([1.0, 2.0], 5),
+        oversize=np.ones(10),
+        alpha=np.ones(10),
+    )
+    for result, theta_set, unsolved in [(batch, small_theta_set, 0), (mixed_batch, mixed_set, 1)]:
+        _check_group_stats(result, theta_set, unsolved)
+
+
+def _check_group_stats(result, theta_set, unsolved):
     qs = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
-    stats = group_stats(batch, small_theta_set, quantiles=qs)
-    assert [gs.key for gs in stats] == small_theta_set.group_keys()
-    s_all = slack_values(batch)
-    volts = voltage_matrix(batch)
-    _, resid = soft_violations(batch)
+    stats = group_stats(result, theta_set, quantiles=qs)
+    assert [gs.key for gs in stats] == theta_set.group_keys()
+    s_all = slack_values(result)
+    volts = voltage_matrix(result)
+    _, resid = soft_violations(result)
     for gs in stats:
-        rows = small_theta_set.rows_for(gs.key)
-        assert gs.n_instances == rows.size == 48
-        assert gs.n_solved == 48
-        s = s_all[rows]
-        assert gs.slack_quantiles == pytest.approx(
-            tuple(np.quantile(s, qs, method="linear"))
-        )
-        assert gs.max_slack == pytest.approx(s.max())
+        rows = theta_set.rows_for(gs.key)
+        solved = rows[np.isfinite(s_all[rows])]
+        assert gs.n_instances == rows.size
+        assert gs.n_solved == solved.size == rows.size - unsolved
+        # the quantiles of the rows in index order, not sorted first: the
+        # same values to the bit
+        s = s_all[solved]
+        assert gs.slack_quantiles == tuple(np.quantile(s, qs, method="linear"))
+        assert gs.max_slack == s.max()
         assert gs.n_relaxed == int((s > 1e-6).sum())
-        assert gs.voltage_quantiles == pytest.approx(
-            np.quantile(volts[rows], qs, axis=0, method="linear")
+        np.testing.assert_array_equal(
+            gs.voltage_quantiles, np.quantile(volts[solved], qs, axis=0, method="linear")
         )
         for label, cnt, amt in gs.worst_rows:
             assert cnt > 0
             assert amt > 1e-6
         # counts agree with a direct tally of the most violated row
-        counts = (resid[rows] > 1e-6).sum(axis=0)
+        counts = (resid[solved] > 1e-6).sum(axis=0)
         if gs.worst_rows:
             assert gs.worst_rows[0][1] == int(counts.max())
         else:
