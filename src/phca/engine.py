@@ -10,7 +10,10 @@ instance is served from the map only when the mapped point passes
 certification (CriticalRegion.batch_membership): primal feasibility of
 every row and nonnegative multipliers on the active rows, which makes it
 optimal.  Regions are discarded as soon as they have been swept, so at
-most one is alive at a time.
+most one is alive at a time.  Every direct solve after the first region
+is warm-started from that last region's active set: neighbouring regions
+differ in a few rows, so the solver's polish usually settles there
+without its interior-point method (see phca.qp).
 
 Certification is the one acceptance rule, and the seed must pass it like
 every swept point.  When the region does not certify its own seed, or
@@ -314,6 +317,8 @@ def run_batch(
     regions: list[tuple[int, ...]] = []
     failures = screened_out = 0
     budget_left = options.solve_budget
+    # the active set of the last region built warm-starts every later solve
+    last_signature = None
 
     def mark(idx, st, why=None, rid=-1):
         status[idx] = STATUSES.index(st)
@@ -332,7 +337,11 @@ def run_batch(
             continue
         solved[i] = True
         inst = scaled.instance(thetas[i])
-        sol = solve_qp(inst)
+        sol = solve_qp(inst, start=last_signature)
+        logger.debug(
+            "instance %d: %s solve, %d polish factorizations, %d IPM iterations, exit %s",
+            i, "warm" if sol.warm else "cold", sol.factorizations, sol.iterations, sol.exit,
+        )
         budget_spent = budget_left == 0
         if budget_left:
             budget_left -= 1
@@ -379,6 +388,7 @@ def run_batch(
         mark(i, DIRECT, REASON_SEED, rid)
         solved[keep] = True
         regions.append(region.signature)
+        last_signature = region.signature
         logger.debug(
             "region %d: %d active rows, %d swept, %d served",
             rid, len(signature), rem.size, keep.size,

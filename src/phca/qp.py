@@ -29,12 +29,26 @@ collapses or stalls.
 A Newton polish on each guessed active set lands on the exact KKT point,
 so active row residuals end up at machine precision rather than at
 interior-point tolerance; instances that hold the same working set share
-its independence filter and KKT factorization.  An instance that left on
-a Farkas ray, or whose iterate ends clearly infeasible, gets an LP
-feasibility probe before any polish, and so does every instance that
-does not end optimal; the probe alone decides infeasibility.  solve_qp
-is the k = 1 case.  Everything is deterministic: no randomized pivoting,
-no time-dependent behavior.
+its independence filter and KKT factorization.  An instance that left the
+interior-point method any way but converged (on a Farkas ray, a collapse,
+a stall, a broken step or at max_iter; see QpBatch.exit), or whose
+iterate ends clearly infeasible, gets an LP feasibility probe before any
+polish, and so does every instance that does not end optimal; the probe
+alone decides infeasibility.  solve_qp is the k = 1 case.  Everything is
+deterministic: no randomized pivoting, no time-dependent behavior.
+
+A warm start skips the interior-point method.  An instance given a start,
+a list of inequality rows such as the active set of a neighbouring
+critical region, first runs the polish from that set for at most
+WARM_UPDATES rounds, each taking one row in or out.  When the polish
+reaches a consistent set whose KKT point passes the cold path's own
+optimality test, that point is the answer, with 0 interior-point
+iterations; it equals the cold polish's answer bit for bit whenever both
+end on the same working set.  Every instance that does not
+settle so, an infeasible one among them, then takes the cold path
+unchanged: interior point, probe, polish.  A start therefore costs at
+most WARM_UPDATES factorizations, and an instance it does not settle gets
+the cold answer.
 
 Conventions: inequality multipliers lam >= 0 enter the stationarity
 residual as A'lam, equality multipliers mu enter as Aeq'mu with free sign,
@@ -44,6 +58,7 @@ so  Hx + c + A'lam + Aeq'mu = 0  at the optimum.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +72,29 @@ DEFAULT_MAX_ITER = 200
 #: relative size of |A'lam| below which the multipliers of an instance with
 #: b'lam < 0 count as a Farkas ray of its inequality rows
 RAY_TOL = 1e-9
+#: polish rounds a warm start may take before the instance goes the cold
+#: way.  Measured on synthetic radial feeders, starting from the last
+#: region built: a round costs 1/14 of a cold solve at 80 and 123 buses and
+#: 1/38 at 400 buses, and the starts settled within 13 rounds (80 buses),
+#: 31 (123 buses; one never settled) and 53 (400 buses; 88 of 98 within
+#: 32).  Of the budgets 8-64, 24 and 32 gave the least direct-solve time at
+#: 123 buses, about 40% below cold solves, and 32 keeps a start that never
+#: settles near two cold solves there.
+WARM_UPDATES = 32
+
+#: how an instance left the interior-point method (QpBatch.exit): on a
+#: Farkas ray, converged, collapsed short of feasibility, stalled, after
+#: its Newton step broke down, or at max_iter; NONE where it never entered
+#: it (a warm start settled it, or there are no inequality rows)
+RAY = "ray"
+CONVERGED = "converged"
+COLLAPSE = "collapse"
+STALL = "stall"
+BROKEN = "broken"
+LIMIT = "limit"
+NONE = "none"
+#: the interior-point exits in the order their tests are checked
+IPM_EXITS = (RAY, CONVERGED, COLLAPSE, STALL, BROKEN, LIMIT)
 
 
 @dataclass(frozen=True)
@@ -94,7 +132,10 @@ class QpSolution:
 
     residuals = (stationarity, primal feasibility, complementarity), each an
     infinity norm.  status is "optimal", "infeasible", or
-    "numerical-failure"; x holds the best iterate either way.
+    "numerical-failure"; x holds the best iterate either way.  iterations
+    counts interior-point iterations and exit says how the method ended
+    (NONE when it did not run); warm marks a solution that its warm start
+    settled, and factorizations counts the polish's KKT factorizations.
     """
 
     status: str
@@ -105,6 +146,9 @@ class QpSolution:
     residuals: tuple[float, float, float]
     iterations: int
     objective: float
+    warm: bool = False
+    exit: str = NONE
+    factorizations: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,8 +156,11 @@ class QpBatch:
     """Solver output for a stack of instances.
 
     Row i of every array is instance i, with QpSolution's meaning; status
-    holds Python strings.  polish_groups counts the KKT factorizations the
-    polish made and lp_probes the feasibility LPs that were solved.
+    and exit hold Python strings.  factorizations counts, per instance,
+    the polish's KKT factorizations it took part in, warm and cold;
+    polish_groups counts them once each, as the instances that held the
+    same working set shared them, and lp_probes the feasibility LPs that
+    were solved.
     """
 
     status: np.ndarray
@@ -126,6 +173,9 @@ class QpBatch:
     objective: np.ndarray
     polish_groups: int
     lp_probes: int
+    warm: np.ndarray
+    exit: np.ndarray
+    factorizations: np.ndarray
 
     def solution(self, i: int) -> QpSolution:
         return QpSolution(
@@ -137,6 +187,9 @@ class QpBatch:
             tuple(float(v) for v in self.residuals[i]),
             int(self.iterations[i]),
             float(self.objective[i]),
+            bool(self.warm[i]),
+            str(self.exit[i]),
+            int(self.factorizations[i]),
         )
 
 
@@ -150,16 +203,17 @@ def _independent_rows(K: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     must-keep rows by placing them first.
     """
     rows = []
-    basis = np.zeros((0, K.shape[1]))
+    basis = np.empty(K.shape)
     for i, row in enumerate(K):
-        norm0 = np.linalg.norm(row)
+        norm0 = math.sqrt(row @ row)
         if norm0 <= 0.0:
             continue
-        v = row - (basis @ row) @ basis
-        v -= (basis @ v) @ basis
-        norm1 = np.linalg.norm(v)
+        kept = basis[: len(rows)]
+        v = row - (kept @ row) @ kept
+        v -= (kept @ v) @ kept
+        norm1 = math.sqrt(v @ v)
         if norm1 > rel_tol * norm0:
-            basis = np.vstack([basis, v / norm1])
+            basis[len(rows)] = v / norm1
             rows.append(i)
     return np.asarray(rows, dtype=np.int64)
 
@@ -269,9 +323,10 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
     interior-point collapse short of feasibility, after 30 iterations
     without progress, the iteration after their Newton step broke down, or
     as soon as their multipliers form a Farkas ray of  Az y <= bz (see the
-    module docstring).  Each returns its last iterate, or its best
-    one when the last is worse or not finite, as (y, lam, iterations, ray),
-    ray marking the instances that left on a Farkas ray.
+    module docstring), or at max_iter.  Each returns its last iterate, or
+    its best one when the last is worse or not finite, as (y, lam,
+    iterations, exit), exit holding each instance's exit kind: RAY,
+    CONVERGED, COLLAPSE, STALL, BROKEN or LIMIT, the first that applies.
     """
     k, nz = cz.shape
     m = Az.shape[0]
@@ -292,11 +347,12 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
     out_y = np.empty((k, nz))
     out_lam = np.empty((k, m))
     iters = np.zeros(k, dtype=np.int64)
-    on_ray = np.zeros(k, dtype=bool)
+    exits = np.empty(k, dtype=np.int64)
 
-    def leave(s, out, it):
-        """Store the answers of the instances in out; return the state of
-        the others."""
+    def leave(s, out, it, kind):
+        """Store the answers of the instances in out, whose exit kinds are
+        in kind (one index into IPM_EXITS per row of s); return the state
+        of the others."""
         yo, lo = s["y"][out], s["lam"][out]
         slack = s["bz"][out] - yo @ AzT
         now = np.maximum(
@@ -310,7 +366,7 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
         out_lam[i] = np.where(take_best, s["best_lam"][out], lo)
         # an instance whose step broke down did not take this iteration's step
         iters[i] = it - s["broken"][out]
-        on_ray[i] = s["ray"][out]
+        exits[i] = kind[out]
         return {name: a[~out] for name, a in s.items()}
 
     with np.errstate(all="ignore"):
@@ -327,14 +383,16 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
             s["ray"] = (b_lam < 0) & (
                 np.abs(lam_az).max(axis=1, initial=0.0) <= -RAY_TOL * b_lam
             )
-            # converged, collapsed without reaching feasibility, stalled, the
-            # last Newton step broke down, or certified infeasible
-            out = (
-                (merit <= max(tol, 1e-11)) | ((mu_c < 1e-12) & (rp_max > 1e-7))
-                | (s["stall"] > 30) | s["broken"] | s["ray"]
+            # certified infeasible, converged, collapsed without reaching
+            # feasibility, stalled, or the last Newton step broke down
+            tests = (
+                s["ray"], merit <= max(tol, 1e-11), (mu_c < 1e-12) & (rp_max > 1e-7),
+                s["stall"] > 30, s["broken"],
             )
+            out = np.logical_or.reduce(tests)
             if out.any():
-                s = leave(s, out, it)
+                # the first test that holds names the exit
+                s = leave(s, out, it, np.argmax(tests, axis=0))
                 if not s["idx"].size:
                     break
                 r_d, r_p, mu_c, _ = _ipm_residuals(Hz, Az, AzT, s)
@@ -365,8 +423,9 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
             s["z"] = np.maximum(z + alpha[:, None] * dz, 1e-14)
             s["lam"] = lam + alpha[:, None] * dlam
         else:
-            leave(s, np.ones(s["idx"].size, dtype=bool), max_iter)
-    return out_y, out_lam, iters, on_ray
+            left = s["idx"].size
+            leave(s, np.ones(left, dtype=bool), max_iter, np.full(left, IPM_EXITS.index(LIMIT)))
+    return out_y, out_lam, iters, np.asarray(IPM_EXITS, dtype=object)[exits]
 
 
 def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
@@ -376,8 +435,9 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
     work holds one list of rows of A per instance.  Instances that hold the
     same list share one independence filter and one KKT factorization per
     round, solved for all their right-hand sides.  Returns (x, lam, mu,
-    found, factorizations), found marking the instances that reached a
-    consistent set within the update budget.
+    found, groups, steps), found marking the instances that reached a
+    consistent set within the update budget, groups counting the KKT
+    factorizations and steps, per instance, those it took part in.
 
     Each working set is kept newest row first.  A violated row that the
     step adds can be linearly dependent on rows already in the set; the
@@ -395,7 +455,8 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
     scale_b = 1.0 + np.abs(b).max(axis=1, initial=0.0)
     work = [sorted(int(i) for i in w) for w in work]
     pending = list(range(k))
-    factorizations = 0
+    groups = 0
+    steps = np.zeros(k, dtype=np.int64)
     for _ in range(max_updates):
         by_set: dict[tuple[int, ...], list[int]] = {}
         for i in pending:
@@ -414,7 +475,8 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
                 continue
             for i in members:
                 visited[i].add(key)
-            factorizations += 1
+            groups += 1
+            steps[members] += 1
             rhs = np.hstack([-c[members], beq[members], b[members][:, rows]])
             try:
                 sol = _kkt_solve(H, np.vstack([Aeq, A[rows]]), rhs)
@@ -439,7 +501,106 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
                 pending.append(i)
         if not pending:
             break
-    return x, lam, mu, found, factorizations
+    return x, lam, mu, found, groups, steps
+
+
+def _optimal(resid, b, lam, mu, x, tol):
+    """Which solutions pass the acceptance test, given their KKT residuals.
+
+    Stationarity and complementarity are judged relative to the iterate
+    scale (nearly parallel active rows blow the multipliers up without
+    hurting the primal answer); primal feasibility stays an absolute test
+    so runaway iterates can never pass."""
+    b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
+    mult = np.abs(np.hstack([lam, mu, x])).max(axis=1, initial=1.0)
+    with np.errstate(invalid="ignore"):
+        return (resid[:, 1] <= tol * b_scale) & (resid[:, [0, 2]].max(axis=1) <= tol * mult)
+
+
+def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
+    """The interior-point method, the LP probe and the polish for every
+    instance of the stack; eq_rows are the independent rows of Aeq.
+    Returns (status, x, lam, mu, resid, iterations, exits, steps, groups,
+    probes), steps and groups counting polish factorizations as _polish
+    does and probes the LPs solved."""
+    k, n = c.shape
+    m, e = A.shape[0], Aeq.shape[0]
+    # x = x0 + Z y satisfies the independent equality rows (all of them
+    # unless some are dependent); mu comes back from stationarity through P
+    r = eq_rows.size
+    Z = np.eye(n)
+    x0 = np.zeros((k, n))
+    if r:
+        Q, R = np.linalg.qr(Aeq[eq_rows].T, mode="complete")
+        Z = Q[:, r:]
+        # rows of x0 and mu are beq @ P and -(Hx + c + A'lam) @ P'
+        P = np.linalg.solve(R[:r], Q[:, :r].T)
+        x0 = beq[:, eq_rows] @ P
+    Hz = Z.T @ H @ Z
+    Az = A @ Z
+    cz = (x0 @ H + c) @ Z
+    y = -np.linalg.solve(Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
+    lam = np.zeros((k, m))
+    iterations = np.zeros(k, dtype=np.int64)
+    exits = np.full(k, NONE, dtype=object)
+    if m:
+        y, lam, iterations, exits = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, tol, max_iter)
+    x = x0 + y @ Z.T
+    mu = np.zeros((k, e))
+    if eq_rows.size:
+        mu[:, eq_rows] = -(x @ H + c + lam @ A) @ P.T
+
+    resid = _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu)
+    probed = np.zeros(k, dtype=bool)
+    feasible = np.ones(k, dtype=bool)
+    steps = np.zeros(k, dtype=np.int64)
+    groups = 0
+    if m:
+        # an instance that left the interior-point method other than
+        # converged, or whose iterate ends clearly outside the feasible set,
+        # is probed before any polish: on an infeasible instance the polish
+        # can only exhaust its update budget, at many times the cost of the
+        # probe
+        slack = b - x @ A.T
+        b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
+        for i in np.flatnonzero((exits != CONVERGED) | (-slack.min(axis=1) > 1e-6 * b_scale)):
+            probed[i] = True
+            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
+        todo = np.flatnonzero(feasible)
+        near = (slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b)))
+        guesses = [np.flatnonzero(near[i]) for i in todo]
+        # the polish sees the independent equality rows only
+        Ae, be = Aeq[eq_rows], beq[:, eq_rows]
+        px, plam, pmu, found, groups, steps[todo] = _polish(
+            H, A, Ae, c[todo], b[todo], be[todo], guesses
+        )
+        retry = np.flatnonzero(~found & np.array([g.size > 0 for g in guesses], dtype=bool))
+        if retry.size:
+            t = todo[retry]
+            px[retry], plam[retry], pmu[retry], found[retry], more, again = _polish(
+                H, A, Ae, c[t], b[t], be[t], [[] for _ in t]
+            )
+            groups += more
+            steps[t] += again
+        pmu_full = np.zeros((todo.size, e))
+        pmu_full[:, eq_rows] = pmu
+        polished = _kkt_residuals(H, A, Aeq, c[todo], b[todo], beq[todo], px, plam, pmu_full)
+        with np.errstate(invalid="ignore"):
+            accept = found & (
+                polished.max(axis=1) <= np.maximum(tol, resid[todo].max(axis=1))
+            )
+        done = todo[accept]
+        x[done], lam[done], mu[done] = px[accept], plam[accept], pmu_full[accept]
+        resid[done] = polished[accept]
+
+    optimal = _optimal(resid, b, lam, mu, x, tol)
+    status = np.full(k, OPTIMAL, dtype=object)
+    for i in np.flatnonzero(~optimal):
+        if not probed[i]:
+            probed[i] = True
+            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
+        status[i] = NUMERICAL_FAILURE if feasible[i] else INFEASIBLE
+    return status, x, lam, mu, resid, iterations, exits, steps, groups, int(probed.sum())
 
 
 def solve_qp_batch(
@@ -451,6 +612,7 @@ def solve_qp_batch(
     beq: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: list | None = None,
 ) -> QpBatch:
     """Solve k convex QPs that share H, A and Aeq to KKT residuals below tol.
 
@@ -458,7 +620,9 @@ def solve_qp_batch(
     H must be symmetric positive definite (ValueError otherwise).
     Infeasible instances, including ones whose dependent equality rows
     disagree, are confirmed by an LP probe and reported via status rather
-    than raised.
+    than raised.  start, when given, holds one entry per instance: None,
+    or a list of rows of A from which to warm-start that instance (see the
+    module docstring); it is ignored when A has no rows.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
@@ -476,91 +640,48 @@ def solve_qp_batch(
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         raise ValueError("H must be positive definite") from None
+    if start is not None and len(start) != k:
+        raise ValueError(f"start must hold one entry for each of the {k} instances")
 
-    # x = x0 + Z y satisfies the independent equality rows (all of them
-    # unless some are dependent); mu comes back from stationarity through P
     eq_rows = _independent_rows(Aeq)
-    r = eq_rows.size
-    Z = np.eye(n)
-    x0 = np.zeros((k, n))
-    if r:
-        Q, R = np.linalg.qr(Aeq[eq_rows].T, mode="complete")
-        Z = Q[:, r:]
-        # rows of x0 and mu are beq @ P and -(Hx + c + A'lam) @ P'
-        P = np.linalg.solve(R[:r], Q[:, :r].T)
-        x0 = beq[:, eq_rows] @ P
-    Hz = Z.T @ H @ Z
-    Az = A @ Z
-    cz = (x0 @ H + c) @ Z
-    y = -np.linalg.solve(Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
+    x = np.empty((k, n))
     lam = np.zeros((k, m))
-    iterations = np.zeros(k, dtype=np.int64)
-    ray = np.zeros(k, dtype=bool)
-    if m:
-        y, lam, iterations, ray = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, tol, max_iter)
-    x = x0 + y @ Z.T
     mu = np.zeros((k, e))
-    if eq_rows.size:
-        mu[:, eq_rows] = -(x @ H + c + lam @ A) @ P.T
-
-    resid = _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu)
-    b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
-    probed = np.zeros(k, dtype=bool)
-    feasible = np.ones(k, dtype=bool)
-    polish_groups = 0
-    if m:
-        # an instance that left the interior-point method on a Farkas ray,
-        # or whose iterate ends clearly outside the feasible set, is probed
-        # before any polish: on an infeasible instance the polish can only
-        # exhaust its update budget, at many times the cost of the probe
-        slack = b - x @ A.T
-        for i in np.flatnonzero(ray | (-slack.min(axis=1) > 1e-6 * b_scale)):
-            probed[i] = True
-            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
-        todo = np.flatnonzero(feasible)
-        near = (slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b)))
-        guesses = [np.flatnonzero(near[i]) for i in todo]
-        # the polish sees the independent equality rows only
-        Ae, be = Aeq[eq_rows], beq[:, eq_rows]
-        px, plam, pmu, found, polish_groups = _polish(
-            H, A, Ae, c[todo], b[todo], be[todo], guesses
-        )
-        retry = np.flatnonzero(~found & np.array([g.size > 0 for g in guesses], dtype=bool))
-        if retry.size:
-            t = todo[retry]
-            px[retry], plam[retry], pmu[retry], found[retry], groups = _polish(
-                H, A, Ae, c[t], b[t], be[t], [[] for _ in t]
-            )
-            polish_groups += groups
-        pmu_full = np.zeros((todo.size, e))
-        pmu_full[:, eq_rows] = pmu
-        polished = _kkt_residuals(H, A, Aeq, c[todo], b[todo], beq[todo], px, plam, pmu_full)
-        with np.errstate(invalid="ignore"):
-            accept = found & (
-                polished.max(axis=1) <= np.maximum(tol, resid[todo].max(axis=1))
-            )
-        done = todo[accept]
-        x[done], lam[done], mu[done] = px[accept], plam[accept], pmu_full[accept]
-        resid[done] = polished[accept]
-
-    # stationarity and complementarity are judged relative to the iterate
-    # scale (nearly parallel active rows blow the multipliers up without
-    # hurting the primal answer); primal feasibility stays an absolute test
-    # so runaway iterates can never pass
-    mult = np.abs(np.hstack([lam, mu, x])).max(axis=1, initial=1.0)
-    with np.errstate(invalid="ignore"):
-        optimal = (resid[:, 1] <= tol * b_scale) & (resid[:, [0, 2]].max(axis=1) <= tol * mult)
+    resid = np.empty((k, 3))
+    iterations = np.zeros(k, dtype=np.int64)
+    exits = np.full(k, NONE, dtype=object)
     status = np.full(k, OPTIMAL, dtype=object)
-    for i in np.flatnonzero(~optimal):
-        if not probed[i]:
-            probed[i] = True
-            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
-        status[i] = NUMERICAL_FAILURE if feasible[i] else INFEASIBLE
+    warm = np.zeros(k, dtype=bool)
+    steps = np.zeros(k, dtype=np.int64)
+    groups = probes = 0
+    if start is not None and m:
+        has = np.array([i for i, w in enumerate(start) if w is not None], dtype=np.int64)
+        work = [[int(r) for r in start[i]] for i in has]
+        if any(not 0 <= r < m for w in work for r in w):
+            raise ValueError(f"start rows must lie in 0..{m - 1}")
+        px, plam, pmu, found, groups, steps[has] = _polish(
+            H, A, Aeq[eq_rows], c[has], b[has], beq[has][:, eq_rows], work, WARM_UPDATES
+        )
+        pmu_full = np.zeros((has.size, e))
+        pmu_full[:, eq_rows] = pmu
+        presid = _kkt_residuals(H, A, Aeq, c[has], b[has], beq[has], px, plam, pmu_full)
+        # the cold path's own acceptance test; a settled instance is optimal
+        ok = found & _optimal(presid, b[has], plam, pmu_full, px, tol)
+        warm[has[ok]] = True
+        x[warm], lam[warm], mu[warm], resid[warm] = px[ok], plam[ok], pmu_full[ok], presid[ok]
+    cold = np.flatnonzero(~warm)
+    if cold.size:
+        (status[cold], x[cold], lam[cold], mu[cold], resid[cold], iterations[cold], exits[cold],
+         more, cold_groups, probes) = _solve_cold(
+            H, A, Aeq, eq_rows, c[cold], b[cold], beq[cold], tol, max_iter
+        )
+        steps[cold] += more
+        groups += cold_groups
     with np.errstate(invalid="ignore", over="ignore"):
         objective = 0.5 * np.einsum("ij,ij->i", x @ H, x) + np.einsum("ij,ij->i", c, x)
     return QpBatch(
         status, x, lam, mu, b - x @ A.T, resid, iterations, objective,
-        polish_groups, int(probed.sum()),
+        groups, probes, warm, exits, steps,
     )
 
 
@@ -568,11 +689,13 @@ def solve_qp(
     inst: QpInstance,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start=None,
 ) -> QpSolution:
     """Solve one convex QP to KKT residuals below ``tol``: the k = 1 case of
-    solve_qp_batch."""
+    solve_qp_batch, warm-started from the rows in start when given."""
     return solve_qp_batch(
-        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None], tol, max_iter
+        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None], tol, max_iter,
+        None if start is None else [start],
     ).solution(0)
 
 

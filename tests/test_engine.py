@@ -84,7 +84,9 @@ def _every_outcome(prob, theta_set, monkeypatch):
 def test_region_census_consistent(scaled_demo_problem, small_theta_set, monkeypatch):
     solves = []
     real = engine_mod.solve_qp
-    monkeypatch.setattr(engine_mod, "solve_qp", lambda inst: solves.append(1) or real(inst))
+    monkeypatch.setattr(
+        engine_mod, "solve_qp", lambda inst, **kwargs: solves.append(1) or real(inst, **kwargs)
+    )
     res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
     n = len(res.thetas)
     statuses = [STATUSES[k] for k in res.status]
@@ -233,12 +235,13 @@ def _with_failed_rows(prob, theta_set, monkeypatch):
 
     class Broken:
         status = "numerical-failure"
+        warm, factorizations, iterations, exit = False, 0, 0, "stall"
 
     real, calls = engine_mod.solve_qp, []
 
-    def third_fails(inst):
+    def third_fails(inst, **kwargs):
         calls.append(inst)
-        return Broken() if len(calls) == 3 else real(inst)
+        return Broken() if len(calls) == 3 else real(inst, **kwargs)
 
     monkeypatch.setattr(engine_mod, "solve_qp", third_fails)
     return _every_outcome(prob, theta_set, monkeypatch)
@@ -448,8 +451,9 @@ def test_validate_batch_crosses_blocks(scaled_demo_problem, demo_problem, demo_s
 def test_abort_after_repeated_failures(scaled_demo_problem, small_theta_set, monkeypatch):
     class Broken:
         status = "numerical-failure"
+        warm, factorizations, iterations, exit = False, 0, 0, "stall"
 
-    monkeypatch.setattr(engine_mod, "solve_qp", lambda inst: Broken())
+    monkeypatch.setattr(engine_mod, "solve_qp", lambda inst, **kwargs: Broken())
     monkeypatch.setattr(engine_mod, "MAX_FAILURES", 3)
     with pytest.raises(AbortError):
         run_batch(scaled_demo_problem, small_theta_set.thetas[:10])
@@ -500,3 +504,50 @@ def test_ldc_batch_matches_oracle(scaled_ldc_problem, small_theta_set):
     report = validate_batch(res)
     assert report.checked == solved.sum()
     assert report.mismatches == () and report.ok
+
+
+def _columns(res):
+    """Everything a batch result holds, for bit-for-bit comparison."""
+    arrays = {name: getattr(res, name).tobytes()
+              for name in ("x", "objectives", "status", "reason", "region_id")}
+    return arrays, res.regions, res.direct_signatures, res.screened_out
+
+
+@pytest.mark.parametrize("case", ["demo", "random-feeder", "ldc", "budget"])
+def test_warm_starts_match_cold_reference(case, request, monkeypatch):
+    # every direct solve after the first region warm-starts from that
+    # region's active set; with the start dropped the batch is solved cold,
+    # and both must give the same columns bit for bit
+    if case == "random-feeder":
+        prob, thetas = request.getfixturevalue("random_feeder_batch")
+    else:
+        prob = request.getfixturevalue("scaled_ldc_problem" if case == "ldc" else "scaled_demo_problem")
+        thetas = request.getfixturevalue("small_theta_set").thetas
+    options = EngineOptions(solve_budget=2 if case == "budget" else None)
+    real = engine_mod.solve_qp
+
+    def run(drop_start):
+        warm = []
+
+        def solve(inst, start=None):
+            sol = real(inst) if drop_start else real(inst, start=start)
+            warm.append(sol.warm)
+            return sol
+
+        monkeypatch.setattr(engine_mod, "solve_qp", solve)
+        return run_batch(prob, thetas, options), warm
+
+    res, warm = run(False)
+    ref, cold = run(True)
+    assert _columns(res) == _columns(ref)
+    assert not any(cold) and warm[0] is False
+    assert any(warm)
+
+
+def test_one_debug_line_per_direct_solve(scaled_demo_problem, small_theta_set, caplog):
+    with caplog.at_level("DEBUG", logger="phca.engine"):
+        res = run_batch(scaled_demo_problem, small_theta_set.thetas, EngineOptions(solve_budget=2))
+    lines = [r.getMessage() for r in caplog.records if " solve, " in r.getMessage()]
+    assert len(lines) == res.counters.qp_solves > 2
+    assert " cold solve, " in lines[0] and lines[0].endswith(", exit converged")
+    assert all(" warm solve, " in line and "0 IPM iterations, exit none" in line for line in lines[1:])

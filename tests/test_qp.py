@@ -2,16 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phca.qp import (
+    BROKEN,
+    CONVERGED,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    NONE,
+    WARM_UPDATES,
     _independent_rows,
     _interior_point,
     _nan_unless_spd,
     _solve_or_nan,
     INFEASIBLE,
     OPTIMAL,
+    RAY,
+    STALL,
     QpInstance,
     identify_active,
     solve_qp,
@@ -144,25 +152,31 @@ def test_deterministic_repeat():
     assert a.lam.tobytes() == b.lam.tobytes()
 
 
+def _small_instance(rng):
+    """A random instance small enough for brute_force: 2-4 variables, up
+    to 6 rows and one equality row, mostly feasible around a random point
+    and occasionally cut off."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(0, 7))
+    p = int(rng.integers(0, 2))
+    G = rng.normal(size=(n + 1, n))
+    H = G.T @ G + 0.1 * np.eye(n)
+    c = rng.normal(size=n)
+    x0 = rng.normal(size=n)
+    A = rng.normal(size=(m, n))
+    b = A @ x0 + rng.uniform(-0.4, 1.0, size=m)
+    Aeq = rng.normal(size=(p, n))
+    beq = Aeq @ x0
+    return QpInstance.build(H, c, A=A, b=b, Aeq=Aeq, beq=beq)
+
+
 def test_random_instances_match_enumeration():
     """Seeded sweep against the exhaustive oracle, feasible and not."""
     rng = np.random.default_rng(42)
     n_optimal = 0
     n_infeasible = 0
     for trial in range(1000):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(0, 7))
-        p = int(rng.integers(0, 2))
-        G = rng.normal(size=(n + 1, n))
-        H = G.T @ G + 0.1 * np.eye(n)
-        c = rng.normal(size=n)
-        x0 = rng.normal(size=n)
-        A = rng.normal(size=(m, n))
-        # mostly feasible around x0, occasionally cut off
-        b = A @ x0 + rng.uniform(-0.4, 1.0, size=m)
-        Aeq = rng.normal(size=(p, n))
-        beq = Aeq @ x0
-        inst = QpInstance.build(H, c, A=A, b=b, Aeq=Aeq, beq=beq)
+        inst = _small_instance(rng)
         sol = solve_qp(inst)
         ref = brute_force(inst)
         if ref is None:
@@ -177,6 +191,57 @@ def test_random_instances_match_enumeration():
     # the draw must exercise both outcomes
     assert n_optimal > 700
     assert n_infeasible > 20
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["empty", "cold", "subset", "superset"]),
+)
+def test_warm_start_matches_cold_solve(seed, kind):
+    # a _small_instance with, where it has two rows, a third that is their
+    # sum: sometimes redundant, sometimes binding, sometimes cutting off
+    rng = np.random.default_rng(seed)
+    inst = _small_instance(rng)
+    m = inst.A.shape[0]
+    if m >= 2:
+        inst = QpInstance.build(
+            inst.H, inst.c, A=np.vstack([inst.A, inst.A[0] + inst.A[1]]),
+            b=np.append(inst.b, inst.b[0] + inst.b[1] + rng.uniform(-0.3, 0.3)),
+            Aeq=inst.Aeq, beq=inst.beq,
+        )
+        m += 1
+    cold = solve_qp(inst)
+    active = np.flatnonzero(cold.lam > 0).tolist()
+    start = {
+        "empty": [],
+        "cold": active,
+        "subset": sorted(rng.permutation(m)[: rng.integers(0, m + 1)].tolist()),
+        # the sum row with both its parts is a dependent set
+        "superset": sorted(set(active) | ({0, 1, m - 1} if m >= 3 else set())),
+    }[kind]
+    warm = solve_qp(inst, start=start)
+    assert not cold.warm
+    assert warm.status == cold.status
+    if cold.status == INFEASIBLE:
+        # the warm polish found nothing and the cold path ran as before
+        assert not warm.warm and warm.iterations == cold.iterations
+        assert warm.factorizations <= WARM_UPDATES + cold.factorizations
+    elif kind == "cold":
+        assert warm.x.tobytes() == cold.x.tobytes()
+    else:
+        assert np.abs(warm.x - cold.x).max() <= 1e-9
+    if warm.warm:
+        assert warm.iterations == 0 and warm.exit == NONE and m > 0
+
+
+def test_warm_start_rows_are_checked():
+    inst = QpInstance.build(np.eye(2), [1.0, 1.0], A=[[1.0, 0.0]], b=[0.0])
+    with pytest.raises(ValueError):
+        solve_qp(inst, start=[1])
+    with pytest.raises(ValueError):
+        solve_qp_batch(inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None],
+                       start=[[0], [0]])
 
 
 def test_polish_takes_in_a_dependent_violated_row():
@@ -334,12 +399,28 @@ def test_ray_exits_are_probed_before_polish():
     assert batch.lp_probes == cut_off.sum()
     # with no equality rows the solver hands the interior-point method H,
     # A, c and b as they are, started at the unconstrained minimizer
-    ray = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T, DEFAULT_TOL, DEFAULT_MAX_ITER)[3]
+    exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T, DEFAULT_TOL, DEFAULT_MAX_ITER)[3]
+    ray = exits == RAY
     assert not ray[~cut_off].any() and ray[cut_off].sum() >= 8
     # the polish never saw the instances that left on the ray
     keep = ~ray
     rest = solve_qp_batch(H, A, np.zeros((0, n)), c[keep], b[keep], none[keep])
     assert batch.polish_groups == rest.polish_groups
+
+
+def test_unconverged_exits_are_probed_before_polish():
+    # half the cut-off instances of this stack leave the interior-point
+    # method on a broken step, not a ray; they too go to the probe first,
+    # so the polish works on the feasible instances alone
+    H, A, c, b, cut_off = _band_stack(11, 30, loose=1e8)
+    k, n = c.shape
+    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
+    assert set(batch.exit[cut_off]) == {RAY, BROKEN} and (batch.exit[~cut_off] == CONVERGED).all()
+    assert batch.lp_probes == cut_off.sum()
+    feasible = solve_qp_batch(H, A, np.zeros((0, n)), c[~cut_off], b[~cut_off],
+                              np.zeros(((~cut_off).sum(), 0)))
+    assert batch.polish_groups == feasible.polish_groups == 14
 
 
 def test_step_solves_give_nan_on_bad_matrices():
@@ -373,11 +454,12 @@ def test_feasible_large_cancelling_multipliers_are_no_ray(eps):
     # multipliers are 1e4 / (2 eps) each, b'lam = -1e8 < 0, and lam'A cancels
     # in x1 but keeps the gradient's 1e4 in x2.  On a feasible instance
     # |A'lam| >= -b'lam / |x|_1 for any feasible x, here 1e-4, far above
-    # the ray test's 1e-9.
+    # the ray test's 1e-9.  The multipliers keep the absolute merit above
+    # tol, so the method stalls; a stall is probed before the polish.
     A = np.array([[1.0, eps], [-1.0, eps]])
     batch = solve_qp_batch(np.eye(2), A, np.zeros((0, 2)), np.zeros((1, 2)),
                            np.full((1, 2), -1e4 * eps), np.zeros((1, 0)))
-    assert batch.status[0] == OPTIMAL and batch.lp_probes == 0
+    assert batch.status[0] == OPTIMAL and batch.exit[0] == STALL and batch.lp_probes == 1
     assert batch.x[0] == pytest.approx([0.0, -1e4], abs=1e-8)
     assert batch.lam[0] == pytest.approx([0.5e4 / eps] * 2, rel=1e-9)
 
