@@ -504,6 +504,28 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
     return x, lam, mu, found, groups, steps
 
 
+def _polish_full(H, A, Aeq, eq_rows, c, b, beq, guesses, max_updates=60, retry=False):
+    """_polish on the independent equality rows eq_rows of Aeq, its
+    multipliers spread back over every row of Aeq and its KKT residuals
+    taken against the full Aeq.  With retry, an instance whose non-empty
+    guess reaches no consistent set is polished again from the empty set.
+    Returns (x, lam, mu, found, resid, groups, steps) with _polish's
+    meaning."""
+    Ae, be = Aeq[eq_rows], beq[:, eq_rows]
+    x, lam, mu_r, found, groups, steps = _polish(H, A, Ae, c, b, be, guesses, max_updates)
+    if retry:
+        again = np.flatnonzero(~found & np.array([len(g) > 0 for g in guesses], dtype=bool))
+        if again.size:
+            x[again], lam[again], mu_r[again], found[again], more, extra = _polish(
+                H, A, Ae, c[again], b[again], be[again], [[] for _ in again], max_updates
+            )
+            groups += more
+            steps[again] += extra
+    mu = np.zeros((c.shape[0], Aeq.shape[0]))
+    mu[:, eq_rows] = mu_r
+    return x, lam, mu, found, _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu), groups, steps
+
+
 def _optimal(resid, b, lam, mu, x, tol):
     """Which solutions pass the acceptance test, given their KKT residuals.
 
@@ -569,28 +591,15 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
         todo = np.flatnonzero(feasible)
         near = (slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b)))
         guesses = [np.flatnonzero(near[i]) for i in todo]
-        # the polish sees the independent equality rows only
-        Ae, be = Aeq[eq_rows], beq[:, eq_rows]
-        px, plam, pmu, found, groups, steps[todo] = _polish(
-            H, A, Ae, c[todo], b[todo], be[todo], guesses
+        px, plam, pmu, found, polished, groups, steps[todo] = _polish_full(
+            H, A, Aeq, eq_rows, c[todo], b[todo], beq[todo], guesses, retry=True
         )
-        retry = np.flatnonzero(~found & np.array([g.size > 0 for g in guesses], dtype=bool))
-        if retry.size:
-            t = todo[retry]
-            px[retry], plam[retry], pmu[retry], found[retry], more, again = _polish(
-                H, A, Ae, c[t], b[t], be[t], [[] for _ in t]
-            )
-            groups += more
-            steps[t] += again
-        pmu_full = np.zeros((todo.size, e))
-        pmu_full[:, eq_rows] = pmu
-        polished = _kkt_residuals(H, A, Aeq, c[todo], b[todo], beq[todo], px, plam, pmu_full)
         with np.errstate(invalid="ignore"):
             accept = found & (
                 polished.max(axis=1) <= np.maximum(tol, resid[todo].max(axis=1))
             )
         done = todo[accept]
-        x[done], lam[done], mu[done] = px[accept], plam[accept], pmu_full[accept]
+        x[done], lam[done], mu[done] = px[accept], plam[accept], pmu[accept]
         resid[done] = polished[accept]
 
     optimal = _optimal(resid, b, lam, mu, x, tol)
@@ -620,9 +629,9 @@ def solve_qp_batch(
     H must be symmetric positive definite (ValueError otherwise).
     Infeasible instances, including ones whose dependent equality rows
     disagree, are confirmed by an LP probe and reported via status rather
-    than raised.  start, when given, holds one entry per instance: None,
-    or a list of rows of A from which to warm-start that instance (see the
-    module docstring); it is ignored when A has no rows.
+    than raised.  start, when given, holds one list of rows of A per
+    instance, from which that instance is warm-started (see the module
+    docstring); it is ignored when A has no rows.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
@@ -655,20 +664,15 @@ def solve_qp_batch(
     steps = np.zeros(k, dtype=np.int64)
     groups = probes = 0
     if start is not None and m:
-        has = np.array([i for i, w in enumerate(start) if w is not None], dtype=np.int64)
-        work = [[int(r) for r in start[i]] for i in has]
+        work = [[int(r) for r in w] for w in start]
         if any(not 0 <= r < m for w in work for r in w):
             raise ValueError(f"start rows must lie in 0..{m - 1}")
-        px, plam, pmu, found, groups, steps[has] = _polish(
-            H, A, Aeq[eq_rows], c[has], b[has], beq[has][:, eq_rows], work, WARM_UPDATES
+        px, plam, pmu, found, presid, groups, steps = _polish_full(
+            H, A, Aeq, eq_rows, c, b, beq, work, WARM_UPDATES
         )
-        pmu_full = np.zeros((has.size, e))
-        pmu_full[:, eq_rows] = pmu
-        presid = _kkt_residuals(H, A, Aeq, c[has], b[has], beq[has], px, plam, pmu_full)
         # the cold path's own acceptance test; a settled instance is optimal
-        ok = found & _optimal(presid, b[has], plam, pmu_full, px, tol)
-        warm[has[ok]] = True
-        x[warm], lam[warm], mu[warm], resid[warm] = px[ok], plam[ok], pmu_full[ok], presid[ok]
+        warm = found & _optimal(presid, b, plam, pmu, px, tol)
+        x[warm], lam[warm], mu[warm], resid[warm] = px[warm], plam[warm], pmu[warm], presid[warm]
     cold = np.flatnonzero(~warm)
     if cold.size:
         (status[cold], x[cold], lam[cold], mu[cold], resid[cold], iterations[cold], exits[cold],

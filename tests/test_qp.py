@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from phca.qp import (
     BROKEN,
@@ -193,46 +191,54 @@ def test_random_instances_match_enumeration():
     assert n_infeasible > 20
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["empty", "cold", "subset", "superset"]),
-)
-def test_warm_start_matches_cold_solve(seed, kind):
-    # a _small_instance with, where it has two rows, a third that is their
-    # sum: sometimes redundant, sometimes binding, sometimes cutting off
-    rng = np.random.default_rng(seed)
-    inst = _small_instance(rng)
-    m = inst.A.shape[0]
-    if m >= 2:
-        inst = QpInstance.build(
-            inst.H, inst.c, A=np.vstack([inst.A, inst.A[0] + inst.A[1]]),
-            b=np.append(inst.b, inst.b[0] + inst.b[1] + rng.uniform(-0.3, 0.3)),
-            Aeq=inst.Aeq, beq=inst.beq,
-        )
-        m += 1
-    cold = solve_qp(inst)
-    active = np.flatnonzero(cold.lam > 0).tolist()
-    start = {
-        "empty": [],
-        "cold": active,
-        "subset": sorted(rng.permutation(m)[: rng.integers(0, m + 1)].tolist()),
-        # the sum row with both its parts is a dependent set
-        "superset": sorted(set(active) | ({0, 1, m - 1} if m >= 3 else set())),
-    }[kind]
-    warm = solve_qp(inst, start=start)
-    assert not cold.warm
-    assert warm.status == cold.status
-    if cold.status == INFEASIBLE:
-        # the warm polish found nothing and the cold path ran as before
-        assert not warm.warm and warm.iterations == cold.iterations
-        assert warm.factorizations <= WARM_UPDATES + cold.factorizations
-    elif kind == "cold":
-        assert warm.x.tobytes() == cold.x.tobytes()
-    else:
-        assert np.abs(warm.x - cold.x).max() <= 1e-9
-    if warm.warm:
-        assert warm.iterations == 0 and warm.exit == NONE and m > 0
+def test_warm_start_matches_cold_solve():
+    """Seeded sweep: each instance is solved cold and from one of four
+    kinds of start, in turn empty, the cold active set, a random subset of
+    the rows, and a superset with dependent rows."""
+    kinds = ("empty", "cold", "subset", "superset")
+    n_settled = n_infeasible = 0
+    for seed in range(300):
+        kind = kinds[seed % len(kinds)]
+        # a _small_instance with, where it has two rows, a third that is
+        # their sum: sometimes redundant, sometimes binding, sometimes
+        # cutting off
+        rng = np.random.default_rng(seed)
+        inst = _small_instance(rng)
+        m = inst.A.shape[0]
+        if m >= 2:
+            inst = QpInstance.build(
+                inst.H, inst.c, A=np.vstack([inst.A, inst.A[0] + inst.A[1]]),
+                b=np.append(inst.b, inst.b[0] + inst.b[1] + rng.uniform(-0.3, 0.3)),
+                Aeq=inst.Aeq, beq=inst.beq,
+            )
+            m += 1
+        cold = solve_qp(inst)
+        active = np.flatnonzero(cold.lam > 0).tolist()
+        start = {
+            "empty": [],
+            "cold": active,
+            "subset": sorted(rng.permutation(m)[: rng.integers(0, m + 1)].tolist()),
+            # the sum row with both its parts is a dependent set
+            "superset": sorted(set(active) | ({0, 1, m - 1} if m >= 3 else set())),
+        }[kind]
+        warm = solve_qp(inst, start=start)
+        assert not cold.warm, f"seed {seed}"
+        assert warm.status == cold.status, f"seed {seed} ({kind})"
+        if cold.status == INFEASIBLE:
+            # the warm polish found nothing and the cold path ran as before
+            assert not warm.warm and warm.iterations == cold.iterations, f"seed {seed}"
+            assert warm.factorizations <= WARM_UPDATES + cold.factorizations, f"seed {seed}"
+            n_infeasible += 1
+        elif kind == "cold":
+            assert warm.x.tobytes() == cold.x.tobytes(), f"seed {seed}"
+        else:
+            assert np.abs(warm.x - cold.x).max() <= 1e-9, f"seed {seed} ({kind})"
+        if warm.warm:
+            assert warm.iterations == 0 and warm.exit == NONE and m > 0, f"seed {seed}"
+            n_settled += 1
+    # the sweep must exercise settled starts and infeasible instances
+    assert n_settled > 150
+    assert n_infeasible > 15
 
 
 def test_warm_start_rows_are_checked():
