@@ -389,7 +389,7 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
                 s["ray"], merit <= max(tol, 1e-11), (mu_c < 1e-12) & (rp_max > 1e-7),
                 s["stall"] > 30, s["broken"],
             )
-            out = np.logical_or.reduce(tests)
+            out = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
             if out.any():
                 # the first test that holds names the exit
                 s = leave(s, out, it, np.argmax(tests, axis=0))
@@ -456,7 +456,7 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
     work = [sorted(int(i) for i in w) for w in work]
     pending = list(range(k))
     groups = 0
-    steps = np.zeros(k, dtype=np.int64)
+    steps = [0] * k
     for _ in range(max_updates):
         by_set: dict[tuple[int, ...], list[int]] = {}
         for i in pending:
@@ -475,8 +475,8 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
                 continue
             for i in members:
                 visited[i].add(key)
+                steps[i] += 1
             groups += 1
-            steps[members] += 1
             rhs = np.hstack([-c[members], beq[members], b[members][:, rows]])
             try:
                 sol = _kkt_solve(H, np.vstack([Aeq, A[rows]]), rhs)
@@ -501,7 +501,7 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
                 pending.append(i)
         if not pending:
             break
-    return x, lam, mu, found, groups, steps
+    return x, lam, mu, found, groups, np.array(steps, dtype=np.int64)
 
 
 def _polish_full(H, A, Aeq, eq_rows, c, b, beq, guesses, max_updates=60, retry=False):
@@ -673,8 +673,9 @@ def solve_qp_batch(
         # the cold path's own acceptance test; a settled instance is optimal
         warm = found & _optimal(presid, b, plam, pmu, px, tol)
         x[warm], lam[warm], mu[warm], resid[warm] = px[warm], plam[warm], pmu[warm], presid[warm]
-    cold = np.flatnonzero(~warm)
-    if cold.size:
+    if not warm.all():
+        # a slice when no instance settled warm saves gathering the stack
+        cold = np.flatnonzero(~warm) if warm.any() else slice(None)
         (status[cold], x[cold], lam[cold], mu[cold], resid[cold], iterations[cold], exits[cold],
          more, cold_groups, probes) = _solve_cold(
             H, A, Aeq, eq_rows, c[cold], b[cold], beq[cold], tol, max_iter
