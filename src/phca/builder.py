@@ -47,9 +47,6 @@ REG_INPUT = "reg-input"
 VOLTAGE_HI = "voltage-hi"
 VOLTAGE_LO = "voltage-lo"
 SLACK_NONNEG = "slack-nonneg"
-COUPLING = "coupling"
-
-INEQ_FAMILIES = (INVERTER_CAP, REMOTE_REG, REG_INPUT, VOLTAGE_HI, VOLTAGE_LO, SLACK_NONNEG)
 
 #: default hard/soft assignment per inequality family
 DEFAULT_ASSIGNMENT = {

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .scenarios import AnalysisGrid
-
 FEEDER_TEXT = """\
 # 15-bus feeder: trunk 0-7 with laterals at 2, 5, and 13
 [substation]
@@ -130,15 +128,6 @@ def config_text() -> str:
         "vmin = 0.97\n"
         "vmax = 1.03\n"
         "\n"
-    )
-
-
-def analysis_grid() -> AnalysisGrid:
-    """Default sweep: 16 grid cells, all of them headroom-safe."""
-    return AnalysisGrid(
-        kappa=(1.0, 2.0),
-        oversize=(1.0, 1.1),
-        alpha=(0.12, 0.24, 0.36, 0.48),
     )
 
 

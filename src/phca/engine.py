@@ -22,12 +22,13 @@ keeps its direct solution and no region is built from it.  An optional
 budget caps the number of region-building attempts; leftovers are then
 solved directly.
 
-The results file holds the explicit solution, the region table rather
-than every mapped point: the status, reason and region columns, each
-region's signature, and only the solutions solved directly.
-load_result_json rebuilds each region and maps its reuse rows again, the
-same products on the same rows as the sweep, so the loaded solutions are
-the run's bit for bit; run_batch and the loader share the objective formula.
+A row with a region, seed included, holds its region's map: one call
+maps a region's rows in index order, so x never depends on how the
+solver reached the seed.  The results file holds the explicit solution:
+the status, reason and region columns, the region table, and the
+solutions of the solved rows without a region.  load_result_json maps
+each region's rows again, the same call on the same rows, so the loaded
+solutions are the run's bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError
 from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
-from .qp import identify_active, solve_qp, solve_qp_batch
+from .qp import QpInstance, identify_active, solve_qp, solve_qp_batch
 from .regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
 
 logger = logging.getLogger(__name__)
@@ -156,11 +157,11 @@ class BatchResult:
     problem is the scaled problem the engine actually ran, its scaling
     included; x rows and the objectives are in original units (scaling
     leaves the minimizer alone and multiplies the cost by a known
-    constant), NaN where nothing was solved.  A reuse row's x is its
-    region's map at the row's parameters; the serialized form keeps only
-    the other solved rows and rederives these and every objective on
-    load.  status and reason index
-    STATUSES and REASONS; region_id indexes regions, -1 meaning no region.
+    constant), NaN where nothing was solved.  A row with a region (reuse
+    or seed) holds its region's map; the serialized form keeps only the
+    other solved rows and rederives these and every objective on load.
+    status and reason index STATUSES and REASONS; region_id indexes
+    regions, -1 meaning no region.
     regions holds each region's signature (its active rows) in id order,
     and an instance's active set is its region's; the direct rows without
     a region that have one (degenerate and budget rows) keep it in
@@ -226,23 +227,24 @@ class BatchResult:
     def to_json(self) -> str:
         """Deterministic strict JSON of the columns; excludes wall-clock time.
 
-        x holds only the rows solved directly (seed, budget and degenerate
-        rows), in index order, row-major, as a base64 string of their
-        little-endian float64 bytes, every non-finite entry as the
-        canonical NaN.  The reuse rows and every objective are left out:
-        load_result_json rederives them through the region table.
+        x holds only the solved rows without a region (degenerate and
+        budget rows), in index order, row-major, as a base64 string of
+        their little-endian float64 bytes, every non-finite entry as the
+        canonical NaN; load_result_json maps the others and every objective
+        again, at the slack price eta (in original units) stored beside.
         """
         payload = {
             "columns": {
                 "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
                 "reason": np.asarray(REASONS, dtype=object)[self.reason].tolist(),
                 "region_id": self.region_id.tolist(),
-                "x": _float64_text(self.x[_stored_rows(self.status)]),
+                "x": _float64_text(self.x[_stored_rows(self.status, self.region_id)]),
             },
             "direct_signatures": [
                 {"index": i, "signature": list(sig)}
                 for i, sig in sorted(self.direct_signatures.items())
             ],
+            "eta": _eta(self.problem),
             "options": asdict(self.options),
             "regions": [list(sig) for sig in self.regions],
             "scaling": asdict(self.problem.scaling),
@@ -263,10 +265,15 @@ def _objectives(prob: MpqpProblem, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (0.5 * ((x @ prob.H) * x).sum(axis=1) + (c * x).sum(axis=1)) * prob.scaling.cost_scale
 
 
-def _stored_rows(status: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose solution the results file stores: those
-    solved directly (seed, budget and degenerate rows)."""
-    return (status == STATUSES.index(DIRECT)) | (status == STATUSES.index(DEGENERATE))
+def _stored_rows(status: np.ndarray, region_id: np.ndarray) -> np.ndarray:
+    """Mask of the solved rows without a region (degenerate and budget
+    rows), whose solution and direct signature the results file stores."""
+    return (status < len(SOLVED)) & (region_id < 0)
+
+
+def _eta(prob: MpqpProblem) -> float:
+    """The scaled problem's slack price in original units."""
+    return prob.eta * prob.scaling.cost_scale
 
 
 def _positive_multipliers(sol) -> np.ndarray:
@@ -302,6 +309,7 @@ def run_batch(
     t0 = time.perf_counter()
     ctx = RegionContext(scaled)
     c, xu, rhs = ctx.instance_data(thetas)
+    m = scaled.A.shape[0]
 
     if options.seed is None:
         order = np.arange(n)
@@ -325,10 +333,10 @@ def run_batch(
         reason[idx] = REASONS.index(why)
         region_id[idx] = rid
 
-    def degenerate(i, sol, why, signature):
-        logger.debug("instance %d: degenerate-direct (%s)", i, why)
+    def without_region(i, sol, st, why, signature):
+        logger.debug("instance %d: %s (%s)", i, st, why)
         x[i] = sol.x
-        mark(i, DEGENERATE, why)
+        mark(i, st, why)
         direct_signatures[i] = signature
 
     for i in order:
@@ -336,7 +344,7 @@ def run_batch(
         if solved[i]:
             continue
         solved[i] = True
-        inst = scaled.instance(thetas[i])
+        inst = QpInstance(scaled.H, c[i], scaled.A, rhs[i, :m], scaled.B, rhs[i, m:])
         sol = solve_qp(inst, start=last_signature)
         logger.debug(
             "instance %d: %s solve, %d polish factorizations, %d IPM iterations, exit %s",
@@ -357,9 +365,7 @@ def run_batch(
 
         if budget_spent:
             sig = tuple(int(v) for v in identify_active(inst, sol, EPS_ACTIVE))
-            x[i] = sol.x
-            mark(i, DIRECT, REASON_BUDGET)
-            direct_signatures[i] = sig
+            without_region(i, sol, DIRECT, REASON_BUDGET, sig)
             continue
 
         active = _positive_multipliers(sol)
@@ -367,11 +373,11 @@ def run_batch(
         try:
             region = ctx.build_region(active)
         except RankDeficientKError:
-            degenerate(i, sol, REASON_RANK, signature)
+            without_region(i, sol, DEGENERATE, REASON_RANK, signature)
             continue
 
         if not region.batch_membership(xu[i : i + 1], rhs[i : i + 1])[0]:
-            degenerate(i, sol, REASON_UNCERTAIN, signature)
+            without_region(i, sol, DEGENERATE, REASON_UNCERTAIN, signature)
             continue
 
         rem = np.flatnonzero(~solved)
@@ -382,13 +388,13 @@ def run_batch(
         keep = rem[served]
         rid = len(regions)
         screened_out += rem.size - keep.size
-        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
-        x[i] = sol.x
+        rows = np.union1d(keep, i)  # the seed joins the call, as on load
+        x[rows] = region.batch_solutions(xu[rows], rhs[rows])
         mark(keep, REUSE, rid=rid)
         mark(i, DIRECT, REASON_SEED, rid)
         solved[keep] = True
-        regions.append(region.signature)
-        last_signature = region.signature
+        regions.append(region.active_set)
+        last_signature = region.active_set
         logger.debug(
             "region %d: %d active rows, %d swept, %d served",
             rid, len(signature), rem.size, keep.size,
@@ -412,7 +418,8 @@ def run_batch(
 
 #: top-level keys of a results file, the columns under "columns", and
 #: which of those are lists (x is a base64 float64 string)
-RESULT_KEYS = ("columns", "direct_signatures", "options", "regions", "scaling", "screened_out")
+RESULT_KEYS = ("columns", "direct_signatures", "eta", "options", "regions", "scaling",
+               "screened_out")
 COLUMNS = ("reason", "region_id", "status", "x")
 LIST_COLUMNS = ("reason", "region_id", "status")
 
@@ -427,12 +434,11 @@ def _column(values, name: str) -> np.ndarray:
 def _stored_x(value, n_rows: int, n_var: int) -> np.ndarray:
     """The stored solution rows, a writable native (n_rows, n_var) array
     decoded from a _float64_text string."""
-    if isinstance(value, list):
+    if not isinstance(value, str):  # a list, as an earlier version wrote x, too
         raise SchemaError(
-            "column 'x' is in the earlier list format; rerun phca run to rewrite the file"
+            "column 'x' must be a base64 string of float64 values; "
+            "rerun phca run to rewrite a file from an earlier version"
         )
-    if not isinstance(value, str):
-        raise SchemaError("column 'x' must be a base64 string of float64 values")
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII string
@@ -440,9 +446,16 @@ def _stored_x(value, n_rows: int, n_var: int) -> np.ndarray:
     if len(raw) != 8 * n_rows * n_var:
         raise SchemaError(
             f"column 'x' holds {len(raw)} bytes, not the {8 * n_rows * n_var} of "
-            f"{n_rows} directly solved rows of {n_var} variables"
+            f"{n_rows} solved rows without a region, {n_var} variables each; "
+            "rerun phca run to rewrite a file from an earlier version"
         )
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(n_rows, n_var)
+
+
+def _same(stored, value: float) -> bool:
+    """A stored number within a relative 1e-9 of value."""
+    number = _is_int(stored) or isinstance(stored, float)
+    return number and abs(stored - value) <= 1e-9 * max(1.0, value)
 
 
 def _codes(values: list, names: tuple, column: str) -> np.ndarray:
@@ -470,29 +483,25 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
 
     The problem and parameter set are reconstructed by the caller from the
     original input files; this checks they line up with the stored run
-    (instance count, variable count, scaling) and that the file is well
-    formed: exactly the known top-level keys and columns (an 'objective'
-    column marks the earlier layout that stored every row), known option
-    keys with valid values (as EngineOptions.validate checks them),
-    screened_out a non-negative integer, every list column one entry per
-    instance and x a base64 string of exactly the directly solved rows'
-    float64 values, known status and reason names, region ids naming a
+    (instance count, variable count, scaling, slack price) and that the
+    file is well formed: exactly the known top-level keys and columns (an
+    'objective' column marks the earlier layout that stored every row),
+    known option keys with valid values (as EngineOptions.validate checks
+    them), screened_out a non-negative integer, one entry per instance in
+    every list column, known status and reason names, region ids naming a
     stored region on exactly the reuse and seed rows, each region with
     exactly one seed row, each row's reason one that STATUS_REASONS pairs
     with its status, every signature a strictly increasing list of
-    inequality rows, direct signatures on exactly the degenerate and
-    budget rows.
+    inequality rows.  The solved rows without a region alone have direct
+    signatures, and x holds exactly their float64 values.
 
-    The reuse rows of x are then rederived as run_batch derives them: one
-    RegionContext.instance_data call over every row, and each region,
-    rebuilt from its signature (it must have full rank), maps its reuse
-    rows in index order, so x equals the run's bit for bit.  Each reuse
-    row's active-row multipliers in its region must be at least
-    -SCREEN_DUAL, as the sweep that served it certified.  The
-    objectives come from the same formula as run_batch's.  Solved rows
-    must be finite and primally feasible; the other rows are NaN.  The
-    counters are counted off the columns, so nothing stored can disagree
-    with them.
+    Each region, rebuilt from its signature (it must have full rank), then
+    maps its rows, seed and reuse, in index order, as run_batch does, so x
+    equals the run's bit for bit; their active-row multipliers must be at
+    least -SCREEN_DUAL, as certification required.  The objectives come
+    from run_batch's formula.  Solved rows must be finite and primally
+    feasible; the other rows are NaN.  The counters are counted off the
+    columns, so nothing stored can disagree with them.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -510,10 +519,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     n_rows = prob.A.shape[0]
     stored = payload["scaling"]
     cost_scale = stored.get("cost_scale") if isinstance(stored, dict) else None
-    if not isinstance(cost_scale, (int, float)) or not abs(
-        cost_scale - prob.scaling.cost_scale
-    ) <= 1e-9 * max(1.0, prob.scaling.cost_scale):
+    if not _same(cost_scale, prob.scaling.cost_scale):
         raise SchemaError("results were produced from a different problem (scaling differs)")
+    if not _same(payload["eta"], _eta(prob)):
+        raise SchemaError(
+            f"results were produced at a different slack price (eta {payload['eta']!r} "
+            f"in the file, {_eta(prob):g} from the inputs)"
+        )
     opts_raw = payload["options"]
     if not isinstance(opts_raw, dict):
         raise SchemaError("results file has a malformed engine option block")
@@ -575,8 +587,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         direct = [(e["index"], e["signature"]) for e in payload["direct_signatures"]]
     except (KeyError, TypeError):
         raise SchemaError("results file has a malformed direct-signature table") from None
-    owners = (status == STATUSES.index(DEGENERATE)) | (reason == REASONS.index(REASON_BUDGET))
-    if [i for i, _ in direct] != np.flatnonzero(owners).tolist() or not all(
+    stored_rows = _stored_rows(status, region_id)
+    if [i for i, _ in direct] != np.flatnonzero(stored_rows).tolist() or not all(
         _is_int(i) for i, _ in direct
     ):
         raise SchemaError(
@@ -586,14 +598,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     direct_signatures = {
         i: _signature(sig, n_rows, f"the direct signature of row {i}") for i, sig in direct
     }
-    stored_rows = _stored_rows(status)
     x = np.full((n, prob.H.shape[0]), np.nan)
     x[stored_rows] = _stored_x(cols["x"], int(stored_rows.sum()), prob.H.shape[0])
 
-    # the reuse rows through their regions, as run_batch's sweep maps them
+    # every row with a region through it, as run_batch maps them
     ctx = RegionContext(prob)
     c, xu, rhs = ctx.instance_data(thetas)
-    rows = np.flatnonzero(reuse)
+    rows = np.flatnonzero(region_id >= 0)
     served = np.bincount(region_id[rows], minlength=len(regions))
     rows = rows[np.argsort(region_id[rows], kind="stable")]
     for k, (sig, end) in enumerate(zip(regions, np.cumsum(served).tolist())):
@@ -616,9 +627,9 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     bad = np.flatnonzero(solved & ~np.isfinite(x).all(axis=1))
     if bad.size:
         raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
-    # a solved row is certified (reuse) or a direct solve's optimum, so it
-    # lies within the looser of the two primal tolerances; the unsolved
-    # rows are NaN and compare false
+    # a solved row is certified (it has a region) or a direct solve's
+    # optimum, so it lies within the looser of the two primal tolerances;
+    # the unsolved rows are NaN and compare false
     rhs = rhs[:, :n_rows]
     resid = x @ prob.A.T
     resid -= rhs

@@ -55,10 +55,6 @@ class CriticalRegion:
     K: np.ndarray
     A: np.ndarray
 
-    @property
-    def signature(self) -> tuple[int, ...]:
-        return self.active_set
-
     def multipliers(self, xu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Multipliers of the region's rows, one row per instance.
 

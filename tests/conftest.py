@@ -19,10 +19,11 @@ from phca.builder import BuilderConfig
 
 def float_columns(payload):
     """The stored solution rows of a parsed results file, as a writable
-    (k, n_var) array, and the instance index of each: the rows solved
-    directly (direct and degenerate-direct), in index order."""
-    rows = [i for i, st in enumerate(payload["columns"]["status"])
-            if st in ("direct", "degenerate-direct")]
+    (k, n_var) array, and the instance index of each: the solved rows
+    without a region (degenerate and budget rows), in index order."""
+    cols = payload["columns"]
+    rows = [i for i, (st, rid) in enumerate(zip(cols["status"], cols["region_id"]))
+            if st in ("reuse", "direct", "degenerate-direct") and rid == -1]
     x = np.frombuffer(base64.b64decode(payload["columns"]["x"]), dtype="<f8").astype(float)
     return x.reshape(len(rows), -1), rows
 

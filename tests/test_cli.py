@@ -198,14 +198,11 @@ def test_demo_days_below_one_is_exit_2(tmp_path, capsys, days):
 
 
 def test_corrupted_results_fail_validation(case, capsys, tmp_path):
-    # tamper with one stored solution and ask stats to reuse it: the load
-    # succeeds (records line up, and raising the slack variable keeps the
-    # point feasible) but validation of the same batch must not
-    orig = case / "results.json"
-    if not orig.exists():
-        assert main(["run", *base_args(case), "--out", str(orig)]) == 0
-        capsys.readouterr()
-    payload = json.loads(orig.read_text())
+    # tamper with one stored solution, a budget row's, and ask stats to
+    # reuse it: the load succeeds (records line up, and raising the slack
+    # variable keeps the point feasible) but validation of the same batch
+    # must not
+    payload = json.loads(_results(case, capsys).read_text())
     x, _ = float_columns(payload)
     x[0, -1] += 0.5
     set_float_columns(payload, x)
@@ -285,7 +282,29 @@ def test_config_eta_is_used_as_given(case, capsys, caplog, tmp_path):
         assert caplog.messages == ["slack price eta = 5", "slack price eta = 0.5"]
     capsys.readouterr()
     assert (tmp_path / "config.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
-    assert (tmp_path / "both.json").read_bytes() != (tmp_path / "flag.json").read_bytes()
+    # each file records the slack price its run used
+    etas = [json.loads((tmp_path / f"{name}.json").read_text())["eta"]
+            for name in ("config", "flag", "both")]
+    assert etas == pytest.approx([5.0, 5.0, 0.5], rel=1e-12)
+
+
+def test_results_at_another_slack_price_are_exit_2(case, capsys):
+    # the rows with a region are mapped again on load, so a file read under
+    # another slack price would silently give that price's solutions
+    results = _results(case, capsys)
+    assert json.loads(results.read_text())["eta"] == pytest.approx(0.01, rel=1e-12)
+    for eta in ("0.5", "5", "100"):
+        args = base_args(case)
+        args[args.index("--eta") + 1] = eta
+        code = main(["stats", *args, "--results", str(results)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "phca: error: SchemaError: results were produced at a different slack price "
+            f"(eta 0.01 in the file, {eta} from the inputs)"
+        )
+        assert len(captured.err.splitlines()) == 1
 
 
 def _unknown_counter(payload):
@@ -382,14 +401,14 @@ def _wrong_byte_count(payload):
 
 def _inf_in_solved_row(payload):
     x, rows = float_columns(payload)
-    assert rows[1] == 141
+    assert rows[1] == 156
     x[1, 0] = np.inf
     set_float_columns(payload, x)
 
 
 def _number_in_unsolved_row(payload):
-    # x has room for the directly solved rows only, so a solution for an
-    # unsolved row is one row too many
+    # x has room for the solved rows without a region only, so a solution
+    # for any other row is one row too many
     x, _ = float_columns(payload)
     set_float_columns(payload, np.vstack([x, x[:1]]))
 
@@ -402,7 +421,7 @@ def _direct_row_without_solution(payload):
     cols["status"][5], cols["reason"][5], cols["region_id"][5] = (
         "degenerate-direct", "uncertain-active-set", -1
     )
-    payload["direct_signatures"].append({"index": 5, "signature": payload["regions"][0]})
+    payload["direct_signatures"].insert(0, {"index": 5, "signature": payload["regions"][0]})
 
 
 def _rank_deficient_region(payload):
@@ -419,6 +438,16 @@ def _objective_column(payload):
 def _list_format_x(payload):
     x, _ = float_columns(payload)
     payload["columns"]["x"] = x.tolist()
+
+
+def _seed_rows_stored(payload):
+    # the layout that also stored each region's seed row and no slack price
+    del payload["eta"]
+    x, rows = float_columns(payload)
+    cols = payload["columns"]
+    seeds = [i for i, why in enumerate(cols["reason"]) if why == "seed"]
+    order = np.argsort(rows + seeds, kind="stable")
+    set_float_columns(payload, np.vstack([x, np.zeros((len(seeds), x.shape[1]))])[order])
 
 
 def _parent_layout(payload):
@@ -471,7 +500,7 @@ def _region_with_two_seeds(payload):
 
 def _direct_signature_on_reuse_row(payload):
     assert payload["columns"]["status"][5] == "reuse"
-    payload["direct_signatures"].append({"index": 5, "signature": [0, 1, 2]})
+    payload["direct_signatures"].insert(0, {"index": 5, "signature": [0, 1, 2]})
 
 
 def _region_table_off(payload):
@@ -485,7 +514,7 @@ def _negative_direct_signature(payload):
     cols["status"][5], cols["reason"][5], cols["region_id"][5] = (
         "degenerate-direct", "uncertain-active-set", -1
     )
-    payload["direct_signatures"].append({"index": 5, "signature": [-5]})
+    payload["direct_signatures"].insert(0, {"index": 5, "signature": [-5]})
 
 
 def _reuse_row_with_reason(payload):
@@ -502,18 +531,19 @@ def _reuse_row_in_another_region(payload):
 
 #: the error each new case must hit, not merely some SchemaError
 MESSAGES = {
-    _nan_solution: "row 93 is solved but its solution is not finite",
-    _short_column: "column 'x' holds 96 bytes, not the 144 of 3 directly solved rows",
-    _infeasible_solution: "row 93 is solved but its solution is infeasible",
+    _nan_solution: "row 155 is solved but its solution is not finite",
+    _short_column: "column 'x' holds 240 bytes, not the 288 of 6 solved rows without a region",
+    _infeasible_solution: "row 155 is solved but its solution is infeasible",
     _non_string_column: "column 'x' must be a base64 string",
     _bad_base64: "column 'x' is not valid base64",
     _wrong_byte_count: "column 'x' holds",
-    _inf_in_solved_row: "row 141 is solved but its solution is not finite",
-    _number_in_unsolved_row: "column 'x' holds 192 bytes, not the 144 of 3 directly solved rows",
-    _direct_row_without_solution: "column 'x' holds 144 bytes, not the 192 of 4 directly solved",
+    _inf_in_solved_row: "row 156 is solved but its solution is not finite",
+    _number_in_unsolved_row: "column 'x' holds 336 bytes, not the 288 of 6 solved rows without",
+    _direct_row_without_solution: "column 'x' holds 288 bytes, not the 336 of 7 solved rows",
     _rank_deficient_region: "region 0's signature is rank deficient",
     _objective_column: "stores an 'objective' column, as an earlier version wrote it; rerun",
     _list_format_x: "rerun phca run",
+    _seed_rows_stored: "rerun phca run",
     _unknown_counter: "needs exactly the keys",
     _text_counter: "'screened_out' must be a non-negative integer",
     _negative_counter: "'screened_out' must be a non-negative integer",
@@ -543,9 +573,11 @@ def test_malformed_results_are_exit_2(case, capsys, tmp_path, corrupt):
 
 
 def _results(case, capsys):
-    orig = case / "results.json"
+    """A budget run's results file: two regions, and six budget rows, the
+    rows whose solutions the file stores."""
+    orig = case / "results-budget.json"
     if not orig.exists():
-        assert main(["run", *base_args(case), "--out", str(orig)]) == 0
+        assert main(["run", *base_args(case), "--budget", "2", "--out", str(orig)]) == 0
         capsys.readouterr()
     return orig
 
@@ -604,7 +636,8 @@ def test_sequential_and_budget_flags(case, capsys):
     xa = load_result_json(out.read_text(), prob, thetas.thetas).x
     xb = load_result_json(json.dumps(ref), prob, thetas.thetas).x
     assert np.max(np.abs(xa - xb)) < 1e-8
-    # budget rows are stored beside the seeds, and load back bit for bit
+    # budget rows are stored, the seeds are mapped, and both load back bit
+    # for bit
     assert payload["columns"]["reason"].count("budget-exhausted") > 0
     result = run_batch(prob, thetas.thetas, EngineOptions(seed=None, solve_budget=2))
     np.testing.assert_array_equal(xa, result.x)

@@ -248,9 +248,9 @@ def _with_failed_rows(prob, theta_set, monkeypatch):
 
 
 def test_json_roundtrip(batch, small_theta_set, demo_feeder):
-    # only the three seed rows are stored; every other row is a region's map
+    # every row has a region, so the file stores no solution at all
     text = _assert_roundtrip(batch, small_theta_set, demo_feeder)
-    assert len(base64.b64decode(json.loads(text)["columns"]["x"])) == 8 * 3 * batch.x.shape[1]
+    assert json.loads(text)["columns"]["x"] == ""
     assert batch.counters.seeds == 3 and batch.counters.qp_solves == 3
 
 
@@ -264,7 +264,10 @@ def test_json_roundtrip_random_feeder(random_feeder_batch):
 def test_json_roundtrip_budget_rows(batch, small_theta_set, demo_feeder):
     res = run_batch(batch.problem, batch.thetas, EngineOptions(seed=None, solve_budget=2))
     assert res.counters.stragglers > 0 and res.counters.reuse > 0
-    _assert_roundtrip(res, small_theta_set, demo_feeder)
+    text = _assert_roundtrip(res, small_theta_set, demo_feeder)
+    # the budget rows alone are stored
+    stored = base64.b64decode(json.loads(text)["columns"]["x"])
+    assert len(stored) == 8 * res.counters.stragglers * res.x.shape[1]
 
 
 @pytest.mark.parametrize("make", [_every_outcome, _with_failed_rows], ids=["every", "failed"])
@@ -327,37 +330,41 @@ def test_loader_refuses_pairs_no_run_writes(scaled_demo_problem, small_theta_set
             load_result_json(json.dumps(bad), scaled_demo_problem, res.thetas)
 
 
-def _infeasible_rows(res, prob):
+def _infeasible_rows(res, prob, solve_budget=None):
     # the second grid cell of test_group_stats_empty_cell cannot solve
     thetas = res.thetas[:6].copy()
     thetas[3:, prob.headroom_slice()] = -1.0
-    out = run_batch(prob, thetas)
+    out = run_batch(prob, thetas, EngineOptions(solve_budget=solve_budget))
     assert out.counters.infeasible == 3
     return out
 
 
 def test_json_is_strict(batch, scaled_demo_problem):
-    res = _infeasible_rows(batch, scaled_demo_problem)
+    # the first pick is infeasible and spends the budget, so the solved
+    # rows are budget rows, whose solutions the file stores
+    res = _infeasible_rows(batch, scaled_demo_problem, solve_budget=1)
 
     def refuse(token):
         raise ValueError(f"{token} is not a JSON value")
 
     payload = json.loads(res.to_json(), parse_constant=refuse)
     assert "objective" not in payload["columns"]
-    # x holds the directly solved rows only, none of them an unsolved one
+    # x holds the solved rows without a region only, none of them an
+    # unsolved one
     x, rows = float_columns(payload)
-    assert rows == np.flatnonzero(res.status == STATUSES.index("direct")).tolist()
+    assert rows == np.flatnonzero(res.reason == REASONS.index("budget-exhausted")).tolist()
     assert x.shape == (len(rows), scaled_demo_problem.n_var) and rows
     assert np.isfinite(x).all()
     np.testing.assert_array_equal(x, res.x[rows])
 
 
 def _negative_zeros(res, prob):
-    # the slack sits at rounding level on the stored rows; -0.0 keeps them
-    # feasible
+    # the slack sits at rounding level on the stored rows, a budget run's;
+    # -0.0 keeps them feasible
+    res = run_batch(prob, res.thetas, EngineOptions(solve_budget=2))
     x = res.x.copy()
     tiny = np.abs(x[:, prob.slack_index]) < 1e-15
-    tiny &= res.status == STATUSES.index("direct")
+    tiny &= res.reason == REASONS.index("budget-exhausted")
     assert tiny.any()
     x[tiny, prob.slack_index] = -0.0
     c, _ = prob.instance_data(res.thetas)
@@ -551,3 +558,49 @@ def test_one_debug_line_per_direct_solve(scaled_demo_problem, small_theta_set, c
     assert len(lines) == res.counters.qp_solves > 2
     assert " cold solve, " in lines[0] and lines[0].endswith(", exit converged")
     assert all(" warm solve, " in line and "0 IPM iterations, exit none" in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("case", ["demo", "random-feeder", "budget", "every"])
+def test_rows_with_a_region_hold_its_map(case, request, monkeypatch):
+    # seed included, every row with a region is its region's map over the
+    # region's rows in index order, bit for bit, whatever the solver's point
+    if case == "random-feeder":
+        prob, thetas = request.getfixturevalue("random_feeder_batch")
+        res = run_batch(prob, thetas)
+    else:
+        prob = request.getfixturevalue("scaled_demo_problem")
+        theta_set = request.getfixturevalue("small_theta_set")
+        if case == "every":
+            res = _every_outcome(prob, theta_set, monkeypatch)
+        else:
+            res = run_batch(prob, theta_set.thetas,
+                            EngineOptions(solve_budget=2 if case == "budget" else None))
+    ctx = RegionContext(prob)
+    _, xu, rhs = ctx.instance_data(res.thetas)
+    seed = res.reason == REASONS.index("seed")
+    for k, sig in enumerate(res.regions):
+        rows = np.flatnonzero(res.region_id == k)
+        assert seed[rows].sum() == 1
+        mapped = ctx.build_region(sig).batch_solutions(xu[rows], rhs[rows])
+        assert mapped.tobytes() == res.x[rows].tobytes()
+    # the file stores x for the solved rows without a region and no others
+    stored = base64.b64decode(json.loads(res.to_json())["columns"]["x"])
+    without = res.solved_mask() & (res.region_id == -1)
+    assert stored == res.x[without].tobytes()
+    assert without.any() == (case in ("budget", "every"))
+
+
+def test_json_roundtrip_refuses_another_slack_price(batch, demo_problem):
+    # the mapped rows depend on eta, which the file records in original units
+    text = batch.to_json()
+    assert json.loads(text)["eta"] == pytest.approx(ETA_FLOOR, rel=1e-12)
+    for eta in (0.5, 5.0, 100.0):
+        other = scale_problem(demo_problem.with_eta(eta))[0]
+        assert other.scaling == batch.problem.scaling
+        with pytest.raises(SchemaError, match=r"different slack price \(eta 0\.01 in the file, "):
+            load_result_json(text, other, batch.thetas)
+    for bad in (None, True, "0.01"):
+        payload = json.loads(text)
+        payload["eta"] = bad
+        with pytest.raises(SchemaError, match="different slack price"):
+            load_result_json(json.dumps(payload), batch.problem, batch.thetas)
