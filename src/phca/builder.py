@@ -628,13 +628,15 @@ def theta_map_batch(
     if n_inj != prob.n_inj or qc.shape != pc.shape or pg.shape != pc.shape:
         raise DimensionError("scenario blocks must share shape (k, n_inj)")
     theta = np.zeros((k, prob.n_theta))
-    theta[:, prob.pc_slice()] = kappa * pc
-    theta[:, prob.qc_slice()] = kappa * qc
-    theta[:, prob.pg_slice()] = alpha * kappa * pg
-    der = np.asarray(prob.der_buses, dtype=np.int64) - 1
-    cap = oversize * np.asarray(prob.der_p_rating)
-    gen = alpha * kappa * pg[:, der]
-    head_sq = cap[None, :] ** 2 - gen**2
+    # an overflow becomes inf or NaN here and is refused below, in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta[:, prob.pc_slice()] = kappa * pc
+        theta[:, prob.qc_slice()] = kappa * qc
+        theta[:, prob.pg_slice()] = alpha * kappa * pg
+        der = np.asarray(prob.der_buses, dtype=np.int64) - 1
+        cap = oversize * np.asarray(prob.der_p_rating)
+        gen = alpha * kappa * pg[:, der]
+        head_sq = cap[None, :] ** 2 - gen**2
     if np.any(head_sq < -1e-15):
         bad = np.argwhere(head_sq < -1e-15)[0]
         raise HeadroomError(
@@ -643,6 +645,9 @@ def theta_map_batch(
             f"(alpha={alpha:g}, kappa={kappa:g}, oversize={oversize:g})"
         )
     theta[:, prob.headroom_slice()] = np.sqrt(np.maximum(head_sq, 0.0))
+    if not np.isfinite(theta).all():
+        raise ConfigError(f"grid point alpha={alpha:g}, kappa={kappa:g}, "
+                          f"oversize={oversize:g} overflows the parameter vector")
     return theta
 
 

@@ -26,9 +26,10 @@ A row with a region, seed included, holds its region's map: one call
 maps a region's rows in index order, so x never depends on how the
 solver reached the seed.  The results file holds the explicit solution:
 the status, reason and region columns, the region table, and the
-solutions of the solved rows without a region.  load_result_json maps
-each region's rows again, the same call on the same rows, so the loaded
-solutions are the run's bit for bit.
+solutions of the solved rows without a region.  load_result_json
+certifies each region's rows with the run's own test (_certified, the
+one sweep over batch_membership) and maps them again, the same call on
+the same rows, so the loaded solutions are the run's bit for bit.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError
 from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
-from .qp import QpInstance, identify_active, solve_qp, solve_qp_batch
-from .regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
+from .qp import QpInstance, solve_qp, solve_qp_batch
+from .qp import identify_active  # noqa: F401  bench/tracing.py wraps phca.engine.identify_active
+from .regions import SCREEN_PRIMAL, RegionContext
 
 logger = logging.getLogger(__name__)
 
@@ -80,12 +82,6 @@ STATUS_REASONS = {
 #: a row is active at a polished solution when its multiplier exceeds this
 #: fraction of the largest one; the polish sets every other row's to zero
 ACTIVE_LAM_REL = 1e-9
-
-#: EPS_ACTIVE classifies rows as active, by residual, at the budget
-#: stragglers' direct solutions.  The order 100 * SCREEN_PRIMAL < EPS_ACTIVE
-#: keeps a residual that certification tolerates well below the one that
-#: marks a row active.
-EPS_ACTIVE = 1e-5
 
 #: unsolved parameters a region certifies per call; bounds the sweep's work
 #: arrays at (SWEEP_BLOCK, n_rows), so memory does not grow with the batch
@@ -284,6 +280,17 @@ def _positive_multipliers(sol) -> np.ndarray:
     return np.flatnonzero(lam > ACTIVE_LAM_REL * max(1.0, float(lam.max())))
 
 
+def _certified(region, xu: np.ndarray, rhs: np.ndarray, rows) -> np.ndarray:
+    """Mask of the instances in rows that the region certifies, swept
+    SWEEP_BLOCK rows per batch_membership call."""
+    rows = np.asarray(rows, dtype=np.int64)
+    ok = np.zeros(rows.size, dtype=bool)
+    for start in range(0, rows.size, SWEEP_BLOCK):
+        blk = rows[start : start + SWEEP_BLOCK]
+        ok[start : start + SWEEP_BLOCK] = region.batch_membership(xu[blk], rhs[blk])
+    return ok
+
+
 def run_batch(
     prob: MpqpProblem,
     thetas: np.ndarray,
@@ -363,29 +370,23 @@ def run_batch(
                 raise AbortError(f"{failures} direct solves failed numerically; aborting the batch")
             continue
 
+        signature = tuple(_positive_multipliers(sol).tolist())
         if budget_spent:
-            sig = tuple(int(v) for v in identify_active(inst, sol, EPS_ACTIVE))
-            without_region(i, sol, DIRECT, REASON_BUDGET, sig)
+            without_region(i, sol, DIRECT, REASON_BUDGET, signature)
             continue
 
-        active = _positive_multipliers(sol)
-        signature = tuple(int(v) for v in active)
         try:
-            region = ctx.build_region(active)
+            region = ctx.build_region(signature)
         except RankDeficientKError:
             without_region(i, sol, DEGENERATE, REASON_RANK, signature)
             continue
 
-        if not region.batch_membership(xu[i : i + 1], rhs[i : i + 1])[0]:
+        if not _certified(region, xu, rhs, [i])[0]:
             without_region(i, sol, DEGENERATE, REASON_UNCERTAIN, signature)
             continue
 
         rem = np.flatnonzero(~solved)
-        served = np.zeros(rem.size, dtype=bool)
-        for start in range(0, rem.size, SWEEP_BLOCK):
-            blk = rem[start : start + SWEEP_BLOCK]
-            served[start : start + SWEEP_BLOCK] = region.batch_membership(xu[blk], rhs[blk])
-        keep = rem[served]
+        keep = rem[_certified(region, xu, rhs, rem)]
         rid = len(regions)
         screened_out += rem.size - keep.size
         rows = np.union1d(keep, i)  # the seed joins the call, as on load
@@ -495,13 +496,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     inequality rows.  The solved rows without a region alone have direct
     signatures, and x holds exactly their float64 values.
 
-    Each region, rebuilt from its signature (it must have full rank), then
-    maps its rows, seed and reuse, in index order, as run_batch does, so x
-    equals the run's bit for bit; their active-row multipliers must be at
-    least -SCREEN_DUAL, as certification required.  The objectives come
-    from run_batch's formula.  Solved rows must be finite and primally
-    feasible; the other rows are NaN.  The counters are counted off the
-    columns, so nothing stored can disagree with them.
+    Each region, rebuilt from its signature (it must have full rank), must
+    certify its rows, seed and reuse, by the run's own test; it then maps
+    them in index order, as run_batch does, so x equals the run's bit for
+    bit.  The objectives come from run_batch's formula.  Solved rows must
+    be finite, and the stored ones primally feasible; the other rows are
+    NaN.  The counters are counted off the columns, so nothing stored can
+    disagree with them.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -615,27 +616,20 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
                 f"region {k}'s signature is rank deficient with the equality rows"
             ) from None
         keep = rows[end - served[k] : end]
-        lam = region.multipliers(xu[keep], rhs[keep])
-        bad = keep[lam[:, : len(sig)].min(axis=1, initial=np.inf) < -SCREEN_DUAL]
+        bad = keep[~_certified(region, xu, rhs, keep)]
         if bad.size:
-            raise SchemaError(
-                f"row {bad.min()} is served by region {k}, whose multipliers there are negative"
-            )
-        x[keep] = xu[keep] - lam @ region.HinvKT.T
+            raise SchemaError(f"row {bad[0]} is served by region {k}, which does not certify it")
+        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
 
-    solved = status < len(SOLVED)
-    bad = np.flatnonzero(solved & ~np.isfinite(x).all(axis=1))
+    bad = np.flatnonzero((status < len(SOLVED)) & ~np.isfinite(x).all(axis=1))
     if bad.size:
         raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
-    # a solved row is certified (it has a region) or a direct solve's
-    # optimum, so it lies within the looser of the two primal tolerances;
-    # the unsolved rows are NaN and compare false
-    rhs = rhs[:, :n_rows]
-    resid = x @ prob.A.T
-    resid -= rhs
-    worst = resid.max(axis=1, initial=-np.inf)
-    over = np.flatnonzero(worst > SCREEN_PRIMAL)
-    bad = over[worst[over] > DEFAULT_TOL * (1.0 + np.abs(rhs[over]).max(axis=1, initial=0.0))]
+    # a stored row is a direct solve's optimum, so it lies within the looser
+    # of the two primal tolerances
+    rhs = rhs[stored_rows, :n_rows]
+    worst = (x[stored_rows] @ prob.A.T - rhs).max(axis=1, initial=-np.inf)
+    tol = np.maximum(SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0)))
+    bad = np.flatnonzero(stored_rows)[worst > tol]
     if bad.size:
         raise SchemaError(f"row {bad[0]} is solved but its solution is infeasible")
     return BatchResult(

@@ -128,7 +128,7 @@ class QpInstance:
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Solver output: primal point, multipliers, slacks, and KKT residuals.
+    """Solver output: primal point, multipliers and KKT residuals.
 
     residuals = (stationarity, primal feasibility, complementarity), each an
     infinity norm.  status is "optimal", "infeasible", or
@@ -142,7 +142,6 @@ class QpSolution:
     x: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
-    slack: np.ndarray
     residuals: tuple[float, float, float]
     iterations: int
     objective: float
@@ -167,7 +166,6 @@ class QpBatch:
     x: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
-    slack: np.ndarray
     residuals: np.ndarray
     iterations: np.ndarray
     objective: np.ndarray
@@ -183,7 +181,6 @@ class QpBatch:
             self.x[i],
             self.lam[i],
             self.mu[i],
-            self.slack[i],
             tuple(float(v) for v in self.residuals[i]),
             int(self.iterations[i]),
             float(self.objective[i]),
@@ -685,7 +682,7 @@ def solve_qp_batch(
     with np.errstate(invalid="ignore", over="ignore"):
         objective = 0.5 * np.einsum("ij,ij->i", x @ H, x) + np.einsum("ij,ij->i", c, x)
     return QpBatch(
-        status, x, lam, mu, b - x @ A.T, resid, iterations, objective,
+        status, x, lam, mu, resid, iterations, objective,
         groups, probes, warm, exits, steps,
     )
 

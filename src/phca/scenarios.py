@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import MpqpProblem, theta_map_batch
-from .errors import MissingBusError, NegativeValueError, SchemaError
+from .errors import ConfigError, MissingBusError, NegativeValueError, SchemaError
 from .feeder import FeederModel
 
 PF_LOW = 0.90
@@ -252,11 +252,13 @@ def load_scenarios(
     """Join a load profile and an optional solar profile into one set.
 
     Reactive load is p * tan(acos(pf)) with one power factor per bus drawn
-    from U[0.90, 0.95] using the given seed.  Solar columns are rescaled so
-    each bus peaks exactly at its inverter active rating; a solar column on
-    a bus without a rating is an error, and rated buses missing from the
-    solar file simply produce nothing.
+    from U[0.90, 0.95] using the given seed, a non-negative integer.  Solar
+    columns are rescaled so each bus peaks exactly at its inverter active
+    rating; a solar column on a bus without a rating is an error, and rated
+    buses missing from the solar file simply produce nothing.
     """
+    if seed < 0:
+        raise ConfigError(f"scenario seed must be a non-negative integer, got {seed}")
     loads = parse_profile(feeder, loads_text)
     n_inj = feeder.n_bus - 1
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,14 @@ def test_theta_map_rejects(demo_problem):
     with pytest.raises(HeadroomError):
         # 0.3 * 5 * 0.08 = 0.12 exceeds the 0.1 rating
         theta_map_batch(prob, pc, qc, pg_big, alpha=0.3, kappa=5.0, oversize=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the squared capacity overflows, and so, on top, does the squared
+        # generation
+        with pytest.raises(ConfigError, match="overflows the parameter vector"):
+            theta_map_batch(prob, pc, qc, pg_big, alpha=0.3, kappa=1.0, oversize=1e200)
+        with pytest.raises(ConfigError, match="overflows the parameter vector"):
+            theta_map_batch(prob, pc, qc, pg_big, alpha=0.3, kappa=1e160, oversize=1e200)
 
 
 def test_scale_problem_invariance(demo_problem, rng):

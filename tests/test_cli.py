@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,14 @@ from conftest import float_columns, set_float_columns
 import phca
 import phca.cli as cli_mod
 from phca.cli import main
-from phca.engine import INFEASIBLE, STATUSES, EngineOptions, load_result_json, run_batch
+from phca.engine import (
+    INFEASIBLE,
+    STATUSES,
+    EngineOptions,
+    load_result_json,
+    run_batch,
+    validate_batch,
+)
 from phca.regions import RegionContext
 
 
@@ -198,12 +206,13 @@ def test_demo_days_below_one_is_exit_2(tmp_path, capsys, days):
 
 
 def test_corrupted_results_fail_validation(case, capsys, tmp_path):
-    # tamper with one stored solution, a budget row's, and ask stats to
-    # reuse it: the load succeeds (records line up, and raising the slack
-    # variable keeps the point feasible) but validation of the same batch
-    # must not
+    # tamper with one stored solution, a budget row's: raising the slack
+    # variable keeps the point feasible but not optimal, so the file loads
+    # and stats runs on it, but the oracle on the loaded batch flags the
+    # row, and only that row
     payload = json.loads(_results(case, capsys).read_text())
-    x, _ = float_columns(payload)
+    x, rows = float_columns(payload)
+    assert payload["columns"]["reason"][rows[0]] == "budget-exhausted"
     x[0, -1] += 0.5
     set_float_columns(payload, x)
     bad = tmp_path / "tampered.json"
@@ -212,6 +221,10 @@ def test_corrupted_results_fail_validation(case, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 0  # stats alone does not re-solve
     assert "batch summary" in captured.out
+    args = cli_mod.build_parser().parse_args(["stats", *base_args(case)])
+    _, prob, thetas = cli_mod._build_case(args)
+    loaded = load_result_json(bad.read_text(), prob, thetas.thetas)
+    assert validate_batch(loaded).mismatches == (rows[0],)
 
 
 def test_zero_budget_is_exit_2(case, capsys):
@@ -219,6 +232,33 @@ def test_zero_budget_is_exit_2(case, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("phca: error: ConfigError: solve_budget")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_negative_scenario_seed_is_exit_2(case, capsys):
+    code = main(["run", *base_args(case), "--out", str(case / "x.json"), "--scenario-seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "phca: error: ConfigError: scenario seed must be a non-negative integer, got -1\n"
+    )
+
+
+@pytest.mark.parametrize("axis, value, error", [
+    ("oversize", "1e200", "ConfigError: grid point alpha=0.24, kappa=1, oversize=1e+200 "
+                          "overflows the parameter vector"),
+    ("kappa", "1e160", "HeadroomError: scaled generation"),
+])
+def test_overflowing_grid_value_is_exit_2(case, capsys, axis, value, error):
+    # oversize 1e200 squares to inf in the headroom, kappa 1e160 squares
+    # the scaled generation to inf; neither may warn or reach the solver
+    args = [*base_args(case), f"--{axis}={value}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", *args, "--out", str(case / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"phca: error: {error}")
     assert len(captured.err.splitlines()) == 1
 
 
@@ -557,7 +597,7 @@ MESSAGES = {
     _region_table_off: "region 0's signature must be a strictly increasing list",
     _negative_direct_signature: "the direct signature of row 5 must be a strictly increasing",
     _reuse_row_with_reason: "row 5 has status 'reuse' with reason 'rank-deficient'",
-    _reuse_row_in_another_region: "row 0 is served by region 1, whose multipliers there are",
+    _reuse_row_in_another_region: "row 0 is served by region 1, which does not certify it",
 }
 
 
@@ -594,8 +634,8 @@ def _assert_refused(case, capsys, tmp_path, payload, message):
 
 
 def test_reuse_row_moved_to_a_region_that_maps_it_outside_is_exit_2(case, capsys, tmp_path):
-    # the loader maps each reuse row through the region its region_id
-    # names, so pointing a row at another region moves its solution; find
+    # the loader certifies each reuse row with the region its region_id
+    # names, so pointing a row at another region must fail that test; find
     # a row and a region whose map puts it outside the inequality rows
     payload = json.loads(_results(case, capsys).read_text())
     args = cli_mod.build_parser().parse_args(["stats", *base_args(case)])
@@ -614,9 +654,8 @@ def test_reuse_row_moved_to_a_region_that_maps_it_outside_is_exit_2(case, capsys
     assert outside.size
     i = int(outside[0])
     payload["columns"]["region_id"][i] = k
-    _assert_refused(
-        case, capsys, tmp_path, payload, f"row {i} is solved but its solution is infeasible"
-    )
+    message = f"row {i} is served by region {k}, which does not certify it"
+    _assert_refused(case, capsys, tmp_path, payload, message)
 
 
 def test_sequential_and_budget_flags(case, capsys):

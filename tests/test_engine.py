@@ -206,6 +206,21 @@ def test_budget_falls_back_to_direct(scaled_demo_problem, small_theta_set):
     assert np.max(np.abs(res.x - free.x)) < 1e-8
 
 
+def test_budget_signatures_are_cold_positive_multipliers(random_feeder_batch):
+    # a budget row's signature comes off its (warm) solve's multipliers, as
+    # every other direct solve's does; an independent cold solve of the row
+    # has the same positive multipliers
+    prob, thetas = random_feeder_batch
+    res = run_batch(prob, thetas, EngineOptions(seed=3, solve_budget=3))
+    rows = np.flatnonzero(res.reason == REASONS.index("budget-exhausted"))
+    assert rows.size > 100
+    for i in rows:
+        sol = solve_qp(prob.instance(thetas[i]))
+        assert sol.status == OPTIMAL
+        cutoff = engine_mod.ACTIVE_LAM_REL * max(1.0, sol.lam.max())
+        assert res.direct_signatures[i] == tuple(np.flatnonzero(sol.lam > cutoff).tolist())
+
+
 def _assert_roundtrip(res, theta_set=None, feeder=None):
     """load_result_json(res.to_json()) equals res bit for bit, and so do
     its two reports when a theta set and feeder are given."""
