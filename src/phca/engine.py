@@ -24,8 +24,11 @@ solved directly.
 
 A row with a region, seed included, holds its region's map: one call
 maps a region's rows in index order, so x never depends on how the
-solver reached the seed.  The results file holds the explicit solution:
-the status, reason and region columns, the region table, and the
+solver reached the seed.  A row's status is how it was dispatched: a
+reuse or seed row has a region, a budget-exhausted, uncertain-active-set
+or rank-deficient row was solved without one, and an infeasible or
+failed row has no solution.  The results file holds the explicit
+solution: the status and region columns, the region table, and the
 solutions of the solved rows without a region.  load_result_json
 certifies each region's rows with the run's own test (_certified, the
 one sweep over batch_membership) and maps them again, the same call on
@@ -55,29 +58,23 @@ from .regions import SCREEN_PRIMAL, RegionContext
 logger = logging.getLogger(__name__)
 
 REUSE = "reuse"
-DIRECT = "direct"
-DEGENERATE = "degenerate-direct"
+SEED = "seed"
+BUDGET = "budget-exhausted"
+UNCERTAIN = "uncertain-active-set"
+RANK = "rank-deficient"
 INFEASIBLE = "infeasible"
 FAILED = "failed"
 
-REASON_SEED = "seed"
-REASON_BUDGET = "budget-exhausted"
-REASON_UNCERTAIN = "uncertain-active-set"
-REASON_RANK = "rank-deficient"
-
-#: the status and reason columns hold indices into these tuples; the
-#: solved statuses come first
-SOLVED = (REUSE, DIRECT, DEGENERATE)
-STATUSES = SOLVED + (INFEASIBLE, FAILED)
-REASONS = (None, REASON_SEED, REASON_BUDGET, REASON_UNCERTAIN, REASON_RANK)
-#: the reasons run_batch writes beside each status
-STATUS_REASONS = {
-    REUSE: (None,),
-    DIRECT: (REASON_SEED, REASON_BUDGET),
-    DEGENERATE: (REASON_UNCERTAIN, REASON_RANK),
-    INFEASIBLE: (None,),
-    FAILED: (None,),
-}
+#: the status column holds indices into STATUSES: the rows with a region
+#: come first, then the other solved rows, then the unsolved ones
+STATUSES = (REUSE, SEED, BUDGET, UNCERTAIN, RANK, INFEASIBLE, FAILED)
+_WITH_REGION = STATUSES.index(BUDGET)
+_SOLVED = STATUSES.index(INFEASIBLE)
+#: the coarse status and the reason an InstanceRecord gives each status
+_RECORDS = (
+    (REUSE, None), ("direct", SEED), ("direct", BUDGET), ("degenerate-direct", UNCERTAIN),
+    ("degenerate-direct", RANK), (INFEASIBLE, None), (FAILED, None),
+)
 
 #: a row is active at a polished solution when its multiplier exceeds this
 #: fraction of the largest one; the polish sets every other row's to zero
@@ -121,7 +118,9 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """How one parameter vector was dispatched (a row of BatchResult.records)."""
+    """How one parameter vector was dispatched (a row of BatchResult.records):
+    a coarse status (reuse, direct, degenerate-direct, infeasible or failed)
+    and, for the direct ones, the status column's name as the reason."""
 
     index: int
     status: str
@@ -156,8 +155,8 @@ class BatchResult:
     constant), NaN where nothing was solved.  A row with a region (reuse
     or seed) holds its region's map; the serialized form keeps only the
     other solved rows and rederives these and every objective on load.
-    status and reason index STATUSES and REASONS; region_id indexes
-    regions, -1 meaning no region.
+    status indexes STATUSES; region_id indexes regions, -1 meaning no
+    region.
     regions holds each region's signature (its active rows) in id order,
     and an instance's active set is its region's; the direct rows without
     a region that have one (degenerate and budget rows) keep it in
@@ -175,7 +174,6 @@ class BatchResult:
     x: np.ndarray
     objectives: np.ndarray
     status: np.ndarray
-    reason: np.ndarray
     region_id: np.ndarray
     regions: tuple[tuple[int, ...], ...]
     direct_signatures: dict[int, tuple[int, ...]]
@@ -185,10 +183,11 @@ class BatchResult:
 
     def record_for(self, index: int) -> InstanceRecord:
         rid = int(self.region_id[index])
+        status, reason = _RECORDS[self.status[index]]
         return InstanceRecord(
             index=index,
-            status=STATUSES[self.status[index]],
-            reason=REASONS[self.reason[index]],
+            status=status,
+            reason=reason,
             region_id=None if rid < 0 else rid,
             signature=self.regions[rid] if rid >= 0 else self.direct_signatures.get(index),
         )
@@ -203,22 +202,21 @@ class BatchResult:
         """The batch's tallies, counted off the columns on each access."""
         n = self.status.size
         rows = dict(zip(STATUSES, np.bincount(self.status, minlength=len(STATUSES)).tolist()))
-        rows.update(zip(REASONS, np.bincount(self.reason, minlength=len(REASONS)).tolist()))
         return BatchCounters(
             n_instances=n,
             qp_solves=n - rows[REUSE],  # every row but a reuse row is solved directly
             regions_built=len(self.regions),
             reuse=rows[REUSE],
-            seeds=rows[REASON_SEED],
+            seeds=rows[SEED],
             screened_out=self.screened_out,
-            degenerate=rows[DEGENERATE],
-            stragglers=rows[REASON_BUDGET],
+            degenerate=rows[UNCERTAIN] + rows[RANK],
+            stragglers=rows[BUDGET],
             infeasible=rows[INFEASIBLE],
             failed=rows[FAILED],
         )
 
     def solved_mask(self) -> np.ndarray:
-        return self.status < len(SOLVED)
+        return self.status < _SOLVED
 
     def to_json(self) -> str:
         """Deterministic strict JSON of the columns; excludes wall-clock time.
@@ -232,9 +230,8 @@ class BatchResult:
         payload = {
             "columns": {
                 "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
-                "reason": np.asarray(REASONS, dtype=object)[self.reason].tolist(),
                 "region_id": self.region_id.tolist(),
-                "x": _float64_text(self.x[_stored_rows(self.status, self.region_id)]),
+                "x": _float64_text(self.x[_stored_rows(self.status)]),
             },
             "direct_signatures": [
                 {"index": i, "signature": list(sig)}
@@ -261,10 +258,10 @@ def _objectives(prob: MpqpProblem, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (0.5 * ((x @ prob.H) * x).sum(axis=1) + (c * x).sum(axis=1)) * prob.scaling.cost_scale
 
 
-def _stored_rows(status: np.ndarray, region_id: np.ndarray) -> np.ndarray:
+def _stored_rows(status: np.ndarray) -> np.ndarray:
     """Mask of the solved rows without a region (degenerate and budget
     rows), whose solution and direct signature the results file stores."""
-    return (status < len(SOLVED)) & (region_id < 0)
+    return (status >= _WITH_REGION) & (status < _SOLVED)
 
 
 def _eta(prob: MpqpProblem) -> float:
@@ -326,7 +323,6 @@ def run_batch(
     solved = np.zeros(n, dtype=bool)
     x = np.full((n, scaled.H.shape[0]), np.nan)
     status = np.full(n, -1, dtype=np.int8)
-    reason = np.zeros(n, dtype=np.int8)
     region_id = np.full(n, -1, dtype=np.int64)
     direct_signatures: dict[int, tuple[int, ...]] = {}
     regions: list[tuple[int, ...]] = []
@@ -335,15 +331,14 @@ def run_batch(
     # the active set of the last region built warm-starts every later solve
     last_signature = None
 
-    def mark(idx, st, why=None, rid=-1):
+    def mark(idx, st, rid=-1):
         status[idx] = STATUSES.index(st)
-        reason[idx] = REASONS.index(why)
         region_id[idx] = rid
 
-    def without_region(i, sol, st, why, signature):
-        logger.debug("instance %d: %s (%s)", i, st, why)
+    def without_region(i, sol, st, signature):
+        logger.debug("instance %d: %s", i, st)
         x[i] = sol.x
-        mark(i, st, why)
+        mark(i, st)
         direct_signatures[i] = signature
 
     for i in order:
@@ -372,17 +367,17 @@ def run_batch(
 
         signature = tuple(_positive_multipliers(sol).tolist())
         if budget_spent:
-            without_region(i, sol, DIRECT, REASON_BUDGET, signature)
+            without_region(i, sol, BUDGET, signature)
             continue
 
         try:
             region = ctx.build_region(signature)
         except RankDeficientKError:
-            without_region(i, sol, DEGENERATE, REASON_RANK, signature)
+            without_region(i, sol, RANK, signature)
             continue
 
         if not _certified(region, xu, rhs, [i])[0]:
-            without_region(i, sol, DEGENERATE, REASON_UNCERTAIN, signature)
+            without_region(i, sol, UNCERTAIN, signature)
             continue
 
         rem = np.flatnonzero(~solved)
@@ -392,7 +387,7 @@ def run_batch(
         rows = np.union1d(keep, i)  # the seed joins the call, as on load
         x[rows] = region.batch_solutions(xu[rows], rhs[rows])
         mark(keep, REUSE, rid=rid)
-        mark(i, DIRECT, REASON_SEED, rid)
+        mark(i, SEED, rid)
         solved[keep] = True
         regions.append(region.active_set)
         last_signature = region.active_set
@@ -408,7 +403,6 @@ def run_batch(
         x=x,
         objectives=_objectives(scaled, c, x),
         status=status,
-        reason=reason,
         region_id=region_id,
         regions=tuple(regions),
         direct_signatures=direct_signatures,
@@ -421,8 +415,8 @@ def run_batch(
 #: which of those are lists (x is a base64 float64 string)
 RESULT_KEYS = ("columns", "direct_signatures", "eta", "options", "regions", "scaling",
                "screened_out")
-COLUMNS = ("reason", "region_id", "status", "x")
-LIST_COLUMNS = ("reason", "region_id", "status")
+COLUMNS = ("region_id", "status", "x")
+LIST_COLUMNS = ("region_id", "status")
 
 
 def _column(values, name: str) -> np.ndarray:
@@ -485,16 +479,15 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     The problem and parameter set are reconstructed by the caller from the
     original input files; this checks they line up with the stored run
     (instance count, variable count, scaling, slack price) and that the
-    file is well formed: exactly the known top-level keys and columns (an
-    'objective' column marks the earlier layout that stored every row),
-    known option keys with valid values (as EngineOptions.validate checks
-    them), screened_out a non-negative integer, one entry per instance in
-    every list column, known status and reason names, region ids naming a
-    stored region on exactly the reuse and seed rows, each region with
-    exactly one seed row, each row's reason one that STATUS_REASONS pairs
-    with its status, every signature a strictly increasing list of
-    inequality rows.  The solved rows without a region alone have direct
-    signatures, and x holds exactly their float64 values.
+    file is well formed: exactly the known top-level keys and columns
+    (other columns mark an earlier layout), known option keys with valid
+    values (as EngineOptions.validate checks them), screened_out a
+    non-negative integer, one entry per instance in every list column,
+    known status names, region ids naming a stored region on exactly the
+    reuse and seed rows, each region with exactly one seed row, every
+    signature a strictly increasing list of inequality rows.  The solved
+    rows without a region alone have direct signatures, and x holds
+    exactly their float64 values.
 
     Each region, rebuilt from its signature (it must have full rank), must
     certify its rows, seed and reuse, by the run's own test; it then maps
@@ -543,13 +536,11 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         raise SchemaError("'screened_out' must be a non-negative integer")
 
     cols = payload["columns"]
-    if isinstance(cols, dict) and "objective" in cols:
-        raise SchemaError(
-            "results file stores an 'objective' column, as an earlier version wrote it; "
-            "rerun phca run to rewrite the file"
-        )
     if not isinstance(cols, dict) or sorted(cols) != list(COLUMNS):
-        raise SchemaError(f"results file needs exactly the columns {', '.join(COLUMNS)}")
+        raise SchemaError(
+            f"results file needs exactly the columns {', '.join(COLUMNS)}; "
+            "rerun phca run to rewrite a file from an earlier version"
+        )
     for name in LIST_COLUMNS:
         if not isinstance(cols[name], list) or len(cols[name]) != n:
             raise SchemaError(
@@ -557,7 +548,6 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
                 "instances the inputs expand to"
             )
     status = _codes(cols["status"], STATUSES, "status")
-    reason = _codes(cols["reason"], REASONS, "reason")
     if not isinstance(payload["regions"], list):
         raise SchemaError("results file has a malformed region table")
     regions = tuple(
@@ -565,30 +555,23 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         for k, sig in enumerate(payload["regions"])
     )
     region_id = _column(cols["region_id"], "region_id")
-    reuse = status == STATUSES.index(REUSE)
-    seed = reason == REASONS.index(REASON_SEED)
     if n and (region_id.dtype.kind != "i" or not np.where(
-        reuse | seed, (region_id >= 0) & (region_id < len(regions)), region_id == -1
+        status < _WITH_REGION, (region_id >= 0) & (region_id < len(regions)), region_id == -1
     ).all()):
         raise SchemaError(
             f"column 'region_id' must name a region 0..{len(regions) - 1} on reuse "
             "and seed rows and hold -1 on the others"
         )
     region_id = region_id.astype(np.int64)
-    seeds = np.bincount(region_id[seed], minlength=len(regions))
+    seeds = np.bincount(region_id[status == STATUSES.index(SEED)], minlength=len(regions))
     bad = np.flatnonzero(seeds != 1)
     if bad.size:
         raise SchemaError(f"region {bad[0]} has {seeds[bad[0]]} seed rows, not one")
-    pairs = np.array([[why in STATUS_REASONS[st] for why in REASONS] for st in STATUSES])
-    bad = np.flatnonzero(~pairs[status, reason])
-    if bad.size:
-        st, why = STATUSES[status[bad[0]]], REASONS[reason[bad[0]]]
-        raise SchemaError(f"row {bad[0]} has status {st!r} with reason {why!r}, which no run writes")
     try:
         direct = [(e["index"], e["signature"]) for e in payload["direct_signatures"]]
     except (KeyError, TypeError):
         raise SchemaError("results file has a malformed direct-signature table") from None
-    stored_rows = _stored_rows(status, region_id)
+    stored_rows = _stored_rows(status)
     if [i for i, _ in direct] != np.flatnonzero(stored_rows).tolist() or not all(
         _is_int(i) for i, _ in direct
     ):
@@ -621,7 +604,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
             raise SchemaError(f"row {bad[0]} is served by region {k}, which does not certify it")
         x[keep] = region.batch_solutions(xu[keep], rhs[keep])
 
-    bad = np.flatnonzero((status < len(SOLVED)) & ~np.isfinite(x).all(axis=1))
+    bad = np.flatnonzero((status < _SOLVED) & ~np.isfinite(x).all(axis=1))
     if bad.size:
         raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
     # a stored row is a direct solve's optimum, so it lies within the looser
@@ -639,7 +622,6 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         x=x,
         objectives=_objectives(prob, c, x),
         status=status,
-        reason=reason,
         region_id=region_id,
         regions=regions,
         direct_signatures=direct_signatures,

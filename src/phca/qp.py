@@ -31,11 +31,11 @@ so active row residuals end up at machine precision rather than at
 interior-point tolerance; instances that hold the same working set share
 its independence filter and KKT factorization.  An instance that left the
 interior-point method any way but converged (on a Farkas ray, a collapse,
-a stall, a broken step or at max_iter; see QpBatch.exit), or whose
-iterate ends clearly infeasible, gets an LP feasibility probe before any
-polish, and so does every instance that does not end optimal; the probe
-alone decides infeasibility.  solve_qp is the k = 1 case.  Everything is
-deterministic: no randomized pivoting, no time-dependent behavior.
+a stall, a broken step or at max_iter; see QpBatch.exit) gets an LP
+feasibility probe before any polish, and so does every instance that
+does not end optimal; the probe alone decides infeasibility.  solve_qp
+is the k = 1 case.  Everything is deterministic: no randomized
+pivoting, no time-dependent behavior.
 
 A warm start skips the interior-point method.  An instance given a start,
 a list of inequality rows such as the active set of a neighbouring
@@ -576,16 +576,14 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
     groups = 0
     if m:
         # an instance that left the interior-point method other than
-        # converged, or whose iterate ends clearly outside the feasible set,
-        # is probed before any polish: on an infeasible instance the polish
-        # can only exhaust its update budget, at many times the cost of the
-        # probe
-        slack = b - x @ A.T
-        b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
-        for i in np.flatnonzero((exits != CONVERGED) | (-slack.min(axis=1) > 1e-6 * b_scale)):
+        # converged is probed before any polish: on an infeasible instance
+        # the polish can only exhaust its update budget, at many times the
+        # cost of the probe
+        for i in np.flatnonzero(exits != CONVERGED):
             probed[i] = True
             feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
         todo = np.flatnonzero(feasible)
+        slack = b - x @ A.T
         near = (slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b)))
         guesses = [np.flatnonzero(near[i]) for i in todo]
         px, plam, pmu, found, polished, groups, steps[todo] = _polish_full(

@@ -22,8 +22,8 @@ def float_columns(payload):
     (k, n_var) array, and the instance index of each: the solved rows
     without a region (degenerate and budget rows), in index order."""
     cols = payload["columns"]
-    rows = [i for i, (st, rid) in enumerate(zip(cols["status"], cols["region_id"]))
-            if st in ("reuse", "direct", "degenerate-direct") and rid == -1]
+    rows = [i for i, st in enumerate(cols["status"])
+            if st in ("budget-exhausted", "uncertain-active-set", "rank-deficient")]
     x = np.frombuffer(base64.b64decode(payload["columns"]["x"]), dtype="<f8").astype(float)
     return x.reshape(len(rows), -1), rows
 

@@ -99,7 +99,6 @@ def test_validate_with_nothing_solved_is_exit_3(case, capsys, monkeypatch):
         return replace(
             res,
             status=np.full(n, STATUSES.index(INFEASIBLE), dtype=np.int8),
-            reason=np.zeros(n, dtype=np.int8),
             region_id=np.full(n, -1),
             direct_signatures={},
         )
@@ -212,7 +211,7 @@ def test_corrupted_results_fail_validation(case, capsys, tmp_path):
     # row, and only that row
     payload = json.loads(_results(case, capsys).read_text())
     x, rows = float_columns(payload)
-    assert payload["columns"]["reason"][rows[0]] == "budget-exhausted"
+    assert payload["columns"]["status"][rows[0]] == "budget-exhausted"
     x[0, -1] += 0.5
     set_float_columns(payload, x)
     bad = tmp_path / "tampered.json"
@@ -405,6 +404,18 @@ def _bool_seed(payload):
     payload["options"]["seed"] = True
 
 
+def _options_not_object(payload):
+    payload["options"] = [0, None]
+
+
+def _regions_not_list(payload):
+    payload["regions"] = {"0": payload["regions"][0]}
+
+
+def _ragged_region_id(payload):
+    payload["columns"]["region_id"][5] = [0, 1]
+
+
 def _text_counter(payload):
     payload["screened_out"] = "abc"
 
@@ -422,7 +433,7 @@ def _bool_counter(payload):
 
 
 def _wrong_instance_count(payload):
-    payload["columns"]["reason"].pop()
+    payload["columns"]["status"].pop()
 
 
 def _non_string_column(payload):
@@ -458,9 +469,7 @@ def _direct_row_without_solution(payload):
     # gains no row for it
     cols = payload["columns"]
     assert cols["status"][5] == "reuse"
-    cols["status"][5], cols["reason"][5], cols["region_id"][5] = (
-        "degenerate-direct", "uncertain-active-set", -1
-    )
+    cols["status"][5], cols["region_id"][5] = "uncertain-active-set", -1
     payload["direct_signatures"].insert(0, {"index": 5, "signature": payload["regions"][0]})
 
 
@@ -475,6 +484,16 @@ def _objective_column(payload):
     payload["columns"]["objective"] = payload["columns"]["x"]
 
 
+def _reason_column(payload):
+    # the layout that split a row's status into a status and a reason
+    cols = payload["columns"]
+    coarse = {"seed": ("direct", "seed"), "budget-exhausted": ("direct", "budget-exhausted"),
+              "uncertain-active-set": ("degenerate-direct", "uncertain-active-set"),
+              "rank-deficient": ("degenerate-direct", "rank-deficient")}
+    pairs = [coarse.get(st, (st, None)) for st in cols["status"]]
+    cols["status"], cols["reason"] = map(list, zip(*pairs))
+
+
 def _list_format_x(payload):
     x, _ = float_columns(payload)
     payload["columns"]["x"] = x.tolist()
@@ -485,7 +504,7 @@ def _seed_rows_stored(payload):
     del payload["eta"]
     x, rows = float_columns(payload)
     cols = payload["columns"]
-    seeds = [i for i, why in enumerate(cols["reason"]) if why == "seed"]
+    seeds = [i for i, st in enumerate(cols["status"]) if st == "seed"]
     order = np.argsort(rows + seeds, kind="stable")
     set_float_columns(payload, np.vstack([x, np.zeros((len(seeds), x.shape[1]))])[order])
 
@@ -494,17 +513,17 @@ def _parent_layout(payload):
     # the layout that stored the counters and each region's id, seed row and
     # served count beside the columns
     cols = payload["columns"]
-    status, reason, region_id = cols["status"], cols["reason"], cols["region_id"]
+    status, region_id = cols["status"], cols["region_id"]
     n = len(status)
     payload["counters"] = {
         "n_instances": n,
         "qp_solves": n - status.count("reuse"),
         "regions_built": len(payload["regions"]),
         "reuse": status.count("reuse"),
-        "seeds": reason.count("seed"),
+        "seeds": status.count("seed"),
         "screened_out": payload.pop("screened_out"),
-        "degenerate": status.count("degenerate-direct"),
-        "stragglers": reason.count("budget-exhausted"),
+        "degenerate": status.count("uncertain-active-set") + status.count("rank-deficient"),
+        "stragglers": status.count("budget-exhausted"),
         "infeasible": status.count("infeasible"),
         "failed": status.count("failed"),
     }
@@ -512,30 +531,28 @@ def _parent_layout(payload):
         {
             "region_id": k,
             "signature": sig,
-            "seed_index": next(i for i in range(n) if region_id[i] == k and reason[i] == "seed"),
+            "seed_index": next(i for i in range(n) if region_id[i] == k and status[i] == "seed"),
             "served": sum(r == k and s == "reuse" for r, s in zip(region_id, status)),
         }
         for k, sig in enumerate(payload["regions"])
     ]
 
 
-def _row_of_region_0(cols, status, reason):
+def _row_of_region_0(cols, status):
     return next(
-        i for i, (st, why, rid) in enumerate(zip(cols["status"], cols["reason"], cols["region_id"]))
-        if st == status and why == reason and rid == 0
+        i for i, (st, rid) in enumerate(zip(cols["status"], cols["region_id"]))
+        if st == status and rid == 0
     )
 
 
 def _region_without_seed(payload):
     cols = payload["columns"]
-    i = _row_of_region_0(cols, "direct", "seed")
-    cols["reason"][i], cols["region_id"][i] = None, -1
+    cols["status"][_row_of_region_0(cols, "seed")] = "reuse"
 
 
 def _region_with_two_seeds(payload):
     cols = payload["columns"]
-    i = _row_of_region_0(cols, "reuse", None)
-    cols["status"][i], cols["reason"][i] = "direct", "seed"
+    cols["status"][_row_of_region_0(cols, "reuse")] = "seed"
 
 
 def _direct_signature_on_reuse_row(payload):
@@ -551,15 +568,8 @@ def _negative_direct_signature(payload):
     # row 5 becomes a degenerate row whose signature names no inequality row
     cols = payload["columns"]
     assert cols["status"][5] == "reuse"
-    cols["status"][5], cols["reason"][5], cols["region_id"][5] = (
-        "degenerate-direct", "uncertain-active-set", -1
-    )
+    cols["status"][5], cols["region_id"][5] = "uncertain-active-set", -1
     payload["direct_signatures"].insert(0, {"index": 5, "signature": [-5]})
-
-
-def _reuse_row_with_reason(payload):
-    assert payload["columns"]["status"][5] == "reuse"
-    payload["columns"]["reason"][5] = "rank-deficient"
 
 
 def _reuse_row_in_another_region(payload):
@@ -581,7 +591,8 @@ MESSAGES = {
     _number_in_unsolved_row: "column 'x' holds 336 bytes, not the 288 of 6 solved rows without",
     _direct_row_without_solution: "column 'x' holds 288 bytes, not the 336 of 7 solved rows",
     _rank_deficient_region: "region 0's signature is rank deficient",
-    _objective_column: "stores an 'objective' column, as an earlier version wrote it; rerun",
+    _objective_column: "needs exactly the columns region_id, status, x; rerun phca run",
+    _reason_column: "needs exactly the columns region_id, status, x; rerun phca run",
     _list_format_x: "rerun phca run",
     _seed_rows_stored: "rerun phca run",
     _unknown_counter: "needs exactly the keys",
@@ -589,14 +600,16 @@ MESSAGES = {
     _negative_counter: "'screened_out' must be a non-negative integer",
     _null_counter: "'screened_out' must be a non-negative integer",
     _bool_counter: "'screened_out' must be a non-negative integer",
-    _wrong_instance_count: "column 'reason' does not hold one entry for each of the 192",
+    _wrong_instance_count: "column 'status' does not hold one entry for each of the 192",
+    _options_not_object: "results file has a malformed engine option block",
+    _regions_not_list: "results file has a malformed region table",
+    _ragged_region_id: "column 'region_id' is malformed",
     _parent_layout: "rerun phca run",
     _region_without_seed: "region 0 has 0 seed rows",
     _region_with_two_seeds: "region 0 has 2 seed rows",
     _direct_signature_on_reuse_row: "direct_signatures must list the degenerate",
     _region_table_off: "region 0's signature must be a strictly increasing list",
     _negative_direct_signature: "the direct signature of row 5 must be a strictly increasing",
-    _reuse_row_with_reason: "row 5 has status 'reuse' with reason 'rank-deficient'",
     _reuse_row_in_another_region: "row 0 is served by region 1, which does not certify it",
 }
 
@@ -677,7 +690,7 @@ def test_sequential_and_budget_flags(case, capsys):
     assert np.max(np.abs(xa - xb)) < 1e-8
     # budget rows are stored, the seeds are mapped, and both load back bit
     # for bit
-    assert payload["columns"]["reason"].count("budget-exhausted") > 0
+    assert payload["columns"]["status"].count("budget-exhausted") > 0
     result = run_batch(prob, thetas.thetas, EngineOptions(seed=None, solve_budget=2))
     np.testing.assert_array_equal(xa, result.x)
 

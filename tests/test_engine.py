@@ -14,15 +14,17 @@ from phca import (
     AnalysisGrid,
     EngineOptions,
     build_problem,
+    demo,
     expand_grid,
     load_result_json,
+    load_scenarios,
     run_batch,
     scale_problem,
     solve_qp,
     validate_batch,
 )
 from phca.builder import BuilderConfig
-from phca.engine import REASONS, STATUS_REASONS, STATUSES
+from phca.engine import STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
@@ -63,9 +65,10 @@ def test_reuse_dominates_direct(batch):
 
 
 def _every_outcome(prob, theta_set, monkeypatch):
-    """A batch with every status and reason but failed: the first region
-    build is forced to fail as rank deficient, two rows are infeasible, and
-    a budget of two attempts leaves stragglers behind the one region built."""
+    """A batch with every status but uncertain-active-set and failed: the
+    first region build is forced to fail as rank deficient, two rows are
+    infeasible, and a budget of two attempts leaves stragglers behind the
+    one region built."""
     build = RegionContext.build_region
     calls = []
 
@@ -90,16 +93,15 @@ def test_region_census_consistent(scaled_demo_problem, small_theta_set, monkeypa
     res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
     n = len(res.thetas)
     statuses = [STATUSES[k] for k in res.status]
-    reasons = [REASONS[k] for k in res.reason]
     assert asdict(res.counters) == {
         "n_instances": n,
         "qp_solves": len(solves),
         "regions_built": len(res.regions),
         "reuse": statuses.count("reuse"),
-        "seeds": reasons.count("seed"),
+        "seeds": statuses.count("seed"),
         "screened_out": res.screened_out,
-        "degenerate": statuses.count("degenerate-direct"),
-        "stragglers": reasons.count("budget-exhausted"),
+        "degenerate": statuses.count("uncertain-active-set") + statuses.count("rank-deficient"),
+        "stragglers": statuses.count("budget-exhausted"),
         "infeasible": 2,
         "failed": 0,
     }
@@ -107,8 +109,8 @@ def test_region_census_consistent(scaled_demo_problem, small_theta_set, monkeypa
     # each region has one seed, solved directly, and serves only reuse rows
     for rid, sig in enumerate(res.regions):
         rows = [i for i in range(n) if res.region_id[i] == rid]
-        seeds = [i for i in rows if reasons[i] == "seed"]
-        assert len(seeds) == 1 and statuses[seeds[0]] == "direct"
+        seeds = [i for i in rows if statuses[i] == "seed"]
+        assert len(seeds) == 1
         assert seeds[0] not in res.direct_signatures
         assert all(statuses[i] == "reuse" for i in rows if i != seeds[0])
         assert list(sig) == sorted(set(sig))
@@ -185,7 +187,7 @@ def test_sweep_blocks_do_not_change_the_result(batch, scaled_demo_problem, monke
     # ends on a partial block
     monkeypatch.setattr(engine_mod, "SWEEP_BLOCK", 7)
     small = run_batch(scaled_demo_problem, batch.thetas, batch.options)
-    for name in ("status", "reason", "region_id", "x", "objectives"):
+    for name in ("status", "region_id", "x", "objectives"):
         np.testing.assert_array_equal(getattr(small, name), getattr(batch, name))
     assert small.regions == batch.regions
     assert small.direct_signatures == batch.direct_signatures
@@ -212,7 +214,7 @@ def test_budget_signatures_are_cold_positive_multipliers(random_feeder_batch):
     # has the same positive multipliers
     prob, thetas = random_feeder_batch
     res = run_batch(prob, thetas, EngineOptions(seed=3, solve_budget=3))
-    rows = np.flatnonzero(res.reason == REASONS.index("budget-exhausted"))
+    rows = np.flatnonzero(res.status == STATUSES.index("budget-exhausted"))
     assert rows.size > 100
     for i in rows:
         sol = solve_qp(prob.instance(thetas[i]))
@@ -226,7 +228,7 @@ def _assert_roundtrip(res, theta_set=None, feeder=None):
     its two reports when a theta set and feeder are given."""
     text = res.to_json()
     back = load_result_json(text, res.problem, res.thetas)
-    for name in ("x", "objectives", "status", "reason", "region_id"):
+    for name in ("x", "objectives", "status", "region_id"):
         got, want = getattr(back, name), getattr(res, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -300,6 +302,31 @@ def test_json_roundtrip_direct_infeasible_failed(scaled_demo_problem, small_thet
     _assert_roundtrip(res, theta_set, demo_feeder)
 
 
+def test_uncertain_active_set_rows(demo_feeder, caplog):
+    # without the soft-row weight two seeds of this grid do not certify
+    # their own point, so they keep their direct solve and no region
+    prob = build_problem(demo_feeder, BuilderConfig(beta=0.0))
+    scen = load_scenarios(demo_feeder, demo.loads_csv(days=5), demo.solar_csv(days=5), seed=0)
+    grid = AnalysisGrid(kappa=(1.0, 1.5, 2.0), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
+    thetas = expand_grid(prob, scen, grid).thetas
+    with caplog.at_level("DEBUG", logger="phca.engine"):
+        res = run_batch(scale_problem(prob.with_eta(ETA_FLOOR))[0], thetas, EngineOptions(seed=0))
+    rows = np.flatnonzero(res.status == STATUSES.index("uncertain-active-set"))
+    assert rows.tolist() == [883, 1145] and len(thetas) == 1440
+    assert (res.region_id[rows] == -1).all()
+    assert res.direct_signatures == {883: (36,), 1145: (0, 36)}
+    assert res.counters.degenerate == 2 and res.counters.stragglers == 0
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line for line in lines if line.endswith(": uncertain-active-set")] == [
+        "instance 883: uncertain-active-set", "instance 1145: uncertain-active-set"
+    ]
+    # the file stores these two rows' direct solutions and nothing else
+    text = _assert_roundtrip(res)
+    x, stored = float_columns(json.loads(text))
+    assert stored == rows.tolist()
+    assert np.isfinite(x).all() and x.tobytes() == res.x[rows].tobytes()
+
+
 def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monkeypatch):
     res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
     assert {(r.status, r.reason) for r in res.records} == {
@@ -315,7 +342,7 @@ def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monk
     }
     text = res.to_json()
     back = load_result_json(text, scaled_demo_problem, res.thetas)
-    for name in ("status", "reason", "region_id", "x", "objectives"):
+    for name in ("status", "region_id", "x", "objectives"):
         np.testing.assert_array_equal(getattr(back, name), getattr(res, name))
     assert back.regions == res.regions
     assert back.direct_signatures == res.direct_signatures
@@ -323,26 +350,6 @@ def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monk
     assert back.options == res.options
     assert back.records == res.records
     assert back.to_json() == text
-
-
-def test_loader_refuses_pairs_no_run_writes(scaled_demo_problem, small_theta_set, monkeypatch):
-    res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
-    written = {(STATUSES[s], REASONS[r]) for s, r in zip(res.status, res.reason)}
-    assert all(why in STATUS_REASONS[st] for st, why in written)
-    payload = json.loads(res.to_json())
-    cols = payload["columns"]
-    seed_row = cols["reason"].index("seed")
-    reuse_row = cols["status"].index("reuse")
-    plain_row = cols["status"].index("infeasible")
-    refused = [(st, why) for st in STATUSES for why in REASONS if why not in STATUS_REASONS[st]]
-    assert len(refused) == len(STATUSES) * len(REASONS) - 7
-    for st, why in refused:
-        # a row whose region id and seed count stay valid under the change
-        i = seed_row if why == "seed" else reuse_row if st == "reuse" else plain_row
-        bad = json.loads(json.dumps(payload))
-        bad["columns"]["status"][i], bad["columns"]["reason"][i] = st, why
-        with pytest.raises(SchemaError, match=f"row {i} has status '{st}' with reason "):
-            load_result_json(json.dumps(bad), scaled_demo_problem, res.thetas)
 
 
 def _infeasible_rows(res, prob, solve_budget=None):
@@ -367,7 +374,7 @@ def test_json_is_strict(batch, scaled_demo_problem):
     # x holds the solved rows without a region only, none of them an
     # unsolved one
     x, rows = float_columns(payload)
-    assert rows == np.flatnonzero(res.reason == REASONS.index("budget-exhausted")).tolist()
+    assert rows == np.flatnonzero(res.status == STATUSES.index("budget-exhausted")).tolist()
     assert x.shape == (len(rows), scaled_demo_problem.n_var) and rows
     assert np.isfinite(x).all()
     np.testing.assert_array_equal(x, res.x[rows])
@@ -379,7 +386,7 @@ def _negative_zeros(res, prob):
     res = run_batch(prob, res.thetas, EngineOptions(solve_budget=2))
     x = res.x.copy()
     tiny = np.abs(x[:, prob.slack_index]) < 1e-15
-    tiny &= res.reason == REASONS.index("budget-exhausted")
+    tiny &= res.status == STATUSES.index("budget-exhausted")
     assert tiny.any()
     x[tiny, prob.slack_index] = -0.0
     c, _ = prob.instance_data(res.thetas)
@@ -531,7 +538,7 @@ def test_ldc_batch_matches_oracle(scaled_ldc_problem, small_theta_set):
 def _columns(res):
     """Everything a batch result holds, for bit-for-bit comparison."""
     arrays = {name: getattr(res, name).tobytes()
-              for name in ("x", "objectives", "status", "reason", "region_id")}
+              for name in ("x", "objectives", "status", "region_id")}
     return arrays, res.regions, res.direct_signatures, res.screened_out
 
 
@@ -592,7 +599,7 @@ def test_rows_with_a_region_hold_its_map(case, request, monkeypatch):
                             EngineOptions(solve_budget=2 if case == "budget" else None))
     ctx = RegionContext(prob)
     _, xu, rhs = ctx.instance_data(res.thetas)
-    seed = res.reason == REASONS.index("seed")
+    seed = res.status == STATUSES.index("seed")
     for k, sig in enumerate(res.regions):
         rows = np.flatnonzero(res.region_id == k)
         assert seed[rows].sum() == 1

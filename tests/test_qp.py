@@ -394,9 +394,9 @@ def _band_stack(seed, k, loose=None, n=3, m=8):
 
 
 def test_ray_exits_are_probed_before_polish():
-    # the loose row puts the clearly-infeasible iterate test at a violation
-    # of 100, so only the ray exit sends the cut-off instances to the probe
-    # before the polish
+    # the cut-off instances leave the interior-point method on a ray, an
+    # exit other than converged, which sends them to the probe before the
+    # polish
     H, A, c, b, cut_off = _band_stack(0, 30, loose=1e8)
     k, n = c.shape
     none = np.zeros((k, 0))
@@ -483,3 +483,15 @@ def test_build_validates_shapes():
         QpInstance.build(np.eye(2), [1.0])
     with pytest.raises(ValueError):
         QpInstance.build(np.eye(2), [1.0, 2.0], A=[[1.0, 0.0]], b=[1.0, 2.0])
+    with pytest.raises(ValueError, match="Aeq and beq row counts differ"):
+        QpInstance.build(np.eye(2), [1.0, 2.0], Aeq=[[1.0, 0.0]], beq=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("H, message", [
+    ([[2.0, 1.0], [0.0, 2.0]], "H must be symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "H must be positive definite"),
+], ids=["non-symmetric", "indefinite"])
+def test_batch_refuses_bad_hessian(H, message):
+    c = np.ones((3, 2))
+    with pytest.raises(ValueError, match=message):
+        solve_qp_batch(H, np.zeros((0, 2)), np.zeros((0, 2)), c, np.zeros((3, 0)), np.zeros((3, 0)))
