@@ -29,13 +29,30 @@ collapses or stalls.
 A Newton polish on each guessed active set lands on the exact KKT point,
 so active row residuals end up at machine precision rather than at
 interior-point tolerance; instances that hold the same working set share
-its independence filter and KKT factorization.  An instance that left the
-interior-point method any way but converged (on a Farkas ray, a collapse,
-a stall, a broken step or at max_iter; see QpBatch.exit) gets an LP
-feasibility probe before any polish, and so does every instance that
-does not end optimal; the probe alone decides infeasibility.  solve_qp
-is the k = 1 case.  Everything is deterministic: no randomized
-pivoting, no time-dependent behavior.
+its independence filter and KKT factorization.
+
+An instance that leaves on a Farkas ray is reported infeasible, with no
+polish and no LP, when its multipliers also pass a Farkas check in
+x-space, on the caller's own m inequality and e independent equality
+rows.  With mu = -(lam A) P' (x0 = beq P; the cold path recovers mu from
+stationarity the same way), r = A'lam + Aeq'mu, v = b'lam + beq'mu and
+g = 2 (m + e) eps, it asks lam >= 0, V = v + g (|b|'lam + |beq|'|mu|) < 0
+and max_j |r_j| + g (|A|'lam + |Aeq|'|mu|)_j <= RAY_TOL (-V).  The g
+terms bound the rounding of the two sums, so the exact v and r meet
+v < 0 and |r|_inf <= RAY_TOL (-v).  Any x with A x <= b and Aeq x = beq
+has r'x = lam'A x + mu'Aeq x <= v, so |x|_1 >= -v / |r|_inf >=
+1 / RAY_TOL: the ray test's bound, now free of the elimination's
+rounding.  A check on the independent equality rows only is still a
+certificate for the full system, whose feasible points are among those
+of the independent rows.  lam and mu of such an instance are its
+certificate.  Every other instance that left the interior-point method
+any way but converged (a ray that fails the check, a collapse, a stall,
+a broken step or max_iter; see QpBatch.exit) gets an LP feasibility
+probe before any polish, and so does every instance without a
+certificate that does not end optimal; infeasibility is the verdict of a
+checked certificate or of the probe.  solve_qp is the k = 1 case.
+Everything is deterministic: no randomized pivoting, no time-dependent
+behavior.
 
 A warm start skips the interior-point method.  An instance given a start,
 a list of inequality rows such as the active set of a neighbouring
@@ -44,11 +61,11 @@ WARM_UPDATES rounds, each taking one row in or out.  When the polish
 reaches a consistent set whose KKT point passes the cold path's own
 optimality test, that point is the answer, with 0 interior-point
 iterations; it equals the cold polish's answer bit for bit whenever both
-end on the same working set.  Every instance that does not
-settle so, an infeasible one among them, then takes the cold path
-unchanged: interior point, probe, polish.  A start therefore costs at
-most WARM_UPDATES factorizations, and an instance it does not settle gets
-the cold answer.
+end on the same working set.  Every instance that does not settle so,
+an infeasible one among them, then takes the cold path unchanged:
+interior point, certificate check or probe, polish.  A start therefore
+costs at most WARM_UPDATES factorizations, and an instance it does not
+settle gets the cold answer.
 
 Conventions: inequality multipliers lam >= 0 enter the stationarity
 residual as A'lam, equality multipliers mu enter as Aeq'mu with free sign,
@@ -136,6 +153,8 @@ class QpSolution:
     counts interior-point iterations and exit says how the method ended
     (NONE when it did not run); warm marks a solution that its warm start
     settled, and factorizations counts the polish's KKT factorizations.
+    An infeasible instance that left on a certified Farkas ray holds its
+    certificate in lam and mu (see the module docstring).
     """
 
     status: str
@@ -159,7 +178,9 @@ class QpBatch:
     the polish's KKT factorizations it took part in, warm and cold;
     polish_groups counts them once each, as the instances that held the
     same working set shared them, and lp_probes the feasibility LPs that
-    were solved.
+    were solved: one for each instance that holds no Farkas certificate
+    and left the interior-point method other than converged or did not
+    end optimal.
     """
 
     status: np.ndarray
@@ -256,6 +277,20 @@ def _feasibility_probe(A, b, Aeq, beq) -> bool:
     return res.status != 2
 
 
+def _farkas(A, Aeq, b, beq, lam, mu) -> np.ndarray:
+    """Which rows of (lam, mu) pass the Farkas check of the module docstring
+    on  A x <= b,  Aeq x = beq,  one instance per row of b, beq, lam and
+    mu, with the rounding of b'lam + beq'mu and A'lam + Aeq'mu bounded."""
+    gamma = 2.0 * (A.shape[0] + Aeq.shape[0]) * np.finfo(float).eps
+    abs_mu = np.abs(mu)
+    with np.errstate(invalid="ignore", over="ignore"):
+        v = (np.einsum("ij,ij->i", b, lam) + np.einsum("ij,ij->i", beq, mu)
+             + gamma * (np.einsum("ij,ij->i", np.abs(b), lam)
+                        + np.einsum("ij,ij->i", np.abs(beq), abs_mu)))
+        r = np.abs(lam @ A + mu @ Aeq) + gamma * (lam @ np.abs(A) + abs_mu @ np.abs(Aeq))
+        return (lam >= 0).all(axis=1) & (v < 0) & (r.max(axis=1, initial=0.0) <= -RAY_TOL * v)
+
+
 def _nan_unless_spd(M: np.ndarray) -> np.ndarray:
     """Set every matrix of the stack M that is not numerically positive
     definite (its Cholesky factorization fails) to NaN, in place, so that
@@ -324,6 +359,7 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
     its best one when the last is worse or not finite, as (y, lam,
     iterations, exit), exit holding each instance's exit kind: RAY,
     CONVERGED, COLLAPSE, STALL, BROKEN or LIMIT, the first that applies.
+    A ray exit always returns the multipliers that passed the ray test.
     """
     k, nz = cz.shape
     m = Az.shape[0]
@@ -360,7 +396,9 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
         take_best = (~np.isfinite(now) | (s["best"][out] < now))[:, None]
         i = s["idx"][out]
         out_y[i] = np.where(take_best, s["best_y"][out], yo)
-        out_lam[i] = np.where(take_best, s["best_lam"][out], lo)
+        # a ray exit keeps the multipliers that passed the ray test
+        ray = (kind[out] == IPM_EXITS.index(RAY))[:, None]
+        out_lam[i] = np.where(take_best & ~ray, s["best_lam"][out], lo)
         # an instance whose step broke down did not take this iteration's step
         iters[i] = it - s["broken"][out]
         exits[i] = kind[out]
@@ -501,23 +539,14 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
     return x, lam, mu, found, groups, np.array(steps, dtype=np.int64)
 
 
-def _polish_full(H, A, Aeq, eq_rows, c, b, beq, guesses, max_updates=60, retry=False):
+def _polish_full(H, A, Aeq, eq_rows, c, b, beq, guesses, max_updates=60):
     """_polish on the independent equality rows eq_rows of Aeq, its
     multipliers spread back over every row of Aeq and its KKT residuals
-    taken against the full Aeq.  With retry, an instance whose non-empty
-    guess reaches no consistent set is polished again from the empty set.
-    Returns (x, lam, mu, found, resid, groups, steps) with _polish's
-    meaning."""
-    Ae, be = Aeq[eq_rows], beq[:, eq_rows]
-    x, lam, mu_r, found, groups, steps = _polish(H, A, Ae, c, b, be, guesses, max_updates)
-    if retry:
-        again = np.flatnonzero(~found & np.array([len(g) > 0 for g in guesses], dtype=bool))
-        if again.size:
-            x[again], lam[again], mu_r[again], found[again], more, extra = _polish(
-                H, A, Ae, c[again], b[again], be[again], [[] for _ in again], max_updates
-            )
-            groups += more
-            steps[again] += extra
+    taken against the full Aeq.  Returns (x, lam, mu, found, resid, groups,
+    steps) with _polish's meaning."""
+    x, lam, mu_r, found, groups, steps = _polish(
+        H, A, Aeq[eq_rows], c, b, beq[:, eq_rows], guesses, max_updates
+    )
     mu = np.zeros((c.shape[0], Aeq.shape[0]))
     mu[:, eq_rows] = mu_r
     return x, lam, mu, found, _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu), groups, steps
@@ -537,11 +566,11 @@ def _optimal(resid, b, lam, mu, x, tol):
 
 
 def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
-    """The interior-point method, the LP probe and the polish for every
-    instance of the stack; eq_rows are the independent rows of Aeq.
-    Returns (status, x, lam, mu, resid, iterations, exits, steps, groups,
-    probes), steps and groups counting polish factorizations as _polish
-    does and probes the LPs solved."""
+    """The interior-point method, the Farkas check or the LP probe, and
+    the polish for every instance of the stack; eq_rows are the independent
+    rows of Aeq.  Returns (status, x, lam, mu, resid, iterations, exits,
+    steps, groups, probes), steps and groups counting polish factorizations
+    as _polish does and probes the LPs solved."""
     k, n = c.shape
     m, e = A.shape[0], Aeq.shape[0]
     # x = x0 + Z y satisfies the independent equality rows (all of them
@@ -569,17 +598,26 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
     if eq_rows.size:
         mu[:, eq_rows] = -(x @ H + c + lam @ A) @ P.T
 
+    # an instance whose ray passes the Farkas check is infeasible and
+    # holds its certificate in lam and mu
+    ray = np.flatnonzero(exits == RAY)
+    mu_ray = -(lam[ray] @ A) @ P.T if r else np.zeros((ray.size, 0))
+    ok = _farkas(A, Aeq[eq_rows], b[ray], beq[ray][:, eq_rows], lam[ray], mu_ray)
+    certified = np.zeros(k, dtype=bool)
+    certified[ray[ok]] = True
+    mu[np.ix_(ray[ok], eq_rows)] = mu_ray[ok]
+
     resid = _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu)
     probed = np.zeros(k, dtype=bool)
-    feasible = np.ones(k, dtype=bool)
+    feasible = ~certified
     steps = np.zeros(k, dtype=np.int64)
     groups = 0
     if m:
         # an instance that left the interior-point method other than
-        # converged is probed before any polish: on an infeasible instance
-        # the polish can only exhaust its update budget, at many times the
-        # cost of the probe
-        for i in np.flatnonzero(exits != CONVERGED):
+        # converged, and holds no certificate, is probed before any polish:
+        # on an infeasible instance the polish can only exhaust its update
+        # budget, at many times the cost of the probe
+        for i in np.flatnonzero((exits != CONVERGED) & ~certified):
             probed[i] = True
             feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
         todo = np.flatnonzero(feasible)
@@ -587,7 +625,7 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
         near = (slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b)))
         guesses = [np.flatnonzero(near[i]) for i in todo]
         px, plam, pmu, found, polished, groups, steps[todo] = _polish_full(
-            H, A, Aeq, eq_rows, c[todo], b[todo], beq[todo], guesses, retry=True
+            H, A, Aeq, eq_rows, c[todo], b[todo], beq[todo], guesses
         )
         with np.errstate(invalid="ignore"):
             accept = found & (
@@ -600,7 +638,7 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
     optimal = _optimal(resid, b, lam, mu, x, tol)
     status = np.full(k, OPTIMAL, dtype=object)
     for i in np.flatnonzero(~optimal):
-        if not probed[i]:
+        if not probed[i] and not certified[i]:
             probed[i] = True
             feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
         status[i] = NUMERICAL_FAILURE if feasible[i] else INFEASIBLE
@@ -623,10 +661,11 @@ def solve_qp_batch(
     c, b and beq hold one instance per row: (k, n), (k, m) and (k, e).
     H must be symmetric positive definite (ValueError otherwise).
     Infeasible instances, including ones whose dependent equality rows
-    disagree, are confirmed by an LP probe and reported via status rather
-    than raised.  start, when given, holds one list of rows of A per
-    instance, from which that instance is warm-started (see the module
-    docstring); it is ignored when A has no rows.
+    disagree, are confirmed by a checked Farkas certificate or an LP probe
+    and reported via status rather than raised.  start, when given, holds
+    one list of rows of A per instance, from which that instance is
+    warm-started (see the module docstring); it is ignored when A has no
+    rows.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]

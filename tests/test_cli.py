@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import float_columns, set_float_columns
+from conftest import float_columns, random_radial_case, set_float_columns
 
 import phca
 import phca.cli as cli_mod
@@ -717,37 +717,60 @@ def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
     assert payload["columns"]["status"].count("infeasible") == 48
 
 
-#: the whole demo pipeline in one process: set-up with calibration, the
-#: batch and its results file, the file read back, both reports and the
-#: oracle; prints the scipy modules loaded by then
+#: the steps given as JSON in one process; prints their exit codes and the
+#: scipy modules loaded by then
 PIPELINE = """
+import json
 import sys
 from phca.cli import main
 
-d = sys.argv[1]
-case = ["--feeder", f"{d}/feeder.txt", "--loads", f"{d}/loads.csv",
-        "--solar", f"{d}/solar.csv", "--config", f"{d}/config.ini"]
-steps = [
-    ["demo", "--out", d, "--days", "2"],
-    ["run", *case, "--out", f"{d}/r.json", "--report", f"{d}/r.txt",
-     "--json-report", f"{d}/rj.json"],
-    ["stats", *case, "--results", f"{d}/r.json"],
-    ["stats", *case, "--results", f"{d}/r.json", "--json"],
-    ["validate", *case, "--sample", "50"],
-]
-codes = [main(step) for step in steps]
+codes = [main(step) for step in json.loads(sys.argv[1])]
 loaded = [m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules]
 print("codes", codes, "scipy", loaded)
 """
 
 
-def test_demo_pipeline_imports_no_scipy(tmp_path):
-    # numpy does all the linear algebra; scipy is imported only by the LP
-    # feasibility probe, which no demo instance needs (that the probe still
-    # reports infeasible instances is test_empty_grid_cell_is_exit_3's case)
+def run_pipeline(d, case, first=()):
+    """The first steps, then set-up with calibration, the batch and its
+    results file, the file read back, both reports and the oracle on the
+    case arguments, writing to directory d, all in one fresh process;
+    returns it."""
+    steps = [
+        *first,
+        ["run", *case, "--out", f"{d}/r.json", "--report", f"{d}/r.txt",
+         "--json-report", f"{d}/rj.json"],
+        ["stats", *case, "--results", f"{d}/r.json"],
+        ["stats", *case, "--results", f"{d}/r.json", "--json"],
+        ["validate", *case, "--sample", "50"],
+    ]
     env = dict(os.environ, PYTHONPATH=str(Path(phca.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PIPELINE, str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-c", PIPELINE, json.dumps(steps)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
+
+
+def test_demo_pipeline_imports_no_scipy(tmp_path):
+    # numpy does all the linear algebra; scipy is imported only by the LP
+    # feasibility probe, which no demo instance needs (the probe is still
+    # exercised by tests/test_qp.py's broken and stalled exits)
+    d = str(tmp_path)
+    case = ["--feeder", f"{d}/feeder.txt", "--loads", f"{d}/loads.csv",
+            "--solar", f"{d}/solar.csv", "--config", f"{d}/config.ini"]
+    proc = run_pipeline(d, case, first=[["demo", "--out", d, "--days", "2"]])
     assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0, 0] scipy []"
+
+
+def test_certified_infeasible_calibration_imports_no_scipy(tmp_path):
+    # 7 of the random feeder's 32 calibration samples are infeasible; each
+    # leaves the interior-point method on a ray whose certificate passes
+    # the Farkas check, so no LP is probed in set-up, run, stats or oracle
+    feeder, loads, solar = random_radial_case(30, 5, days=2, seed=2)
+    for name, text in (("feeder.txt", feeder), ("loads.csv", loads), ("solar.csv", solar)):
+        (tmp_path / name).write_text(text)
+    d = str(tmp_path)
+    case = ["--feeder", f"{d}/feeder.txt", "--loads", f"{d}/loads.csv", "--solar", f"{d}/solar.csv",
+            "--kappa", "1.0,1.5", "--oversize", "1.0,1.15", "--alpha", "0.24,0.48"]
+    proc = run_pipeline(d, case)
+    assert proc.stderr.count("calibration skipped 7 of 32 samples") == 4
+    assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0] scipy []"

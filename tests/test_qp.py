@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from phca.builder import theta_map_batch
 from phca.qp import (
     BROKEN,
     CONVERGED,
@@ -10,6 +11,8 @@ from phca.qp import (
     DEFAULT_TOL,
     NONE,
     WARM_UPDATES,
+    _farkas,
+    _feasibility_probe,
     _independent_rows,
     _interior_point,
     _nan_unless_spd,
@@ -17,6 +20,7 @@ from phca.qp import (
     INFEASIBLE,
     OPTIMAL,
     RAY,
+    RAY_TOL,
     STALL,
     QpInstance,
     identify_active,
@@ -191,27 +195,32 @@ def test_random_instances_match_enumeration():
     assert n_infeasible > 20
 
 
+def _sweep_instances():
+    """The seeded 300-instance sweep: each seed, its generator and a
+    _small_instance drawn from it with, where it has two rows, a third
+    that is their sum: sometimes redundant, sometimes binding, sometimes
+    cutting off."""
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        inst = _small_instance(rng)
+        if inst.A.shape[0] >= 2:
+            inst = QpInstance.build(
+                inst.H, inst.c, A=np.vstack([inst.A, inst.A[0] + inst.A[1]]),
+                b=np.append(inst.b, inst.b[0] + inst.b[1] + rng.uniform(-0.3, 0.3)),
+                Aeq=inst.Aeq, beq=inst.beq,
+            )
+        yield seed, rng, inst
+
+
 def test_warm_start_matches_cold_solve():
     """Seeded sweep: each instance is solved cold and from one of four
     kinds of start, in turn empty, the cold active set, a random subset of
     the rows, and a superset with dependent rows."""
     kinds = ("empty", "cold", "subset", "superset")
     n_settled = n_infeasible = 0
-    for seed in range(300):
+    for seed, rng, inst in _sweep_instances():
         kind = kinds[seed % len(kinds)]
-        # a _small_instance with, where it has two rows, a third that is
-        # their sum: sometimes redundant, sometimes binding, sometimes
-        # cutting off
-        rng = np.random.default_rng(seed)
-        inst = _small_instance(rng)
         m = inst.A.shape[0]
-        if m >= 2:
-            inst = QpInstance.build(
-                inst.H, inst.c, A=np.vstack([inst.A, inst.A[0] + inst.A[1]]),
-                b=np.append(inst.b, inst.b[0] + inst.b[1] + rng.uniform(-0.3, 0.3)),
-                Aeq=inst.Aeq, beq=inst.beq,
-            )
-            m += 1
         cold = solve_qp(inst)
         active = np.flatnonzero(cold.lam > 0).tolist()
         start = {
@@ -364,9 +373,11 @@ def test_infeasible_stack_leaves_on_farkas_ray(random_feeder_case):
     assert infeasible.sum() == 7
     assert batch.iterations[infeasible].max() <= 20
     assert (batch.status[~infeasible] == OPTIMAL).all()
-    # the probe confirmed each ray, no feasible instance was probed, and the
-    # infeasible ones went to the probe before any polish
-    assert batch.lp_probes == infeasible.sum()
+    # each infeasible instance left on a ray whose certificate passed the
+    # Farkas check, so no instance was probed, and none of them reached
+    # the polish
+    assert (batch.exit[infeasible] == RAY).all()
+    assert batch.lp_probes == 0
     assert batch.polish_groups == solve(np.flatnonzero(~infeasible)).polish_groups
 
 
@@ -395,14 +406,15 @@ def _band_stack(seed, k, loose=None, n=3, m=8):
 
 def test_ray_exits_are_probed_before_polish():
     # the cut-off instances leave the interior-point method on a ray, an
-    # exit other than converged, which sends them to the probe before the
-    # polish
+    # exit other than converged; their certificates pass the Farkas check,
+    # which settles them before the polish with no probe
     H, A, c, b, cut_off = _band_stack(0, 30, loose=1e8)
     k, n = c.shape
     none = np.zeros((k, 0))
     batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, none)
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
-    assert batch.lp_probes == cut_off.sum()
+    assert (batch.exit[cut_off] == RAY).all()
+    assert batch.lp_probes == 0
     # with no equality rows the solver hands the interior-point method H,
     # A, c and b as they are, started at the unconstrained minimizer
     exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T, DEFAULT_TOL, DEFAULT_MAX_ITER)[3]
@@ -416,17 +428,80 @@ def test_ray_exits_are_probed_before_polish():
 
 def test_unconverged_exits_are_probed_before_polish():
     # half the cut-off instances of this stack leave the interior-point
-    # method on a broken step, not a ray; they too go to the probe first,
-    # so the polish works on the feasible instances alone
+    # method on a broken step, not a ray; they hold no certificate and go
+    # to the probe first, while the rays pass the Farkas check, so the
+    # polish works on the feasible instances alone
     H, A, c, b, cut_off = _band_stack(11, 30, loose=1e8)
     k, n = c.shape
     batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     assert set(batch.exit[cut_off]) == {RAY, BROKEN} and (batch.exit[~cut_off] == CONVERGED).all()
-    assert batch.lp_probes == cut_off.sum()
+    assert batch.lp_probes == (batch.exit == BROKEN).sum() == 5
     feasible = solve_qp_batch(H, A, np.zeros((0, n)), c[~cut_off], b[~cut_off],
                               np.zeros(((~cut_off).sum(), 0)))
     assert batch.polish_groups == feasible.polish_groups == 14
+
+
+def farkas_holds(A, Aeq, b, beq, lam, mu):
+    """lam >= 0 and v = b'lam + beq'mu < 0 with |A'lam + Aeq'mu| <=
+    RAY_TOL (-v): every x with A x <= b and Aeq x = beq has
+    |x|_1 >= 1 / RAY_TOL."""
+    v = b @ lam + beq @ mu
+    return (lam >= 0).all() and v < 0 and np.abs(lam @ A + mu @ Aeq).max() <= -RAY_TOL * v
+
+
+def test_farkas_check_refuses_what_it_cannot_prove():
+    # x <= -1 and -x <= 0: lam = (1, 1) proves it infeasible
+    A, none = np.array([[1.0], [-1.0]]), np.zeros((1, 0))
+    lam = np.array([[1.0, 1.0], [1.0, 0.5], [-1.0, -1.0]])
+    b = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    # the second leaves A'lam = 0.5, the third has negative multipliers
+    assert _farkas(A, np.zeros((0, 1)), b, none.repeat(3, 0), lam, none.repeat(3, 0)).tolist() == [
+        True, False, False]
+    # b'lam = -16 exactly, but below what rounding b'lam at this scale can hide
+    big = np.array([[1e17, -1e17 - 16.0]])
+    assert big[0].sum() == -16.0
+    assert not _farkas(A, np.zeros((0, 1)), big, none, lam[:1], none)[0]
+    # an equality row joins through mu: x = 2 with x <= 1
+    Aeq = np.array([[1.0]])
+    assert _farkas(A[:1], Aeq, np.array([[1.0]]), np.array([[2.0]]),
+                   np.array([[1.0]]), np.array([[-1.0]])).tolist() == [True]
+
+
+def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
+    # every infeasible instance that left on a ray returns, in lam and mu, a
+    # certificate that passes the Farkas check on its own rows, and the LP
+    # probe agrees that it is infeasible
+    cases = [(inst.A, inst.Aeq, solve_qp(inst), inst.b, inst.beq)
+             for _, _, inst in _sweep_instances()]
+    for seed, k, loose in ((0, 30, 1e8), (11, 30, 1e8), (11, 40, None)):
+        H, A, c, b, _ = _band_stack(seed, k, loose)
+        batch = solve_qp_batch(H, A, np.zeros((0, 3)), c, b, np.zeros((k, 0)))
+        cases += [(A, np.zeros((0, 3)), batch.solution(i), b[i], np.zeros(0)) for i in range(k)]
+    # the unrelaxed demo at 24 overloaded hours, and again with every
+    # headroom squeezed: the regulator gives it an equality row, which is
+    # then doubled into a dependent one the check leaves out
+    thetas = theta_map_batch(
+        demo_problem, demo_scenarios.pc[:24], demo_scenarios.qc[:24], demo_scenarios.pg[:24],
+        alpha=0.12, kappa=5.0, oversize=1.0,
+    )
+    squeezed = thetas.copy()
+    squeezed[:, demo_problem.headroom_slice()] = -0.5
+    insts = [demo_problem.reduced_instance(row)[0] for row in np.vstack([thetas, squeezed])]
+    H, A, Aeq = insts[0].H, insts[0].A, insts[0].Aeq
+    assert Aeq.shape[0] == 1
+    c, b, beq = (np.array([getattr(i, f) for i in insts]) for f in ("c", "b", "beq"))
+    for Ae, be in ((Aeq, beq), (np.vstack([Aeq, 2.0 * Aeq]), np.hstack([beq, 2.0 * beq]))):
+        batch = solve_qp_batch(H, A, Ae, c, b, be)
+        cases += [(A, Ae, batch.solution(i), b[i], be[i]) for i in range(len(insts))]
+    rays = 0
+    for j, (A, Aeq, sol, b, beq) in enumerate(cases):
+        if sol.exit == RAY:
+            assert sol.status == INFEASIBLE, f"case {j}"
+            assert farkas_holds(A, Aeq, b, beq, sol.lam, sol.mu), f"case {j}"
+            assert not _feasibility_probe(A, b, Aeq, beq), f"case {j}"
+            rays += 1
+    assert rays >= 100
 
 
 def test_step_solves_give_nan_on_bad_matrices():
