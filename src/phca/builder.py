@@ -336,10 +336,6 @@ class MpqpProblem:
         out = x @ self.W.T + theta @ self.U.T
         return out[0] if out.shape[0] == 1 else out
 
-    def objective(self, x: np.ndarray, theta: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.H @ x + self.instance(theta).c @ x)
-
 
 def _freeze(*arrays):
     for a in arrays:

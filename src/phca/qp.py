@@ -45,27 +45,29 @@ has r'x = lam'A x + mu'Aeq x <= v, so |x|_1 >= -v / |r|_inf >=
 rounding.  A check on the independent equality rows only is still a
 certificate for the full system, whose feasible points are among those
 of the independent rows.  lam and mu of such an instance are its
-certificate.  Every other instance that left the interior-point method
-any way but converged (a ray that fails the check, a collapse, a stall,
-a broken step or max_iter; see QpBatch.exit) gets an LP feasibility
-probe before any polish, and so does every instance without a
-certificate that does not end optimal; infeasibility is the verdict of a
-checked certificate or of the probe.  solve_qp is the k = 1 case.
-Everything is deterministic: no randomized pivoting, no time-dependent
-behavior.
+certificate.  Every other instance, however it left the interior-point
+method (see QpBatch.exit), is polished from the rows its iterate holds
+near-active; _optimal, the one test that accepts a polished point,
+decides whether the polished point replaces the iterate.  Each instance
+that then is not optimal and holds no certificate gets one LP
+feasibility probe, after the polish: infeasible when the LP has no
+feasible point, a numerical failure otherwise.  So infeasibility is the
+verdict of a checked certificate or of the probe.  solve_qp is the
+k = 1 case.  Everything is deterministic: no randomized pivoting, no
+time-dependent behavior.
 
 A warm start skips the interior-point method.  An instance given a start,
 a list of inequality rows such as the active set of a neighbouring
 critical region, first runs the polish from that set for at most
 WARM_UPDATES rounds, each taking one row in or out.  When the polish
-reaches a consistent set whose KKT point passes the cold path's own
-optimality test, that point is the answer, with 0 interior-point
+reaches a consistent set whose KKT point passes _optimal, the same test
+as a cold polish, that point is the answer, with 0 interior-point
 iterations; it equals the cold polish's answer bit for bit whenever both
 end on the same working set.  Every instance that does not settle so,
 an infeasible one among them, then takes the cold path unchanged:
-interior point, certificate check or probe, polish.  A start therefore
-costs at most WARM_UPDATES factorizations, and an instance it does not
-settle gets the cold answer.
+interior point, certificate check, polish, and the probe if it is still
+not optimal.  A start therefore costs at most WARM_UPDATES
+factorizations, and an instance it does not settle gets the cold answer.
 
 Conventions: inequality multipliers lam >= 0 enter the stationarity
 residual as A'lam, equality multipliers mu enter as Aeq'mu with free sign,
@@ -98,6 +100,8 @@ RAY_TOL = 1e-9
 #: 123 buses, about 40% below cold solves, and 32 keeps a start that never
 #: settles near two cold solves there.
 WARM_UPDATES = 32
+#: polish rounds an instance may take from its interior-point guess
+COLD_UPDATES = 60
 
 #: how an instance left the interior-point method (QpBatch.exit): on a
 #: Farkas ray, converged, collapsed short of feasibility, stalled, after
@@ -178,9 +182,8 @@ class QpBatch:
     the polish's KKT factorizations it took part in, warm and cold;
     polish_groups counts them once each, as the instances that held the
     same working set shared them, and lp_probes the feasibility LPs that
-    were solved: one for each instance that holds no Farkas certificate
-    and left the interior-point method other than converged or did not
-    end optimal.
+    were solved: one, after the polish, for each instance that is not
+    optimal and holds no Farkas certificate.
     """
 
     status: np.ndarray
@@ -211,12 +214,13 @@ class QpBatch:
         )
 
 
-def _independent_rows(K: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def _independent_rows(K: np.ndarray) -> np.ndarray:
     """Greedy maximal independent row subset, earlier rows winning ties.
 
-    Gram-Schmidt with a relative drop tolerance: each row is projected off
-    the orthonormal basis of the rows kept so far in two classical passes,
-    the second tightening orthogonality for near-dependent rows.
+    Gram-Schmidt with a relative drop tolerance of 1e-10: each row is
+    projected off the orthonormal basis of the rows kept so far in two
+    classical passes, the second tightening orthogonality for
+    near-dependent rows.
     Deterministic and order-respecting, which lets callers protect
     must-keep rows by placing them first.
     """
@@ -230,7 +234,7 @@ def _independent_rows(K: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
         v = row - (kept @ row) @ kept
         v -= (kept @ v) @ kept
         norm1 = math.sqrt(v @ v)
-        if norm1 > rel_tol * norm0:
+        if norm1 > 1e-10 * norm0:
             basis[len(rows)] = v / norm1
             rows.append(i)
     return np.asarray(rows, dtype=np.int64)
@@ -347,7 +351,7 @@ def _max_step(z, lam, dz, dlam):
     return 1.0 / np.maximum(worst, 1.0)
 
 
-def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
+def _interior_point(Hz, Az, cz, bz, y, max_iter):
     """Mehrotra predictor-corrector on  min 0.5 y'Hz y + cz'y  s.t.
     Az y <= bz  for every row of cz and bz, started at y.
 
@@ -421,7 +425,7 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
             # certified infeasible, converged, collapsed without reaching
             # feasibility, stalled, or the last Newton step broke down
             tests = (
-                s["ray"], merit <= max(tol, 1e-11), (mu_c < 1e-12) & (rp_max > 1e-7),
+                s["ray"], merit <= DEFAULT_TOL, (mu_c < 1e-12) & (rp_max > 1e-7),
                 s["stall"] > 30, s["broken"],
             )
             out = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
@@ -463,7 +467,7 @@ def _interior_point(Hz, Az, cz, bz, y, tol, max_iter):
     return out_y, out_lam, iters, np.asarray(IPM_EXITS, dtype=object)[exits]
 
 
-def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
+def _polish(H, A, Aeq, c, b, beq, work, max_updates):
     """Newton refinement on each instance's working set until multiplier
     signs and primal feasibility agree.
 
@@ -539,38 +543,47 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates=60):
     return x, lam, mu, found, groups, np.array(steps, dtype=np.int64)
 
 
-def _polish_full(H, A, Aeq, eq_rows, c, b, beq, guesses, max_updates=60):
-    """_polish on the independent equality rows eq_rows of Aeq, its
-    multipliers spread back over every row of Aeq and its KKT residuals
-    taken against the full Aeq.  Returns (x, lam, mu, found, resid, groups,
-    steps) with _polish's meaning."""
-    x, lam, mu_r, found, groups, steps = _polish(
-        H, A, Aeq[eq_rows], c, b, beq[:, eq_rows], guesses, max_updates
+def _settle(H, A, Aeq, eq_rows, c, b, beq, todo, work, max_updates, point):
+    """_polish instances todo of the stack from the working sets work, on
+    the independent equality rows eq_rows of Aeq, with their multipliers
+    spread back over every row of Aeq.  Each polished point that passes
+    _optimal, its KKT residuals taken against the full Aeq, is written
+    into point = (x, lam, mu, resid) at its instance's row.  Returns
+    (settled, groups, steps): which of todo were written, and _polish's
+    counts."""
+    c, b, beq = c[todo], b[todo], beq[todo]
+    px, plam, pmu_r, found, groups, steps = _polish(
+        H, A, Aeq[eq_rows], c, b, beq[:, eq_rows], work, max_updates
     )
-    mu = np.zeros((c.shape[0], Aeq.shape[0]))
-    mu[:, eq_rows] = mu_r
-    return x, lam, mu, found, _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu), groups, steps
+    pmu = np.zeros((todo.size, Aeq.shape[0]))
+    pmu[:, eq_rows] = pmu_r
+    presid = _kkt_residuals(H, A, Aeq, c, b, beq, px, plam, pmu)
+    settled = found & _optimal(presid, b, plam, pmu, px)
+    done = todo[settled]
+    for out, polished in zip(point, (px, plam, pmu, presid)):
+        out[done] = polished[settled]
+    return settled, groups, steps
 
 
-def _optimal(resid, b, lam, mu, x, tol):
+def _optimal(resid, b, lam, mu, x):
     """Which solutions pass the acceptance test, given their KKT residuals.
 
     Stationarity and complementarity are judged relative to the iterate
     scale (nearly parallel active rows blow the multipliers up without
     hurting the primal answer); primal feasibility stays an absolute test
     so runaway iterates can never pass."""
-    b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
-    mult = np.abs(np.hstack([lam, mu, x])).max(axis=1, initial=1.0)
+    primal_tol = DEFAULT_TOL * (1.0 + np.abs(b).max(axis=1, initial=0.0))
+    dual_tol = DEFAULT_TOL * np.abs(np.hstack([lam, mu, x])).max(axis=1, initial=1.0)
     with np.errstate(invalid="ignore"):
-        return (resid[:, 1] <= tol * b_scale) & (resid[:, [0, 2]].max(axis=1) <= tol * mult)
+        return (resid[:, 1] <= primal_tol) & (resid[:, [0, 2]].max(axis=1) <= dual_tol)
 
 
-def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
-    """The interior-point method, the Farkas check or the LP probe, and
-    the polish for every instance of the stack; eq_rows are the independent
-    rows of Aeq.  Returns (status, x, lam, mu, resid, iterations, exits,
-    steps, groups, probes), steps and groups counting polish factorizations
-    as _polish does and probes the LPs solved."""
+def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, max_iter):
+    """The interior-point method for every instance of the stack, its
+    iterate taken back to x-space, and the Farkas check of its ray exits;
+    eq_rows are the independent rows of Aeq.  Returns (x, lam, mu,
+    iterations, exits, certified), certified marking the instances whose
+    lam and mu are a checked certificate."""
     k, n = c.shape
     m, e = A.shape[0], Aeq.shape[0]
     # x = x0 + Z y satisfies the independent equality rows (all of them
@@ -592,10 +605,10 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
     iterations = np.zeros(k, dtype=np.int64)
     exits = np.full(k, NONE, dtype=object)
     if m:
-        y, lam, iterations, exits = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, tol, max_iter)
+        y, lam, iterations, exits = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, max_iter)
     x = x0 + y @ Z.T
     mu = np.zeros((k, e))
-    if eq_rows.size:
+    if r:
         mu[:, eq_rows] = -(x @ H + c + lam @ A) @ P.T
 
     # an instance whose ray passes the Farkas check is infeasible and
@@ -606,43 +619,7 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, tol, max_iter):
     certified = np.zeros(k, dtype=bool)
     certified[ray[ok]] = True
     mu[np.ix_(ray[ok], eq_rows)] = mu_ray[ok]
-
-    resid = _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu)
-    probed = np.zeros(k, dtype=bool)
-    feasible = ~certified
-    steps = np.zeros(k, dtype=np.int64)
-    groups = 0
-    if m:
-        # an instance that left the interior-point method other than
-        # converged, and holds no certificate, is probed before any polish:
-        # on an infeasible instance the polish can only exhaust its update
-        # budget, at many times the cost of the probe
-        for i in np.flatnonzero((exits != CONVERGED) & ~certified):
-            probed[i] = True
-            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
-        todo = np.flatnonzero(feasible)
-        slack = b - x @ A.T
-        near = (slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b)))
-        guesses = [np.flatnonzero(near[i]) for i in todo]
-        px, plam, pmu, found, polished, groups, steps[todo] = _polish_full(
-            H, A, Aeq, eq_rows, c[todo], b[todo], beq[todo], guesses
-        )
-        with np.errstate(invalid="ignore"):
-            accept = found & (
-                polished.max(axis=1) <= np.maximum(tol, resid[todo].max(axis=1))
-            )
-        done = todo[accept]
-        x[done], lam[done], mu[done] = px[accept], plam[accept], pmu[accept]
-        resid[done] = polished[accept]
-
-    optimal = _optimal(resid, b, lam, mu, x, tol)
-    status = np.full(k, OPTIMAL, dtype=object)
-    for i in np.flatnonzero(~optimal):
-        if not probed[i] and not certified[i]:
-            probed[i] = True
-            feasible[i] = _feasibility_probe(A, b[i], Aeq, beq[i])
-        status[i] = NUMERICAL_FAILURE if feasible[i] else INFEASIBLE
-    return status, x, lam, mu, resid, iterations, exits, steps, groups, int(probed.sum())
+    return x, lam, mu, iterations, exits, certified
 
 
 def solve_qp_batch(
@@ -652,11 +629,11 @@ def solve_qp_batch(
     c: np.ndarray,
     b: np.ndarray,
     beq: np.ndarray,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     start: list | None = None,
 ) -> QpBatch:
-    """Solve k convex QPs that share H, A and Aeq to KKT residuals below tol.
+    """Solve k convex QPs that share H, A and Aeq to KKT residuals below
+    DEFAULT_TOL.
 
     c, b and beq hold one instance per row: (k, n), (k, m) and (k, e).
     H must be symmetric positive definite (ValueError otherwise).
@@ -691,49 +668,67 @@ def solve_qp_batch(
     lam = np.zeros((k, m))
     mu = np.zeros((k, e))
     resid = np.empty((k, 3))
+    point = (x, lam, mu, resid)
     iterations = np.zeros(k, dtype=np.int64)
     exits = np.full(k, NONE, dtype=object)
-    status = np.full(k, OPTIMAL, dtype=object)
+    certified = np.zeros(k, dtype=bool)
     warm = np.zeros(k, dtype=bool)
     steps = np.zeros(k, dtype=np.int64)
-    groups = probes = 0
+    groups = 0
     if start is not None and m:
         work = [[int(r) for r in w] for w in start]
         if any(not 0 <= r < m for w in work for r in w):
             raise ValueError(f"start rows must lie in 0..{m - 1}")
-        px, plam, pmu, found, presid, groups, steps = _polish_full(
-            H, A, Aeq, eq_rows, c, b, beq, work, WARM_UPDATES
+        warm, groups, steps = _settle(
+            H, A, Aeq, eq_rows, c, b, beq, np.arange(k), work, WARM_UPDATES, point
         )
-        # the cold path's own acceptance test; a settled instance is optimal
-        warm = found & _optimal(presid, b, plam, pmu, px, tol)
-        x[warm], lam[warm], mu[warm], resid[warm] = px[warm], plam[warm], pmu[warm], presid[warm]
     if not warm.all():
         # a slice when no instance settled warm saves gathering the stack
         cold = np.flatnonzero(~warm) if warm.any() else slice(None)
-        (status[cold], x[cold], lam[cold], mu[cold], resid[cold], iterations[cold], exits[cold],
-         more, cold_groups, probes) = _solve_cold(
-            H, A, Aeq, eq_rows, c[cold], b[cold], beq[cold], tol, max_iter
+        xc, lamc, muc, iterations[cold], exits[cold], certified[cold] = _solve_cold(
+            H, A, Aeq, eq_rows, c[cold], b[cold], beq[cold], max_iter
         )
-        steps[cold] += more
-        groups += cold_groups
+        x[cold], lam[cold], mu[cold] = xc, lamc, muc
+        resid[cold] = _kkt_residuals(H, A, Aeq, c[cold], b[cold], beq[cold], xc, lamc, muc)
+        if m:
+            # the polish starts from the rows the iterate holds near-active
+            slack = b[cold] - xc @ A.T
+            near = (slack < lamc) | (slack <= 1e-8 * (1.0 + np.abs(b[cold])))
+            todo = np.flatnonzero(~warm & ~certified)
+            guesses = [np.flatnonzero(w) for w in near[~certified[cold]]]
+            _, more, cold_steps = _settle(
+                H, A, Aeq, eq_rows, c, b, beq, todo, guesses, COLD_UPDATES, point
+            )
+            steps[todo] += cold_steps
+            groups += more
+
+    # the one verdict: optimal, else infeasible on a checked certificate,
+    # else what one LP probe finds
+    optimal = _optimal(resid, b, lam, mu, x)
+    status = np.full(k, OPTIMAL, dtype=object)
+    status[~optimal] = INFEASIBLE
+    probed = np.flatnonzero(~optimal & ~certified)
+    for i in probed:
+        if _feasibility_probe(A, b[i], Aeq, beq[i]):
+            status[i] = NUMERICAL_FAILURE
     with np.errstate(invalid="ignore", over="ignore"):
         objective = 0.5 * np.einsum("ij,ij->i", x @ H, x) + np.einsum("ij,ij->i", c, x)
     return QpBatch(
         status, x, lam, mu, resid, iterations, objective,
-        groups, probes, warm, exits, steps,
+        groups, probed.size, warm, exits, steps,
     )
 
 
 def solve_qp(
     inst: QpInstance,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     start=None,
 ) -> QpSolution:
-    """Solve one convex QP to KKT residuals below ``tol``: the k = 1 case of
-    solve_qp_batch, warm-started from the rows in start when given."""
+    """Solve one convex QP to KKT residuals below DEFAULT_TOL: the k = 1
+    case of solve_qp_batch, warm-started from the rows in start when
+    given."""
     return solve_qp_batch(
-        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None], tol, max_iter,
+        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None], max_iter,
         None if start is None else [start],
     ).solution(0)
 

@@ -142,7 +142,7 @@ def test_penalty_exactness(study, capsys):
         inst, _ = prob.reduced_instance(res.thetas[i])
         if not feasible_lp(inst):
             continue
-        hard = solve_qp(inst, tol=1e-10)
+        hard = solve_qp(inst)
         if hard.status != OPTIMAL:
             continue
         checked += 1

@@ -6,9 +6,9 @@ import pytest
 from phca.builder import theta_map_batch
 from phca.qp import (
     BROKEN,
+    COLD_UPDATES,
     CONVERGED,
     DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     NONE,
     WARM_UPDATES,
     _farkas,
@@ -404,10 +404,10 @@ def _band_stack(seed, k, loose=None, n=3, m=8):
     return H, A, c, b, cut_off
 
 
-def test_ray_exits_are_probed_before_polish():
-    # the cut-off instances leave the interior-point method on a ray, an
-    # exit other than converged; their certificates pass the Farkas check,
-    # which settles them before the polish with no probe
+def test_certified_ray_exits_skip_the_polish():
+    # the cut-off instances leave the interior-point method on a ray; their
+    # certificates pass the Farkas check, which settles them infeasible
+    # with no polish and no probe
     H, A, c, b, cut_off = _band_stack(0, 30, loose=1e8)
     k, n = c.shape
     none = np.zeros((k, 0))
@@ -417,7 +417,7 @@ def test_ray_exits_are_probed_before_polish():
     assert batch.lp_probes == 0
     # with no equality rows the solver hands the interior-point method H,
     # A, c and b as they are, started at the unconstrained minimizer
-    exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T, DEFAULT_TOL, DEFAULT_MAX_ITER)[3]
+    exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T, DEFAULT_MAX_ITER)[3]
     ray = exits == RAY
     assert not ray[~cut_off].any() and ray[cut_off].sum() >= 8
     # the polish never saw the instances that left on the ray
@@ -426,20 +426,20 @@ def test_ray_exits_are_probed_before_polish():
     assert batch.polish_groups == rest.polish_groups
 
 
-def test_unconverged_exits_are_probed_before_polish():
+def test_unconverged_exits_are_probed_after_polish():
     # half the cut-off instances of this stack leave the interior-point
-    # method on a broken step, not a ray; they hold no certificate and go
-    # to the probe first, while the rays pass the Farkas check, so the
-    # polish works on the feasible instances alone
+    # method on a broken step, not a ray; they hold no certificate, so the
+    # polish tries them within its budget and then the probe, once each,
+    # finds them infeasible, while the rays pass the Farkas check
     H, A, c, b, cut_off = _band_stack(11, 30, loose=1e8)
     k, n = c.shape
     batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     assert set(batch.exit[cut_off]) == {RAY, BROKEN} and (batch.exit[~cut_off] == CONVERGED).all()
     assert batch.lp_probes == (batch.exit == BROKEN).sum() == 5
-    feasible = solve_qp_batch(H, A, np.zeros((0, n)), c[~cut_off], b[~cut_off],
-                              np.zeros(((~cut_off).sum(), 0)))
-    assert batch.polish_groups == feasible.polish_groups == 14
+    assert (batch.factorizations[batch.exit == RAY] == 0).all()
+    assert (batch.factorizations[batch.exit == BROKEN] > 0).all()
+    assert (batch.factorizations <= COLD_UPDATES).all()
 
 
 def farkas_holds(A, Aeq, b, beq, lam, mu):
@@ -536,11 +536,12 @@ def test_feasible_large_cancelling_multipliers_are_no_ray(eps):
     # in x1 but keeps the gradient's 1e4 in x2.  On a feasible instance
     # |A'lam| >= -b'lam / |x|_1 for any feasible x, here 1e-4, far above
     # the ray test's 1e-9.  The multipliers keep the absolute merit above
-    # tol, so the method stalls; a stall is probed before the polish.
+    # tol, so the method stalls; the polish settles the stall, so no LP is
+    # asked.
     A = np.array([[1.0, eps], [-1.0, eps]])
     batch = solve_qp_batch(np.eye(2), A, np.zeros((0, 2)), np.zeros((1, 2)),
                            np.full((1, 2), -1e4 * eps), np.zeros((1, 0)))
-    assert batch.status[0] == OPTIMAL and batch.exit[0] == STALL and batch.lp_probes == 1
+    assert batch.status[0] == OPTIMAL and batch.exit[0] == STALL and batch.lp_probes == 0
     assert batch.x[0] == pytest.approx([0.0, -1e4], abs=1e-8)
     assert batch.lam[0] == pytest.approx([0.5e4 / eps] * 2, rel=1e-9)
 
