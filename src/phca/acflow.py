@@ -17,7 +17,9 @@ from .builder import BuilderConfig, build_problem
 from .errors import DimensionError, NonConvergenceError
 from .feeder import FeederModel
 
+#: the voltage update, in per unit, below which the sweep has converged
 SWEEP_TOL = 1e-12
+#: sweeps before the power flow gives up
 SWEEP_MAX_ITER = 200
 
 
@@ -62,14 +64,12 @@ def solve_powerflow(
     q: np.ndarray,
     v0: float = 1.0,
     ratios=None,
-    tol: float = SWEEP_TOL,
-    max_iter: int = SWEEP_MAX_ITER,
 ) -> PowerFlowSolution:
     """Backward/forward sweep for net injections p + jq (non-substation buses).
 
     Injections are generation minus consumption, ordered by internal bus
     index 1..N.  Raises NonConvergenceError when the voltage update fails
-    to fall below ``tol`` within ``max_iter`` sweeps.
+    to fall below SWEEP_TOL within SWEEP_MAX_ITER sweeps.
     """
     n = feeder.n_bus
     p = np.asarray(p, dtype=float)
@@ -91,7 +91,7 @@ def solve_powerflow(
         v[feeder.subtree[l]] *= ratio[j]
 
     branch = np.zeros(len(feeder.lines), dtype=complex)
-    for it in range(1, max_iter + 1):
+    for it in range(1, SWEEP_MAX_ITER + 1):
         # backward: consumption currents, accumulated children-first
         cons = np.conj(-s_inj / v)
         cons[0] = 0.0
@@ -114,7 +114,7 @@ def solve_powerflow(
                 new = v[feeder.parent[bus]] - z[l] * branch[l]
             delta = max(delta, abs(new - v[bus]))
             v[bus] = new
-        if delta < tol:
+        if delta < SWEEP_TOL:
             loss = np.array(
                 [
                     0.0 if l in reg_of_line else feeder.lines[l].r * abs(branch[l]) ** 2
@@ -126,7 +126,7 @@ def solve_powerflow(
             return PowerFlowSolution(v.copy(), branch.copy(), loss, it)
         if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1e3:
             raise NonConvergenceError(f"sweep diverged after {it} iterations")
-    raise NonConvergenceError(f"no convergence to {tol:g} within {max_iter} sweeps")
+    raise NonConvergenceError(f"no convergence to {SWEEP_TOL:g} within {SWEEP_MAX_ITER} sweeps")
 
 
 def power_balance_residual(

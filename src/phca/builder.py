@@ -250,22 +250,16 @@ class MpqpProblem:
         rhs += self.b[rows]
         return rhs
 
-    def right_hand_sides(
-        self, thetas: np.ndarray, rows: np.ndarray | slice = slice(None)
-    ) -> np.ndarray:
-        """Stacked right-hand sides as the QP sees them: inequality_rhs of
-        rows, followed by F theta + f of every equality row."""
-        rhs = self.inequality_rhs(thetas, rows)
-        if self.f.size == 0:
-            return rhs
-        eq = thetas @ self.F.T
-        eq += self.f
-        return np.concatenate([rhs, eq], axis=1)
-
     def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked parameter rows as the QP sees them: the costs
-        c = C theta + d and the right-hand sides of every row."""
-        return thetas @ self.C.T + self.d, self.right_hand_sides(thetas)
+        c = C theta + d and the right-hand sides, E theta + b of every
+        inequality row followed by F theta + f of every equality row."""
+        rhs = self.inequality_rhs(thetas)
+        if self.f.size:
+            eq = thetas @ self.F.T
+            eq += self.f
+            rhs = np.concatenate([rhs, eq], axis=1)
+        return thetas @ self.C.T + self.d, rhs
 
     def instance(self, theta: np.ndarray) -> QpInstance:
         theta = np.asarray(theta, dtype=float)
@@ -681,14 +675,17 @@ def scale_problem(prob: MpqpProblem) -> tuple[MpqpProblem, ScalingRecord]:
 
 #: positive default the calibrated slack price is floored at before use
 ETA_FLOOR = 1e-2
+#: factor by which the calibrated slack price exceeds the largest sample's
+#: soft-row multiplier sum
+ETA_MARGIN = 10.0
 
 
-def calibrate_eta(prob: MpqpProblem, thetas: np.ndarray, margin: float = 10.0) -> float:
+def calibrate_eta(prob: MpqpProblem, thetas: np.ndarray) -> float:
     """Slack price from soft-constraint multipliers of sample instances.
 
     Solves the unrelaxed problem of every sample in one stacked solve, sums
     the multipliers of the soft rows per sample, and returns
-    margin * (largest sum).  Infeasible samples are skipped, with one
+    ETA_MARGIN * (largest sum).  Infeasible samples are skipped, with one
     warning that counts them; if no sample is solved (an empty sample
     included) there is nothing to calibrate against and
     AllInfeasibleError is raised.  A batch whose
@@ -707,7 +704,7 @@ def calibrate_eta(prob: MpqpProblem, thetas: np.ndarray, margin: float = 10.0) -
     skipped = n - int(solved.sum())
     if skipped:
         logger.warning("calibration skipped %d of %d samples", skipped, n)
-    return margin * float(batch.lam[solved][:, soft].sum(axis=1).max())
+    return ETA_MARGIN * float(batch.lam[solved][:, soft].sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------

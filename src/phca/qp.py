@@ -87,7 +87,8 @@ INFEASIBLE = "infeasible"
 NUMERICAL_FAILURE = "numerical-failure"
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
+#: interior-point iterations an instance may take before it leaves with LIMIT
+MAX_ITER = 200
 #: relative size of |A'lam| below which the multipliers of an instance with
 #: b'lam < 0 count as a Farkas ray of its inequality rows
 RAY_TOL = 1e-9
@@ -105,7 +106,7 @@ COLD_UPDATES = 60
 
 #: how an instance left the interior-point method (QpBatch.exit): on a
 #: Farkas ray, converged, collapsed short of feasibility, stalled, after
-#: its Newton step broke down, or at max_iter; NONE where it never entered
+#: its Newton step broke down, or at MAX_ITER; NONE where it never entered
 #: it (a warm start settled it, or there are no inequality rows)
 RAY = "ray"
 CONVERGED = "converged"
@@ -351,7 +352,7 @@ def _max_step(z, lam, dz, dlam):
     return 1.0 / np.maximum(worst, 1.0)
 
 
-def _interior_point(Hz, Az, cz, bz, y, max_iter):
+def _interior_point(Hz, Az, cz, bz, y):
     """Mehrotra predictor-corrector on  min 0.5 y'Hz y + cz'y  s.t.
     Az y <= bz  for every row of cz and bz, started at y.
 
@@ -359,7 +360,7 @@ def _interior_point(Hz, Az, cz, bz, y, max_iter):
     interior-point collapse short of feasibility, after 30 iterations
     without progress, the iteration after their Newton step broke down, or
     as soon as their multipliers form a Farkas ray of  Az y <= bz (see the
-    module docstring), or at max_iter.  Each returns its last iterate, or
+    module docstring), or at MAX_ITER.  Each returns its last iterate, or
     its best one when the last is worse or not finite, as (y, lam,
     iterations, exit), exit holding each instance's exit kind: RAY,
     CONVERGED, COLLAPSE, STALL, BROKEN or LIMIT, the first that applies.
@@ -409,7 +410,7 @@ def _interior_point(Hz, Az, cz, bz, y, max_iter):
         return {name: a[~out] for name, a in s.items()}
 
     with np.errstate(all="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             r_d, r_p, mu_c, lam_az = _ipm_residuals(Hz, Az, AzT, s)
             rp_max = np.abs(r_p).max(axis=1)
             merit = np.maximum(np.maximum(np.abs(r_d).max(axis=1, initial=0.0), rp_max), mu_c)
@@ -463,7 +464,7 @@ def _interior_point(Hz, Az, cz, bz, y, max_iter):
             s["lam"] = lam + alpha[:, None] * dlam
         else:
             left = s["idx"].size
-            leave(s, np.ones(left, dtype=bool), max_iter, np.full(left, IPM_EXITS.index(LIMIT)))
+            leave(s, np.ones(left, dtype=bool), MAX_ITER, np.full(left, IPM_EXITS.index(LIMIT)))
     return out_y, out_lam, iters, np.asarray(IPM_EXITS, dtype=object)[exits]
 
 
@@ -578,7 +579,7 @@ def _optimal(resid, b, lam, mu, x):
         return (resid[:, 1] <= primal_tol) & (resid[:, [0, 2]].max(axis=1) <= dual_tol)
 
 
-def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, max_iter):
+def _solve_cold(H, A, Aeq, eq_rows, c, b, beq):
     """The interior-point method for every instance of the stack, its
     iterate taken back to x-space, and the Farkas check of its ray exits;
     eq_rows are the independent rows of Aeq.  Returns (x, lam, mu,
@@ -605,7 +606,7 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq, max_iter):
     iterations = np.zeros(k, dtype=np.int64)
     exits = np.full(k, NONE, dtype=object)
     if m:
-        y, lam, iterations, exits = _interior_point(Hz, Az, cz, b - x0 @ A.T, y, max_iter)
+        y, lam, iterations, exits = _interior_point(Hz, Az, cz, b - x0 @ A.T, y)
     x = x0 + y @ Z.T
     mu = np.zeros((k, e))
     if r:
@@ -629,7 +630,6 @@ def solve_qp_batch(
     c: np.ndarray,
     b: np.ndarray,
     beq: np.ndarray,
-    max_iter: int = DEFAULT_MAX_ITER,
     start: list | None = None,
 ) -> QpBatch:
     """Solve k convex QPs that share H, A and Aeq to KKT residuals below
@@ -686,7 +686,7 @@ def solve_qp_batch(
         # a slice when no instance settled warm saves gathering the stack
         cold = np.flatnonzero(~warm) if warm.any() else slice(None)
         xc, lamc, muc, iterations[cold], exits[cold], certified[cold] = _solve_cold(
-            H, A, Aeq, eq_rows, c[cold], b[cold], beq[cold], max_iter
+            H, A, Aeq, eq_rows, c[cold], b[cold], beq[cold]
         )
         x[cold], lam[cold], mu[cold] = xc, lamc, muc
         resid[cold] = _kkt_residuals(H, A, Aeq, c[cold], b[cold], beq[cold], xc, lamc, muc)
@@ -719,16 +719,12 @@ def solve_qp_batch(
     )
 
 
-def solve_qp(
-    inst: QpInstance,
-    max_iter: int = DEFAULT_MAX_ITER,
-    start=None,
-) -> QpSolution:
+def solve_qp(inst: QpInstance, start=None) -> QpSolution:
     """Solve one convex QP to KKT residuals below DEFAULT_TOL: the k = 1
     case of solve_qp_batch, warm-started from the rows in start when
     given."""
     return solve_qp_batch(
-        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None], max_iter,
+        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None],
         None if start is None else [start],
     ).solution(0)
 

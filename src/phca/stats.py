@@ -10,11 +10,11 @@ problem is infeasible for practical purposes.
 
 Both reports format one statistics pass over the result: the group
 statistics and the remote regulators' tap-ratio ranges.  The pass is
-kept on the result, keyed by the theta set and feeder objects and the
-quantiles it read, so a report pair on one result runs it once.  The
-reports therefore treat a BatchResult as a value: to change one, build a
-new one with dataclasses.replace (which starts with no pass kept) rather
-than editing its arrays in place after a report.  The public functions
+kept on the result, keyed by the theta set and feeder objects it read,
+so a report pair on one result runs it once.  The reports therefore
+treat a BatchResult as a value: to change one, build a new one with
+dataclasses.replace (which starts with no pass kept) rather than editing
+its arrays in place after a report.  The public functions
 below are never cached.
 """
 
@@ -34,7 +34,10 @@ from .scenarios import ThetaSet
 SLACK_ZERO_TOL = 1e-8
 RELAX_THRESHOLD = 1e-6
 VIOLATION_TOL = 1e-6
-DEFAULT_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+#: the slack and voltage quantiles every group reports
+QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+#: most violated soft rows a group lists
+TOP_ROWS = 5
 
 
 def slack_values(result: BatchResult) -> np.ndarray:
@@ -133,7 +136,7 @@ class GroupStats:
     n_relaxed: int
     slack_quantiles: tuple[float, ...]
     max_slack: float
-    voltage_quantiles: np.ndarray  # len(quantiles) x n_inj
+    voltage_quantiles: np.ndarray  # len(QUANTILES) x n_inj
     worst_rows: tuple[tuple[str, int, float], ...]  # label, violated count, max amount
 
     @property
@@ -141,33 +144,26 @@ class GroupStats:
         return self.n_relaxed / self.n_solved if self.n_solved else float("nan")
 
 
-def group_stats(
-    result: BatchResult,
-    theta_set: ThetaSet,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-    top_rows: int = 5,
-) -> list[GroupStats]:
-    """Per-group distributions over the solved instances.
+def group_stats(result: BatchResult, theta_set: ThetaSet) -> list[GroupStats]:
+    """Per-group distributions over the solved instances: QUANTILES of the
+    slack and of each bus voltage, and the TOP_ROWS most violated soft
+    rows.
 
     Quantiles use the linear interpolation rule.  Raises EmptyGroupError
     when a grid cell produced no solved instance at all.
     """
-    return _group_stats(result, theta_set, voltage_matrix(result), quantiles, top_rows)
+    return _group_stats(result, theta_set, voltage_matrix(result))
 
 
 def _group_stats(
-    result: BatchResult,
-    theta_set: ThetaSet,
-    volts: np.ndarray,
-    quantiles: tuple[float, ...],
-    top_rows: int,
+    result: BatchResult, theta_set: ThetaSet, volts: np.ndarray
 ) -> list[GroupStats]:
     """group_stats reading volts, the result's voltage matrix."""
     prob = result.problem
     s_all = slack_values(result)
     soft, resid = soft_violations(result)
     labels = [str(prob.row_labels[i]) for i in soft]
-    qs = np.asarray(quantiles)
+    qs = np.asarray(QUANTILES)
 
     out = []
     for key in theta_set.group_keys():
@@ -185,7 +181,7 @@ def _group_stats(
             if counts[j] == 0:
                 break
             worst.append((labels[j], int(counts[j]), float(resid[solved, j].max())))
-            if len(worst) == top_rows:
+            if len(worst) == TOP_ROWS:
                 break
         out.append(
             GroupStats(
@@ -211,36 +207,23 @@ class _Summary:
     to the (min, max) of its finite tap ratios."""
 
     theta_set: ThetaSet
-    feeder: FeederModel | None
-    quantiles: tuple[float, ...]
+    feeder: FeederModel
     groups: list[GroupStats]
     ratios: dict[str, tuple[float, float]]
 
 
-def _summary(
-    result: BatchResult,
-    theta_set: ThetaSet,
-    feeder: FeederModel | None,
-    quantiles: tuple[float, ...],
-) -> _Summary:
+def _summary(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> _Summary:
     """The result's statistics pass for these inputs, kept on the result."""
-    quantiles = tuple(quantiles)
     kept = result._report_summary
-    if (
-        kept is not None
-        and kept.theta_set is theta_set
-        and kept.feeder is feeder
-        and kept.quantiles == quantiles
-    ):
+    if kept is not None and kept.theta_set is theta_set and kept.feeder is feeder:
         return kept
     volts = voltage_matrix(result)
-    groups = _group_stats(result, theta_set, volts, quantiles, top_rows=5)
+    groups = _group_stats(result, theta_set, volts)
     ratios = {}
-    if feeder is not None:
-        for ref, arr in _ratios(result, feeder, volts).items():
-            finite = arr[np.isfinite(arr)]
-            ratios[ref] = (float(finite.min()), float(finite.max()))
-    result._report_summary = _Summary(theta_set, feeder, quantiles, groups, ratios)
+    for ref, arr in _ratios(result, feeder, volts).items():
+        finite = arr[np.isfinite(arr)]
+        ratios[ref] = (float(finite.min()), float(finite.max()))
+    result._report_summary = _Summary(theta_set, feeder, groups, ratios)
     return result._report_summary
 
 
@@ -249,12 +232,7 @@ def _bus_names(prob: MpqpProblem) -> list[str]:
     return [name[3:-1] for name in prob.theta_names[: prob.n_inj]]
 
 
-def render_report(
-    result: BatchResult,
-    theta_set: ThetaSet,
-    feeder: FeederModel | None = None,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-) -> str:
+def render_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> str:
     """Human-readable batch report."""
     prob = result.problem
     c = result.counters
@@ -268,9 +246,9 @@ def render_report(
         f"  reuse {c.reuse}  seeds {c.seeds}  degenerate {c.degenerate} "
         f"stragglers {c.stragglers}  infeasible {c.infeasible}  failed {c.failed}"
     )
-    qs_label = " ".join(f"q{int(round(100 * q)):02d}" for q in quantiles)
+    qs_label = " ".join(f"q{int(round(100 * q)):02d}" for q in QUANTILES)
     buses = _bus_names(prob)
-    summary = _summary(result, theta_set, feeder, quantiles)
+    summary = _summary(result, theta_set, feeder)
     for gs in summary.groups:
         kappa, oversize, alpha = gs.key
         lines.append("")
@@ -288,7 +266,7 @@ def render_report(
         )
         lines.append("  voltage quantiles per bus [" + qs_label + "]")
         for j, bus in enumerate(buses):
-            vals = " ".join(f"{gs.voltage_quantiles[qi, j]:.5f}" for qi in range(len(quantiles)))
+            vals = " ".join(f"{gs.voltage_quantiles[qi, j]:.5f}" for qi in range(len(QUANTILES)))
             lines.append(f"    bus {bus:>4s}  {vals}")
         if gs.worst_rows:
             lines.append("  most violated soft rows (count, worst amount):")
@@ -304,16 +282,11 @@ def render_report(
     return "\n".join(lines) + "\n"
 
 
-def json_report(
-    result: BatchResult,
-    theta_set: ThetaSet,
-    feeder: FeederModel | None = None,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-) -> str:
+def json_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> str:
     """Machine-readable counterpart of render_report; deterministic."""
     prob = result.problem
     buses = _bus_names(prob)
-    summary = _summary(result, theta_set, feeder, quantiles)
+    summary = _summary(result, theta_set, feeder)
     groups = []
     for gs in summary.groups:
         groups.append(
@@ -338,7 +311,7 @@ def json_report(
         )
     payload = {
         "counters": asdict(result.counters),
-        "quantiles": list(quantiles),
+        "quantiles": list(QUANTILES),
         "groups": groups,
     }
     if summary.ratios:

@@ -204,8 +204,10 @@ def test_sweep_needs_two_scales(demo_feeder):
         approximation_error_sweep(demo_feeder, np.zeros(n), np.zeros(n), scales=(1.0,))
 
 
-def test_sweep_tolerance_controls_iterations():
+def test_sweep_tolerance_controls_iterations(monkeypatch):
     fd = load_feeder(SINGLE_LINE)
-    fine = solve_powerflow(fd, [-0.1], [-0.04], tol=1e-12)
-    coarse = solve_powerflow(fd, [-0.1], [-0.04], tol=1e-6)
+    assert acflow.SWEEP_TOL == 1e-12
+    fine = solve_powerflow(fd, [-0.1], [-0.04])
+    monkeypatch.setattr(acflow, "SWEEP_TOL", 1e-6)
+    coarse = solve_powerflow(fd, [-0.1], [-0.04])
     assert coarse.iterations <= fine.iterations

@@ -264,23 +264,23 @@ def test_instance_data_matches_products(scaled_ldc_problem, small_theta_set):
     thetas = small_theta_set.thetas[::7]
     soft = prob.soft_rows
     c, rhs = prob.instance_data(thetas)
-    part = prob.right_hand_sides(thetas, soft)
+    part = prob.inequality_rhs(thetas, soft)
     assert c.shape == (len(thetas), prob.n_var) and rhs.shape == (len(thetas), m + n_eq)
-    assert part.shape == (len(thetas), soft.size + n_eq)
+    assert part.shape == (len(thetas), soft.size)
     for k, th in enumerate(thetas):
         inst = prob.instance(th)
         for got, want in (
             (c[k], prob.C @ th + prob.d),
             (rhs[k, :m], prob.E @ th + prob.b),
             (rhs[k, m:], prob.F @ th + prob.f),
-            (part[k], np.concatenate([prob.E[soft] @ th + prob.b[soft], prob.F @ th + prob.f])),
+            (part[k], prob.E[soft] @ th + prob.b[soft]),
             (np.concatenate([inst.c, inst.b, inst.beq]), np.concatenate([c[k], rhs[k]])),
         ):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def _stacked_rhs(prob, thetas, rows):
-    # right_hand_sides as it once was: both blocks formed, then the
+    # the right-hand sides as they were once formed: both blocks, then the
     # inequality block sliced off
     E, b = prob.E[rows], prob.b[rows]
     m = b.size
@@ -301,10 +301,11 @@ def test_inequality_rhs_is_the_inequality_block(scaled_ldc_problem, small_theta_
         # the loader's feasibility check reads every row, soft_violations
         # the soft rows: both bit for bit what they read before
         assert prob.inequality_rhs(thetas, rows).tobytes() == old[:, :m].tobytes()
-        assert prob.right_hand_sides(thetas, rows).tobytes() == old.tobytes()
+    old = _stacked_rhs(prob, thetas, slice(None))
+    assert prob.instance_data(thetas)[1].tobytes() == old.tobytes()
 
 
-def test_calibrate_eta(demo_problem, demo_scenarios):
+def test_calibrate_eta(demo_problem, demo_scenarios, monkeypatch):
     prob = demo_problem
     scen = demo_scenarios
     # heavy overload makes the soft rows bind so the multipliers are positive
@@ -312,9 +313,12 @@ def test_calibrate_eta(demo_problem, demo_scenarios):
         prob, scen.pc[:24], scen.qc[:24], scen.pg[:24],
         alpha=0.12, kappa=5.0, oversize=1.0,
     )
-    base = calibrate_eta(prob, thetas, margin=1.0)
+    assert builder_mod.ETA_MARGIN == 10.0
+    eta = calibrate_eta(prob, thetas)
+    monkeypatch.setattr(builder_mod, "ETA_MARGIN", 1.0)
+    base = calibrate_eta(prob, thetas)
     assert base > 0.0
-    assert calibrate_eta(prob, thetas, margin=10.0) == pytest.approx(10.0 * base, rel=1e-12)
+    assert eta == pytest.approx(10.0 * base, rel=1e-12)
 
 
 def test_calibrate_eta_warns_once(demo_problem, demo_scenarios, caplog):
@@ -363,7 +367,7 @@ def overloaded_hours(prob, scen, hours=24):
     )
 
 
-def scalar_eta(prob, thetas, margin=10.0):
+def scalar_eta(prob, thetas):
     """calibrate_eta's answer from one solve_qp call per sample."""
     sums = []
     for th in thetas:
@@ -371,7 +375,7 @@ def scalar_eta(prob, thetas, margin=10.0):
         sol = solve_qp(inst)
         if sol.status == OPTIMAL:
             sums.append(sol.lam[soft].sum())
-    return margin * max(sums)
+    return 10.0 * max(sums)
 
 
 @pytest.mark.parametrize("sample", ["demo", "random-feeder", "forced-infeasible"])

@@ -16,6 +16,7 @@ from phca import (
     build_problem,
     demo,
     expand_grid,
+    load_feeder,
     load_result_json,
     load_scenarios,
     run_batch,
@@ -28,7 +29,7 @@ from phca.engine import STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
-from phca.stats import json_report, render_report
+from phca.stats import json_report, recover_ratios, render_report
 
 
 @pytest.fixture(scope="module")
@@ -534,6 +535,29 @@ def test_ldc_batch_matches_oracle(scaled_ldc_problem, small_theta_set):
     report = validate_batch(res)
     assert report.checked == solved.sum()
     assert report.mismatches == () and report.ok
+
+
+@pytest.mark.parametrize(
+    "regulator",
+    ["0 1 remote - - - -", "0 1 local 1.00 - - -", "0 1 ldc 1.00 - 0.02 0.01"],
+    ids=["remote", "local", "ldc"],
+)
+def test_regulator_fed_by_the_substation_matches_oracle(regulator):
+    # a regulator whose input is the substation bus reads its input voltage
+    # off v0, not off a row of the voltage map
+    feeder = load_feeder(demo.FEEDER_TEXT + regulator + "\n")
+    prob = build_problem(feeder, BuilderConfig(beta=0.2, vmin=0.97, vmax=1.03))
+    scaled = scale_problem(prob.with_eta(ETA_FLOOR))[0]
+    scen = load_scenarios(feeder, demo.loads_csv(days=2), demo.solar_csv(days=2), seed=0)
+    grid = AnalysisGrid(kappa=(1.0, 2.0), oversize=(1.0,), alpha=(0.24, 0.48))
+    res = run_batch(scaled, expand_grid(scaled, scen, grid).thetas)
+    solved = res.solved_mask()
+    report = validate_batch(res)
+    assert report.checked == solved.sum() > 0
+    assert report.mismatches == ()
+    if regulator.split()[2] == "remote":
+        ratio = recover_ratios(res, feeder)["0-1"][solved]
+        assert np.isfinite(ratio).all()
 
 
 def _columns(res):

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import phca.qp as qp_mod
 from phca.builder import theta_map_batch
 from phca.qp import (
     BROKEN,
     COLD_UPDATES,
     CONVERGED,
-    DEFAULT_MAX_ITER,
     NONE,
     WARM_UPDATES,
     _farkas,
@@ -259,7 +259,7 @@ def test_warm_start_rows_are_checked():
                        start=[[0], [0]])
 
 
-def test_polish_takes_in_a_dependent_violated_row():
+def test_polish_takes_in_a_dependent_violated_row(monkeypatch):
     # The KKT point (0, 0) of rows 0 and 1 violates row 2, which is a
     # combination of them.  The polish must take row 2 in and let an older
     # row go, not drop row 2 again and cycle.  With no interior-point
@@ -268,7 +268,8 @@ def test_polish_takes_in_a_dependent_violated_row():
         np.eye(2), [-1.0, -1.0],
         A=[[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]], b=[0.0, 0.0, -0.1],
     )
-    sol = solve_qp(inst, max_iter=0)
+    monkeypatch.setattr(qp_mod, "MAX_ITER", 0)
+    sol = solve_qp(inst)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([-0.5, -0.5], abs=1e-12)
     assert sol.lam == pytest.approx([0.0, 0.0, 15.0], abs=1e-10)
@@ -318,14 +319,14 @@ def test_independent_rows_match_reference():
         assert _independent_rows(K).tolist() == independent_rows_reference(K)
 
 
-def test_batch_matches_single_solves():
+def test_batch_matches_single_solves(monkeypatch):
     """Every member of a stacked solve equals its own solve_qp call, and
     the exhaustive oracle where the row count allows it."""
     rng = np.random.default_rng(7)
     stacks = [
-        (_stack(rng, 100, 3, 5, 1), DEFAULT_MAX_ITER),
-        (_stack(rng, 100, 4, 6, 0), DEFAULT_MAX_ITER),
-        (_stack(rng, 80, 6, 24, 2), DEFAULT_MAX_ITER),
+        (_stack(rng, 100, 3, 5, 1), qp_mod.MAX_ITER),
+        (_stack(rng, 100, 4, 6, 0), qp_mod.MAX_ITER),
+        (_stack(rng, 80, 6, 24, 2), qp_mod.MAX_ITER),
     ]
     # with no interior-point iterations the polish starts from every row
     # the start point violates; the first member is the dependent-row case
@@ -336,10 +337,11 @@ def test_batch_matches_single_solves():
     stacks.append(((np.eye(2), A, np.zeros((0, 2)), c, b, np.zeros((40, 0))), 0))
     seen = {OPTIMAL: 0, INFEASIBLE: 0}
     for (H, A, Aeq, c, b, beq), max_iter in stacks:
-        batch = solve_qp_batch(H, A, Aeq, c, b, beq, max_iter=max_iter)
+        monkeypatch.setattr(qp_mod, "MAX_ITER", max_iter)
+        batch = solve_qp_batch(H, A, Aeq, c, b, beq)
         for i in range(c.shape[0]):
             inst = QpInstance.build(H, c[i], A=A, b=b[i], Aeq=Aeq, beq=beq[i])
-            single = solve_qp(inst, max_iter=max_iter)
+            single = solve_qp(inst)
             sol = batch.solution(i)
             assert sol.status == single.status, f"member {i}"
             assert np.max(np.abs(sol.x - single.x)) <= 1e-9, f"member {i}"
@@ -417,7 +419,7 @@ def test_certified_ray_exits_skip_the_polish():
     assert batch.lp_probes == 0
     # with no equality rows the solver hands the interior-point method H,
     # A, c and b as they are, started at the unconstrained minimizer
-    exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T, DEFAULT_MAX_ITER)[3]
+    exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T)[3]
     ray = exits == RAY
     assert not ray[~cut_off].any() and ray[cut_off].sum() >= 8
     # the polish never saw the instances that left on the ray
