@@ -57,11 +57,8 @@ from .feeder import (
     FeederModel,
     Line,
     RegulatorSpec,
-    Subgraph,
-    SubgraphSensitivity,
     load_feeder,
-    partition_by_regulators,
-    sensitivity_matrices,
+    voltage_model,
 )
 from .qp import QpBatch, QpInstance, QpSolution, identify_active, solve_qp, solve_qp_batch
 from .regions import CriticalRegion, RegionContext

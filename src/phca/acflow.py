@@ -4,7 +4,7 @@ A backward/forward sweep with complex phasors: backward pass accumulates
 branch currents from constant-power bus injections, forward pass updates
 voltages.  Regulators are treated as ideal transformers with caller-supplied
 fixed ratios (lossless, the branch impedance under a regulator is not
-modeled), which matches the assumption behind the subgraph voltage law.
+modeled), which matches the assumption behind the linear voltage model.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ def solve_powerflow(
     s_inj[1:] = p + 1j * q
 
     ratio = _ratio_array(feeder, ratios)
-    reg_of_line = {}
-    for j, rg in enumerate(feeder.regulators):
-        reg_of_line[feeder.line_between(rg.m, rg.n)] = j
+    reg_of_line = {feeder.parent_line[rg.n]: j for j, rg in enumerate(feeder.regulators)}
 
     z = np.array([ln.r + 1j * ln.x for ln in feeder.lines])
     v = np.full(n, complex(v0), dtype=complex)
@@ -141,7 +139,7 @@ def power_balance_residual(
     s_inj = np.zeros(n, dtype=complex)
     s_inj[1:] = np.asarray(p, float) + 1j * np.asarray(q, float)
     ratio = _ratio_array(feeder, ratios)
-    reg_of_line = {feeder.line_between(rg.m, rg.n): j for j, rg in enumerate(feeder.regulators)}
+    reg_of_line = {feeder.parent_line[rg.n]: j for j, rg in enumerate(feeder.regulators)}
 
     worst = 0.0
     for bus in range(1, n):
@@ -168,7 +166,7 @@ def angle_form_losses(feeder: FeederModel, sol: PowerFlowSolution) -> float:
     g * (vm^2 + vn^2 - 2 vm vn cos psi); summing over non-regulator lines
     must agree with the current-based total.
     """
-    reg_lines = feeder.regulator_line_indices()
+    reg_lines = {feeder.parent_line[rg.n] for rg in feeder.regulators}
     total = 0.0
     for l, ln in enumerate(feeder.lines):
         if l in reg_lines:

@@ -33,7 +33,7 @@ from .errors import (
     HeadroomError,
     ModelError,
 )
-from .feeder import LDC, LOCAL, REMOTE, FeederModel, partition_by_regulators, sensitivity_matrices
+from .feeder import LDC, LOCAL, REMOTE, FeederModel, voltage_model
 from .qp import OPTIMAL, QpInstance, solve_qp_batch
 from .qp import solve_qp  # noqa: F401  bench/tracing.py wraps phca.builder.solve_qp
 
@@ -118,12 +118,15 @@ def load_config(path) -> BuilderConfig:
     """Read a BuilderConfig from an ini-style file.
 
     Section [dispatch] holds the decimal fields; section [constraints]
-    holds family = hard|soft overrides.
+    holds family = hard|soft overrides.  Any other section is refused.
     """
     parser = configparser.ConfigParser()
     read = parser.read(str(path))
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    unknown = set(parser.sections()) - {"dispatch", "constraints"}
+    if unknown:
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     kwargs = {}
     if parser.has_section("dispatch"):
         for key in parser.options("dispatch"):
@@ -168,8 +171,8 @@ class MpqpProblem:
     """The assembled parametric QP plus enough layout to interpret x and theta.
 
     W and U map (x, theta) to the non-substation voltages, and RL is the
-    quadratic loss form over the net injections, both under the linear
-    subgraph model.
+    quadratic loss form over the net injections, both under the
+    first-order model of feeder.voltage_model.
     """
 
     H: np.ndarray
@@ -190,11 +193,10 @@ class MpqpProblem:
     der_p_rating: tuple[float, ...]
     v0_index: int
     vreg_indices: tuple[int, ...]
-    slack_index: int | None
-    W: np.ndarray | None
-    U: np.ndarray | None
-    RL: np.ndarray | None
-    config: BuilderConfig | None = None
+    slack_index: int
+    W: np.ndarray
+    U: np.ndarray
+    RL: np.ndarray
     scaling: ScalingRecord | None = None
 
     # ---- dimensions -------------------------------------------------------
@@ -213,8 +215,6 @@ class MpqpProblem:
 
     @property
     def eta(self) -> float:
-        if self.slack_index is None:
-            return 0.0
         return float(self.d[self.slack_index])
 
     @property
@@ -278,8 +278,6 @@ class MpqpProblem:
         in solve_qp_batch's order, (H, A, B, c, b, beq), followed by the
         positions of the soft rows among the kept inequality rows.
         """
-        if self.slack_index is None:
-            raise ModelError("problem has no slack variable to remove")
         if thetas.ndim != 2 or thetas.shape[1] != self.n_theta:
             raise DimensionError(
                 f"thetas must have shape (k, {self.n_theta}), got {thetas.shape}"
@@ -308,8 +306,6 @@ class MpqpProblem:
         """Copy of the problem with the linear slack price replaced."""
         if self.scaling is not None:
             raise ModelError("set eta before scaling the problem")
-        if self.slack_index is None:
-            raise ModelError("problem has no slack variable")
         if not np.isfinite(eta):
             raise ConfigError(f"eta must be finite, got {eta}")
         if eta < 0:
@@ -323,8 +319,6 @@ class MpqpProblem:
 
     def voltages(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Non-substation voltage magnitudes implied by a solution."""
-        if self.W is None:
-            raise ModelError("problem carries no voltage map")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         out = x @ self.W.T + theta @ self.U.T
@@ -339,9 +333,10 @@ def _freeze(*arrays):
 def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     """Assemble the parametric QP for one feeder and configuration.
 
-    Voltages are expressed per subgraph: member voltage = R p' + X q' +
-    root voltage, where effective injections p', q' fold everything hanging
-    below a downstream regulator into its input bus.  Regulator output
+    Each bus voltage is its piece root's voltage (the substation's or a
+    regulator output) plus R p + X q over the net injections, from
+    feeder.voltage_model: an injection below a regulator reaches the
+    upstream piece through the regulator's input bus.  Regulator output
     voltages are decision variables; local and ldc regulators pin them via
     equality rows (the ldc row sees the reactive decision through the flow
     it compensates), remote regulators bound them relative to the input
@@ -368,43 +363,19 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     for bus, j in qg_col_of_bus.items():
         sel_qg[bus - 1, j] = 1.0
 
-    subs = partition_by_regulators(feeder)
-    reg_line = [feeder.line_between(rg.m, rg.n) for rg in regs]
-
-    # W, U: member voltages affine in (x, theta); RL: loss quadratic over
-    # injections, accumulated per subgraph
-    W = np.zeros((n_inj, n_var))
+    # W, U: bus voltages affine in (x, theta), each referenced to its
+    # piece root's column (v0 for piece 0, vreg[k] for piece k + 1); RL:
+    # loss quadratic over injections
+    piece, R, X, RL = voltage_model(feeder)
+    W = X @ sel_qg
+    W[np.arange(n_inj), v0_col + piece] += 1.0
     U = np.zeros((n_inj, n_theta))
-    RL = np.zeros((n_inj, n_inj))
     pc_sl = slice(0, n_inj)
     qc_sl = slice(n_inj, 2 * n_inj)
     pg_sl = slice(2 * n_inj, 3 * n_inj)
-
-    for sub in subs:
-        if sub.root == 0:
-            root_col = v0_col
-        else:
-            W[sub.root - 1, vreg_cols[sub.index - 1]] = 1.0
-            root_col = vreg_cols[sub.index - 1]
-        if not sub.members:
-            continue
-        sens = sensitivity_matrices(sub, feeder)
-        agg = np.zeros((len(sub.members), n_inj))
-        for jloc, bus in enumerate(sub.members):
-            agg[jloc, bus - 1] = 1.0
-            for k, rg in enumerate(regs):
-                if rg.m == bus:
-                    below = np.flatnonzero(feeder.subtree[reg_line[k]])
-                    agg[jloc, below - 1] = 1.0
-        rows = [bb - 1 for bb in sub.members]
-        RA = sens.R @ agg
-        XA = sens.X @ agg
-        W[rows, :] += XA @ sel_qg
-        W[rows, root_col] += 1.0
-        U[np.ix_(rows, range(pc_sl.start, pc_sl.stop))] += -RA
-        U[np.ix_(rows, range(qc_sl.start, qc_sl.stop))] += -XA
-        U[np.ix_(rows, range(pg_sl.start, pg_sl.stop))] += RA
-        RL += agg.T @ sens.R @ agg
+    U[:, pc_sl] -= R
+    U[:, qc_sl] -= X
+    U[:, pg_sl] += R
 
     def bus_affine(bus: int) -> tuple[np.ndarray, np.ndarray]:
         if bus == 0:
@@ -515,7 +486,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
 
     # ---- equalities -------------------------------------------------------
     beq_rows, feq_rows, f_vals, eq_labels = [], [], [], []
-    for k, rg in enumerate(regs):
+    for rg in regs:
         if rg.kind == REMOTE:
             continue
         ref = f"{feeder.ext_ids[rg.m]}-{feeder.ext_ids[rg.n]}"
@@ -529,7 +500,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
             # output voltage minus compensator drop equals the target; the
             # drop rides on the total flow crossing the regulator, which is
             # minus the sum of injections below it
-            below = np.flatnonzero(feeder.subtree[reg_line[k]])
+            below = np.flatnonzero(feeder.subtree[feeder.parent_line[rg.n]])
             mask = np.zeros(n_inj)
             mask[below - 1] = 1.0
             row = w_n.copy()
@@ -581,7 +552,6 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         W=W,
         U=U,
         RL=RL,
-        config=config,
     )
 
 

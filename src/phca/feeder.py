@@ -1,15 +1,17 @@
 """Radial feeder model.
 
-Parses the feeder document, validates the topology, splits the tree into
-regulator-bounded subgraphs, and computes the injection-to-voltage
-sensitivities used everywhere else.  Voltage magnitudes are per-unit; a
-first-order drop model is used inside each subgraph:
+Parses the feeder document, validates the topology, and computes the
+injection-to-voltage sensitivities used everywhere else.  Voltage
+magnitudes are per-unit; a first-order drop model is used on every line
+but the regulator lines:
 
     v_m - v_n ~= r_mn * P_mn + x_mn * Q_mn
 
-so member voltages are affine in the injections with coefficient matrices
-whose (i, j) entry is the resistance (reactance) summed over the lines
-shared by the paths root->i and root->j.
+Each regulator output bus roots the piece of the tree below it, up to
+the next regulators, so a bus's voltage is its piece root's plus an
+affine term in the injections, whose (i, j) coefficient is the
+resistance (reactance) summed over the lines between bus i and its
+piece root that carry bus j's injection.
 """
 
 from __future__ import annotations
@@ -95,38 +97,6 @@ class FeederModel:
             if (ln.from_bus, ln.to_bus) == (a, b) or (ln.from_bus, ln.to_bus) == (b, a):
                 return k
         raise SchemaError(f"no line between buses {self.ext_ids[a]} and {self.ext_ids[b]}")
-
-    def regulator_line_indices(self) -> set[int]:
-        return {self.line_between(rg.m, rg.n) for rg in self.regulators}
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """One regulator-bounded piece of the tree.
-
-    ``root`` is the substation or a regulator output bus.  ``members`` are
-    the buses whose voltage is referenced to the root (the root itself is
-    excluded).
-    """
-
-    index: int
-    root: int
-    members: tuple[int, ...]
-    line_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SubgraphSensitivity:
-    """Affine voltage data for one subgraph.
-
-    R and X map member injections to voltage deviations from the root.
-    """
-
-    index: int
-    root: int
-    members: tuple[int, ...]
-    R: np.ndarray
-    X: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -369,66 +339,40 @@ def load_feeder(text: str) -> FeederModel:
 
 
 # ---------------------------------------------------------------------------
-# regulator partition and sensitivities
+# first-order voltage and loss model
 
 
-def partition_by_regulators(feeder: FeederModel) -> tuple[Subgraph, ...]:
-    """Split the tree into subgraphs by cutting every regulator line.
+def voltage_model(feeder: FeederModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Piece of each bus and the injection-to-voltage and loss matrices.
 
-    The piece containing the substation comes first, rooted at bus 0; each
-    regulator contributes a piece rooted at its output bus, in document
-    order.  Every non-substation bus lands in exactly one piece.
+    Cutting every regulator line splits the tree into pieces: piece 0
+    holds the substation, piece k + 1 is rooted at regulator k's output
+    bus.  Returns (piece, R, X, RL) over the injection slots of buses
+    1..N: bus i + 1 lies in piece piece[i], and its voltage is its piece
+    root's plus (R p + X q)[i] for net injections p and q.  R[i, j] sums r
+    over the lines between bus i + 1 and its piece root that also carry
+    bus j + 1's injection; a line carries every bus below it, across
+    regulators, so an injection below a regulator acts on the upstream
+    piece through the regulator's input bus.  p' RL p is the ohmic loss
+    over every non-regulator line.
     """
-    cut = {feeder.line_between(rg.m, rg.n) for rg in feeder.regulators}
-    children: list[list[tuple[int, int]]] = [[] for _ in range(feeder.n_bus)]
-    for k, ln in enumerate(feeder.lines):
-        if k not in cut:
-            children[ln.from_bus].append((ln.to_bus, k))
-
-    def grow(root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        buses, lns = [], []
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, k in children[u]:
-                buses.append(v)
-                lns.append(k)
-                stack.append(v)
-        return tuple(sorted(buses)), tuple(sorted(lns))
-
-    out = []
-    members, lns = grow(0)
-    out.append(Subgraph(0, 0, members, lns))
-    for j, rg in enumerate(feeder.regulators, start=1):
-        members, lns = grow(rg.n)
-        out.append(Subgraph(j, rg.n, members, lns))
-    return tuple(out)
-
-
-def sensitivity_matrices(sub: Subgraph, feeder: FeederModel) -> SubgraphSensitivity:
-    """Build R and X for one subgraph.
-
-    Works by two tree traversals instead of inverting the incidence matrix:
-    each line adds its impedance to every member pair lying below it, which
-    reproduces the shared-path-to-root rule.  R (and X when every line has
-    positive reactance) is symmetric positive definite.
-    """
-    members = sub.members
-    if not members:
-        z = np.zeros((0, 0))
-        return SubgraphSensitivity(sub.index, sub.root, members, z, z.copy())
-    # each member's feeding line, ordered like the members themselves
-    line_order = tuple(int(feeder.parent_line[b]) for b in members)
-    if sorted(line_order) != sorted(sub.line_indices):
-        raise SingularIncidenceError("subgraph line set does not match its members")
-    mem_idx = np.asarray(members, dtype=np.int64)
-    below = feeder.subtree[np.asarray(line_order, dtype=np.int64)][:, mem_idx]
-    r = np.array([feeder.lines[k].r for k in line_order])
-    x = np.array([feeder.lines[k].x for k in line_order])
-    mem = below.astype(float)
-    R = mem.T @ (r[:, None] * mem)
-    X = mem.T @ (x[:, None] * mem)
-    for arr in (R, X):
-        arr.flags.writeable = False
-    return SubgraphSensitivity(sub.index, sub.root, members, R, X)
-
+    piece = np.zeros(feeder.n_bus, dtype=np.int64)
+    starts = {rg.n: k + 1 for k, rg in enumerate(feeder.regulators)}
+    for bus in range(1, feeder.n_bus):  # BFS order: parents come first
+        piece[bus] = starts.get(bus, piece[feeder.parent[bus]])
+    # a line lies in its lower bus's piece; a regulator line lies in none
+    line_piece = piece[[ln.to_bus for ln in feeder.lines]]
+    line_piece[feeder.parent_line[list(starts)]] = -1
+    T = feeder.subtree[:, 1:].astype(float)
+    path = T * (line_piece[:, None] == piece[None, 1:])
+    r = np.array([ln.r for ln in feeder.lines])
+    x = np.array([ln.x for ln in feeder.lines])
+    R = path.T @ (r[:, None] * T)
+    X = path.T @ (x[:, None] * T)
+    RL = np.zeros_like(R)
+    # summed piece by piece: one product over every line regroups the
+    # terms, which moves RL by an ulp or so and with it the results files
+    for s in range(len(starts) + 1):
+        Ts = T[line_piece == s]
+        RL += Ts.T @ (r[line_piece == s, None] * Ts)
+    return piece[1:], R, X, RL

@@ -45,7 +45,6 @@ class ScenarioSet:
     qc: np.ndarray
     pg: np.ndarray
     power_factor: np.ndarray
-    seed: int
 
     @property
     def n_hours(self) -> int:
@@ -294,7 +293,6 @@ def load_scenarios(
         qc=qc,
         pg=pg,
         power_factor=pf,
-        seed=seed,
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .builder import MpqpProblem
 from .engine import BatchResult
-from .errors import EmptyGroupError, ModelError
+from .errors import EmptyGroupError
 from .feeder import REMOTE, FeederModel
 from .scenarios import ThetaSet
 
@@ -42,10 +42,7 @@ TOP_ROWS = 5
 
 def slack_values(result: BatchResult) -> np.ndarray:
     """Zero-clamped slack per instance; NaN where no solution exists."""
-    prob = result.problem
-    if prob.slack_index is None:
-        raise ModelError("problem has no slack variable")
-    s = result.x[:, prob.slack_index].copy()
+    s = result.x[:, result.problem.slack_index].copy()
     tiny = np.abs(s) < SLACK_ZERO_TOL
     s[tiny & np.isfinite(s)] = 0.0
     return s
@@ -65,8 +62,6 @@ def slack_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def voltage_matrix(result: BatchResult) -> np.ndarray:
     """Non-substation voltages per instance (rows follow the batch)."""
     prob = result.problem
-    if prob.W is None:
-        raise ModelError("problem carries no voltage map")
     return result.x @ prob.W.T + result.thetas @ prob.U.T
 
 
@@ -75,15 +70,13 @@ def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (rows, resid) where rows indexes into the problem's row list
     and resid[i, j] > 0 means instance i violates soft row rows[j] by that
-    much in original units when no slack relief is applied.
+    much in original units when no slack relief is applied.  With every
+    row hard, rows is empty and resid has no columns.
     """
     prob = result.problem
     soft = prob.soft_rows
-    if soft.size == 0:
-        raise ModelError("problem has no soft rows")
     A0 = prob.A[soft].copy()
-    if prob.slack_index is not None:
-        A0[:, prob.slack_index] = 0.0
+    A0[:, prob.slack_index] = 0.0
     rhs = prob.inequality_rhs(result.thetas, soft)
     return soft, (result.x @ A0.T - rhs) * prob.scaling.ineq_scale
 
@@ -93,12 +86,12 @@ def violation_bound_gap(result: BatchResult) -> np.ndarray:
 
     Feasibility of the relaxed problem caps every soft-row violation by
     the slack itself, so this gap stays at solver noise for any sound
-    batch.  NaN rows pass through.
+    batch.  NaN rows pass through, and with no soft row the gap is -inf.
     """
     prob = result.problem
     _, resid = soft_violations(result)
     s = result.x[:, prob.slack_index]
-    return np.max(resid, axis=1) - s
+    return np.max(resid, axis=1, initial=-np.inf) - s
 
 
 def recover_ratios(result: BatchResult, feeder: FeederModel) -> dict[str, np.ndarray]:

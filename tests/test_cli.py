@@ -304,6 +304,39 @@ def test_non_finite_dispatch_value_is_exit_2(case, capsys, tmp_path, line):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_misspelled_config_section_is_exit_2(case, capsys, tmp_path):
+    # a [constraint] section would otherwise drop its overrides unread
+    config = tmp_path / "config.ini"
+    config.write_text((case / "config.ini").read_text() + "[constraint]\nvoltage-hi = hard\n")
+    args = base_args(case)
+    args[args.index("--config") + 1] = str(config)
+    code = main(["run", *args, "--out", str(case / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "phca: error: ConfigError: unknown config sections: ['constraint']\n"
+
+
+def test_all_hard_constraints_report(case, capsys, tmp_path):
+    # with no soft row left, every group reports no soft-row violations
+    config = tmp_path / "config.ini"
+    config.write_text(
+        (case / "config.ini").read_text()
+        + "[constraints]\nvoltage-hi = hard\nvoltage-lo = hard\nreg-input = hard\n"
+    )
+    args = base_args(case)
+    args[args.index("--config") + 1] = str(config)
+    out, report, jreport = tmp_path / "r.json", tmp_path / "report.txt", tmp_path / "report.json"
+    assert main(["run", *args, "--out", str(out), "--report", str(report),
+                 "--json-report", str(jreport)]) == 0
+    capsys.readouterr()
+    assert main(["stats", *args, "--results", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text == report.read_text()
+    assert text.count("no soft-row violations") == 4
+    assert main(["stats", *args, "--results", str(out), "--json"]) == 0
+    assert capsys.readouterr().out == jreport.read_text()
+
+
 def test_config_eta_is_used_as_given(case, capsys, caplog, tmp_path):
     # --eta, then the config's eta, then calibration
     config = tmp_path / "config.ini"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from phca import load_feeder, partition_by_regulators, sensitivity_matrices
+from conftest import random_radial_case
+
+from phca import load_feeder, voltage_model
 from phca.errors import (
     CycleError,
     DisconnectedError,
@@ -125,41 +127,97 @@ def test_unknown_regulator_kind_rejected():
 
 
 def test_single_line_sensitivity_closed_form():
-    fd = load_feeder(SINGLE_LINE)
-    (sub,) = partition_by_regulators(fd)
-    sens = sensitivity_matrices(sub, fd)
-    # one bus below one line: dv/dp = r, dv/dq = x
-    assert sens.R == pytest.approx(np.array([[0.1]]))
-    assert sens.X == pytest.approx(np.array([[0.05]]))
+    piece, R, X, RL = voltage_model(load_feeder(SINGLE_LINE))
+    # one bus below one line: dv/dp = r, dv/dq = x, loss = r p^2
+    assert list(piece) == [0]
+    assert R == pytest.approx(np.array([[0.1]]))
+    assert X == pytest.approx(np.array([[0.05]]))
+    assert RL == pytest.approx(np.array([[0.1]]))
 
 
 def test_fork_sensitivity_path_overlap():
     fd = load_feeder(FORK)
-    (sub,) = partition_by_regulators(fd)
-    sens = sensitivity_matrices(sub, fd)
-    a, b, c = fd.index_of("a"), fd.index_of("b"), fd.index_of("c")
-    pos = {bus: k for k, bus in enumerate(sub.members)}
+    _, R, X, RL = voltage_model(fd)
+    a, b, c = (fd.index_of(name) - 1 for name in "abc")
     # R[i][j] sums r over lines shared by the paths root->i and root->j
-    assert sens.R[pos[a], pos[a]] == pytest.approx(0.10)
-    assert sens.R[pos[b], pos[b]] == pytest.approx(0.30)
-    assert sens.R[pos[c], pos[c]] == pytest.approx(0.40)
-    assert sens.R[pos[b], pos[c]] == pytest.approx(0.10)
-    assert sens.X[pos[b], pos[c]] == pytest.approx(0.08)
-    # symmetric PSD
-    assert np.allclose(sens.R, sens.R.T)
-    assert np.linalg.eigvalsh(sens.R).min() > 0
+    assert R[a, a] == pytest.approx(0.10)
+    assert R[b, b] == pytest.approx(0.30)
+    assert R[c, c] == pytest.approx(0.40)
+    assert R[b, c] == pytest.approx(0.10)
+    assert X[b, c] == pytest.approx(0.08)
+    # with no regulator the loss form is R itself: symmetric positive definite
+    assert np.array_equal(RL, R)
+    assert np.allclose(R, R.T)
+    assert np.linalg.eigvalsh(R).min() > 0
 
 
 def test_regulator_splits_subgraphs(demo_feeder):
-    subs = partition_by_regulators(demo_feeder)
-    # substation piece plus one piece per regulator
-    assert len(subs) == 3
-    roots = sorted(sub.root for sub in subs)
-    reg_outputs = sorted(rg.n for rg in demo_feeder.regulators)
-    assert roots == sorted([0] + reg_outputs)
-    # every non-substation bus is owned exactly once
-    owned = []
-    for sub in subs:
-        # a regulator-rooted piece owns its root bus too
-        owned.extend(sub.members + ((sub.root,) if sub.root else ()))
-    assert sorted(owned) == list(range(1, demo_feeder.n_bus))
+    piece, R, X, _ = voltage_model(demo_feeder)
+    # every non-substation bus lies in exactly one piece: the substation's
+    # or one per regulator, which starts at the regulator's output bus
+    assert sorted(set(piece)) == [0, 1, 2]
+    for k, rg in enumerate(demo_feeder.regulators):
+        assert piece[rg.n - 1] == k + 1
+        # the output bus is its piece's root: no line between them
+        assert not R[rg.n - 1].any() and not X[rg.n - 1].any()
+    for bus in range(1, demo_feeder.n_bus):
+        if bus not in {rg.n for rg in demo_feeder.regulators}:
+            assert piece[bus - 1] == (piece[demo_feeder.parent[bus] - 1] if demo_feeder.parent[bus] else 0)
+
+
+def _regulated_feeder(seed):
+    """A random 30-bus feeder with six regulators of all three kinds: one on
+    the substation's line and, below it, a chain of two more."""
+    text, _, _ = random_radial_case(30, 5, days=1, seed=seed)
+    fd = load_feeder(text)
+    rng = np.random.default_rng(seed)
+
+    def below(bus):
+        return np.flatnonzero(fd.subtree[fd.parent_line[bus]])[1:]
+
+    # the substation's largest branch, and a chain of two regulators in it
+    head = max(np.flatnonzero(fd.parent == 0), key=lambda b: below(b).size)
+    middle = int(rng.choice([b for b in below(head) if below(b).size]))
+    tail = int(rng.choice(below(middle)))
+    rest = sorted(set(range(1, fd.n_bus)) - {head, middle, tail})
+    chosen = [head, middle, tail] + [int(b) for b in rng.choice(rest, 3, replace=False)]
+    kinds = ["remote - - - -", "local 1.00 - - -", "ldc 1.00 - 0.02 0.01"]
+    rows = [
+        f"{fd.ext_ids[fd.parent[n]]} {fd.ext_ids[n]} {kinds[k % 3]}" for k, n in enumerate(chosen)
+    ]
+    return load_feeder(text + "\n[regulators]\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_voltage_model_matches_path_sums(seed):
+    fd = _regulated_feeder(seed)
+    roots = {rg.n: k + 1 for k, rg in enumerate(fd.regulators)}
+
+    def lines_up(bus, stop_at_roots):
+        """The lines from bus up to its piece root (or the substation), and
+        the piece of the bus the walk stopped at."""
+        out = set()
+        while bus and not (stop_at_roots and bus in roots):
+            out.add(int(fd.parent_line[bus]))
+            bus = fd.parent[bus]
+        return out, roots.get(bus, 0)
+
+    reg_lines = {int(fd.parent_line[b]) for b in roots}
+    buses = range(1, fd.n_bus)
+    to_substation = {b: lines_up(b, False)[0] for b in buses}
+    ref = {name: np.zeros((len(buses), len(buses))) for name in ("R", "X", "RL")}
+    ref_piece = []
+    for i in buses:
+        own, root = lines_up(i, True)
+        ref_piece.append(root)
+        for k in buses:
+            feed = to_substation[k]
+            ref["R"][i - 1, k - 1] = sum(fd.lines[l].r for l in own & feed)
+            ref["X"][i - 1, k - 1] = sum(fd.lines[l].x for l in own & feed)
+            shared = (to_substation[i] & feed) - reg_lines
+            ref["RL"][i - 1, k - 1] = sum(fd.lines[l].r for l in shared)
+    piece, R, X, RL = voltage_model(fd)
+    assert list(piece) == ref_piece
+    assert len(set(piece)) == len(fd.regulators) + 1
+    for name, got in (("R", R), ("X", X), ("RL", RL)):
+        np.testing.assert_allclose(got, ref[name], rtol=1e-12, atol=0, err_msg=name)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import phca.stats as stats_mod
-from phca import ETA_FLOOR, run_batch
+from phca import ETA_FLOOR, BuilderConfig, build_problem, run_batch, scale_problem
 from phca.errors import EmptyGroupError
 from phca.scenarios import ThetaSet
 from phca.stats import (
@@ -88,6 +88,17 @@ def test_violation_bound_gap(batch, mixed_batch):
     assert np.nanmax(gap) <= 1e-6
     gm = violation_bound_gap(mixed_batch)
     assert np.isnan(gm[[3, 8]]).all()
+
+
+def test_all_hard_problem_has_no_soft_violations(demo_feeder, small_theta_set):
+    config = BuilderConfig(assignments=(("voltage-hi", "hard"), ("voltage-lo", "hard"),
+                                        ("reg-input", "hard")))
+    prob = scale_problem(build_problem(demo_feeder, config).with_eta(ETA_FLOOR))[0]
+    res = run_batch(prob, small_theta_set.thetas[:10])
+    soft, resid = soft_violations(res)
+    assert soft.size == 0 and resid.shape == (10, 0)
+    gap = violation_bound_gap(res)
+    assert np.all((gap == -np.inf) | np.isnan(gap))
 
 
 def test_recover_ratios(batch, demo_feeder):
