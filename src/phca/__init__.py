@@ -44,6 +44,7 @@ from .errors import (
     DuplicateRegulatorError,
     EmptyGroupError,
     HeadroomError,
+    InputError,
     MissingBusError,
     ModelError,
     NegativeValueError,

@@ -170,7 +170,8 @@ class ScalingRecord:
 class MpqpProblem:
     """The assembled parametric QP plus enough layout to interpret x and theta.
 
-    W and U map (x, theta) to the non-substation voltages, and RL is the
+    W and U map (x, theta) to the non-substation voltages, x W' + theta U'
+    (phca.stats.voltage_matrix forms them for a batch), and RL is the
     quadratic loss form over the net injections, both under the
     first-order model of feeder.voltage_model.
     """
@@ -314,15 +315,6 @@ class MpqpProblem:
         d[self.slack_index] = eta
         d.flags.writeable = False
         return replace(self, d=d)
-
-    # ---- interpretation ---------------------------------------------------
-
-    def voltages(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Non-substation voltage magnitudes implied by a solution."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        out = x @ self.W.T + theta @ self.U.T
-        return out[0] if out.shape[0] == 1 else out
 
 
 def _freeze(*arrays):

@@ -3,8 +3,9 @@
 Subcommands cover the whole pipeline: generating the bundled study case,
 running a batch, spot-validating a finished run against one-off solves,
 recomputing reports, and dumping the assembled problem matrices.  Exit
-codes: 0 on success, 2 for anything wrong with the inputs, 3 for runtime
-failures (aborted batches, failed validation).  Errors print a single
+codes: 0 on success, 2 for anything wrong with the inputs (an InputError,
+or a file that cannot be read), 3 for runtime failures (aborted batches,
+failed validation, any other PhcaError).  Errors print a single
 machine-parsable line ``phca: error: <kind>: <message>`` on stderr.
 The PHCA_LOG environment variable sets the logging level.
 """
@@ -30,33 +31,10 @@ from .builder import (
     scale_problem,
 )
 from .engine import BatchResult, EngineOptions, load_result_json, run_batch, validate_batch
-from .errors import (
-    AllInfeasibleError,
-    ConfigError,
-    CycleError,
-    DimensionError,
-    DisconnectedError,
-    DuplicateRegulatorError,
-    HeadroomError,
-    PhcaError,
-    SchemaError,
-)
+from .errors import AllInfeasibleError, ConfigError, InputError, PhcaError
 from .feeder import load_feeder
 from .scenarios import AnalysisGrid, expand_grid, load_scenarios
 from .stats import json_report, render_report
-
-INPUT_ERRORS = (
-    SchemaError,
-    ConfigError,
-    CycleError,
-    DisconnectedError,
-    DuplicateRegulatorError,
-    DimensionError,
-    HeadroomError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -282,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"phca: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except PhcaError as exc:

@@ -15,12 +15,12 @@ is warm-started from that last region's active set: neighbouring regions
 differ in a few rows, so the solver's polish usually settles there
 without its interior-point method (see phca.qp).
 
-Certification is the one acceptance rule, and the seed must pass it like
-every swept point.  When the region does not certify its own seed, or
-the active rows stacked on the equalities are rank deficient, the seed
-keeps its direct solution and no region is built from it.  An optional
-budget caps the number of region-building attempts; leftovers are then
-solved directly.
+Certification is the one acceptance rule: the seed is swept with the
+other unsolved instances and must pass it like them.  When the region
+does not certify its own seed, or the active rows stacked on the
+equalities are rank deficient, the seed keeps its direct solution and no
+region is built from it.  An optional budget caps the number of
+region-building attempts; leftovers are then solved directly.
 
 A row with a region, seed included, holds its region's map: one call
 maps a region's rows in index order, so x never depends on how the
@@ -163,9 +163,10 @@ class BatchResult:
     direct_signatures, keyed by instance index.  screened_out counts the
     swept rows a region did not serve, the one tally the columns cannot
     give.  wall_time_s is for humans and is deliberately left out of the
-    serialized form.  _report_summary keeps phca.stats' statistics pass
-    over the result; it is neither serialized nor compared, and
-    dataclasses.replace starts a new result without it.
+    serialized form.  _report_summary keeps the object phca.stats'
+    reports are made from, with the theta set and feeder it read; it is
+    neither serialized nor compared, and dataclasses.replace starts a new
+    result without it.
     """
 
     problem: MpqpProblem
@@ -238,7 +239,10 @@ class BatchResult:
                 for i, sig in sorted(self.direct_signatures.items())
             ],
             "eta": _eta(self.problem),
-            "options": asdict(self.options),
+            # a numpy integer option is written as a Python int
+            "options": {
+                k: None if v is None else int(v) for k, v in asdict(self.options).items()
+            },
             "regions": [list(sig) for sig in self.regions],
             "scaling": asdict(self.problem.scaling),
             "screened_out": self.screened_out,
@@ -277,10 +281,9 @@ def _positive_multipliers(sol) -> np.ndarray:
     return np.flatnonzero(lam > ACTIVE_LAM_REL * max(1.0, float(lam.max())))
 
 
-def _certified(region, xu: np.ndarray, rhs: np.ndarray, rows) -> np.ndarray:
+def _certified(region, xu: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Mask of the instances in rows that the region certifies, swept
     SWEEP_BLOCK rows per batch_membership call."""
-    rows = np.asarray(rows, dtype=np.int64)
     ok = np.zeros(rows.size, dtype=bool)
     for start in range(0, rows.size, SWEEP_BLOCK):
         blk = rows[start : start + SWEEP_BLOCK]
@@ -320,9 +323,8 @@ def run_batch(
     else:
         order = np.random.default_rng(options.seed).permutation(n)
 
-    solved = np.zeros(n, dtype=bool)
     x = np.full((n, scaled.H.shape[0]), np.nan)
-    status = np.full(n, -1, dtype=np.int8)
+    status = np.full(n, -1, dtype=np.int8)  # -1 while a row is unsolved
     region_id = np.full(n, -1, dtype=np.int64)
     direct_signatures: dict[int, tuple[int, ...]] = {}
     regions: list[tuple[int, ...]] = []
@@ -343,9 +345,8 @@ def run_batch(
 
     for i in order:
         i = int(i)
-        if solved[i]:
+        if status[i] >= 0:
             continue
-        solved[i] = True
         inst = QpInstance(scaled.H, c[i], scaled.A, rhs[i, :m], scaled.B, rhs[i, m:])
         sol = solve_qp(inst, start=last_signature)
         logger.debug(
@@ -376,24 +377,23 @@ def run_batch(
             without_region(i, sol, RANK, signature)
             continue
 
-        if not _certified(region, xu, rhs, [i])[0]:
+        # the seed is swept with every unsolved row and must pass like them
+        rem = np.flatnonzero(status < 0)
+        ok = _certified(region, xu, rhs, rem)
+        if not ok[np.searchsorted(rem, i)]:
             without_region(i, sol, UNCERTAIN, signature)
             continue
-
-        rem = np.flatnonzero(~solved)
-        keep = rem[_certified(region, xu, rhs, rem)]
+        keep = rem[ok]
         rid = len(regions)
         screened_out += rem.size - keep.size
-        rows = np.union1d(keep, i)  # the seed joins the call, as on load
-        x[rows] = region.batch_solutions(xu[rows], rhs[rows])
+        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
         mark(keep, REUSE, rid=rid)
         mark(i, SEED, rid)
-        solved[keep] = True
         regions.append(region.active_set)
         last_signature = region.active_set
         logger.debug(
             "region %d: %d active rows, %d swept, %d served",
-            rid, len(signature), rem.size, keep.size,
+            rid, len(signature), rem.size - 1, keep.size - 1,
         )
 
     return BatchResult(

@@ -1,25 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+InputError and its subclasses say that what the caller passed in is
+wrong (phca exits 2 for them); every other PhcaError is a failure at
+run time (exit 3).
+"""
 
 
 class PhcaError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(PhcaError):
+    """Base class for errors in the caller's inputs: documents, settings
+    and argument values."""
+
+
+class DimensionError(InputError):
+    """Vector or matrix argument has the wrong shape."""
+
+
 # ---- feeder document / topology ----
 
-class SchemaError(PhcaError):
+class SchemaError(InputError):
     """Malformed input document (bad token, missing section, invalid value)."""
 
 
-class CycleError(PhcaError):
+class CycleError(InputError):
     """Line graph contains a cycle; the feeder must be a tree."""
 
 
-class DisconnectedError(PhcaError):
+class DisconnectedError(InputError):
     """Some bus is not reachable from the substation."""
 
 
-class DuplicateRegulatorError(PhcaError):
+class DuplicateRegulatorError(InputError):
     """More than one regulator assigned to the same line."""
 
 
@@ -27,23 +41,20 @@ class SingularIncidenceError(PhcaError):
     """Branch-bus incidence unexpectedly singular; internal consistency failure."""
 
 
-class DimensionError(PhcaError):
-    """Vector or matrix argument has the wrong shape."""
-
-
 # ---- problem assembly ----
 
-class ConfigError(PhcaError, ValueError):
+class ConfigError(InputError, ValueError):
     """Dispatch or engine configuration rejected (bad weight, singular cost,
-    bad override, inconsistent tolerances); also a ValueError, as for any
-    rejected argument value."""
+    bad override, unknown section); also a ValueError, as for any rejected
+    argument value."""
 
 
 class ModelError(PhcaError):
-    """Problem assembly referenced a bus or line that does not exist."""
+    """Problem object used out of order or assembled wrong: eta set after
+    scaling, a problem scaled twice, or a block of zero scale."""
 
 
-class HeadroomError(PhcaError):
+class HeadroomError(InputError):
     """Scaled generation exceeds inverter capacity; reactive headroom undefined."""
 
 

@@ -74,7 +74,7 @@ class FeederModel:
     regulators: tuple[RegulatorSpec, ...]
     p_rating: np.ndarray
     parent: np.ndarray
-    parent_line: np.ndarray
+    parent_line: np.ndarray  # the line into each bus; -1 at the substation
     subtree: np.ndarray  # (n_lines, n_bus) bool, bus below line (inclusive)
 
     @property
@@ -91,12 +91,6 @@ class FeederModel:
             return self.ext_ids.index(str(ext_id))
         except ValueError:
             raise SchemaError(f"unknown bus id {ext_id!r}") from None
-
-    def line_between(self, a: int, b: int) -> int:
-        for k, ln in enumerate(self.lines):
-            if (ln.from_bus, ln.to_bus) == (a, b) or (ln.from_bus, ln.to_bus) == (b, a):
-                return k
-        raise SchemaError(f"no line between buses {self.ext_ids[a]} and {self.ext_ids[b]}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ Slack below 1e-8 is treated as exactly zero; an instance whose slack
 exceeds 1e-6 is counted as needing relaxation, meaning its unrelaxed
 problem is infeasible for practical purposes.
 
-Both reports format one statistics pass over the result: the group
-statistics and the remote regulators' tap-ratio ranges.  The pass is
-kept on the result, keyed by the theta set and feeder objects it read,
-so a report pair on one result runs it once.  The reports therefore
-treat a BatchResult as a value: to change one, build a new one with
-dataclasses.replace (which starts with no pass kept) rather than editing
-its arrays in place after a report.  The public functions
-below are never cached.
+json_report dumps one object made by a statistics pass over the result:
+the counters, the group statistics and the remote regulators' tap-ratio
+ranges.  render_report formats the same object as text, so the two
+reports cannot disagree.  The object is kept on the result, keyed by the
+theta set and feeder objects the pass read, so a report pair on one
+result runs the pass once.  The reports therefore treat a BatchResult
+as a value: to change one, build a new one with dataclasses.replace
+(which starts with no object kept) rather than editing its arrays in
+place after a report.  The public functions below are never cached.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .builder import MpqpProblem
 from .engine import BatchResult
 from .errors import EmptyGroupError
 from .feeder import REMOTE, FeederModel
@@ -132,10 +132,6 @@ class GroupStats:
     voltage_quantiles: np.ndarray  # len(QUANTILES) x n_inj
     worst_rows: tuple[tuple[str, int, float], ...]  # label, violated count, max amount
 
-    @property
-    def relaxed_share(self) -> float:
-        return self.n_relaxed / self.n_solved if self.n_solved else float("nan")
-
 
 def group_stats(result: BatchResult, theta_set: ThetaSet) -> list[GroupStats]:
     """Per-group distributions over the solved instances: QUANTILES of the
@@ -193,95 +189,19 @@ def _group_stats(
     return out
 
 
-@dataclass(frozen=True)
-class _Summary:
-    """The one statistics pass both reports format, with the inputs it read
-    (theta set and feeder by identity); ratios maps each remote regulator
-    to the (min, max) of its finite tap ratios."""
+def _summary(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> dict:
+    """The JSON report's object for these inputs, from one statistics pass.
 
-    theta_set: ThetaSet
-    feeder: FeederModel
-    groups: list[GroupStats]
-    ratios: dict[str, tuple[float, float]]
-
-
-def _summary(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> _Summary:
-    """The result's statistics pass for these inputs, kept on the result."""
+    It is kept on the result with the theta set and feeder it read, and
+    served again while both are the same objects.
+    """
     kept = result._report_summary
-    if kept is not None and kept.theta_set is theta_set and kept.feeder is feeder:
-        return kept
+    if kept is not None and kept[0] is theta_set and kept[1] is feeder:
+        return kept[2]
     volts = voltage_matrix(result)
-    groups = _group_stats(result, theta_set, volts)
-    ratios = {}
-    for ref, arr in _ratios(result, feeder, volts).items():
-        finite = arr[np.isfinite(arr)]
-        ratios[ref] = (float(finite.min()), float(finite.max()))
-    result._report_summary = _Summary(theta_set, feeder, groups, ratios)
-    return result._report_summary
-
-
-def _bus_names(prob: MpqpProblem) -> list[str]:
-    # theta names open with one pc slot per non-substation bus
-    return [name[3:-1] for name in prob.theta_names[: prob.n_inj]]
-
-
-def render_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> str:
-    """Human-readable batch report."""
-    prob = result.problem
-    c = result.counters
-    lines = []
-    lines.append("batch summary")
-    lines.append(
-        f"  instances {c.n_instances}  qp-solves {c.qp_solves} "
-        f"({100.0 * c.qp_solves / max(c.n_instances, 1):.2f}%)  regions {c.regions_built}"
-    )
-    lines.append(
-        f"  reuse {c.reuse}  seeds {c.seeds}  degenerate {c.degenerate} "
-        f"stragglers {c.stragglers}  infeasible {c.infeasible}  failed {c.failed}"
-    )
-    qs_label = " ".join(f"q{int(round(100 * q)):02d}" for q in QUANTILES)
-    buses = _bus_names(prob)
-    summary = _summary(result, theta_set, feeder)
-    for gs in summary.groups:
-        kappa, oversize, alpha = gs.key
-        lines.append("")
-        lines.append(
-            f"group kappa={kappa:g} oversize={oversize:g} alpha={alpha:g} "
-            f"({gs.n_solved}/{gs.n_instances} solved)"
-        )
-        lines.append(
-            f"  relaxed {gs.n_relaxed} ({100.0 * gs.relaxed_share:.2f}%)  "
-            f"max slack {gs.max_slack:.3e}"
-        )
-        lines.append(
-            "  slack    " + qs_label + "  =  "
-            + " ".join(f"{v:.3e}" for v in gs.slack_quantiles)
-        )
-        lines.append("  voltage quantiles per bus [" + qs_label + "]")
-        for j, bus in enumerate(buses):
-            vals = " ".join(f"{gs.voltage_quantiles[qi, j]:.5f}" for qi in range(len(QUANTILES)))
-            lines.append(f"    bus {bus:>4s}  {vals}")
-        if gs.worst_rows:
-            lines.append("  most violated soft rows (count, worst amount):")
-            for label, cnt, amt in gs.worst_rows:
-                lines.append(f"    {label}  {cnt}  {amt:.3e}")
-        else:
-            lines.append("  no soft-row violations")
-    if summary.ratios:
-        lines.append("")
-        lines.append("remote regulator tap ratios (min, max over solved instances)")
-        for ref, (lo, hi) in summary.ratios.items():
-            lines.append(f"  {ref}  {lo:.5f}  {hi:.5f}")
-    return "\n".join(lines) + "\n"
-
-
-def json_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> str:
-    """Machine-readable counterpart of render_report; deterministic."""
-    prob = result.problem
-    buses = _bus_names(prob)
-    summary = _summary(result, theta_set, feeder)
+    buses = feeder.ext_ids[1:]
     groups = []
-    for gs in summary.groups:
+    for gs in _group_stats(result, theta_set, volts):
         groups.append(
             {
                 "kappa": gs.key[0],
@@ -293,8 +213,7 @@ def json_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -
                 "max_slack": gs.max_slack,
                 "slack_quantiles": list(gs.slack_quantiles),
                 "voltage_quantiles": {
-                    bus: gs.voltage_quantiles[:, j].tolist()
-                    for j, bus in enumerate(buses)
+                    bus: gs.voltage_quantiles[:, j].tolist() for j, bus in enumerate(buses)
                 },
                 "worst_rows": [
                     {"row": label, "count": cnt, "max_violation": amt}
@@ -307,8 +226,63 @@ def json_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -
         "quantiles": list(QUANTILES),
         "groups": groups,
     }
-    if summary.ratios:
-        payload["remote_ratios"] = {
-            ref: {"min": lo, "max": hi} for ref, (lo, hi) in summary.ratios.items()
-        }
-    return json.dumps(payload, sort_keys=True, indent=1)
+    ratios = {}
+    for ref, arr in _ratios(result, feeder, volts).items():
+        finite = arr[np.isfinite(arr)]
+        ratios[ref] = {"min": float(finite.min()), "max": float(finite.max())}
+    if ratios:
+        payload["remote_ratios"] = ratios
+    result._report_summary = (theta_set, feeder, payload)
+    return payload
+
+
+def render_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> str:
+    """Human-readable batch report: json_report's object as text."""
+    payload = _summary(result, theta_set, feeder)
+    c = payload["counters"]
+    lines = []
+    lines.append("batch summary")
+    lines.append(
+        f"  instances {c['n_instances']}  qp-solves {c['qp_solves']} "
+        f"({100.0 * c['qp_solves'] / max(c['n_instances'], 1):.2f}%)  "
+        f"regions {c['regions_built']}"
+    )
+    lines.append(
+        f"  reuse {c['reuse']}  seeds {c['seeds']}  degenerate {c['degenerate']} "
+        f"stragglers {c['stragglers']}  infeasible {c['infeasible']}  failed {c['failed']}"
+    )
+    qs_label = " ".join(f"q{int(round(100 * q)):02d}" for q in payload["quantiles"])
+    for g in payload["groups"]:
+        lines.append("")
+        lines.append(
+            f"group kappa={g['kappa']:g} oversize={g['oversize']:g} alpha={g['alpha']:g} "
+            f"({g['solved']}/{g['instances']} solved)"
+        )
+        lines.append(
+            f"  relaxed {g['relaxed']} ({100.0 * (g['relaxed'] / g['solved']):.2f}%)  "
+            f"max slack {g['max_slack']:.3e}"
+        )
+        lines.append(
+            "  slack    " + qs_label + "  =  "
+            + " ".join(f"{v:.3e}" for v in g["slack_quantiles"])
+        )
+        lines.append("  voltage quantiles per bus [" + qs_label + "]")
+        for bus, vals in g["voltage_quantiles"].items():
+            lines.append(f"    bus {bus:>4s}  " + " ".join(f"{v:.5f}" for v in vals))
+        if g["worst_rows"]:
+            lines.append("  most violated soft rows (count, worst amount):")
+            for w in g["worst_rows"]:
+                lines.append(f"    {w['row']}  {w['count']}  {w['max_violation']:.3e}")
+        else:
+            lines.append("  no soft-row violations")
+    if "remote_ratios" in payload:
+        lines.append("")
+        lines.append("remote regulator tap ratios (min, max over solved instances)")
+        for ref, r in payload["remote_ratios"].items():
+            lines.append(f"  {ref}  {r['min']:.5f}  {r['max']:.5f}")
+    return "\n".join(lines) + "\n"
+
+
+def json_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> str:
+    """Machine-readable counterpart of render_report; deterministic."""
+    return json.dumps(_summary(result, theta_set, feeder), sort_keys=True, indent=1)

@@ -105,7 +105,7 @@ def test_regulator_is_ideal_and_lossless():
     ratio = 1.05
     sol = solve_powerflow(fd, [-0.05, -0.05], [0.0, 0.0], ratios=[ratio])
     assert sol.volts[2] == pytest.approx(ratio * sol.volts[1], abs=1e-12)
-    l_reg = fd.line_between(1, 2)
+    l_reg = fd.parent_line[2]
     assert sol.line_loss[l_reg] == 0.0
     # power conservation across the ideal transformer
     assert power_balance_residual(fd, sol, [-0.05, -0.05], [0.0, 0.0], ratios=[ratio]) < 1e-11

@@ -127,7 +127,7 @@ def test_voltage_rows_encode_window(demo_problem, rng):
     th = sample_theta(prob, rng)
     x = rng.normal(size=prob.n_var)
     inst = prob.instance(th)
-    v = prob.voltages(x, th)
+    v = x @ prob.W.T + th @ prob.U.T
     s = x[prob.slack_index]
     for bus in range(1, prob.n_bus):
         hi = 8 + 2 * (bus - 1)
@@ -142,7 +142,7 @@ def test_regulator_rows(demo_problem, rng):
     th = sample_theta(prob, rng)
     x = rng.normal(size=prob.n_var)
     inst = prob.instance(th)
-    v = prob.voltages(x, th)
+    v = x @ prob.W.T + th @ prob.U.T
     s = x[prob.slack_index]
     # remote pair 3-4 is internal m=3, n=5; window is 0.9 vm <= vn <= 1.1 vm
     assert inst.A[4] @ x - inst.b[4] == pytest.approx(0.9 * v[2] - v[4], abs=1e-12)
@@ -503,12 +503,3 @@ def test_build_is_deterministic(demo_feeder, demo_config):
     assert a.A.tobytes() == b.A.tobytes()
     assert a.E.tobytes() == b.E.tobytes()
     assert a.row_labels == b.row_labels
-
-
-def test_voltages_batch(demo_problem, rng):
-    prob = demo_problem
-    th = np.stack([sample_theta(prob, rng), sample_theta(prob, rng)])
-    x = rng.normal(size=(2, prob.n_var))
-    v = prob.voltages(x, th)
-    assert v.shape == (2, 14)
-    assert v[0] == pytest.approx(prob.voltages(x[0], th[0]))

@@ -1,5 +1,6 @@
 """Command-line pipeline: demo assets, run, validate, stats, dump-problem."""
 
+import builtins
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ from conftest import float_columns, random_radial_case, set_float_columns
 
 import phca
 import phca.cli as cli_mod
+import phca.errors
 from phca.cli import main
 from phca.engine import (
     INFEASIBLE,
@@ -143,6 +145,48 @@ def test_dump_problem(case, capsys):
     assert "inverter-cap[6].hi:hard" in captured.out
     assert main(["dump-problem", "--feeder", str(case / "feeder.txt"), "--scaled"]) == 0
     capsys.readouterr()
+
+
+#: the exit code of every error class phca.errors defines, and of the
+#: standard library's unreadable-file errors
+EXIT_CODES = {
+    "PhcaError": 3,
+    "InputError": 2,
+    "DimensionError": 2,
+    "SchemaError": 2,
+    "MissingBusError": 2,
+    "NegativeValueError": 2,
+    "CycleError": 2,
+    "DisconnectedError": 2,
+    "DuplicateRegulatorError": 2,
+    "ConfigError": 2,
+    "HeadroomError": 2,
+    "SingularIncidenceError": 3,
+    "ModelError": 3,
+    "AllInfeasibleError": 3,
+    "RankDeficientKError": 3,
+    "AbortError": 3,
+    "EmptyGroupError": 3,
+    "NonConvergenceError": 3,
+    "FileNotFoundError": 2,
+    "IsADirectoryError": 2,
+    "PermissionError": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(set(EXIT_CODES) | {k for k, v in vars(phca.errors).items() if isinstance(v, type)})
+)
+def test_exit_code_table(capsys, monkeypatch, name):
+    error = getattr(phca.errors, name, None) or getattr(builtins, name)
+
+    def refuse(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli_mod, "_build_case", refuse)
+    code = main(["run", "--feeder", "feeder.txt", "--loads", "loads.csv"])
+    assert code == EXIT_CODES[name]
+    assert capsys.readouterr().err == f"phca: error: {name}: refused\n"
 
 
 def test_missing_input_is_exit_2(case, capsys):

@@ -517,6 +517,21 @@ def test_options_validation():
     EngineOptions(seed=np.int64(3), solve_budget=np.int64(1)).validate()
 
 
+@pytest.mark.parametrize(
+    "options, stored",
+    [
+        (EngineOptions(seed=np.int64(3)), {"seed": 3, "solve_budget": None}),
+        (EngineOptions(seed=None, solve_budget=np.int32(2)), {"seed": None, "solve_budget": 2}),
+    ],
+    ids=["int64-seed", "int32-budget"],
+)
+def test_numpy_integer_options_roundtrip(batch, small_theta_set, demo_feeder, options, stored):
+    # validate accepts numpy integers, so the results file must write them
+    res = run_batch(batch.problem, batch.thetas, options)
+    text = _assert_roundtrip(res, small_theta_set, demo_feeder)
+    assert json.loads(text)["options"] == stored
+
+
 @pytest.mark.parametrize("options", [{"seed": "abc"}, {"seed": True}, {"solve_budget": -4},
                                      {"solve_budget": "2"}, {"seed": "abc", "solve_budget": -4}])
 def test_json_roundtrip_rejects_bad_option_values(batch, scaled_demo_problem, options):

@@ -58,7 +58,7 @@ def test_fork_parent_structure():
     assert fd.parent[a] == 0
     assert fd.parent[b] == a and fd.parent[c] == a
     # subtree of the s-a line covers everything below a, inclusive
-    l_sa = fd.line_between(0, a)
+    l_sa = fd.parent_line[a]
     assert set(np.flatnonzero(fd.subtree[l_sa])) == {a, b, c}
 
 

@@ -63,10 +63,9 @@ def test_voltage_matrix_matches_problem_map(batch):
     volts = voltage_matrix(batch)
     n = batch.counters.n_instances
     assert volts.shape == (n, 14)
+    prob = batch.problem
     for i in (0, 17, n - 1):
-        assert volts[i] == pytest.approx(
-            batch.problem.voltages(batch.x[i], batch.thetas[i])
-        )
+        assert volts[i] == pytest.approx(batch.x[i] @ prob.W.T + batch.thetas[i] @ prob.U.T)
     # local regulator output bus is pinned by its equality row
     assert volts[:, 5] == pytest.approx(np.full(n, 1.01), abs=1e-9)
 
