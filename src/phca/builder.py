@@ -255,11 +255,12 @@ class MpqpProblem:
         """Stacked parameter rows as the QP sees them: the costs
         c = C theta + d and the right-hand sides, E theta + b of every
         inequality row followed by F theta + f of every equality row."""
-        rhs = self.inequality_rhs(thetas)
-        if self.f.size:
-            eq = thetas @ self.F.T
-            eq += self.f
-            rhs = np.concatenate([rhs, eq], axis=1)
+        m = self.b.size
+        rhs = np.empty((thetas.shape[0], m + self.f.size))
+        np.matmul(thetas, self.E.T, out=rhs[:, :m])
+        np.matmul(thetas, self.F.T, out=rhs[:, m:])
+        rhs[:, :m] += self.b
+        rhs[:, m:] += self.f
         return thetas @ self.C.T + self.d, rhs
 
     def instance(self, theta: np.ndarray) -> QpInstance:
@@ -406,9 +407,15 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         d[col] -= 2.0 * config.ridge
     d[s_col] = config.eta if config.eta is not None else 0.0
 
+    # relative to the largest eigenvalue: a Hessian singular up to rounding
+    # (condition number 1e18) passes a sign test and then breaks the solves,
+    # while a sound beta = 0 feeder's ratio can be as small as 6e-9
     evals = np.linalg.eigvalsh(H)
-    if evals[0] <= 0.0:
-        raise ConfigError(f"cost Hessian not positive definite (min eigenvalue {evals[0]:g})")
+    if evals[0] <= 1e-12 * evals[-1]:
+        raise ConfigError(
+            f"cost Hessian not positive definite (min eigenvalue {evals[0]:g}, "
+            f"max {evals[-1]:g})"
+        )
 
     # ---- rows -------------------------------------------------------------
     hardness = config.hardness()

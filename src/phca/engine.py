@@ -22,17 +22,24 @@ equalities are rank deficient, the seed keeps its direct solution and no
 region is built from it.  An optional budget caps the number of
 region-building attempts; leftovers are then solved directly.
 
+Per-instance data comes from one producer, RegionContext.instance_data,
+always called on the same blocks: SWEEP_BLOCK consecutive instances.
+run_batch keeps the blocks' data for the whole batch, since its sweeps
+revisit every unsolved row; load_result_json holds one block at a time.
 A row with a region, seed included, holds its region's map: one call
-maps a region's rows in index order, so x never depends on how the
-solver reached the seed.  A row's status is how it was dispatched: a
-reuse or seed row has a region, a budget-exhausted, uncertain-active-set
-or rank-deficient row was solved without one, and an infeasible or
-failed row has no solution.  The results file holds the explicit
-solution: the status and region columns, the region table, and the
-solutions of the solved rows without a region.  load_result_json
+maps a region's rows of one block, in index order, so x never depends
+on how the solver reached the seed.  The objectives, too, are formed a
+block at a time.  A row's status is how it was dispatched: a reuse or
+seed row has a region, a budget-exhausted, uncertain-active-set or
+rank-deficient row was solved without one, and an infeasible or failed
+row has no solution.  The results file holds the explicit solution: the
+status and region columns, the region table, and the solutions of the
+solved rows without a region.  load_result_json goes block by block: it
 certifies each region's rows with the run's own test (_certified, the
-one sweep over batch_membership) and maps them again, the same call on
-the same rows, so the loaded solutions are the run's bit for bit.
+one sweep over batch_membership), maps them again, the same call on the
+same rows, and checks the stored rows, so the loaded solutions and
+objectives are the run's bit for bit and no array of its holds a row
+per instance and constraint.
 """
 
 from __future__ import annotations
@@ -80,8 +87,10 @@ _RECORDS = (
 #: fraction of the largest one; the polish sets every other row's to zero
 ACTIVE_LAM_REL = 1e-9
 
-#: unsolved parameters a region certifies per call; bounds the sweep's work
-#: arrays at (SWEEP_BLOCK, n_rows), so memory does not grow with the batch
+#: unsolved parameters a region certifies per call, and the instances of
+#: one block of instance data, of one map call and of one loader step;
+#: bounds those work arrays at (SWEEP_BLOCK, n_rows), so their memory does
+#: not grow with the batch
 SWEEP_BLOCK = 1024
 
 #: a batch whose direct solves fail numerically more often than this aborts
@@ -258,8 +267,14 @@ def _float64_text(values: np.ndarray) -> str:
 
 def _objectives(prob: MpqpProblem, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Objectives in original units of the stacked solutions x at the
-    scaled costs c; NaN on the rows where x is NaN."""
-    return (0.5 * ((x @ prob.H) * x).sum(axis=1) + (c * x).sum(axis=1)) * prob.scaling.cost_scale
+    scaled costs c, formed SWEEP_BLOCK rows at a time (the blocks
+    load_result_json reads); NaN on the rows where x is NaN."""
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], SWEEP_BLOCK):
+        blk = slice(start, start + SWEEP_BLOCK)
+        xb = x[blk]
+        out[blk] = 0.5 * ((xb @ prob.H) * xb).sum(axis=1) + (c[blk] * xb).sum(axis=1)
+    return out * prob.scaling.cost_scale
 
 
 def _stored_rows(status: np.ndarray) -> np.ndarray:
@@ -291,6 +306,26 @@ def _certified(region, xu: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np.
     return ok
 
 
+def _unsolved_picks(order: np.ndarray, status: np.ndarray):
+    """The rows of order still unsolved when their turn comes.  order is
+    scanned SWEEP_BLOCK rows at a time, so only the unsolved rows reach
+    Python; each is checked again when picked, as a region built from an
+    earlier pick of its chunk may have served it."""
+    for start in range(0, order.size, SWEEP_BLOCK):
+        chunk = order[start : start + SWEEP_BLOCK]
+        for i in chunk[status[chunk] < 0].tolist():
+            if status[i] < 0:
+                yield i
+
+
+def _instance_blocks(ctx: RegionContext, thetas: np.ndarray):
+    """(start, c, xu, rhs) of each SWEEP_BLOCK rows of thetas in turn, from
+    RegionContext.instance_data: the one way the run and the loader form
+    per-instance data, so both read the same products to the bit."""
+    for start in range(0, thetas.shape[0], SWEEP_BLOCK):
+        yield start, *ctx.instance_data(thetas[start : start + SWEEP_BLOCK])
+
+
 def run_batch(
     prob: MpqpProblem,
     thetas: np.ndarray,
@@ -315,8 +350,14 @@ def run_batch(
     n = thetas.shape[0]
     t0 = time.perf_counter()
     ctx = RegionContext(scaled)
-    c, xu, rhs = ctx.instance_data(thetas)
     m = scaled.A.shape[0]
+    # kept for the whole batch: the sweeps revisit every unsolved row
+    c = np.empty((n, scaled.n_var))
+    xu = np.empty_like(c)
+    rhs = np.empty((n, ctx.K.shape[0]))
+    for start, *block in _instance_blocks(ctx, thetas):
+        for whole, part in zip((c, xu, rhs), block):
+            whole[start : start + part.shape[0]] = part
 
     if options.seed is None:
         order = np.arange(n)
@@ -343,10 +384,7 @@ def run_batch(
         mark(i, st)
         direct_signatures[i] = signature
 
-    for i in order:
-        i = int(i)
-        if status[i] >= 0:
-            continue
+    for i in _unsolved_picks(order, status):
         inst = QpInstance(scaled.H, c[i], scaled.A, rhs[i, :m], scaled.B, rhs[i, m:])
         sol = solve_qp(inst, start=last_signature)
         logger.debug(
@@ -386,7 +424,9 @@ def run_batch(
         keep = rem[ok]
         rid = len(regions)
         screened_out += rem.size - keep.size
-        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
+        # one map call per block of instances, as load_result_json maps them
+        for rows in np.split(keep, np.flatnonzero(np.diff(keep // SWEEP_BLOCK)) + 1):
+            x[rows] = region.batch_solutions(xu[rows], rhs[rows])
         mark(keep, REUSE, rid=rid)
         mark(i, SEED, rid)
         regions.append(region.active_set)
@@ -489,13 +529,14 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     rows without a region alone have direct signatures, and x holds
     exactly their float64 values.
 
-    Each region, rebuilt from its signature (it must have full rank), must
-    certify its rows, seed and reuse, by the run's own test; it then maps
-    them in index order, as run_batch does, so x equals the run's bit for
-    bit.  The objectives come from run_batch's formula.  Solved rows must
-    be finite, and the stored ones primally feasible; the other rows are
-    NaN.  The counters are counted off the columns, so nothing stored can
-    disagree with them.
+    Every region is rebuilt from its signature (it must have full rank).
+    Then, one SWEEP_BLOCK block of instances at a time: each region must
+    certify its rows of the block, seed and reuse, by the run's own test,
+    and then maps them in index order, as run_batch does, so x equals the
+    run's bit for bit; the block's solved rows must be finite, and the
+    stored ones primally feasible; its objectives come from run_batch's
+    formula on the same block.  The other rows are NaN.  The counters are
+    counted off the columns, so nothing stored can disagree with them.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -584,43 +625,50 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     }
     x = np.full((n, prob.H.shape[0]), np.nan)
     x[stored_rows] = _stored_x(cols["x"], int(stored_rows.sum()), prob.H.shape[0])
+    objectives = np.empty(n)
 
-    # every row with a region through it, as run_batch maps them
     ctx = RegionContext(prob)
-    c, xu, rhs = ctx.instance_data(thetas)
-    rows = np.flatnonzero(region_id >= 0)
-    served = np.bincount(region_id[rows], minlength=len(regions))
-    rows = rows[np.argsort(region_id[rows], kind="stable")]
-    for k, (sig, end) in enumerate(zip(regions, np.cumsum(served).tolist())):
+    built = []
+    for k, sig in enumerate(regions):
         try:
-            region = ctx.build_region(sig)
+            built.append(ctx.build_region(sig))
         except RankDeficientKError:
             raise SchemaError(
                 f"region {k}'s signature is rank deficient with the equality rows"
             ) from None
-        keep = rows[end - served[k] : end]
-        bad = keep[~_certified(region, xu, rhs, keep)]
+    solved = status < _SOLVED
+    # one block of instance data at a time, the blocks run_batch formed
+    for start, c, xu, rhs in _instance_blocks(ctx, thetas):
+        blk = slice(start, start + c.shape[0])
+        # each region's rows in the block, as run_batch maps them
+        owner = region_id[blk]
+        for k in np.flatnonzero(np.bincount(owner + 1)[1:]).tolist():  # -1 is no region
+            rows = np.flatnonzero(owner == k)
+            bad = rows[~_certified(built[k], xu, rhs, rows)]
+            if bad.size:
+                raise SchemaError(
+                    f"row {start + bad[0]} is served by region {k}, which does not certify it"
+                )
+            x[start + rows] = built[k].batch_solutions(xu[rows], rhs[rows])
+        bad = np.flatnonzero(solved[blk] & ~np.isfinite(x[blk]).all(axis=1))
         if bad.size:
-            raise SchemaError(f"row {bad[0]} is served by region {k}, which does not certify it")
-        x[keep] = region.batch_solutions(xu[keep], rhs[keep])
-
-    bad = np.flatnonzero((status < _SOLVED) & ~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise SchemaError(f"row {bad[0]} is solved but its solution is not finite")
-    # a stored row is a direct solve's optimum, so it lies within the looser
-    # of the two primal tolerances
-    rhs = rhs[stored_rows, :n_rows]
-    worst = (x[stored_rows] @ prob.A.T - rhs).max(axis=1, initial=-np.inf)
-    tol = np.maximum(SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0)))
-    bad = np.flatnonzero(stored_rows)[worst > tol]
-    if bad.size:
-        raise SchemaError(f"row {bad[0]} is solved but its solution is infeasible")
+            raise SchemaError(f"row {start + bad[0]} is solved but its solution is not finite")
+        # a stored row is a direct solve's optimum, so it lies within the
+        # looser of the two primal tolerances
+        rows = np.flatnonzero(stored_rows[blk])
+        b = rhs[rows, :n_rows]
+        worst = (x[start + rows] @ prob.A.T - b).max(axis=1, initial=-np.inf)
+        tol = np.maximum(SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(b).max(axis=1, initial=0.0)))
+        bad = rows[worst > tol]
+        if bad.size:
+            raise SchemaError(f"row {start + bad[0]} is solved but its solution is infeasible")
+        objectives[blk] = _objectives(prob, c, x[blk])
     return BatchResult(
         problem=prob,
         options=options,
         thetas=thetas,
         x=x,
-        objectives=_objectives(prob, c, x),
+        objectives=objectives,
         status=status,
         region_id=region_id,
         regions=regions,

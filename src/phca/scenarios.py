@@ -91,11 +91,21 @@ class ThetaSet:
     def __len__(self) -> int:
         return self.thetas.shape[0]
 
+    def groups(self) -> list[tuple[tuple[float, float, float], np.ndarray]]:
+        """Each distinct (kappa, oversize, alpha) triple in first-seen order,
+        with its rows in index order (rows_for's), found in one sort."""
+        cells = np.column_stack([self.kappa, self.oversize, self.alpha]).astype(float)
+        if not len(cells):
+            return []
+        order = np.lexsort(cells.T[::-1])  # stable, so each cell's rows stay in order
+        ranked = cells[order]
+        starts = np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1
+        rows = sorted(np.split(order, starts), key=lambda r: r[0])
+        return [(tuple(cells[r[0]].tolist()), r) for r in rows]
+
     def group_keys(self) -> list[tuple[float, float, float]]:
         """Distinct (kappa, oversize, alpha) triples in first-seen order."""
-        cells = np.column_stack([self.kappa, self.oversize, self.alpha]).astype(float)
-        _, first = np.unique(cells, axis=0, return_index=True)
-        return [tuple(cells[i].tolist()) for i in np.sort(first)]
+        return [key for key, _ in self.groups()]
 
     def rows_for(self, key: tuple[float, float, float]) -> np.ndarray:
         k, o, a = key
@@ -304,24 +314,19 @@ def expand_grid(prob: MpqpProblem, scen: ScenarioSet, grid: AnalysisGrid) -> The
     """
     grid.validate()
     n_hours = scen.n_hours
-    blocks, hour_v, kap_v, ovs_v, alf_v = [], [], [], [], []
-    hours = np.asarray(scen.hours, dtype=np.int64)
-    for kappa in grid.kappa:
-        for oversize in grid.oversize:
-            for alpha in grid.alpha:
-                blocks.append(
-                    theta_map_batch(prob, scen.pc, scen.qc, scen.pg, alpha, kappa, oversize)
-                )
-                hour_v.append(hours)
-                kap_v.append(np.full(n_hours, kappa))
-                ovs_v.append(np.full(n_hours, oversize))
-                alf_v.append(np.full(n_hours, alpha))
-    thetas = np.vstack(blocks)
+    cells = [(k, o, a) for k in grid.kappa for o in grid.oversize for a in grid.alpha]
+    # each cell's rows go straight into their slice: no second full copy
+    thetas = np.empty((len(cells) * n_hours, prob.n_theta))
+    for j, (kappa, oversize, alpha) in enumerate(cells):
+        thetas[j * n_hours : (j + 1) * n_hours] = theta_map_batch(
+            prob, scen.pc, scen.qc, scen.pg, alpha, kappa, oversize
+        )
     thetas.flags.writeable = False
+    kappa, oversize, alpha = (np.repeat(v, n_hours) for v in np.array(cells, dtype=float).T)
     return ThetaSet(
         thetas=thetas,
-        hour=np.concatenate(hour_v),
-        kappa=np.concatenate(kap_v),
-        oversize=np.concatenate(ovs_v),
-        alpha=np.concatenate(alf_v),
+        hour=np.tile(np.asarray(scen.hours, dtype=np.int64), len(cells)),
+        kappa=kappa,
+        oversize=oversize,
+        alpha=alpha,
     )

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import engine
 from .engine import BatchResult
 from .errors import EmptyGroupError
 from .feeder import REMOTE, FeederModel
@@ -71,14 +72,20 @@ def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
     Returns (rows, resid) where rows indexes into the problem's row list
     and resid[i, j] > 0 means instance i violates soft row rows[j] by that
     much in original units when no slack relief is applied.  With every
-    row hard, rows is empty and resid has no columns.
+    row hard, rows is empty and resid has no columns.  resid is the one
+    (n, len(rows)) array made: the soft rows' right-hand sides are formed
+    and subtracted SWEEP_BLOCK instances at a time.
     """
     prob = result.problem
     soft = prob.soft_rows
     A0 = prob.A[soft].copy()
     A0[:, prob.slack_index] = 0.0
-    rhs = prob.inequality_rhs(result.thetas, soft)
-    return soft, (result.x @ A0.T - rhs) * prob.scaling.ineq_scale
+    resid = result.x @ A0.T
+    for start in range(0, resid.shape[0], engine.SWEEP_BLOCK):
+        blk = slice(start, start + engine.SWEEP_BLOCK)
+        resid[blk] -= prob.inequality_rhs(result.thetas[blk], soft)
+    resid *= prob.scaling.ineq_scale
+    return soft, resid
 
 
 def violation_bound_gap(result: BatchResult) -> np.ndarray:
@@ -144,6 +151,23 @@ def group_stats(result: BatchResult, theta_set: ThetaSet) -> list[GroupStats]:
     return _group_stats(result, theta_set, voltage_matrix(result))
 
 
+def _quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """np.quantile(values, qs, axis=0, method="linear") of values already
+    sorted along axis 0, bit for bit: the order statistics at q (n - 1),
+    interpolated as numpy does (from the upper one when the weight is at
+    least 0.5).  numpy's own call would sort again and import numpy.ma."""
+    at = (values.shape[0] - 1) * qs
+    lo = np.floor(at)
+    lo[at >= values.shape[0] - 1] = -1  # numpy reads the last row there
+    t = (at - lo).reshape(-1, *(1,) * (values.ndim - 1))
+    lo = lo.astype(np.intp)
+    a, b = values[lo], values[np.where(lo < 0, -1, lo + 1)]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def _group_stats(
     result: BatchResult, theta_set: ThetaSet, volts: np.ndarray
 ) -> list[GroupStats]:
@@ -155,15 +179,12 @@ def _group_stats(
     qs = np.asarray(QUANTILES)
 
     out = []
-    for key in theta_set.group_keys():
-        rows = theta_set.rows_for(key)
+    for key, rows in theta_set.groups():
         solved = rows[np.isfinite(s_all[rows])]
         if solved.size == 0:
             raise EmptyGroupError(f"grid cell {key} has no solved instances")
-        # the same order statistics either way, but numpy partitions a
-        # sorted block much faster than an unsorted one
         s = np.sort(s_all[solved])
-        vq = np.quantile(np.sort(volts[solved], axis=0), qs, axis=0, method="linear")
+        vq = _quantiles(np.sort(volts[solved], axis=0), qs)
         counts = (resid[solved] > VIOLATION_TOL).sum(axis=0)
         worst = []
         for j in np.argsort(-counts):
@@ -178,9 +199,7 @@ def _group_stats(
                 n_instances=int(rows.size),
                 n_solved=int(solved.size),
                 n_relaxed=int((s > RELAX_THRESHOLD).sum()),
-                slack_quantiles=tuple(
-                    float(v) for v in np.quantile(s, qs, method="linear")
-                ),
+                slack_quantiles=tuple(_quantiles(s, qs).tolist()),
                 max_slack=float(s.max()),
                 voltage_quantiles=vq,
                 worst_rows=tuple(worst),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import float_columns, random_radial_case, set_float_columns
+from conftest import float_columns, random_radial_case, regulated_radial_case, set_float_columns
 
 import phca
 import phca.cli as cli_mod
@@ -303,6 +303,22 @@ def test_overflowing_grid_value_is_exit_2(case, capsys, axis, value, error):
     assert code == 2
     assert captured.err.startswith(f"phca: error: {error}")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_near_singular_cost_hessian_is_exit_2(tmp_path, capsys):
+    # with the default beta this layout's smallest Hessian eigenvalue is
+    # 1.4e-17 against a largest of 15, positive only by rounding
+    feeder, loads, solar = regulated_radial_case(2)
+    for name, text in (("feeder.txt", feeder), ("loads.csv", loads), ("solar.csv", solar)):
+        (tmp_path / name).write_text(text)
+    code = main(["run", "--feeder", str(tmp_path / "feeder.txt"),
+                 "--loads", str(tmp_path / "loads.csv"), "--solar", str(tmp_path / "solar.csv"),
+                 "--out", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: ConfigError: cost Hessian not positive definite")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_negative_seed_is_exit_2(case, capsys):

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from phca.engine import STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
-from phca.stats import json_report, recover_ratios, render_report
+from phca.stats import json_report, recover_ratios, render_report, soft_violations
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +249,40 @@ def _assert_roundtrip(res, theta_set=None, feeder=None):
     return text
 
 
+@pytest.mark.parametrize("budget", [None, 2])
+def test_json_roundtrip_across_instance_blocks(batch, small_theta_set, demo_feeder, monkeypatch,
+                                               budget):
+    # in 64-row blocks the first region serves rows of all three blocks and
+    # the second of two, so the run and the loader each map a region's rows
+    # block by block; the budget run also stores six rows
+    monkeypatch.setattr(engine_mod, "SWEEP_BLOCK", 64)
+    res = run_batch(batch.problem, batch.thetas, EngineOptions(seed=0, solve_budget=budget))
+    blocks = [np.unique(np.flatnonzero(res.region_id == k) // 64).size for k in range(2)]
+    assert blocks == [3, 2]
+    assert res.counters.stragglers == (6 if budget else 0)
+    _assert_roundtrip(res, small_theta_set, demo_feeder)
+
+
+def test_loader_and_soft_violations_hold_no_array_per_instance_and_row(batch, monkeypatch):
+    # 7,680 instances in 64-row blocks: one (n, n_rows) float64 array would
+    # take 2.3 MB, the whole of either call's peak far less
+    monkeypatch.setattr(engine_mod, "SWEEP_BLOCK", 64)
+    thetas = np.tile(batch.thetas, (40, 1))
+    res = run_batch(batch.problem, thetas, batch.options)
+    text = res.to_json()
+    full = thetas.shape[0] * res.problem.A.shape[0] * 8
+    tracemalloc.start()
+    try:
+        load_result_json(text, res.problem, thetas)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        soft_violations(res)
+        soft_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load_peak < full and soft_peak < full, (load_peak, soft_peak, full)
+
+
 def _with_failed_rows(prob, theta_set, monkeypatch):
     """_every_outcome with its third direct solve, a budget straggler's,
     failing numerically."""
@@ -273,11 +308,16 @@ def test_json_roundtrip(batch, small_theta_set, demo_feeder):
     assert batch.counters.seeds == 3 and batch.counters.qp_solves == 3
 
 
-def test_json_roundtrip_random_feeder(random_feeder_batch):
+def test_json_roundtrip_random_feeder(random_feeder_batch, monkeypatch):
+    # on this feeder a region's map of a few rows can differ in the last bit
+    # from its map of more, so with 64-row blocks the loaded x is the run's
+    # only because both map a region's rows of each block in one call
     prob, thetas = random_feeder_batch
-    res = run_batch(prob, thetas)
-    assert res.counters.reuse > 0
-    _assert_roundtrip(res)
+    for block in (engine_mod.SWEEP_BLOCK, 64):
+        monkeypatch.setattr(engine_mod, "SWEEP_BLOCK", block)
+        res = run_batch(prob, thetas)
+        assert res.counters.reuse > 0
+        _assert_roundtrip(res)
 
 
 def test_json_roundtrip_budget_rows(batch, small_theta_set, demo_feeder):

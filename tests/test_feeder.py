@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_radial_case
+from conftest import regulated_radial_case
 
 from phca import load_feeder, voltage_model
 from phca.errors import (
@@ -166,26 +166,7 @@ def test_regulator_splits_subgraphs(demo_feeder):
 
 
 def _regulated_feeder(seed):
-    """A random 30-bus feeder with six regulators of all three kinds: one on
-    the substation's line and, below it, a chain of two more."""
-    text, _, _ = random_radial_case(30, 5, days=1, seed=seed)
-    fd = load_feeder(text)
-    rng = np.random.default_rng(seed)
-
-    def below(bus):
-        return np.flatnonzero(fd.subtree[fd.parent_line[bus]])[1:]
-
-    # the substation's largest branch, and a chain of two regulators in it
-    head = max(np.flatnonzero(fd.parent == 0), key=lambda b: below(b).size)
-    middle = int(rng.choice([b for b in below(head) if below(b).size]))
-    tail = int(rng.choice(below(middle)))
-    rest = sorted(set(range(1, fd.n_bus)) - {head, middle, tail})
-    chosen = [head, middle, tail] + [int(b) for b in rng.choice(rest, 3, replace=False)]
-    kinds = ["remote - - - -", "local 1.00 - - -", "ldc 1.00 - 0.02 0.01"]
-    rows = [
-        f"{fd.ext_ids[fd.parent[n]]} {fd.ext_ids[n]} {kinds[k % 3]}" for k, n in enumerate(chosen)
-    ]
-    return load_feeder(text + "\n[regulators]\n" + "\n".join(rows) + "\n")
+    return load_feeder(regulated_radial_case(seed)[0])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -225,6 +225,24 @@ def test_expand_grid_ordering(demo_problem, demo_scenarios):
     assert ts.rows_for((9.0, 9.0, 9.0)).size == 0
 
 
+def test_expand_grid_writes_each_cell_block_bit_for_bit(demo_problem, demo_scenarios):
+    grid = AnalysisGrid(kappa=(1.0, 1.5), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
+    ts = expand_grid(demo_problem, demo_scenarios, grid)
+    scen = demo_scenarios
+    blocks = [
+        theta_map_batch(demo_problem, scen.pc, scen.qc, scen.pg, alpha, kappa, oversize)
+        for kappa in grid.kappa for oversize in grid.oversize for alpha in grid.alpha
+    ]
+    assert ts.thetas.tobytes() == np.vstack(blocks).tobytes()
+    assert not ts.thetas.flags.writeable
+    cells = [(k, o, a) for k in grid.kappa for o in grid.oversize for a in grid.alpha]
+    assert ts.group_keys() == cells
+    n = scen.n_hours
+    for j, (key, rows) in enumerate(ts.groups()):
+        assert rows.tolist() == list(range(j * n, (j + 1) * n))
+        assert ts.hour[rows].tolist() == list(scen.hours)
+
+
 def _group_keys_loop(ts):
     """The row-by-row first-seen scan group_keys replaced, kept as the reference."""
     seen = {}
@@ -248,6 +266,8 @@ def test_group_keys_first_seen_order_on_interleaved_cells(rng):
     )
     keys = ts.group_keys()
     assert keys == _group_keys_loop(ts)
+    for key, rows in ts.groups():
+        assert rows.tolist() == ts.rows_for(key).tolist()
     assert keys != sorted(keys) and len(keys) == len(cells)
     assert all(isinstance(v, float) for key in keys for v in key)
     assert ThetaSet(np.zeros((0, 3)), *(np.zeros(0),) * 4).group_keys() == []

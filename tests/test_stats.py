@@ -165,6 +165,26 @@ def _check_group_stats(result, theta_set, unsolved):
             assert counts.max() == 0
 
 
+def test_quantiles_of_sorted_arrays_match_numpy_bit_for_bit():
+    # 1-59 rows at scales 1e-8 to 1e2, with ties drawn from a few levels in
+    # every other array; both the 1-D (slack) and 2-D (voltage) shapes
+    rng = np.random.default_rng(26)
+    qs = np.asarray(stats_mod.QUANTILES)
+    for k in range(6000):
+        n = int(rng.integers(1, 60))
+        scale = 10.0 ** rng.uniform(-8, 2)
+        if k % 2:
+            values = scale * rng.choice(rng.random(3), size=(n, 3))
+        else:
+            values = scale * rng.standard_normal((n, 3))
+        values = np.sort(values, axis=0)
+        for v in (values[:, 0], values):
+            want = np.quantile(v, qs, axis=0, method="linear")
+            got = stats_mod._quantiles(v, qs)
+            # compared as integers: bit for bit, and a failure prints briefly
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k, n, scale)
+
+
 def test_group_stats_empty_cell(scaled_demo_problem, small_theta_set):
     prob = scaled_demo_problem
     thetas = small_theta_set.thetas[:6].copy()
