@@ -99,6 +99,10 @@ MAX_FAILURES = 50
 #: instances the oracle solves per stacked call; bounds its work arrays at
 #: (VALIDATE_BLOCK, n, n), so memory does not grow with the sample
 VALIDATE_BLOCK = 256
+#: the oracle's bounds on a stored solution: the sup-norm distance to its
+#: own solve, and the objective gap relative to max(1, |objective|)
+VALIDATE_DX_TOL = 1e-6
+VALIDATE_OBJ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -690,18 +694,14 @@ class ValidationReport:
         return not self.mismatches
 
 
-def validate_batch(
-    result: BatchResult,
-    indices: np.ndarray | None = None,
-    dx_tol: float = 1e-6,
-    obj_tol: float = 1e-8,
-) -> ValidationReport:
+def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> ValidationReport:
     """Re-solve instances independently and compare against the batch.
 
-    Checks the solution in the sup norm and the objective relative to its
-    magnitude.  indices defaults to every instance that produced a
-    solution.  The instances are solved from scratch in stacks of
-    VALIDATE_BLOCK, with no region algebra involved.
+    Checks the solution in the sup norm (VALIDATE_DX_TOL) and the
+    objective relative to its magnitude (VALIDATE_OBJ_TOL).  indices
+    defaults to every instance that produced a solution.  The instances
+    are solved from scratch in stacks of VALIDATE_BLOCK, with no region
+    algebra involved.
     """
     if indices is None:
         indices = np.flatnonzero(result.solved_mask())
@@ -724,7 +724,7 @@ def validate_batch(
             dx = np.abs(sols.x - result.x[idx]).max(axis=1)
             gap = np.abs(result.objectives[idx] - obj_ref) / np.maximum(1.0, np.abs(obj_ref))
         # written so that a NaN difference (a missing stored solution) fails
-        bad.extend(idx[~(optimal & (dx <= dx_tol) & (gap <= obj_tol))].tolist())
+        bad.extend(idx[~(optimal & (dx <= VALIDATE_DX_TOL) & (gap <= VALIDATE_OBJ_TOL))].tolist())
         max_dx = float(np.max(dx[optimal], initial=max_dx))
         max_gap = float(np.max(gap[optimal], initial=max_gap))
         logger.debug(

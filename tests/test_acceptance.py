@@ -31,7 +31,7 @@ from phca import (
 )
 from phca.acflow import approximation_error_sweep
 from phca.cli import main
-from phca.engine import STATUSES
+from phca.engine import STATUSES, VALIDATE_DX_TOL, VALIDATE_OBJ_TOL
 from phca.qp import OPTIMAL
 from phca.regions import RegionContext
 from phca.stats import violation_bound_gap
@@ -111,7 +111,9 @@ def minimal_relaxation_lp(inst, relax):
 def test_oracle_equivalence(study, capsys):
     n = study.result.counters.n_instances
     t0 = time.perf_counter()
-    report = validate_batch(study.result, dx_tol=1e-6, obj_tol=1e-8)
+    # the line's bounds are the oracle's own
+    assert (VALIDATE_DX_TOL, VALIDATE_OBJ_TOL) == (1e-6, 1e-8)
+    report = validate_batch(study.result)
     check_s = time.perf_counter() - t0
     total = study.batch_s + check_s
     ok = (

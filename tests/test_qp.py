@@ -15,8 +15,8 @@ from phca.qp import (
     _feasibility_probe,
     _independent_rows,
     _interior_point,
-    _nan_unless_spd,
-    _solve_or_nan,
+    _spd_solver,
+    _triangle,
     INFEASIBLE,
     OPTIMAL,
     RAY,
@@ -317,6 +317,37 @@ def test_independent_rows_match_reference():
                        np.zeros((1, n))])
         K = K[rng.permutation(len(K))]
         assert _independent_rows(K).tolist() == independent_rows_reference(K)
+    # sets whose Gram matrix K K' has a smallest-to-largest eigenvalue
+    # ratio of at least 1e-12 are kept whole from one eigvalsh call, the
+    # others go through the loop; both must pick the reference's rows
+    cases = []
+    for n in (2, 5, 14, 40):
+        for r in sorted({1, n // 2 + 1, n}):
+            # well conditioned, and conditioned on both sides of the 1e-12
+            # Gram ratio (singular values spread by its square root)
+            for ratio in (1.0, 1e-4, 1e-8, 4e-12, 2.5e-13, 1e-14):
+                U = np.linalg.qr(rng.normal(size=(r, r)))[0]
+                V = np.linalg.qr(rng.normal(size=(n, r)))[0]
+                sv = np.sqrt(ratio) ** np.linspace(0.0, 1.0, r)
+                cases.append((U * sv) @ V.T * rng.uniform(0.1, 10.0))
+            base = rng.normal(size=(r, n))
+            cases += [
+                # a duplicate row, a zero row, more rows than columns
+                np.vstack([base, base[:1]]),
+                np.vstack([base[:1], np.zeros((1, n)), base[1:]]),
+                np.vstack([base, rng.normal(size=(n + 1 - r, n))]),
+                np.zeros((r, n)),
+            ]
+    fast = slow = 0
+    for K in cases:
+        assert _independent_rows(K).tolist() == independent_rows_reference(K)
+        eig = np.linalg.eigvalsh(K @ K.T)
+        if len(K) <= K.shape[1] and eig[0] >= 1e-12 * eig[-1] > 0.0:
+            fast += 1
+        else:
+            slow += 1
+    # the cases straddle the threshold
+    assert fast >= 40 and slow >= 40
 
 
 def test_batch_matches_single_solves(monkeypatch):
@@ -506,16 +537,52 @@ def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
     assert rays >= 100
 
 
+def _tri(M):
+    """The lower triangles of the stack M, in the layout _spd_solver takes."""
+    rows, cols, _, _ = _triangle(M.shape[1])
+    return M[:, rows, cols]
+
+
 def test_step_solves_give_nan_on_bad_matrices():
-    # an indefinite matrix fails the positive-definiteness gate although LU
-    # could solve with it
-    M = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 2.0], [2.0, 1.0]]])
-    out = _solve_or_nan(_nan_unless_spd(M), np.array([[2.0, 4.0], [1.0, 1.0]]))
-    assert out[0].tolist() == [1.0, 1.0] and np.isnan(out[1]).all()
-    # an exactly singular matrix fails a stacked numpy solve as a whole
-    M = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]])
-    out = _solve_or_nan(M, np.array([[2.0, 4.0], [1.0, 1.0]]))
-    assert out[0].tolist() == [1.0, 1.0] and np.isnan(out[1]).all()
+    # an indefinite matrix (which LU could solve with) gives a NaN row, on
+    # the LU path of a small stack and the substitution path of a large
+    # one, while the others solve exactly: their factors and quotients are
+    # exact in binary
+    for k in (2, 512):
+        M = np.repeat(np.array([[[4.0, 0.0], [0.0, 16.0]]]), k, axis=0)
+        M[1] = [[1.0, 2.0], [2.0, 1.0]]
+        rhs = np.repeat(np.array([[4.0, 16.0]]), k, axis=0)
+        out = _spd_solver(_tri(M), 2)(rhs)
+        assert np.isnan(out[1]).all()
+        assert (np.delete(out, 1, axis=0) == 1.0).all()
+
+
+def _scaled_spd_stack(rng, k, n, cond):
+    """k SPD matrices S G S: G well conditioned, S diagonal and spanning
+    sqrt(cond), so that cond(S G S) is near cond; the spread of the
+    augmented Hessians' diagonals is what makes them ill conditioned."""
+    X = rng.normal(size=(k, n, 2 * n))
+    G = X @ X.transpose(0, 2, 1) / (2 * n)
+    s = np.exp(rng.uniform(0.0, 0.5 * np.log(cond), size=(k, n)))
+    s[:, 0], s[:, -1] = 1.0, np.sqrt(cond)
+    return s[:, :, None] * G * s[:, None, :]
+
+
+@pytest.mark.parametrize("k", [1, 32, 256])
+@pytest.mark.parametrize("n", [3, 14, 40])
+def test_step_solves_match_numpy(k, n):
+    # both right-hand sides solved with one factorization match
+    # np.linalg.solve, on both paths, up to condition numbers of 1e12
+    rng = np.random.default_rng(k * 1000 + n)
+    for cond in (1e2, 1e6, 1e9, 1e12):
+        M = _scaled_spd_stack(rng, k, n, cond)
+        assert np.linalg.cond(M).max() > 0.1 * cond
+        solve = _spd_solver(_tri(M), n)
+        for _ in range(2):
+            rhs = rng.normal(size=(k, n))
+            ref = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+            err = np.abs(solve(rhs) - ref).max(axis=1) / np.abs(ref).max(axis=1)
+            assert err.max() <= 1e-10, (cond, err.max())
 
 
 def test_cut_off_band_stack_solves():
