@@ -8,8 +8,8 @@ Builds, from a feeder and a dispatch configuration, the multiparametric QP
 
 over decision vector x = [reactive setpoints per inverter bus; substation
 voltage; one output voltage per regulator; violation slack s].  theta
-stacks the scaled loads (active and reactive), the scaled solar output,
-and the per-inverter reactive headroom.
+stacks the scaled loads (active and reactive) per bus, then the scaled
+solar output and the reactive headroom per inverter bus.
 
 The objective trades voltage flatness against ohmic losses with weight
 beta, adds nu*s^2 + eta*s on the slack, and a tiny ridge on the root
@@ -174,6 +174,12 @@ class MpqpProblem:
     (phca.stats.voltage_matrix forms them for a batch), and RL is the
     quadratic loss form over the net injections, both under the
     first-order model of feeder.voltage_model.
+
+    theta has 2 n_inj + 2 n_der columns: active load per non-substation
+    bus (pc_slice), reactive load per such bus (qc_slice), then solar
+    output per inverter bus (pg_slice) and reactive headroom per inverter
+    bus (headroom_slice), both in der_buses order.  Only an inverter bus
+    can produce solar, so no other bus has a solar column.
     """
 
     H: np.ndarray
@@ -235,10 +241,10 @@ class MpqpProblem:
         return slice(self.n_inj, 2 * self.n_inj)
 
     def pg_slice(self) -> slice:
-        return slice(2 * self.n_inj, 3 * self.n_inj)
+        return slice(2 * self.n_inj, 2 * self.n_inj + self.n_der)
 
     def headroom_slice(self) -> slice:
-        return slice(3 * self.n_inj, 3 * self.n_inj + self.n_der)
+        return slice(2 * self.n_inj + self.n_der, 2 * self.n_inj + 2 * self.n_der)
 
     # ---- instances --------------------------------------------------------
 
@@ -347,7 +353,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     v0_col = n_der
     vreg_cols = tuple(range(n_der + 1, n_der + 1 + n_reg))
     s_col = n_var - 1
-    n_theta = 3 * n_inj + n_der
+    n_theta = 2 * n_inj + 2 * n_der
 
     qg_col_of_bus = {bus: j for j, bus in enumerate(der)}
 
@@ -365,10 +371,11 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     U = np.zeros((n_inj, n_theta))
     pc_sl = slice(0, n_inj)
     qc_sl = slice(n_inj, 2 * n_inj)
-    pg_sl = slice(2 * n_inj, 3 * n_inj)
+    pg_sl = slice(2 * n_inj, 2 * n_inj + n_der)
+    der_slot = np.asarray(der, dtype=np.int64) - 1
     U[:, pc_sl] -= R
     U[:, qc_sl] -= X
-    U[:, pg_sl] += R
+    U[:, pg_sl] += R[:, der_slot]
 
     def bus_affine(bus: int) -> tuple[np.ndarray, np.ndarray]:
         if bus == 0:
@@ -434,7 +441,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     for j, bus in enumerate(der):
         ref = feeder.ext_ids[bus]
         e_head = np.zeros(n_theta)
-        e_head[3 * n_inj + j] = 1.0
+        e_head[pg_sl.stop + j] = 1.0  # the headroom columns follow the solar ones
         a = np.zeros(n_var)
         a[j] = 1.0
         add_row(INVERTER_CAP, ref, "hi", a, e_head, 0.0)
@@ -506,7 +513,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
             row += rg.x_comp * (sel_qg.T @ mask)  # reactive decisions below
             frow = -u_n.copy()
             frow[pc_sl] += rg.r_comp * mask
-            frow[pg_sl] += -rg.r_comp * mask
+            frow[pg_sl] += -rg.r_comp * mask[der_slot]
             frow[qc_sl] += rg.x_comp * mask
             beq_rows.append(row)
             feq_rows.append(frow)
@@ -531,7 +538,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     theta_names = (
         tuple(f"pc[{feeder.ext_ids[bus]}]" for bus in range(1, n))
         + tuple(f"qc[{feeder.ext_ids[bus]}]" for bus in range(1, n))
-        + tuple(f"pg[{feeder.ext_ids[bus]}]" for bus in range(1, n))
+        + tuple(f"pg[{feeder.ext_ids[bus]}]" for bus in der)
         + tuple(f"headroom[{feeder.ext_ids[bus]}]" for bus in der)
     )
 
@@ -572,7 +579,9 @@ def theta_map_batch(
     pc, qc, pg have shape (k, n_inj) and hold the unscaled consumption and
     the full (100% penetration) solar output.  Loads are multiplied by
     kappa, solar by alpha*kappa, and the headroom slot per inverter bus is
-    sqrt((oversize * p_rating)^2 - (alpha * kappa * pg)^2).
+    sqrt((oversize * p_rating)^2 - (alpha * kappa * pg)^2).  Only the
+    inverter buses' solar columns enter theta; a nonzero pg at any other
+    bus is refused (ConfigError), so no solar is dropped silently.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"penetration must lie in (0, 1], got {alpha}")
@@ -586,15 +595,19 @@ def theta_map_batch(
     k, n_inj = pc.shape
     if n_inj != prob.n_inj or qc.shape != pc.shape or pg.shape != pc.shape:
         raise DimensionError("scenario blocks must share shape (k, n_inj)")
+    der = np.asarray(prob.der_buses, dtype=np.int64) - 1
+    others = np.delete(np.arange(n_inj), der)
+    bad = others[pg[:, others].any(axis=0)]
+    if bad.size:
+        raise ConfigError(f"solar output given at bus index {bad[0] + 1}, which has no inverter")
     theta = np.zeros((k, prob.n_theta))
     # an overflow becomes inf or NaN here and is refused below, in one line
     with np.errstate(over="ignore", invalid="ignore"):
         theta[:, prob.pc_slice()] = kappa * pc
         theta[:, prob.qc_slice()] = kappa * qc
-        theta[:, prob.pg_slice()] = alpha * kappa * pg
-        der = np.asarray(prob.der_buses, dtype=np.int64) - 1
         cap = oversize * np.asarray(prob.der_p_rating)
         gen = alpha * kappa * pg[:, der]
+        theta[:, prob.pg_slice()] = gen
         head_sq = cap[None, :] ** 2 - gen**2
     if np.any(head_sq < -1e-15):
         bad = np.argwhere(head_sq < -1e-15)[0]

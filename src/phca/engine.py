@@ -36,10 +36,10 @@ row has no solution.  The results file holds the explicit solution: the
 status and region columns, the region table, and the solutions of the
 solved rows without a region.  load_result_json goes block by block: it
 certifies each region's rows with the run's own test (_certified, the
-one sweep over batch_membership), maps them again, the same call on the
-same rows, and checks the stored rows, so the loaded solutions and
-objectives are the run's bit for bit and no array of its holds a row
-per instance and constraint.
+one sweep over batch_membership), keeps the points that same call
+mapped, which are batch_solutions' on the same rows, and checks the
+stored rows, so the loaded solutions and objectives are the run's bit
+for bit and no array of its holds a row per instance and constraint.
 """
 
 from __future__ import annotations
@@ -300,13 +300,19 @@ def _positive_multipliers(sol) -> np.ndarray:
     return np.flatnonzero(lam > ACTIVE_LAM_REL * max(1.0, float(lam.max())))
 
 
-def _certified(region, xu: np.ndarray, rhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _certified(
+    region, xu: np.ndarray, rhs: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Mask of the instances in rows that the region certifies, swept
-    SWEEP_BLOCK rows per batch_membership call."""
+    SWEEP_BLOCK rows per batch_membership call; with out, also their
+    mapped points, one row of out per row of rows."""
     ok = np.zeros(rows.size, dtype=bool)
     for start in range(0, rows.size, SWEEP_BLOCK):
-        blk = rows[start : start + SWEEP_BLOCK]
-        ok[start : start + SWEEP_BLOCK] = region.batch_membership(xu[blk], rhs[blk])
+        part = slice(start, start + SWEEP_BLOCK)
+        blk = rows[part]
+        ok[part] = region.batch_membership(
+            xu[blk], rhs[blk], out=None if out is None else out[part]
+        )
     return ok
 
 
@@ -536,7 +542,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     Every region is rebuilt from its signature (it must have full rank).
     Then, one SWEEP_BLOCK block of instances at a time: each region must
     certify its rows of the block, seed and reuse, by the run's own test,
-    and then maps them in index order, as run_batch does, so x equals the
+    and x keeps the points that one call mapped: the same expression on
+    the same rows, in index order, as run_batch's map, so x equals the
     run's bit for bit; the block's solved rows must be finite, and the
     stored ones primally feasible; its objectives come from run_batch's
     formula on the same block.  The other rows are NaN.  The counters are
@@ -648,12 +655,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         owner = region_id[blk]
         for k in np.flatnonzero(np.bincount(owner + 1)[1:]).tolist():  # -1 is no region
             rows = np.flatnonzero(owner == k)
-            bad = rows[~_certified(built[k], xu, rhs, rows)]
+            mapped = np.empty((rows.size, x.shape[1]))
+            bad = rows[~_certified(built[k], xu, rhs, rows, out=mapped)]
             if bad.size:
                 raise SchemaError(
                     f"row {start + bad[0]} is served by region {k}, which does not certify it"
                 )
-            x[start + rows] = built[k].batch_solutions(xu[rows], rhs[rows])
+            x[start + rows] = mapped
         bad = np.flatnonzero(solved[blk] & ~np.isfinite(x[blk]).all(axis=1))
         if bad.size:
             raise SchemaError(f"row {start + bad[0]} is solved but its solution is not finite")

@@ -63,17 +63,21 @@ class CriticalRegion:
         """
         return (xu @ self.K[self.rows].T - rhs[:, self.rows]) @ self.Linv.T @ self.Linv
 
-    def batch_membership(self, xu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def batch_membership(
+        self, xu: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Mask of the stacked instances whose mapped point is certified.
 
         Certified means every residual A x - rhs_A at most SCREEN_PRIMAL
         and every active-row multiplier at least -SCREEN_DUAL.  The map
         satisfies stationarity, the equality rows and complementarity
         (zero multiplier or zero residual on every row) by construction,
-        so a certified point is optimal.
+        so a certified point is optimal.  When out is given, the mapped
+        points of every instance are written to it: batch_solutions' values
+        on the same rows, bit for bit.
         """
         lam = self.multipliers(xu, rhs)
-        x = xu - lam @ self.HinvKT.T
+        x = np.subtract(xu, lam @ self.HinvKT.T, out=out)
         primal = (x @ self.A.T - rhs[:, : self.A.shape[0]]).max(axis=1, initial=-np.inf)
         dual = lam[:, : len(self.active_set)].min(axis=1, initial=np.inf)
         return (primal <= SCREEN_PRIMAL) & (dual >= -SCREEN_DUAL)

@@ -23,6 +23,7 @@ from phca.errors import (
     ConfigError,
     DimensionError,
     HeadroomError,
+    InputError,
     ModelError,
 )
 from phca.qp import OPTIMAL, solve_qp_batch
@@ -66,7 +67,7 @@ def sample_theta(prob, rng, alpha=0.3, kappa=1.0, oversize=1.0):
 def test_demo_layout(demo_problem):
     prob = demo_problem
     assert prob.n_var == 6
-    assert prob.n_theta == 44
+    assert prob.n_theta == 32
     assert prob.n_bus == 15
     assert prob.n_inj == 14
     assert prob.var_names == VAR_NAMES
@@ -77,10 +78,10 @@ def test_demo_layout(demo_problem):
     assert prob.der_p_rating == (0.1, 0.08)
     assert prob.theta_names[0] == "pc[1]"
     assert prob.theta_names[14] == "qc[1]"
-    assert prob.theta_names[28] == "pg[1]"
-    assert prob.theta_names[42:] == ("headroom[6]", "headroom[11]")
+    # one solar column per inverter bus, not one per bus
+    assert prob.theta_names[28:] == ("pg[6]", "pg[11]", "headroom[6]", "headroom[11]")
     assert prob.A.shape == (37, 6)
-    assert prob.E.shape == (37, 44)
+    assert prob.E.shape == (37, 32)
     assert prob.B.shape == (1, 6)
 
 
@@ -164,10 +165,11 @@ def test_inverter_cap_rows(demo_problem, rng):
     th = sample_theta(prob, rng)
     x = rng.normal(size=prob.n_var)
     inst = prob.instance(th)
-    assert inst.A[0] @ x - inst.b[0] == pytest.approx(x[0] - th[42], abs=1e-14)
-    assert inst.A[1] @ x - inst.b[1] == pytest.approx(-x[0] - th[42], abs=1e-14)
-    assert inst.A[2] @ x - inst.b[2] == pytest.approx(x[1] - th[43], abs=1e-14)
-    assert inst.A[3] @ x - inst.b[3] == pytest.approx(-x[1] - th[43], abs=1e-14)
+    head = th[prob.headroom_slice()]
+    assert inst.A[0] @ x - inst.b[0] == pytest.approx(x[0] - head[0], abs=1e-14)
+    assert inst.A[1] @ x - inst.b[1] == pytest.approx(-x[0] - head[0], abs=1e-14)
+    assert inst.A[2] @ x - inst.b[2] == pytest.approx(x[1] - head[1], abs=1e-14)
+    assert inst.A[3] @ x - inst.b[3] == pytest.approx(-x[1] - head[1], abs=1e-14)
     assert inst.A[36] @ x - inst.b[36] == pytest.approx(-x[5], abs=1e-14)
 
 
@@ -182,12 +184,13 @@ def test_theta_map_values(demo_problem):
     th = theta_map_batch(prob, pc, qc, pg, alpha=0.3, kappa=2.0, oversize=1.0)[0]
     assert th[prob.pc_slice()] == pytest.approx(2.0 * pc)
     assert th[prob.qc_slice()] == pytest.approx(2.0 * qc)
-    assert th[prob.pg_slice()] == pytest.approx(0.6 * pg)
-    assert th[42] == pytest.approx(math.sqrt(0.1**2 - (0.6 * 0.08) ** 2), rel=1e-14)
-    assert th[43] == pytest.approx(math.sqrt(0.08**2 - (0.6 * 0.06) ** 2), rel=1e-14)
+    assert th[prob.pg_slice()] == pytest.approx(0.6 * pg[np.asarray(prob.der_buses) - 1])
+    head = th[prob.headroom_slice()]
+    assert head[0] == pytest.approx(math.sqrt(0.1**2 - (0.6 * 0.08) ** 2), rel=1e-14)
+    assert head[1] == pytest.approx(math.sqrt(0.08**2 - (0.6 * 0.06) ** 2), rel=1e-14)
     batch = theta_map_batch(prob, np.stack([pc, pc]), np.stack([qc, qc]),
                             np.stack([pg, pg]), alpha=0.3, kappa=2.0, oversize=1.0)
-    assert batch.shape == (2, 44)
+    assert batch.shape == (2, prob.n_theta)
     assert batch[1] == pytest.approx(th)
 
 
@@ -221,6 +224,22 @@ def test_theta_map_rejects(demo_problem):
             theta_map_batch(prob, pc, qc, pg_big, alpha=0.3, kappa=1.0, oversize=1e200)
         with pytest.raises(ConfigError, match="overflows the parameter vector"):
             theta_map_batch(prob, pc, qc, pg_big, alpha=0.3, kappa=1e160, oversize=1e200)
+
+
+def test_theta_map_refuses_solar_without_inverter(demo_problem):
+    # theta has solar columns at the inverter buses (slots 8 and 10) only,
+    # so output anywhere else would be dropped; it is refused instead
+    prob = demo_problem
+    n = prob.n_inj
+    pc = np.full((3, n), 0.02)
+    pg = np.zeros((3, n))
+    pg[:, 8] = 0.08
+    pg[2, 3] = 1e-9
+    with pytest.raises(InputError, match=r"^solar output given at bus index 4, which has no"):
+        theta_map_batch(prob, pc, 0.5 * pc, pg, alpha=0.3, kappa=1.0, oversize=1.0)
+    pg[2, 3] = 0.0
+    assert theta_map_batch(prob, pc, 0.5 * pc, pg, alpha=0.3, kappa=1.0, oversize=1.0).shape == (
+        3, prob.n_theta)
 
 
 def test_scale_problem_invariance(demo_problem, rng):
@@ -327,7 +346,7 @@ def test_calibrate_eta_warns_once(demo_problem, demo_scenarios, caplog):
         alpha=0.12, kappa=5.0, oversize=1.0,
     )
     # the same squeeze as below makes half the samples infeasible
-    thetas[::2, 42:44] = -0.5
+    thetas[::2, demo_problem.headroom_slice()] = -0.5
     with caplog.at_level(logging.DEBUG, logger="phca.builder"):
         calibrate_eta(demo_problem, thetas)
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -353,8 +372,7 @@ def test_calibrate_eta_skips_forced_infeasible(demo_problem, demo_scenarios, cap
 
 def test_calibrate_eta_all_infeasible(demo_problem):
     bad = np.zeros((3, demo_problem.n_theta))
-    bad[:, 42] = -0.5  # negative headroom squeezes the cap rows shut
-    bad[:, 43] = -0.5
+    bad[:, demo_problem.headroom_slice()] = -0.5  # negative headroom squeezes the cap rows shut
     with pytest.raises(AllInfeasibleError):
         calibrate_eta(demo_problem, bad)
 

@@ -29,7 +29,7 @@ from phca.builder import BuilderConfig
 from phca.engine import STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
 from phca.qp import OPTIMAL
-from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
+from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, CriticalRegion, RegionContext
 from phca.stats import json_report, recover_ratios, render_report, soft_violations
 
 
@@ -261,6 +261,23 @@ def test_json_roundtrip_across_instance_blocks(batch, small_theta_set, demo_feed
     assert blocks == [3, 2]
     assert res.counters.stragglers == (6 if budget else 0)
     _assert_roundtrip(res, small_theta_set, demo_feeder)
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_loader_keeps_the_certified_points(batch, monkeypatch, budget):
+    # the loader's x of a region row is the point its certification mapped:
+    # no second map call, and the run's x byte for byte
+    monkeypatch.setattr(engine_mod, "SWEEP_BLOCK", 64)
+    res = run_batch(batch.problem, batch.thetas, EngineOptions(seed=0, solve_budget=budget))
+    text = res.to_json()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the loader mapped region rows a second time")
+
+    monkeypatch.setattr(CriticalRegion, "batch_solutions", unreachable)
+    back = load_result_json(text, res.problem, res.thetas)
+    assert (res.region_id >= 0).sum() > 64
+    assert back.x.tobytes() == res.x.tobytes()
 
 
 def test_loader_and_soft_violations_hold_no_array_per_instance_and_row(batch, monkeypatch):

@@ -100,10 +100,7 @@ def perturbed_theta(scaled_demo_problem, rng, scale=0.0):
     theta = np.zeros(prob.n_theta)
     theta[prob.pc_slice()] = pc
     theta[prob.qc_slice()] = 0.4 * pc
-    pg = np.zeros(n)
-    pg[8] = 0.05
-    pg[10] = 0.04
-    theta[prob.pg_slice()] = pg
+    theta[prob.pg_slice()] = (0.05, 0.04)  # inverter buses 9 and 11
     theta[prob.headroom_slice()] = (0.09, 0.07)
     if scale:
         theta = theta + rng.normal(0.0, scale, prob.n_theta)
