@@ -23,6 +23,7 @@ from __future__ import annotations
 import configparser
 import logging
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -118,29 +119,36 @@ def load_config(path) -> BuilderConfig:
     """Read a BuilderConfig from an ini-style file.
 
     Section [dispatch] holds the decimal fields; section [constraints]
-    holds family = hard|soft overrides.  Any other section is refused.
+    holds family = hard|soft overrides.  Any other section is refused, and
+    so is any file configparser cannot parse.  The file is read as UTF-8,
+    after a byte-order mark if it starts with one.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError):
+        raise ConfigError(f"cannot read config file {path}") from None
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    unknown = set(parser.sections()) - {"dispatch", "constraints"}
+    try:
+        parser.read_string(text, source=str(path))
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except configparser.Error as exc:
+        # configparser's messages can span lines; an input error takes one
+        raise ConfigError(" ".join(str(exc).split())) from None
+    unknown = set(sections) - {"dispatch", "constraints"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     kwargs = {}
-    if parser.has_section("dispatch"):
-        for key in parser.options("dispatch"):
-            if key not in ("beta", "vmin", "vmax", "nu", "eta", "ridge"):
-                raise ConfigError(f"unknown dispatch option {key!r}")
-            try:
-                kwargs[key] = float(parser.get("dispatch", key))
-            except ValueError:
-                raise ConfigError(f"bad numeric value for {key!r}") from None
-    assignments = []
-    if parser.has_section("constraints"):
-        for key in parser.options("constraints"):
-            assignments.append((key, parser.get("constraints", key).strip().lower()))
-    cfg = BuilderConfig(assignments=tuple(assignments), **kwargs)
+    for key, value in sections.get("dispatch", {}).items():
+        if key not in ("beta", "vmin", "vmax", "nu", "eta", "ridge"):
+            raise ConfigError(f"unknown dispatch option {key!r}")
+        try:
+            kwargs[key] = float(value)
+        except ValueError:
+            raise ConfigError(f"bad numeric value for {key!r}") from None
+    assignments = tuple(
+        (key, value.strip().lower()) for key, value in sections.get("constraints", {}).items()
+    )
+    cfg = BuilderConfig(assignments=assignments, **kwargs)
     cfg.validate()
     return cfg
 

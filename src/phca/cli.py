@@ -93,20 +93,26 @@ def _engine_options(args) -> EngineOptions:
     )
 
 
+def _read_input(path) -> str:
+    """An input document as text: UTF-8, after a byte-order mark if it
+    starts with one (spreadsheet programs write one into CSV files)."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _build_case(args):
     """Shared pipeline: files -> (feeder, scaled problem, theta set)."""
     if args.calibration_samples < 1:
         raise ConfigError(
             f"calibration-samples must be at least 1, got {args.calibration_samples}"
         )
-    feeder = load_feeder(Path(args.feeder).read_text())
+    feeder = load_feeder(_read_input(args.feeder))
     config = load_config(args.config) if args.config else BuilderConfig()
     grid = AnalysisGrid(kappa=args.kappa, oversize=args.oversize, alpha=args.alpha)
     grid.validate()
     scen = load_scenarios(
         feeder,
-        Path(args.loads).read_text(),
-        Path(args.solar).read_text() if args.solar else None,
+        _read_input(args.loads),
+        _read_input(args.solar) if args.solar else None,
         seed=args.scenario_seed,
     )
     prob = build_problem(feeder, config)
@@ -200,7 +206,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_dump_problem(args) -> int:
-    feeder = load_feeder(Path(args.feeder).read_text())
+    feeder = load_feeder(_read_input(args.feeder))
     config = load_config(args.config) if args.config else BuilderConfig()
     prob = build_problem(feeder, config)
     if args.eta is not None:

@@ -26,6 +26,8 @@ Per-instance data comes from one producer, RegionContext.instance_data,
 always called on the same blocks: SWEEP_BLOCK consecutive instances.
 run_batch keeps the blocks' data for the whole batch, since its sweeps
 revisit every unsolved row; load_result_json holds one block at a time.
+Both gather each sweep block's rows into work arrays made once per call
+(_sweep_work), so that no block maps fresh pages for its copies.
 A row with a region, seed included, holds its region's map: one call
 maps a region's rows of one block, in index order, so x never depends
 on how the solver reached the seed.  The objectives, too, are formed a
@@ -300,18 +302,36 @@ def _positive_multipliers(sol) -> np.ndarray:
     return np.flatnonzero(lam > ACTIVE_LAM_REL * max(1.0, float(lam.max())))
 
 
+def _sweep_work(ctx: RegionContext, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work arrays for the gathered xu and rhs of sweep blocks of up to rows
+    instances, made once per run_batch or load_result_json call.  Every
+    block reuses them, so that no block maps fresh pages for its copies."""
+    return np.empty((rows, ctx.prob.n_var)), np.empty((rows, ctx.K.shape[0]))
+
+
+def _gather(work, xu: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
+    """xu[rows] and rhs[rows], written into the first rows of work's arrays."""
+    # rows are in range, and take's default mode="raise" fills a fresh copy
+    # of out before writing it back
+    k = rows.size
+    return (np.take(xu, rows, axis=0, out=work[0][:k], mode="clip"),
+            np.take(rhs, rows, axis=0, out=work[1][:k], mode="clip"))
+
+
 def _certified(
-    region, xu: np.ndarray, rhs: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
+    region, xu: np.ndarray, rhs: np.ndarray, rows: np.ndarray, work,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mask of the instances in rows that the region certifies, swept
-    SWEEP_BLOCK rows per batch_membership call; with out, also their
-    mapped points, one row of out per row of rows."""
+    SWEEP_BLOCK rows per batch_membership call, each block gathered into
+    the _sweep_work arrays work; with out, also their mapped points, one
+    row of out per row of rows."""
     ok = np.zeros(rows.size, dtype=bool)
     for start in range(0, rows.size, SWEEP_BLOCK):
         part = slice(start, start + SWEEP_BLOCK)
         blk = rows[part]
         ok[part] = region.batch_membership(
-            xu[blk], rhs[blk], out=None if out is None else out[part]
+            *_gather(work, xu, rhs, blk), out=None if out is None else out[part]
         )
     return ok
 
@@ -368,6 +388,7 @@ def run_batch(
     for start, *block in _instance_blocks(ctx, thetas):
         for whole, part in zip((c, xu, rhs), block):
             whole[start : start + part.shape[0]] = part
+    work = _sweep_work(ctx, min(n, SWEEP_BLOCK))
 
     if options.seed is None:
         order = np.arange(n)
@@ -427,7 +448,7 @@ def run_batch(
 
         # the seed is swept with every unsolved row and must pass like them
         rem = np.flatnonzero(status < 0)
-        ok = _certified(region, xu, rhs, rem)
+        ok = _certified(region, xu, rhs, rem, work)
         if not ok[np.searchsorted(rem, i)]:
             without_region(i, sol, UNCERTAIN, signature)
             continue
@@ -436,7 +457,7 @@ def run_batch(
         screened_out += rem.size - keep.size
         # one map call per block of instances, as load_result_json maps them
         for rows in np.split(keep, np.flatnonzero(np.diff(keep // SWEEP_BLOCK)) + 1):
-            x[rows] = region.batch_solutions(xu[rows], rhs[rows])
+            x[rows] = region.batch_solutions(*_gather(work, xu, rhs, rows))
         mark(keep, REUSE, rid=rid)
         mark(i, SEED, rid)
         regions.append(region.active_set)
@@ -648,6 +669,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
                 f"region {k}'s signature is rank deficient with the equality rows"
             ) from None
     solved = status < _SOLVED
+    work = _sweep_work(ctx, min(n, SWEEP_BLOCK))
     # one block of instance data at a time, the blocks run_batch formed
     for start, c, xu, rhs in _instance_blocks(ctx, thetas):
         blk = slice(start, start + c.shape[0])
@@ -656,7 +678,7 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         for k in np.flatnonzero(np.bincount(owner + 1)[1:]).tolist():  # -1 is no region
             rows = np.flatnonzero(owner == k)
             mapped = np.empty((rows.size, x.shape[1]))
-            bad = rows[~_certified(built[k], xu, rhs, rows, out=mapped)]
+            bad = rows[~_certified(built[k], xu, rhs, rows, work, out=mapped)]
             if bad.size:
                 raise SchemaError(
                     f"row {start + bad[0]} is served by region {k}, which does not certify it"

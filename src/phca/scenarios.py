@@ -164,39 +164,84 @@ def _bus_slot(feeder: FeederModel, tok: str) -> int:
     return bus - 1
 
 
-def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
-    """Parse one profile CSV (long or wide form, detected from the header).
+def _header(feeder: FeederModel, row: list[str]) -> tuple[int, bool, list[int]]:
+    """The column count of a profile's header row, whether it names the
+    long form, and in wide form the slot of each bus column."""
+    header = [c.strip() for c in row]
+    if not header or header[0].lower() != "hour":
+        raise SchemaError("profile header must start with 'hour'")
+    if len(header) == 3 and [h.lower() for h in header[1:]] == ["bus", "value"]:
+        return 3, True, []
+    slots = []
+    columns = set()
+    for tok in header[1:]:
+        if tok in columns:
+            raise SchemaError(f"duplicate bus column {tok!r}")
+        columns.add(tok)
+        slots.append(_bus_slot(feeder, tok))
+    if not slots:
+        raise SchemaError("wide-form profile needs at least one bus column")
+    return len(header), False, slots
 
-    A Python pass over the lines checks their structure: column count,
+
+def _read_wide(feeder: FeederModel, text: str):
+    """_scan's result for a wide-form file, from one np.loadtxt call, or
+    None, and _scan reads or refuses the file.
+
+    Only an unquoted file with LF line ends is read here, so that each
+    line splits at its commas as the csv module splits it (the CLI reads
+    files with universal newlines, so a CRLF file arrives with LF ends).
+    Every check _scan makes is made on the arrays, and any failure returns
+    None: _scan holds the grammar and every message.
+    """
+    if "\r" in text or '"' in text:
+        return None
+    # a line of spaces, tabs and commas is blank; a line the scanner finds
+    # blank for other whitespace is kept here and fails its hour below
+    lines = [ln for ln in text.split("\n") if ln.strip(" \t,")]
+    limit = csv.field_size_limit()
+    if any(len(ln) > limit and max(map(len, ln.split(","))) > limit for ln in lines):
+        return None  # the csv module refuses a field this long
+    try:
+        width, long_form, slots = _header(feeder, lines[0].split(","))
+        if long_form or len(lines) < 2:
+            return None
+        hours = [int(ln.split(",", 1)[0]) for ln in lines[1:]]
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except (IndexError, SchemaError, ValueError):
+        return None
+    if len(set(hours)) < len(hours) or values.shape[1] != width:
+        return None
+    values = values[:, 1:]
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        return None
+    return hours, values, slots, False
+
+
+def _scan(feeder: FeederModel, text: str):
+    """The data lines' hours, their values (one row per line), the slot of
+    each value column (of each line, in long form) and whether the file is
+    in long form: the profile grammar, checked line by line.
+
+    A Python pass over the csv rows checks their structure: column count,
     hour, bus and duplicates.  The value tokens of every line that passed
     are then cast and checked as one array (_cast_values).  A structure
     error stops the pass but is raised only after the values before it
     were checked, so the first error in file order is the one reported.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row and any(c.strip() for c in row)]
+    except csv.Error as exc:  # a carriage return inside a line, or an overlong field
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise SchemaError("profile file is empty")
-    header = [c.strip() for c in rows[0]]
-    if not header or header[0].lower() != "hour":
-        raise SchemaError("profile header must start with 'hour'")
-    n_inj = feeder.n_bus - 1
-    long_form = len(header) == 3 and [h.lower() for h in header[1:]] == ["bus", "value"]
+    width, long_form, slots = _header(feeder, rows[0])
 
-    present = np.zeros(n_inj, dtype=bool)
     # per data line: its number, hour, value tokens and, in long form, slot
     lines: list[int] = []
     hours: list[int] = []
     tokens: list[list[str]] = []
-    slots: list[int] = []
-    if not long_form:
-        columns = set()
-        for tok in header[1:]:
-            if tok in columns:
-                raise SchemaError(f"duplicate bus column {tok!r}")
-            columns.add(tok)
-            slots.append(_bus_slot(feeder, tok))
-        if not slots:
-            raise SchemaError("wide-form profile needs at least one bus column")
     seen: set = set()  # hours in wide form, (hour, slot) pairs in long form
     slot_of: dict[str, int] = {}
     try:
@@ -220,8 +265,8 @@ def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
                 seen.add((hour, slot))
                 slots.append(slot)
             else:
-                if len(row) != len(header):
-                    raise SchemaError(f"line {ln}: expected {len(header)} columns")
+                if len(row) != width:
+                    raise SchemaError(f"line {ln}: expected {width} columns")
                 hour = _parse_hour(row[0].strip(), ln)
                 if hour in seen:
                     raise SchemaError(f"line {ln}: duplicate hour {hour}")
@@ -237,7 +282,20 @@ def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
         raise structure_error
     if not lines:
         raise SchemaError("profile file has a header but no data rows")
+    return hours, values, slots, long_form
 
+
+def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
+    """Parse one profile CSV (long or wide form, detected from the header).
+
+    A wide-form file is read in one numpy pass (_read_wide) and checked on
+    its arrays.  Any other file, and any file that fails a check, goes to
+    the line scanner (_scan), which defines the grammar and every error
+    message; the fast pass returns a table only where the scanner would
+    return the same one, byte for byte.
+    """
+    hours, values, slots, long_form = _read_wide(feeder, text) or _scan(feeder, text)
+    n_inj = feeder.n_bus - 1
     distinct = sorted(set(hours))
     table = np.zeros((len(distinct), n_inj))
     if long_form:
@@ -246,6 +304,7 @@ def parse_profile(feeder: FeederModel, text: str) -> ScenarioTable:
         table[[row_of[h] for h in hours], slots] = values[:, 0]
     else:
         table[:, slots] = values[sorted(range(len(hours)), key=hours.__getitem__)]
+    present = np.zeros(n_inj, dtype=bool)
     present[slots] = True
     table.flags.writeable = False
     present.flags.writeable = False

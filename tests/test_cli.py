@@ -376,6 +376,43 @@ def test_misspelled_config_section_is_exit_2(case, capsys, tmp_path):
     assert captured.err == "phca: error: ConfigError: unknown config sections: ['constraint']\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "beta = 0.2\n",  # no section header
+        "[dispatch]\nbeta = 0.2\nbeta = 0.3\n",  # a duplicate option
+        "[dispatch]\nbeta\n",  # a key without a value
+        "[dispatch]\nbeta = 0.2\n[dispatch]\nvmin = 0.96\n",  # a duplicate section
+    ],
+)
+def test_config_syntax_error_is_exit_2(case, capsys, tmp_path, text):
+    config = tmp_path / "config.ini"
+    config.write_text(text)
+    args = base_args(case)
+    args[args.index("--config") + 1] = str(config)
+    code = main(["run", *args, "--out", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("phca: error: ConfigError: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_inputs_with_a_byte_order_mark_give_the_same_results(case, capsys, tmp_path, newline):
+    # spreadsheet programs write a UTF-8 byte-order mark, and CRLF line ends
+    args = base_args(case)
+    marked = list(args)
+    for flag in ("--feeder", "--loads", "--solar", "--config"):
+        k = args.index(flag) + 1
+        copy = tmp_path / Path(args[k]).name
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(args[k]).read_text().replace("\n", newline).encode())
+        marked[k] = str(copy)
+    assert main(["run", *args, "--out", str(tmp_path / "plain.json")]) == 0
+    assert main(["run", *marked, "--out", str(tmp_path / "marked.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def test_all_hard_constraints_report(case, capsys, tmp_path):
     # with no soft row left, every group reports no soft-row violations
     config = tmp_path / "config.ini"

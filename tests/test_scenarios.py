@@ -7,6 +7,7 @@ import pytest
 
 from phca import AnalysisGrid, expand_grid, load_feeder, load_scenarios, theta_map_batch
 from phca.errors import MissingBusError, NegativeValueError, SchemaError
+from phca import scenarios
 from phca.scenarios import ThetaSet, parse_profile
 
 FORK = """
@@ -44,6 +45,13 @@ def test_wide_form_parse(fork):
     assert table.values[:, b].tolist() == [2.0, 1.25]
     assert table.values[:, c].tolist() == [0.0, 0.0]
     assert table.present[a] and table.present[b] and not table.present[c]
+
+
+def test_wide_form_rows_in_hour_order(fork):
+    table = parse_profile(fork, "hour,b,a\n3,1.0,2.0\n1,0.5,1.25\n")
+    a, b = fork.index_of("a") - 1, fork.index_of("b") - 1
+    assert table.hours == (1, 3)
+    assert table.values[:, [a, b]].tolist() == [[1.25, 0.5], [2.0, 1.0]]
 
 
 def test_long_form_matches_wide(fork):
@@ -93,6 +101,24 @@ def test_unknown_bus_and_negative_value(fork):
         parse_profile(fork, "hour,a\n0,-0.5\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a carriage return inside a line, as in a file with CR line ends
+        ("hour,a\r0,1.0\r", "line 1: new-line character seen in unquoted field"),
+        ("hour,a\n0,1.0\n1,2\r5\n", "line 3: new-line character seen in unquoted field"),
+        # a value longer than the csv module's field limit
+        ("hour,a\n0,0." + "0" * 131072 + "1\n", "line 2: field larger than field limit"),
+    ],
+    ids=["cr-line-ends", "cr-inside-a-line", "overlong-field"],
+)
+def test_csv_errors_are_schema_errors(fork, text, message):
+    with pytest.raises(SchemaError) as err:
+        parse_profile(fork, text)
+    assert type(err.value) is SchemaError
+    assert str(err.value).startswith(message)
+
+
 @pytest.mark.parametrize("long_form", [False, True])
 def test_value_token_grammar(fork, long_form):
     """Values take Python's float() grammar, in both forms."""
@@ -138,6 +164,97 @@ def test_first_error_in_file_order(fork, text, message):
     with pytest.raises(SchemaError) as err:
         parse_profile(fork, text)
     assert str(err.value) == message
+
+
+#: value tokens of a generated wide-form file: the forms of
+#: test_value_token_grammar, most of them good so that many files parse
+GOOD_TOKENS = ("0", "1", "0.25", "+1.5", " 2.5 ", "1e-3", "1E2", "-0", "7.125\t")
+BAD_TOKENS = ("1_000", "nan", "inf", "-inf", "-0.5", '"1,5"', "much", "", " ", "0x10", "\u0661")
+#: lines the scanner skips, and one it does not
+BLANK_LINES = ("", "  ", ",,", " , ", "\t,", "\x0c", ",\u3000,")
+
+
+def _random_wide(rng) -> str:
+    """A small wide-form profile, mostly well formed: a column subset in
+    random order, sparse hours in or out of order, blank and comma-only
+    lines, LF or CRLF line ends, and now and then a bad token, hour, width,
+    duplicate or header."""
+    rare = lambda: rng.random() < 0.04  # noqa: E731
+    buses = [str(b) for b in rng.permutation(["a", "b", "c"])[: rng.integers(1, 4)]]
+    if rare():
+        buses.append(str(rng.choice(["a", "zz", "s"])))
+    header = str(rng.choice(["hour", "Hour", " hour "])) if not rare() else "time"
+    n = int(rng.integers(1, 7))
+    hours = rng.choice(24, size=n, replace=False)
+    if rng.random() < 0.5:
+        hours.sort()
+    hours = [str(h) for h in hours]
+    if rare() and n > 1:
+        hours[-1] = hours[0]
+    if rare():
+        hours[int(rng.integers(n))] = str(rng.choice(["x", "1.0", " 3 ", "+4", "1_0"]))
+    lines = [",".join([header, *buses])]
+    for h in hours:
+        row = [str(rng.choice(BAD_TOKENS if rare() else GOOD_TOKENS)) for _ in buses]
+        if rare():
+            row = row[:-1] if rng.random() < 0.5 else [*row, "1"]
+        lines.append(",".join([h, *row]))
+    for _ in range(int(rng.integers(0, 3))):
+        lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(BLANK_LINES)))
+    if rare():
+        k = int(rng.integers(len(lines)))
+        cut = int(rng.integers(len(lines[k]) + 1))
+        lines[k] = lines[k][:cut] + "\r" + lines[k][cut:]
+    newline = "\r\n" if rng.random() < 0.1 else "\n"
+    return newline.join(lines) + (newline if rng.random() < 0.8 else "")
+
+
+def _outcome(feeder, text):
+    """What parse_profile makes of text: the table's bytes, or the error."""
+    try:
+        table = parse_profile(feeder, text)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+    return table.hours, table.values.tobytes(), table.present.tobytes()
+
+
+def test_fast_path_matches_the_scanner(fork, monkeypatch):
+    # the one-pass read returns a table only where the scanner returns the
+    # same bytes; everywhere else the scanner decides, message and all
+    rng = np.random.default_rng(29)
+    read_wide = scenarios._read_wide
+    taken = 0
+    for _ in range(400):
+        text = _random_wide(rng)
+        got = _outcome(fork, text)
+        with monkeypatch.context() as m:
+            m.setattr(scenarios, "_read_wide", lambda feeder, text: None)
+            assert got == _outcome(fork, text), text
+        taken += read_wide(fork, text) is not None
+    # both paths are exercised
+    assert 100 < taken < 400, taken
+
+
+def test_wide_form_takes_the_fast_path(fork, demo_feeder, monkeypatch, tmp_path):
+    from phca import demo
+    from phca.cli import _read_input
+
+    # a CRLF file, as spreadsheet programs write it, read as the CLI reads it
+    crlf = tmp_path / "loads.csv"
+    crlf.write_bytes(demo.loads_csv(days=2).replace("\n", "\r\n").encode())
+    cases = [(fork, "hour,b,a\n3,1.0,2.0\n1,0.5,1.25\n\n"),
+             (demo_feeder, demo.loads_csv(days=2)), (demo_feeder, demo.solar_csv(days=2)),
+             (demo_feeder, _read_input(crlf))]
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "_read_wide", lambda feeder, text: None)
+        want = [_outcome(feeder, text) for feeder, text in cases]
+
+    def unreachable(*args):
+        raise AssertionError("the line scanner read a plain wide-form file")
+
+    monkeypatch.setattr(scenarios, "_scan", unreachable)
+    for (feeder, text), ref in zip(cases, want):
+        assert _outcome(feeder, text) == ref
 
 
 def test_reactive_synthesis(fork):
