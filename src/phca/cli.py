@@ -31,7 +31,7 @@ from .builder import (
     scale_problem,
 )
 from .engine import BatchResult, EngineOptions, load_result_json, run_batch, validate_batch
-from .errors import AllInfeasibleError, ConfigError, InputError, PhcaError
+from .errors import AllInfeasibleError, ConfigError, InputError, PhcaError, SchemaError
 from .feeder import load_feeder
 from .scenarios import AnalysisGrid, expand_grid, load_scenarios
 from .stats import json_report, render_report
@@ -94,9 +94,23 @@ def _engine_options(args) -> EngineOptions:
 
 
 def _read_input(path) -> str:
-    """An input document as text: UTF-8, after a byte-order mark if it
-    starts with one (spreadsheet programs write one into CSV files)."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    """A file as text: UTF-8, after a byte-order mark if it starts with
+    one (spreadsheet programs write one into CSV files).  Bytes that do
+    not decode are a SchemaError naming the first one's offset.  Line
+    ends are translated as open() translates them."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the decoder saw the file's last len(exc.object) bytes: a
+        # byte-order mark is cut off first
+        at = len(data) - len(exc.object) + exc.start
+        raise SchemaError(
+            f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {at}"
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _build_case(args):
@@ -195,7 +209,7 @@ def _cmd_validate(args) -> int:
 def _cmd_stats(args) -> int:
     feeder, scaled, thetas = _build_case(args)
     if args.results:
-        result = load_result_json(Path(args.results).read_text(), scaled, thetas.thetas)
+        result = load_result_json(_read_input(args.results), scaled, thetas.thetas)
     else:
         result = run_batch(scaled, thetas.thetas, _engine_options(args))
     if args.json:

@@ -35,13 +35,14 @@ block at a time.  A row's status is how it was dispatched: a reuse or
 seed row has a region, a budget-exhausted, uncertain-active-set or
 rank-deficient row was solved without one, and an infeasible or failed
 row has no solution.  The results file holds the explicit solution: the
-status and region columns, the region table, and the solutions of the
-solved rows without a region.  load_result_json goes block by block: it
-certifies each region's rows with the run's own test (_certified, the
-one sweep over batch_membership), keeps the points that same call
-mapped, which are batch_solutions' on the same rows, and checks the
-stored rows, so the loaded solutions and objectives are the run's bit
-for bit and no array of its holds a row per instance and constraint.
+rows of each status but reuse, the region column, the region table, and
+the solutions of the solved rows without a region.  load_result_json
+goes block by block: it certifies each region's rows with the run's own
+test (_certified, the one sweep over batch_membership), keeps the points
+that same call mapped, which are batch_solutions' on the same rows, and
+checks the stored rows, so the loaded solutions and objectives are the
+run's bit for bit and no array of its holds a row per instance and
+constraint.
 """
 
 from __future__ import annotations
@@ -237,15 +238,18 @@ class BatchResult:
     def to_json(self) -> str:
         """Deterministic strict JSON of the columns; excludes wall-clock time.
 
-        x holds only the solved rows without a region (degenerate and
-        budget rows), in index order, row-major, as a base64 string of
-        their little-endian float64 bytes, every non-finite entry as the
-        canonical NaN; load_result_json maps the others and every objective
-        again, at the slack price eta (in original units) stored beside.
+        status maps each name of STATUSES but reuse to its rows, a
+        strictly increasing index list (empty lists kept); a row in none
+        of them is a reuse row, so the file names none of the many rows a
+        region served.  x holds only the solved rows without a region
+        (degenerate and budget rows), in index order, row-major, as a
+        base64 string of their little-endian float64 bytes, every
+        non-finite entry as the canonical NaN; load_result_json maps the
+        others and every objective again, at the slack price eta (in
+        original units) stored beside.
         """
         payload = {
             "columns": {
-                "status": np.asarray(STATUSES, dtype=object)[self.status].tolist(),
                 "region_id": self.region_id.tolist(),
                 "x": _float64_text(self.x[_stored_rows(self.status)]),
             },
@@ -261,6 +265,10 @@ class BatchResult:
             "regions": [list(sig) for sig in self.regions],
             "scaling": asdict(self.problem.scaling),
             "screened_out": self.screened_out,
+            "status": {
+                name: np.flatnonzero(self.status == k).tolist()
+                for k, name in enumerate(STATUSES) if name != REUSE
+            },
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
@@ -482,12 +490,11 @@ def run_batch(
     )
 
 
-#: top-level keys of a results file, the columns under "columns", and
-#: which of those are lists (x is a base64 float64 string)
+#: top-level keys of a results file, and the columns under "columns":
+#: region_id, a list, and x, a base64 float64 string
 RESULT_KEYS = ("columns", "direct_signatures", "eta", "options", "regions", "scaling",
-               "screened_out")
-COLUMNS = ("region_id", "status", "x")
-LIST_COLUMNS = ("region_id", "status")
+               "screened_out", "status")
+COLUMNS = ("region_id", "x")
 
 
 def _column(values, name: str) -> np.ndarray:
@@ -524,15 +531,6 @@ def _same(stored, value: float) -> bool:
     return number and abs(stored - value) <= 1e-9 * max(1.0, value)
 
 
-def _codes(values: list, names: tuple, column: str) -> np.ndarray:
-    """Indices into names of a list of names."""
-    lookup = {name: k for k, name in enumerate(names)}
-    try:
-        return np.fromiter(map(lookup.__getitem__, values), dtype=np.int8, count=len(values))
-    except (KeyError, TypeError):  # an unknown name, or an unhashable entry
-        raise SchemaError(f"column {column!r} holds a name outside {names}") from None
-
-
 def _signature(value, n_rows: int, what: str) -> tuple[int, ...]:
     """A stored active set: a strictly increasing list of inequality rows."""
     # bracketed by -1 and n_rows, every neighbouring pair must increase
@@ -544,6 +542,27 @@ def _signature(value, n_rows: int, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _status_column(value, n: int) -> np.ndarray:
+    """The status column of n rows from a results file's status object:
+    each name but reuse with its rows, and reuse on every other row."""
+    names = STATUSES[1:]
+    if not isinstance(value, dict) or sorted(value) != sorted(names):
+        raise SchemaError(
+            f"'status' needs exactly the keys {', '.join(names)}, "
+            "each with its rows; a row in none of them is a reuse row"
+        )
+    status = np.zeros(n, dtype=np.int8)  # STATUSES.index(REUSE)
+    for k, name in enumerate(names, 1):
+        rows = np.array(_signature(value[name], n, f"status {name!r}"), dtype=np.int64)
+        twice = rows[status[rows] != 0]
+        if twice.size:
+            raise SchemaError(
+                f"row {twice[0]} is listed under both {STATUSES[status[twice[0]]]!r} and {name!r}"
+            )
+        status[rows] = k
+    return status
+
+
 def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchResult:
     """Rebuild a BatchResult from a results file written by to_json.
 
@@ -553,12 +572,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     file is well formed: exactly the known top-level keys and columns
     (other columns mark an earlier layout), known option keys with valid
     values (as EngineOptions.validate checks them), screened_out a
-    non-negative integer, one entry per instance in every list column,
-    known status names, region ids naming a stored region on exactly the
-    reuse and seed rows, each region with exactly one seed row, every
-    signature a strictly increasing list of inequality rows.  The solved
-    rows without a region alone have direct signatures, and x holds
-    exactly their float64 values.
+    non-negative integer, one region id per instance, a status object
+    with exactly the names but reuse, each naming a strictly increasing
+    list of rows and no row under two names, region ids naming a stored
+    region on exactly the reuse and seed rows, each region with exactly
+    one seed row, every signature a strictly increasing list of
+    inequality rows.  The solved rows without a region alone have direct
+    signatures, and x holds exactly their float64 values.
 
     Every region is rebuilt from its signature (it must have full rank).
     Then, one SWEEP_BLOCK block of instances at a time: each region must
@@ -614,13 +634,12 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
             f"results file needs exactly the columns {', '.join(COLUMNS)}; "
             "rerun phca run to rewrite a file from an earlier version"
         )
-    for name in LIST_COLUMNS:
-        if not isinstance(cols[name], list) or len(cols[name]) != n:
-            raise SchemaError(
-                f"column {name!r} does not hold one entry for each of the {n} "
-                "instances the inputs expand to"
-            )
-    status = _codes(cols["status"], STATUSES, "status")
+    if not isinstance(cols["region_id"], list) or len(cols["region_id"]) != n:
+        raise SchemaError(
+            f"column 'region_id' does not hold one entry for each of the {n} "
+            "instances the inputs expand to"
+        )
+    status = _status_column(payload["status"], n)
     if not isinstance(payload["regions"], list):
         raise SchemaError("results file has a malformed region table")
     regions = tuple(

@@ -17,13 +17,32 @@ from phca import (
 from phca.builder import BuilderConfig
 
 
+def status_names(payload):
+    """The status name of every row of a parsed results file: the status
+    object's lists, and reuse on every row in none of them."""
+    names = ["reuse"] * len(payload["columns"]["region_id"])
+    for name, rows in payload["status"].items():
+        for i in rows:
+            names[i] = name
+    return names
+
+
+def set_status(payload, row, name):
+    """Move one row of a parsed results file to the status name, reuse
+    included, keeping every list of the status object in index order."""
+    for rows in payload["status"].values():
+        if row in rows:
+            rows.remove(row)
+    if name != "reuse":
+        payload["status"][name] = sorted(payload["status"][name] + [row])
+
+
 def float_columns(payload):
     """The stored solution rows of a parsed results file, as a writable
     (k, n_var) array, and the instance index of each: the solved rows
     without a region (degenerate and budget rows), in index order."""
-    cols = payload["columns"]
-    rows = [i for i, st in enumerate(cols["status"])
-            if st in ("budget-exhausted", "uncertain-active-set", "rank-deficient")]
+    st = payload["status"]
+    rows = sorted(st["budget-exhausted"] + st["uncertain-active-set"] + st["rank-deficient"])
     x = np.frombuffer(base64.b64decode(payload["columns"]["x"]), dtype="<f8").astype(float)
     return x.reshape(len(rows), -1), rows
 

@@ -6,13 +6,21 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import float_columns, random_radial_case, regulated_radial_case, set_float_columns
+from conftest import (
+    float_columns,
+    random_radial_case,
+    regulated_radial_case,
+    set_float_columns,
+    set_status,
+    status_names,
+)
 
 import phca
 import phca.cli as cli_mod
@@ -68,8 +76,9 @@ def test_run_writes_results_and_report(case, capsys):
     assert code == 0
     assert "run: instances=192 " in captured.err
     payload = json.loads(out.read_text())
-    assert len(payload["columns"]["status"]) == 192
-    assert len(payload["columns"]["status"]) - payload["columns"]["status"].count("reuse") < 20
+    assert len(payload["columns"]["region_id"]) == 192
+    # only the rows that took a direct solve are named
+    assert sum(map(len, payload["status"].values())) < 20
     text = report.read_text()
     assert text.startswith("batch summary")
     assert "group kappa=2 " in text
@@ -255,7 +264,7 @@ def test_corrupted_results_fail_validation(case, capsys, tmp_path):
     # row, and only that row
     payload = json.loads(_results(case, capsys).read_text())
     x, rows = float_columns(payload)
-    assert payload["columns"]["status"][rows[0]] == "budget-exhausted"
+    assert rows[0] in payload["status"]["budget-exhausted"]
     x[0, -1] += 0.5
     set_float_columns(payload, x)
     bad = tmp_path / "tampered.json"
@@ -413,6 +422,39 @@ def test_inputs_with_a_byte_order_mark_give_the_same_results(case, capsys, tmp_p
     assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, pipe",
+    [("--feeder", False), ("--loads", False), ("--solar", False), ("--results", False),
+     ("--loads", True)],
+    ids=["--feeder", "--loads", "--solar", "--results", "--loads-pipe"],
+)
+def test_file_that_is_not_utf8_is_exit_2(case, capsys, tmp_path, flag, pipe):
+    # a Latin-1 e-acute halfway through the file, after a byte-order mark:
+    # the offset counts the file's bytes, the mark's too, also through a
+    # named pipe, as a shell's process substitution passes, which has no size
+    args = [*base_args(case), "--results", str(_results(case, capsys))]
+    k = args.index(flag) + 1
+    raw = b"\xef\xbb\xbf" + Path(args[k]).read_bytes()
+    at = len(raw) // 2
+    raw = raw[:at] + b"\xe9" + raw[at:]
+    bad = tmp_path / Path(args[k]).name
+    if pipe:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        os.mkfifo(bad)
+        threading.Thread(target=bad.write_bytes, args=(raw,), daemon=True).start()
+    else:
+        bad.write_bytes(raw)
+    args[k] = str(bad)
+    code = main(["stats", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"phca: error: SchemaError: {bad} is not UTF-8 text: byte 0xe9 at offset {at}\n"
+    )
+
+
 def test_all_hard_constraints_report(case, capsys, tmp_path):
     # with no soft row left, every group reports no soft-row violations
     config = tmp_path / "config.ini"
@@ -482,7 +524,7 @@ def _unknown_counter(payload):
 
 
 def _no_status(payload):
-    del payload["columns"]["status"]
+    del payload["status"]
 
 
 def _no_index(payload):
@@ -502,7 +544,7 @@ def _short_column(payload):
 
 
 def _unknown_status(payload):
-    payload["columns"]["status"][5] = "served"
+    payload["status"]["served"] = [5]
 
 
 def _region_out_of_range(payload):
@@ -510,7 +552,7 @@ def _region_out_of_range(payload):
 
 
 def _reuse_without_region(payload):
-    assert payload["columns"]["status"][5] == "reuse"
+    assert status_names(payload)[5] == "reuse"
     payload["columns"]["region_id"][5] = -1
 
 
@@ -563,7 +605,39 @@ def _bool_counter(payload):
 
 
 def _wrong_instance_count(payload):
-    payload["columns"]["status"].pop()
+    payload["columns"]["region_id"].pop()
+
+
+def _status_row_out_of_range(payload):
+    payload["status"]["failed"] = [192]
+
+
+def _row_under_two_names(payload):
+    payload["status"]["failed"] = [payload["status"]["seed"][1]]
+
+
+def _unsorted_status_list(payload):
+    payload["status"]["seed"].reverse()
+
+
+def _missing_status_name(payload):
+    del payload["status"]["failed"]
+
+
+def _reuse_status_name(payload):
+    # reuse rows are the rows in no list, never listed themselves
+    payload["status"]["reuse"] = [i for i, st in enumerate(status_names(payload)) if st == "reuse"]
+
+
+def _status_list_column(payload):
+    # the layout that wrote a status name for every row
+    payload["columns"]["status"] = status_names(payload)
+    del payload["status"]
+
+
+def _status_list_beside_object(payload):
+    # a status column is an unknown column, even beside the object
+    payload["columns"]["status"] = status_names(payload)
 
 
 def _non_string_column(payload):
@@ -597,9 +671,9 @@ def _number_in_unsolved_row(payload):
 def _direct_row_without_solution(payload):
     # row 5 becomes a degenerate row with its direct signature, but x
     # gains no row for it
-    cols = payload["columns"]
-    assert cols["status"][5] == "reuse"
-    cols["status"][5], cols["region_id"][5] = "uncertain-active-set", -1
+    assert status_names(payload)[5] == "reuse"
+    set_status(payload, 5, "uncertain-active-set")
+    payload["columns"]["region_id"][5] = -1
     payload["direct_signatures"].insert(0, {"index": 5, "signature": payload["regions"][0]})
 
 
@@ -616,6 +690,7 @@ def _objective_column(payload):
 
 def _reason_column(payload):
     # the layout that split a row's status into a status and a reason
+    _status_list_column(payload)
     cols = payload["columns"]
     coarse = {"seed": ("direct", "seed"), "budget-exhausted": ("direct", "budget-exhausted"),
               "uncertain-active-set": ("degenerate-direct", "uncertain-active-set"),
@@ -631,8 +706,9 @@ def _list_format_x(payload):
 
 def _seed_rows_stored(payload):
     # the layout that also stored each region's seed row and no slack price
-    del payload["eta"]
     x, rows = float_columns(payload)
+    _status_list_column(payload)
+    del payload["eta"]
     cols = payload["columns"]
     seeds = [i for i, st in enumerate(cols["status"]) if st == "seed"]
     order = np.argsort(rows + seeds, kind="stable")
@@ -642,6 +718,7 @@ def _seed_rows_stored(payload):
 def _parent_layout(payload):
     # the layout that stored the counters and each region's id, seed row and
     # served count beside the columns
+    _status_list_column(payload)
     cols = payload["columns"]
     status, region_id = cols["status"], cols["region_id"]
     n = len(status)
@@ -668,25 +745,21 @@ def _parent_layout(payload):
     ]
 
 
-def _row_of_region_0(cols, status):
-    return next(
-        i for i, (st, rid) in enumerate(zip(cols["status"], cols["region_id"]))
-        if st == status and rid == 0
-    )
+def _row_of_region_0(payload, status):
+    region_id = payload["columns"]["region_id"]
+    return next(i for i, st in enumerate(status_names(payload)) if st == status and region_id[i] == 0)
 
 
 def _region_without_seed(payload):
-    cols = payload["columns"]
-    cols["status"][_row_of_region_0(cols, "seed")] = "reuse"
+    set_status(payload, _row_of_region_0(payload, "seed"), "reuse")
 
 
 def _region_with_two_seeds(payload):
-    cols = payload["columns"]
-    cols["status"][_row_of_region_0(cols, "reuse")] = "seed"
+    set_status(payload, _row_of_region_0(payload, "reuse"), "seed")
 
 
 def _direct_signature_on_reuse_row(payload):
-    assert payload["columns"]["status"][5] == "reuse"
+    assert status_names(payload)[5] == "reuse"
     payload["direct_signatures"].insert(0, {"index": 5, "signature": [0, 1, 2]})
 
 
@@ -696,17 +769,16 @@ def _region_table_off(payload):
 
 def _negative_direct_signature(payload):
     # row 5 becomes a degenerate row whose signature names no inequality row
-    cols = payload["columns"]
-    assert cols["status"][5] == "reuse"
-    cols["status"][5], cols["region_id"][5] = "uncertain-active-set", -1
+    assert status_names(payload)[5] == "reuse"
+    set_status(payload, 5, "uncertain-active-set")
+    payload["columns"]["region_id"][5] = -1
     payload["direct_signatures"].insert(0, {"index": 5, "signature": [-5]})
 
 
 def _reuse_row_in_another_region(payload):
     # region 1 maps row 0 to a primal feasible point, but not an optimal one
-    cols = payload["columns"]
-    assert (cols["status"][0], cols["region_id"][0]) == ("reuse", 0)
-    cols["region_id"][0] = 1
+    assert (status_names(payload)[0], payload["columns"]["region_id"][0]) == ("reuse", 0)
+    payload["columns"]["region_id"][0] = 1
 
 
 #: the error each new case must hit, not merely some SchemaError
@@ -721,8 +793,12 @@ MESSAGES = {
     _number_in_unsolved_row: "column 'x' holds 336 bytes, not the 288 of 6 solved rows without",
     _direct_row_without_solution: "column 'x' holds 288 bytes, not the 336 of 7 solved rows",
     _rank_deficient_region: "region 0's signature is rank deficient",
-    _objective_column: "needs exactly the columns region_id, status, x; rerun phca run",
-    _reason_column: "needs exactly the columns region_id, status, x; rerun phca run",
+    _objective_column: "needs exactly the columns region_id, x; rerun phca run",
+    _reason_column: "needs exactly the keys columns, direct_signatures, eta, options, "
+                    "regions, scaling, screened_out, status; rerun phca run",
+    _status_list_column: "needs exactly the keys columns, direct_signatures, eta, options, "
+                         "regions, scaling, screened_out, status; rerun phca run",
+    _status_list_beside_object: "needs exactly the columns region_id, x; rerun phca run",
     _list_format_x: "rerun phca run",
     _seed_rows_stored: "rerun phca run",
     _unknown_counter: "needs exactly the keys",
@@ -730,7 +806,14 @@ MESSAGES = {
     _negative_counter: "'screened_out' must be a non-negative integer",
     _null_counter: "'screened_out' must be a non-negative integer",
     _bool_counter: "'screened_out' must be a non-negative integer",
-    _wrong_instance_count: "column 'status' does not hold one entry for each of the 192",
+    _wrong_instance_count: "column 'region_id' does not hold one entry for each of the 192",
+    _status_row_out_of_range: "status 'failed' must be a strictly increasing list of row "
+                              "indices in 0..191",
+    _row_under_two_names: "row 141 is listed under both 'seed' and 'failed'",
+    _unsorted_status_list: "status 'seed' must be a strictly increasing list",
+    _missing_status_name: "'status' needs exactly the keys seed, budget-exhausted, "
+                          "uncertain-active-set, rank-deficient, infeasible, failed, each",
+    _reuse_status_name: "'status' needs exactly the keys seed, budget-exhausted",
     _options_not_object: "results file has a malformed engine option block",
     _regions_not_list: "results file has a malformed region table",
     _ragged_region_id: "column 'region_id' is malformed",
@@ -785,7 +868,7 @@ def test_reuse_row_moved_to_a_region_that_maps_it_outside_is_exit_2(case, capsys
     _, prob, thetas = cli_mod._build_case(args)
     ctx = RegionContext(prob)
     _, xu, rhs = ctx.instance_data(thetas.thetas)
-    reuse = np.array(payload["columns"]["status"]) == "reuse"
+    reuse = np.array(status_names(payload)) == "reuse"
     owner = np.array(payload["columns"]["region_id"])
     m = prob.A.shape[0]
     for k, sig in enumerate(payload["regions"]):
@@ -820,7 +903,7 @@ def test_sequential_and_budget_flags(case, capsys):
     assert np.max(np.abs(xa - xb)) < 1e-8
     # budget rows are stored, the seeds are mapped, and both load back bit
     # for bit
-    assert payload["columns"]["status"].count("budget-exhausted") > 0
+    assert payload["status"]["budget-exhausted"]
     result = run_batch(prob, thetas.thetas, EngineOptions(seed=None, solve_budget=2))
     np.testing.assert_array_equal(xa, result.x)
 
@@ -844,7 +927,7 @@ def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("phca: error: EmptyGroupError: grid cell")
     assert len(captured.err.splitlines()) == 1
     payload = json.loads(out.read_text())
-    assert payload["columns"]["status"].count("infeasible") == 48
+    assert len(payload["status"]["infeasible"]) == 48
 
 
 #: the steps given as JSON in one process; prints their exit codes and the
@@ -852,6 +935,7 @@ def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
 PIPELINE = """
 import json
 import sys
+import threading
 from phca.cli import main
 
 codes = [main(step) for step in json.loads(sys.argv[1])]
