@@ -17,6 +17,7 @@ from .builder import (
     ETA_FLOOR,
     BuilderConfig,
     MpqpProblem,
+    RowForm,
     RowLabel,
     ScalingRecord,
     build_problem,

@@ -175,13 +175,41 @@ class ScalingRecord:
 
 
 @dataclass(frozen=True)
+class RowForm:
+    """Every inequality row's residual A x - E theta - b, slack column left
+    out, as a form in voltages, in original units: for row i
+
+        bus_coef[i, 0] v[bus[i, 0]] + bus_coef[i, 1] v[bus[i, 1]]
+            + qg_coef[i] x[qg[i]] + headroom_coef[i] theta[headroom[i]] - bound[i]
+
+    where v[0] is the substation voltage x[v0_index] and v[j], j >= 1,
+    the voltage of bus j (column j - 1 of stats.voltage_matrix).  A
+    voltage or regulator-input row has one bus term, a remote-regulator
+    row two, an inverter-cap row one qg term (an x column) and one
+    headroom term (a theta column); every unused term has coefficient 0
+    at index 0, and the slack nonnegativity row has none.  build_problem
+    makes each row of A and E from its form, so the two agree.
+    """
+
+    bus: np.ndarray  # (m, 2) bus indices
+    bus_coef: np.ndarray  # (m, 2)
+    qg: np.ndarray
+    qg_coef: np.ndarray
+    headroom: np.ndarray
+    headroom_coef: np.ndarray
+    bound: np.ndarray
+
+
+@dataclass(frozen=True)
 class MpqpProblem:
     """The assembled parametric QP plus enough layout to interpret x and theta.
 
     W and U map (x, theta) to the non-substation voltages, x W' + theta U'
     (phca.stats.voltage_matrix forms them for a batch), and RL is the
     quadratic loss form over the net injections, both under the
-    first-order model of feeder.voltage_model.
+    first-order model of feeder.voltage_model.  row_form gives every
+    inequality row as a form in those voltages, in original units;
+    scaling leaves it alone.
 
     theta has 2 n_inj + 2 n_der columns: active load per non-substation
     bus (pc_slice), reactive load per such bus (qc_slice), then solar
@@ -212,6 +240,7 @@ class MpqpProblem:
     W: np.ndarray
     U: np.ndarray
     RL: np.ndarray
+    row_form: RowForm
     scaling: ScalingRecord | None = None
 
     # ---- dimensions -------------------------------------------------------
@@ -255,15 +284,6 @@ class MpqpProblem:
         return slice(2 * self.n_inj + self.n_der, 2 * self.n_inj + 2 * self.n_der)
 
     # ---- instances --------------------------------------------------------
-
-    def inequality_rhs(
-        self, thetas: np.ndarray, rows: np.ndarray | slice = slice(None)
-    ) -> np.ndarray:
-        """Stacked E theta + b of the inequality rows picked by rows (every
-        one by default)."""
-        rhs = thetas @ self.E[rows].T
-        rhs += self.b[rows]
-        return rhs
 
     def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked parameter rows as the QP sees them: the costs
@@ -433,70 +453,62 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         )
 
     # ---- rows -------------------------------------------------------------
+    # every inequality row is a form in at most two bus voltages (bus 0
+    # meaning v0), or in one inverter's reactive setpoint and headroom; its
+    # A and E rows follow from that form through bus_affine, and the forms
+    # are kept as the problem's RowForm
     hardness = config.hardness()
-    a_rows, e_rows, b_vals, labels = [], [], [], []
+    a_rows, e_rows, b_vals, labels, forms = [], [], [], [], []
 
-    def add_row(family, ref, bound, a, e_row, rhs):
+    def append(family, ref, side, a, e_row, rhs, form):
         soft = hardness.get(family, "hard") == "soft"
-        a = a.copy()
         if soft:
             a[s_col] -= 1.0
         a_rows.append(a)
         e_rows.append(e_row)
         b_vals.append(rhs)
-        labels.append(RowLabel(family, ref, bound, soft))
+        labels.append(RowLabel(family, ref, side, soft))
+        forms.append(form + (rhs,))
+
+    def add_row(family, ref, side, rhs, *buses):
+        """The row sum_k c_k v[b_k] <= rhs over buses ((b_k, c_k), ...)."""
+        (bus, coef), *rest = buses
+        w_b, u_b = bus_affine(bus)
+        a, u = coef * w_b, coef * u_b
+        for bus, coef in rest:
+            w_b, u_b = bus_affine(bus)
+            a += coef * w_b
+            u += coef * u_b
+        (b1, c1), (b2, c2) = (*buses, (0, 0.0))[:2]
+        append(family, ref, side, a, -u, rhs, (b1, c1, b2, c2, 0, 0.0, 0, 0.0))
 
     for j, bus in enumerate(der):
         ref = feeder.ext_ids[bus]
-        e_head = np.zeros(n_theta)
-        e_head[pg_sl.stop + j] = 1.0  # the headroom columns follow the solar ones
-        a = np.zeros(n_var)
-        a[j] = 1.0
-        add_row(INVERTER_CAP, ref, "hi", a, e_head, 0.0)
-        a = np.zeros(n_var)
-        a[j] = -1.0
-        add_row(INVERTER_CAP, ref, "lo", a, e_head.copy(), 0.0)
+        head = pg_sl.stop + j  # the headroom columns follow the solar ones
+        for side, sign in (("hi", 1.0), ("lo", -1.0)):
+            # sign qg_j - headroom_j <= 0
+            a, e_head = np.zeros(n_var), np.zeros(n_theta)
+            a[j], e_head[head] = sign, 1.0
+            append(INVERTER_CAP, ref, side, a, e_head, 0.0, (0, 0.0, 0, 0.0, j, sign, head, -1.0))
 
-    for k, rg in enumerate(regs):
+    for rg in regs:
         ref = f"{feeder.ext_ids[rg.m]}-{feeder.ext_ids[rg.n]}"
-        w_m, u_m = bus_affine(rg.m)
-        w_n, u_n = bus_affine(rg.n)
         if rg.kind == REMOTE:
-            add_row(
-                REMOTE_REG, ref, "lo",
-                REMOTE_RATIO_LO * w_m - w_n,
-                -(REMOTE_RATIO_LO * u_m - u_n),
-                0.0,
-            )
-            add_row(
-                REMOTE_REG, ref, "hi",
-                w_n - REMOTE_RATIO_HI * w_m,
-                -(u_n - REMOTE_RATIO_HI * u_m),
-                0.0,
-            )
+            # 0.9 v_m <= v_n <= 1.1 v_m
+            add_row(REMOTE_REG, ref, "lo", 0.0, (rg.m, REMOTE_RATIO_LO), (rg.n, -1.0))
+            add_row(REMOTE_REG, ref, "hi", 0.0, (rg.n, 1.0), (rg.m, -REMOTE_RATIO_HI))
         else:
             # input window keeping the output target reachable across the
             # tap range: (vref - delta)/1.1 <= v_m <= (vref + delta)/0.9
-            add_row(
-                REG_INPUT, ref, "hi",
-                w_m.copy(),
-                -u_m,
-                (rg.vref + rg.delta) / REMOTE_RATIO_LO,
-            )
-            add_row(
-                REG_INPUT, ref, "lo",
-                -w_m,
-                u_m.copy(),
-                -(rg.vref - rg.delta) / REMOTE_RATIO_HI,
-            )
+            add_row(REG_INPUT, ref, "hi", (rg.vref + rg.delta) / REMOTE_RATIO_LO, (rg.m, 1.0))
+            add_row(REG_INPUT, ref, "lo", -(rg.vref - rg.delta) / REMOTE_RATIO_HI, (rg.m, -1.0))
 
     for bus in range(1, n):
         ref = feeder.ext_ids[bus]
-        w_j, u_j = bus_affine(bus)
-        add_row(VOLTAGE_HI, ref, "hi", w_j.copy(), -u_j, config.vmax)
-        add_row(VOLTAGE_LO, ref, "lo", -w_j, u_j.copy(), -config.vmin)
+        add_row(VOLTAGE_HI, ref, "hi", config.vmax, (bus, 1.0))
+        add_row(VOLTAGE_LO, ref, "lo", -config.vmin, (bus, -1.0))
 
-    add_row(SLACK_NONNEG, "s", "lo", -es, np.zeros(n_theta), 0.0)
+    append(SLACK_NONNEG, "s", "lo", -es, np.zeros(n_theta), 0.0, (0, 0.0) * 4)
 
     # ---- equalities -------------------------------------------------------
     beq_rows, feq_rows, f_vals, eq_labels = [], [], [], []
@@ -550,7 +562,17 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         + tuple(f"headroom[{feeder.ext_ids[bus]}]" for bus in der)
     )
 
-    _freeze(H, C, d, A, E, bb, B, F, ff, W, U, RL)
+    cols = list(zip(*forms))
+    row_form = RowForm(
+        bus=np.array(cols[0:4:2], dtype=np.int64).T,
+        bus_coef=np.array(cols[1:4:2]).T,
+        qg=np.array(cols[4], dtype=np.int64),
+        qg_coef=np.array(cols[5]),
+        headroom=np.array(cols[6], dtype=np.int64),
+        headroom_coef=np.array(cols[7]),
+        bound=np.array(cols[8]),
+    )
+    _freeze(H, C, d, A, E, bb, B, F, ff, W, U, RL, *vars(row_form).values())
     return MpqpProblem(
         H=H, C=C, d=d, A=A, E=E, b=bb, B=B, F=F, f=ff,
         row_labels=tuple(labels),
@@ -566,6 +588,7 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         W=W,
         U=U,
         RL=RL,
+        row_form=row_form,
     )
 
 

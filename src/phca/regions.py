@@ -29,9 +29,13 @@ from .errors import RankDeficientKError
 RANK_TOL = 1e-10
 
 #: a mapped point is certified when every inequality residual is at most
-#: SCREEN_PRIMAL and every active-row multiplier at least -SCREEN_DUAL
+#: SCREEN_PRIMAL and every active-row multiplier at least -SCREEN_DUAL, or
+#: less where a row's sensitivity asks for it (see DX_BUDGET)
 SCREEN_PRIMAL = 1e-8
 SCREEN_DUAL = 1e-8
+#: how far a certified point may lie from the optimum when one row's
+#: residual or multiplier sits at its bound: a tenth of the oracle's dx
+DX_BUDGET = 1e-7
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,10 @@ class CriticalRegion:
     Linv is the inverse of the Cholesky factor of K_S H^-1 K_S', where
     K_S = K[rows], so that (K_S H^-1 K_S')^-1 = Linv' Linv; HinvKT holds
     the columns H^-1 K_S'.  K and A are the problem's, held by reference.
+
+    primal_bound holds each inequality row's certification bound on its
+    residual and dual_bound each active row's on its negated multiplier
+    (RegionContext.build_region sets both).
 
     Every method takes the stacked instances as xu, their unconstrained
     minimizers -H^-1 c, and rhs, their right-hand sides [rhs_A, rhs_B]
@@ -54,6 +62,8 @@ class CriticalRegion:
     HinvKT: np.ndarray
     K: np.ndarray
     A: np.ndarray
+    primal_bound: np.ndarray
+    dual_bound: np.ndarray
 
     def multipliers(self, xu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Multipliers of the region's rows, one row per instance.
@@ -68,19 +78,26 @@ class CriticalRegion:
     ) -> np.ndarray:
         """Mask of the stacked instances whose mapped point is certified.
 
-        Certified means every residual A x - rhs_A at most SCREEN_PRIMAL
-        and every active-row multiplier at least -SCREEN_DUAL.  The map
-        satisfies stationarity, the equality rows and complementarity
-        (zero multiplier or zero residual on every row) by construction,
-        so a certified point is optimal.  When out is given, the mapped
-        points of every instance are written to it: batch_solutions' values
-        on the same rows, bit for bit.
+        Certified means every residual A x - rhs_A at most its row's
+        primal_bound and every active-row multiplier at least minus its
+        dual_bound.  The map satisfies stationarity, the equality rows and
+        complementarity (zero multiplier or zero residual on every row) by
+        construction, so a point with no residual above 0 and no negative
+        multiplier is optimal; the bounds only admit rounding, scaled so
+        that one row at its bound moves the optimum by at most DX_BUDGET.
+        That is exact for one row entering or leaving the active set
+        alone, and no proof when several rows sit near their bounds at
+        once.  When out is given, the mapped points of every instance are
+        written to it: batch_solutions' values on the same rows, bit for
+        bit.
         """
         lam = self.multipliers(xu, rhs)
         x = np.subtract(xu, lam @ self.HinvKT.T, out=out)
-        primal = (x @ self.A.T - rhs[:, : self.A.shape[0]]).max(axis=1, initial=-np.inf)
-        dual = lam[:, : len(self.active_set)].min(axis=1, initial=np.inf)
-        return (primal <= SCREEN_PRIMAL) & (dual >= -SCREEN_DUAL)
+        r = x @ self.A.T
+        r -= rhs[:, : self.A.shape[0]]
+        r -= self.primal_bound
+        dual = lam[:, : len(self.active_set)] + self.dual_bound
+        return (r.max(axis=1, initial=-np.inf) <= 0.0) & (dual.min(axis=1, initial=np.inf) >= 0.0)
 
     def batch_solutions(self, xu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return xu - self.multipliers(xu, rhs) @ self.HinvKT.T
@@ -127,11 +144,43 @@ class RegionContext:
             )
         # numpy factors and inverts the empty block (no active and no
         # equality rows) too, so no row count needs a case of its own
+        Linv = np.linalg.inv(np.linalg.cholesky(KHK))
+        HinvKT = self.HinvKT[:, rows]
+        primal, dual = self._bounds(act, rows, Linv.T @ Linv, HinvKT)
         return CriticalRegion(
             active_set=tuple(int(i) for i in act),
             rows=rows,
-            Linv=np.linalg.inv(np.linalg.cholesky(KHK)),
-            HinvKT=self.HinvKT[:, rows],
+            Linv=Linv,
+            HinvKT=HinvKT,
             K=self.K,
             A=self.prob.A,
+            primal_bound=primal,
+            dual_bound=dual,
         )
+
+    def _bounds(self, act, rows, G, HinvKT) -> tuple[np.ndarray, np.ndarray]:
+        """Certification bounds of a region with rows S = rows and
+        G = (K_S H^-1 K_S')^-1: min(SCREEN_PRIMAL, DX_BUDGET / gain) per
+        inequality row and min(SCREEN_DUAL, DX_BUDGET / gain) per active row.
+
+        An inactive row j entering alone moves x along m_j = H^-1 a_j -
+        H^-1 K_S' G K_S H^-1 a_j with curvature c_j = a_j' m_j, so its
+        gain is |m_j|_inf / c_j, and its bound 0 where c_j vanishes (the
+        row lies in the span of S).  An active row i leaving alone moves x
+        by |lam_i| |(H^-1 K_S' G)_i|_inf / G_ii.  Active rows keep
+        SCREEN_PRIMAL on the primal side.
+        """
+        m = self.n_rows
+        P = HinvKT @ G
+        KHK = self.KHK[rows, :m]
+        move = np.abs(self.HinvKT[:, :m] - P @ KHK).max(axis=0, initial=0.0)
+        diag = np.diagonal(self.KHK)[:m]
+        curv = diag - (KHK * (G @ KHK)).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            primal = np.where(curv > RANK_TOL * diag,
+                              np.minimum(SCREEN_PRIMAL, DX_BUDGET * curv / move), 0.0)
+            primal[act] = SCREEN_PRIMAL
+            k = act.size
+            dual = np.minimum(SCREEN_DUAL, DX_BUDGET * np.diagonal(G)[:k]
+                              / np.abs(P[:, :k]).max(axis=0, initial=0.0))
+        return primal, dual

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,8 +63,62 @@ def slack_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def voltage_matrix(result: BatchResult) -> np.ndarray:
     """Non-substation voltages per instance (rows follow the batch)."""
-    prob = result.problem
-    return result.x @ prob.W.T + result.thetas @ prob.U.T
+    return _voltages(result.problem, result.x, result.thetas)
+
+
+def _voltages(prob, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """x W' + theta U' of the stacked rows x and thetas."""
+    volts = x @ prob.W.T
+    volts += thetas @ prob.U.T
+    return volts
+
+
+@dataclass(frozen=True)
+class _SoftForm:
+    """The soft rows and the terms of their RowForm that some of them use.
+
+    Each term is (source, columns, coefficients): source 0 reads the
+    instances' voltages followed by v0, so that bus b is column b - 1 and
+    bus 0 the last; source 1 reads x and source 2 theta.
+    """
+
+    rows: np.ndarray
+    terms: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    bound: np.ndarray
+
+    @classmethod
+    def of(cls, prob) -> "_SoftForm":
+        rows = prob.soft_rows
+        f = prob.row_form
+        terms = [(0, f.bus[rows, k] - 1, f.bus_coef[rows, k]) for k in (0, 1)]
+        terms += [(1, f.qg[rows], f.qg_coef[rows]), (2, f.headroom[rows], f.headroom_coef[rows])]
+        return cls(rows, tuple(t for t in terms if t[2].any()), f.bound[rows])
+
+    def residuals(self, result: BatchResult, picks: np.ndarray, volts: np.ndarray) -> np.ndarray:
+        """The soft rows' residuals at the instances picks, (len(picks),
+        len(rows)): each term gathered and weighted, less the bounds.
+        volts holds the voltages of exactly those instances, then v0."""
+        resid = np.zeros((picks.size, self.rows.size)) if not self.terms else None
+        for source, cols, coef in self.terms:
+            if source == 0:
+                term = np.take(volts, cols, axis=1)
+            else:
+                term = (result.x, result.thetas)[source - 1][np.ix_(picks, cols)]
+            term *= coef
+            if resid is None:
+                resid = term
+            else:
+                resid += term
+        resid -= self.bound
+        return resid
+
+
+def _with_v0(result: BatchResult, picks: np.ndarray, volts: np.ndarray) -> np.ndarray:
+    """The voltages of the instances picks (volts' rows) followed by their v0."""
+    out = np.empty((picks.size, volts.shape[1] + 1))
+    out[:, :-1] = volts
+    out[:, -1] = result.x[picks, result.problem.v0_index]
+    return out
 
 
 def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
@@ -72,20 +127,19 @@ def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
     Returns (rows, resid) where rows indexes into the problem's row list
     and resid[i, j] > 0 means instance i violates soft row rows[j] by that
     much in original units when no slack relief is applied.  With every
-    row hard, rows is empty and resid has no columns.  resid is the one
-    (n, len(rows)) array made: the soft rows' right-hand sides are formed
-    and subtracted SWEEP_BLOCK instances at a time.
+    row hard, rows is empty and resid has no columns.  resid is read off
+    the voltages with the problem's RowForm, SWEEP_BLOCK instances at a
+    time, and is the one (n, len(rows)) array made.
     """
     prob = result.problem
-    soft = prob.soft_rows
-    A0 = prob.A[soft].copy()
-    A0[:, prob.slack_index] = 0.0
-    resid = result.x @ A0.T
-    for start in range(0, resid.shape[0], engine.SWEEP_BLOCK):
-        blk = slice(start, start + engine.SWEEP_BLOCK)
-        resid[blk] -= prob.inequality_rhs(result.thetas[blk], soft)
-    resid *= prob.scaling.ineq_scale
-    return soft, resid
+    form = _SoftForm.of(prob)
+    n = result.x.shape[0]
+    resid = np.empty((n, form.rows.size))
+    for start in range(0, n, engine.SWEEP_BLOCK):
+        picks = np.arange(start, min(n, start + engine.SWEEP_BLOCK))
+        volts = _voltages(prob, result.x[picks], result.thetas[picks])
+        resid[picks] = form.residuals(result, picks, _with_v0(result, picks, volts))
+    return form.rows, resid
 
 
 def violation_bound_gap(result: BatchResult) -> np.ndarray:
@@ -174,8 +228,8 @@ def _group_stats(
     """group_stats reading volts, the result's voltage matrix."""
     prob = result.problem
     s_all = slack_values(result)
-    soft, resid = soft_violations(result)
-    labels = [str(prob.row_labels[i]) for i in soft]
+    form = _SoftForm.of(prob)
+    labels = [str(prob.row_labels[i]) for i in form.rows]
     qs = np.asarray(QUANTILES)
 
     out = []
@@ -184,13 +238,17 @@ def _group_stats(
         if solved.size == 0:
             raise EmptyGroupError(f"grid cell {key} has no solved instances")
         s = np.sort(s_all[solved])
-        vq = _quantiles(np.sort(volts[solved], axis=0), qs)
-        counts = (resid[solved] > VIOLATION_TOL).sum(axis=0)
+        cell = _with_v0(result, solved, volts[solved])
+        resid = form.residuals(result, solved, cell)
+        cell = cell[:, :-1]
+        cell.sort(axis=0)
+        vq = _quantiles(cell, qs)
+        counts = (resid > VIOLATION_TOL).sum(axis=0)
         worst = []
         for j in np.argsort(-counts):
             if counts[j] == 0:
                 break
-            worst.append((labels[j], int(counts[j]), float(resid[solved, j].max())))
+            worst.append((labels[j], int(counts[j]), float(resid[:, j].max())))
             if len(worst) == TOP_ROWS:
                 break
         out.append(
@@ -231,9 +289,7 @@ def _summary(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> d
                 "relaxed": gs.n_relaxed,
                 "max_slack": gs.max_slack,
                 "slack_quantiles": list(gs.slack_quantiles),
-                "voltage_quantiles": {
-                    bus: gs.voltage_quantiles[:, j].tolist() for j, bus in enumerate(buses)
-                },
+                "voltage_quantiles": dict(zip(buses, gs.voltage_quantiles.T.tolist())),
                 "worst_rows": [
                     {"row": label, "count": cnt, "max_violation": amt}
                     for label, cnt, amt in gs.worst_rows
@@ -271,6 +327,7 @@ def render_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel)
         f"stragglers {c['stragglers']}  infeasible {c['infeasible']}  failed {c['failed']}"
     )
     qs_label = " ".join(f"q{int(round(100 * q)):02d}" for q in payload["quantiles"])
+    bus_row = "    bus %4s  " + " ".join(["%.5f"] * len(payload["quantiles"]))
     for g in payload["groups"]:
         lines.append("")
         lines.append(
@@ -287,7 +344,7 @@ def render_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel)
         )
         lines.append("  voltage quantiles per bus [" + qs_label + "]")
         for bus, vals in g["voltage_quantiles"].items():
-            lines.append(f"    bus {bus:>4s}  " + " ".join(f"{v:.5f}" for v in vals))
+            lines.append(bus_row % (bus, *vals))
         if g["worst_rows"]:
             lines.append("  most violated soft rows (count, worst amount):")
             for w in g["worst_rows"]:
@@ -304,4 +361,46 @@ def render_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel)
 
 def json_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> str:
     """Machine-readable counterpart of render_report; deterministic."""
-    return json.dumps(_summary(result, theta_set, feeder), sort_keys=True, indent=1)
+    return _json_text(_summary(result, theta_set, feeder))
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1), byte for byte."""
+    parts = []
+    _write_json(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(obj, newline: str, parts: list) -> None:
+    """Append json.dumps(obj, sort_keys=True, indent=1)'s text to parts, byte
+    for byte, with obj's first line at the indent newline ends in.  A list
+    of floats alone is joined from float.__repr__ in one call."""
+    if not isinstance(obj, (dict, list, tuple)):
+        parts.append(json.dumps(obj))
+        return
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + " "
+    sep = ("{" if isinstance(obj, dict) else "[") + inner
+    if isinstance(obj, dict):
+        for key, value in sorted(obj.items()):
+            # json.dumps writes a key that is not a string as its own text
+            key = key if isinstance(key, str) else json.dumps(key)
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+        return
+    try:
+        text = ("," + inner).join(map(float.__repr__, obj))
+    except TypeError:  # not floats alone
+        text = "n"
+    if "n" not in text:  # no nan or inf, which JSON spells otherwise
+        parts.append(sep + text + newline + "]")
+        return
+    for value in obj:
+        parts.append(sep)
+        _write_json(value, inner, parts)
+        sep = "," + inner
+    parts.append(newline + "]")

@@ -1,4 +1,7 @@
 import base64
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,17 @@ def float_columns(payload):
 def set_float_columns(payload, x):
     """Write stored solution rows back into a parsed results file."""
     payload["columns"]["x"] = base64.b64encode(np.asarray(x, "<f8").tobytes()).decode()
+
+
+def bench_workloads():
+    """The benchmark's seeded workload recipes, bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    if "bench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        # dataclasses look the module up while its classes are made
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["bench_workloads"]
 
 
 def random_radial_case(n_bus, n_inverters, days, seed, impedance=4.0):

@@ -281,46 +281,30 @@ def test_instance_data_matches_products(scaled_ldc_problem, small_theta_set):
     m, n_eq = prob.A.shape[0], prob.B.shape[0]
     assert n_eq >= 1 and np.abs(prob.F).max() > 0
     thetas = small_theta_set.thetas[::7]
-    soft = prob.soft_rows
     c, rhs = prob.instance_data(thetas)
-    part = prob.inequality_rhs(thetas, soft)
     assert c.shape == (len(thetas), prob.n_var) and rhs.shape == (len(thetas), m + n_eq)
-    assert part.shape == (len(thetas), soft.size)
     for k, th in enumerate(thetas):
         inst = prob.instance(th)
         for got, want in (
             (c[k], prob.C @ th + prob.d),
             (rhs[k, :m], prob.E @ th + prob.b),
             (rhs[k, m:], prob.F @ th + prob.f),
-            (part[k], prob.E[soft] @ th + prob.b[soft]),
             (np.concatenate([inst.c, inst.b, inst.beq]), np.concatenate([c[k], rhs[k]])),
         ):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
-def _stacked_rhs(prob, thetas, rows):
-    # the right-hand sides as they were once formed: both blocks, then the
-    # inequality block sliced off
-    E, b = prob.E[rows], prob.b[rows]
-    m = b.size
-    rhs = np.empty((thetas.shape[0], m + prob.f.size))
-    np.matmul(thetas, E.T, out=rhs[:, :m])
-    np.matmul(thetas, prob.F.T, out=rhs[:, m:])
-    rhs += np.concatenate([b, prob.f])
-    return rhs
-
-
-def test_inequality_rhs_is_the_inequality_block(scaled_ldc_problem, small_theta_set):
+def test_instance_data_is_the_stacked_products(scaled_ldc_problem, small_theta_set):
+    # the right-hand sides as they were once formed, both blocks stacked,
+    # bit for bit
     prob = scaled_ldc_problem
     assert prob.f.size >= 1 and np.abs(prob.F).max() > 0
     thetas = small_theta_set.thetas
-    for rows in (slice(None), prob.soft_rows):
-        old = _stacked_rhs(prob, thetas, rows)
-        m = prob.b[rows].size
-        # the loader's feasibility check reads every row, soft_violations
-        # the soft rows: both bit for bit what they read before
-        assert prob.inequality_rhs(thetas, rows).tobytes() == old[:, :m].tobytes()
-    old = _stacked_rhs(prob, thetas, slice(None))
+    m = prob.b.size
+    old = np.empty((thetas.shape[0], m + prob.f.size))
+    np.matmul(thetas, prob.E.T, out=old[:, :m])
+    np.matmul(thetas, prob.F.T, out=old[:, m:])
+    old += np.concatenate([prob.b, prob.f])
     assert prob.instance_data(thetas)[1].tobytes() == old.tobytes()
 
 

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from conftest import float_columns
+from conftest import bench_workloads, float_columns
 
 import phca.engine as engine_mod
 from phca import (
@@ -15,6 +15,7 @@ from phca import (
     AnalysisGrid,
     EngineOptions,
     build_problem,
+    calibrate_eta,
     demo,
     expand_grid,
     load_feeder,
@@ -723,3 +724,43 @@ def test_json_roundtrip_refuses_another_slack_price(batch, demo_problem):
         payload["eta"] = bad
         with pytest.raises(SchemaError, match="different slack price"):
             load_result_json(json.dumps(payload), batch.problem, batch.thetas)
+
+
+def _oracle_mismatches(feeder_text, loads, solar, config, grid, scenario_seed, eta=None):
+    """The rows of a seeded batch (engine seed 0) that the oracle refuses,
+    every solved row checked.  eta None calibrates it on 32 evenly spaced
+    instances, as phca run does."""
+    feeder = load_feeder(feeder_text)
+    prob = build_problem(feeder, config)
+    theta_set = expand_grid(prob, load_scenarios(feeder, loads, solar, seed=scenario_seed), grid)
+    n = len(theta_set)
+    if eta is None:
+        sample = theta_set.thetas[np.linspace(0, n - 1, 32).astype(int)]
+        eta = max(calibrate_eta(prob, sample), ETA_FLOOR)
+    res = run_batch(scale_problem(prob.with_eta(eta))[0], theta_set.thetas, EngineOptions(seed=0))
+    report = validate_batch(res)
+    assert report.checked == n
+    return report.mismatches
+
+
+def test_certification_scales_with_sensitivity_on_a_123_bus_feeder():
+    # the optimum of rows 1512, 1518, 2232 and 2238 swaps row 40 for row
+    # 44; with the absolute bounds alone, the served points violated row
+    # 44 by 9.6e-9 and lay 1.01e-6 from the oracle's solutions
+    workloads = bench_workloads()
+    params = dict(workloads.FEEDER80, n_bus=123, parent_window=6, n_inverters=20,
+                  load_peak_range=(0.006, 0.018))
+    text = workloads.feeder80_text(params)
+    loads, solar = workloads._profiles(text, 30, np.random.default_rng(5))
+    grid = AnalysisGrid(kappa=(1.0, 1.5), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
+    assert _oracle_mismatches(text, loads, solar, BuilderConfig(), grid, 1) == ()
+
+
+def test_certification_scales_with_sensitivity_at_beta_0():
+    # at beta = 0 the cost's eigenvalues span 4e-8 to 1: with the absolute
+    # bounds alone, 10 of these 576 served points lay up to 3.1e-3 away
+    grid = AnalysisGrid(kappa=(1.0, 1.5, 2.0), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
+    assert _oracle_mismatches(
+        demo.FEEDER_TEXT, demo.loads_csv(days=2), demo.solar_csv(days=2),
+        BuilderConfig(beta=0.0), grid, 0, eta=ETA_FLOOR,
+    ) == ()

@@ -15,7 +15,7 @@ import pytest
 from phca import run_batch, solve_qp
 from phca.errors import RankDeficientKError
 from phca.qp import OPTIMAL, identify_active
-from phca.regions import SCREEN_PRIMAL, RegionContext
+from phca.regions import DX_BUDGET, SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
 
 
 def tiny_problem(A, E=None, b=None, n_theta=1):
@@ -304,3 +304,32 @@ def test_out_of_range_active_index():
     ctx = RegionContext(prob)
     with pytest.raises(IndexError):
         ctx.build_region((3,))
+
+
+def test_certification_bounds_follow_each_rows_sensitivity(scaled_demo_problem, small_theta_set):
+    # against explicit solves with H: an inactive row j entering alone moves
+    # x along m_j with curvature a_j' m_j, an active row i leaving alone by
+    # |lam_i| |(H^-1 K_S' G)_i| / G_ii; each bound is DX_BUDGET over that
+    # gain, capped at the absolute one
+    prob = scaled_demo_problem
+    _, region = seed_region(prob, small_theta_set.thetas[100])
+    act = np.asarray(region.active_set)
+    assert act.size
+    K = np.vstack([prob.A, prob.B])
+    KS = K[region.rows]
+    HinvKS = np.linalg.solve(prob.H, KS.T)
+    G = np.linalg.inv(KS @ HinvKS)
+    for j in range(prob.A.shape[0]):
+        if j in act:
+            assert region.primal_bound[j] == SCREEN_PRIMAL
+            continue
+        a = prob.A[j]
+        move = np.linalg.solve(prob.H, a) - HinvKS @ (G @ (HinvKS.T @ a))
+        want = min(SCREEN_PRIMAL, DX_BUDGET * (a @ move) / np.abs(move).max())
+        assert region.primal_bound[j] == pytest.approx(want, rel=1e-6, abs=1e-20)
+    P = HinvKS @ G
+    for k in range(act.size):
+        want = min(SCREEN_DUAL, DX_BUDGET * G[k, k] / np.abs(P[:, k]).max())
+        assert region.dual_bound[k] == pytest.approx(want, rel=1e-6)
+    # the bounds bite: some row is held tighter than the absolute bound
+    assert region.primal_bound.min() < SCREEN_PRIMAL or region.dual_bound.min() < SCREEN_DUAL

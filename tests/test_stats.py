@@ -1,13 +1,26 @@
 """Violation statistics: slack, voltages, soft-row residuals, reports."""
 
 import json
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from conftest import bench_workloads, regulated_radial_case
 
 import phca.stats as stats_mod
-from phca import ETA_FLOOR, BuilderConfig, build_problem, run_batch, scale_problem
+from phca import (
+    ETA_FLOOR,
+    AnalysisGrid,
+    BuilderConfig,
+    build_problem,
+    demo,
+    expand_grid,
+    load_feeder,
+    load_scenarios,
+    run_batch,
+    scale_problem,
+)
 from phca.errors import EmptyGroupError
 from phca.scenarios import ThetaSet
 from phca.stats import (
@@ -289,3 +302,160 @@ def test_kept_pass_leaves_equality_alone(batch, small_theta_set, demo_feeder):
     assert kept._report_summary is not None and bare._report_summary is None
     assert kept == bare
     assert "_report_summary" not in repr(kept)
+
+
+ALL_SOFT = tuple(
+    (family, "soft")
+    for family in ("inverter-cap", "remote-reg", "reg-input", "voltage-hi", "voltage-lo")
+)
+
+
+def _all_soft_batch(feeder_text, loads, solar):
+    """Unscaled problem and batch of a feeder with every inequality family
+    soft, over the one-day grid kappa (1, 2) x alpha (0.24, 0.48)."""
+    feeder = load_feeder(feeder_text)
+    prob = build_problem(feeder, BuilderConfig(assignments=ALL_SOFT)).with_eta(ETA_FLOOR)
+    scen = load_scenarios(feeder, loads, solar, seed=0)
+    grid = AnalysisGrid(kappa=(1.0, 2.0), oversize=(1.0,), alpha=(0.24, 0.48))
+    thetas = expand_grid(prob, scen, grid).thetas
+    return prob, run_batch(scale_problem(prob)[0], thetas)
+
+
+def _form_matches_algebra(prob, result):
+    """Whether soft_violations equals A0 x - E theta - b of the unscaled
+    problem prob (A0: A without its slack column) within 1e-12 (1 + |b|)."""
+    soft, resid = soft_violations(result)
+    A0 = prob.A[soft].copy()
+    A0[:, prob.slack_index] = 0.0
+    want = result.x @ A0.T - result.thetas @ prob.E[soft].T - prob.b[soft]
+    return bool(np.all(np.abs(resid - want) <= 1e-12 * (1.0 + np.abs(prob.b[soft]))))
+
+
+def _without_term(result, field, column=None):
+    """result with one term of its problem's RowForm dropped: the field's
+    coefficients (one column of a two-column field) set to zero."""
+    form = result.problem.row_form
+    values = getattr(form, field).copy()
+    if column is None:
+        values[:] = 0.0
+    else:
+        values[:, column] = 0.0
+    prob = replace(result.problem, row_form=replace(form, **{field: values}))
+    return replace(result, problem=prob)
+
+
+@pytest.mark.parametrize("case", ["demo", "regulated"])
+def test_soft_violations_follow_the_row_form_of_every_family(case):
+    # the demo has a remote and a local regulator; the regulated case all
+    # three kinds, the remote one on the substation's line, so its rows read v0
+    if case == "demo":
+        inputs = demo.FEEDER_TEXT, demo.loads_csv(days=1), demo.solar_csv(days=1)
+    else:
+        inputs = regulated_radial_case(3)
+    prob, res = _all_soft_batch(*inputs)
+    families = {prob.row_labels[i].family for i in prob.soft_rows}
+    assert families == {family for family, _ in ALL_SOFT}
+    form = prob.row_form
+    if case == "regulated":
+        assert ((form.bus == 0) & (form.bus_coef != 0))[prob.soft_rows].any()
+    assert np.isfinite(res.x).all()
+    assert _form_matches_algebra(prob, res)
+    # every term of the table counts: dropping any one breaks the match
+    for field, column in [("bus_coef", 0), ("bus_coef", 1), ("qg_coef", None),
+                          ("headroom_coef", None), ("bound", None)]:
+        assert not _form_matches_algebra(prob, _without_term(res, field, column)), field
+
+
+def test_row_form_is_frozen_and_carried_by_scaling(demo_problem):
+    form = demo_problem.row_form
+    assert form.bus.shape == form.bus_coef.shape == (demo_problem.A.shape[0], 2)
+    for values in vars(form).values():
+        assert not values.flags.writeable
+    scaled = scale_problem(demo_problem.with_eta(0.5))[0]
+    assert scaled.row_form is form
+    with pytest.raises(FrozenInstanceError):
+        form.bound = form.bound.copy()
+
+
+def test_statistics_pass_holds_no_array_per_instance_and_soft_row(
+    scaled_demo_problem, small_theta_set, demo_feeder
+):
+    # 7,680 instances in 16 grid cells: the pass holds the voltage matrix
+    # and one cell's residuals at a time, not an (n, n_soft) array
+    thetas = np.tile(small_theta_set.thetas, (40, 1))
+    n = thetas.shape[0]
+    theta_set = ThetaSet(
+        thetas=thetas,
+        hour=np.arange(n),
+        kappa=np.repeat(np.arange(1.0, 17.0), n // 16),
+        oversize=np.ones(n),
+        alpha=np.ones(n),
+    )
+    res = run_batch(scaled_demo_problem, thetas)
+    n_soft = scaled_demo_problem.soft_rows.size
+    volts_bytes = n * scaled_demo_problem.n_inj * 8
+    tracemalloc.start()
+    try:
+        json_report(res, theta_set, demo_feeder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - volts_bytes < n * n_soft * 8, (peak, volts_bytes, n * n_soft * 8)
+
+
+def test_json_report_is_json_dumps_byte_for_byte(batch, small_theta_set, demo_feeder):
+    payload = stats_mod._summary(batch, small_theta_set, demo_feeder)
+    assert json_report(batch, small_theta_set, demo_feeder) == json.dumps(
+        payload, sort_keys=True, indent=1
+    )
+
+
+def test_json_report_of_a_bench_workload_is_json_dumps_byte_for_byte():
+    workloads = bench_workloads()
+    inputs = workloads.feeder80_inputs(1, 2)
+    feeder = load_feeder(inputs.feeder_text)
+    prob = build_problem(feeder, BuilderConfig()).with_eta(ETA_FLOOR)
+    scen = load_scenarios(feeder, inputs.loads_csv, inputs.solar_csv, seed=inputs.scenario_seed)
+    theta_set = expand_grid(prob, scen, AnalysisGrid(**inputs.grid))
+    res = run_batch(scale_problem(prob)[0], theta_set.thetas)
+    payload = stats_mod._summary(res, theta_set, feeder)
+    assert len(payload["groups"]) == 8
+    assert json_report(res, theta_set, feeder) == json.dumps(payload, sort_keys=True, indent=1)
+
+
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e22, 1e16, 1e-7, 0.1,
+                  float("nan"), float("inf"), float("-inf"), 1.7976931348623157e308)
+KEYS = ("a", "kappa", "bus é", "母线", "x\"y", "back\\slash", "tab\t", "\x01", "😀", "", "Z")
+
+
+def _synthetic(rng, depth):
+    """A seeded JSON-able value: nested dicts and lists of ints, bools,
+    None, strings and floats, float-only lists among them."""
+    kind = int(rng.integers(0, 9 if depth < 4 else 5))
+    if kind == 0:
+        return int(rng.integers(-10**12, 10**12)) * int(rng.choice([1, 10**9]))
+    if kind == 1:
+        return [True, False, None][int(rng.integers(0, 3))]
+    if kind == 2:
+        return str(rng.choice(KEYS))
+    if kind in (3, 4):
+        return float(rng.choice(SPECIAL_FLOATS)) if rng.random() < 0.4 else float(
+            rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 5:  # floats alone, sometimes with a nan or an inf
+        values = [float(v) for v in rng.standard_normal(int(rng.integers(0, 8)))]
+        if values and rng.random() < 0.3:
+            values[int(rng.integers(0, len(values)))] = float(rng.choice(SPECIAL_FLOATS))
+        return values if rng.random() < 0.8 else tuple(values)
+    if kind in (6, 7):
+        return {str(rng.choice(KEYS)) + str(k): _synthetic(rng, depth + 1)
+                for k in range(int(rng.integers(0, 5)))}
+    return [_synthetic(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
+
+
+def test_json_writer_is_json_dumps_on_synthetic_payloads():
+    rng = np.random.default_rng(32)
+    for k in range(300):
+        obj = _synthetic(rng, 0) if k % 3 else {"root": _synthetic(rng, 1), "é": [0.5, -0.0]}
+        assert stats_mod._json_text(obj) == json.dumps(obj, sort_keys=True, indent=1), k
+    with pytest.raises(TypeError):
+        stats_mod._json_text({"a": [object()]})
