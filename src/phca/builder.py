@@ -503,10 +503,25 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
             add_row(REG_INPUT, ref, "hi", (rg.vref + rg.delta) / REMOTE_RATIO_LO, (rg.m, 1.0))
             add_row(REG_INPUT, ref, "lo", -(rg.vref - rg.delta) / REMOTE_RATIO_HI, (rg.m, -1.0))
 
+    # the voltage-hi and voltage-lo rows of every bus, in bus order:
+    # add_row's arithmetic, one array operation per side for all buses
+    coef = np.array([[1.0], [-1.0]])
+    a = (coef * W[:, None]).reshape(2 * n_inj, n_var)
+    a_rows.append(a)
+    e_rows.append(-(coef * U[:, None]).reshape(2 * n_inj, n_theta))
+    sides = []
+    for j, (family, side, rhs) in enumerate(
+        ((VOLTAGE_HI, "hi", config.vmax), (VOLTAGE_LO, "lo", -config.vmin))
+    ):
+        soft = hardness.get(family, "hard") == "soft"
+        if soft:
+            a[j::2, s_col] -= 1.0
+        sides.append((family, side, soft, coef[j, 0], rhs))
     for bus in range(1, n):
-        ref = feeder.ext_ids[bus]
-        add_row(VOLTAGE_HI, ref, "hi", config.vmax, (bus, 1.0))
-        add_row(VOLTAGE_LO, ref, "lo", -config.vmin, (bus, -1.0))
+        for family, side, soft, sign, rhs in sides:
+            b_vals.append(rhs)
+            labels.append(RowLabel(family, feeder.ext_ids[bus], side, soft))
+            forms.append((bus, sign, 0, 0.0, 0, 0.0, 0, 0.0, rhs))
 
     append(SLACK_NONNEG, "s", "lo", -es, np.zeros(n_theta), 0.0, (0, 0.0) * 4)
 
@@ -540,8 +555,8 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
             f_vals.append(rg.vref)
             eq_labels.append(RowLabel(LDC_REG_EQ, ref, "eq", False))
 
-    A = np.array(a_rows)
-    E = np.array(e_rows)
+    A = np.vstack(a_rows)
+    E = np.vstack(e_rows)
     bb = np.array(b_vals)
     B = np.array(beq_rows).reshape(-1, n_var) if beq_rows else np.zeros((0, n_var))
     F = np.array(feq_rows).reshape(-1, n_theta) if feq_rows else np.zeros((0, n_theta))

@@ -122,6 +122,30 @@ def test_region_census_consistent(scaled_demo_problem, small_theta_set, monkeypa
     assert ((res.region_id[reuse] >= 0) & (res.region_id[reuse] < len(res.regions))).all()
 
 
+def test_no_signature_holds_two_equal_rows(demo_feeder, small_theta_set, monkeypatch):
+    # a bus with no inverter at or below it has its parent's voltage rows
+    # in A, so the demo's 37 inequality rows hold 27 distinct ones; in a
+    # window of 0.99-1.01 pu such rows bind, yet no region and no direct
+    # solve of a run names two equal rows, as the polish's independence
+    # filter keeps only the first copy.  So a duplicated row reaches
+    # rank-deficient only through build_region given both copies
+    # (tests/test_regions.py::test_rank_deficient_active_set_rejected)
+    prob = build_problem(demo_feeder, BuilderConfig(beta=0.2, vmin=0.99, vmax=1.01))
+    prob = scale_problem(prob.with_eta(ETA_FLOOR))[0]
+    equal = (prob.A[:, None] == prob.A[None]).all(axis=2)
+    assert prob.A.shape[0] == 37 and (~np.tril(equal, -1).any(axis=1)).sum() == 27
+    runs = [run_batch(prob, small_theta_set.thetas, EngineOptions(solve_budget=budget))
+            for budget in (None, 2)]
+    runs.append(_every_outcome(prob, small_theta_set, monkeypatch))
+    copied = equal.sum(axis=1) > 1
+    named = 0
+    for res in runs:
+        for sig in (*res.regions, *res.direct_signatures.values()):
+            assert (equal[np.ix_(sig, sig)] == np.eye(len(sig), dtype=bool)).all(), sig
+            named += copied[list(sig)].any()
+    assert named > 50 and runs[2].counters.degenerate
+
+
 def test_served_rows_satisfy_optimality(batch, scaled_demo_problem):
     # rebuild each region from its stored signature and re-certify the rows
     prob = scaled_demo_problem

@@ -387,6 +387,76 @@ def test_batch_matches_single_solves(monkeypatch):
     assert seen[OPTIMAL] > 200 and seen[INFEASIBLE] > 10
 
 
+def _stack_with_copies(seed):
+    """A seeded stack of 4 instances on one _small_instance's matrices,
+    with two more rows (one with a zero entry, one all zero) and copies: a
+    drawn row twice, at an equal and at a looser b, the zero row once and
+    the zero-entry row once with that entry -0.0, both at b of their own.
+    The rows are shuffled, so copies fall before and after their
+    originals.  Returns the stack (H, A, Aeq, c, b, beq), group (which
+    distinct row each row equals) and the distinct rows."""
+    rng = np.random.default_rng(seed)
+    inst = _small_instance(rng)
+    n, m, k = inst.c.size, inst.A.shape[0], 4
+    signed = rng.normal(size=n)
+    zero_at = int(rng.integers(n))
+    signed[zero_at] = 0.0
+    distinct = np.vstack([inst.A, signed, np.zeros(n)])
+    b = np.hstack([inst.b + rng.uniform(-0.3, 0.3, size=(k, m)),
+                   rng.uniform(-0.5, 1.0, size=(k, 1)),
+                   rng.uniform(-0.05, 1.0, size=(k, 2))])
+    flipped = signed.copy()
+    flipped[zero_at] = -0.0
+    j = int(rng.integers(m + 1))
+    A = np.vstack([distinct, distinct[j], distinct[j], np.zeros(n), flipped])
+    b = np.hstack([b[:, : m + 2], b[:, [j, j]] + [0.0, 0.5] * rng.uniform(size=(k, 2)),
+                   b[:, m + 2 :], rng.uniform(-0.5, 1.0, size=(k, 1))])
+    group = np.array([*range(m + 2), j, j, m + 1, m])
+    order = rng.permutation(m + 6)
+    c = inst.c + 0.3 * rng.normal(size=(k, n))
+    beq = np.repeat(inst.beq[None], k, axis=0)
+    return (inst.H, A[order], inst.Aeq, c, b[:, order], beq), group[order], distinct
+
+
+def test_equal_rows_are_merged_exactly(monkeypatch):
+    """The interior-point method sees each distinct row once, at each
+    instance's least b among its copies.  Every answer equals the
+    exhaustive oracle's on the distinct rows, a multiplier sits only on
+    the first row of its group at the group's least b, and every
+    infeasible instance's certificate passes the Farkas check on all the
+    rows."""
+    seen_rows = []
+    real = qp_mod._interior_point
+    monkeypatch.setattr(qp_mod, "_interior_point",
+                        lambda Hz, Az, *args: seen_rows.append(Az.shape[0]) or real(Hz, Az, *args))
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    with_eq = 0
+    for seed in range(60):
+        (H, A, Aeq, c, b, beq), group, distinct = _stack_with_copies(seed)
+        k, (m, n) = c.shape[0], A.shape
+        batch = solve_qp_batch(H, A, Aeq, c, b, beq)
+        assert seen_rows.pop() == distinct.shape[0], f"seed {seed}"
+        with_eq += Aeq.shape[0] > 0
+        for i in range(k):
+            least = np.array([b[i, group == g].min() for g in range(len(distinct))])
+            home = [min(r for r in range(m) if group[r] == g and b[i, r] == least[g])
+                    for g in range(len(distinct))]
+            copies = np.setdiff1d(np.arange(m), home)
+            assert (batch.lam[i, copies] == 0.0).all(), f"seed {seed} member {i}"
+            ref = brute_force(QpInstance.build(H, c[i], A=distinct, b=least, Aeq=Aeq, beq=beq[i]))
+            status = batch.status[i]
+            assert status == (INFEASIBLE if ref is None else OPTIMAL), f"seed {seed} member {i}"
+            seen[status] += 1
+            if ref is not None:
+                assert np.abs(batch.x[i] - ref[0]).max() < 1e-6, f"seed {seed} member {i}"
+                assert abs(batch.objective[i] - ref[1]) < 1e-8 * max(1.0, abs(ref[1]))
+        infeasible = batch.status == INFEASIBLE
+        assert _farkas(A, Aeq, b[infeasible], beq[infeasible], batch.lam[infeasible],
+                       batch.mu[infeasible]).all(), f"seed {seed}"
+    assert seen[OPTIMAL] > 150 and seen[INFEASIBLE] > 20
+    assert 10 < with_eq < 50
+
+
 def test_infeasible_stack_leaves_on_farkas_ray(random_feeder_case):
     # the unrelaxed problem at calibration's 32 evenly spaced samples of the
     # random feeder; 7 are infeasible, and before the ray exit the
