@@ -156,7 +156,7 @@ class BatchCounters:
     seeds: int
     screened_out: int
     degenerate: int
-    stragglers: int
+    budget_exhausted: int
     infeasible: int
     failed: int
 
@@ -227,7 +227,7 @@ class BatchResult:
             seeds=rows[SEED],
             screened_out=self.screened_out,
             degenerate=rows[UNCERTAIN] + rows[RANK],
-            stragglers=rows[BUDGET],
+            budget_exhausted=rows[BUDGET],
             infeasible=rows[INFEASIBLE],
             failed=rows[FAILED],
         )
@@ -778,9 +778,9 @@ def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> Va
         max_gap = float(np.max(gap[optimal], initial=max_gap))
         logger.debug(
             "validate block: %d instances, IPM iterations max %d mean %.1f, "
-            "%d polish groups, %d LP probes, %d not optimal",
+            "%d polish groups, %d phase-1 solves, %d not optimal",
             idx.size, sols.iterations.max(), sols.iterations.mean(),
-            sols.polish_groups, sols.lp_probes, int((~optimal).sum()),
+            sols.polish_groups, sols.phase_one, int((~optimal).sum()),
         )
     return ValidationReport(
         checked=int(indices.size),

@@ -27,11 +27,11 @@ other copies getting 0.  That is exact: the merged rows have the full
 rows' feasible set and optimum; the kept row's slack is the merged row's,
 and A'lam and b'lam do not change, so multipliers and Farkas rays of the
 merged rows are those of the full rows.  Everything after the method (the
-certificate check, the polish, the probe) and the warm path work on the
-full rows, and with no two rows equal the method gets them as they are.
-On a radial feeder a bus with no inverter at or below it has its parent's
-voltage rows, so the 183 rows of the 80-bus bench feeder hold 101
-distinct ones.
+certificate check, the polish, the phase-1 problem) and the warm path work
+on the full rows, and with no two rows equal the method gets them as they
+are.  On a radial feeder a bus with no inverter at or below it has its
+parent's voltage rows, so the 183 rows of the 80-bus bench feeder hold
+101 distinct ones.
 
 An instance leaves the interior-point method early once its multipliers
 form a Farkas ray of its inequality rows, Az y <= bz: bz'lam < 0 with
@@ -49,29 +49,37 @@ interior-point tolerance; instances that hold the same working set share
 its independence filter and KKT factorization.
 
 An instance that leaves on a Farkas ray is reported infeasible, with no
-polish and no LP, when its multipliers also pass a Farkas check in
-x-space, on the caller's own m inequality and e independent equality
-rows.  With mu = -(lam A) P' (x0 = beq P; the cold path recovers mu from
-stationarity the same way), r = A'lam + Aeq'mu, v = b'lam + beq'mu and
-g = 2 (m + e) eps, it asks lam >= 0, V = v + g (|b|'lam + |beq|'|mu|) < 0
-and max_j |r_j| + g (|A|'lam + |Aeq|'|mu|)_j <= RAY_TOL (-V).  The g
-terms bound the rounding of the two sums, so the exact v and r meet
-v < 0 and |r|_inf <= RAY_TOL (-v).  Any x with A x <= b and Aeq x = beq
-has r'x = lam'A x + mu'Aeq x <= v, so |x|_1 >= -v / |r|_inf >=
-1 / RAY_TOL: the ray test's bound, now free of the elimination's
-rounding.  A check on the independent equality rows only is still a
-certificate for the full system, whose feasible points are among those
-of the independent rows.  lam and mu of such an instance are its
-certificate.  Every other instance, however it left the interior-point
-method (see QpBatch.exit), is polished from the rows its iterate holds
-near-active; _optimal, the one test that accepts a polished point,
-decides whether the polished point replaces the iterate.  Each instance
-that then is not optimal and holds no certificate gets one LP
-feasibility probe, after the polish: infeasible when the LP has no
-feasible point, a numerical failure otherwise.  So infeasibility is the
-verdict of a checked certificate or of the probe.  solve_qp is the
-k = 1 case.  Everything is deterministic: no randomized pivoting, no
-time-dependent behavior.
+polish, when its multipliers also pass a Farkas check in x-space, on the
+caller's own m inequality and e independent equality rows.  With mu =
+-(lam A) P' (x0 = beq P; the cold path recovers mu from stationarity the
+same way), r = A'lam + Aeq'mu, v = b'lam + beq'mu and g = 2 (m + e) eps,
+it asks lam >= 0, V = v + g (|b|'lam + |beq|'|mu|) < 0 and
+max_j |r_j| + g (|A|'lam + |Aeq|'|mu|)_j <= RAY_TOL (-V).  The g terms
+bound the rounding of the two sums, so the exact v and r meet v < 0 and
+|r|_inf <= RAY_TOL (-v).  Any x with A x <= b and Aeq x = beq has r'x =
+lam'A x + mu'Aeq x <= v, so |x|_1 >= -v / |r|_inf >= 1 / RAY_TOL: the ray
+test's bound, now free of the elimination's rounding.  A check on the
+independent equality rows only is still a certificate for the full
+system, whose feasible points are among those of the independent rows.
+Every other instance, however it left the interior-point method (see
+QpBatch.exit), is polished from the rows its iterate holds near-active;
+_optimal, the one test that accepts a polished point, decides whether the
+polished point replaces the iterate.
+
+Each instance that is then neither optimal nor certified takes the
+phase-1 problem  min 0.5 t^2 + 0.5 PHASE_ONE_EPS |x|^2  s.t.  A x - t <= b,
+Aeq x - t <= beq,  -Aeq x - t <= -beq,  stacked with the others, through
+the cold path and the polish but never the verdict.  With no equality
+rows it is always feasible, and it is strictly convex.  At its optimum,
+with lam its multipliers on A and mu = lam+ - lam- those on the two copies
+of Aeq, A'lam + Aeq'mu = -PHASE_ONE_EPS x and b'lam + beq'mu = -(t^2 +
+PHASE_ONE_EPS |x|^2), so (lam, mu) passes the Farkas check above, on all e
+equality rows, once the rows conflict by a t with t^2 well above
+PHASE_ONE_EPS |x|_inf / RAY_TOL and t above the sums' rounding, about
+4e-7 (m + e) max|A|.  The verdict has one rule: optimal, else infeasible
+on a checked certificate, which lam and mu hold, else a numerical failure.
+solve_qp is the k = 1 case.  Everything is deterministic: no randomized
+pivoting, no time-dependent behavior.
 
 A warm start skips the interior-point method.  An instance given a start,
 a list of inequality rows such as the active set of a neighbouring
@@ -82,9 +90,10 @@ as a cold polish, that point is the answer, with 0 interior-point
 iterations; it equals the cold polish's answer bit for bit whenever both
 end on the same working set.  Every instance that does not settle so,
 an infeasible one among them, then takes the cold path unchanged:
-interior point, certificate check, polish, and the probe if it is still
-not optimal.  A start therefore costs at most WARM_UPDATES
-factorizations, and an instance it does not settle gets the cold answer.
+interior point, certificate check, polish, and the phase-1 problem if it
+is still neither optimal nor certified.  A start therefore costs at most
+WARM_UPDATES factorizations, and an instance it does not settle gets the
+cold answer.
 
 Conventions: inequality multipliers lam >= 0 enter the stationarity
 residual as A'lam, equality multipliers mu enter as Aeq'mu with free sign,
@@ -121,6 +130,13 @@ RAY_TOL = 1e-9
 WARM_UPDATES = 32
 #: polish rounds an instance may take from its interior-point guess
 COLD_UPDATES = 60
+#: weight of 0.5 |x|^2 in the phase-1 objective, which it makes strictly
+#: convex; a conflict t is certified once RAY_TOL t^2 is well above
+#: PHASE_ONE_EPS |x|_inf.  1e-17 certifies all 616 infeasible instances
+#: that the tests, the 80-bus bench feeder's calibration and an
+#: all-infeasible demo study reach, with every phase-1 optimal; 1e-13
+#: certifies 449 of them.
+PHASE_ONE_EPS = 1e-17
 
 #: how an instance left the interior-point method (QpBatch.exit): on a
 #: Farkas ray, converged, collapsed short of feasibility, stalled, after
@@ -176,8 +192,8 @@ class QpSolution:
     counts interior-point iterations and exit says how the method ended
     (NONE when it did not run); warm marks a solution that its warm start
     settled, and factorizations counts the polish's KKT factorizations.
-    An infeasible instance that left on a certified Farkas ray holds its
-    certificate in lam and mu (see the module docstring).
+    An infeasible instance holds its checked Farkas certificate in lam and
+    mu (see the module docstring).
     """
 
     status: str
@@ -200,9 +216,9 @@ class QpBatch:
     and exit hold Python strings.  factorizations counts, per instance,
     the polish's KKT factorizations it took part in, warm and cold;
     polish_groups counts them once each, as the instances that held the
-    same working set shared them, and lp_probes the feasibility LPs that
-    were solved: one, after the polish, for each instance that is not
-    optimal and holds no Farkas certificate.
+    same working set shared them, and phase_one the instances that took
+    the phase-1 problem: each that after the polish is neither optimal nor
+    certified by its ray exit.
     """
 
     status: np.ndarray
@@ -213,7 +229,7 @@ class QpBatch:
     iterations: np.ndarray
     objective: np.ndarray
     polish_groups: int
-    lp_probes: int
+    phase_one: int
     warm: np.ndarray
     exit: np.ndarray
     factorizations: np.ndarray
@@ -292,23 +308,6 @@ def _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu):
         )
         comp = np.abs(lam * slack).max(axis=1, initial=0.0)
     return np.column_stack([stat, prim, comp])
-
-
-def _feasibility_probe(A, b, Aeq, beq) -> bool:
-    """Authoritative feasibility check via an LP (no objective)."""
-    from scipy.optimize import linprog
-
-    n = A.shape[1]
-    res = linprog(
-        c=np.zeros(n),
-        A_ub=A if A.shape[0] else None,
-        b_ub=b if A.shape[0] else None,
-        A_eq=Aeq if Aeq.shape[0] else None,
-        b_eq=beq if Aeq.shape[0] else None,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    return res.status != 2
 
 
 def _farkas(A, Aeq, b, beq, lam, mu) -> np.ndarray:
@@ -794,46 +793,13 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq):
     return x, lam, mu, iterations, exits, certified
 
 
-def solve_qp_batch(
-    H: np.ndarray,
-    A: np.ndarray,
-    Aeq: np.ndarray,
-    c: np.ndarray,
-    b: np.ndarray,
-    beq: np.ndarray,
-    start: list | None = None,
-) -> QpBatch:
-    """Solve k convex QPs that share H, A and Aeq to KKT residuals below
-    DEFAULT_TOL.
-
-    c, b and beq hold one instance per row: (k, n), (k, m) and (k, e).
-    H must be symmetric positive definite (ValueError otherwise).
-    Infeasible instances, including ones whose dependent equality rows
-    disagree, are confirmed by a checked Farkas certificate or an LP probe
-    and reported via status rather than raised.  start, when given, holds
-    one list of rows of A per instance, from which that instance is
-    warm-started (see the module docstring); it is ignored when A has no
-    rows.
-    """
-    H = np.asarray(H, dtype=float)
-    n = H.shape[0]
-    A = np.asarray(A, dtype=float).reshape(-1, n)
-    Aeq = np.asarray(Aeq, dtype=float).reshape(-1, n)
+def _solve(H, A, Aeq, c, b, beq, start):
+    """The stack up to the verdict: the warm start when start is given,
+    then _solve_cold and the polish for every instance it did not settle.
+    Returns ((x, lam, mu, resid), iterations, exits, certified, warm,
+    steps, groups), named as in QpBatch and _solve_cold."""
+    k, n = c.shape
     m, e = A.shape[0], Aeq.shape[0]
-    c = np.asarray(c, dtype=float).reshape(-1, n)
-    k = c.shape[0]
-    b = np.asarray(b, dtype=float).reshape(k, m)
-    beq = np.asarray(beq, dtype=float).reshape(k, e)
-
-    if not np.abs(H - H.T).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(H).max(initial=0.0)):
-        raise ValueError("H must be symmetric")
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise ValueError("H must be positive definite") from None
-    if start is not None and len(start) != k:
-        raise ValueError(f"start must hold one entry for each of the {k} instances")
-
     eq_rows = _independent_rows(Aeq)
     x = np.empty((k, n))
     lam = np.zeros((k, m))
@@ -880,21 +846,85 @@ def solve_qp_batch(
             )
             steps[todo] += cold_steps
             groups += more
+    return point, iterations, exits, certified, warm, steps, groups
 
+
+def _phase_one(A, Aeq, b, beq):
+    """Candidate Farkas certificates (lam, mu) of  A x <= b,  Aeq x = beq,
+    one instance per row of b and beq: the phase-1 multipliers (see the
+    module docstring)."""
+    k = b.shape[0]
+    (m, n), e = A.shape, Aeq.shape[0]
+    # over (x, t): A x - t <= b,  Aeq x - t <= beq,  -Aeq x - t <= -beq
+    A1 = np.hstack([np.vstack([A, Aeq, -Aeq]), np.full((m + 2 * e, 1), -1.0)])
+    H1 = np.diag(np.append(np.full(n, PHASE_ONE_EPS), 1.0))
+    (_, lam1, _, _), *_ = _solve(H1, A1, np.zeros((0, n + 1)), np.zeros((k, n + 1)),
+                                 np.hstack([b, beq, -beq]), np.zeros((k, 0)), None)
+    return lam1[:, :m], lam1[:, m : m + e] - lam1[:, m + e :]
+
+
+def solve_qp_batch(
+    H: np.ndarray,
+    A: np.ndarray,
+    Aeq: np.ndarray,
+    c: np.ndarray,
+    b: np.ndarray,
+    beq: np.ndarray,
+    start: list | None = None,
+) -> QpBatch:
+    """Solve k convex QPs that share H, A and Aeq to KKT residuals below
+    DEFAULT_TOL.
+
+    c, b and beq hold one instance per row: (k, n), (k, m) and (k, e).
+    H must be symmetric positive definite (ValueError otherwise).
+    Each instance gets one verdict in status: optimal, else infeasible on
+    a checked Farkas certificate, from its ray exit or from the phase-1
+    problem (see the module docstring), else a numerical failure.
+    Infeasible instances, including ones whose dependent equality rows
+    disagree, are reported so rather than raised.  start, when given, holds
+    one list of rows of A per instance, from which that instance is
+    warm-started (see the module docstring); it is ignored when A has no
+    rows.
+    """
+    H = np.asarray(H, dtype=float)
+    n = H.shape[0]
+    A = np.asarray(A, dtype=float).reshape(-1, n)
+    Aeq = np.asarray(Aeq, dtype=float).reshape(-1, n)
+    m, e = A.shape[0], Aeq.shape[0]
+    c = np.asarray(c, dtype=float).reshape(-1, n)
+    k = c.shape[0]
+    b = np.asarray(b, dtype=float).reshape(k, m)
+    beq = np.asarray(beq, dtype=float).reshape(k, e)
+
+    if not np.abs(H - H.T).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(H).max(initial=0.0)):
+        raise ValueError("H must be symmetric")
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        raise ValueError("H must be positive definite") from None
+    if start is not None and len(start) != k:
+        raise ValueError(f"start must hold one entry for each of the {k} instances")
+
+    (x, lam, mu, resid), iterations, exits, certified, warm, steps, groups = _solve(
+        H, A, Aeq, c, b, beq, start
+    )
     # the one verdict: optimal, else infeasible on a checked certificate,
-    # else what one LP probe finds
+    # from a ray exit or from the phase-1 problem, else a numerical failure
     optimal = _optimal(resid, b, lam, mu, x)
-    status = np.full(k, OPTIMAL, dtype=object)
-    status[~optimal] = INFEASIBLE
-    probed = np.flatnonzero(~optimal & ~certified)
-    for i in probed:
-        if _feasibility_probe(A, b[i], Aeq, beq[i]):
-            status[i] = NUMERICAL_FAILURE
+    rest = np.flatnonzero(~optimal & ~certified)
+    if rest.size:
+        plam, pmu = _phase_one(A, Aeq, b[rest], beq[rest])
+        ok = _farkas(A, Aeq, b[rest], beq[rest], plam, pmu)
+        proved = rest[ok]
+        lam[proved], mu[proved], certified[proved] = plam[ok], pmu[ok], True
+    status = np.full(k, NUMERICAL_FAILURE, dtype=object)
+    status[certified] = INFEASIBLE
+    status[optimal] = OPTIMAL
     with np.errstate(invalid="ignore", over="ignore"):
         objective = 0.5 * np.einsum("ij,ij->i", x @ H, x) + np.einsum("ij,ij->i", c, x)
     return QpBatch(
         status, x, lam, mu, resid, iterations, objective,
-        groups, probed.size, warm, exits, steps,
+        groups, rest.size, warm, exits, steps,
     )
 
 

@@ -324,7 +324,7 @@ def render_report(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel)
     )
     lines.append(
         f"  reuse {c['reuse']}  seeds {c['seeds']}  degenerate {c['degenerate']} "
-        f"stragglers {c['stragglers']}  infeasible {c['infeasible']}  failed {c['failed']}"
+        f"budget-exhausted {c['budget_exhausted']}  infeasible {c['infeasible']}  failed {c['failed']}"
     )
     qs_label = " ".join(f"q{int(round(100 * q)):02d}" for q in payload["quantiles"])
     bus_row = "    bus %4s  " + " ".join(["%.5f"] * len(payload["quantiles"]))

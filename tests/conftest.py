@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from phca import (
     ETA_FLOOR,
@@ -18,6 +19,25 @@ from phca import (
     scale_problem,
 )
 from phca.builder import BuilderConfig
+
+
+def feasible_lp(inst):
+    """Independent feasibility check of one instance via an LP: HiGHS,
+    through scipy.optimize.linprog, on inst's rows A, b, Aeq and beq."""
+    res = linprog(
+        c=np.zeros(inst.A.shape[1]),
+        A_ub=inst.A,
+        b_ub=inst.b,
+        A_eq=inst.Aeq if inst.Aeq.shape[0] else None,
+        b_eq=inst.beq if inst.Aeq.shape[0] else None,
+        bounds=[(None, None)] * inst.A.shape[1],
+        method="highs",
+    )
+    if res.status == 0:
+        return True
+    if res.status == 2:
+        return False
+    raise RuntimeError(f"feasibility LP ended with status {res.status}")
 
 
 def status_names(payload):

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import feasible_lp
 from scipy.optimize import linprog
 
 from phca import (
@@ -70,24 +71,6 @@ def study():
         eta=eta,
         batch_s=batch_s,
     )
-
-
-def feasible_lp(inst):
-    """Independent feasibility check of one instance via an LP."""
-    res = linprog(
-        c=np.zeros(inst.A.shape[1]),
-        A_ub=inst.A,
-        b_ub=inst.b,
-        A_eq=inst.Aeq if inst.Aeq.shape[0] else None,
-        b_eq=inst.beq if inst.Aeq.shape[0] else None,
-        bounds=[(None, None)] * inst.A.shape[1],
-        method="highs",
-    )
-    if res.status == 0:
-        return True
-    if res.status == 2:
-        return False
-    raise RuntimeError(f"feasibility LP ended with status {res.status}")
 
 
 def minimal_relaxation_lp(inst, relax):

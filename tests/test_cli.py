@@ -730,7 +730,7 @@ def _parent_layout(payload):
         "seeds": status.count("seed"),
         "screened_out": payload.pop("screened_out"),
         "degenerate": status.count("uncertain-active-set") + status.count("rank-deficient"),
-        "stragglers": status.count("budget-exhausted"),
+        "budget_exhausted": status.count("budget-exhausted"),
         "infeasible": status.count("infeasible"),
         "failed": status.count("failed"),
     }
@@ -930,17 +930,18 @@ def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
     assert len(payload["status"]["infeasible"]) == 48
 
 
-#: the steps given as JSON in one process; prints their exit codes and the
-#: scipy modules loaded by then
+#: the steps given as JSON in one process, in which every scipy import
+#: fails; prints their exit codes
 PIPELINE = """
 import json
 import sys
 import threading
+
+sys.modules["scipy"] = None
 from phca.cli import main
 
 codes = [main(step) for step in json.loads(sys.argv[1])]
-loaded = [m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules]
-print("codes", codes, "scipy", loaded)
+print("codes", codes)
 """
 
 
@@ -965,20 +966,18 @@ def run_pipeline(d, case, first=()):
 
 
 def test_demo_pipeline_imports_no_scipy(tmp_path):
-    # numpy does all the linear algebra; scipy is imported only by the LP
-    # feasibility probe, which no demo instance needs (the probe is still
-    # exercised by tests/test_qp.py's broken and stalled exits)
+    # phca needs numpy alone: the whole pipeline runs with scipy blocked
     d = str(tmp_path)
     case = ["--feeder", f"{d}/feeder.txt", "--loads", f"{d}/loads.csv",
             "--solar", f"{d}/solar.csv", "--config", f"{d}/config.ini"]
     proc = run_pipeline(d, case, first=[["demo", "--out", d, "--days", "2"]])
-    assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0, 0] scipy []"
+    assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0, 0]"
 
 
 def test_certified_infeasible_calibration_imports_no_scipy(tmp_path):
     # 7 of the random feeder's 32 calibration samples are infeasible; each
     # leaves the interior-point method on a ray whose certificate passes
-    # the Farkas check, so no LP is probed in set-up, run, stats or oracle
+    # the Farkas check, in set-up, run, stats and oracle, with scipy blocked
     feeder, loads, solar = random_radial_case(30, 5, days=2, seed=2)
     for name, text in (("feeder.txt", feeder), ("loads.csv", loads), ("solar.csv", solar)):
         (tmp_path / name).write_text(text)
@@ -987,4 +986,4 @@ def test_certified_infeasible_calibration_imports_no_scipy(tmp_path):
             "--kappa", "1.0,1.5", "--oversize", "1.0,1.15", "--alpha", "0.24,0.48"]
     proc = run_pipeline(d, case)
     assert proc.stderr.count("calibration skipped 7 of 32 samples") == 4
-    assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0] scipy []"
+    assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0, 0]"

@@ -63,15 +63,15 @@ def test_reuse_dominates_direct(batch):
     c = batch.counters
     assert c.qp_solves < 0.1 * c.n_instances
     assert c.reuse > 0.9 * c.n_instances
-    assert c.qp_solves == c.seeds + c.degenerate + c.stragglers + c.infeasible + c.failed
+    assert c.qp_solves == c.seeds + c.degenerate + c.budget_exhausted + c.infeasible + c.failed
     assert c.regions_built == len(batch.regions) == c.seeds
 
 
 def _every_outcome(prob, theta_set, monkeypatch):
     """A batch with every status but uncertain-active-set and failed: the
     first region build is forced to fail as rank deficient, two rows are
-    infeasible, and a budget of two attempts leaves stragglers behind the
-    one region built."""
+    infeasible, and a budget of two attempts leaves budget-exhausted rows
+    behind the one region built."""
     build = RegionContext.build_region
     calls = []
 
@@ -104,11 +104,11 @@ def test_region_census_consistent(scaled_demo_problem, small_theta_set, monkeypa
         "seeds": statuses.count("seed"),
         "screened_out": res.screened_out,
         "degenerate": statuses.count("uncertain-active-set") + statuses.count("rank-deficient"),
-        "stragglers": statuses.count("budget-exhausted"),
+        "budget_exhausted": statuses.count("budget-exhausted"),
         "infeasible": 2,
         "failed": 0,
     }
-    assert res.counters.stragglers > 0 and res.counters.degenerate == 1
+    assert res.counters.budget_exhausted > 0 and res.counters.degenerate == 1
     # each region has one seed, solved directly, and serves only reuse rows
     for rid, sig in enumerate(res.regions):
         rows = [i for i in range(n) if res.region_id[i] == rid]
@@ -227,10 +227,10 @@ def test_budget_falls_back_to_direct(scaled_demo_problem, small_theta_set):
     res = run_batch(scaled_demo_problem, thetas, EngineOptions(solve_budget=1))
     assert res.solved_mask().all()
     assert res.counters.regions_built <= 1
-    straggler_recs = [r for r in res.records if r.reason == "budget-exhausted"]
-    assert len(straggler_recs) == res.counters.stragglers
+    budget_recs = [r for r in res.records if r.reason == "budget-exhausted"]
+    assert len(budget_recs) == res.counters.budget_exhausted
     if res.counters.regions_built == 1:
-        assert res.counters.stragglers == 40 - 1 - res.counters.reuse
+        assert res.counters.budget_exhausted == 40 - 1 - res.counters.reuse
     # budgeted runs still agree with the unbudgeted ones
     free = run_batch(scaled_demo_problem, thetas)
     assert np.max(np.abs(res.x - free.x)) < 1e-8
@@ -284,7 +284,7 @@ def test_json_roundtrip_across_instance_blocks(batch, small_theta_set, demo_feed
     res = run_batch(batch.problem, batch.thetas, EngineOptions(seed=0, solve_budget=budget))
     blocks = [np.unique(np.flatnonzero(res.region_id == k) // 64).size for k in range(2)]
     assert blocks == [3, 2]
-    assert res.counters.stragglers == (6 if budget else 0)
+    assert res.counters.budget_exhausted == (6 if budget else 0)
     _assert_roundtrip(res, small_theta_set, demo_feeder)
 
 
@@ -326,7 +326,7 @@ def test_loader_and_soft_violations_hold_no_array_per_instance_and_row(batch, mo
 
 
 def _with_failed_rows(prob, theta_set, monkeypatch):
-    """_every_outcome with its third direct solve, a budget straggler's,
+    """_every_outcome with its third direct solve, a budget-exhausted row's,
     failing numerically."""
 
     class Broken:
@@ -364,11 +364,11 @@ def test_json_roundtrip_random_feeder(random_feeder_batch, monkeypatch):
 
 def test_json_roundtrip_budget_rows(batch, small_theta_set, demo_feeder):
     res = run_batch(batch.problem, batch.thetas, EngineOptions(seed=None, solve_budget=2))
-    assert res.counters.stragglers > 0 and res.counters.reuse > 0
+    assert res.counters.budget_exhausted > 0 and res.counters.reuse > 0
     text = _assert_roundtrip(res, small_theta_set, demo_feeder)
     # the budget rows alone are stored
     stored = base64.b64decode(json.loads(text)["columns"]["x"])
-    assert len(stored) == 8 * res.counters.stragglers * res.x.shape[1]
+    assert len(stored) == 8 * res.counters.budget_exhausted * res.x.shape[1]
 
 
 @pytest.mark.parametrize("make", [_every_outcome, _with_failed_rows], ids=["every", "failed"])
@@ -399,7 +399,7 @@ def test_uncertain_active_set_rows(demo_feeder, caplog):
     assert rows.tolist() == [883, 1145] and len(thetas) == 1440
     assert (res.region_id[rows] == -1).all()
     assert res.direct_signatures == {883: (36,), 1145: (0, 36)}
-    assert res.counters.degenerate == 2 and res.counters.stragglers == 0
+    assert res.counters.degenerate == 2 and res.counters.budget_exhausted == 0
     lines = [r.getMessage() for r in caplog.records]
     assert [line for line in lines if line.endswith(": uncertain-active-set")] == [
         "instance 883: uncertain-active-set", "instance 1145: uncertain-active-set"

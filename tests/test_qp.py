@@ -1,7 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import feasible_lp
 
 import phca.qp as qp_mod
 from phca.builder import theta_map_batch
@@ -12,12 +18,13 @@ from phca.qp import (
     NONE,
     WARM_UPDATES,
     _farkas,
-    _feasibility_probe,
     _independent_rows,
     _interior_point,
+    _phase_one,
     _spd_solver,
     _triangle,
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     RAY,
     RAY_TOL,
@@ -477,18 +484,19 @@ def test_infeasible_stack_leaves_on_farkas_ray(random_feeder_case):
     assert batch.iterations[infeasible].max() <= 20
     assert (batch.status[~infeasible] == OPTIMAL).all()
     # each infeasible instance left on a ray whose certificate passed the
-    # Farkas check, so no instance was probed, and none of them reached
-    # the polish
+    # Farkas check, so no instance took the phase-1 problem, and none of
+    # them reached the polish
     assert (batch.exit[infeasible] == RAY).all()
-    assert batch.lp_probes == 0
+    assert batch.phase_one == 0
     assert batch.polish_groups == solve(np.flatnonzero(~infeasible)).polish_groups
 
 
-def _band_stack(seed, k, loose=None, n=3, m=8):
+def _band_stack(seed, k, loose=None, n=3, m=8, gap=(0.01, 1.0)):
     """k instances that share H and A, whose rows m and m + 1 hold a'x in
     a band of width 1; every third instance (marked by cut_off) asks
-    a'x <= a'x0 - gap and a'x >= a'x0 there instead, which no x meets.
-    loose appends the row sum(x) <= loose.  Returns (H, A, c, b, cut_off)."""
+    a'x <= a'x0 - g and a'x >= a'x0 there instead, which no x meets, g
+    drawn uniformly from the range gap.  loose appends the row
+    sum(x) <= loose.  Returns (H, A, c, b, cut_off)."""
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(n + 1, n))
     H = G.T @ G + 0.1 * np.eye(n)
@@ -498,7 +506,7 @@ def _band_stack(seed, k, loose=None, n=3, m=8):
     b = np.hstack([x0 @ A[:m].T + rng.uniform(0.1, 1.0, size=(k, m)),
                    np.column_stack([x0 @ a + 0.5, 0.5 - x0 @ a])])
     cut_off = np.arange(k) % 3 == 0
-    b[cut_off, m] = x0[cut_off] @ a - rng.uniform(0.01, 1.0, size=cut_off.sum())
+    b[cut_off, m] = x0[cut_off] @ a - rng.uniform(*gap, size=cut_off.sum())
     b[cut_off, m + 1] = -x0[cut_off] @ a
     c = rng.normal(size=(k, n))
     if loose is not None:
@@ -510,14 +518,14 @@ def _band_stack(seed, k, loose=None, n=3, m=8):
 def test_certified_ray_exits_skip_the_polish():
     # the cut-off instances leave the interior-point method on a ray; their
     # certificates pass the Farkas check, which settles them infeasible
-    # with no polish and no probe
+    # with no polish and no phase-1 problem
     H, A, c, b, cut_off = _band_stack(0, 30, loose=1e8)
     k, n = c.shape
     none = np.zeros((k, 0))
     batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, none)
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     assert (batch.exit[cut_off] == RAY).all()
-    assert batch.lp_probes == 0
+    assert batch.phase_one == 0
     # with no equality rows the solver hands the interior-point method H,
     # A, c and b as they are, started at the unconstrained minimizer
     exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T)[3]
@@ -532,14 +540,15 @@ def test_certified_ray_exits_skip_the_polish():
 def test_unconverged_exits_are_probed_after_polish():
     # half the cut-off instances of this stack leave the interior-point
     # method on a broken step, not a ray; they hold no certificate, so the
-    # polish tries them within its budget and then the probe, once each,
-    # finds them infeasible, while the rays pass the Farkas check
+    # polish tries them within its budget, and then the phase-1 problem,
+    # once each, certifies them infeasible, while the rays pass the Farkas
+    # check
     H, A, c, b, cut_off = _band_stack(11, 30, loose=1e8)
     k, n = c.shape
     batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     assert set(batch.exit[cut_off]) == {RAY, BROKEN} and (batch.exit[~cut_off] == CONVERGED).all()
-    assert batch.lp_probes == (batch.exit == BROKEN).sum() == 5
+    assert batch.phase_one == (batch.exit == BROKEN).sum() == 5
     assert (batch.factorizations[batch.exit == RAY] == 0).all()
     assert (batch.factorizations[batch.exit == BROKEN] > 0).all()
     assert (batch.factorizations <= COLD_UPDATES).all()
@@ -572,15 +581,22 @@ def test_farkas_check_refuses_what_it_cannot_prove():
 
 
 def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
-    # every infeasible instance that left on a ray returns, in lam and mu, a
-    # certificate that passes the Farkas check on its own rows, and the LP
-    # probe agrees that it is infeasible
+    # every infeasible verdict, whether its instance left on a ray or took
+    # the phase-1 problem, returns in lam and mu a certificate that passes
+    # the Farkas check on its own rows, and HiGHS (feasible_lp) agrees that
+    # it is infeasible
     cases = [(inst.A, inst.Aeq, solve_qp(inst), inst.b, inst.beq)
              for _, _, inst in _sweep_instances()]
+    # the band stacks' broken exits, and equality rows that disagree, whose
+    # certificates span the full dependent Aeq
     for seed, k, loose in ((0, 30, 1e8), (11, 30, 1e8), (11, 40, None)):
         H, A, c, b, _ = _band_stack(seed, k, loose)
         batch = solve_qp_batch(H, A, np.zeros((0, 3)), c, b, np.zeros((k, 0)))
         cases += [(A, np.zeros((0, 3)), batch.solution(i), b[i], np.zeros(0)) for i in range(k)]
+    for inst in (QpInstance.build(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0]),
+                 QpInstance.build(np.eye(2), [1.0, 1.0], A=[[1.0, 1.0]], b=[0.5],
+                                  Aeq=[[1.0, 0.0], [2.0, 0.0]], beq=[0.3, 0.7])):
+        cases.append((inst.A, inst.Aeq, solve_qp(inst), inst.b, inst.beq))
     # the unrelaxed demo at 24 overloaded hours, and again with every
     # headroom squeezed: the regulator gives it an equality row, which is
     # then doubled into a dependent one the check leaves out
@@ -597,14 +613,61 @@ def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
     for Ae, be in ((Aeq, beq), (np.vstack([Aeq, 2.0 * Aeq]), np.hstack([beq, 2.0 * beq]))):
         batch = solve_qp_batch(H, A, Ae, c, b, be)
         cases += [(A, Ae, batch.solution(i), b[i], be[i]) for i in range(len(insts))]
-    rays = 0
+        # the phase-1 problem certifies the instances that left on rays too
+        inf = batch.status == INFEASIBLE
+        assert inf.sum() == 41
+        assert _farkas(A, Ae, b[inf], be[inf], *_phase_one(A, Ae, b[inf], be[inf])).all()
+    exits = []
     for j, (A, Aeq, sol, b, beq) in enumerate(cases):
-        if sol.exit == RAY:
+        if sol.exit == RAY or sol.status == INFEASIBLE:
             assert sol.status == INFEASIBLE, f"case {j}"
             assert farkas_holds(A, Aeq, b, beq, sol.lam, sol.mu), f"case {j}"
-            assert not _feasibility_probe(A, b, Aeq, beq), f"case {j}"
-            rays += 1
-    assert rays >= 100
+            assert not feasible_lp(SimpleNamespace(A=A, b=b, Aeq=Aeq, beq=beq)), f"case {j}"
+            exits.append(sol.exit)
+    # the equality-only case never enters the interior-point method
+    assert exits.count(RAY) >= 100 and exits.count(BROKEN) == 10
+    assert exits.count(NONE) == 1 and exits.count(CONVERGED) == 1
+    assert len(exits) == exits.count(RAY) + 12
+
+
+def test_sub_tolerance_conflicts_stay_numerical_failures():
+    # the cut-off instances miss the band by 0.5e-8 to 1e-8, far less than
+    # a phase-1 certificate can prove (see the qp module docstring), so
+    # each stays a numerical failure; HiGHS, feasible to within its
+    # tolerance, finds no conflict either
+    H, A, c, b, cut_off = _band_stack(11, 40, gap=(0.5e-8, 1e-8))
+    k, n = c.shape
+    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    assert (batch.status == np.where(cut_off, NUMERICAL_FAILURE, OPTIMAL)).all()
+    assert batch.phase_one == cut_off.sum() == 14
+    assert all(feasible_lp(QpInstance.build(H, c[i], A=A, b=b[i]))
+               for i in np.flatnonzero(cut_off))
+
+
+#: solves the stack saved at argv[1] with every scipy import failing, and
+#: prints its statuses and how many instances took the phase-1 problem
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from phca.qp import solve_qp_batch
+d = np.load(sys.argv[1])
+batch = solve_qp_batch(d["H"], d["A"], d["Aeq"], d["c"], d["b"], d["beq"])
+print(*batch.status, batch.phase_one)
+"""
+
+
+def test_phase_one_needs_no_scipy(tmp_path):
+    H, A, c, b, _ = _band_stack(11, 30, loose=1e8)
+    k, n = c.shape
+    stack = dict(H=H, A=A, Aeq=np.zeros((0, n)), c=c, b=b, beq=np.zeros((k, 0)))
+    np.savez(tmp_path / "stack.npz", **stack)
+    env = dict(os.environ, PYTHONPATH=str(Path(qp_mod.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path / "stack.npz")],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    batch = solve_qp_batch(**stack)
+    assert batch.phase_one == 5
+    assert proc.stdout.split() == [*batch.status, "5"]
 
 
 def _tri(M):
@@ -675,12 +738,12 @@ def test_feasible_large_cancelling_multipliers_are_no_ray(eps):
     # in x1 but keeps the gradient's 1e4 in x2.  On a feasible instance
     # |A'lam| >= -b'lam / |x|_1 for any feasible x, here 1e-4, far above
     # the ray test's 1e-9.  The multipliers keep the absolute merit above
-    # tol, so the method stalls; the polish settles the stall, so no LP is
-    # asked.
+    # tol, so the method stalls; the polish settles the stall, so no
+    # phase-1 problem is solved.
     A = np.array([[1.0, eps], [-1.0, eps]])
     batch = solve_qp_batch(np.eye(2), A, np.zeros((0, 2)), np.zeros((1, 2)),
                            np.full((1, 2), -1e4 * eps), np.zeros((1, 0)))
-    assert batch.status[0] == OPTIMAL and batch.exit[0] == STALL and batch.lp_probes == 0
+    assert batch.status[0] == OPTIMAL and batch.exit[0] == STALL and batch.phase_one == 0
     assert batch.x[0] == pytest.approx([0.0, -1e4], abs=1e-8)
     assert batch.lam[0] == pytest.approx([0.5e4 / eps] * 2, rel=1e-9)
 
