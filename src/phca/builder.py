@@ -23,7 +23,6 @@ from __future__ import annotations
 import configparser
 import logging
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -115,21 +114,16 @@ class BuilderConfig:
         return mapping
 
 
-def load_config(path) -> BuilderConfig:
-    """Read a BuilderConfig from an ini-style file.
+def load_config(text: str) -> BuilderConfig:
+    """Parse a BuilderConfig from ini-style text.
 
     Section [dispatch] holds the decimal fields; section [constraints]
     holds family = hard|soft overrides.  Any other section is refused, and
-    so is any file configparser cannot parse.  The file is read as UTF-8,
-    after a byte-order mark if it starts with one.
+    so is any text configparser cannot parse.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError):
-        raise ConfigError(f"cannot read config file {path}") from None
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(text, source=str(path))
+        parser.read_string(text, source="config")
         sections = {name: dict(parser.items(name)) for name in parser.sections()}
     except configparser.Error as exc:
         # configparser's messages can span lines; an input error takes one
@@ -188,7 +182,8 @@ class RowForm:
     row two, an inverter-cap row one qg term (an x column) and one
     headroom term (a theta column); every unused term has coefficient 0
     at index 0, and the slack nonnegativity row has none.  build_problem
-    makes each row of A and E from its form, so the two agree.
+    evaluates A, E and b from these forms, and residuals evaluates them
+    at solved instances, so the QP and the reports read one description.
     """
 
     bus: np.ndarray  # (m, 2) bus indices
@@ -198,6 +193,30 @@ class RowForm:
     headroom: np.ndarray
     headroom_coef: np.ndarray
     bound: np.ndarray
+
+    def residuals(self, rows, volts, x, thetas, picks) -> np.ndarray:
+        """The residuals of rows at the instances picks, (len(picks),
+        len(rows)).  volts holds those instances' voltages v, bus j in
+        column j and v0 in column 0; x and thetas hold every instance.
+        Each term that some of the rows use is gathered and weighted, and
+        the bounds are subtracted."""
+        resid = None
+        terms = [(volts, None, self.bus[rows, k], self.bus_coef[rows, k]) for k in (0, 1)]
+        terms += [(x, picks, self.qg[rows], self.qg_coef[rows]),
+                  (thetas, picks, self.headroom[rows], self.headroom_coef[rows])]
+        for source, at, cols, coef in terms:
+            if not coef.any():
+                continue
+            term = np.take(source, cols, axis=1) if at is None else source[np.ix_(at, cols)]
+            term *= coef
+            if resid is None:
+                resid = term
+            else:
+                resid += term
+        if resid is None:
+            resid = np.zeros((volts.shape[0], len(rows)))
+        resid -= self.bound[rows]
+        return resid
 
 
 @dataclass(frozen=True)
@@ -390,13 +409,17 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     for bus, j in qg_col_of_bus.items():
         sel_qg[bus - 1, j] = 1.0
 
-    # W, U: bus voltages affine in (x, theta), each referenced to its
-    # piece root's column (v0 for piece 0, vreg[k] for piece k + 1); RL:
-    # loss quadratic over injections
+    # Wv, Uv: each bus voltage affine in (x, theta), bus 0's being v0 and
+    # every other referenced to its piece root's column (v0 for piece 0,
+    # vreg[k] for piece k + 1); W and U are their rows 1..n - 1.  RL: loss
+    # quadratic over injections
     piece, R, X, RL = voltage_model(feeder)
-    W = X @ sel_qg
+    Wv = np.zeros((n, n_var))
+    Wv[0, v0_col] = 1.0
+    W = np.matmul(X, sel_qg, out=Wv[1:])
     W[np.arange(n_inj), v0_col + piece] += 1.0
-    U = np.zeros((n_inj, n_theta))
+    Uv = np.zeros((n, n_theta))
+    U = Uv[1:]
     pc_sl = slice(0, n_inj)
     qc_sl = slice(n_inj, 2 * n_inj)
     pg_sl = slice(2 * n_inj, 2 * n_inj + n_der)
@@ -405,19 +428,9 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
     U[:, qc_sl] -= X
     U[:, pg_sl] += R[:, der_slot]
 
-    def bus_affine(bus: int) -> tuple[np.ndarray, np.ndarray]:
-        if bus == 0:
-            w = np.zeros(n_var)
-            w[v0_col] = 1.0
-            return w, np.zeros(n_theta)
-        return W[bus - 1], U[bus - 1]
-
     # ---- objective --------------------------------------------------------
     beta = config.beta
-    e0 = np.zeros(n_var)
-    e0[v0_col] = 1.0
-    es = np.zeros(n_var)
-    es[s_col] = 1.0
+    e0 = Wv[0]
 
     qc_pick = np.zeros((n_inj, n_theta))
     qc_pick[:, qc_sl] = np.eye(n_inj)
@@ -453,77 +466,73 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         )
 
     # ---- rows -------------------------------------------------------------
-    # every inequality row is a form in at most two bus voltages (bus 0
-    # meaning v0), or in one inverter's reactive setpoint and headroom; its
-    # A and E rows follow from that form through bus_affine, and the forms
-    # are kept as the problem's RowForm
+    # each inequality row is recorded once, as its label and its RowForm
+    # terms; A, E and b are evaluated from the forms below
     hardness = config.hardness()
-    a_rows, e_rows, b_vals, labels, forms = [], [], [], [], []
+    labels, forms = [], []
 
-    def append(family, ref, side, a, e_row, rhs, form):
-        soft = hardness.get(family, "hard") == "soft"
-        if soft:
-            a[s_col] -= 1.0
-        a_rows.append(a)
-        e_rows.append(e_row)
-        b_vals.append(rhs)
-        labels.append(RowLabel(family, ref, side, soft))
-        forms.append(form + (rhs,))
-
-    def add_row(family, ref, side, rhs, *buses):
-        """The row sum_k c_k v[b_k] <= rhs over buses ((b_k, c_k), ...)."""
-        (bus, coef), *rest = buses
-        w_b, u_b = bus_affine(bus)
-        a, u = coef * w_b, coef * u_b
-        for bus, coef in rest:
-            w_b, u_b = bus_affine(bus)
-            a += coef * w_b
-            u += coef * u_b
-        (b1, c1), (b2, c2) = (*buses, (0, 0.0))[:2]
-        append(family, ref, side, a, -u, rhs, (b1, c1, b2, c2, 0, 0.0, 0, 0.0))
+    def record(family, ref, side, bound, b1=0, c1=0.0, b2=0, c2=0.0,
+               qg=0, qg_coef=0.0, head=0, head_coef=0.0):
+        labels.append(RowLabel(family, ref, side, hardness.get(family, "hard") == "soft"))
+        forms.append((b1, c1, b2, c2, qg, qg_coef, head, head_coef, bound))
 
     for j, bus in enumerate(der):
         ref = feeder.ext_ids[bus]
         head = pg_sl.stop + j  # the headroom columns follow the solar ones
-        for side, sign in (("hi", 1.0), ("lo", -1.0)):
-            # sign qg_j - headroom_j <= 0
-            a, e_head = np.zeros(n_var), np.zeros(n_theta)
-            a[j], e_head[head] = sign, 1.0
-            append(INVERTER_CAP, ref, side, a, e_head, 0.0, (0, 0.0, 0, 0.0, j, sign, head, -1.0))
+        # sign qg_j - headroom_j <= 0
+        record(INVERTER_CAP, ref, "hi", 0.0, qg=j, qg_coef=1.0, head=head, head_coef=-1.0)
+        record(INVERTER_CAP, ref, "lo", 0.0, qg=j, qg_coef=-1.0, head=head, head_coef=-1.0)
 
     for rg in regs:
         ref = f"{feeder.ext_ids[rg.m]}-{feeder.ext_ids[rg.n]}"
         if rg.kind == REMOTE:
             # 0.9 v_m <= v_n <= 1.1 v_m
-            add_row(REMOTE_REG, ref, "lo", 0.0, (rg.m, REMOTE_RATIO_LO), (rg.n, -1.0))
-            add_row(REMOTE_REG, ref, "hi", 0.0, (rg.n, 1.0), (rg.m, -REMOTE_RATIO_HI))
+            record(REMOTE_REG, ref, "lo", 0.0, rg.m, REMOTE_RATIO_LO, rg.n, -1.0)
+            record(REMOTE_REG, ref, "hi", 0.0, rg.n, 1.0, rg.m, -REMOTE_RATIO_HI)
         else:
             # input window keeping the output target reachable across the
             # tap range: (vref - delta)/1.1 <= v_m <= (vref + delta)/0.9
-            add_row(REG_INPUT, ref, "hi", (rg.vref + rg.delta) / REMOTE_RATIO_LO, (rg.m, 1.0))
-            add_row(REG_INPUT, ref, "lo", -(rg.vref - rg.delta) / REMOTE_RATIO_HI, (rg.m, -1.0))
+            record(REG_INPUT, ref, "hi", (rg.vref + rg.delta) / REMOTE_RATIO_LO, rg.m, 1.0)
+            record(REG_INPUT, ref, "lo", -(rg.vref - rg.delta) / REMOTE_RATIO_HI, rg.m, -1.0)
 
-    # the voltage-hi and voltage-lo rows of every bus, in bus order:
-    # add_row's arithmetic, one array operation per side for all buses
-    coef = np.array([[1.0], [-1.0]])
-    a = (coef * W[:, None]).reshape(2 * n_inj, n_var)
-    a_rows.append(a)
-    e_rows.append(-(coef * U[:, None]).reshape(2 * n_inj, n_theta))
-    sides = []
-    for j, (family, side, rhs) in enumerate(
-        ((VOLTAGE_HI, "hi", config.vmax), (VOLTAGE_LO, "lo", -config.vmin))
-    ):
-        soft = hardness.get(family, "hard") == "soft"
-        if soft:
-            a[j::2, s_col] -= 1.0
-        sides.append((family, side, soft, coef[j, 0], rhs))
     for bus in range(1, n):
-        for family, side, soft, sign, rhs in sides:
-            b_vals.append(rhs)
-            labels.append(RowLabel(family, feeder.ext_ids[bus], side, soft))
-            forms.append((bus, sign, 0, 0.0, 0, 0.0, 0, 0.0, rhs))
+        record(VOLTAGE_HI, feeder.ext_ids[bus], "hi", config.vmax, bus, 1.0)
+        record(VOLTAGE_LO, feeder.ext_ids[bus], "lo", -config.vmin, bus, -1.0)
 
-    append(SLACK_NONNEG, "s", "lo", -es, np.zeros(n_theta), 0.0, (0, 0.0) * 4)
+    record(SLACK_NONNEG, "s", "lo", 0.0)
+
+    cols = list(zip(*forms))
+    row_form = RowForm(
+        bus=np.array(cols[0:4:2], dtype=np.int64).T,
+        bus_coef=np.array(cols[1:4:2]).T,
+        qg=np.array(cols[4], dtype=np.int64),
+        qg_coef=np.array(cols[5]),
+        headroom=np.array(cols[6], dtype=np.int64),
+        headroom_coef=np.array(cols[7]),
+        bound=np.array(cols[8]),
+    )
+    # a bus term c v[b] puts c Wv[b] into A and -c Uv[b] into E (only rows
+    # with a bus term are negated, so the other rows' zeros stay +0.0), a
+    # setpoint term its coefficient into A and a headroom term minus its
+    # coefficient into E; a soft row also reads -s, and the slack row is
+    # -s <= 0
+    buses, coefs = row_form.bus, row_form.bus_coef
+    two = np.flatnonzero(coefs[:, 1])
+    A = Wv[buses[:, 0]]
+    A *= coefs[:, :1]
+    A[two] += coefs[two, 1:] * Wv[buses[two, 1]]
+    E = Uv[buses[:, 0]]
+    E *= coefs[:, :1]
+    E[two] += coefs[two, 1:] * Uv[buses[two, 1]]
+    np.negative(E, out=E, where=coefs[:, :1] != 0.0)
+    q = np.flatnonzero(row_form.qg_coef)
+    A[q, row_form.qg[q]] += row_form.qg_coef[q]
+    h = np.flatnonzero(row_form.headroom_coef)
+    E[h, row_form.headroom[h]] -= row_form.headroom_coef[h]
+    A[[lab.soft for lab in labels], s_col] -= 1.0
+    es = np.zeros(n_var)
+    es[s_col] = 1.0
+    A[-1] = -es
 
     # ---- equalities -------------------------------------------------------
     beq_rows, feq_rows, f_vals, eq_labels = [], [], [], []
@@ -531,10 +540,9 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         if rg.kind == REMOTE:
             continue
         ref = f"{feeder.ext_ids[rg.m]}-{feeder.ext_ids[rg.n]}"
-        w_n, u_n = bus_affine(rg.n)
         if rg.kind == LOCAL:
-            beq_rows.append(w_n.copy())
-            feq_rows.append(-u_n)
+            beq_rows.append(Wv[rg.n])
+            feq_rows.append(-Uv[rg.n])
             f_vals.append(rg.vref)
             eq_labels.append(RowLabel(LOCAL_REG_EQ, ref, "eq", False))
         elif rg.kind == LDC:
@@ -544,20 +552,16 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
             below = np.flatnonzero(feeder.subtree[feeder.parent_line[rg.n]])
             mask = np.zeros(n_inj)
             mask[below - 1] = 1.0
-            row = w_n.copy()
-            row += rg.x_comp * (sel_qg.T @ mask)  # reactive decisions below
-            frow = -u_n.copy()
+            brow = Wv[rg.n] + rg.x_comp * (sel_qg.T @ mask)  # reactive decisions below
+            frow = -Uv[rg.n]
             frow[pc_sl] += rg.r_comp * mask
             frow[pg_sl] += -rg.r_comp * mask[der_slot]
             frow[qc_sl] += rg.x_comp * mask
-            beq_rows.append(row)
+            beq_rows.append(brow)
             feq_rows.append(frow)
             f_vals.append(rg.vref)
             eq_labels.append(RowLabel(LDC_REG_EQ, ref, "eq", False))
 
-    A = np.vstack(a_rows)
-    E = np.vstack(e_rows)
-    bb = np.array(b_vals)
     B = np.array(beq_rows).reshape(-1, n_var) if beq_rows else np.zeros((0, n_var))
     F = np.array(feq_rows).reshape(-1, n_theta) if feq_rows else np.zeros((0, n_theta))
     ff = np.array(f_vals) if f_vals else np.zeros(0)
@@ -577,19 +581,9 @@ def build_problem(feeder: FeederModel, config: BuilderConfig) -> MpqpProblem:
         + tuple(f"headroom[{feeder.ext_ids[bus]}]" for bus in der)
     )
 
-    cols = list(zip(*forms))
-    row_form = RowForm(
-        bus=np.array(cols[0:4:2], dtype=np.int64).T,
-        bus_coef=np.array(cols[1:4:2]).T,
-        qg=np.array(cols[4], dtype=np.int64),
-        qg_coef=np.array(cols[5]),
-        headroom=np.array(cols[6], dtype=np.int64),
-        headroom_coef=np.array(cols[7]),
-        bound=np.array(cols[8]),
-    )
-    _freeze(H, C, d, A, E, bb, B, F, ff, W, U, RL, *vars(row_form).values())
+    _freeze(H, C, d, A, E, B, F, ff, W, U, RL, *vars(row_form).values())
     return MpqpProblem(
-        H=H, C=C, d=d, A=A, E=E, b=bb, B=B, F=F, f=ff,
+        H=H, C=C, d=d, A=A, E=E, b=row_form.bound, B=B, F=F, f=ff,
         row_labels=tuple(labels),
         eq_labels=tuple(eq_labels),
         var_names=var_names,

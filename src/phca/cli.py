@@ -120,7 +120,7 @@ def _build_case(args):
             f"calibration-samples must be at least 1, got {args.calibration_samples}"
         )
     feeder = load_feeder(_read_input(args.feeder))
-    config = load_config(args.config) if args.config else BuilderConfig()
+    config = load_config(_read_input(args.config)) if args.config else BuilderConfig()
     grid = AnalysisGrid(kappa=args.kappa, oversize=args.oversize, alpha=args.alpha)
     grid.validate()
     scen = load_scenarios(
@@ -221,7 +221,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_dump_problem(args) -> int:
     feeder = load_feeder(_read_input(args.feeder))
-    config = load_config(args.config) if args.config else BuilderConfig()
+    config = load_config(_read_input(args.config)) if args.config else BuilderConfig()
     prob = build_problem(feeder, config)
     if args.eta is not None:
         prob = prob.with_eta(args.eta)

@@ -706,13 +706,13 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         bad = np.flatnonzero(solved[blk] & ~np.isfinite(x[blk]).all(axis=1))
         if bad.size:
             raise SchemaError(f"row {start + bad[0]} is solved but its solution is not finite")
-        # a stored row is a direct solve's optimum, so it lies within the
-        # looser of the two primal tolerances
+        # a stored row is a direct solve's optimum, so each of its
+        # inequality rows lies within the looser of the two primal
+        # tolerances, the solver's taken against that row's right-hand side
         rows = np.flatnonzero(stored_rows[blk])
         b = rhs[rows, :n_rows]
-        worst = (x[start + rows] @ prob.A.T - b).max(axis=1, initial=-np.inf)
-        tol = np.maximum(SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(b).max(axis=1, initial=0.0)))
-        bad = rows[worst > tol]
+        tol = np.maximum(SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + np.abs(b)))
+        bad = rows[(x[start + rows] @ prob.A.T - b > tol).any(axis=1)]
         if bad.size:
             raise SchemaError(f"row {start + bad[0]} is solved but its solution is infeasible")
         objectives[blk] = _objectives(prob, c, x[blk])
@@ -749,7 +749,8 @@ def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> Va
     Checks the solution in the sup norm (VALIDATE_DX_TOL) and the
     objective relative to its magnitude (VALIDATE_OBJ_TOL).  indices
     defaults to every instance that produced a solution.  The instances
-    are solved from scratch in stacks of VALIDATE_BLOCK, with no region
+    are solved from scratch in stacks of VALIDATE_BLOCK, on
+    MpqpProblem.instance_data's costs and right-hand sides, with no region
     algebra involved.
     """
     if indices is None:
@@ -762,11 +763,9 @@ def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> Va
     bad = []
     for start in range(0, indices.size, VALIDATE_BLOCK):
         idx = indices[start : start + VALIDATE_BLOCK]
-        th = result.thetas[idx]
-        sols = solve_qp_batch(
-            prob.H, prob.A, prob.B,
-            th @ prob.C.T + prob.d, th @ prob.E.T + prob.b, th @ prob.F.T + prob.f,
-        )
+        c, rhs = prob.instance_data(result.thetas[idx])
+        m = prob.A.shape[0]
+        sols = solve_qp_batch(prob.H, prob.A, prob.B, c, rhs[:, :m], rhs[:, m:])
         optimal = sols.status == QP_OPTIMAL
         obj_ref = sols.objective * h
         with np.errstate(invalid="ignore"):

@@ -187,7 +187,9 @@ class QpSolution:
     """Solver output: primal point, multipliers and KKT residuals.
 
     residuals = (stationarity, primal feasibility, complementarity), each an
-    infinity norm.  status is "optimal", "infeasible", or
+    infinity norm; the primal one divides each row's violation by 1 + |its
+    right-hand side|, so it is at most DEFAULT_TOL exactly when every row
+    meets its own tolerance.  status is "optimal", "infeasible", or
     "numerical-failure"; x holds the best iterate either way.  iterations
     counts interior-point iterations and exit says how the method ended
     (NONE when it did not run); warm marks a solution that its warm start
@@ -212,9 +214,10 @@ class QpSolution:
 class QpBatch:
     """Solver output for a stack of instances.
 
-    Row i of every array is instance i, with QpSolution's meaning; status
-    and exit hold Python strings.  factorizations counts, per instance,
-    the polish's KKT factorizations it took part in, warm and cold;
+    Row i of every array is instance i, with QpSolution's meaning (the
+    primal residual scaled row by row); status and exit hold Python
+    strings.  factorizations counts, per instance, the polish's KKT
+    factorizations it took part in, warm and cold;
     polish_groups counts them once each, as the instances that held the
     same working set shared them, and phase_one the instances that took
     the phase-1 problem: each that after the polish is neither optimal nor
@@ -298,13 +301,14 @@ def _kkt_solve(H, K, rhs):
 
 
 def _kkt_residuals(H, A, Aeq, c, b, beq, x, lam, mu):
-    """(k, 3) stationarity, primal and complementarity infinity norms."""
+    """(k, 3) stationarity, primal and complementarity infinity norms, each
+    row's primal violation divided by 1 + |its right-hand side|."""
     with np.errstate(invalid="ignore", over="ignore"):
         stat = np.abs(x @ H + c + lam @ A + mu @ Aeq).max(axis=1, initial=0.0)
         slack = b - x @ A.T
         prim = np.maximum(
-            np.maximum(-slack.min(axis=1, initial=0.0), 0.0),
-            np.abs(x @ Aeq.T - beq).max(axis=1, initial=0.0),
+            np.maximum(-(slack / (1.0 + np.abs(b))).min(axis=1, initial=0.0), 0.0),
+            (np.abs(x @ Aeq.T - beq) / (1.0 + np.abs(beq))).max(axis=1, initial=0.0),
         )
         comp = np.abs(lam * slack).max(axis=1, initial=0.0)
     return np.column_stack([stat, prim, comp])
@@ -690,24 +694,25 @@ def _settle(H, A, Aeq, eq_rows, c, b, beq, todo, work, max_updates, point):
     pmu = np.zeros((todo.size, Aeq.shape[0]))
     pmu[:, eq_rows] = pmu_r
     presid = _kkt_residuals(H, A, Aeq, c, b, beq, px, plam, pmu)
-    settled = found & _optimal(presid, b, plam, pmu, px)
+    settled = found & _optimal(presid, plam, pmu, px)
     done = todo[settled]
     for out, polished in zip(point, (px, plam, pmu, presid)):
         out[done] = polished[settled]
     return settled, groups, steps
 
 
-def _optimal(resid, b, lam, mu, x):
+def _optimal(resid, lam, mu, x):
     """Which solutions pass the acceptance test, given their KKT residuals.
 
     Stationarity and complementarity are judged relative to the iterate
     scale (nearly parallel active rows blow the multipliers up without
-    hurting the primal answer); primal feasibility stays an absolute test
-    so runaway iterates can never pass."""
-    primal_tol = DEFAULT_TOL * (1.0 + np.abs(b).max(axis=1, initial=0.0))
+    hurting the primal answer).  Primal feasibility is judged row by row,
+    each row's violation against 1 + |its right-hand side| (as
+    _kkt_residuals scales it), so runaway iterates can never pass and a
+    loose row cannot hide a violated one."""
     dual_tol = DEFAULT_TOL * np.abs(np.hstack([lam, mu, x])).max(axis=1, initial=1.0)
     with np.errstate(invalid="ignore"):
-        return (resid[:, 1] <= primal_tol) & (resid[:, [0, 2]].max(axis=1) <= dual_tol)
+        return (resid[:, 1] <= DEFAULT_TOL) & (resid[:, [0, 2]].max(axis=1) <= dual_tol)
 
 
 def _distinct_rows(A, b):
@@ -910,7 +915,7 @@ def solve_qp_batch(
     )
     # the one verdict: optimal, else infeasible on a checked certificate,
     # from a ray exit or from the phase-1 problem, else a numerical failure
-    optimal = _optimal(resid, b, lam, mu, x)
+    optimal = _optimal(resid, lam, mu, x)
     rest = np.flatnonzero(~optimal & ~certified)
     if rest.size:
         plam, pmu = _phase_one(A, Aeq, b[rest], beq[rest])

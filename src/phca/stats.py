@@ -73,51 +73,12 @@ def _voltages(prob, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return volts
 
 
-@dataclass(frozen=True)
-class _SoftForm:
-    """The soft rows and the terms of their RowForm that some of them use.
-
-    Each term is (source, columns, coefficients): source 0 reads the
-    instances' voltages followed by v0, so that bus b is column b - 1 and
-    bus 0 the last; source 1 reads x and source 2 theta.
-    """
-
-    rows: np.ndarray
-    terms: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-    bound: np.ndarray
-
-    @classmethod
-    def of(cls, prob) -> "_SoftForm":
-        rows = prob.soft_rows
-        f = prob.row_form
-        terms = [(0, f.bus[rows, k] - 1, f.bus_coef[rows, k]) for k in (0, 1)]
-        terms += [(1, f.qg[rows], f.qg_coef[rows]), (2, f.headroom[rows], f.headroom_coef[rows])]
-        return cls(rows, tuple(t for t in terms if t[2].any()), f.bound[rows])
-
-    def residuals(self, result: BatchResult, picks: np.ndarray, volts: np.ndarray) -> np.ndarray:
-        """The soft rows' residuals at the instances picks, (len(picks),
-        len(rows)): each term gathered and weighted, less the bounds.
-        volts holds the voltages of exactly those instances, then v0."""
-        resid = np.zeros((picks.size, self.rows.size)) if not self.terms else None
-        for source, cols, coef in self.terms:
-            if source == 0:
-                term = np.take(volts, cols, axis=1)
-            else:
-                term = (result.x, result.thetas)[source - 1][np.ix_(picks, cols)]
-            term *= coef
-            if resid is None:
-                resid = term
-            else:
-                resid += term
-        resid -= self.bound
-        return resid
-
-
 def _with_v0(result: BatchResult, picks: np.ndarray, volts: np.ndarray) -> np.ndarray:
-    """The voltages of the instances picks (volts' rows) followed by their v0."""
+    """The voltages of the instances picks (volts' rows) behind their v0,
+    bus j in column j, as RowForm.residuals reads them."""
     out = np.empty((picks.size, volts.shape[1] + 1))
-    out[:, :-1] = volts
-    out[:, -1] = result.x[picks, result.problem.v0_index]
+    out[:, 0] = result.x[picks, result.problem.v0_index]
+    out[:, 1:] = volts
     return out
 
 
@@ -132,14 +93,14 @@ def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
     time, and is the one (n, len(rows)) array made.
     """
     prob = result.problem
-    form = _SoftForm.of(prob)
+    rows = prob.soft_rows
     n = result.x.shape[0]
-    resid = np.empty((n, form.rows.size))
+    resid = np.empty((n, rows.size))
     for start in range(0, n, engine.SWEEP_BLOCK):
         picks = np.arange(start, min(n, start + engine.SWEEP_BLOCK))
-        volts = _voltages(prob, result.x[picks], result.thetas[picks])
-        resid[picks] = form.residuals(result, picks, _with_v0(result, picks, volts))
-    return form.rows, resid
+        volts = _with_v0(result, picks, _voltages(prob, result.x[picks], result.thetas[picks]))
+        resid[picks] = prob.row_form.residuals(rows, volts, result.x, result.thetas, picks)
+    return rows, resid
 
 
 def violation_bound_gap(result: BatchResult) -> np.ndarray:
@@ -228,8 +189,8 @@ def _group_stats(
     """group_stats reading volts, the result's voltage matrix."""
     prob = result.problem
     s_all = slack_values(result)
-    form = _SoftForm.of(prob)
-    labels = [str(prob.row_labels[i]) for i in form.rows]
+    soft = prob.soft_rows
+    labels = [str(prob.row_labels[i]) for i in soft]
     qs = np.asarray(QUANTILES)
 
     out = []
@@ -239,8 +200,8 @@ def _group_stats(
             raise EmptyGroupError(f"grid cell {key} has no solved instances")
         s = np.sort(s_all[solved])
         cell = _with_v0(result, solved, volts[solved])
-        resid = form.residuals(result, solved, cell)
-        cell = cell[:, :-1]
+        resid = prob.row_form.residuals(soft, cell, result.x, result.thetas, solved)
+        cell = cell[:, 1:]
         cell.sort(axis=0)
         vq = _quantiles(cell, qs)
         counts = (resid > VIOLATION_TOL).sum(axis=0)

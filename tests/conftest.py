@@ -178,15 +178,20 @@ def scaled_demo_problem(demo_problem):
     return prob
 
 
+#: the demo feeder with its 8-9 regulator switched to line-drop
+#: compensation, whose equality row also sees a reactive setpoint
+LDC_FEEDER_TEXT = demo.FEEDER_TEXT.replace(
+    "8    9  local   1.01  -      -       -", "8    9  ldc     1.01  -      0.02   0.01"
+)
+assert LDC_FEEDER_TEXT != demo.FEEDER_TEXT
+
+
 @pytest.fixture(scope="session")
 def scaled_ldc_problem():
-    """The demo problem with its 8-9 regulator switched to line-drop
-    compensation, whose equality row also sees a reactive setpoint."""
-    text = demo.FEEDER_TEXT.replace(
-        "8    9  local   1.01  -      -       -", "8    9  ldc     1.01  -      0.02   0.01"
+    """The problem of LDC_FEEDER_TEXT, scaled."""
+    prob = build_problem(
+        load_feeder(LDC_FEEDER_TEXT), BuilderConfig(beta=0.2, vmin=0.97, vmax=1.03)
     )
-    assert text != demo.FEEDER_TEXT
-    prob = build_problem(load_feeder(text), BuilderConfig(beta=0.2, vmin=0.97, vmax=1.03))
     return scale_problem(prob.with_eta(ETA_FLOOR))[0]
 
 

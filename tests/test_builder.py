@@ -10,14 +10,17 @@ import pytest
 from phca import (
     build_problem,
     calibrate_eta,
+    demo,
     dump_problem,
     load_config,
+    load_feeder,
     scale_problem,
     solve_qp,
     theta_map_batch,
 )
 import phca.builder as builder_mod
-from phca.builder import BuilderConfig
+from conftest import LDC_FEEDER_TEXT, regulated_radial_case
+from phca.builder import DEFAULT_ASSIGNMENT, SLACK_NONNEG, BuilderConfig
 from phca.errors import (
     AllInfeasibleError,
     ConfigError,
@@ -171,6 +174,38 @@ def test_inverter_cap_rows(demo_problem, rng):
     assert inst.A[2] @ x - inst.b[2] == pytest.approx(x[1] - head[1], abs=1e-14)
     assert inst.A[3] @ x - inst.b[3] == pytest.approx(-x[1] - head[1], abs=1e-14)
     assert inst.A[36] @ x - inst.b[36] == pytest.approx(-x[5], abs=1e-14)
+
+
+@pytest.mark.parametrize("hardness", ["default", "hard", "soft"])
+@pytest.mark.parametrize("case", ["demo", "ldc", "regulated"])
+def test_row_form_residuals_are_the_matrices_on_every_row(case, hardness):
+    # the demo has a remote and a local regulator, the ldc variant an ldc
+    # one in the local one's place, and the regulated case all three kinds,
+    # the remote one on the substation's line, so its rows read v0
+    text = {"demo": demo.FEEDER_TEXT, "ldc": LDC_FEEDER_TEXT,
+            "regulated": regulated_radial_case(3)[0]}[case]
+    assignments = () if hardness == "default" else tuple(
+        (family, hardness) for family in DEFAULT_ASSIGNMENT
+    )
+    prob = build_problem(load_feeder(text), BuilderConfig(assignments=assignments))
+    assert {lab.family for lab in prob.row_labels} == {*DEFAULT_ASSIGNMENT, SLACK_NONNEG}
+    if case == "regulated":
+        assert ((prob.row_form.bus == 0) & (prob.row_form.bus_coef != 0)).any()
+    rng = np.random.default_rng(5)
+    k = 16
+    x = rng.normal(1.0, 0.1, size=(k, prob.n_var))
+    thetas = rng.uniform(0.0, 0.05, size=(k, prob.n_theta))
+    volts = np.hstack([x[:, [prob.v0_index]], x @ prob.W.T + thetas @ prob.U.T])
+    rows = np.arange(prob.A.shape[0])
+    resid = prob.row_form.residuals(rows, volts, x, thetas, np.arange(k))
+    # A x - E theta - b with the slack column aside, on every row
+    A0 = prob.A.copy()
+    A0[:, prob.slack_index] = 0.0
+    want = x @ A0.T - thetas @ prob.E.T - prob.b
+    assert np.all(np.abs(resid - want) <= 1e-12 * (1.0 + np.abs(prob.b)))
+    # the slack column: -1 on the soft rows and the slack row, else 0
+    relaxed = [lab.soft or lab.family == SLACK_NONNEG for lab in prob.row_labels]
+    assert (prob.A[:, prob.slack_index] == np.where(relaxed, -1.0, 0.0)).all()
 
 
 def test_theta_map_values(demo_problem):
@@ -462,30 +497,23 @@ def test_assignment_moves_family(demo_feeder):
     assert prob.A[hard_hi, prob.slack_index] == 0.0
 
 
-def test_load_config(tmp_path):
-    path = tmp_path / "dispatch.ini"
-    path.write_text(
+def test_load_config():
+    cfg = load_config(
         "[dispatch]\nbeta = 0.4\nvmin = 0.96\nvmax = 1.04\neta = 0.02\n"
         "[constraints]\nvoltage-hi = hard\n"
     )
-    cfg = load_config(path)
     assert cfg.beta == 0.4
     assert cfg.vmin == 0.96
     assert cfg.eta == 0.02
     assert cfg.assignments == (("voltage-hi", "hard"),)
 
-    path.write_text("[dispatch]\ngamma = 1.0\n")
     with pytest.raises(ConfigError):
-        load_config(path)
-    path.write_text("[dispatch]\nbeta = not-a-number\n")
+        load_config("[dispatch]\ngamma = 1.0\n")
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_config("[dispatch]\nbeta = not-a-number\n")
     for line in ("nu = nan", "ridge = inf", "eta = nan"):
-        path.write_text(f"[dispatch]\n{line}\n")
         with pytest.raises(ConfigError, match="must be finite"):
-            load_config(path)
-    with pytest.raises(ConfigError):
-        load_config(tmp_path / "missing.ini")
+            load_config(f"[dispatch]\n{line}\n")
 
 
 def test_dump_problem(demo_problem):

@@ -199,12 +199,13 @@ def test_exit_code_table(capsys, monkeypatch, name):
 
 
 def test_missing_input_is_exit_2(case, capsys):
-    args = base_args(case)
-    args[args.index("--feeder") + 1] = str(case / "no-such-file.txt")
-    code = main(["run", *args, "--out", str(case / "x.json")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "phca: error: FileNotFoundError" in captured.err
+    for flag in ("--feeder", "--config"):
+        args = base_args(case)
+        args[args.index(flag) + 1] = str(case / "no-such-file.txt")
+        code = main(["run", *args, "--out", str(case / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "phca: error: FileNotFoundError" in captured.err
 
 
 def test_bad_feeder_is_exit_2(case, tmp_path, capsys):
@@ -424,9 +425,9 @@ def test_inputs_with_a_byte_order_mark_give_the_same_results(case, capsys, tmp_p
 
 @pytest.mark.parametrize(
     "flag, pipe",
-    [("--feeder", False), ("--loads", False), ("--solar", False), ("--results", False),
-     ("--loads", True)],
-    ids=["--feeder", "--loads", "--solar", "--results", "--loads-pipe"],
+    [("--feeder", False), ("--loads", False), ("--solar", False), ("--config", False),
+     ("--results", False), ("--loads", True)],
+    ids=["--feeder", "--loads", "--solar", "--config", "--results", "--loads-pipe"],
 )
 def test_file_that_is_not_utf8_is_exit_2(case, capsys, tmp_path, flag, pipe):
     # a Latin-1 e-acute halfway through the file, after a byte-order mark:

@@ -15,6 +15,7 @@ from phca.qp import (
     BROKEN,
     COLD_UPDATES,
     CONVERGED,
+    DEFAULT_TOL,
     NONE,
     WARM_UPDATES,
     _farkas,
@@ -642,6 +643,20 @@ def test_sub_tolerance_conflicts_stay_numerical_failures():
     assert batch.phase_one == cut_off.sum() == 14
     assert all(feasible_lp(QpInstance.build(H, c[i], A=A, b=b[i]))
                for i in np.flatnonzero(cut_off))
+
+
+def test_a_loose_row_does_not_hide_a_violated_one():
+    # the cut-off instances miss the band by 1e-5 to 2e-5, a conflict the
+    # phase-1 certificate cannot prove; a row with b = 1e8 beside it must
+    # not widen the band rows' primal tolerance, so none of them passes as
+    # optimal, while every other instance does
+    H, A, c, b, cut_off = _band_stack(0, 40, loose=1e8, gap=(1e-5, 2e-5))
+    k, n = c.shape
+    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    assert cut_off.sum() == 14
+    assert (batch.status[cut_off] != OPTIMAL).all()
+    assert (batch.status[~cut_off] == OPTIMAL).all()
+    assert (batch.residuals[~cut_off, 1] <= DEFAULT_TOL).all()
 
 
 #: solves the stack saved at argv[1] with every scipy import failing, and
