@@ -62,7 +62,15 @@ from .feeder import (
     load_feeder,
     voltage_model,
 )
-from .qp import QpBatch, QpInstance, QpSolution, identify_active, solve_qp, solve_qp_batch
+from .qp import (
+    QpBatch,
+    QpInstance,
+    QpMatrices,
+    QpSolution,
+    identify_active,
+    solve_qp,
+    solve_qp_batch,
+)
 from .regions import CriticalRegion, RegionContext
 from .scenarios import (
     AnalysisGrid,

@@ -61,7 +61,7 @@ from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError
 from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
-from .qp import QpInstance, solve_qp, solve_qp_batch
+from .qp import QpInstance, QpMatrices, solve_qp, solve_qp_batch
 from .qp import identify_active  # noqa: F401  bench/tracing.py wraps phca.engine.identify_active
 from .regions import SCREEN_PRIMAL, RegionContext
 
@@ -99,9 +99,10 @@ SWEEP_BLOCK = 1024
 #: a batch whose direct solves fail numerically more often than this aborts
 MAX_FAILURES = 50
 
-#: instances the oracle solves per stacked call; bounds its work arrays at
+#: instances the oracle solves per stacked call, SWEEP_BLOCK's size, so
+#: a 1,000-instance sample is one stack; bounds its work arrays at
 #: (VALIDATE_BLOCK, n, n), so memory does not grow with the sample
-VALIDATE_BLOCK = 256
+VALIDATE_BLOCK = 1024
 #: the oracle's bounds on a stored solution: the sup-norm distance to its
 #: own solve, and the objective gap relative to max(1, |objective|)
 VALIDATE_DX_TOL = 1e-6
@@ -425,7 +426,7 @@ def run_batch(
 
     for i in _unsolved_picks(order, status):
         inst = QpInstance(scaled.H, c[i], scaled.A, rhs[i, :m], scaled.B, rhs[i, m:])
-        sol = solve_qp(inst, start=last_signature)
+        sol = solve_qp(inst, start=last_signature, prepared=ctx.qp)
         logger.debug(
             "instance %d: %s solve, %d polish factorizations, %d IPM iterations, exit %s",
             i, "warm" if sol.warm else "cold", sol.factorizations, sol.iterations, sol.exit,
@@ -749,9 +750,9 @@ def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> Va
     Checks the solution in the sup norm (VALIDATE_DX_TOL) and the
     objective relative to its magnitude (VALIDATE_OBJ_TOL).  indices
     defaults to every instance that produced a solution.  The instances
-    are solved from scratch in stacks of VALIDATE_BLOCK, on
-    MpqpProblem.instance_data's costs and right-hand sides, with no region
-    algebra involved.
+    are solved from scratch in stacks of VALIDATE_BLOCK (1,024), on
+    MpqpProblem.instance_data's costs and right-hand sides and one
+    QpMatrices of the problem's own, with no region algebra involved.
     """
     if indices is None:
         indices = np.flatnonzero(result.solved_mask())
@@ -761,11 +762,12 @@ def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> Va
     max_dx = 0.0
     max_gap = 0.0
     bad = []
+    m = prob.A.shape[0]
+    prep = QpMatrices(prob.H, prob.A, prob.B)
     for start in range(0, indices.size, VALIDATE_BLOCK):
         idx = indices[start : start + VALIDATE_BLOCK]
         c, rhs = prob.instance_data(result.thetas[idx])
-        m = prob.A.shape[0]
-        sols = solve_qp_batch(prob.H, prob.A, prob.B, c, rhs[:, :m], rhs[:, m:])
+        sols = solve_qp_batch(prob.H, prob.A, prob.B, c, rhs[:, :m], rhs[:, m:], prepared=prep)
         optimal = sols.status == QP_OPTIMAL
         obj_ref = sols.objective * h
         with np.errstate(invalid="ignore"):

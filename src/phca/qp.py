@@ -43,6 +43,15 @@ dot product per instance and iteration, and infeasible instances leave
 after a dozen iterations rather than after the interior-point method
 collapses or stalls.
 
+What depends only on H, A and Aeq is built once per problem, in
+QpMatrices: H's check, the independent equality rows with Z, P and Z'HZ,
+and A's groups of equal rows, so that a call forms only each instance's
+least right-hand side in each group; and, on the first cold solve, the
+interior-point method's rows Az, their transpose, the lower triangles of
+their outer products and Z'HZ's lower triangle.  solve_qp_batch builds
+one when its caller does not hand it one; a caller that solves many
+stacks on the same matrices builds it once and hands it to every call.
+
 A Newton polish on each guessed active set lands on the exact KKT point,
 so active row residuals end up at machine precision rather than at
 interior-point tolerance; instances that hold the same working set share
@@ -106,6 +115,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -453,9 +463,95 @@ def _max_step(z, lam, dz, dlam):
     return 1.0 / np.maximum(worst, 1.0)
 
 
-def _interior_point(Hz, Az, cz, bz, y):
+def _corrector_target(solve, base, Az, AzT, r_p, d, z, lam, mu_c):
+    """The corrector's complementarity target w = (sigma_mu - dz_a
+    dlam_a) / z - lam, from the predictor direction (dz_a, dlam_a): the
+    Newton direction for the target -lam."""
+    _, dz_a, dlam_a = _newton(solve, base, Az, AzT, r_p, d, -lam)
+    alpha_a = _max_step(z, lam, dz_a, dlam_a)[:, None]
+    z_a = alpha_a * dz_a
+    z_a += z
+    lam_a = alpha_a * dlam_a
+    lam_a += lam
+    mu_aff = np.einsum("ij,ij->i", z_a, lam_a) / z.shape[1]
+    sigma_mu = np.where(mu_c > 0, (mu_aff / mu_c) ** 3, 0.0) * mu_c
+    # written over z_a
+    w = np.multiply(dz_a, dlam_a, out=z_a)
+    np.subtract(sigma_mu[:, None], w, out=w)
+    w /= z
+    w -= lam
+    return w
+
+
+def _ipm_step(red, s, r_d, r_p, mu_c):
+    """One predictor-corrector step of every instance in the
+    interior-point state s, from its residuals (_ipm_residuals): writes
+    the new y, z and lam into s, and marks in s["broken"] the instances
+    whose step broke down.  The step's work arrays, each as large as z,
+    are freed on return, so the method holds them only while it steps."""
+    Hz, Hz_low, Az, AzT, AA = red
+    y, z, lam = s["y"], s["z"], s["lam"]
+    d = lam / z
+    tri = d @ AA
+    tri += Hz_low
+    solve = _spd_solver(tri, Hz.shape[0])
+    del tri  # the solver holds its own copy
+    base = -(r_d + (d * r_p) @ Az)
+    w = _corrector_target(solve, base, Az, AzT, r_p, d, z, lam, mu_c)
+    dy, dz, dlam = _newton(solve, base, Az, AzT, r_p, d, w)
+    alpha = np.maximum(0.99, 1.0 - 10.0 * mu_c) * _max_step(z, lam, dz, dlam)
+    # the step broke down (a factorization failed, giving NaN, or an
+    # iterate overflowed): the instance stays put and leaves next time
+    broken = ~(
+        (alpha > 1e-14) & np.isfinite(dy).all(axis=1) & np.isfinite(dlam).all(axis=1)
+    )
+    if broken.any():
+        alpha[broken] = 0.0
+        dy[broken], dz[broken], dlam[broken] = 0.0, 0.0, 0.0
+    s["broken"] = broken
+    step = alpha[:, None]
+    s["y"] = y + step * dy
+    # z + step dz and lam + step dlam, over the directions; a full-length
+    # step can land a slack on exactly zero, so keep it strictly interior,
+    # where lam / z stays finite
+    dz *= step
+    dz += z
+    s["z"] = np.maximum(dz, 1e-14, out=dz)
+    dlam *= step
+    dlam += lam
+    s["lam"] = dlam
+
+
+class _Reduced(NamedTuple):
+    """The interior-point method's problem matrices: Hz with its lower
+    triangle Hz_low (in _triangle order), the rows Az with AzT = Az.T
+    (contiguous), and AA, row i of which holds the lower triangle of
+    row i's outer product, so that the lower triangles of the augmented
+    Hessians are one GEMM."""
+
+    Hz: np.ndarray
+    Hz_low: np.ndarray
+    Az: np.ndarray
+    AzT: np.ndarray
+    AA: np.ndarray
+
+
+def _reduced(Hz, Az) -> _Reduced:
+    nz = Hz.shape[0]
+    # written a triangle row at a time, with no gathered copy of Az as
+    # large as AA
+    AA = np.empty((Az.shape[0], nz * (nz + 1) // 2))
+    for i in range(nz):
+        start = i * (i + 1) // 2
+        np.multiply(Az[:, i, None], Az[:, : i + 1], out=AA[:, start : start + i + 1])
+    rows, cols, _, _ = _triangle(nz)
+    return _Reduced(Hz, Hz[rows, cols], Az, np.ascontiguousarray(Az.T), AA)
+
+
+def _interior_point(red, cz, bz, y):
     """Mehrotra predictor-corrector on  min 0.5 y'Hz y + cz'y  s.t.
-    Az y <= bz  for every row of cz and bz, started at y.
+    Az y <= bz  for every row of cz and bz, started at y, with Hz and Az
+    and what is formed from them in red (_reduced).
 
     Instances leave the stack one by one: on convergence, on an
     interior-point collapse short of feasibility, after 30 iterations
@@ -474,17 +570,8 @@ def _interior_point(Hz, Az, cz, bz, y):
     so the instance's step breaks down and it leaves with BROKEN.
     """
     k, nz = cz.shape
+    Hz, Hz_low, Az, AzT, AA = red
     m = Az.shape[0]
-    # the lower triangles of the row outer products, so the lower
-    # triangles of the k augmented Hessians are one GEMM; written a
-    # triangle row at a time, with no gathered copy of Az as large as AA
-    AA = np.empty((m, nz * (nz + 1) // 2))
-    for i in range(nz):
-        start = i * (i + 1) // 2
-        np.multiply(Az[:, i, None], Az[:, : i + 1], out=AA[:, start : start + i + 1])
-    rows, cols, _, _ = _triangle(nz)
-    Hz_low = Hz[rows, cols]
-    AzT = np.ascontiguousarray(Az.T)
     z = bz - y @ AzT
     lam = np.ones((k, m))
     # row i of every array belongs to instance idx[i]; leave() is the one
@@ -496,6 +583,8 @@ def _interior_point(Hz, Az, cz, bz, y):
         "stall": np.zeros(k, dtype=np.int64), "broken": np.zeros(k, dtype=bool),
         "ray": np.zeros(k, dtype=bool),
     }
+    # s alone holds the state, so its arrays are freed as the stack shrinks
+    del z, lam
     out_y = np.empty((k, nz))
     out_lam = np.empty((k, m))
     iters = np.zeros(k, dtype=np.int64)
@@ -555,47 +644,7 @@ def _interior_point(Hz, Az, cz, bz, y):
                     break
                 r_d, r_p, mu_c, _ = _ipm_residuals(Hz, Az, AzT, s)
 
-            y, z, lam = s["y"], s["z"], s["lam"]
-            d = lam / z
-            tri = d @ AA
-            tri += Hz_low
-            solve = _spd_solver(tri, nz)
-            base = -(r_d + (d * r_p) @ Az)
-            dy_a, dz_a, dlam_a = _newton(solve, base, Az, AzT, r_p, d, -lam)
-            alpha_a = _max_step(z, lam, dz_a, dlam_a)[:, None]
-            z_a = alpha_a * dz_a
-            z_a += z
-            lam_a = alpha_a * dlam_a
-            lam_a += lam
-            mu_aff = np.einsum("ij,ij->i", z_a, lam_a) / m
-            sigma_mu = np.where(mu_c > 0, (mu_aff / mu_c) ** 3, 0.0) * mu_c
-            # w = (sigma_mu - dz_a dlam_a) / z - lam, written over z_a
-            w = np.multiply(dz_a, dlam_a, out=z_a)
-            np.subtract(sigma_mu[:, None], w, out=w)
-            w /= z
-            w -= lam
-            dy, dz, dlam = _newton(solve, base, Az, AzT, r_p, d, w)
-            alpha = np.maximum(0.99, 1.0 - 10.0 * mu_c) * _max_step(z, lam, dz, dlam)
-            # the step broke down (a factorization failed, giving NaN, or an
-            # iterate overflowed): the instance stays put and leaves next time
-            broken = ~(
-                (alpha > 1e-14) & np.isfinite(dy).all(axis=1) & np.isfinite(dlam).all(axis=1)
-            )
-            if broken.any():
-                alpha[broken] = 0.0
-                dy[broken], dz[broken], dlam[broken] = 0.0, 0.0, 0.0
-            s["broken"] = broken
-            step = alpha[:, None]
-            s["y"] = y + step * dy
-            # z + step dz and lam + step dlam, over the directions; a
-            # full-length step can land a slack on exactly zero, so keep it
-            # strictly interior, where lam / z stays finite
-            dz *= step
-            dz += z
-            s["z"] = np.maximum(dz, 1e-14, out=dz)
-            dlam *= step
-            dlam += lam
-            s["lam"] = dlam
+            _ipm_step(red, s, r_d, r_p, mu_c)
         else:
             left = s["idx"].size
             leave(s, np.ones(left, dtype=bool), MAX_ITER, np.full(left, IPM_EXITS.index(LIMIT)))
@@ -606,38 +655,42 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates):
     """Newton refinement on each instance's working set until multiplier
     signs and primal feasibility agree.
 
-    work holds one sorted list of rows of A per instance; instances may
-    share a list, which is never changed in place.  Instances that hold the
-    same list share one independence filter and one KKT factorization per
-    round, solved for all their right-hand sides.  Returns (x, lam, mu,
-    found, groups, steps), found marking the instances that reached a
-    consistent set within the update budget, groups counting the KKT
-    factorizations and steps, per instance, those it took part in.
+    work maps each starting working set, a tuple of rows of A, to the
+    instances that hold it, an index array in increasing order.  Returns
+    (x, lam, mu, found, groups, steps), found marking the instances that
+    reached a consistent set within the update budget, groups counting
+    the KKT factorizations and steps, per instance, those it took part in.
+
+    A round takes the working sets in order.  The instances that hold one
+    share its independence filter and one KKT factorization, solved for
+    all their right-hand sides, and are judged as one array: each that
+    goes on drops the row with the most negative multiplier or takes in
+    the most violated row.  The next round takes the sets this round
+    reached in the order it first reached them, each holding the
+    instances that reached it in the order this round took them, so every
+    factorization serves the instances, in the order, that a loop over
+    the instances one at a time would group.
 
     Each working set is kept newest row first.  A violated row that the
     step adds can be linearly dependent on rows already in the set; the
     independence filter then drops an older row instead of the new one,
     which would otherwise be re-added at once and close a cycle.  An
-    instance whose filtered set repeats one it visited stops there.
+    instance whose filtered set repeats one it visited stops there (each
+    filtered set keeps a mask of the instances that visited it).
     """
     k, n = c.shape
-    e = Aeq.shape[0]
+    m, e = A.shape[0], Aeq.shape[0]
     x = np.full((k, n), np.nan)
-    lam = np.zeros((k, A.shape[0]))
+    lam = np.zeros((k, m))
     mu = np.zeros((k, e))
     found = np.zeros(k, dtype=bool)
-    visited = [set() for _ in range(k)]
+    visited: dict[tuple[int, ...], np.ndarray] = {}
     scale_b = 1.0 + np.abs(b).max(axis=1, initial=0.0)
-    work = list(work)
-    pending = list(range(k))
-    groups = 0
-    steps = [0] * k
+    # the members of every factorization, counted per instance at the end
+    solved = []
     for _ in range(max_updates):
-        by_set: dict[tuple[int, ...], list[int]] = {}
-        for i in pending:
-            by_set.setdefault(tuple(work[i]), []).append(i)
-        pending = []
-        for ordered, members in by_set.items():
+        reached: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for ordered, members in work.items():
             w = list(ordered)
             # equality rows first so the independence filter can never drop them
             if w:
@@ -645,13 +698,15 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates):
                 w = [w[j - e] for j in kept if j >= e]
             rows = sorted(w)
             key = tuple(rows)
-            members = [i for i in members if key not in visited[i]]
-            if not members:
-                continue
-            for i in members:
-                visited[i].add(key)
-                steps[i] += 1
-            groups += 1
+            seen = visited.get(key)
+            if seen is None:
+                seen = visited[key] = np.zeros(k, dtype=bool)
+            else:
+                members = members[~seen[members]]
+                if not members.size:
+                    continue
+            seen[members] = True
+            solved.append(members)
             rhs = np.hstack([-c[members], beq[members], b[members][:, rows]])
             try:
                 sol = _kkt_solve(H, np.vstack([Aeq, A[rows]]), rhs)
@@ -663,37 +718,48 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates):
             resid = xs @ A.T - b[members]
             resid[:, rows] = 0.0
             viol = (resid > 1e-11 * scale_b[members][:, None]).any(axis=1)
-            for g, i in enumerate(members):
-                if neg[g]:
-                    drop = rows[int(np.nanargmin(lam_w[g]))]
-                    work[i] = [r for r in w if r != drop]
-                elif viol[g]:
-                    work[i] = [int(np.nanargmax(resid[g]))] + w
-                else:
-                    x[i], mu[i], found[i] = xs[g], mus[g], True
-                    lam[i, rows] = np.maximum(lam_w[g], 0.0)
-                    continue
-                pending.append(i)
-        if not pending:
+            # each member's move: the row it drops, m + the row it takes
+            # in, or -1 where its set is consistent; the rows are
+            # nanargmin's and nanargmax's, whose all-NaN check no row here
+            # needs, as each holds the number that moved it
+            move = np.full(members.size, -1)
+            if neg.any():
+                low = lam_w[neg]
+                move[neg] = np.asarray(rows)[np.where(np.isnan(low), np.inf, low).argmin(axis=1)]
+            take = viol & ~neg
+            if take.any():
+                high = resid[take]
+                move[take] = m + np.where(np.isnan(high), -np.inf, high).argmax(axis=1)
+            done = move < 0
+            if done.any():
+                fin = members[done]
+                x[fin], mu[fin], found[fin] = xs[done], mus[done], True
+                lam[fin[:, None], rows] = np.maximum(lam_w[done], 0.0)
+            for row in dict.fromkeys(move[~done].tolist()):
+                new = [row - m, *w] if row >= m else [r for r in w if r != row]
+                reached.setdefault(tuple(new), []).append(members[move == row])
+        work = {s: p[0] if len(p) == 1 else np.concatenate(p) for s, p in reached.items()}
+        if not work:
             break
-    return x, lam, mu, found, groups, np.array(steps, dtype=np.int64)
+    steps = np.bincount(np.concatenate(solved), minlength=k) if solved else np.zeros(k, np.int64)
+    return x, lam, mu, found, len(solved), steps
 
 
-def _settle(H, A, Aeq, eq_rows, c, b, beq, todo, work, max_updates, point):
-    """_polish instances todo of the stack from the working sets work, on
-    the independent equality rows eq_rows of Aeq, with their multipliers
-    spread back over every row of Aeq.  Each polished point that passes
-    _optimal, its KKT residuals taken against the full Aeq, is written
-    into point = (x, lam, mu, resid) at its instance's row.  Returns
-    (settled, groups, steps): which of todo were written, and _polish's
-    counts."""
+def _settle(prep, c, b, beq, todo, work, max_updates, point):
+    """_polish instances todo of the stack from the working sets work
+    (positions into todo, as _polish takes them), on the independent
+    equality rows, with their multipliers spread back over every row of
+    Aeq.  Each polished point that passes _optimal, its KKT residuals
+    taken against the full Aeq, is written into point = (x, lam, mu,
+    resid) at its instance's row.  Returns (settled, groups, steps):
+    which of todo were written, and _polish's counts."""
     c, b, beq = c[todo], b[todo], beq[todo]
     px, plam, pmu_r, found, groups, steps = _polish(
-        H, A, Aeq[eq_rows], c, b, beq[:, eq_rows], work, max_updates
+        prep.H, prep.A, prep.Aeq_ind, c, b, beq[:, prep.eq_rows], work, max_updates
     )
-    pmu = np.zeros((todo.size, Aeq.shape[0]))
-    pmu[:, eq_rows] = pmu_r
-    presid = _kkt_residuals(H, A, Aeq, c, b, beq, px, plam, pmu)
+    pmu = np.zeros((todo.size, prep.Aeq.shape[0]))
+    pmu[:, prep.eq_rows] = pmu_r
+    presid = _kkt_residuals(prep.H, prep.A, prep.Aeq, c, b, beq, px, plam, pmu)
     settled = found & _optimal(presid, plam, pmu, px)
     done = todo[settled]
     for out, polished in zip(point, (px, plam, pmu, presid)):
@@ -715,13 +781,26 @@ def _optimal(resid, lam, mu, x):
         return (resid[:, 1] <= DEFAULT_TOL) & (resid[:, [0, 2]].max(axis=1) <= dual_tol)
 
 
-def _distinct_rows(A, b):
-    """A's rows merged where they are equal entry for entry, for the
-    right-hand sides b (one instance per row): returns (keep, rows, least),
-    keep holding each group's first row in row order, least[i, g] instance
-    i's least right-hand side in group g and rows[i, g] the group's first
-    row that holds it; None when no two rows are equal."""
+class _RowGroups(NamedTuple):
+    """A's rows that are equal entry for entry, in groups: keep holds each
+    group's first row, in row order; order lists the rows group by group,
+    each group's in row order, the groups starting at starts; group gives
+    each position of order its group, and first_row puts the groups in the
+    order of their first rows."""
+
+    keep: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    group: np.ndarray
+    first_row: np.ndarray
+
+
+def _row_groups(A) -> _RowGroups | None:
+    """A's groups of equal rows (-0.0 equal to 0.0, a row with NaN alone),
+    or None when no two rows are equal."""
     m = A.shape[0]
+    if m < 2:
+        return None
     # a stable sort keeps each group's rows in row order
     order = np.lexsort(A.T)
     sorted_A = A[order]
@@ -730,58 +809,95 @@ def _distinct_rows(A, b):
     if new.all():
         return None
     starts = np.flatnonzero(new)
+    first_row = np.argsort(order[starts])
+    return _RowGroups(order[starts][first_row], order, starts, np.cumsum(new) - 1, first_row)
+
+
+def _least(groups: _RowGroups, b):
+    """(rows, least) for the right-hand sides b (one instance per row),
+    with a column per group in the order of groups.keep: least[i, g] is
+    instance i's least right-hand side in group g and rows[i, g] the
+    group's first row that holds it."""
+    order, starts = groups.order, groups.starts
+    m = order.size
     sorted_b = b[:, order]
     least = np.minimum.reduceat(sorted_b, starts, axis=1)
     # the first position at the least value (at the group's first row when
     # the least is NaN, which no comparison exceeds)
-    above = sorted_b > least[:, np.cumsum(new) - 1]
+    above = sorted_b > least[:, groups.group]
     rows = order[np.minimum.reduceat(np.where(above, m, np.arange(m)), starts, axis=1)]
-    # the groups in the order of their first rows
-    first = np.zeros(m, dtype=bool)
-    first[order[starts]] = True
-    at = np.cumsum(first)[order[starts]] - 1
-    out_rows, out_least = np.empty_like(rows), np.empty_like(least)
-    out_rows[:, at], out_least[:, at] = rows, least
-    return np.flatnonzero(first), out_rows, out_least
+    return rows[:, groups.first_row], least[:, groups.first_row]
 
 
-def _solve_cold(H, A, Aeq, eq_rows, c, b, beq):
+class QpMatrices:
+    """The matrices H, A and Aeq that a stack of instances shares, checked,
+    with what every solve on them shares, built once: eq_rows, the
+    independent rows of Aeq (Aeq_ind holds them); Z, whose columns span
+    their null space, P, with x0 = beq P on them, and Hz = Z'HZ; and A's
+    groups of equal rows (None when no two rows are equal), with A_dist
+    holding one row per group.  reduced, the interior-point method's
+    matrices on A_dist, is built on the first cold solve.  Raises
+    ValueError unless H is symmetric positive definite."""
+
+    def __init__(self, H, A, Aeq):
+        self.H = H = np.asarray(H, dtype=float)
+        n = H.shape[0]
+        self.A = A = np.asarray(A, dtype=float).reshape(-1, n)
+        self.Aeq = Aeq = np.asarray(Aeq, dtype=float).reshape(-1, n)
+        if not np.abs(H - H.T).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(H).max(initial=0.0)):
+            raise ValueError("H must be symmetric")
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            raise ValueError("H must be positive definite") from None
+        self.eq_rows = _independent_rows(Aeq)
+        self.Aeq_ind = Aeq[self.eq_rows]
+        # x = x0 + Z y satisfies the independent equality rows (all of them
+        # unless some are dependent); mu comes back from stationarity
+        # through P
+        r = self.eq_rows.size
+        self.Z, self.P = np.eye(n), None
+        if r:
+            Q, R = np.linalg.qr(self.Aeq_ind.T, mode="complete")
+            self.Z = Q[:, r:]
+            # rows of x0 and mu are beq @ P and -(Hx + c + A'lam) @ P'
+            self.P = np.linalg.solve(R[:r], Q[:, :r].T)
+        self.Hz = self.Z.T @ H @ self.Z
+        self.groups = _row_groups(A)
+        self.A_dist = A if self.groups is None else A[self.groups.keep]
+
+    @functools.cached_property
+    def reduced(self) -> _Reduced:
+        return _reduced(self.Hz, self.A_dist @ self.Z)
+
+
+def _solve_cold(prep, c, b, beq):
     """The interior-point method for every instance of the stack, over the
     distinct rows of A (see the module docstring), its iterate taken back
-    to x-space, and the Farkas check of its ray exits on every row;
-    eq_rows are the independent rows of Aeq.  Returns (x, lam, mu,
-    iterations, exits, certified), certified marking the instances whose
-    lam and mu are a checked certificate."""
+    to x-space, and the Farkas check of its ray exits on every row.
+    Returns (x, lam, mu, iterations, exits, certified), certified marking
+    the instances whose lam and mu are a checked certificate."""
+    H, A, eq_rows, P, Z = prep.H, prep.A, prep.eq_rows, prep.P, prep.Z
     k, n = c.shape
-    m, e = A.shape[0], Aeq.shape[0]
-    # x = x0 + Z y satisfies the independent equality rows (all of them
-    # unless some are dependent); mu comes back from stationarity through P
+    m, e = A.shape[0], prep.Aeq.shape[0]
     r = eq_rows.size
-    Z = np.eye(n)
-    x0 = np.zeros((k, n))
-    if r:
-        Q, R = np.linalg.qr(Aeq[eq_rows].T, mode="complete")
-        Z = Q[:, r:]
-        # rows of x0 and mu are beq @ P and -(Hx + c + A'lam) @ P'
-        P = np.linalg.solve(R[:r], Q[:, :r].T)
-        x0 = beq[:, eq_rows] @ P
-    Hz = Z.T @ H @ Z
+    x0 = beq[:, eq_rows] @ P if r else np.zeros((k, n))
     cz = (x0 @ H + c) @ Z
-    y = -np.linalg.solve(Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
-    lam = np.zeros((k, m))
+    y = -np.linalg.solve(prep.Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
     iterations = np.zeros(k, dtype=np.int64)
     exits = np.full(k, NONE, dtype=object)
-    if m:
-        merged = _distinct_rows(A, b)
-        if merged is None:
-            y, lam, iterations, exits = _interior_point(Hz, A @ Z, cz, b - x0 @ A.T, y)
-        else:
-            # one row per group at each instance's least right-hand side in
-            # it; each multiplier goes back to the row that holds that side
-            keep, rows, least = merged
-            Ak = A[keep]
-            y, lam_k, iterations, exits = _interior_point(Hz, Ak @ Z, cz, least - x0 @ Ak.T, y)
-            lam[np.arange(k)[:, None], rows] = lam_k
+    if not m:
+        lam = np.zeros((k, 0))
+    elif prep.groups is None:
+        y, lam, iterations, exits = _interior_point(prep.reduced, cz, b - x0 @ A.T, y)
+    else:
+        # one row per group at each instance's least right-hand side in it;
+        # each multiplier goes back to the row that holds that side
+        rows, bz = _least(prep.groups, b)
+        bz -= x0 @ prep.A_dist.T
+        y, lam_k, iterations, exits = _interior_point(prep.reduced, cz, bz, y)
+        lam = np.zeros((k, m))
+        lam[np.arange(k)[:, None], rows] = lam_k
     x = x0 + y @ Z.T
     mu = np.zeros((k, e))
     if r:
@@ -791,21 +907,21 @@ def _solve_cold(H, A, Aeq, eq_rows, c, b, beq):
     # holds its certificate in lam and mu
     ray = np.flatnonzero(exits == RAY)
     mu_ray = -(lam[ray] @ A) @ P.T if r else np.zeros((ray.size, 0))
-    ok = _farkas(A, Aeq[eq_rows], b[ray], beq[ray][:, eq_rows], lam[ray], mu_ray)
+    ok = _farkas(A, prep.Aeq_ind, b[ray], beq[ray][:, eq_rows], lam[ray], mu_ray)
     certified = np.zeros(k, dtype=bool)
     certified[ray[ok]] = True
     mu[np.ix_(ray[ok], eq_rows)] = mu_ray[ok]
     return x, lam, mu, iterations, exits, certified
 
 
-def _solve(H, A, Aeq, c, b, beq, start):
+def _solve(prep, c, b, beq, start):
     """The stack up to the verdict: the warm start when start is given,
     then _solve_cold and the polish for every instance it did not settle.
     Returns ((x, lam, mu, resid), iterations, exits, certified, warm,
     steps, groups), named as in QpBatch and _solve_cold."""
+    A, Aeq = prep.A, prep.Aeq
     k, n = c.shape
     m, e = A.shape[0], Aeq.shape[0]
-    eq_rows = _independent_rows(Aeq)
     x = np.empty((k, n))
     lam = np.zeros((k, m))
     mu = np.zeros((k, e))
@@ -818,40 +934,49 @@ def _solve(H, A, Aeq, c, b, beq, start):
     steps = np.zeros(k, dtype=np.int64)
     groups = 0
     if start is not None and m:
-        work = [sorted(int(r) for r in w) for w in start]
+        work: dict[tuple[int, ...], list[int]] = {}
+        for i, w in enumerate(start):
+            work.setdefault(tuple(sorted(int(r) for r in w)), []).append(i)
         if any(not 0 <= r < m for w in work for r in w):
             raise ValueError(f"start rows must lie in 0..{m - 1}")
         warm, groups, steps = _settle(
-            H, A, Aeq, eq_rows, c, b, beq, np.arange(k), work, WARM_UPDATES, point
+            prep, c, b, beq, np.arange(k), {w: np.array(i) for w, i in work.items()},
+            WARM_UPDATES, point,
         )
     if not warm.all():
         # a slice when no instance settled warm saves gathering the stack
         cold = np.flatnonzero(~warm) if warm.any() else slice(None)
-        xc, lamc, muc, iterations[cold], exits[cold], certified[cold] = _solve_cold(
-            H, A, Aeq, eq_rows, c[cold], b[cold], beq[cold]
+        x[cold], lam[cold], mu[cold], iterations[cold], exits[cold], certified[cold] = (
+            _solve_cold(prep, c[cold], b[cold], beq[cold])
         )
-        x[cold], lam[cold], mu[cold] = xc, lamc, muc
-        resid[cold] = _kkt_residuals(H, A, Aeq, c[cold], b[cold], beq[cold], xc, lamc, muc)
-        if m:
-            # the polish starts from the rows the iterate holds near-active
-            slack = b[cold] - xc @ A.T
-            near = (slack < lamc) | (slack <= 1e-8 * (1.0 + np.abs(b[cold])))
-            todo = np.flatnonzero(~warm & ~certified)
-            # one guess list per near-active pattern, shared by the
-            # instances that hold it
-            lists: dict[bytes, list[int]] = {}
-            guesses = []
-            for row in near[~certified[cold]]:
-                key = row.tobytes()
-                if key not in lists:
-                    lists[key] = np.flatnonzero(row).tolist()
-                guesses.append(lists[key])
-            _, more, cold_steps = _settle(
-                H, A, Aeq, eq_rows, c, b, beq, todo, guesses, COLD_UPDATES, point
-            )
+        resid[cold] = _kkt_residuals(
+            prep.H, A, Aeq, c[cold], b[cold], beq[cold], x[cold], lam[cold], mu[cold]
+        )
+        todo = np.flatnonzero(~warm & ~certified)
+        if m and todo.size:
+            guesses = _near_active(A, b[cold], x[cold], lam[cold], ~certified[cold])
+            _, more, cold_steps = _settle(prep, c, b, beq, todo, guesses, COLD_UPDATES, point)
             steps[todo] += cold_steps
             groups += more
     return point, iterations, exits, certified, warm, steps, groups
+
+
+def _near_active(A, b, x, lam, keep):
+    """The polish's starting working sets, as _polish takes them, for the
+    interior-point iterates (x, lam) (one instance per row) that keep
+    marks: the rows an iterate holds near-active, one set per pattern,
+    held by the kept instances that show it (positions among them), the
+    patterns in the order they first appear."""
+    slack = b - x @ A.T
+    near = ((slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b))))[keep]
+    # each instance's pattern as one byte string
+    packed = np.packbits(near, axis=1)
+    _, first, which = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    holders = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
+    return {tuple(np.flatnonzero(near[first[p]]).tolist()): holders[p] for p in np.argsort(first)}
 
 
 def _phase_one(A, Aeq, b, beq):
@@ -863,7 +988,7 @@ def _phase_one(A, Aeq, b, beq):
     # over (x, t): A x - t <= b,  Aeq x - t <= beq,  -Aeq x - t <= -beq
     A1 = np.hstack([np.vstack([A, Aeq, -Aeq]), np.full((m + 2 * e, 1), -1.0)])
     H1 = np.diag(np.append(np.full(n, PHASE_ONE_EPS), 1.0))
-    (_, lam1, _, _), *_ = _solve(H1, A1, np.zeros((0, n + 1)), np.zeros((k, n + 1)),
+    (_, lam1, _, _), *_ = _solve(QpMatrices(H1, A1, np.zeros((0, n + 1))), np.zeros((k, n + 1)),
                                  np.hstack([b, beq, -beq]), np.zeros((k, 0)), None)
     return lam1[:, :m], lam1[:, m : m + e] - lam1[:, m + e :]
 
@@ -876,6 +1001,7 @@ def solve_qp_batch(
     b: np.ndarray,
     beq: np.ndarray,
     start: list | None = None,
+    prepared: QpMatrices | None = None,
 ) -> QpBatch:
     """Solve k convex QPs that share H, A and Aeq to KKT residuals below
     DEFAULT_TOL.
@@ -889,29 +1015,23 @@ def solve_qp_batch(
     disagree, are reported so rather than raised.  start, when given, holds
     one list of rows of A per instance, from which that instance is
     warm-started (see the module docstring); it is ignored when A has no
-    rows.
+    rows.  prepared, when given, is QpMatrices(H, A, Aeq), which a caller
+    that solves many stacks on the same matrices builds once; the solver
+    builds it otherwise.
     """
-    H = np.asarray(H, dtype=float)
+    prep = QpMatrices(H, A, Aeq) if prepared is None else prepared
+    H, A, Aeq = prep.H, prep.A, prep.Aeq
     n = H.shape[0]
-    A = np.asarray(A, dtype=float).reshape(-1, n)
-    Aeq = np.asarray(Aeq, dtype=float).reshape(-1, n)
     m, e = A.shape[0], Aeq.shape[0]
     c = np.asarray(c, dtype=float).reshape(-1, n)
     k = c.shape[0]
     b = np.asarray(b, dtype=float).reshape(k, m)
     beq = np.asarray(beq, dtype=float).reshape(k, e)
-
-    if not np.abs(H - H.T).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(H).max(initial=0.0)):
-        raise ValueError("H must be symmetric")
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise ValueError("H must be positive definite") from None
     if start is not None and len(start) != k:
         raise ValueError(f"start must hold one entry for each of the {k} instances")
 
     (x, lam, mu, resid), iterations, exits, certified, warm, steps, groups = _solve(
-        H, A, Aeq, c, b, beq, start
+        prep, c, b, beq, start
     )
     # the one verdict: optimal, else infeasible on a checked certificate,
     # from a ray exit or from the phase-1 problem, else a numerical failure
@@ -933,13 +1053,13 @@ def solve_qp_batch(
     )
 
 
-def solve_qp(inst: QpInstance, start=None) -> QpSolution:
+def solve_qp(inst: QpInstance, start=None, prepared: QpMatrices | None = None) -> QpSolution:
     """Solve one convex QP to KKT residuals below DEFAULT_TOL: the k = 1
     case of solve_qp_batch, warm-started from the rows in start when
-    given."""
+    given, on prepared (QpMatrices of inst's H, A and Aeq) when given."""
     return solve_qp_batch(
         inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None],
-        None if start is None else [start],
+        None if start is None else [start], prepared,
     ).solution(0)
 
 

@@ -18,11 +18,13 @@ depends on the number of parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficientKError
+from .qp import QpMatrices
 
 #: relative eigenvalue cutoff below which the stacked active/equality
 #: system is treated as rank deficient
@@ -107,8 +109,9 @@ class RegionContext:
     """Per-problem factorizations shared by every region build.
 
     Holds K = [A; B], H^-1 K' and the Gram matrix K H^-1 K', so each region
-    only pays for its own principal block.  Raises numpy.linalg.LinAlgError
-    when H is not positive definite.
+    only pays for its own principal block, and, from the first direct
+    solve on, the solver's QpMatrices, so every solve shares it.  Raises
+    numpy.linalg.LinAlgError when H is not positive definite.
     """
 
     def __init__(self, prob):
@@ -118,6 +121,10 @@ class RegionContext:
         np.linalg.cholesky(prob.H)
         self.HinvKT = np.linalg.solve(prob.H, self.K.T)
         self.KHK = self.K @ self.HinvKT
+
+    @functools.cached_property
+    def qp(self) -> QpMatrices:
+        return QpMatrices(self.prob.H, self.prob.A, self.prob.B)
 
     def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """MpqpProblem.instance_data's costs c and right-hand sides rhs, with

@@ -29,7 +29,7 @@ from phca import (
 from phca.builder import BuilderConfig
 from phca.engine import STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
-from phca.qp import OPTIMAL
+from phca.qp import OPTIMAL, QpMatrices
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, CriticalRegion, RegionContext
 from phca.stats import json_report, recover_ratios, render_report, soft_violations
 
@@ -542,7 +542,11 @@ def test_validate_batch_flags_nan_solution(scaled_demo_problem, small_theta_set)
     assert report.mismatches == (3,)
 
 
-def test_validate_batch_crosses_blocks(scaled_demo_problem, demo_problem, demo_scenarios, caplog):
+def test_validate_batch_crosses_blocks(
+    scaled_demo_problem, demo_problem, demo_scenarios, caplog, monkeypatch
+):
+    # stacks of 256, so the 600 instances take three
+    monkeypatch.setattr(engine_mod, "VALIDATE_BLOCK", 256)
     grid = AnalysisGrid(kappa=(1.0, 1.25, 1.5, 2.0), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
     thetas = expand_grid(demo_problem, demo_scenarios, grid).thetas
     res = run_batch(scaled_demo_problem, thetas)
@@ -559,6 +563,33 @@ def test_validate_batch_crosses_blocks(scaled_demo_problem, demo_problem, demo_s
     assert report.max_dx >= 1e-3
     blocks = [r for r in caplog.records if r.getMessage().startswith("validate block:")]
     assert len(blocks) == 3
+
+
+def test_solver_set_up_once_per_problem(scaled_demo_problem, demo_problem, demo_scenarios,
+                                        monkeypatch):
+    # every direct solve of a batch shares one QpMatrices, and so does
+    # every stack of the oracle
+    grid = AnalysisGrid(kappa=(1.0, 1.25, 1.5, 2.0), oversize=(1.0, 1.15), alpha=(0.24, 0.48))
+    thetas = expand_grid(demo_problem, demo_scenarios, grid).thetas
+    built, solves, stacks = [], [], []
+    real_init = QpMatrices.__init__
+
+    def counting_init(self, H, A, Aeq):
+        built.append(H is scaled_demo_problem.H)
+        real_init(self, H, A, Aeq)
+
+    real_solve, real_batch = engine_mod.solve_qp, engine_mod.solve_qp_batch
+    monkeypatch.setattr(QpMatrices, "__init__", counting_init)
+    monkeypatch.setattr(engine_mod, "solve_qp",
+                        lambda inst, **kw: solves.append(1) or real_solve(inst, **kw))
+    monkeypatch.setattr(engine_mod, "solve_qp_batch",
+                        lambda *a, **kw: stacks.append(1) or real_batch(*a, **kw))
+    res = run_batch(scaled_demo_problem, thetas)
+    assert len(solves) >= 3 and built == [True]
+    built.clear()
+    monkeypatch.setattr(engine_mod, "VALIDATE_BLOCK", 256)
+    report = validate_batch(res, indices=np.flatnonzero(res.solved_mask())[:600])
+    assert report.ok and len(stacks) == 3 and built == [True]
 
 
 def test_abort_after_repeated_failures(scaled_demo_problem, small_theta_set, monkeypatch):
@@ -680,8 +711,8 @@ def test_warm_starts_match_cold_reference(case, request, monkeypatch):
     def run(drop_start):
         warm = []
 
-        def solve(inst, start=None):
-            sol = real(inst) if drop_start else real(inst, start=start)
+        def solve(inst, start=None, prepared=None):
+            sol = real(inst, start=None if drop_start else start, prepared=prepared)
             warm.append(sol.warm)
             return sol
 

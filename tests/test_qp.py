@@ -22,6 +22,7 @@ from phca.qp import (
     _independent_rows,
     _interior_point,
     _phase_one,
+    _reduced,
     _spd_solver,
     _triangle,
     INFEASIBLE,
@@ -395,6 +396,35 @@ def test_batch_matches_single_solves(monkeypatch):
     assert seen[OPTIMAL] > 200 and seen[INFEASIBLE] > 10
 
 
+def test_stacked_polish_matches_one_at_a_time(monkeypatch):
+    """A stack whose polish rounds hold many working sets gives every
+    member the status, active set and polish factorizations it gets alone,
+    and the same x; its first member is the dependent-row case of
+    test_polish_takes_in_a_dependent_violated_row, with two loose rows
+    more."""
+    rng = np.random.default_rng(0)
+    k = 60
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1], [1.0, -1.0], [-0.5, 1.0]])
+    c = np.vstack([[-1.0, -1.0], rng.normal(size=(k - 1, 2))])
+    b = np.vstack([[0.0, 0.0, -0.1, 5.0, 5.0], rng.uniform(-0.5, 0.5, size=(k - 1, 5))])
+    H, Aeq = np.eye(2), np.zeros((0, 2))
+    # with no interior-point iterations the polish starts from every row
+    # within a slack of 1 of the start point
+    monkeypatch.setattr(qp_mod, "MAX_ITER", 0)
+    batch = solve_qp_batch(H, A, Aeq, c, b, np.zeros((k, 0)))
+    # the count a loop over the members one at a time gave
+    assert batch.polish_groups == 54
+    assert batch.polish_groups > batch.factorizations.max()
+    assert batch.lam[0].tolist() == pytest.approx([0.0, 0.0, 15.0, 0.0, 0.0], abs=1e-10)
+    for i in range(k):
+        one = solve_qp_batch(H, A, Aeq, c[i : i + 1], b[i : i + 1], np.zeros((1, 0)))
+        assert batch.status[i] == one.status[0], f"member {i}"
+        assert np.flatnonzero(batch.lam[i] > 0).tolist() == np.flatnonzero(one.lam[0] > 0).tolist()
+        assert batch.factorizations[i] == one.factorizations[0], f"member {i}"
+        assert np.abs(batch.x[i] - one.x[0]).max() <= 1e-12, f"member {i}"
+    assert (batch.status == OPTIMAL).sum() == 56
+
+
 def _stack_with_copies(seed):
     """A seeded stack of 4 instances on one _small_instance's matrices,
     with two more rows (one with a zero entry, one all zero) and copies: a
@@ -436,7 +466,7 @@ def test_equal_rows_are_merged_exactly(monkeypatch):
     seen_rows = []
     real = qp_mod._interior_point
     monkeypatch.setattr(qp_mod, "_interior_point",
-                        lambda Hz, Az, *args: seen_rows.append(Az.shape[0]) or real(Hz, Az, *args))
+                        lambda red, *args: seen_rows.append(red.Az.shape[0]) or real(red, *args))
     seen = {OPTIMAL: 0, INFEASIBLE: 0}
     with_eq = 0
     for seed in range(60):
@@ -529,7 +559,7 @@ def test_certified_ray_exits_skip_the_polish():
     assert batch.phase_one == 0
     # with no equality rows the solver hands the interior-point method H,
     # A, c and b as they are, started at the unconstrained minimizer
-    exits = _interior_point(H, A, c, b, -np.linalg.solve(H, c.T).T)[3]
+    exits = _interior_point(_reduced(H, A), c, b, -np.linalg.solve(H, c.T).T)[3]
     ray = exits == RAY
     assert not ray[~cut_off].any() and ray[cut_off].sum() >= 8
     # the polish never saw the instances that left on the ray
