@@ -7,10 +7,7 @@ critical-region reuse, then summarize violations and slack statistics.
 
 from .acflow import (
     PowerFlowSolution,
-    angle_form_losses,
-    approximation_error_sweep,
     linear_model_prediction,
-    power_balance_residual,
     solve_powerflow,
 )
 from .builder import (
@@ -53,7 +50,6 @@ from .errors import (
     PhcaError,
     RankDeficientKError,
     SchemaError,
-    SingularIncidenceError,
 )
 from .feeder import (
     FeederModel,
@@ -87,10 +83,8 @@ from .stats import (
     json_report,
     recover_ratios,
     render_report,
-    slack_cdf,
     slack_values,
     soft_violations,
-    violation_bound_gap,
     voltage_matrix,
 )
 

@@ -127,58 +127,6 @@ def solve_powerflow(
     raise NonConvergenceError(f"no convergence to {SWEEP_TOL:g} within {SWEEP_MAX_ITER} sweeps")
 
 
-def power_balance_residual(
-    feeder: FeederModel,
-    sol: PowerFlowSolution,
-    p: np.ndarray,
-    q: np.ndarray,
-    ratios=None,
-) -> float:
-    """Worst-case complex power mismatch over all buses; small at convergence."""
-    n = feeder.n_bus
-    s_inj = np.zeros(n, dtype=complex)
-    s_inj[1:] = np.asarray(p, float) + 1j * np.asarray(q, float)
-    ratio = _ratio_array(feeder, ratios)
-    reg_of_line = {feeder.parent_line[rg.n]: j for j, rg in enumerate(feeder.regulators)}
-
-    worst = 0.0
-    for bus in range(1, n):
-        into = sol.line_current[feeder.parent_line[bus]]
-        out = 0.0 + 0.0j
-        for l, ln in enumerate(feeder.lines):
-            if ln.from_bus != bus:
-                continue
-            cur = sol.line_current[l]
-            if l in reg_of_line:
-                # upstream side of an ideal transformer carries ratio * current
-                cur = cur * ratio[reg_of_line[l]]
-            out += cur
-        mismatch = sol.volts[bus] * np.conj(into - out) + s_inj[bus]
-        worst = max(worst, abs(mismatch))
-    return worst
-
-
-def angle_form_losses(feeder: FeederModel, sol: PowerFlowSolution) -> float:
-    """Total loss recomputed from voltage magnitudes and angle differences.
-
-    Per line, with conductance g = r / (r^2 + x^2) and psi the angle
-    difference across the line, the ohmic loss is
-    g * (vm^2 + vn^2 - 2 vm vn cos psi); summing over non-regulator lines
-    must agree with the current-based total.
-    """
-    reg_lines = {feeder.parent_line[rg.n] for rg in feeder.regulators}
-    total = 0.0
-    for l, ln in enumerate(feeder.lines):
-        if l in reg_lines:
-            continue
-        vm = sol.volts[ln.from_bus]
-        vn = sol.volts[ln.to_bus]
-        g = ln.r / (ln.r**2 + ln.x**2)
-        psi = np.angle(vm) - np.angle(vn)
-        total += g * (abs(vm) ** 2 + abs(vn) ** 2 - 2 * abs(vm) * abs(vn) * np.cos(psi))
-    return float(total)
-
-
 def linear_model_prediction(
     feeder: FeederModel,
     p: np.ndarray,
@@ -215,51 +163,3 @@ def linear_model_prediction(
     vreg = np.linalg.solve(np.eye(len(m)) - ratio[:, None] * Wr[m], ratio * ub[m])
     v = ub + Wr @ vreg
     return v, float(p @ prob.RL @ p + q @ prob.RL @ q)
-
-
-def approximation_error_sweep(
-    feeder: FeederModel,
-    p_base: np.ndarray,
-    q_base: np.ndarray,
-    scales=(1.0, 0.5, 0.25),
-    v0: float = 1.0,
-    ratios=None,
-) -> dict:
-    """Model-error study under uniform injection scaling.
-
-    For each scale eps the base injections are multiplied by eps, the exact
-    sweep and the linear/quadratic predictions are evaluated, and the
-    worst-case voltage error plus the total-loss error are recorded.  The
-    order estimates are least-squares slopes of log error against log
-    scale: ~2 for voltages (first-order model), ~3 for losses
-    (second-order model), with the per-pair ratios also reported.  The
-    error scales this cleanly only around the flat profile, so leave the
-    ratios at unity; a fixed off-nominal tap adds a first-order cross
-    term.
-    """
-    scales = tuple(float(s) for s in scales)
-    if len(scales) < 2:
-        raise DimensionError("need at least two scales to estimate an order")
-    v_err, l_err = [], []
-    for eps in scales:
-        sol = solve_powerflow(feeder, eps * np.asarray(p_base, float), eps * np.asarray(q_base, float), v0=v0, ratios=ratios)
-        v_lin, loss_quad = linear_model_prediction(
-            feeder, eps * np.asarray(p_base, float), eps * np.asarray(q_base, float), v0=v0, ratios=ratios
-        )
-        v_err.append(float(np.max(np.abs(sol.vmag - v_lin))))
-        l_err.append(abs(sol.total_loss - loss_quad))
-    v_order, l_order = [], []
-    for a, b in zip(range(len(scales) - 1), range(1, len(scales))):
-        ra = scales[a] / scales[b]
-        v_order.append(float(np.log(v_err[a] / v_err[b]) / np.log(ra)))
-        l_order.append(float(np.log(l_err[a] / l_err[b]) / np.log(ra)))
-    log_s = np.log(scales)
-    return {
-        "scales": scales,
-        "voltage_error": tuple(v_err),
-        "loss_error": tuple(l_err),
-        "voltage_order": float(np.polyfit(log_s, np.log(v_err), 1)[0]),
-        "loss_order": float(np.polyfit(log_s, np.log(l_err), 1)[0]),
-        "voltage_order_pairs": tuple(v_order),
-        "loss_order_pairs": tuple(l_order),
-    }

@@ -34,7 +34,7 @@ from .errors import (
     ModelError,
 )
 from .feeder import LDC, LOCAL, REMOTE, FeederModel, voltage_model
-from .qp import OPTIMAL, QpInstance, solve_qp_batch
+from .qp import OPTIMAL, solve_qp_batch
 from .qp import solve_qp  # noqa: F401  bench/tracing.py wraps phca.builder.solve_qp
 
 logger = logging.getLogger(__name__)
@@ -316,14 +316,6 @@ class MpqpProblem:
         rhs[:, m:] += self.f
         return thetas @ self.C.T + self.d, rhs
 
-    def instance(self, theta: np.ndarray) -> QpInstance:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_theta,):
-            raise DimensionError(f"theta must have shape ({self.n_theta},), got {theta.shape}")
-        (c,), (rhs,) = self.instance_data(theta[None])
-        m = self.A.shape[0]
-        return QpInstance(self.H, c, self.A, rhs[:m], self.B, rhs[m:])
-
     def _slack_free(self, thetas: np.ndarray) -> tuple:
         """The problem without its slack machinery at every row of thetas.
 
@@ -350,12 +342,6 @@ class MpqpProblem:
             rhs[:, self.A.shape[0]:],
             soft,
         )
-
-    def reduced_instance(self, theta: np.ndarray) -> tuple[QpInstance, np.ndarray]:
-        """The instance at theta without the slack machinery (see
-        _slack_free), and the positions of the soft rows within it."""
-        H, A, B, c, b, beq, soft = self._slack_free(np.asarray(theta, dtype=float)[None])
-        return QpInstance(H, c[0], A, b[0], B, beq[0]), soft
 
     def with_eta(self, eta: float) -> "MpqpProblem":
         """Copy of the problem with the linear slack price replaced."""

@@ -37,10 +37,6 @@ class DuplicateRegulatorError(InputError):
     """More than one regulator assigned to the same line."""
 
 
-class SingularIncidenceError(PhcaError):
-    """Branch-bus incidence unexpectedly singular; internal consistency failure."""
-
-
 # ---- problem assembly ----
 
 class ConfigError(InputError, ValueError):

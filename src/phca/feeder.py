@@ -26,7 +26,6 @@ from .errors import (
     DisconnectedError,
     DuplicateRegulatorError,
     SchemaError,
-    SingularIncidenceError,
 )
 
 REMOTE = "remote"
@@ -252,16 +251,10 @@ def load_feeder(text: str) -> FeederModel:
     subtree = np.zeros((n_lines, n_bus), dtype=bool)
     for bus in range(n_bus - 1, 0, -1):  # internal ids follow BFS order: children first
         l = parent_line[bus]
-        if l < 0:
-            continue
         subtree[l, bus] = True
         up_line = parent_line[parent[bus]]
         if up_line >= 0:
             subtree[up_line] |= subtree[l]
-    # fixpoint above relies on BFS order; verify each mask is closed upward
-    for l, ln in enumerate(lines):
-        if not subtree[l, ln.to_bus]:
-            raise SingularIncidenceError("subtree accumulation failed")
 
     regulators = []
     reg_lines = set()

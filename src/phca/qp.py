@@ -174,23 +174,6 @@ class QpInstance:
     Aeq: np.ndarray
     beq: np.ndarray
 
-    @staticmethod
-    def build(H, c, A=None, b=None, Aeq=None, beq=None) -> "QpInstance":
-        H = np.asarray(H, dtype=float)
-        c = np.asarray(c, dtype=float).ravel()
-        n = c.shape[0]
-        if H.shape != (n, n):
-            raise ValueError(f"H must be {n}x{n}, got {H.shape}")
-        A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
-        b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
-        Aeq = np.zeros((0, n)) if Aeq is None else np.asarray(Aeq, dtype=float).reshape(-1, n)
-        beq = np.zeros(0) if beq is None else np.asarray(beq, dtype=float).ravel()
-        if A.shape[0] != b.shape[0]:
-            raise ValueError("A and b row counts differ")
-        if Aeq.shape[0] != beq.shape[0]:
-            raise ValueError("Aeq and beq row counts differ")
-        return QpInstance(H, c, A, b, Aeq, beq)
-
 
 @dataclass(frozen=True)
 class QpSolution:
@@ -795,19 +778,15 @@ class _RowGroups(NamedTuple):
     first_row: np.ndarray
 
 
-def _row_groups(A) -> _RowGroups | None:
+def _row_groups(A) -> _RowGroups:
     """A's groups of equal rows (-0.0 equal to 0.0, a row with NaN alone),
-    or None when no two rows are equal."""
+    one group per row when no two rows are equal."""
     m = A.shape[0]
-    if m < 2:
-        return None
     # a stable sort keeps each group's rows in row order
     order = np.lexsort(A.T)
     sorted_A = A[order]
     new = np.ones(m, dtype=bool)
     new[1:] = (sorted_A[1:] != sorted_A[:-1]).any(axis=1)
-    if new.all():
-        return None
     starts = np.flatnonzero(new)
     first_row = np.argsort(order[starts])
     return _RowGroups(order[starts][first_row], order, starts, np.cumsum(new) - 1, first_row)
@@ -834,10 +813,10 @@ class QpMatrices:
     with what every solve on them shares, built once: eq_rows, the
     independent rows of Aeq (Aeq_ind holds them); Z, whose columns span
     their null space, P, with x0 = beq P on them, and Hz = Z'HZ; and A's
-    groups of equal rows (None when no two rows are equal), with A_dist
-    holding one row per group.  reduced, the interior-point method's
-    matrices on A_dist, is built on the first cold solve.  Raises
-    ValueError unless H is symmetric positive definite."""
+    groups of equal rows, with A_dist holding one row per group.  reduced,
+    the interior-point method's matrices on A_dist, is built on the first
+    cold solve.  Raises ValueError unless H is symmetric positive
+    definite."""
 
     def __init__(self, H, A, Aeq):
         self.H = H = np.asarray(H, dtype=float)
@@ -864,7 +843,7 @@ class QpMatrices:
             self.P = np.linalg.solve(R[:r], Q[:, :r].T)
         self.Hz = self.Z.T @ H @ self.Z
         self.groups = _row_groups(A)
-        self.A_dist = A if self.groups is None else A[self.groups.keep]
+        self.A_dist = A[self.groups.keep]
 
     @functools.cached_property
     def reduced(self) -> _Reduced:
@@ -888,8 +867,6 @@ def _solve_cold(prep, c, b, beq):
     exits = np.full(k, NONE, dtype=object)
     if not m:
         lam = np.zeros((k, 0))
-    elif prep.groups is None:
-        y, lam, iterations, exits = _interior_point(prep.reduced, cz, b - x0 @ A.T, y)
     else:
         # one row per group at each instance's least right-hand side in it;
         # each multiplier goes back to the row that holds that side

@@ -93,7 +93,7 @@ class ThetaSet:
 
     def groups(self) -> list[tuple[tuple[float, float, float], np.ndarray]]:
         """Each distinct (kappa, oversize, alpha) triple in first-seen order,
-        with its rows in index order (rows_for's), found in one sort."""
+        with the rows that hold it in index order, found in one sort."""
         cells = np.column_stack([self.kappa, self.oversize, self.alpha]).astype(float)
         if not len(cells):
             return []
@@ -102,14 +102,6 @@ class ThetaSet:
         starts = np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1
         rows = sorted(np.split(order, starts), key=lambda r: r[0])
         return [(tuple(cells[r[0]].tolist()), r) for r in rows]
-
-    def group_keys(self) -> list[tuple[float, float, float]]:
-        """Distinct (kappa, oversize, alpha) triples in first-seen order."""
-        return [key for key, _ in self.groups()]
-
-    def rows_for(self, key: tuple[float, float, float]) -> np.ndarray:
-        k, o, a = key
-        return np.flatnonzero((self.kappa == k) & (self.oversize == o) & (self.alpha == a))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ problem is infeasible for practical purposes.
 
 json_report dumps one object made by a statistics pass over the result:
 the counters, the group statistics and the remote regulators' tap-ratio
-ranges.  render_report formats the same object as text, so the two
+ranges, the last two from group_stats and recover_ratios on one voltage
+matrix.  render_report formats the same object as text, so the two
 reports cannot disagree.  The object is kept on the result, keyed by the
 theta set and feeder objects the pass read, so a report pair on one
 result runs the pass once.  The reports therefore treat a BatchResult
@@ -48,17 +49,6 @@ def slack_values(result: BatchResult) -> np.ndarray:
     tiny = np.abs(s) < SLACK_ZERO_TOL
     s[tiny & np.isfinite(s)] = 0.0
     return s
-
-
-def slack_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical distribution of the finite slack values.
-
-    Returns the sorted values and P(slack <= value) at each of them.
-    """
-    vals = np.sort(values[np.isfinite(values)])
-    if vals.size == 0:
-        raise EmptyGroupError("no finite slack values to summarize")
-    return vals, np.arange(1, vals.size + 1) / vals.size
 
 
 def voltage_matrix(result: BatchResult) -> np.ndarray:
@@ -103,28 +93,12 @@ def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
     return rows, resid
 
 
-def violation_bound_gap(result: BatchResult) -> np.ndarray:
-    """Worst soft-row residual minus the slack, per instance.
-
-    Feasibility of the relaxed problem caps every soft-row violation by
-    the slack itself, so this gap stays at solver noise for any sound
-    batch.  NaN rows pass through, and with no soft row the gap is -inf.
-    """
-    prob = result.problem
-    _, resid = soft_violations(result)
-    s = result.x[:, prob.slack_index]
-    return np.max(resid, axis=1, initial=-np.inf) - s
-
-
-def recover_ratios(result: BatchResult, feeder: FeederModel) -> dict[str, np.ndarray]:
-    """Implied tap ratio v_out / v_in per remote regulator, per instance."""
-    return _ratios(result, feeder, None)
-
-
-def _ratios(
-    result: BatchResult, feeder: FeederModel, volts: np.ndarray | None
+def recover_ratios(
+    result: BatchResult, feeder: FeederModel, volts: np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
-    """recover_ratios on the voltage matrix volts; with volts None, the
+    """Implied tap ratio v_out / v_in per remote regulator, per instance.
+
+    volts, when given, is the result's voltage_matrix; otherwise that
     matrix is formed once a remote regulator needs it."""
     prob = result.problem
     out = {}
@@ -155,17 +129,6 @@ class GroupStats:
     worst_rows: tuple[tuple[str, int, float], ...]  # label, violated count, max amount
 
 
-def group_stats(result: BatchResult, theta_set: ThetaSet) -> list[GroupStats]:
-    """Per-group distributions over the solved instances: QUANTILES of the
-    slack and of each bus voltage, and the TOP_ROWS most violated soft
-    rows.
-
-    Quantiles use the linear interpolation rule.  Raises EmptyGroupError
-    when a grid cell produced no solved instance at all.
-    """
-    return _group_stats(result, theta_set, voltage_matrix(result))
-
-
 def _quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """np.quantile(values, qs, axis=0, method="linear") of values already
     sorted along axis 0, bit for bit: the order statistics at q (n - 1),
@@ -183,10 +146,19 @@ def _quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_stats(
-    result: BatchResult, theta_set: ThetaSet, volts: np.ndarray
+def group_stats(
+    result: BatchResult, theta_set: ThetaSet, volts: np.ndarray | None = None
 ) -> list[GroupStats]:
-    """group_stats reading volts, the result's voltage matrix."""
+    """Per-group distributions over the solved instances: QUANTILES of the
+    slack and of each bus voltage, and the TOP_ROWS most violated soft
+    rows.
+
+    Quantiles use the linear interpolation rule.  volts, when given, is
+    the result's voltage_matrix, which is formed otherwise.  Raises
+    EmptyGroupError when a grid cell produced no solved instance at all.
+    """
+    if volts is None:
+        volts = voltage_matrix(result)
     prob = result.problem
     s_all = slack_values(result)
     soft = prob.soft_rows
@@ -239,7 +211,7 @@ def _summary(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> d
     volts = voltage_matrix(result)
     buses = feeder.ext_ids[1:]
     groups = []
-    for gs in _group_stats(result, theta_set, volts):
+    for gs in group_stats(result, theta_set, volts):
         groups.append(
             {
                 "kappa": gs.key[0],
@@ -263,7 +235,7 @@ def _summary(result: BatchResult, theta_set: ThetaSet, feeder: FeederModel) -> d
         "groups": groups,
     }
     ratios = {}
-    for ref, arr in _ratios(result, feeder, volts).items():
+    for ref, arr in recover_ratios(result, feeder, volts).items():
         finite = arr[np.isfinite(arr)]
         ratios[ref] = {"min": float(finite.min()), "max": float(finite.max())}
     if ratios:

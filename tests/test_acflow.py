@@ -2,16 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import angle_form_losses, approximation_error_sweep, power_balance_residual
 
-from phca import (
-    acflow,
-    angle_form_losses,
-    approximation_error_sweep,
-    linear_model_prediction,
-    load_feeder,
-    power_balance_residual,
-    solve_powerflow,
-)
+from phca import acflow, linear_model_prediction, load_feeder, solve_powerflow
 from phca.errors import DimensionError, NonConvergenceError
 
 SINGLE_LINE = """

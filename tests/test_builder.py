@@ -20,6 +20,7 @@ from phca import (
 )
 import phca.builder as builder_mod
 from conftest import LDC_FEEDER_TEXT, regulated_radial_case
+from helpers import instance, reduced_instance
 from phca.builder import DEFAULT_ASSIGNMENT, SLACK_NONNEG, BuilderConfig
 from phca.errors import (
     AllInfeasibleError,
@@ -130,7 +131,7 @@ def test_voltage_rows_encode_window(demo_problem, rng):
     prob = demo_problem
     th = sample_theta(prob, rng)
     x = rng.normal(size=prob.n_var)
-    inst = prob.instance(th)
+    inst = instance(prob, th)
     v = x @ prob.W.T + th @ prob.U.T
     s = x[prob.slack_index]
     for bus in range(1, prob.n_bus):
@@ -145,7 +146,7 @@ def test_regulator_rows(demo_problem, rng):
     prob = demo_problem
     th = sample_theta(prob, rng)
     x = rng.normal(size=prob.n_var)
-    inst = prob.instance(th)
+    inst = instance(prob, th)
     v = x @ prob.W.T + th @ prob.U.T
     s = x[prob.slack_index]
     # remote pair 3-4 is internal m=3, n=5; window is 0.9 vm <= vn <= 1.1 vm
@@ -167,7 +168,7 @@ def test_inverter_cap_rows(demo_problem, rng):
     prob = demo_problem
     th = sample_theta(prob, rng)
     x = rng.normal(size=prob.n_var)
-    inst = prob.instance(th)
+    inst = instance(prob, th)
     head = th[prob.headroom_slice()]
     assert inst.A[0] @ x - inst.b[0] == pytest.approx(x[0] - head[0], abs=1e-14)
     assert inst.A[1] @ x - inst.b[1] == pytest.approx(-x[0] - head[0], abs=1e-14)
@@ -280,13 +281,13 @@ def test_theta_map_refuses_solar_without_inverter(demo_problem):
 def test_scale_problem_invariance(demo_problem, rng):
     prob = demo_problem.with_eta(1e-2)
     th = sample_theta(prob, rng, alpha=0.5, kappa=1.5, oversize=1.1)
-    base = solve_qp(prob.instance(th))
+    base = solve_qp(instance(prob, th))
     scaled, record = scale_problem(prob)
     assert record.cost_scale == pytest.approx(5.608139205308629, rel=1e-12)
     assert record.ineq_scale == pytest.approx(5.5677643628300215, rel=1e-12)
     assert record.eq_scale == 1.0
     assert scaled.scaling is record
-    sol = solve_qp(scaled.instance(th))
+    sol = solve_qp(instance(scaled, th))
     assert base.status == OPTIMAL and sol.status == OPTIMAL
     assert np.max(np.abs(base.x - sol.x)) < 1e-9
     lam = sol.lam * record.cost_scale / record.ineq_scale
@@ -302,11 +303,11 @@ def test_scale_problem_invariance(demo_problem, rng):
 def test_reduced_instance_drops_slack(demo_problem, rng):
     prob = demo_problem
     th = sample_theta(prob, rng)
-    inst, soft = prob.reduced_instance(th)
+    inst, soft = reduced_instance(prob, th)
     assert inst.A.shape == (36, 5)
     assert inst.H.shape == (5, 5)
     assert soft.tolist() == list(range(6, 36))
-    full = prob.instance(th)
+    full = instance(prob, th)
     assert inst.b == pytest.approx(full.b[:36])
 
 
@@ -319,7 +320,7 @@ def test_instance_data_matches_products(scaled_ldc_problem, small_theta_set):
     c, rhs = prob.instance_data(thetas)
     assert c.shape == (len(thetas), prob.n_var) and rhs.shape == (len(thetas), m + n_eq)
     for k, th in enumerate(thetas):
-        inst = prob.instance(th)
+        inst = instance(prob, th)
         for got, want in (
             (c[k], prob.C @ th + prob.d),
             (rhs[k, :m], prob.E @ th + prob.b),
@@ -408,7 +409,7 @@ def scalar_eta(prob, thetas):
     """calibrate_eta's answer from one solve_qp call per sample."""
     sums = []
     for th in thetas:
-        inst, soft = prob.reduced_instance(th)
+        inst, soft = reduced_instance(prob, th)
         sol = solve_qp(inst)
         if sol.status == OPTIMAL:
             sums.append(sol.lam[soft].sum())

@@ -170,7 +170,6 @@ EXIT_CODES = {
     "DuplicateRegulatorError": 2,
     "ConfigError": 2,
     "HeadroomError": 2,
-    "SingularIncidenceError": 3,
     "ModelError": 3,
     "AllInfeasibleError": 3,
     "RankDeficientKError": 3,
@@ -917,7 +916,7 @@ def test_empty_grid_cell_is_exit_3(case, capsys, tmp_path, monkeypatch):
     def second_cell_infeasible(prob, scen, grid):
         ts = real(prob, scen, grid)
         thetas = ts.thetas.copy()
-        thetas[ts.rows_for(ts.group_keys()[1]), prob.headroom_slice()] = -1.0
+        thetas[ts.groups()[1][1], prob.headroom_slice()] = -1.0
         return replace(ts, thetas=thetas)
 
     monkeypatch.setattr(cli_mod, "expand_grid", second_cell_infeasible)

@@ -8,6 +8,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 from conftest import bench_workloads, float_columns
+from helpers import instance
 
 import phca.engine as engine_mod
 from phca import (
@@ -53,7 +54,7 @@ def test_reuse_matches_direct_solves(batch, scaled_demo_problem):
     prob = scaled_demo_problem
     worst = 0.0
     for i, theta in enumerate(batch.thetas):
-        sol = solve_qp(prob.instance(theta))
+        sol = solve_qp(instance(prob, theta))
         assert sol.status == OPTIMAL
         worst = max(worst, float(np.max(np.abs(sol.x - batch.x[i]))))
     assert worst < 1e-8
@@ -170,7 +171,7 @@ def test_objectives_in_original_units(batch, demo_problem):
     i = int(np.flatnonzero(batch.solved_mask())[0])
     x = batch.x[i]
     assert batch.objectives[i] == pytest.approx(
-        0.5 * x @ orig.H @ x + orig.instance(batch.thetas[i]).c @ x, rel=1e-9, abs=1e-12
+        0.5 * x @ orig.H @ x + instance(orig, batch.thetas[i]).c @ x, rel=1e-9, abs=1e-12
     )
 
 
@@ -245,7 +246,7 @@ def test_budget_signatures_are_cold_positive_multipliers(random_feeder_batch):
     rows = np.flatnonzero(res.status == STATUSES.index("budget-exhausted"))
     assert rows.size > 100
     for i in rows:
-        sol = solve_qp(prob.instance(thetas[i]))
+        sol = solve_qp(instance(prob, thetas[i]))
         assert sol.status == OPTIMAL
         cutoff = engine_mod.ACTIVE_LAM_REL * max(1.0, sol.lam.max())
         assert res.direct_signatures[i] == tuple(np.flatnonzero(sol.lam > cutoff).tolist())

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import feasible_lp
+from helpers import build_instance, reduced_instance
 
 import phca.qp as qp_mod
 from phca.builder import theta_map_batch
@@ -31,7 +32,6 @@ from phca.qp import (
     RAY,
     RAY_TOL,
     STALL,
-    QpInstance,
     identify_active,
     solve_qp,
     solve_qp_batch,
@@ -76,7 +76,7 @@ def brute_force(inst, tol=1e-9):
 
 
 def test_unconstrained():
-    inst = QpInstance.build(np.eye(2), [-1.0, -2.0])
+    inst = build_instance(np.eye(2), [-1.0, -2.0])
     sol = solve_qp(inst)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-10)
@@ -85,7 +85,7 @@ def test_unconstrained():
 
 def test_single_active_inequality():
     # min 0.5|x|^2 - x1 - 2 x2  s.t. x1 + x2 <= 1; multiplier works out to 1
-    inst = QpInstance.build(np.eye(2), [-1.0, -2.0], A=[[1.0, 1.0]], b=[1.0])
+    inst = build_instance(np.eye(2), [-1.0, -2.0], A=[[1.0, 1.0]], b=[1.0])
     sol = solve_qp(inst)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -95,7 +95,7 @@ def test_single_active_inequality():
 
 
 def test_equality_only():
-    inst = QpInstance.build(np.eye(2), [0.0, 0.0], Aeq=[[1.0, 1.0]], beq=[2.0])
+    inst = build_instance(np.eye(2), [0.0, 0.0], Aeq=[[1.0, 1.0]], beq=[2.0])
     sol = solve_qp(inst)
     assert sol.x == pytest.approx([1.0, 1.0], abs=1e-10)
     # H x + Aeq' mu = 0 at the optimum
@@ -103,7 +103,7 @@ def test_equality_only():
 
 
 def test_inactive_constraint_ignored():
-    inst = QpInstance.build(np.eye(2), [-1.0, -2.0], A=[[1.0, 0.0]], b=[5.0])
+    inst = build_instance(np.eye(2), [-1.0, -2.0], A=[[1.0, 0.0]], b=[5.0])
     sol = solve_qp(inst)
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-9)
     assert sol.lam == pytest.approx([0.0], abs=1e-9)
@@ -111,12 +111,12 @@ def test_inactive_constraint_ignored():
 
 
 def test_infeasible_inequalities():
-    inst = QpInstance.build(np.eye(1), [0.0], A=[[1.0], [-1.0]], b=[-1.0, 0.0])
+    inst = build_instance(np.eye(1), [0.0], A=[[1.0], [-1.0]], b=[-1.0, 0.0])
     assert solve_qp(inst).status == INFEASIBLE
 
 
 def test_contradictory_equalities():
-    inst = QpInstance.build(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0])
+    inst = build_instance(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0])
     assert solve_qp(inst).status == INFEASIBLE
 
 
@@ -124,15 +124,15 @@ def test_dependent_equality_rows():
     # the second equality row doubles the first: consistent right-hand
     # sides solve on the independent row, inconsistent ones are infeasible
     kw = dict(A=[[1.0, 1.0]], b=[0.5], Aeq=[[1.0, 0.0], [2.0, 0.0]])
-    sol = solve_qp(QpInstance.build(np.eye(2), [1.0, 1.0], beq=[0.3, 0.6], **kw))
+    sol = solve_qp(build_instance(np.eye(2), [1.0, 1.0], beq=[0.3, 0.6], **kw))
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([0.3, -1.0], abs=1e-12)
-    assert solve_qp(QpInstance.build(np.eye(2), [1.0, 1.0], beq=[0.3, 0.7], **kw)).status == INFEASIBLE
+    assert solve_qp(build_instance(np.eye(2), [1.0, 1.0], beq=[0.3, 0.7], **kw)).status == INFEASIBLE
 
 
 def test_active_rows_land_exactly():
     # the polish step puts active row residuals at machine precision
-    inst = QpInstance.build(
+    inst = build_instance(
         np.diag([2.0, 1.0]), [-4.0, -1.0], A=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, 0.25]
     )
     sol = solve_qp(inst)
@@ -142,7 +142,7 @@ def test_active_rows_land_exactly():
 
 
 def test_kkt_residual_fields():
-    inst = QpInstance.build(np.eye(2), [-1.0, -2.0], A=[[1.0, 1.0]], b=[1.0])
+    inst = build_instance(np.eye(2), [-1.0, -2.0], A=[[1.0, 1.0]], b=[1.0])
     sol = solve_qp(inst)
     r_stat, r_prim, r_comp = sol.residuals
     assert r_stat < 1e-9 and r_prim < 1e-12 and r_comp < 1e-10
@@ -151,7 +151,7 @@ def test_kkt_residual_fields():
 def test_deterministic_repeat():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(4, 3))
-    inst = QpInstance.build(
+    inst = build_instance(
         G.T @ G + 0.5 * np.eye(3),
         rng.normal(size=3),
         A=rng.normal(size=(5, 3)),
@@ -178,7 +178,7 @@ def _small_instance(rng):
     b = A @ x0 + rng.uniform(-0.4, 1.0, size=m)
     Aeq = rng.normal(size=(p, n))
     beq = Aeq @ x0
-    return QpInstance.build(H, c, A=A, b=b, Aeq=Aeq, beq=beq)
+    return build_instance(H, c, A=A, b=b, Aeq=Aeq, beq=beq)
 
 
 def test_random_instances_match_enumeration():
@@ -213,7 +213,7 @@ def _sweep_instances():
         rng = np.random.default_rng(seed)
         inst = _small_instance(rng)
         if inst.A.shape[0] >= 2:
-            inst = QpInstance.build(
+            inst = build_instance(
                 inst.H, inst.c, A=np.vstack([inst.A, inst.A[0] + inst.A[1]]),
                 b=np.append(inst.b, inst.b[0] + inst.b[1] + rng.uniform(-0.3, 0.3)),
                 Aeq=inst.Aeq, beq=inst.beq,
@@ -260,7 +260,7 @@ def test_warm_start_matches_cold_solve():
 
 
 def test_warm_start_rows_are_checked():
-    inst = QpInstance.build(np.eye(2), [1.0, 1.0], A=[[1.0, 0.0]], b=[0.0])
+    inst = build_instance(np.eye(2), [1.0, 1.0], A=[[1.0, 0.0]], b=[0.0])
     with pytest.raises(ValueError):
         solve_qp(inst, start=[1])
     with pytest.raises(ValueError):
@@ -273,7 +273,7 @@ def test_polish_takes_in_a_dependent_violated_row(monkeypatch):
     # combination of them.  The polish must take row 2 in and let an older
     # row go, not drop row 2 again and cycle.  With no interior-point
     # iterations the polish starts from all three rows.
-    inst = QpInstance.build(
+    inst = build_instance(
         np.eye(2), [-1.0, -1.0],
         A=[[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]], b=[0.0, 0.0, -0.1],
     )
@@ -380,7 +380,7 @@ def test_batch_matches_single_solves(monkeypatch):
         monkeypatch.setattr(qp_mod, "MAX_ITER", max_iter)
         batch = solve_qp_batch(H, A, Aeq, c, b, beq)
         for i in range(c.shape[0]):
-            inst = QpInstance.build(H, c[i], A=A, b=b[i], Aeq=Aeq, beq=beq[i])
+            inst = build_instance(H, c[i], A=A, b=b[i], Aeq=Aeq, beq=beq[i])
             single = solve_qp(inst)
             sol = batch.solution(i)
             assert sol.status == single.status, f"member {i}"
@@ -481,7 +481,7 @@ def test_equal_rows_are_merged_exactly(monkeypatch):
                     for g in range(len(distinct))]
             copies = np.setdiff1d(np.arange(m), home)
             assert (batch.lam[i, copies] == 0.0).all(), f"seed {seed} member {i}"
-            ref = brute_force(QpInstance.build(H, c[i], A=distinct, b=least, Aeq=Aeq, beq=beq[i]))
+            ref = brute_force(build_instance(H, c[i], A=distinct, b=least, Aeq=Aeq, beq=beq[i]))
             status = batch.status[i]
             assert status == (INFEASIBLE if ref is None else OPTIMAL), f"seed {seed} member {i}"
             seen[status] += 1
@@ -501,7 +501,7 @@ def test_infeasible_stack_leaves_on_farkas_ray(random_feeder_case):
     # interior-point method ran 22-31 iterations on them
     prob, thetas = random_feeder_case
     sample = thetas[np.linspace(0, len(thetas) - 1, 32).astype(int)]
-    insts = [prob.reduced_instance(row)[0] for row in sample]
+    insts = [reduced_instance(prob, row)[0] for row in sample]
     H, A, Aeq = insts[0].H, insts[0].A, insts[0].Aeq
 
     def solve(rows):
@@ -624,8 +624,8 @@ def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
         H, A, c, b, _ = _band_stack(seed, k, loose)
         batch = solve_qp_batch(H, A, np.zeros((0, 3)), c, b, np.zeros((k, 0)))
         cases += [(A, np.zeros((0, 3)), batch.solution(i), b[i], np.zeros(0)) for i in range(k)]
-    for inst in (QpInstance.build(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0]),
-                 QpInstance.build(np.eye(2), [1.0, 1.0], A=[[1.0, 1.0]], b=[0.5],
+    for inst in (build_instance(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0]),
+                 build_instance(np.eye(2), [1.0, 1.0], A=[[1.0, 1.0]], b=[0.5],
                                   Aeq=[[1.0, 0.0], [2.0, 0.0]], beq=[0.3, 0.7])):
         cases.append((inst.A, inst.Aeq, solve_qp(inst), inst.b, inst.beq))
     # the unrelaxed demo at 24 overloaded hours, and again with every
@@ -637,7 +637,7 @@ def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
     )
     squeezed = thetas.copy()
     squeezed[:, demo_problem.headroom_slice()] = -0.5
-    insts = [demo_problem.reduced_instance(row)[0] for row in np.vstack([thetas, squeezed])]
+    insts = [reduced_instance(demo_problem, row)[0] for row in np.vstack([thetas, squeezed])]
     H, A, Aeq = insts[0].H, insts[0].A, insts[0].Aeq
     assert Aeq.shape[0] == 1
     c, b, beq = (np.array([getattr(i, f) for i in insts]) for f in ("c", "b", "beq"))
@@ -671,7 +671,7 @@ def test_sub_tolerance_conflicts_stay_numerical_failures():
     batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, NUMERICAL_FAILURE, OPTIMAL)).all()
     assert batch.phase_one == cut_off.sum() == 14
-    assert all(feasible_lp(QpInstance.build(H, c[i], A=A, b=b[i]))
+    assert all(feasible_lp(build_instance(H, c[i], A=A, b=b[i]))
                for i in np.flatnonzero(cut_off))
 
 
@@ -772,7 +772,7 @@ def test_cut_off_band_stack_solves():
     batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     for i in np.flatnonzero(~cut_off)[:8]:
-        ref = brute_force(QpInstance.build(H, c[i], A=A, b=b[i]))
+        ref = brute_force(build_instance(H, c[i], A=A, b=b[i]))
         assert np.max(np.abs(batch.x[i] - ref[0])) < 1e-6
 
 
@@ -794,7 +794,7 @@ def test_feasible_large_cancelling_multipliers_are_no_ray(eps):
 
 
 def test_identify_active_threshold():
-    inst = QpInstance.build(np.eye(1), [-1.0], A=[[1.0]], b=[0.5])
+    inst = build_instance(np.eye(1), [-1.0], A=[[1.0]], b=[0.5])
     sol = solve_qp(inst)
     assert list(identify_active(inst, sol, eps_act=1e-5)) == [0]
     # a huge threshold flags everything near the bound, a zero-width one may not
@@ -803,11 +803,11 @@ def test_identify_active_threshold():
 
 def test_build_validates_shapes():
     with pytest.raises(ValueError):
-        QpInstance.build(np.eye(2), [1.0])
+        build_instance(np.eye(2), [1.0])
     with pytest.raises(ValueError):
-        QpInstance.build(np.eye(2), [1.0, 2.0], A=[[1.0, 0.0]], b=[1.0, 2.0])
+        build_instance(np.eye(2), [1.0, 2.0], A=[[1.0, 0.0]], b=[1.0, 2.0])
     with pytest.raises(ValueError, match="Aeq and beq row counts differ"):
-        QpInstance.build(np.eye(2), [1.0, 2.0], Aeq=[[1.0, 0.0]], beq=[1.0, 2.0])
+        build_instance(np.eye(2), [1.0, 2.0], Aeq=[[1.0, 0.0]], beq=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("H, message", [

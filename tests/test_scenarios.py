@@ -326,20 +326,21 @@ def test_expand_grid_ordering(demo_problem, demo_scenarios):
     assert ts.alpha[:n].tolist() == [0.24] * n
     assert ts.alpha[n : 2 * n].tolist() == [0.48] * n
     assert ts.hour[:n].tolist() == list(range(n))
-    assert ts.group_keys() == [
+    groups = dict(ts.groups())
+    assert list(groups) == [
         (1.0, 1.0, 0.24),
         (1.0, 1.0, 0.48),
         (2.0, 1.0, 0.24),
         (2.0, 1.0, 0.48),
     ]
-    rows = ts.rows_for((2.0, 1.0, 0.24))
+    rows = groups[(2.0, 1.0, 0.24)]
     assert rows.tolist() == list(range(2 * n, 3 * n))
     block = theta_map_batch(
         demo_problem, demo_scenarios.pc, demo_scenarios.qc, demo_scenarios.pg,
         alpha=0.24, kappa=2.0, oversize=1.0,
     )
     assert ts.thetas[rows] == pytest.approx(block)
-    assert ts.rows_for((9.0, 9.0, 9.0)).size == 0
+    assert (9.0, 9.0, 9.0) not in groups
 
 
 def test_expand_grid_writes_each_cell_block_bit_for_bit(demo_problem, demo_scenarios):
@@ -353,7 +354,7 @@ def test_expand_grid_writes_each_cell_block_bit_for_bit(demo_problem, demo_scena
     assert ts.thetas.tobytes() == np.vstack(blocks).tobytes()
     assert not ts.thetas.flags.writeable
     cells = [(k, o, a) for k in grid.kappa for o in grid.oversize for a in grid.alpha]
-    assert ts.group_keys() == cells
+    assert [key for key, _ in ts.groups()] == cells
     n = scen.n_hours
     for j, (key, rows) in enumerate(ts.groups()):
         assert rows.tolist() == list(range(j * n, (j + 1) * n))
@@ -361,7 +362,8 @@ def test_expand_grid_writes_each_cell_block_bit_for_bit(demo_problem, demo_scena
 
 
 def _group_keys_loop(ts):
-    """The row-by-row first-seen scan group_keys replaced, kept as the reference."""
+    """The row-by-row first-seen scan that groups replaced, kept as the
+    reference for its keys."""
     seen = {}
     for i in range(len(ts)):
         seen.setdefault((float(ts.kappa[i]), float(ts.oversize[i]), float(ts.alpha[i])))
@@ -381,13 +383,14 @@ def test_group_keys_first_seen_order_on_interleaved_cells(rng):
         oversize=cells[pick, 1],
         alpha=cells[pick, 2],
     )
-    keys = ts.group_keys()
+    keys = [key for key, _ in ts.groups()]
     assert keys == _group_keys_loop(ts)
-    for key, rows in ts.groups():
-        assert rows.tolist() == ts.rows_for(key).tolist()
+    for (k, o, a), rows in ts.groups():
+        mask = (ts.kappa == k) & (ts.oversize == o) & (ts.alpha == a)
+        assert rows.tolist() == np.flatnonzero(mask).tolist()
     assert keys != sorted(keys) and len(keys) == len(cells)
     assert all(isinstance(v, float) for key in keys for v in key)
-    assert ThetaSet(np.zeros((0, 3)), *(np.zeros(0),) * 4).group_keys() == []
+    assert ThetaSet(np.zeros((0, 3)), *(np.zeros(0),) * 4).groups() == []
 
 
 @pytest.mark.parametrize(

@@ -28,10 +28,8 @@ from phca.stats import (
     json_report,
     recover_ratios,
     render_report,
-    slack_cdf,
     slack_values,
     soft_violations,
-    violation_bound_gap,
     voltage_matrix,
 )
 
@@ -62,16 +60,6 @@ def test_slack_values(batch, mixed_batch):
     assert np.isfinite(np.delete(sm, [3, 8])).all()
 
 
-def test_slack_cdf(mixed_batch):
-    vals, cdf = slack_cdf(slack_values(mixed_batch))
-    assert vals.size == 8  # NaN rows drop out
-    assert np.all(np.diff(vals) >= 0)
-    assert cdf[0] == pytest.approx(1 / 8)
-    assert cdf[-1] == 1.0
-    with pytest.raises(EmptyGroupError):
-        slack_cdf(np.array([np.nan, np.nan]))
-
-
 def test_voltage_matrix_matches_problem_map(batch):
     volts = voltage_matrix(batch)
     n = batch.counters.n_instances
@@ -94,11 +82,17 @@ def test_soft_violations_in_original_units(batch, demo_problem):
     assert resid[i] == pytest.approx(manual, abs=1e-12)
 
 
+def _bound_gap(result):
+    """The worst soft-row residual minus the slack, per instance."""
+    _, resid = soft_violations(result)
+    return np.max(resid, axis=1, initial=-np.inf) - result.x[:, result.problem.slack_index]
+
+
 def test_violation_bound_gap(batch, mixed_batch):
-    gap = violation_bound_gap(batch)
+    gap = _bound_gap(batch)
     # relaxed feasibility caps every soft residual by the slack itself
     assert np.nanmax(gap) <= 1e-6
-    gm = violation_bound_gap(mixed_batch)
+    gm = _bound_gap(mixed_batch)
     assert np.isnan(gm[[3, 8]]).all()
 
 
@@ -109,7 +103,7 @@ def test_all_hard_problem_has_no_soft_violations(demo_feeder, small_theta_set):
     res = run_batch(prob, small_theta_set.thetas[:10])
     soft, resid = soft_violations(res)
     assert soft.size == 0 and resid.shape == (10, 0)
-    gap = violation_bound_gap(res)
+    gap = _bound_gap(res)
     assert np.all((gap == -np.inf) | np.isnan(gap))
 
 
@@ -149,12 +143,15 @@ def test_group_stats_match_numpy(batch, mixed_batch, small_theta_set):
 def _check_group_stats(result, theta_set, unsolved):
     qs = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
     stats = group_stats(result, theta_set)
-    assert [gs.key for gs in stats] == theta_set.group_keys()
+    assert [gs.key for gs in stats] == [key for key, _ in theta_set.groups()]
     s_all = slack_values(result)
     volts = voltage_matrix(result)
     _, resid = soft_violations(result)
     for gs in stats:
-        rows = theta_set.rows_for(gs.key)
+        k, o, a = gs.key
+        rows = np.flatnonzero(
+            (theta_set.kappa == k) & (theta_set.oversize == o) & (theta_set.alpha == a)
+        )
         solved = rows[np.isfinite(s_all[rows])]
         assert gs.n_instances == rows.size
         assert gs.n_solved == solved.size == rows.size - unsolved
@@ -218,7 +215,7 @@ def test_render_report(batch, small_theta_set, demo_feeder):
     text = render_report(batch, small_theta_set, demo_feeder)
     assert text.startswith("batch summary")
     assert f"instances {batch.counters.n_instances} " in text
-    for key in small_theta_set.group_keys():
+    for key, _ in small_theta_set.groups():
         assert f"group kappa={key[0]:g} oversize={key[1]:g} alpha={key[2]:g}" in text
     assert "    bus    1  " in text
     assert "remote regulator tap ratios" in text
