@@ -60,7 +60,6 @@ from .feeder import (
 )
 from .qp import (
     QpBatch,
-    QpInstance,
     QpMatrices,
     QpSolution,
     identify_active,
@@ -84,7 +83,6 @@ from .stats import (
     recover_ratios,
     render_report,
     slack_values,
-    soft_violations,
     voltage_matrix,
 )
 

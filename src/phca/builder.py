@@ -34,7 +34,7 @@ from .errors import (
     ModelError,
 )
 from .feeder import LDC, LOCAL, REMOTE, FeederModel, voltage_model
-from .qp import OPTIMAL, solve_qp_batch
+from .qp import OPTIMAL, QpMatrices, solve_qp_batch
 from .qp import solve_qp  # noqa: F401  bench/tracing.py wraps phca.builder.solve_qp
 
 logger = logging.getLogger(__name__)
@@ -321,9 +321,9 @@ class MpqpProblem:
 
         Drops the slack variable column and its nonnegativity row; soft rows
         keep their original right-hand side, so this is the unrelaxed
-        problem.  Returns the shared blocks and the stacked parameter rows
-        in solve_qp_batch's order, (H, A, B, c, b, beq), followed by the
-        positions of the soft rows among the kept inequality rows.
+        problem.  Returns the shared blocks and the stacked parameter rows,
+        (H, A, B, c, b, beq), followed by the positions of the soft rows
+        among the kept inequality rows.
         """
         if thetas.ndim != 2 or thetas.shape[1] != self.n_theta:
             raise DimensionError(
@@ -701,11 +701,11 @@ def calibrate_eta(prob: MpqpProblem, thetas: np.ndarray) -> float:
     ETA_FLOOR before use.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    *data, soft = prob._slack_free(thetas)
+    H, A, B, c, b, beq, soft = prob._slack_free(thetas)
     n = thetas.shape[0]
     if n == 0:
         raise AllInfeasibleError("no calibration samples")
-    batch = solve_qp_batch(*data)
+    batch = solve_qp_batch(QpMatrices(H, A, B), c, b, beq)
     solved = batch.status == OPTIMAL
     if not solved.any():
         raise AllInfeasibleError(f"all {n} calibration samples infeasible")

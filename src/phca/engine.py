@@ -29,20 +29,19 @@ revisit every unsolved row; load_result_json holds one block at a time.
 Both gather each sweep block's rows into work arrays made once per call
 (_sweep_work), so that no block maps fresh pages for its copies.
 A row with a region, seed included, holds its region's map: one call
-maps a region's rows of one block, in index order, so x never depends
-on how the solver reached the seed.  The objectives, too, are formed a
-block at a time.  A row's status is how it was dispatched: a reuse or
-seed row has a region, a budget-exhausted, uncertain-active-set or
-rank-deficient row was solved without one, and an infeasible or failed
-row has no solution.  The results file holds the explicit solution: the
-rows of each status but reuse, the region column, the region table, and
-the solutions of the solved rows without a region.  load_result_json
-goes block by block: it certifies each region's rows with the run's own
-test (_certified, the one sweep over batch_membership), keeps the points
-that same call mapped, which are batch_solutions' on the same rows, and
-checks the stored rows, so the loaded solutions and objectives are the
-run's bit for bit and no array of its holds a row per instance and
-constraint.
+maps a region's rows of one block, in index order, so x never depends on
+how the solver reached the seed.  A row's status is how it was
+dispatched: a reuse or seed row has a region, a budget-exhausted,
+uncertain-active-set or rank-deficient row was solved without one, and
+an infeasible or failed row has no solution.  The results file holds the
+explicit solution: the rows of each status but reuse, the region column,
+the region table, and the solutions of the solved rows without a region.
+load_result_json goes block by block: it certifies each region's rows
+with the run's own test (_certified, the one sweep over
+batch_membership), keeps the points that same call mapped, which are
+batch_solutions' on the same rows, and checks the stored rows, so the
+loaded solutions are the run's bit for bit and no array of its holds a
+row per instance and constraint.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .errors import AbortError, ConfigError, DimensionError, RankDeficientKError
 from .qp import DEFAULT_TOL
 from .qp import INFEASIBLE as QP_INFEASIBLE
 from .qp import OPTIMAL as QP_OPTIMAL
-from .qp import QpInstance, QpMatrices, solve_qp, solve_qp_batch
+from .qp import QpMatrices, solve_qp, solve_qp_batch
 from .qp import identify_active  # noqa: F401  bench/tracing.py wraps phca.engine.identify_active
 from .regions import SCREEN_PRIMAL, RegionContext
 
@@ -167,11 +166,10 @@ class BatchResult:
     """Everything a batch run produced, one column entry per instance.
 
     problem is the scaled problem the engine actually ran, its scaling
-    included; x rows and the objectives are in original units (scaling
-    leaves the minimizer alone and multiplies the cost by a known
-    constant), NaN where nothing was solved.  A row with a region (reuse
-    or seed) holds its region's map; the serialized form keeps only the
-    other solved rows and rederives these and every objective on load.
+    included; x rows are in original units (scaling leaves the minimizer
+    alone), NaN where nothing was solved.  A row with a region (reuse or
+    seed) holds its region's map; the serialized form keeps only the other
+    solved rows and rederives these on load.
     status indexes STATUSES; region_id indexes regions, -1 meaning no
     region.
     regions holds each region's signature (its active rows) in id order,
@@ -190,7 +188,6 @@ class BatchResult:
     options: EngineOptions
     thetas: np.ndarray
     x: np.ndarray
-    objectives: np.ndarray
     status: np.ndarray
     region_id: np.ndarray
     regions: tuple[tuple[int, ...], ...]
@@ -246,8 +243,8 @@ class BatchResult:
         (degenerate and budget rows), in index order, row-major, as a
         base64 string of their little-endian float64 bytes, every
         non-finite entry as the canonical NaN; load_result_json maps the
-        others and every objective again, at the slack price eta (in
-        original units) stored beside.
+        others again, at the slack price eta (in original units) stored
+        beside.
         """
         payload = {
             "columns": {
@@ -278,18 +275,6 @@ def _float64_text(values: np.ndarray) -> str:
     """Base64 of the values' little-endian float64 bytes, NaN for every non-finite entry."""
     values = np.where(np.isfinite(values), values, np.nan).astype("<f8", copy=False)
     return base64.b64encode(values.tobytes()).decode("ascii")
-
-
-def _objectives(prob: MpqpProblem, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Objectives in original units of the stacked solutions x at the
-    scaled costs c, formed SWEEP_BLOCK rows at a time (the blocks
-    load_result_json reads); NaN on the rows where x is NaN."""
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], SWEEP_BLOCK):
-        blk = slice(start, start + SWEEP_BLOCK)
-        xb = x[blk]
-        out[blk] = 0.5 * ((xb @ prob.H) * xb).sum(axis=1) + (c[blk] * xb).sum(axis=1)
-    return out * prob.scaling.cost_scale
 
 
 def _stored_rows(status: np.ndarray) -> np.ndarray:
@@ -425,8 +410,7 @@ def run_batch(
         direct_signatures[i] = signature
 
     for i in _unsolved_picks(order, status):
-        inst = QpInstance(scaled.H, c[i], scaled.A, rhs[i, :m], scaled.B, rhs[i, m:])
-        sol = solve_qp(inst, start=last_signature, prepared=ctx.qp)
+        sol = solve_qp(ctx.qp, c[i], rhs[i, :m], rhs[i, m:], start=last_signature)
         logger.debug(
             "instance %d: %s solve, %d polish factorizations, %d IPM iterations, exit %s",
             i, "warm" if sol.warm else "cold", sol.factorizations, sol.iterations, sol.exit,
@@ -481,7 +465,6 @@ def run_batch(
         options=options,
         thetas=thetas,
         x=x,
-        objectives=_objectives(scaled, c, x),
         status=status,
         region_id=region_id,
         regions=tuple(regions),
@@ -587,9 +570,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     and x keeps the points that one call mapped: the same expression on
     the same rows, in index order, as run_batch's map, so x equals the
     run's bit for bit; the block's solved rows must be finite, and the
-    stored ones primally feasible; its objectives come from run_batch's
-    formula on the same block.  The other rows are NaN.  The counters are
-    counted off the columns, so nothing stored can disagree with them.
+    stored ones primally feasible.  The other rows are NaN.  The counters
+    are counted off the columns, so nothing stored can disagree with them.
     """
     if prob.scaling is None:
         raise SchemaError("expected the scaled problem when loading results")
@@ -677,7 +659,6 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     }
     x = np.full((n, prob.H.shape[0]), np.nan)
     x[stored_rows] = _stored_x(cols["x"], int(stored_rows.sum()), prob.H.shape[0])
-    objectives = np.empty(n)
 
     ctx = RegionContext(prob)
     built = []
@@ -691,8 +672,8 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
     solved = status < _SOLVED
     work = _sweep_work(ctx, min(n, SWEEP_BLOCK))
     # one block of instance data at a time, the blocks run_batch formed
-    for start, c, xu, rhs in _instance_blocks(ctx, thetas):
-        blk = slice(start, start + c.shape[0])
+    for start, _, xu, rhs in _instance_blocks(ctx, thetas):
+        blk = slice(start, start + xu.shape[0])
         # each region's rows in the block, as run_batch maps them
         owner = region_id[blk]
         for k in np.flatnonzero(np.bincount(owner + 1)[1:]).tolist():  # -1 is no region
@@ -716,13 +697,11 @@ def load_result_json(text: str, prob: MpqpProblem, thetas: np.ndarray) -> BatchR
         bad = rows[(x[start + rows] @ prob.A.T - b > tol).any(axis=1)]
         if bad.size:
             raise SchemaError(f"row {start + bad[0]} is solved but its solution is infeasible")
-        objectives[blk] = _objectives(prob, c, x[blk])
     return BatchResult(
         problem=prob,
         options=options,
         thetas=thetas,
         x=x,
-        objectives=objectives,
         status=status,
         region_id=region_id,
         regions=regions,
@@ -752,7 +731,10 @@ def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> Va
     defaults to every instance that produced a solution.  The instances
     are solved from scratch in stacks of VALIDATE_BLOCK (1,024), on
     MpqpProblem.instance_data's costs and right-hand sides and one
-    QpMatrices of the problem's own, with no region algebra involved.
+    QpMatrices of the problem's own, with no region algebra involved; the
+    stored rows' objectives come from that QpMatrices' objective on the
+    same stack, the formula the solver's objectives come from, and both
+    are compared in original units.
     """
     if indices is None:
         indices = np.flatnonzero(result.solved_mask())
@@ -767,12 +749,14 @@ def validate_batch(result: BatchResult, indices: np.ndarray | None = None) -> Va
     for start in range(0, indices.size, VALIDATE_BLOCK):
         idx = indices[start : start + VALIDATE_BLOCK]
         c, rhs = prob.instance_data(result.thetas[idx])
-        sols = solve_qp_batch(prob.H, prob.A, prob.B, c, rhs[:, :m], rhs[:, m:], prepared=prep)
+        sols = solve_qp_batch(prep, c, rhs[:, :m], rhs[:, m:])
         optimal = sols.status == QP_OPTIMAL
+        x = result.x[idx]
+        obj = prep.objective(c, x) * h
         obj_ref = sols.objective * h
         with np.errstate(invalid="ignore"):
-            dx = np.abs(sols.x - result.x[idx]).max(axis=1)
-            gap = np.abs(result.objectives[idx] - obj_ref) / np.maximum(1.0, np.abs(obj_ref))
+            dx = np.abs(sols.x - x).max(axis=1)
+            gap = np.abs(obj - obj_ref) / np.maximum(1.0, np.abs(obj_ref))
         # written so that a NaN difference (a missing stored solution) fails
         bad.extend(idx[~(optimal & (dx <= VALIDATE_DX_TOL) & (gap <= VALIDATE_OBJ_TOL))].tolist())
         max_dx = float(np.max(dx[optimal], initial=max_dx))

@@ -48,9 +48,10 @@ QpMatrices: H's check, the independent equality rows with Z, P and Z'HZ,
 and A's groups of equal rows, so that a call forms only each instance's
 least right-hand side in each group; and, on the first cold solve, the
 interior-point method's rows Az, their transpose, the lower triangles of
-their outer products and Z'HZ's lower triangle.  solve_qp_batch builds
-one when its caller does not hand it one; a caller that solves many
-stacks on the same matrices builds it once and hands it to every call.
+their outer products and Z'HZ's lower triangle.  It is the only way the
+matrices reach the solver, so a caller that solves many stacks on the
+same matrices builds it once and hands it to every call; its objective
+is the one formula for 0.5 x'Hx + c'x.
 
 A Newton polish on each guessed active set lands on the exact KKT point,
 so active row residuals end up at machine precision rather than at
@@ -161,18 +162,6 @@ LIMIT = "limit"
 NONE = "none"
 #: the interior-point exits in the order their tests are checked
 IPM_EXITS = (RAY, CONVERGED, COLLAPSE, STALL, BROKEN, LIMIT)
-
-
-@dataclass(frozen=True)
-class QpInstance:
-    """One fixed-parameter QP in standard inequality/equality form."""
-
-    H: np.ndarray
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    Aeq: np.ndarray
-    beq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -808,6 +797,17 @@ def _least(groups: _RowGroups, b):
     return rows[:, groups.first_row], least[:, groups.first_row]
 
 
+def _block(M, n: int, name: str) -> np.ndarray:
+    """M as a float array of rows with n columns; no entries at all read
+    as no rows."""
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        M = M.reshape(0, n)
+    if M.ndim != 2 or M.shape[1] != n:
+        raise ValueError(f"{name} must have {n} columns, got shape {M.shape}")
+    return M
+
+
 class QpMatrices:
     """The matrices H, A and Aeq that a stack of instances shares, checked,
     with what every solve on them shares, built once: eq_rows, the
@@ -815,14 +815,17 @@ class QpMatrices:
     their null space, P, with x0 = beq P on them, and Hz = Z'HZ; and A's
     groups of equal rows, with A_dist holding one row per group.  reduced,
     the interior-point method's matrices on A_dist, is built on the first
-    cold solve.  Raises ValueError unless H is symmetric positive
-    definite."""
+    cold solve.  Raises ValueError unless H is square, symmetric and
+    positive definite and A and Aeq have H's column count (a block with no
+    entries has no rows)."""
 
     def __init__(self, H, A, Aeq):
         self.H = H = np.asarray(H, dtype=float)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError(f"H must be square, got shape {H.shape}")
         n = H.shape[0]
-        self.A = A = np.asarray(A, dtype=float).reshape(-1, n)
-        self.Aeq = Aeq = np.asarray(Aeq, dtype=float).reshape(-1, n)
+        self.A = A = _block(A, n, "A")
+        self.Aeq = Aeq = _block(Aeq, n, "Aeq")
         if not np.abs(H - H.T).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(H).max(initial=0.0)):
             raise ValueError("H must be symmetric")
         try:
@@ -848,6 +851,12 @@ class QpMatrices:
     @functools.cached_property
     def reduced(self) -> _Reduced:
         return _reduced(self.Hz, self.A_dist @ self.Z)
+
+    def objective(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """0.5 x'Hx + c'x of each row of x at the same row of c; NaN where
+        x holds one."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return 0.5 * np.einsum("ij,ij->i", x @ self.H, x) + np.einsum("ij,ij->i", c, x)
 
 
 def _solve_cold(prep, c, b, beq):
@@ -971,39 +980,35 @@ def _phase_one(A, Aeq, b, beq):
 
 
 def solve_qp_batch(
-    H: np.ndarray,
-    A: np.ndarray,
-    Aeq: np.ndarray,
+    prep: QpMatrices,
     c: np.ndarray,
     b: np.ndarray,
     beq: np.ndarray,
     start: list | None = None,
-    prepared: QpMatrices | None = None,
 ) -> QpBatch:
-    """Solve k convex QPs that share H, A and Aeq to KKT residuals below
-    DEFAULT_TOL.
+    """Solve k convex QPs on the shared matrices prep to KKT residuals
+    below DEFAULT_TOL.
 
-    c, b and beq hold one instance per row: (k, n), (k, m) and (k, e).
-    H must be symmetric positive definite (ValueError otherwise).
-    Each instance gets one verdict in status: optimal, else infeasible on
-    a checked Farkas certificate, from its ray exit or from the phase-1
-    problem (see the module docstring), else a numerical failure.
-    Infeasible instances, including ones whose dependent equality rows
-    disagree, are reported so rather than raised.  start, when given, holds
-    one list of rows of A per instance, from which that instance is
-    warm-started (see the module docstring); it is ignored when A has no
-    rows.  prepared, when given, is QpMatrices(H, A, Aeq), which a caller
-    that solves many stacks on the same matrices builds once; the solver
-    builds it otherwise.
+    c, b and beq hold one instance per row: (k, n), (k, m) and (k, e)
+    (ValueError otherwise).  Each instance gets one verdict in status:
+    optimal, else infeasible on a checked Farkas certificate, from its ray
+    exit or from the phase-1 problem (see the module docstring), else a
+    numerical failure.  Infeasible instances, including ones whose
+    dependent equality rows disagree, are reported so rather than raised.
+    start, when given, holds one list of rows of A per instance, from
+    which that instance is warm-started (see the module docstring); it is
+    ignored when A has no rows.
     """
-    prep = QpMatrices(H, A, Aeq) if prepared is None else prepared
-    H, A, Aeq = prep.H, prep.A, prep.Aeq
-    n = H.shape[0]
+    A, Aeq = prep.A, prep.Aeq
+    n = prep.H.shape[0]
     m, e = A.shape[0], Aeq.shape[0]
-    c = np.asarray(c, dtype=float).reshape(-1, n)
-    k = c.shape[0]
-    b = np.asarray(b, dtype=float).reshape(k, m)
-    beq = np.asarray(beq, dtype=float).reshape(k, e)
+    c, b, beq = (np.asarray(v, dtype=float) for v in (c, b, beq))
+    k = c.shape[0] if c.ndim == 2 else -1
+    if (c.shape, b.shape, beq.shape) != ((k, n), (k, m), (k, e)):
+        raise ValueError(
+            f"c, b and beq must have shapes (k, {n}), (k, {m}) and (k, {e}), "
+            f"got {c.shape}, {b.shape} and {beq.shape}"
+        )
     if start is not None and len(start) != k:
         raise ValueError(f"start must hold one entry for each of the {k} instances")
 
@@ -1022,33 +1027,29 @@ def solve_qp_batch(
     status = np.full(k, NUMERICAL_FAILURE, dtype=object)
     status[certified] = INFEASIBLE
     status[optimal] = OPTIMAL
-    with np.errstate(invalid="ignore", over="ignore"):
-        objective = 0.5 * np.einsum("ij,ij->i", x @ H, x) + np.einsum("ij,ij->i", c, x)
     return QpBatch(
-        status, x, lam, mu, resid, iterations, objective,
+        status, x, lam, mu, resid, iterations, prep.objective(c, x),
         groups, rest.size, warm, exits, steps,
     )
 
 
-def solve_qp(inst: QpInstance, start=None, prepared: QpMatrices | None = None) -> QpSolution:
-    """Solve one convex QP to KKT residuals below DEFAULT_TOL: the k = 1
-    case of solve_qp_batch, warm-started from the rows in start when
-    given, on prepared (QpMatrices of inst's H, A and Aeq) when given."""
+def solve_qp(prep: QpMatrices, c, b, beq, start=None) -> QpSolution:
+    """Solve one convex QP on the shared matrices prep to KKT residuals
+    below DEFAULT_TOL: the k = 1 case of solve_qp_batch, with c, b and
+    beq one instance's rows, warm-started from the rows in start when
+    given."""
     return solve_qp_batch(
-        inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None],
-        None if start is None else [start], prepared,
+        prep, np.asarray(c)[None], np.asarray(b)[None], np.asarray(beq)[None],
+        None if start is None else [start],
     ).solution(0)
 
 
-def identify_active(inst: QpInstance, sol: QpSolution, eps_act: float) -> np.ndarray:
-    """Indices of inequality rows active at the solution.
+def identify_active(A: np.ndarray, b: np.ndarray, x: np.ndarray, eps_act: float) -> np.ndarray:
+    """Indices of the rows of A x <= b active at x.
 
     A row counts as active when the magnitude of its residual A x - b is at
     most ``eps_act``; the test is applied row by row, so a tiny positive
     overshoot and a tiny negative slack are treated alike.  Returns sorted
     0-based indices.
     """
-    if inst.A.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    resid = inst.A @ sol.x - inst.b
-    return np.flatnonzero(np.abs(resid) <= eps_act).astype(np.int64)
+    return np.flatnonzero(np.abs(A @ x - b) <= eps_act).astype(np.int64)

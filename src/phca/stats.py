@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import engine
 from .engine import BatchResult
 from .errors import EmptyGroupError
 from .feeder import REMOTE, FeederModel
@@ -70,27 +69,6 @@ def _with_v0(result: BatchResult, picks: np.ndarray, volts: np.ndarray) -> np.nd
     out[:, 0] = result.x[picks, result.problem.v0_index]
     out[:, 1:] = volts
     return out
-
-
-def soft_violations(result: BatchResult) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the soft rows with the slack coupling removed.
-
-    Returns (rows, resid) where rows indexes into the problem's row list
-    and resid[i, j] > 0 means instance i violates soft row rows[j] by that
-    much in original units when no slack relief is applied.  With every
-    row hard, rows is empty and resid has no columns.  resid is read off
-    the voltages with the problem's RowForm, SWEEP_BLOCK instances at a
-    time, and is the one (n, len(rows)) array made.
-    """
-    prob = result.problem
-    rows = prob.soft_rows
-    n = result.x.shape[0]
-    resid = np.empty((n, rows.size))
-    for start in range(0, n, engine.SWEEP_BLOCK):
-        picks = np.arange(start, min(n, start + engine.SWEEP_BLOCK))
-        volts = _with_v0(result, picks, _voltages(prob, result.x[picks], result.thetas[picks]))
-        resid[picks] = prob.row_form.residuals(rows, volts, result.x, result.thetas, picks)
-    return rows, resid
 
 
 def recover_ratios(

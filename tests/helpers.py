@@ -1,17 +1,33 @@
-"""Helpers that only the tests call: a checked QpInstance constructor,
-single instances of an MpqpProblem, and the AC power-flow checks of the
-linear model (power balance, the angle form of the losses and the
-model-error orders)."""
+"""Helpers that only the tests call: one QP instance, built with shape
+checks or taken from an MpqpProblem, and its solve on a QpMatrices of its
+own; the soft rows' residuals without the slack; and the AC power-flow
+checks of the linear model (power balance, the angle form of the losses
+and the model-error orders)."""
+
+from typing import NamedTuple
 
 import numpy as np
 
+from phca import engine
 from phca.acflow import _ratio_array, linear_model_prediction, solve_powerflow
 from phca.errors import DimensionError
-from phca.qp import QpInstance
+from phca.qp import QpMatrices, QpSolution, solve_qp
+from phca.stats import _voltages, _with_v0
 
 
-def build_instance(H, c, A=None, b=None, Aeq=None, beq=None) -> QpInstance:
-    """A QpInstance from array-likes, with absent rows as empty blocks;
+class Instance(NamedTuple):
+    """One QP:  min 0.5 x'Hx + c'x  s.t.  A x <= b,  Aeq x = beq."""
+
+    H: np.ndarray
+    c: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    Aeq: np.ndarray
+    beq: np.ndarray
+
+
+def build_instance(H, c, A=None, b=None, Aeq=None, beq=None) -> Instance:
+    """An Instance from array-likes, with absent rows as empty blocks;
     raises ValueError when the shapes disagree."""
     H = np.asarray(H, dtype=float)
     c = np.asarray(c, dtype=float).ravel()
@@ -26,24 +42,50 @@ def build_instance(H, c, A=None, b=None, Aeq=None, beq=None) -> QpInstance:
         raise ValueError("A and b row counts differ")
     if Aeq.shape[0] != beq.shape[0]:
         raise ValueError("Aeq and beq row counts differ")
-    return QpInstance(H, c, A, b, Aeq, beq)
+    return Instance(H, c, A, b, Aeq, beq)
 
 
-def instance(prob, theta) -> QpInstance:
+def solve_instance(inst: Instance, start=None) -> QpSolution:
+    """solve_qp on inst, warm-started from the rows in start when given."""
+    return solve_qp(QpMatrices(inst.H, inst.A, inst.Aeq), inst.c, inst.b, inst.beq, start=start)
+
+
+def instance(prob, theta) -> Instance:
     """The QP of prob at one parameter vector theta."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (prob.n_theta,):
         raise DimensionError(f"theta must have shape ({prob.n_theta},), got {theta.shape}")
     (c,), (rhs,) = prob.instance_data(theta[None])
     m = prob.A.shape[0]
-    return QpInstance(prob.H, c, prob.A, rhs[:m], prob.B, rhs[m:])
+    return Instance(prob.H, c, prob.A, rhs[:m], prob.B, rhs[m:])
 
 
-def reduced_instance(prob, theta) -> tuple[QpInstance, np.ndarray]:
+def reduced_instance(prob, theta) -> tuple[Instance, np.ndarray]:
     """The instance at theta without the slack machinery (see
     MpqpProblem._slack_free), and the positions of the soft rows within it."""
     H, A, B, c, b, beq, soft = prob._slack_free(np.asarray(theta, dtype=float)[None])
-    return QpInstance(H, c[0], A, b[0], B, beq[0]), soft
+    return Instance(H, c[0], A, b[0], B, beq[0]), soft
+
+
+def soft_violations(result) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the soft rows with the slack coupling removed.
+
+    Returns (rows, resid) where rows indexes into the problem's row list
+    and resid[i, j] > 0 means instance i violates soft row rows[j] by that
+    much in original units when no slack relief is applied.  With every
+    row hard, rows is empty and resid has no columns.  resid is read off
+    the voltages with the problem's RowForm, SWEEP_BLOCK instances at a
+    time, and is the one (n, len(rows)) array made.
+    """
+    prob = result.problem
+    rows = prob.soft_rows
+    n = result.x.shape[0]
+    resid = np.empty((n, rows.size))
+    for start in range(0, n, engine.SWEEP_BLOCK):
+        picks = np.arange(start, min(n, start + engine.SWEEP_BLOCK))
+        volts = _with_v0(result, picks, _voltages(prob, result.x[picks], result.thetas[picks]))
+        resid[picks] = prob.row_form.residuals(rows, volts, result.x, result.thetas, picks)
+    return rows, resid
 
 
 def power_balance_residual(feeder, sol, p, q, ratios=None) -> float:

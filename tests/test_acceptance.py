@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import feasible_lp
-from helpers import approximation_error_sweep
+from helpers import Instance, approximation_error_sweep, soft_violations
 from scipy.optimize import linprog
 
 from phca import (
@@ -32,9 +32,8 @@ from phca import (
 )
 from phca.cli import main
 from phca.engine import STATUSES, VALIDATE_DX_TOL, VALIDATE_OBJ_TOL
-from phca.qp import OPTIMAL, QpInstance, solve_qp_batch
+from phca.qp import OPTIMAL, QpMatrices, solve_qp_batch
 from phca.regions import RegionContext
-from phca.stats import soft_violations
 
 
 def verdict(capsys, name, ok, detail):
@@ -145,10 +144,10 @@ def test_penalty_exactness(study, capsys):
     while picked.size < 500 and pos < order.size:
         feasible = []
         while len(feasible) < 500 - picked.size and pos < order.size:
-            if feasible_lp(QpInstance(H, c[pos], A, b[pos], B, beq[pos])):
+            if feasible_lp(Instance(H, c[pos], A, b[pos], B, beq[pos])):
                 feasible.append(pos)
             pos += 1
-        hard = solve_qp_batch(H, A, B, c[feasible], b[feasible], beq[feasible])
+        hard = solve_qp_batch(QpMatrices(H, A, B), c[feasible], b[feasible], beq[feasible])
         optimal = hard.status == OPTIMAL
         picked = np.concatenate([picked, np.asarray(feasible, dtype=np.int64)[optimal]])
         hard_x = np.vstack([hard_x, hard.x[optimal]])
@@ -190,7 +189,7 @@ def test_minimal_relaxation(study, capsys):
     worst = 0.0
     n_checked = 0
     for j, i in enumerate(relaxed[:60]):
-        inst = QpInstance(H, c[j], A, b[j], B, beq[j])
+        inst = Instance(H, c[j], A, b[j], B, beq[j])
         assert not feasible_lp(inst)  # truly infeasible without relief
         relax = np.zeros(inst.b.shape)
         relax[soft] = 1.0

@@ -15,12 +15,11 @@ from phca import (
     load_config,
     load_feeder,
     scale_problem,
-    solve_qp,
     theta_map_batch,
 )
 import phca.builder as builder_mod
 from conftest import LDC_FEEDER_TEXT, regulated_radial_case
-from helpers import instance, reduced_instance
+from helpers import instance, reduced_instance, solve_instance
 from phca.builder import DEFAULT_ASSIGNMENT, SLACK_NONNEG, BuilderConfig
 from phca.errors import (
     AllInfeasibleError,
@@ -281,13 +280,13 @@ def test_theta_map_refuses_solar_without_inverter(demo_problem):
 def test_scale_problem_invariance(demo_problem, rng):
     prob = demo_problem.with_eta(1e-2)
     th = sample_theta(prob, rng, alpha=0.5, kappa=1.5, oversize=1.1)
-    base = solve_qp(instance(prob, th))
+    base = solve_instance(instance(prob, th))
     scaled, record = scale_problem(prob)
     assert record.cost_scale == pytest.approx(5.608139205308629, rel=1e-12)
     assert record.ineq_scale == pytest.approx(5.5677643628300215, rel=1e-12)
     assert record.eq_scale == 1.0
     assert scaled.scaling is record
-    sol = solve_qp(instance(scaled, th))
+    sol = solve_instance(instance(scaled, th))
     assert base.status == OPTIMAL and sol.status == OPTIMAL
     assert np.max(np.abs(base.x - sol.x)) < 1e-9
     lam = sol.lam * record.cost_scale / record.ineq_scale
@@ -410,7 +409,7 @@ def scalar_eta(prob, thetas):
     sums = []
     for th in thetas:
         inst, soft = reduced_instance(prob, th)
-        sol = solve_qp(inst)
+        sol = solve_instance(inst)
         if sol.status == OPTIMAL:
             sums.append(sol.lam[soft].sum())
     return 10.0 * max(sums)
@@ -437,7 +436,7 @@ def test_calibrate_eta_one_stacked_solve(demo_problem, demo_scenarios, monkeypat
     stacks = []
 
     def counting(*args, **kwargs):
-        stacks.append(args[3].shape[0])
+        stacks.append(args[1].shape[0])
         return solve_qp_batch(*args, **kwargs)
 
     def unreachable(*args, **kwargs):

@@ -8,7 +8,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 from conftest import bench_workloads, float_columns
-from helpers import instance
+from helpers import instance, soft_violations, solve_instance
 
 import phca.engine as engine_mod
 from phca import (
@@ -24,20 +24,33 @@ from phca import (
     load_scenarios,
     run_batch,
     scale_problem,
-    solve_qp,
     validate_batch,
 )
 from phca.builder import BuilderConfig
 from phca.engine import STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
-from phca.qp import OPTIMAL, QpMatrices
+from phca.qp import OPTIMAL, QpMatrices, solve_qp_batch
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, CriticalRegion, RegionContext
-from phca.stats import json_report, recover_ratios, render_report, soft_violations
+from phca.stats import json_report, recover_ratios, render_report
 
 
 @pytest.fixture(scope="module")
 def batch(scaled_demo_problem, small_theta_set):
     return run_batch(scaled_demo_problem, small_theta_set.thetas)
+
+
+def _objectives(res):
+    """The objectives of res's rows in original units, from
+    QpMatrices.objective at the scaled costs; NaN where x is."""
+    prob = res.problem
+    c, _ = prob.instance_data(res.thetas)
+    return QpMatrices(prob.H, prob.A, prob.B).objective(c, res.x) * prob.scaling.cost_scale
+
+
+def _arrays(res):
+    """res's columns and its objectives, by name."""
+    return {"x": res.x, "objectives": _objectives(res), "status": res.status,
+            "region_id": res.region_id}
 
 
 def test_every_instance_solved(batch, small_theta_set):
@@ -54,7 +67,7 @@ def test_reuse_matches_direct_solves(batch, scaled_demo_problem):
     prob = scaled_demo_problem
     worst = 0.0
     for i, theta in enumerate(batch.thetas):
-        sol = solve_qp(instance(prob, theta))
+        sol = solve_instance(instance(prob, theta))
         assert sol.status == OPTIMAL
         worst = max(worst, float(np.max(np.abs(sol.x - batch.x[i]))))
     assert worst < 1e-8
@@ -92,7 +105,7 @@ def test_region_census_consistent(scaled_demo_problem, small_theta_set, monkeypa
     solves = []
     real = engine_mod.solve_qp
     monkeypatch.setattr(
-        engine_mod, "solve_qp", lambda inst, **kwargs: solves.append(1) or real(inst, **kwargs)
+        engine_mod, "solve_qp", lambda *args, **kwargs: solves.append(1) or real(*args, **kwargs)
     )
     res = _every_outcome(scaled_demo_problem, small_theta_set, monkeypatch)
     n = len(res.thetas)
@@ -170,7 +183,7 @@ def test_objectives_in_original_units(batch, demo_problem):
     orig = demo_problem.with_eta(ETA_FLOOR)
     i = int(np.flatnonzero(batch.solved_mask())[0])
     x = batch.x[i]
-    assert batch.objectives[i] == pytest.approx(
+    assert _objectives(batch)[i] == pytest.approx(
         0.5 * x @ orig.H @ x + instance(orig, batch.thetas[i]).c @ x, rel=1e-9, abs=1e-12
     )
 
@@ -188,13 +201,14 @@ def test_infeasible_rows_classified(scaled_demo_problem, small_theta_set):
     for i in bad:
         thetas[i, hs] = -0.5  # cap rows close: q <= -0.5 and -q <= -0.5
     res = run_batch(scaled_demo_problem, thetas)
+    objectives = _objectives(res)
     for i in range(10):
         expect = "infeasible" if i in bad else None
         if expect:
             rec = res.record_for(i)
             assert rec.status == "infeasible"
             assert np.all(np.isnan(res.x[i]))
-            assert np.isnan(res.objectives[i])
+            assert np.isnan(objectives[i])
         else:
             assert res.record_for(i).status in ("direct", "reuse", "degenerate-direct")
     assert res.counters.infeasible == 2
@@ -216,8 +230,9 @@ def test_sweep_blocks_do_not_change_the_result(batch, scaled_demo_problem, monke
     # ends on a partial block
     monkeypatch.setattr(engine_mod, "SWEEP_BLOCK", 7)
     small = run_batch(scaled_demo_problem, batch.thetas, batch.options)
-    for name in ("status", "region_id", "x", "objectives"):
-        np.testing.assert_array_equal(getattr(small, name), getattr(batch, name))
+    want = _arrays(batch)
+    for name, got in _arrays(small).items():
+        np.testing.assert_array_equal(got, want[name])
     assert small.regions == batch.regions
     assert small.direct_signatures == batch.direct_signatures
     assert small.counters == batch.counters
@@ -246,7 +261,7 @@ def test_budget_signatures_are_cold_positive_multipliers(random_feeder_batch):
     rows = np.flatnonzero(res.status == STATUSES.index("budget-exhausted"))
     assert rows.size > 100
     for i in rows:
-        sol = solve_qp(instance(prob, thetas[i]))
+        sol = solve_instance(instance(prob, thetas[i]))
         assert sol.status == OPTIMAL
         cutoff = engine_mod.ACTIVE_LAM_REL * max(1.0, sol.lam.max())
         assert res.direct_signatures[i] == tuple(np.flatnonzero(sol.lam > cutoff).tolist())
@@ -257,8 +272,9 @@ def _assert_roundtrip(res, theta_set=None, feeder=None):
     its two reports when a theta set and feeder are given."""
     text = res.to_json()
     back = load_result_json(text, res.problem, res.thetas)
-    for name in ("x", "objectives", "status", "region_id"):
-        got, want = getattr(back, name), getattr(res, name)
+    arrays = _arrays(res)
+    for name, got in _arrays(back).items():
+        want = arrays[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     assert back.x.flags.writeable
@@ -336,9 +352,9 @@ def _with_failed_rows(prob, theta_set, monkeypatch):
 
     real, calls = engine_mod.solve_qp, []
 
-    def third_fails(inst, **kwargs):
-        calls.append(inst)
-        return Broken() if len(calls) == 3 else real(inst, **kwargs)
+    def third_fails(*args, **kwargs):
+        calls.append(args)
+        return Broken() if len(calls) == 3 else real(*args, **kwargs)
 
     monkeypatch.setattr(engine_mod, "solve_qp", third_fails)
     return _every_outcome(prob, theta_set, monkeypatch)
@@ -427,8 +443,9 @@ def test_json_roundtrip_every_outcome(scaled_demo_problem, small_theta_set, monk
     }
     text = res.to_json()
     back = load_result_json(text, scaled_demo_problem, res.thetas)
-    for name in ("status", "region_id", "x", "objectives"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(res, name))
+    want = _arrays(res)
+    for name, got in _arrays(back).items():
+        np.testing.assert_array_equal(got, want[name])
     assert back.regions == res.regions
     assert back.direct_signatures == res.direct_signatures
     assert back.counters == res.counters
@@ -474,8 +491,7 @@ def _negative_zeros(res, prob):
     tiny &= res.status == STATUSES.index("budget-exhausted")
     assert tiny.any()
     x[tiny, prob.slack_index] = -0.0
-    c, _ = prob.instance_data(res.thetas)
-    return replace(res, x=x, objectives=engine_mod._objectives(prob, c, x))
+    return replace(res, x=x)
 
 
 @pytest.mark.parametrize(
@@ -524,6 +540,18 @@ def test_validate_batch(batch):
     assert report.checked == 30
     assert report.max_dx < 1e-8
     assert report.max_rel_objective_gap < 1e-10
+
+
+def test_oracle_solutions_validate_exactly(batch):
+    # the stored rows' objectives and the oracle's come from one formula,
+    # QpMatrices.objective, so the oracle's own solutions show no gap
+    prob = batch.problem
+    m = prob.A.shape[0]
+    c, rhs = prob.instance_data(batch.thetas)
+    oracle = solve_qp_batch(QpMatrices(prob.H, prob.A, prob.B), c, rhs[:, :m], rhs[:, m:])
+    report = validate_batch(replace(batch, x=oracle.x))
+    assert report.ok and report.checked == len(batch.thetas)
+    assert report.max_dx == 0.0 and report.max_rel_objective_gap == 0.0
 
 
 def test_validate_batch_catches_corruption(scaled_demo_problem, small_theta_set):
@@ -582,7 +610,7 @@ def test_solver_set_up_once_per_problem(scaled_demo_problem, demo_problem, demo_
     real_solve, real_batch = engine_mod.solve_qp, engine_mod.solve_qp_batch
     monkeypatch.setattr(QpMatrices, "__init__", counting_init)
     monkeypatch.setattr(engine_mod, "solve_qp",
-                        lambda inst, **kw: solves.append(1) or real_solve(inst, **kw))
+                        lambda *a, **kw: solves.append(1) or real_solve(*a, **kw))
     monkeypatch.setattr(engine_mod, "solve_qp_batch",
                         lambda *a, **kw: stacks.append(1) or real_batch(*a, **kw))
     res = run_batch(scaled_demo_problem, thetas)
@@ -598,7 +626,7 @@ def test_abort_after_repeated_failures(scaled_demo_problem, small_theta_set, mon
         status = "numerical-failure"
         warm, factorizations, iterations, exit = False, 0, 0, "stall"
 
-    monkeypatch.setattr(engine_mod, "solve_qp", lambda inst, **kwargs: Broken())
+    monkeypatch.setattr(engine_mod, "solve_qp", lambda *args, **kwargs: Broken())
     monkeypatch.setattr(engine_mod, "MAX_FAILURES", 3)
     with pytest.raises(AbortError):
         run_batch(scaled_demo_problem, small_theta_set.thetas[:10])
@@ -691,8 +719,7 @@ def test_regulator_fed_by_the_substation_matches_oracle(regulator):
 
 def _columns(res):
     """Everything a batch result holds, for bit-for-bit comparison."""
-    arrays = {name: getattr(res, name).tobytes()
-              for name in ("x", "objectives", "status", "region_id")}
+    arrays = {name: a.tobytes() for name, a in _arrays(res).items()}
     return arrays, res.regions, res.direct_signatures, res.screened_out
 
 
@@ -712,8 +739,8 @@ def test_warm_starts_match_cold_reference(case, request, monkeypatch):
     def run(drop_start):
         warm = []
 
-        def solve(inst, start=None, prepared=None):
-            sol = real(inst, start=None if drop_start else start, prepared=prepared)
+        def solve(*args, start=None):
+            sol = real(*args, start=None if drop_start else start)
             warm.append(sol.warm)
             return sol
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import feasible_lp
-from helpers import build_instance, reduced_instance
+from helpers import build_instance, reduced_instance, solve_instance
 
 import phca.qp as qp_mod
 from phca.builder import theta_map_batch
@@ -32,8 +32,8 @@ from phca.qp import (
     RAY,
     RAY_TOL,
     STALL,
+    QpMatrices,
     identify_active,
-    solve_qp,
     solve_qp_batch,
 )
 
@@ -77,7 +77,7 @@ def brute_force(inst, tol=1e-9):
 
 def test_unconstrained():
     inst = build_instance(np.eye(2), [-1.0, -2.0])
-    sol = solve_qp(inst)
+    sol = solve_instance(inst)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-10)
     assert sol.objective == pytest.approx(-2.5, abs=1e-12)
@@ -86,17 +86,17 @@ def test_unconstrained():
 def test_single_active_inequality():
     # min 0.5|x|^2 - x1 - 2 x2  s.t. x1 + x2 <= 1; multiplier works out to 1
     inst = build_instance(np.eye(2), [-1.0, -2.0], A=[[1.0, 1.0]], b=[1.0])
-    sol = solve_qp(inst)
+    sol = solve_instance(inst)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([0.0, 1.0], abs=1e-9)
     assert sol.lam == pytest.approx([1.0], abs=1e-9)
     assert sol.objective == pytest.approx(-1.5, abs=1e-10)
-    assert list(identify_active(inst, sol, eps_act=1e-5)) == [0]
+    assert list(identify_active(inst.A, inst.b, sol.x, eps_act=1e-5)) == [0]
 
 
 def test_equality_only():
     inst = build_instance(np.eye(2), [0.0, 0.0], Aeq=[[1.0, 1.0]], beq=[2.0])
-    sol = solve_qp(inst)
+    sol = solve_instance(inst)
     assert sol.x == pytest.approx([1.0, 1.0], abs=1e-10)
     # H x + Aeq' mu = 0 at the optimum
     assert sol.mu == pytest.approx([-1.0], abs=1e-9)
@@ -104,30 +104,30 @@ def test_equality_only():
 
 def test_inactive_constraint_ignored():
     inst = build_instance(np.eye(2), [-1.0, -2.0], A=[[1.0, 0.0]], b=[5.0])
-    sol = solve_qp(inst)
+    sol = solve_instance(inst)
     assert sol.x == pytest.approx([1.0, 2.0], abs=1e-9)
     assert sol.lam == pytest.approx([0.0], abs=1e-9)
-    assert list(identify_active(inst, sol, eps_act=1e-5)) == []
+    assert list(identify_active(inst.A, inst.b, sol.x, eps_act=1e-5)) == []
 
 
 def test_infeasible_inequalities():
     inst = build_instance(np.eye(1), [0.0], A=[[1.0], [-1.0]], b=[-1.0, 0.0])
-    assert solve_qp(inst).status == INFEASIBLE
+    assert solve_instance(inst).status == INFEASIBLE
 
 
 def test_contradictory_equalities():
     inst = build_instance(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0])
-    assert solve_qp(inst).status == INFEASIBLE
+    assert solve_instance(inst).status == INFEASIBLE
 
 
 def test_dependent_equality_rows():
     # the second equality row doubles the first: consistent right-hand
     # sides solve on the independent row, inconsistent ones are infeasible
     kw = dict(A=[[1.0, 1.0]], b=[0.5], Aeq=[[1.0, 0.0], [2.0, 0.0]])
-    sol = solve_qp(build_instance(np.eye(2), [1.0, 1.0], beq=[0.3, 0.6], **kw))
+    sol = solve_instance(build_instance(np.eye(2), [1.0, 1.0], beq=[0.3, 0.6], **kw))
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([0.3, -1.0], abs=1e-12)
-    assert solve_qp(build_instance(np.eye(2), [1.0, 1.0], beq=[0.3, 0.7], **kw)).status == INFEASIBLE
+    assert solve_instance(build_instance(np.eye(2), [1.0, 1.0], beq=[0.3, 0.7], **kw)).status == INFEASIBLE
 
 
 def test_active_rows_land_exactly():
@@ -135,7 +135,7 @@ def test_active_rows_land_exactly():
     inst = build_instance(
         np.diag([2.0, 1.0]), [-4.0, -1.0], A=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, 0.25]
     )
-    sol = solve_qp(inst)
+    sol = solve_instance(inst)
     resid = inst.b - inst.A @ sol.x
     assert abs(resid[0]) < 1e-14
     assert abs(resid[1]) < 1e-14
@@ -143,7 +143,7 @@ def test_active_rows_land_exactly():
 
 def test_kkt_residual_fields():
     inst = build_instance(np.eye(2), [-1.0, -2.0], A=[[1.0, 1.0]], b=[1.0])
-    sol = solve_qp(inst)
+    sol = solve_instance(inst)
     r_stat, r_prim, r_comp = sol.residuals
     assert r_stat < 1e-9 and r_prim < 1e-12 and r_comp < 1e-10
 
@@ -157,8 +157,8 @@ def test_deterministic_repeat():
         A=rng.normal(size=(5, 3)),
         b=rng.normal(size=5) + 1.0,
     )
-    a = solve_qp(inst)
-    b = solve_qp(inst)
+    a = solve_instance(inst)
+    b = solve_instance(inst)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.lam.tobytes() == b.lam.tobytes()
 
@@ -188,7 +188,7 @@ def test_random_instances_match_enumeration():
     n_infeasible = 0
     for trial in range(1000):
         inst = _small_instance(rng)
-        sol = solve_qp(inst)
+        sol = solve_instance(inst)
         ref = brute_force(inst)
         if ref is None:
             assert sol.status == INFEASIBLE, f"trial {trial}"
@@ -230,7 +230,7 @@ def test_warm_start_matches_cold_solve():
     for seed, rng, inst in _sweep_instances():
         kind = kinds[seed % len(kinds)]
         m = inst.A.shape[0]
-        cold = solve_qp(inst)
+        cold = solve_instance(inst)
         active = np.flatnonzero(cold.lam > 0).tolist()
         start = {
             "empty": [],
@@ -239,7 +239,7 @@ def test_warm_start_matches_cold_solve():
             # the sum row with both its parts is a dependent set
             "superset": sorted(set(active) | ({0, 1, m - 1} if m >= 3 else set())),
         }[kind]
-        warm = solve_qp(inst, start=start)
+        warm = solve_instance(inst, start=start)
         assert not cold.warm, f"seed {seed}"
         assert warm.status == cold.status, f"seed {seed} ({kind})"
         if cold.status == INFEASIBLE:
@@ -262,10 +262,10 @@ def test_warm_start_matches_cold_solve():
 def test_warm_start_rows_are_checked():
     inst = build_instance(np.eye(2), [1.0, 1.0], A=[[1.0, 0.0]], b=[0.0])
     with pytest.raises(ValueError):
-        solve_qp(inst, start=[1])
+        solve_instance(inst, start=[1])
     with pytest.raises(ValueError):
-        solve_qp_batch(inst.H, inst.A, inst.Aeq, inst.c[None], inst.b[None], inst.beq[None],
-                       start=[[0], [0]])
+        solve_qp_batch(QpMatrices(inst.H, inst.A, inst.Aeq), inst.c[None], inst.b[None],
+                       inst.beq[None], start=[[0], [0]])
 
 
 def test_polish_takes_in_a_dependent_violated_row(monkeypatch):
@@ -278,7 +278,7 @@ def test_polish_takes_in_a_dependent_violated_row(monkeypatch):
         A=[[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]], b=[0.0, 0.0, -0.1],
     )
     monkeypatch.setattr(qp_mod, "MAX_ITER", 0)
-    sol = solve_qp(inst)
+    sol = solve_instance(inst)
     assert sol.status == OPTIMAL
     assert sol.x == pytest.approx([-0.5, -0.5], abs=1e-12)
     assert sol.lam == pytest.approx([0.0, 0.0, 15.0], abs=1e-10)
@@ -378,10 +378,10 @@ def test_batch_matches_single_solves(monkeypatch):
     seen = {OPTIMAL: 0, INFEASIBLE: 0}
     for (H, A, Aeq, c, b, beq), max_iter in stacks:
         monkeypatch.setattr(qp_mod, "MAX_ITER", max_iter)
-        batch = solve_qp_batch(H, A, Aeq, c, b, beq)
+        batch = solve_qp_batch(QpMatrices(H, A, Aeq), c, b, beq)
         for i in range(c.shape[0]):
             inst = build_instance(H, c[i], A=A, b=b[i], Aeq=Aeq, beq=beq[i])
-            single = solve_qp(inst)
+            single = solve_instance(inst)
             sol = batch.solution(i)
             assert sol.status == single.status, f"member {i}"
             assert np.max(np.abs(sol.x - single.x)) <= 1e-9, f"member {i}"
@@ -411,13 +411,14 @@ def test_stacked_polish_matches_one_at_a_time(monkeypatch):
     # with no interior-point iterations the polish starts from every row
     # within a slack of 1 of the start point
     monkeypatch.setattr(qp_mod, "MAX_ITER", 0)
-    batch = solve_qp_batch(H, A, Aeq, c, b, np.zeros((k, 0)))
+    batch = solve_qp_batch(QpMatrices(H, A, Aeq), c, b, np.zeros((k, 0)))
     # the count a loop over the members one at a time gave
     assert batch.polish_groups == 54
     assert batch.polish_groups > batch.factorizations.max()
     assert batch.lam[0].tolist() == pytest.approx([0.0, 0.0, 15.0, 0.0, 0.0], abs=1e-10)
     for i in range(k):
-        one = solve_qp_batch(H, A, Aeq, c[i : i + 1], b[i : i + 1], np.zeros((1, 0)))
+        one = solve_qp_batch(QpMatrices(H, A, Aeq), c[i : i + 1], b[i : i + 1],
+                             np.zeros((1, 0)))
         assert batch.status[i] == one.status[0], f"member {i}"
         assert np.flatnonzero(batch.lam[i] > 0).tolist() == np.flatnonzero(one.lam[0] > 0).tolist()
         assert batch.factorizations[i] == one.factorizations[0], f"member {i}"
@@ -472,7 +473,7 @@ def test_equal_rows_are_merged_exactly(monkeypatch):
     for seed in range(60):
         (H, A, Aeq, c, b, beq), group, distinct = _stack_with_copies(seed)
         k, (m, n) = c.shape[0], A.shape
-        batch = solve_qp_batch(H, A, Aeq, c, b, beq)
+        batch = solve_qp_batch(QpMatrices(H, A, Aeq), c, b, beq)
         assert seen_rows.pop() == distinct.shape[0], f"seed {seed}"
         with_eq += Aeq.shape[0] > 0
         for i in range(k):
@@ -506,7 +507,8 @@ def test_infeasible_stack_leaves_on_farkas_ray(random_feeder_case):
 
     def solve(rows):
         return solve_qp_batch(
-            H, A, Aeq, *(np.array([getattr(insts[i], f) for i in rows]) for f in ("c", "b", "beq"))
+            QpMatrices(H, A, Aeq),
+            *(np.array([getattr(insts[i], f) for i in rows]) for f in ("c", "b", "beq")),
         )
 
     batch = solve(range(32))
@@ -553,7 +555,7 @@ def test_certified_ray_exits_skip_the_polish():
     H, A, c, b, cut_off = _band_stack(0, 30, loose=1e8)
     k, n = c.shape
     none = np.zeros((k, 0))
-    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, none)
+    batch = solve_qp_batch(QpMatrices(H, A, np.zeros((0, n))), c, b, none)
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     assert (batch.exit[cut_off] == RAY).all()
     assert batch.phase_one == 0
@@ -564,7 +566,7 @@ def test_certified_ray_exits_skip_the_polish():
     assert not ray[~cut_off].any() and ray[cut_off].sum() >= 8
     # the polish never saw the instances that left on the ray
     keep = ~ray
-    rest = solve_qp_batch(H, A, np.zeros((0, n)), c[keep], b[keep], none[keep])
+    rest = solve_qp_batch(QpMatrices(H, A, np.zeros((0, n))), c[keep], b[keep], none[keep])
     assert batch.polish_groups == rest.polish_groups
 
 
@@ -576,7 +578,7 @@ def test_unconverged_exits_are_probed_after_polish():
     # check
     H, A, c, b, cut_off = _band_stack(11, 30, loose=1e8)
     k, n = c.shape
-    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    batch = solve_qp_batch(QpMatrices(H, A, np.zeros((0, n))), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     assert set(batch.exit[cut_off]) == {RAY, BROKEN} and (batch.exit[~cut_off] == CONVERGED).all()
     assert batch.phase_one == (batch.exit == BROKEN).sum() == 5
@@ -616,18 +618,18 @@ def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
     # the phase-1 problem, returns in lam and mu a certificate that passes
     # the Farkas check on its own rows, and HiGHS (feasible_lp) agrees that
     # it is infeasible
-    cases = [(inst.A, inst.Aeq, solve_qp(inst), inst.b, inst.beq)
+    cases = [(inst.A, inst.Aeq, solve_instance(inst), inst.b, inst.beq)
              for _, _, inst in _sweep_instances()]
     # the band stacks' broken exits, and equality rows that disagree, whose
     # certificates span the full dependent Aeq
     for seed, k, loose in ((0, 30, 1e8), (11, 30, 1e8), (11, 40, None)):
         H, A, c, b, _ = _band_stack(seed, k, loose)
-        batch = solve_qp_batch(H, A, np.zeros((0, 3)), c, b, np.zeros((k, 0)))
+        batch = solve_qp_batch(QpMatrices(H, A, np.zeros((0, 3))), c, b, np.zeros((k, 0)))
         cases += [(A, np.zeros((0, 3)), batch.solution(i), b[i], np.zeros(0)) for i in range(k)]
     for inst in (build_instance(np.eye(1), [0.0], Aeq=[[1.0], [1.0]], beq=[0.0, 1.0]),
                  build_instance(np.eye(2), [1.0, 1.0], A=[[1.0, 1.0]], b=[0.5],
                                   Aeq=[[1.0, 0.0], [2.0, 0.0]], beq=[0.3, 0.7])):
-        cases.append((inst.A, inst.Aeq, solve_qp(inst), inst.b, inst.beq))
+        cases.append((inst.A, inst.Aeq, solve_instance(inst), inst.b, inst.beq))
     # the unrelaxed demo at 24 overloaded hours, and again with every
     # headroom squeezed: the regulator gives it an equality row, which is
     # then doubled into a dependent one the check leaves out
@@ -642,7 +644,7 @@ def test_ray_exits_return_checked_certificates(demo_problem, demo_scenarios):
     assert Aeq.shape[0] == 1
     c, b, beq = (np.array([getattr(i, f) for i in insts]) for f in ("c", "b", "beq"))
     for Ae, be in ((Aeq, beq), (np.vstack([Aeq, 2.0 * Aeq]), np.hstack([beq, 2.0 * beq]))):
-        batch = solve_qp_batch(H, A, Ae, c, b, be)
+        batch = solve_qp_batch(QpMatrices(H, A, Ae), c, b, be)
         cases += [(A, Ae, batch.solution(i), b[i], be[i]) for i in range(len(insts))]
         # the phase-1 problem certifies the instances that left on rays too
         inf = batch.status == INFEASIBLE
@@ -668,7 +670,7 @@ def test_sub_tolerance_conflicts_stay_numerical_failures():
     # tolerance, finds no conflict either
     H, A, c, b, cut_off = _band_stack(11, 40, gap=(0.5e-8, 1e-8))
     k, n = c.shape
-    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    batch = solve_qp_batch(QpMatrices(H, A, np.zeros((0, n))), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, NUMERICAL_FAILURE, OPTIMAL)).all()
     assert batch.phase_one == cut_off.sum() == 14
     assert all(feasible_lp(build_instance(H, c[i], A=A, b=b[i]))
@@ -682,7 +684,7 @@ def test_a_loose_row_does_not_hide_a_violated_one():
     # optimal, while every other instance does
     H, A, c, b, cut_off = _band_stack(0, 40, loose=1e8, gap=(1e-5, 2e-5))
     k, n = c.shape
-    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    batch = solve_qp_batch(QpMatrices(H, A, np.zeros((0, n))), c, b, np.zeros((k, 0)))
     assert cut_off.sum() == 14
     assert (batch.status[cut_off] != OPTIMAL).all()
     assert (batch.status[~cut_off] == OPTIMAL).all()
@@ -695,9 +697,9 @@ SCIPY_BLOCKED = """
 import sys
 sys.modules["scipy"] = None
 import numpy as np
-from phca.qp import solve_qp_batch
+from phca.qp import QpMatrices, solve_qp_batch
 d = np.load(sys.argv[1])
-batch = solve_qp_batch(d["H"], d["A"], d["Aeq"], d["c"], d["b"], d["beq"])
+batch = solve_qp_batch(QpMatrices(d["H"], d["A"], d["Aeq"]), d["c"], d["b"], d["beq"])
 print(*batch.status, batch.phase_one)
 """
 
@@ -710,7 +712,7 @@ def test_phase_one_needs_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(qp_mod.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path / "stack.npz")],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
-    batch = solve_qp_batch(**stack)
+    batch = solve_qp_batch(QpMatrices(H, A, stack["Aeq"]), c, b, stack["beq"])
     assert batch.phase_one == 5
     assert proc.stdout.split() == [*batch.status, "5"]
 
@@ -769,7 +771,7 @@ def test_cut_off_band_stack_solves():
     # numpy 2.4 and OpenBLAS); their step breaks down, the others go on
     H, A, c, b, cut_off = _band_stack(11, 40)
     k, n = c.shape
-    batch = solve_qp_batch(H, A, np.zeros((0, n)), c, b, np.zeros((k, 0)))
+    batch = solve_qp_batch(QpMatrices(H, A, np.zeros((0, n))), c, b, np.zeros((k, 0)))
     assert (batch.status == np.where(cut_off, INFEASIBLE, OPTIMAL)).all()
     for i in np.flatnonzero(~cut_off)[:8]:
         ref = brute_force(build_instance(H, c[i], A=A, b=b[i]))
@@ -786,7 +788,7 @@ def test_feasible_large_cancelling_multipliers_are_no_ray(eps):
     # tol, so the method stalls; the polish settles the stall, so no
     # phase-1 problem is solved.
     A = np.array([[1.0, eps], [-1.0, eps]])
-    batch = solve_qp_batch(np.eye(2), A, np.zeros((0, 2)), np.zeros((1, 2)),
+    batch = solve_qp_batch(QpMatrices(np.eye(2), A, np.zeros((0, 2))), np.zeros((1, 2)),
                            np.full((1, 2), -1e4 * eps), np.zeros((1, 0)))
     assert batch.status[0] == OPTIMAL and batch.exit[0] == STALL and batch.phase_one == 0
     assert batch.x[0] == pytest.approx([0.0, -1e4], abs=1e-8)
@@ -795,10 +797,10 @@ def test_feasible_large_cancelling_multipliers_are_no_ray(eps):
 
 def test_identify_active_threshold():
     inst = build_instance(np.eye(1), [-1.0], A=[[1.0]], b=[0.5])
-    sol = solve_qp(inst)
-    assert list(identify_active(inst, sol, eps_act=1e-5)) == [0]
+    sol = solve_instance(inst)
+    assert list(identify_active(inst.A, inst.b, sol.x, eps_act=1e-5)) == [0]
     # a huge threshold flags everything near the bound, a zero-width one may not
-    assert list(identify_active(inst, sol, eps_act=10.0)) == [0]
+    assert list(identify_active(inst.A, inst.b, sol.x, eps_act=10.0)) == [0]
 
 
 def test_build_validates_shapes():
@@ -817,4 +819,24 @@ def test_build_validates_shapes():
 def test_batch_refuses_bad_hessian(H, message):
     c = np.ones((3, 2))
     with pytest.raises(ValueError, match=message):
-        solve_qp_batch(H, np.zeros((0, 2)), np.zeros((0, 2)), c, np.zeros((3, 0)), np.zeros((3, 0)))
+        solve_qp_batch(QpMatrices(H, np.zeros((0, 2)), np.zeros((0, 2))), c, np.zeros((3, 0)),
+                       np.zeros((3, 0)))
+
+
+def test_shapes_are_checked():
+    # a 2x3 A for two variables is refused rather than read as 3x2, and a
+    # c of shape (2, 3) rather than read as three instances; a block with
+    # no entries has no rows
+    for H, A, Aeq, message in [
+        (np.ones((2, 3)), [], [], r"H must be square, got shape \(2, 3\)"),
+        (np.eye(2), np.ones((2, 3)), [], r"A must have 2 columns, got shape \(2, 3\)"),
+        (np.eye(2), [], np.ones((1, 3)), r"Aeq must have 2 columns, got shape \(1, 3\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            QpMatrices(H, A, Aeq)
+    prep = QpMatrices(np.eye(2), [], np.zeros(0))
+    none = np.zeros((2, 0))
+    with pytest.raises(ValueError, match=r"shapes \(k, 2\), \(k, 0\) and \(k, 0\), got \(2, 3\)"):
+        solve_qp_batch(prep, np.ones((2, 3)), none, none)
+    batch = solve_qp_batch(prep, np.ones((2, 2)), none, none)
+    assert (batch.status == OPTIMAL).all() and batch.x.tolist() == [[-1.0, -1.0]] * 2

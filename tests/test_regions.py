@@ -11,9 +11,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import instance
+from helpers import instance, solve_instance
 
-from phca import run_batch, solve_qp
+from phca import run_batch
 from phca.errors import RankDeficientKError
 from phca.qp import OPTIMAL, identify_active
 from phca.regions import DX_BUDGET, SCREEN_DUAL, SCREEN_PRIMAL, RegionContext
@@ -40,10 +40,11 @@ def tiny_problem(A, E=None, b=None, n_theta=1):
 
 def seed_region(prob, theta):
     """Solve one instance directly and build the region its active set spans."""
-    sol = solve_qp(instance(prob, theta))
+    inst = instance(prob, theta)
+    sol = solve_instance(inst)
     assert sol.status == OPTIMAL
     ctx = RegionContext(prob)
-    region = ctx.build_region(identify_active(instance(prob, theta), sol, eps_act=1e-5))
+    region = ctx.build_region(identify_active(inst.A, inst.b, sol.x, eps_act=1e-5))
     return sol, region
 
 
@@ -124,7 +125,7 @@ def test_region_reproduces_direct_solves(scaled_demo_problem, rng):
         if not region.batch_membership(*data)[0]:
             continue
         hits += 1
-        direct = solve_qp(instance(prob, probe))
+        direct = solve_instance(instance(prob, probe))
         assert direct.status == OPTIMAL
         assert np.max(np.abs(region.batch_solutions(*data)[0] - direct.x)) < 1e-8
     assert hits > 50  # the perturbation scale keeps most probes inside

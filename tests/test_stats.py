@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 from conftest import bench_workloads, regulated_radial_case
+from helpers import soft_violations
 
 import phca.stats as stats_mod
 from phca import (
@@ -29,7 +30,6 @@ from phca.stats import (
     recover_ratios,
     render_report,
     slack_values,
-    soft_violations,
     voltage_matrix,
 )
 
