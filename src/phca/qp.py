@@ -17,6 +17,17 @@ and corrector directions are both solved with that factorization (no
 inverses), while each instance keeps its own step lengths, best iterate
 and exit.
 
+The interior-point method holds its stack instance axis last: y as
+(nz, k), z and lam as (m, k), one column per instance, and so are the
+step's work arrays, so that its products are Az y, Az'lam and one GEMM
+for the k triangles, and every per-instance max, min, all and dot product
+reduces over axis 0, a contiguous row of k at a time.  numpy reduces a
+short contiguous row axis slowly: at k = 1,000 (one BLAS thread), max
+over axis 1 of a (k, 27) array takes 62 us and over axis 0 of its
+(27, k) transpose 6.7 us, 90 against 25 us at 101 columns, and about the
+same at 1,037.  The callers keep one instance per row; the method
+transposes its inputs on entry and each instance's answers as it leaves.
+
 The interior-point method sees each distinct inequality row once, as in
 the duplicate-row step of LP presolve.  Of rows a'x <= b_1, ..., a'x <=
 b_r that are equal entry for entry in x-space, only one with the least
@@ -311,15 +322,16 @@ def _farkas(A, Aeq, b, beq, lam, mu) -> np.ndarray:
 
 
 def _ipm_residuals(Hz, Az, AzT, s):
-    """Dual and primal residuals, the complementarity gap and lam @ Az of
-    every instance in the interior-point state s; AzT is Az.T, contiguous."""
+    """Dual and primal residuals, the complementarity gap and Az' lam of
+    every instance in the interior-point state s, one column per
+    instance; AzT is Az.T, contiguous."""
     y, z, lam = s["y"], s["z"], s["lam"]
-    lam_az = lam @ Az
-    r_d = y @ Hz + lam_az + s["cz"]
-    r_p = y @ AzT
+    lam_az = AzT @ lam
+    r_d = Hz.T @ y + lam_az + s["cz"]
+    r_p = Az @ y
     r_p += z
     r_p -= s["bz"]
-    return r_d, r_p, np.einsum("ij,ij->i", z, lam) / z.shape[1], lam_az
+    return r_d, r_p, np.einsum("ik,ik->k", z, lam) / z.shape[0], lam_az
 
 
 @functools.lru_cache(maxsize=16)
@@ -336,9 +348,9 @@ def _triangle(n: int) -> tuple[np.ndarray, ...]:
 
 def _spd_solver(tri: np.ndarray, n: int):
     """Factor once each symmetric n x n matrix of a stack given by its lower
-    triangles, one row of tri per matrix in _triangle order; return
-    solve(rhs), which gives row i of rhs solved against matrix i, and NaN
-    for a matrix that is not numerically positive definite.
+    triangles, one column of tri per matrix in _triangle order; return
+    solve(rhs), which gives column i of rhs (n rows) solved against matrix
+    i, and NaN for a matrix that is not numerically positive definite.
 
     A stack of k matrices with k n >= 1024 is factored M = U E U' (U unit
     lower triangular, E diagonal: the Cholesky factorization, E holding the
@@ -348,19 +360,24 @@ def _spd_solver(tri: np.ndarray, n: int):
     when some pivot in E is not positive, as a Cholesky factorization
     finds it.  That costs about 5n numpy calls per factorization and 2n per
     solve whatever k is, where LAPACK's stacked Cholesky and LU solve cost
-    per matrix, so smaller stacks keep those: a Cholesky check, then an LU
-    solve per right-hand side.  Per factorization and two solves (medians,
-    one BLAS thread), LAPACK against substitution: at n = 14, 34 against
-    357 us for k = 1, 340 against 402 for k = 64, 757 against 492 for
-    k = 128 and 1,325 against 632 for k = 256; at n = 5, 177 against 160
-    us for k = 128; at n = 102, 3.96 against 6.68 ms for k = 8 and 6.20
-    against 5.97 ms for k = 16.
+    per matrix, so smaller stacks keep those, with the triangles
+    transposed once and each right-hand side in and out: a Cholesky
+    check, then an LU solve per right-hand side.  Per factorization and
+    two solves (medians, one BLAS thread), LAPACK against substitution: at
+    n = 14, 26 against 310 us for k = 1, 306 against 340 for k = 64, 587
+    against 408 for k = 128 and 1,140 against 509 for k = 256; at n = 5,
+    149 against 118 us for k = 128; at n = 102, 1.97 against 3.85 ms for
+    k = 8 and 4.30 against 4.76 ms for k = 16.  The two cross near
+    k n = 1,000-1,400 at n = 14 and 22 (the 80- and 123-bus feeders'
+    problems), so the switch stays there; they cross near 500 at n = 5
+    (the demo's) and 2,500 at n = 102, where the path it picks costs up
+    to a third more between the crossing and the switch.
     """
-    k = tri.shape[0]
+    k = tri.shape[1]
     _, _, low, up = _triangle(n)
     if k * n < 1024:
         M = np.empty((k, n * n))
-        M[:, low] = M[:, up] = tri
+        M[:, low] = M[:, up] = tri.T
         M = M.reshape(k, n, n)
         try:
             np.linalg.cholesky(M)
@@ -374,21 +391,21 @@ def _spd_solver(tri: np.ndarray, n: int):
 
         def solve(rhs):
             try:
-                return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+                x = np.linalg.solve(M, rhs.T[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 # a Cholesky factorization can pass on a matrix that
                 # rounding leaves singular to LU; it fails the whole call
-                out = np.full_like(rhs, np.nan)
-                for i, (Mi, ri) in enumerate(zip(M, rhs)):
+                x = np.full((k, n), np.nan)
+                for i, Mi in enumerate(M):
                     with contextlib.suppress(np.linalg.LinAlgError):
-                        out[i] = np.linalg.solve(Mi, ri)
-                return out
+                        x[i] = np.linalg.solve(Mi, rhs[:, i])
+            return np.ascontiguousarray(x.T)
 
         return solve
 
     # U overwrites the strict lower triangle of F and E its diagonal
     F = np.empty((n * n, k))
-    F[low] = tri.T
+    F[low] = tri
     E = F[:: n + 1]
     F = F.reshape(n, n, k)
     with np.errstate(all="ignore"):
@@ -402,7 +419,7 @@ def _spd_solver(tri: np.ndarray, n: int):
 
     def solve(rhs):
         # U w = rhs row by row, then U' x = E^-1 w a column of U' at a time
-        x = rhs.T.copy()
+        x = rhs.copy()
         with np.errstate(all="ignore"):
             for j in range(1, n):
                 x[j] -= np.einsum("jk,jk->k", F[j, :j], x[:j])
@@ -410,7 +427,7 @@ def _spd_solver(tri: np.ndarray, n: int):
             for j in range(n - 1, 0, -1):
                 x[:j] -= F[j, :j] * x[j]
         x[:, bad] = np.nan
-        return np.ascontiguousarray(x.T)
+        return x
 
     return solve
 
@@ -419,9 +436,9 @@ def _newton(solve, base, Az, AzT, r_p, d, w):
     """Newton direction (dy, dz, dlam) for the complementarity target
     w = tau / z - lam, given the solver of the augmented Hessians and the
     target-free part base of the right-hand side."""
-    dy = solve(base - w @ Az)
-    # dz = -r_p - dy Az' and dlam = w - d dz, one array each
-    dz = dy @ AzT
+    dy = solve(base - AzT @ w)
+    # dz = -r_p - Az dy and dlam = w - d dz, one array each
+    dz = Az @ dy
     dz += r_p
     np.negative(dz, out=dz)
     dlam = d * dz
@@ -431,7 +448,7 @@ def _newton(solve, base, Az, AzT, r_p, d, w):
 
 def _max_step(z, lam, dz, dlam):
     """Largest step in (0, 1] per instance that keeps z and lam nonnegative."""
-    worst = -np.minimum((dz / z).min(axis=1), (dlam / lam).min(axis=1))
+    worst = -np.minimum((dz / z).min(axis=0), (dlam / lam).min(axis=0))
     return 1.0 / np.maximum(worst, 1.0)
 
 
@@ -440,16 +457,16 @@ def _corrector_target(solve, base, Az, AzT, r_p, d, z, lam, mu_c):
     dlam_a) / z - lam, from the predictor direction (dz_a, dlam_a): the
     Newton direction for the target -lam."""
     _, dz_a, dlam_a = _newton(solve, base, Az, AzT, r_p, d, -lam)
-    alpha_a = _max_step(z, lam, dz_a, dlam_a)[:, None]
+    alpha_a = _max_step(z, lam, dz_a, dlam_a)
     z_a = alpha_a * dz_a
     z_a += z
     lam_a = alpha_a * dlam_a
     lam_a += lam
-    mu_aff = np.einsum("ij,ij->i", z_a, lam_a) / z.shape[1]
+    mu_aff = np.einsum("ik,ik->k", z_a, lam_a) / z.shape[0]
     sigma_mu = np.where(mu_c > 0, (mu_aff / mu_c) ** 3, 0.0) * mu_c
     # written over z_a
     w = np.multiply(dz_a, dlam_a, out=z_a)
-    np.subtract(sigma_mu[:, None], w, out=w)
+    np.subtract(sigma_mu, w, out=w)
     w /= z
     w -= lam
     return w
@@ -464,32 +481,31 @@ def _ipm_step(red, s, r_d, r_p, mu_c):
     Hz, Hz_low, Az, AzT, AA = red
     y, z, lam = s["y"], s["z"], s["lam"]
     d = lam / z
-    tri = d @ AA
-    tri += Hz_low
+    tri = AA @ d
+    tri += Hz_low[:, None]
     solve = _spd_solver(tri, Hz.shape[0])
     del tri  # the solver holds its own copy
-    base = -(r_d + (d * r_p) @ Az)
+    base = -(r_d + AzT @ (d * r_p))
     w = _corrector_target(solve, base, Az, AzT, r_p, d, z, lam, mu_c)
     dy, dz, dlam = _newton(solve, base, Az, AzT, r_p, d, w)
     alpha = np.maximum(0.99, 1.0 - 10.0 * mu_c) * _max_step(z, lam, dz, dlam)
     # the step broke down (a factorization failed, giving NaN, or an
     # iterate overflowed): the instance stays put and leaves next time
     broken = ~(
-        (alpha > 1e-14) & np.isfinite(dy).all(axis=1) & np.isfinite(dlam).all(axis=1)
+        (alpha > 1e-14) & np.isfinite(dy).all(axis=0) & np.isfinite(dlam).all(axis=0)
     )
     if broken.any():
         alpha[broken] = 0.0
-        dy[broken], dz[broken], dlam[broken] = 0.0, 0.0, 0.0
+        dy[:, broken], dz[:, broken], dlam[:, broken] = 0.0, 0.0, 0.0
     s["broken"] = broken
-    step = alpha[:, None]
-    s["y"] = y + step * dy
-    # z + step dz and lam + step dlam, over the directions; a full-length
+    s["y"] = y + alpha * dy
+    # z + alpha dz and lam + alpha dlam, over the directions; a full-length
     # step can land a slack on exactly zero, so keep it strictly interior,
     # where lam / z stays finite
-    dz *= step
+    dz *= alpha
     dz += z
     s["z"] = np.maximum(dz, 1e-14, out=dz)
-    dlam *= step
+    dlam *= alpha
     dlam += lam
     s["lam"] = dlam
 
@@ -497,8 +513,8 @@ def _ipm_step(red, s, r_d, r_p, mu_c):
 class _Reduced(NamedTuple):
     """The interior-point method's problem matrices: Hz with its lower
     triangle Hz_low (in _triangle order), the rows Az with AzT = Az.T
-    (contiguous), and AA, row i of which holds the lower triangle of
-    row i's outer product, so that the lower triangles of the augmented
+    (contiguous), and AA, column r of which holds the lower triangle of
+    row r's outer product, so that the lower triangles of the augmented
     Hessians are one GEMM."""
 
     Hz: np.ndarray
@@ -510,14 +526,15 @@ class _Reduced(NamedTuple):
 
 def _reduced(Hz, Az) -> _Reduced:
     nz = Hz.shape[0]
+    AzT = np.ascontiguousarray(Az.T)
     # written a triangle row at a time, with no gathered copy of Az as
     # large as AA
-    AA = np.empty((Az.shape[0], nz * (nz + 1) // 2))
+    AA = np.empty((nz * (nz + 1) // 2, Az.shape[0]))
     for i in range(nz):
         start = i * (i + 1) // 2
-        np.multiply(Az[:, i, None], Az[:, : i + 1], out=AA[:, start : start + i + 1])
+        np.multiply(AzT[i], AzT[: i + 1], out=AA[start : start + i + 1])
     rows, cols, _, _ = _triangle(nz)
-    return _Reduced(Hz, Hz[rows, cols], Az, np.ascontiguousarray(Az.T), AA)
+    return _Reduced(Hz, Hz[rows, cols], Az, AzT, AA)
 
 
 def _interior_point(red, cz, bz, y):
@@ -540,23 +557,30 @@ def _interior_point(red, cz, bz, y):
     (_spd_solver); the predictor and the corrector direction are solved
     with that factorization.  A matrix that fails it gives a NaN direction,
     so the instance's step breaks down and it leaves with BROKEN.
+
+    The method holds its stack instance axis last (see the module
+    docstring): cz, bz and y are transposed once on entry, and each
+    instance's answers once as it leaves.
     """
     k, nz = cz.shape
     Hz, Hz_low, Az, AzT, AA = red
     m = Az.shape[0]
-    z = bz - y @ AzT
-    lam = np.ones((k, m))
-    # row i of every array belongs to instance idx[i]; leave() is the one
-    # place that shrinks the stack, and it filters every array in s
+    y = np.ascontiguousarray(y.T)
+    bz = np.ascontiguousarray(bz.T)
+    z = bz - Az @ y
+    lam = np.ones((m, k))
+    # column i of every array, entry i of every vector, belongs to
+    # instance idx[i]; leave() is the one place that shrinks the stack,
+    # and it filters every array in s
     s = {
-        "idx": np.arange(k), "cz": cz, "bz": bz,
+        "idx": np.arange(k), "cz": np.ascontiguousarray(cz.T), "bz": bz,
         "y": y, "z": np.where(z > 1.0, z, 1.0), "lam": lam,
         "best": np.full(k, np.inf), "best_y": y, "best_lam": lam,
         "stall": np.zeros(k, dtype=np.int64), "broken": np.zeros(k, dtype=bool),
         "ray": np.zeros(k, dtype=bool),
     }
     # s alone holds the state, so its arrays are freed as the stack shrinks
-    del z, lam
+    del y, bz, z, lam
     out_y = np.empty((k, nz))
     out_lam = np.empty((k, m))
     iters = np.zeros(k, dtype=np.int64)
@@ -564,43 +588,45 @@ def _interior_point(red, cz, bz, y):
 
     def leave(s, out, it, kind):
         """Store the answers of the instances in out, whose exit kinds are
-        in kind (one index into IPM_EXITS per row of s); return the state
-        of the others."""
-        yo, lo = s["y"][out], s["lam"][out]
-        slack = s["bz"][out] - yo @ AzT
+        in kind (one index into IPM_EXITS per instance of s); return the
+        state of the others."""
+        yo, lo = s["y"][:, out], s["lam"][:, out]
+        slack = s["bz"][:, out] - Az @ yo
         now = np.maximum(
-            np.maximum(np.abs(yo @ Hz + s["cz"][out] + lo @ Az).max(axis=1, initial=0.0),
-                       -slack.min(axis=1)),
-            np.abs(lo * slack).max(axis=1),
+            np.maximum(np.abs(Hz.T @ yo + s["cz"][:, out] + AzT @ lo).max(axis=0, initial=0.0),
+                       -slack.min(axis=0)),
+            np.abs(lo * slack).max(axis=0),
         )
-        take_best = (~np.isfinite(now) | (s["best"][out] < now))[:, None]
+        take_best = ~np.isfinite(now) | (s["best"][out] < now)
         i = s["idx"][out]
-        out_y[i] = np.where(take_best, s["best_y"][out], yo)
+        out_y[i] = np.where(take_best, s["best_y"][:, out], yo).T
         # a ray exit keeps the multipliers that passed the ray test
-        ray = (kind[out] == IPM_EXITS.index(RAY))[:, None]
-        out_lam[i] = np.where(take_best & ~ray, s["best_lam"][out], lo)
+        ray = kind[out] == IPM_EXITS.index(RAY)
+        out_lam[i] = np.where(take_best & ~ray, s["best_lam"][:, out], lo).T
         # an instance whose step broke down did not take this iteration's step
         iters[i] = it - s["broken"][out]
         exits[i] = kind[out]
-        return {name: a[~out] for name, a in s.items()}
+        return {name: a[..., ~out] for name, a in s.items()}
 
     with np.errstate(all="ignore"):
         for it in range(1, MAX_ITER + 1):
             r_d, r_p, mu_c, lam_az = _ipm_residuals(Hz, Az, AzT, s)
-            rp_max = np.abs(r_p).max(axis=1)
-            merit = np.maximum(np.maximum(np.abs(r_d).max(axis=1, initial=0.0), rp_max), mu_c)
+            rp_max = np.abs(r_p).max(axis=0)
+            merit = np.maximum(np.maximum(np.abs(r_d).max(axis=0, initial=0.0), rp_max), mu_c)
             better = merit < s["best"]
             s["best"] = np.where(better, merit, s["best"])
             if better.all():
-                # no array in s is written in place, so sharing is safe
+                # a step replaces y and lam rather than writing into
+                # them, so the best iterate may share them, and the copies
+                # below then write into buffers that only it holds
                 s["best_y"], s["best_lam"] = s["y"], s["lam"]
             else:
-                s["best_y"] = np.where(better[:, None], s["y"], s["best_y"])
-                s["best_lam"] = np.where(better[:, None], s["lam"], s["best_lam"])
+                np.copyto(s["best_y"], s["y"], where=better)
+                np.copyto(s["best_lam"], s["lam"], where=better)
             s["stall"] = np.where(better, 0, s["stall"] + 1)
-            b_lam = np.einsum("ij,ij->i", s["bz"], s["lam"])
+            b_lam = np.einsum("ik,ik->k", s["bz"], s["lam"])
             s["ray"] = (b_lam < 0) & (
-                np.abs(lam_az).max(axis=1, initial=0.0) <= -RAY_TOL * b_lam
+                np.abs(lam_az).max(axis=0, initial=0.0) <= -RAY_TOL * b_lam
             )
             # certified infeasible, converged, collapsed without reaching
             # feasibility, stalled, or the last Newton step broke down
@@ -687,7 +713,8 @@ def _polish(H, A, Aeq, c, b, beq, work, max_updates):
             xs, mus, lam_w = sol[:, :n], sol[:, n : n + e], sol[:, n + e :]
             lam_tol = 1e-11 * (1.0 + np.abs(lam_w).max(axis=1, initial=0.0))
             neg = (lam_w < -lam_tol[:, None]).any(axis=1)
-            resid = xs @ A.T - b[members]
+            with np.errstate(invalid="ignore", over="ignore"):
+                resid = xs @ A.T - b[members]
             resid[:, rows] = 0.0
             viol = (resid > 1e-11 * scale_b[members][:, None]).any(axis=1)
             # each member's move: the row it drops, m + the row it takes
@@ -869,25 +896,28 @@ def _solve_cold(prep, c, b, beq):
     k, n = c.shape
     m, e = A.shape[0], prep.Aeq.shape[0]
     r = eq_rows.size
-    x0 = beq[:, eq_rows] @ P if r else np.zeros((k, n))
-    cz = (x0 @ H + c) @ Z
-    y = -np.linalg.solve(prep.Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
-    iterations = np.zeros(k, dtype=np.int64)
-    exits = np.full(k, NONE, dtype=object)
-    if not m:
-        lam = np.zeros((k, 0))
-    else:
-        # one row per group at each instance's least right-hand side in it;
-        # each multiplier goes back to the row that holds that side
-        rows, bz = _least(prep.groups, b)
-        bz -= x0 @ prep.A_dist.T
-        y, lam_k, iterations, exits = _interior_point(prep.reduced, cz, bz, y)
-        lam = np.zeros((k, m))
-        lam[np.arange(k)[:, None], rows] = lam_k
-    x = x0 + y @ Z.T
-    mu = np.zeros((k, e))
-    if r:
-        mu[:, eq_rows] = -(x @ H + c + lam @ A) @ P.T
+    # a non-finite c or beq makes NaN of these products (0 inf, inf - inf),
+    # which ends in a numerical failure, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        x0 = beq[:, eq_rows] @ P if r else np.zeros((k, n))
+        cz = (x0 @ H + c) @ Z
+        y = -np.linalg.solve(prep.Hz, cz.T).T if Z.shape[1] else np.zeros((k, 0))
+        iterations = np.zeros(k, dtype=np.int64)
+        exits = np.full(k, NONE, dtype=object)
+        if not m:
+            lam = np.zeros((k, 0))
+        else:
+            # one row per group at each instance's least right-hand side in
+            # it; each multiplier goes back to the row that holds that side
+            rows, bz = _least(prep.groups, b)
+            bz -= x0 @ prep.A_dist.T
+            y, lam_k, iterations, exits = _interior_point(prep.reduced, cz, bz, y)
+            lam = np.zeros((k, m))
+            lam[np.arange(k)[:, None], rows] = lam_k
+        x = x0 + y @ Z.T
+        mu = np.zeros((k, e))
+        if r:
+            mu[:, eq_rows] = -(x @ H + c + lam @ A) @ P.T
 
     # an instance whose ray passes the Farkas check is infeasible and
     # holds its certificate in lam and mu
@@ -953,7 +983,8 @@ def _near_active(A, b, x, lam, keep):
     marks: the rows an iterate holds near-active, one set per pattern,
     held by the kept instances that show it (positions among them), the
     patterns in the order they first appear."""
-    slack = b - x @ A.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        slack = b - x @ A.T
     near = ((slack < lam) | (slack <= 1e-8 * (1.0 + np.abs(b))))[keep]
     # each instance's pattern as one byte string
     packed = np.packbits(near, axis=1)
