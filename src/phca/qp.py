@@ -55,14 +55,14 @@ after a dozen iterations rather than after the interior-point method
 collapses or stalls.
 
 What depends only on H, A and Aeq is built once per problem, in
-QpMatrices: H's check, the independent equality rows with Z, P and Z'HZ,
-and A's groups of equal rows, so that a call forms only each instance's
-least right-hand side in each group; and, on the first cold solve, the
-interior-point method's rows Az, their transpose, the lower triangles of
-their outer products and Z'HZ's lower triangle.  It is the only way the
-matrices reach the solver, so a caller that solves many stacks on the
-same matrices builds it once and hands it to every call; its objective
-is the one formula for 0.5 x'Hx + c'x.
+QpMatrices: H's check and Cholesky factor, the independent equality rows
+with Z, P and Z'HZ, and A's groups of equal rows, so that a call forms
+only each instance's least right-hand side in each group; and, on the
+first cold solve, the interior-point method's rows Az, their transpose,
+the lower triangles of their outer products and Z'HZ's lower triangle.
+It is the only way the matrices reach the solver, so a caller that
+solves many stacks on the same matrices builds it once and hands it to
+every call; its objective is the one formula for 0.5 x'Hx + c'x.
 
 A Newton polish on each guessed active set lands on the exact KKT point,
 so active row residuals end up at machine precision rather than at
@@ -837,14 +837,14 @@ def _block(M, n: int, name: str) -> np.ndarray:
 
 class QpMatrices:
     """The matrices H, A and Aeq that a stack of instances shares, checked,
-    with what every solve on them shares, built once: eq_rows, the
-    independent rows of Aeq (Aeq_ind holds them); Z, whose columns span
-    their null space, P, with x0 = beq P on them, and Hz = Z'HZ; and A's
-    groups of equal rows, with A_dist holding one row per group.  reduced,
-    the interior-point method's matrices on A_dist, is built on the first
-    cold solve.  Raises ValueError unless H is square, symmetric and
-    positive definite and A and Aeq have H's column count (a block with no
-    entries has no rows)."""
+    with what every solve on them shares, built once: L, with H = L L';
+    eq_rows, the independent rows of Aeq (Aeq_ind holds them); Z, whose
+    columns span their null space, P, with x0 = beq P on them, and Hz =
+    Z'HZ; and A's groups of equal rows, with A_dist holding one row per
+    group.  reduced, the interior-point method's matrices on A_dist, is
+    built on the first cold solve.  Raises ValueError unless H is square,
+    symmetric and positive definite and A and Aeq have H's column count (a
+    block with no entries has no rows)."""
 
     def __init__(self, H, A, Aeq):
         self.H = H = np.asarray(H, dtype=float)
@@ -856,7 +856,7 @@ class QpMatrices:
         if not np.abs(H - H.T).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(H).max(initial=0.0)):
             raise ValueError("H must be symmetric")
         try:
-            np.linalg.cholesky(H)
+            self.L = np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
             raise ValueError("H must be positive definite") from None
         self.eq_rows = _independent_rows(Aeq)

@@ -9,16 +9,16 @@ equality rows (K_S, say) is linear in the instance data:
 
 with xu = -H^-1 c the unconstrained minimizer.  A region serves an
 instance when this point is certified: primal feasible on every row, with
-nonnegative multipliers on the active rows.  RegionContext checks that H
-is positive definite and forms H^-1 K' (an LU solve with H, as for each
-batch's xu) and the Gram matrix K H^-1 K' once per problem; build_region
-then factors the active set's principal block of it.  No region array
-depends on the number of parameters.
+nonnegative multipliers on the active rows.  RegionContext forms, once
+per problem, W = L^-1 K' from the Cholesky factor L of H that QpMatrices
+keeps, then H^-1 K' = L^-T W and the Gram matrix W'W (the range-space
+form; Nocedal & Wright, Numerical Optimization, 2nd ed., 16.2), and
+build_region factors the active set's principal block of W'W.  No region
+array depends on the number of parameters.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,31 +106,29 @@ class CriticalRegion:
 
 
 class RegionContext:
-    """Per-problem factorizations shared by every region build.
+    """Per-problem algebra shared by every region build.
 
-    Holds K = [A; B], H^-1 K' and the Gram matrix K H^-1 K', so each region
-    only pays for its own principal block, and, from the first direct
-    solve on, the solver's QpMatrices, so every solve shares it.  Raises
-    numpy.linalg.LinAlgError when H is not positive definite.
+    Holds qp, the problem's QpMatrices, which every direct solve shares,
+    K = [A; B] and, from qp's factor L, Linv = L^-1, H^-1 K' and the Gram
+    matrix K H^-1 K', so each region only pays for its own principal
+    block.  Raises ValueError when H is not positive definite.
     """
 
     def __init__(self, prob):
         self.prob = prob
+        self.qp = QpMatrices(prob.H, prob.A, prob.B)
         self.n_rows = prob.A.shape[0]
         self.K = np.vstack([prob.A, prob.B])
-        np.linalg.cholesky(prob.H)
-        self.HinvKT = np.linalg.solve(prob.H, self.K.T)
-        self.KHK = self.K @ self.HinvKT
-
-    @functools.cached_property
-    def qp(self) -> QpMatrices:
-        return QpMatrices(self.prob.H, self.prob.A, self.prob.B)
+        self.Linv = np.linalg.inv(self.qp.L)
+        W = self.Linv @ self.K.T
+        self.HinvKT = self.Linv.T @ W
+        self.KHK = W.T @ W
 
     def instance_data(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """MpqpProblem.instance_data's costs c and right-hand sides rhs, with
-        the unconstrained minimizers xu = -H^-1 c between them."""
+        the unconstrained minimizers xu = -c L^-T L^-1 between them."""
         c, rhs = self.prob.instance_data(thetas)
-        return c, -np.linalg.solve(self.prob.H, c.T).T, rhs
+        return c, -(c @ self.Linv.T) @ self.Linv, rhs
 
     def build_region(self, active_set) -> CriticalRegion:
         """Region for one active-set signature.

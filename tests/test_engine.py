@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from conftest import bench_workloads, float_columns
+from conftest import bench_workloads, float_columns, set_float_columns
 from helpers import instance, soft_violations, solve_instance
 
 import phca.engine as engine_mod
@@ -29,7 +29,7 @@ from phca import (
 from phca.builder import BuilderConfig
 from phca.engine import STATUSES
 from phca.errors import AbortError, DimensionError, RankDeficientKError, SchemaError
-from phca.qp import OPTIMAL, QpMatrices, solve_qp_batch
+from phca.qp import DEFAULT_TOL, NUMERICAL_FAILURE, OPTIMAL, QpMatrices, solve_qp_batch
 from phca.regions import SCREEN_DUAL, SCREEN_PRIMAL, CriticalRegion, RegionContext
 from phca.stats import json_report, recover_ratios, render_report
 
@@ -569,6 +569,84 @@ def test_validate_batch_flags_nan_solution(scaled_demo_problem, small_theta_set)
     res.x[3, 3] = np.nan
     report = validate_batch(res, indices=np.arange(5))
     assert report.mismatches == (3,)
+
+
+def _cost_gradient(res, i):
+    """H x + c at row i's solution, in the scaled problem's units."""
+    c, _ = res.problem.instance_data(res.thetas[i : i + 1])
+    return res.x[i] @ res.problem.H + c[0]
+
+
+def test_validate_batch_flags_dx_alone(random_feeder_batch):
+    # a step of 2e-6 orthogonal to the cost gradient moves the objective by
+    # its curvature term alone, far inside VALIDATE_OBJ_TOL: only the dx
+    # bound can flag it
+    prob, thetas = random_feeder_batch
+    res = run_batch(prob, thetas[:10])
+    g = _cost_gradient(res, 5)
+    d = np.random.default_rng(0).standard_normal(g.size)
+    d -= (d @ g) / (g @ g) * g
+    res.x[5] += 2e-6 * d / np.abs(d).max()
+    report = validate_batch(res)
+    assert report.mismatches == (5,)
+    assert 1.9e-6 < report.max_dx < 2.1e-6
+    assert report.max_rel_objective_gap < 1e-3 * engine_mod.VALIDATE_OBJ_TOL
+
+
+def test_validate_batch_flags_objective_gap_alone(random_feeder_batch):
+    # a step of 5e-7 along the cost gradient stays inside VALIDATE_DX_TOL and
+    # raises the objective by a few times VALIDATE_OBJ_TOL: only the
+    # objective bound can flag it
+    prob, thetas = random_feeder_batch
+    res = run_batch(prob, thetas[:10])
+    g = _cost_gradient(res, 5)
+    res.x[5] += 5e-7 * g / np.abs(g).max()
+    report = validate_batch(res)
+    assert report.mismatches == (5,)
+    assert report.max_dx < engine_mod.VALIDATE_DX_TOL
+    assert 2 * engine_mod.VALIDATE_OBJ_TOL < report.max_rel_objective_gap < 1e-7
+
+
+def test_validate_batch_flags_a_re_solve_that_is_not_optimal(random_feeder_batch, monkeypatch):
+    # the re-solve of row 5 reports a numerical failure at its own x, which
+    # the stored x matches: the row fails on its status alone
+    prob, thetas = random_feeder_batch
+    res = run_batch(prob, thetas[:10])
+    real = engine_mod.solve_qp_batch
+
+    def failing_row_5(*args):
+        sols = real(*args)
+        assert np.abs(sols.x[5] - res.x[5]).max() < 1e-12
+        sols.status[5] = NUMERICAL_FAILURE
+        return sols
+
+    monkeypatch.setattr(engine_mod, "solve_qp_batch", failing_row_5)
+    report = validate_batch(res)
+    assert report.mismatches == (5,)
+    assert report.max_dx < 1e-12
+
+
+def test_loader_refuses_a_stored_row_just_past_its_tolerance(batch, scaled_demo_problem):
+    # a budget row moved to violate its most nearly active inequality row
+    # by 1e-6, a hundred times the primal tolerance there, is not a direct
+    # solve's optimum
+    prob = scaled_demo_problem
+    res = run_batch(prob, batch.thetas, EngineOptions(solve_budget=2))
+    payload = json.loads(res.to_json())
+    x, rows = float_columns(payload)
+    i = rows[0]
+    assert STATUSES[res.status[i]] == "budget-exhausted"
+    _, rhs = prob.instance_data(res.thetas[i : i + 1])
+    b = rhs[0, : prob.A.shape[0]]
+    r = prob.A @ x[0] - b
+    j = int(np.argmax(r))
+    assert max(SCREEN_PRIMAL, DEFAULT_TOL * (1.0 + abs(b[j]))) <= 1e-8
+    a = prob.A[j]
+    x[0] += (1e-6 - r[j]) / (a @ a) * a
+    assert np.isclose((prob.A @ x[0] - b).max(), 1e-6, rtol=1e-6, atol=0.0)
+    set_float_columns(payload, x)
+    with pytest.raises(SchemaError, match=f"row {i} is solved but its solution is infeasible"):
+        load_result_json(json.dumps(payload), prob, res.thetas)
 
 
 def test_validate_batch_crosses_blocks(

@@ -275,8 +275,50 @@ def test_rank_deficient_active_set_rejected():
 def test_non_positive_definite_hessian_rejected(diag):
     prob = tiny_problem([[1.0, 0.0]])
     prob.H = np.diag(diag)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(ValueError, match="H must be positive definite"):
         RegionContext(prob)
+
+
+def _assert_algebra_matches_lu_solves(ctx, thetas):
+    """ctx's products of L^-1 against LU solves with H: H^-1 K', the Gram
+    matrix K H^-1 K' and the unconstrained minimizers -H^-1 c, each within
+    10 cond(H) eps of its largest entry, as both forms lose about cond(H)
+    eps; the Gram matrix exactly symmetric, and the kept factor L lower
+    triangular with L L' = H."""
+    H, K = ctx.prob.H, ctx.K
+    rtol = 10 * np.linalg.cond(H) * np.finfo(float).eps
+    HinvKT = np.linalg.solve(H, K.T)
+    c, xu, rhs = ctx.instance_data(thetas)
+    want_c, want_rhs = ctx.prob.instance_data(thetas)
+    assert np.array_equal(c, want_c) and np.array_equal(rhs, want_rhs)
+    for got, want in ((ctx.HinvKT, HinvKT), (ctx.KHK, K @ HinvKT),
+                      (xu, -np.linalg.solve(H, c.T).T)):
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+    assert np.array_equal(ctx.KHK, ctx.KHK.T)
+    L = ctx.qp.L
+    assert np.array_equal(L, np.tril(L))
+    assert np.abs(L @ L.T - H).max() <= 1e-14 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_per_problem_algebra_on_seeded_hessians(cond):
+    # H = Q diag(1 .. 1/cond) Q' with a seeded rotation Q
+    rng = np.random.default_rng(7)
+    n, m, e, p = 8, 12, 2, 3
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (Q * np.geomspace(1.0, 1.0 / cond, n)) @ Q.T
+    H = 0.5 * (H + H.T)
+    C, E = rng.standard_normal((n, p)), rng.standard_normal((m + e, p))
+    prob = SimpleNamespace(
+        H=H, A=rng.standard_normal((m, n)), B=rng.standard_normal((e, n)),
+        instance_data=lambda th: (th @ C.T, th @ E.T),
+    )
+    _assert_algebra_matches_lu_solves(RegionContext(prob), rng.standard_normal((6, p)))
+
+
+def test_per_problem_algebra_on_the_demo(scaled_demo_problem, small_theta_set):
+    _assert_algebra_matches_lu_solves(RegionContext(scaled_demo_problem),
+                                      small_theta_set.thetas[:50])
 
 
 def test_empty_active_set_region():
